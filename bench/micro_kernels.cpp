@@ -25,7 +25,6 @@
 #include "core/sis.hpp"
 #include "core/smm.hpp"
 #include "engine/fault.hpp"
-#include "engine/parallel_runner.hpp"
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
 #include "support/bench_json.hpp"
@@ -207,7 +206,7 @@ void recordSmmSpeedup() {
 
 // ---- Timed benchmarks -----------------------------------------------------
 
-/// Dense converged sweep, serial runner: the purest view of evaluation
+/// Dense converged sweep at threads = 1: the purest view of evaluation
 /// throughput. Covers SMM and SIS, both graph families, flat vs generic.
 template <typename State, typename Protocol>
 void denseStepBench(benchmark::State& state, const Protocol& protocol,
@@ -229,7 +228,7 @@ void denseStepBench(benchmark::State& state, const Protocol& protocol,
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 
-/// Fault-burst recovery under the active schedule, serial runner: exercises
+/// Fault-burst recovery under the active schedule at threads = 1: exercises
 /// the kernels' evaluateList + apply path instead of the dense range sweep.
 template <typename State, typename Protocol, typename Sampler>
 void activeRecoveryBench(benchmark::State& state, const Protocol& protocol,
@@ -267,8 +266,8 @@ void parallelDenseStepBench(benchmark::State& state, const Protocol& protocol,
   graph::Rng rng(n);
   const Graph g = makeGraph(family, n, rng);
   const IdAssignment ids = IdAssignment::identity(g.order());
-  engine::ParallelSyncRunner<State> runner(protocol, g, ids, /*threads=*/4,
-                                           /*seed=*/7, Schedule::Dense);
+  engine::SyncRunner<State> runner(protocol, g, ids, /*seed=*/7,
+                                   Schedule::Dense, /*threads=*/4);
   if (flat) runner.setKernel(core::makeFlatKernel<State>(protocol, g, ids));
   std::vector<State> states;
   states.reserve(g.order());

@@ -9,7 +9,6 @@
 #include "core/sis.hpp"
 #include "core/smm.hpp"
 #include "engine/fault.hpp"
-#include "engine/parallel_runner.hpp"
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
 
@@ -131,7 +130,8 @@ void BM_ParallelSmmRound(benchmark::State& state) {
   const core::SmmProtocol smm = core::smmPaper();
   graph::Rng rng(8);
 
-  engine::ParallelSyncRunner<PointerState> runner(smm, g, ids, threads);
+  engine::SyncRunner<PointerState> runner(smm, g, ids, 0,
+                                          engine::Schedule::Dense, threads);
   for (auto _ : state) {
     state.PauseTiming();
     auto states = engine::randomConfiguration<PointerState>(

@@ -31,7 +31,8 @@ void BM_CounterInc(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterInc);
 
-// Contended path: the parallel runner's workers share moves_total.
+// Contended path: several threads bumping one counter (shared instruments
+// under SyncRunner's worker pool take the same relaxed-atomic route).
 void BM_CounterIncContended(benchmark::State& state) {
   static telemetry::Counter c;
   for (auto _ : state) {

@@ -26,23 +26,27 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure 2>&1 \
 sh "$ROOT/scripts/bench_smoke.sh" "$BUILD_DIR"
 
 # ThreadSanitizer pass over the concurrency-sensitive suites: the telemetry
-# instruments (lock-free counters shared by the worker pool), the parallel
-# runner itself, and the parallel active-set differential tests (per-worker
-# dirty queues merged at the round barrier). A separate build dir keeps
-# sanitizer objects out of the main build.
+# instruments (lock-free counters and histograms shared by the worker pool,
+# plus the ExecutorParity threads = 1 vs >= 2 checks), SyncRunner's pooled
+# path itself (ParallelRunner.*: degree-weighted chunks, the pooled fixpoint
+# sweep, Aggregation on the pool), and the pooled differential suites. A
+# separate build dir keeps sanitizer objects out of the main build.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -G Ninja -S "$ROOT" -DSELFSTAB_SANITIZE=thread
-cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests stress_tests
+cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
+  stress_tests
 {
   "$TSAN_DIR/tests/telemetry_tests"
   "$TSAN_DIR/tests/engine_tests" --gtest_filter='ParallelRunner.*'
-  # '*Parallel*' picks up KernelDifferentialParallel too: the flat kernels'
-  # shared CSR mirror and per-worker scratch run under the pool here.
+  # A campaign at threads >= 2: fault injection between pooled rounds.
+  "$TSAN_DIR/tests/chaos_tests" \
+    --gtest_filter='EngineCampaign.SerialAndParallelExecutorsAgree'
+  # '*Parallel*' selects ScheduleDifferentialParallel (every protocol in
+  # core/, LeaderTree included) and KernelDifferentialParallel (the flat
+  # kernels' shared CSR mirror and per-worker move queues on the pool).
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" --gtest_filter='*Parallel*'
-  # Chaos soak under TSan: engine campaigns replay on the parallel runner
-  # inside the serial-vs-parallel agreement path, so data races in the
-  # fault-injection plumbing surface here.
+  # Chaos soak under TSan: the fault-injection plumbing around the runner.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" --gtest_filter='ChaosSoak.*'
 } 2>&1 | tee "$ROOT/tsan_output.txt"
@@ -72,11 +76,16 @@ cmake --build "$ASAN_DIR" --target adhoc_tests stress_tests
 } 2>&1 | tee "$ROOT/asan_output.txt"
 
 # Benches append machine-readable results here (see
-# bench/support/bench_json.hpp). The file name tracks the PR number, which
-# equals the CHANGES.md line count (one line per landed PR): the PR 3 perf
-# gates live in scale_network, the PR 4 chaos gates in soak_chaos, and the
-# PR 5 kernel gates in micro_kernels.
-PR_NUM="$(wc -l < "$ROOT/CHANGES.md" | tr -d ' ')"
+# bench/support/bench_json.hpp). The file name tracks the change number,
+# read from the leading "PR <n>" of the last CHANGES.md line (one change may
+# add several lines, and numbers can skip). The simulator perf gates live
+# in scale_network, the chaos gates in soak_chaos, and the kernel gates in
+# micro_kernels.
+PR_NUM="$(tail -n 1 "$ROOT/CHANGES.md" | sed -n 's/^PR \([0-9][0-9]*\).*/\1/p')"
+if [ -z "$PR_NUM" ]; then
+  echo "run_all.sh: last CHANGES.md line does not start with 'PR <n>'" >&2
+  exit 1
+fi
 BENCH_JSON="$ROOT/BENCH_PR${PR_NUM}.json"
 : > "$BENCH_JSON"
 export SELFSTAB_BENCH_JSON="$BENCH_JSON"

@@ -1,6 +1,6 @@
-// Round-indexed fault campaigns over the abstract synchronous executors.
+// Round-indexed fault campaigns over the abstract synchronous executor.
 //
-// runEngineCampaign drives a SyncRunner or ParallelSyncRunner through a
+// runEngineCampaign drives a SyncRunner (at any thread count) through a
 // FaultPlan: it steps the runner round by round, applies each FaultEvent at
 // its round index, and measures recovery with chaos/monitors.hpp. The
 // executor-visible model is the paper's:
@@ -9,8 +9,8 @@
 //                    invalidateSchedule() so active-set dirty bits stay
 //                    correct (the same contract as engine::corruptAndReschedule);
 //  * crash           the node is isolated (its incident edges are removed
-//                    from the shared Graph — Graph::version() makes both
-//                    runners re-snapshot) and frozen: it executes nothing
+//                    from the shared Graph — Graph::version() makes the
+//                    runner re-snapshot) and frozen: it executes nothing
 //                    until it rejoins with a fresh initial state;
 //  * partition       cross-side edges are masked out of the shared Graph,
 //                    restored at heal;
@@ -28,7 +28,7 @@
 //
 // Determinism: all campaign randomness comes from a dedicated Rng seeded by
 // `chaosSeed`, so the same (plan, seeds, executor schedule) replays
-// bit-identically on either executor.
+// bit-identically at every thread count.
 #pragma once
 
 #include <algorithm>
@@ -82,7 +82,7 @@ CampaignResult runEngineCampaign(
   bool partitionActive = false;
 
   // Syncs the shared Graph to base minus crashed-incident and cross-side
-  // edges. Rebuilding bumps Graph::version(), which makes both runners (and
+  // edges. Rebuilding bumps Graph::version(), which makes the runner (and
   // `builder`) refresh their mirrors before the next round.
   const auto rebuildEffective = [&] {
     g.clearEdges();

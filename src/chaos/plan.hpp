@@ -12,7 +12,7 @@
 // anywhere.
 //
 // The plan layer is engine-agnostic: chaos/campaign.hpp drives the abstract
-// executors (SyncRunner / ParallelSyncRunner) and chaos/injector.hpp drives
+// round executor (SyncRunner) and chaos/injector.hpp drives
 // adhoc::NetworkSimulator from the same FaultPlan. Faults that only exist in
 // the beacon model (loss_burst, clock_drift) are logged no-ops under the
 // abstract engine; garble degrades to a one-node corruption there (the

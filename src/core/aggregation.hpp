@@ -72,12 +72,11 @@ class AggregationProtocol final : public engine::Protocol<AggregateState> {
   [[nodiscard]] std::optional<AggregateState> onRound(
       const engine::LocalView<AggregateState>& view) const override {
     // Layer 1: the leader-tree target.
-    offers_.clear();
-    for (const auto& nbr : view.neighbors) {
-      offers_.push_back(LeaderOffer{nbr.id, nbr.vertex, &nbr.state->tree});
-    }
     AggregateState target;
-    target.tree = bestLeaderCandidate(view.selfId, offers_, cap_);
+    target.tree = bestLeaderCandidate(
+        view, cap_, [](const AggregateState& s) -> const LeaderState& {
+          return s.tree;
+        });
 
     // Layer 2: aggregate own reading with the children's published values.
     // Children are recognized from the *current* neighbor states; during
@@ -107,7 +106,6 @@ class AggregationProtocol final : public engine::Protocol<AggregateState> {
   std::uint32_t cap_;
   const std::vector<std::uint64_t>* readings_;
   std::string name_;
-  mutable std::vector<LeaderOffer> offers_;
 };
 
 }  // namespace selfstab::core

@@ -20,9 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "engine/protocol.hpp"
 #include "graph/rng.hpp"
@@ -57,29 +55,22 @@ inline LeaderState randomLeaderState(graph::Vertex v, const graph::Graph& g,
   return s;
 }
 
-/// One neighbor's advertised (root, dist) offer, as needed by
-/// bestLeaderCandidate. Kept separate from engine::NeighborRef so protocols
-/// stacking extra fields on LeaderState (core/aggregation.hpp) can project
-/// their views into it.
-struct LeaderOffer {
-  graph::Id id;
-  graph::Vertex vertex;
-  const LeaderState* state;
-};
-
 /// The target state of the leader-tree rule: the lexicographically best of
 /// the node's own candidacy (selfId, 0, Λ) and every neighbor offer with
 /// dist + 1 < cap, ordered by (larger root, smaller dist, smaller parent
-/// ID).
-inline LeaderState bestLeaderCandidate(graph::Id selfId,
-                                       std::span<const LeaderOffer> offers,
-                                       std::uint32_t cap) {
-  LeaderState best{selfId, 0, graph::kNoVertex};
+/// ID). `tree` projects a neighbor's state onto its LeaderState, so
+/// protocols stacking extra fields on it (core/aggregation.hpp) share the
+/// rule without copying their views.
+template <typename State, typename Projection>
+LeaderState bestLeaderCandidate(const engine::LocalView<State>& view,
+                                std::uint32_t cap, Projection tree) {
+  LeaderState best{view.selfId, 0, graph::kNoVertex};
   graph::Id bestParentId = 0;
-  for (const LeaderOffer& nbr : offers) {
-    const std::uint64_t d = std::uint64_t{nbr.state->dist} + 1;
+  for (const auto& nbr : view.neighbors) {
+    const LeaderState& advertised = tree(*nbr.state);
+    const std::uint64_t d = std::uint64_t{advertised.dist} + 1;
     if (d >= cap) continue;  // drained: too far to be real
-    const LeaderState offer{nbr.state->root, static_cast<std::uint32_t>(d),
+    const LeaderState offer{advertised.root, static_cast<std::uint32_t>(d),
                             nbr.vertex};
     const bool better =
         offer.root > best.root ||
@@ -105,11 +96,10 @@ class LeaderTreeProtocol final : public engine::Protocol<LeaderState> {
 
   [[nodiscard]] std::optional<LeaderState> onRound(
       const engine::LocalView<LeaderState>& view) const override {
-    offers_.clear();
-    for (const auto& nbr : view.neighbors) {
-      offers_.push_back(LeaderOffer{nbr.id, nbr.vertex, nbr.state});
-    }
-    const LeaderState best = bestLeaderCandidate(view.selfId, offers_, cap_);
+    const LeaderState best = bestLeaderCandidate(
+        view, cap_, [](const LeaderState& s) -> const LeaderState& {
+          return s;
+        });
     if (view.state() == best) return std::nullopt;
     return best;
   }
@@ -126,9 +116,6 @@ class LeaderTreeProtocol final : public engine::Protocol<LeaderState> {
  private:
   std::uint32_t cap_;
   std::string name_;
-  // Scratch buffer for projecting views into offers; onRound is logically
-  // const and protocols are driven single-threaded.
-  mutable std::vector<LeaderOffer> offers_;
 };
 
 }  // namespace selfstab::core

@@ -81,8 +81,8 @@ class SisKernel final : public engine::FlatKernel<BitState> {
     // so folding 64 verdicts into one move-word turns the per-node emission
     // checks into a single (on quiet rounds never-taken) branch per word.
     // Decisions and emission order are unchanged, so trajectories stay
-    // bit-identical with evaluateOne — including across the parallel
-    // runner's unaligned partition boundaries handled above/below.
+    // bit-identical with evaluateOne — including across the worker pool's
+    // unaligned partition boundaries handled above/below.
     for (; v + 64 <= end; v += 64) {
       const std::uint64_t selfWord = words_[v >> 6];
       std::uint64_t biggerWord = 0;

@@ -12,18 +12,25 @@
 //    Protocol::onRound. This is what the beacon simulator uses (it has no
 //    static graph to mirror, only per-node caches).
 //  * FlatKernel  — adds the SoA mirror plus whole-range / dirty-list batch
-//    evaluation for the round executors. sync() reloads the mirror from the
+//    evaluation for the round executor. sync() reloads the mirror from the
 //    authoritative state vector (and refreshes topology); apply() patches a
 //    single slot so the Active schedule can keep the mirror hot between
 //    rounds.
 //
+// The executor evaluates every round through a FlatKernel. Protocols
+// without a compiled kernel run through GenericKernel, an adapter that
+// plays the same role with a snapshot copy as its "mirror" and a LocalView
+// + virtual onRound per node — the reference path the compiled kernels are
+// checked against.
+//
 // Contract: every kernel must produce the exact same decision as the
 // protocol object it mirrors, for every view — same moves, same resulting
 // states, same fixpoint behavior. The KernelDifferential stress suite
-// enforces this bit-identity across both executors and both schedules; see
-// docs/PERFORMANCE.md.
+// enforces this bit-identity at every thread count and under both
+// schedules; see docs/PERFORMANCE.md.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -32,12 +39,14 @@
 #include <vector>
 
 #include "engine/protocol.hpp"
+#include "engine/topology.hpp"
+#include "engine/view_builder.hpp"
 #include "graph/graph.hpp"
 
 namespace selfstab::engine {
 
 /// Which evaluation path a runner is on. Generic = LocalView + virtual
-/// onRound; Flat = SoA kernel batch evaluation.
+/// onRound (GenericKernel); Flat = compiled SoA kernel batch evaluation.
 enum class Kernel : std::uint8_t { Generic, Flat };
 
 /// CLI-facing selection: Auto picks Flat when the protocol has a kernel
@@ -60,7 +69,7 @@ enum class KernelMode : std::uint8_t { Auto, Generic, Flat };
   return "auto";
 }
 
-/// Batch output: (vertex, new state) pairs, matching the runners' pending
+/// Batch output: (vertex, new state) pairs, matching the executor's commit
 /// queues so results splice in without conversion.
 template <typename State>
 using MoveList = std::vector<std::pair<graph::Vertex, State>>;
@@ -82,7 +91,7 @@ class ViewKernel {
 
 /// Whole-round evaluation over CSR adjacency + structure-of-arrays state.
 ///
-/// Usage by a runner:
+/// Usage by the executor:
 ///   * Dense rounds: sync(states) once per round (the snapshot phase), then
 ///     evaluateRange over [0, n) — possibly chunked across workers.
 ///   * Active rounds: sync(states) on (re)seed, evaluateList over the dirty
@@ -112,6 +121,66 @@ class FlatKernel : public ViewKernel<State> {
   virtual void evaluateList(std::span<const graph::Vertex> vertices,
                             std::uint64_t roundKey,
                             MoveList<State>& out) const = 0;
+};
+
+/// The generic Protocol path as a FlatKernel: the "mirror" is a full copy
+/// of the state vector and each node is evaluated through a LocalView over
+/// a CSR topology the executor owns (sync() refreshes it). Each batch call
+/// walks with its own neighbor buffer, so disjoint ranges may run
+/// concurrently like any other kernel.
+template <typename State>
+class GenericKernel final : public FlatKernel<State> {
+ public:
+  GenericKernel(const Protocol<State>& protocol, CsrTopology& topo)
+      : protocol_(&protocol), topo_(&topo) {}
+
+  [[nodiscard]] std::string_view name() const override { return "generic"; }
+
+  [[nodiscard]] std::optional<State> evaluateView(
+      const LocalView<State>& view) const override {
+    return protocol_->onRound(view);
+  }
+
+  void sync(const std::vector<State>& states) override {
+    topo_->refresh();
+    snapshot_ = states;
+  }
+
+  void apply(graph::Vertex v, const State& s) override { snapshot_[v] = s; }
+
+  void evaluateRange(graph::Vertex begin, graph::Vertex end,
+                     std::uint64_t roundKey,
+                     MoveList<State>& out) const override {
+    std::vector<NeighborRef<State>> buffer;
+    for (graph::Vertex v = begin; v < end; ++v) {
+      evaluateOne(v, roundKey, buffer, out);
+    }
+  }
+
+  void evaluateList(std::span<const graph::Vertex> vertices,
+                    std::uint64_t roundKey,
+                    MoveList<State>& out) const override {
+    std::vector<NeighborRef<State>> buffer;
+    for (const graph::Vertex v : vertices) {
+      evaluateOne(v, roundKey, buffer, out);
+    }
+  }
+
+ private:
+  void evaluateOne(graph::Vertex v, std::uint64_t roundKey,
+                   std::vector<NeighborRef<State>>& buffer,
+                   MoveList<State>& out) const {
+    const LocalView<State> view =
+        buildView(*topo_, v, snapshot_, roundKey, buffer);
+    if (auto next = protocol_->onRound(view)) {
+      assert(!(*next == snapshot_[v]) && "a move must change the node's state");
+      out.emplace_back(v, std::move(*next));
+    }
+  }
+
+  const Protocol<State>* protocol_;
+  CsrTopology* topo_;
+  std::vector<State> snapshot_;
 };
 
 }  // namespace selfstab::engine

@@ -1,9 +1,9 @@
-// Telemetry hookup shared by the two synchronous executors.
+// Telemetry hookup for the synchronous round executor (SyncRunner).
 //
-// Runners resolve registry names once at attach time and keep raw pointers,
-// so the per-round cost of enabled telemetry is atomic adds and clock
-// reads — and the cost of *disabled* telemetry is a null-pointer test per
-// instrument (ScopedTimer skips the clock entirely on a null sink).
+// The runner resolves registry names once at attach time and keeps raw
+// pointers, so the per-round cost of enabled telemetry is atomic adds and
+// clock reads — and the cost of *disabled* telemetry is a null-pointer test
+// per instrument (ScopedTimer skips the clock entirely on a null sink).
 // Attaching is optional and never changes trajectories: telemetry observes
 // the execution, it does not participate in it.
 #pragma once
@@ -20,20 +20,20 @@ struct RunnerMetrics {
   telemetry::Histogram* snapshotDuration = nullptr;
   telemetry::Histogram* evaluateDuration = nullptr;
   telemetry::Histogram* commitDuration = nullptr;
-  telemetry::Histogram* workerChunkDuration = nullptr;  // parallel only
-  telemetry::Gauge* workerImbalance = nullptr;          // parallel only
+  telemetry::Histogram* workerChunkDuration = nullptr;  // threads > 1 only
+  telemetry::Gauge* workerImbalance = nullptr;          // threads > 1 only
   telemetry::Gauge* evaluationsPerSecond = nullptr;
   telemetry::Counter* activeNodes = nullptr;
   telemetry::Counter* skippedNodes = nullptr;
   telemetry::Histogram* activationFraction = nullptr;
 };
 
-/// `parallel` selects which phase instruments exist: the serial runner has
-/// a distinct commit phase; the parallel runner fuses evaluate+commit in
-/// its workers and instead reports per-worker chunk durations plus a
-/// max/mean imbalance gauge.
+/// `workers` adds the pool instruments of a runner with threads > 1: one
+/// chunk-duration observation per worker per round plus a max/mean
+/// imbalance gauge. The snapshot/evaluate/commit phases exist at every
+/// thread count.
 [[nodiscard]] inline RunnerMetrics resolveRunnerMetrics(
-    telemetry::Registry* registry, bool parallel) {
+    telemetry::Registry* registry, bool workers) {
   RunnerMetrics m;
   if (registry == nullptr) return m;
   namespace names = telemetry::names;
@@ -45,13 +45,12 @@ struct RunnerMetrics {
                                             telemetry::durationBuckets());
   m.evaluateDuration = &registry->histogram(names::kEvaluateDuration,
                                             telemetry::durationBuckets());
-  if (parallel) {
+  m.commitDuration = &registry->histogram(names::kCommitDuration,
+                                          telemetry::durationBuckets());
+  if (workers) {
     m.workerChunkDuration = &registry->histogram(
         names::kWorkerChunkDuration, telemetry::durationBuckets());
     m.workerImbalance = &registry->gauge(names::kWorkerImbalance);
-  } else {
-    m.commitDuration = &registry->histogram(names::kCommitDuration,
-                                            telemetry::durationBuckets());
   }
   m.evaluationsPerSecond = &registry->gauge(names::kEvaluationsPerSecond);
   m.activeNodes = &registry->counter(names::kActiveNodes);

@@ -5,14 +5,34 @@
 // evaluates its rules on that consistent snapshot and all privileged nodes
 // move simultaneously. SyncRunner implements exactly that semantics: one
 // snapshot per round, every enabled node moves.
+//
+// It is the repo's only round executor. Every round goes through a
+// FlatKernel (engine/kernel.hpp): a compiled protocol kernel when one is
+// installed (setKernel), otherwise the GenericKernel adapter over the
+// executor's own CSR topology, which also serves isFixpoint and the
+// active-set marks. The round is embarrassingly parallel — every node reads
+// only the snapshot S_t and the commit writes each moved node's own slot —
+// so with threads > 1 the evaluate phase and the fixpoint sweep are split
+// into degree-weighted contiguous chunks (weight deg(v)+1, so power-law hubs
+// spread across workers) on a persistent WorkerPool. Moves are committed
+// in ascending chunk order, so trajectories are bit-identical at every
+// thread count; threads = 1 runs inline with no pool, partition pass or
+// atomics. On small n the barrier costs more than it saves.
+//
+// Protocols must be thread-compatible for threads > 1: onRound() and
+// isStable() are const and may run concurrently for different vertices.
+// Every protocol in core/ is a stateless evaluator.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -20,7 +40,9 @@
 #include "engine/protocol.hpp"
 #include "engine/runner_telemetry.hpp"
 #include "engine/schedule.hpp"
+#include "engine/topology.hpp"
 #include "engine/view_builder.hpp"
+#include "engine/worker_pool.hpp"
 #include "graph/rng.hpp"
 
 namespace selfstab::engine {
@@ -44,19 +66,28 @@ class SyncRunner {
   using Observer = std::function<void(std::size_t, const std::vector<State>&,
                                       const std::vector<State>&, std::size_t)>;
 
+  /// `threads` = 0 is treated as 1.
   SyncRunner(const Protocol<State>& protocol, const graph::Graph& g,
              const graph::IdAssignment& ids, std::uint64_t runSeed = 0,
-             Schedule schedule = Schedule::Dense)
+             Schedule schedule = Schedule::Dense, std::size_t threads = 1)
       : protocol_(&protocol),
-        builder_(g, ids),
+        topo_(g, ids),
         runSeed_(runSeed),
-        schedule_(schedule) {
+        schedule_(schedule),
+        kernel_(std::make_unique<GenericKernel<State>>(protocol, topo_)),
+        chunks_(std::max<std::size_t>(threads, 1)) {
     assert(ids.order() == g.order());
+    if (chunks_.size() > 1) {
+      pool_ = std::make_unique<WorkerPool>(chunks_.size());
+    }
   }
+
+  SyncRunner(const SyncRunner&) = delete;
+  SyncRunner& operator=(const SyncRunner&) = delete;
 
   /// The protocol's canonical clean start.
   [[nodiscard]] std::vector<State> initialStates() const {
-    const auto n = builder_.graphRef().order();
+    const auto n = topo_.graphRef().order();
     std::vector<State> states;
     states.reserve(n);
     for (graph::Vertex v = 0; v < n; ++v) {
@@ -66,20 +97,22 @@ class SyncRunner {
   }
 
   /// Attaches metric/event sinks (either may be null; pass nulls to
-  /// detach). Telemetry is purely observational — trajectories are
-  /// bit-identical with or without it — and with no registry attached
-  /// step() performs no clock reads or atomic writes at all.
+  /// detach). Safe between rounds, not while step() is in flight.
+  /// Telemetry is purely observational — trajectories are bit-identical
+  /// with or without it — and with no registry attached step() performs no
+  /// clock reads or atomic writes at all.
   void attachTelemetry(telemetry::Registry* registry,
                        telemetry::EventLog* events = nullptr) {
-    metrics_ = resolveRunnerMetrics(registry, /*parallel=*/false);
+    metrics_ = resolveRunnerMetrics(registry, /*workers=*/pool_ != nullptr);
     events_ = events;
   }
 
   /// Executes one synchronous round in place; returns the number of moves.
   ///
-  /// Dense schedule — three phases, each timed when telemetry is attached:
-  /// *snapshot* (copy S_t), *evaluate* (run every node's rules against the
-  /// snapshot), *commit* (apply the moves, forming S_{t+1}).
+  /// Three phases, each timed when telemetry is attached: *snapshot* (the
+  /// kernel's sync() from S_t), *evaluate* (run the rules against the
+  /// snapshot, chunked across the pool when threads > 1), *commit* (apply
+  /// the moves, forming S_{t+1}).
   ///
   /// Active schedule — same round semantics, bit-identical trajectory, but
   /// only *dirty* nodes (closed neighborhood changed in the previous round)
@@ -91,9 +124,53 @@ class SyncRunner {
   /// node is evaluated each round; the incremental snapshot still avoids the
   /// O(n) copy.
   std::size_t step(std::vector<State>& states) {
-    assert(states.size() == builder_.graphRef().order());
-    return schedule_ == Schedule::Active ? stepActive(states)
-                                         : stepDense(states);
+    assert(states.size() == topo_.graphRef().order());
+    const telemetry::ScopedTimer roundTimer(metrics_.roundDuration);
+    const std::uint64_t key = roundKey(round_);
+    const std::size_t n = states.size();
+    const bool active = schedule_ == Schedule::Active;
+    {
+      const telemetry::ScopedTimer t(metrics_.snapshotDuration);
+      if (!active || !scheduleValid_ || seededCount_ != n ||
+          graphVersion_ != topo_.graphRef().version()) {
+        kernel_->sync(states);  // Active's only full copy is its (re)seed
+        if (active) {
+          seededCount_ = n;
+          active_.reset(n);
+          active_.seedAll();
+          graphVersion_ = topo_.graphRef().version();
+          scheduleValid_ = true;
+        }
+      }
+    }
+    const bool all = !active || protocol_->usesRoundEntropy();
+    const std::span<const graph::Vertex> work =
+        all ? std::span<const graph::Vertex>{} : active_.current();
+    const std::size_t evaluated = all ? n : work.size();
+    {
+      const telemetry::ScopedTimer t(metrics_.evaluateDuration);
+      const EvalStopwatch stopwatch(metrics_, evaluated);
+      evaluate(all, work, evaluated, key);
+    }
+    std::size_t moves = 0;
+    {
+      const telemetry::ScopedTimer t(metrics_.commitDuration);
+      if (active) topo_.refresh();
+      for (Chunk& chunk : chunks_) {
+        moves += chunk.moves.size();
+        for (auto& [v, next] : chunk.moves) {
+          states[v] = std::move(next);
+          if (!active) continue;
+          // Keep the snapshot hot; the mover and everyone who can see it
+          // re-evaluate next round.
+          kernel_->apply(v, states[v]);
+          active_.mark(v);
+          for (const graph::Vertex w : topo_.neighbors(v)) active_.mark(w);
+        }
+      }
+      if (active) active_.advance();
+    }
+    return finishRound(moves, evaluated, n);
   }
 
   /// Tells an Active-schedule runner that states or topology were mutated
@@ -106,19 +183,26 @@ class SyncRunner {
 
   [[nodiscard]] Schedule schedule() const noexcept { return schedule_; }
 
-  /// Installs a flat protocol kernel (core/kernels.hpp) as the evaluation
-  /// path for subsequent rounds; nullptr reverts to the generic LocalView
-  /// path. The kernel must mirror this runner's protocol — trajectories stay
-  /// bit-identical either way (the KernelDifferential suite enforces it).
-  /// Counts as an external mutation for Active-schedule bookkeeping.
+  /// Installs a compiled protocol kernel (core/kernels.hpp) as the
+  /// evaluation path for subsequent rounds; nullptr reverts to the generic
+  /// adapter. The kernel must mirror this runner's protocol — trajectories
+  /// stay bit-identical either way (the KernelDifferential suite enforces
+  /// it). Safe between rounds; counts as an external mutation for
+  /// Active-schedule bookkeeping.
   void setKernel(std::unique_ptr<FlatKernel<State>> kernel) {
-    kernel_ = std::move(kernel);
+    flat_ = kernel != nullptr;
+    kernel_ = flat_ ? std::move(kernel)
+                    : std::make_unique<GenericKernel<State>>(*protocol_, topo_);
     scheduleValid_ = false;
   }
 
   /// Which evaluation path step() is on.
   [[nodiscard]] Kernel kernel() const noexcept {
-    return kernel_ != nullptr ? Kernel::Flat : Kernel::Generic;
+    return flat_ ? Kernel::Flat : Kernel::Generic;
+  }
+
+  [[nodiscard]] std::size_t threadCount() const noexcept {
+    return chunks_.size();
   }
 
   /// Runs until a fixpoint or until maxRounds rounds have executed. The
@@ -151,22 +235,33 @@ class SyncRunner {
   }
 
   /// True if no node has an enabled rule in `states` (modulo scheduling —
-  /// see Protocol::isStable).
+  /// see Protocol::isStable). Always asks the protocol through LocalViews:
+  /// `states` may be any external vector (chaos masking) that no kernel
+  /// mirror has seen. With threads > 1 the sweep is chunked across the pool
+  /// with a shared early-exit flag; the verdict is exact either way.
   [[nodiscard]] bool isFixpoint(const std::vector<State>& states) {
+    topo_.refresh();
     const std::uint64_t key = roundKey(round_);
-    for (graph::Vertex v = 0; v < states.size(); ++v) {
-      if (!protocol_->isStable(builder_.build(v, states, key))) return false;
-    }
-    return true;
+    if (pool_ == nullptr) return rangeStable(states, key, 0, states.size());
+    const std::vector<std::size_t>& bounds = partition(true, {}, states.size());
+    std::atomic<bool> unstable{false};
+    pool_->run([&](std::size_t t) {
+      if (!rangeStable(states, key, bounds[t], bounds[t + 1], &unstable)) {
+        unstable.store(true, std::memory_order_relaxed);
+      }
+    });
+    return !unstable.load(std::memory_order_relaxed);
   }
 
   /// Vertices privileged in `states` (diagnostics and daemon baselines).
   [[nodiscard]] std::vector<graph::Vertex> enabledVertices(
       const std::vector<State>& states) {
+    topo_.refresh();
     const std::uint64_t key = roundKey(round_);
+    std::vector<NeighborRef<State>> buffer;
     std::vector<graph::Vertex> enabled;
     for (graph::Vertex v = 0; v < states.size(); ++v) {
-      if (isEnabled(*protocol_, builder_.build(v, states, key))) {
+      if (isEnabled(*protocol_, buildView(topo_, v, states, key, buffer))) {
         enabled.push_back(v);
       }
     }
@@ -181,106 +276,82 @@ class SyncRunner {
   }
 
  private:
-  std::size_t stepDense(std::vector<State>& states) {
-    const telemetry::ScopedTimer roundTimer(metrics_.roundDuration);
-    const std::uint64_t key = roundKey(round_);
-    const std::size_t n = states.size();
-    {
-      // The flat path's sync() is the snapshot phase: a full SoA reload from
-      // the authoritative vector plays the role of the S_t copy.
-      const telemetry::ScopedTimer t(metrics_.snapshotDuration);
-      if (kernel_ != nullptr) {
-        kernel_->sync(states);
-      } else {
-        snapshot_ = states;
-      }
+  // Evaluates this round's work — every vertex, or the sorted dirty list —
+  // into the chunks' move queues: inline as one chunk, or one per worker.
+  void evaluate(bool all, std::span<const graph::Vertex> work,
+                std::size_t count, std::uint64_t key) {
+    if (pool_ == nullptr) {
+      evaluateChunk(chunks_[0].moves, all, work, 0, count, key);
+      return;
     }
-    pending_.clear();
-    {
-      const telemetry::ScopedTimer t(metrics_.evaluateDuration);
-      const EvalStopwatch stopwatch(metrics_, n);
-      if (kernel_ != nullptr) {
-        kernel_->evaluateRange(0, static_cast<graph::Vertex>(n), key,
-                               pending_);
-      } else {
-        for (graph::Vertex v = 0; v < n; ++v) evaluateOne(v, key);
-      }
-    }
-    {
-      const telemetry::ScopedTimer t(metrics_.commitDuration);
-      for (auto& [v, next] : pending_) states[v] = std::move(next);
-    }
-    return finishRound(n, n);
+    const std::vector<std::size_t>& bounds = partition(all, work, count);
+    pool_->run([&](std::size_t t) {
+      const telemetry::ScopedTimer timer(metrics_.workerChunkDuration);
+      evaluateChunk(chunks_[t].moves, all, work, bounds[t], bounds[t + 1],
+                    key);
+      // Own slot only; the main thread reads after the pool barrier.
+      chunks_[t].seconds = timer.elapsedSeconds();
+    });
   }
 
-  std::size_t stepActive(std::vector<State>& states) {
-    const telemetry::ScopedTimer roundTimer(metrics_.roundDuration);
-    const std::uint64_t key = roundKey(round_);
-    const std::size_t n = states.size();
-    {
-      const telemetry::ScopedTimer t(metrics_.snapshotDuration);
-      if (!scheduleValid_ || seededCount_ != n ||
-          graphVersion_ != builder_.graphRef().version()) {
-        if (kernel_ != nullptr) {
-          kernel_->sync(states);  // the flat path's full (re)seed copy
-        } else {
-          snapshot_ = states;  // the only full copy Active ever makes
-        }
-        seededCount_ = n;
-        active_.reset(n);
-        active_.seedAll();
-        graphVersion_ = builder_.graphRef().version();
-        scheduleValid_ = true;
-      }
+  void evaluateChunk(MoveList<State>& out, bool all,
+                     std::span<const graph::Vertex> work, std::size_t begin,
+                     std::size_t end, std::uint64_t key) const {
+    out.clear();
+    if (all) {
+      kernel_->evaluateRange(static_cast<graph::Vertex>(begin),
+                             static_cast<graph::Vertex>(end), key, out);
+    } else {
+      kernel_->evaluateList(work.subspan(begin, end - begin), key, out);
     }
-    pending_.clear();
-    std::size_t evaluated = 0;
-    {
-      const telemetry::ScopedTimer t(metrics_.evaluateDuration);
-      if (protocol_->usesRoundEntropy()) {
-        evaluated = n;
-        const EvalStopwatch stopwatch(metrics_, evaluated);
-        if (kernel_ != nullptr) {
-          kernel_->evaluateRange(0, static_cast<graph::Vertex>(n), key,
-                                 pending_);
-        } else {
-          for (graph::Vertex v = 0; v < n; ++v) evaluateOne(v, key);
-        }
-      } else {
-        evaluated = active_.current().size();
-        const EvalStopwatch stopwatch(metrics_, evaluated);
-        if (kernel_ != nullptr) {
-          kernel_->evaluateList(active_.current(), key, pending_);
-        } else {
-          for (const graph::Vertex v : active_.current()) evaluateOne(v, key);
-        }
-      }
-    }
-    {
-      const telemetry::ScopedTimer t(metrics_.commitDuration);
-      for (auto& [v, next] : pending_) {
-        states[v] = next;
-        if (kernel_ != nullptr) {
-          kernel_->apply(v, next);  // keep the SoA mirror hot
-        } else {
-          snapshot_[v] = std::move(next);
-        }
-        // The mover and everyone who can see it re-evaluate next round.
-        active_.mark(v);
-        for (const graph::Vertex w : builder_.neighborsOf(v)) active_.mark(w);
-      }
-      active_.advance();
-    }
-    return finishRound(evaluated, n);
   }
 
-  // Evaluates v's rules against the snapshot; queues a move if enabled.
-  void evaluateOne(graph::Vertex v, std::uint64_t key) {
-    const LocalView<State> view = builder_.build(v, snapshot_, key);
-    if (auto next = protocol_->onRound(view)) {
-      assert(!(*next == snapshot_[v]) && "a move must change the node's state");
-      pending_.emplace_back(v, std::move(*next));
+  // Degree-weighted chunk boundaries for the pool: worker t owns work items
+  // [bounds[t], bounds[t+1]). Weighting by deg(v)+1 balances the neighbor
+  // scan, not the item count (the worker_imbalance_ratio gauge tracks the
+  // effect). The full-range split depends only on (graph version, n), so it
+  // is cached across rounds; dirty lists are split afresh each round.
+  const std::vector<std::size_t>& partition(
+      bool all, std::span<const graph::Vertex> work, std::size_t count) {
+    const graph::Graph& g = topo_.graphRef();
+    const std::size_t parts = pool_->size();
+    if (!all) {
+      listBounds_ = weightedBoundaries(count, parts, [&](std::size_t i) {
+        return static_cast<std::uint64_t>(g.degree(work[i])) + 1;
+      });
+      return listBounds_;
     }
+    if (denseBounds_.empty() || denseBounds_.back() != count ||
+        denseBoundsVersion_ != g.version()) {
+      denseBounds_ = weightedBoundaries(count, parts, [&](std::size_t i) {
+        return static_cast<std::uint64_t>(
+                   g.degree(static_cast<graph::Vertex>(i))) +
+               1;
+      });
+      denseBoundsVersion_ = g.version();
+    }
+    return denseBounds_;
+  }
+
+  // True if no vertex in [begin, end) has an enabled rule — or, on the pool,
+  // once another chunk has raised `stop`: it is polled every 32 vertices so
+  // one hit ends the whole sweep. Relaxed ordering suffices; the pool
+  // barrier publishes the flag, and a stale read only delays the exit.
+  bool rangeStable(const std::vector<State>& states, std::uint64_t key,
+                   std::size_t begin, std::size_t end,
+                   const std::atomic<bool>* stop = nullptr) const {
+    std::vector<NeighborRef<State>> buffer;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (stop != nullptr && ((i - begin) & 31U) == 0 &&
+          stop->load(std::memory_order_relaxed)) {
+        return true;
+      }
+      const auto v = static_cast<graph::Vertex>(i);
+      if (!protocol_->isStable(buildView(topo_, v, states, key, buffer))) {
+        return false;
+      }
+    }
+    return true;
   }
 
   // Times one evaluate phase into the evaluations_per_second gauge; skips
@@ -311,17 +382,40 @@ class SyncRunner {
     std::chrono::steady_clock::time_point start_;
   };
 
+  // Load imbalance of the last pooled round: slowest worker chunk over the
+  // mean chunk time (1.0 = perfectly balanced). 0 until a timed round ran.
+  [[nodiscard]] double imbalanceRatio() const {
+    double sum = 0.0;
+    double worst = 0.0;
+    for (const Chunk& chunk : chunks_) {
+      sum += chunk.seconds;
+      worst = std::max(worst, chunk.seconds);
+    }
+    if (sum <= 0.0) return 0.0;
+    return worst / (sum / static_cast<double>(chunks_.size()));
+  }
+
   // Shared round epilogue: telemetry, round event, round counter.
-  std::size_t finishRound(std::size_t evaluated, std::size_t n) {
-    const std::size_t moves = pending_.size();
+  std::size_t finishRound(std::size_t moves, std::size_t evaluated,
+                          std::size_t n) {
     if (metrics_.rounds != nullptr) metrics_.rounds->inc();
     if (metrics_.moves != nullptr) metrics_.moves->inc(moves);
+    if (metrics_.workerImbalance != nullptr) {
+      metrics_.workerImbalance->set(imbalanceRatio());
+    }
     recordActivation(metrics_, evaluated, n);
-    if (events_ != nullptr) {
+    if (events_ != nullptr && pool_ == nullptr) {
       events_->emit("round", {{"executor", "sync"},
                               {"round", round_},
                               {"moves", moves},
                               {"active", evaluated},
+                              {"kernel", toString(kernel())}});
+    } else if (events_ != nullptr) {
+      events_->emit("round", {{"executor", "parallel"},
+                              {"round", round_},
+                              {"moves", moves},
+                              {"active", evaluated},
+                              {"workers", threadCount()},
                               {"kernel", toString(kernel())}});
     }
     ++round_;
@@ -329,19 +423,32 @@ class SyncRunner {
   }
 
   const Protocol<State>* protocol_;
-  ViewBuilder<State> builder_;
+  CsrTopology topo_;
   std::uint64_t runSeed_;
   Schedule schedule_;
   std::size_t round_ = 0;
-  std::vector<State> snapshot_;
-  std::vector<std::pair<graph::Vertex, State>> pending_;
-  std::unique_ptr<FlatKernel<State>> kernel_;
+  std::unique_ptr<FlatKernel<State>> kernel_;  // never null
+  bool flat_ = false;
+  // One evaluate-phase chunk's output. Cache-line aligned: each worker
+  // appends to its own queue, and neighbouring vector headers on one line
+  // would false-share on every push.
+  struct alignas(64) Chunk {
+    MoveList<State> moves;
+    double seconds = 0.0;  // last timed chunk (threads > 1, telemetry on)
+  };
+  std::vector<Chunk> chunks_;
   ActiveSet active_;
   std::size_t seededCount_ = 0;
   bool scheduleValid_ = false;
   std::uint64_t graphVersion_ = 0;
   RunnerMetrics metrics_;
   telemetry::EventLog* events_ = nullptr;
+  // Pool state (threads > 1 only). The pool is declared last so its
+  // destructor joins the workers before anything they touch goes away.
+  std::vector<std::size_t> denseBounds_;
+  std::uint64_t denseBoundsVersion_ = 0;
+  std::vector<std::size_t> listBounds_;
+  std::unique_ptr<WorkerPool> pool_;
 };
 
 /// Convenience: clean start, run to fixpoint.

@@ -10,6 +10,31 @@
 
 namespace selfstab::engine {
 
+/// Assembles v's LocalView over an already refreshed CSR mirror, filling
+/// `buffer` with one NeighborRef per neighbor. The view aliases `buffer` and
+/// `states`: it is valid until either changes. Concurrent callers need
+/// their own buffers; the mirror itself is only read.
+template <typename State>
+LocalView<State> buildView(const CsrTopology& topo, graph::Vertex v,
+                           const std::vector<State>& states,
+                           std::uint64_t roundKey,
+                           std::vector<NeighborRef<State>>& buffer) {
+  buffer.clear();
+  const std::span<const graph::Vertex> nbrs = topo.neighbors(v);
+  const std::span<const graph::Id> nbrIds = topo.neighborIds(v);
+  buffer.reserve(nbrs.size());
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    buffer.push_back(NeighborRef<State>{nbrs[i], nbrIds[i], &states[nbrs[i]]});
+  }
+  LocalView<State> view;
+  view.self = v;
+  view.selfId = topo.idOf(v);
+  view.selfState = &states[v];
+  view.neighbors = buffer;
+  view.roundKey = roundKey;
+  return view;
+}
+
 /// Builds LocalViews against a (graph, id assignment, state vector) triple,
 /// reusing one neighbor buffer across calls. The returned view aliases both
 /// the builder's buffer and the state vector passed in, so it is valid only
@@ -29,21 +54,7 @@ class ViewBuilder {
   LocalView<State> build(graph::Vertex v, const std::vector<State>& states,
                          std::uint64_t roundKey = 0) {
     topo_.refresh();
-    buffer_.clear();
-    const std::span<const graph::Vertex> nbrs = topo_.neighbors(v);
-    const std::span<const graph::Id> nbrIds = topo_.neighborIds(v);
-    buffer_.reserve(nbrs.size());
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      buffer_.push_back(
-          NeighborRef<State>{nbrs[i], nbrIds[i], &states[nbrs[i]]});
-    }
-    LocalView<State> view;
-    view.self = v;
-    view.selfId = topo_.idOf(v);
-    view.selfState = &states[v];
-    view.neighbors = buffer_;
-    view.roundKey = roundKey;
-    return view;
+    return buildView(topo_, v, states, roundKey, buffer_);
   }
 
   /// Neighbors of v in ascending vertex order, straight from the CSR mirror.

@@ -1,0 +1,102 @@
+// Persistent fork-join pool for the round executor.
+//
+// SyncRunner with threads > 1 splits each round (and each fixpoint sweep)
+// into one chunk per worker. The pool keeps its threads parked on a
+// condition variable between dispatches, so a round costs one wake-up and
+// one barrier, not a thread spawn per chunk.
+#pragma once
+
+#include <atomic>
+#include <condition_variable>
+#include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <functional>
+#include <mutex>
+#include <thread>
+#include <utility>
+#include <vector>
+
+namespace selfstab::engine {
+
+class WorkerPool {
+ public:
+  explicit WorkerPool(std::size_t workers) {
+    threads_.reserve(workers);
+    for (std::size_t t = 0; t < workers; ++t) {
+      threads_.emplace_back([this, t] { loop(t); });
+    }
+  }
+
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+
+  ~WorkerPool() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      shutdown_ = true;
+      ++generation_;
+    }
+    wake_.notify_all();
+    for (auto& thread : threads_) thread.join();
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return threads_.size(); }
+
+  /// Runs job(t) once on every worker t and blocks until all have returned.
+  /// Everything the caller wrote before run() is visible to the job, and
+  /// everything the jobs wrote is visible to the caller afterwards. If a job
+  /// throws, run() rethrows the first exception once every worker is done.
+  void run(const std::function<void(std::size_t)>& job) {
+    pending_.store(threads_.size(), std::memory_order_release);
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      job_ = &job;
+      ++generation_;
+    }
+    wake_.notify_all();
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_.wait(lock, [this] {
+      return pending_.load(std::memory_order_acquire) == 0;
+    });
+    job_ = nullptr;
+    if (error_ != nullptr) std::rethrow_exception(std::exchange(error_, {}));
+  }
+
+ private:
+  void loop(std::size_t index) {
+    std::uint64_t seen = 0;
+    for (;;) {
+      const std::function<void(std::size_t)>* job = nullptr;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        wake_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
+        if (shutdown_) return;
+        seen = generation_;
+        job = job_;
+      }
+      try {
+        (*job)(index);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (error_ == nullptr) error_ = std::current_exception();
+      }
+      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        done_.notify_one();
+      }
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::condition_variable done_;
+  const std::function<void(std::size_t)>* job_ = nullptr;
+  std::exception_ptr error_;
+  std::uint64_t generation_ = 0;
+  bool shutdown_ = false;
+  std::atomic<std::size_t> pending_{0};
+  std::vector<std::thread> threads_;
+};
+
+}  // namespace selfstab::engine

@@ -8,8 +8,8 @@
 // clock, so event logs of deterministic runs are byte-reproducible.
 //
 // Thread-safe: each record is rendered into a local buffer and appended
-// under a mutex, so concurrent emitters (ParallelSyncRunner workers) cannot
-// interleave partial lines.
+// under a mutex, so concurrent emitters (e.g. several runners on different
+// threads sharing one log) cannot interleave partial lines.
 #pragma once
 
 #include <cstddef>

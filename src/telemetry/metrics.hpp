@@ -3,10 +3,10 @@
 // The paper's claims are stated in counts — rounds to stabilize, moves,
 // beacons heard per round — so the executors need cheap instruments they
 // can bump on hot paths. All three instruments are plain std::atomic
-// aggregates: ParallelSyncRunner workers increment the same Counter from
-// many threads with relaxed atomics and no mutex, and a reader can snapshot
-// at any time. Values only ever aggregate (no labels, no time series);
-// Registry (registry.hpp) owns naming and export.
+// aggregates: SyncRunner's pool workers (threads > 1) observe the same
+// Histogram from many threads with relaxed atomics and no mutex, and a
+// reader can snapshot at any time. Values only ever aggregate (no labels,
+// no time series); Registry (registry.hpp) owns naming and export.
 #pragma once
 
 #include <algorithm>

@@ -14,7 +14,8 @@
 
 namespace selfstab::telemetry::names {
 
-// Executors (SyncRunner / ParallelSyncRunner).
+// Round executor (SyncRunner). The worker_* instruments exist only when it
+// runs with threads > 1.
 inline constexpr const char* kRoundsTotal = "rounds_total";
 inline constexpr const char* kMovesTotal = "moves_total";
 inline constexpr const char* kRoundDuration = "round_duration_seconds";
@@ -33,7 +34,7 @@ inline constexpr const char* kWorkerImbalance = "worker_imbalance_ratio";
 inline constexpr const char* kEvaluationsPerSecond =
     "evaluations_per_second";
 
-// Active-set scheduling (both executors; the beacon simulator reuses the
+// Active-set scheduling (SyncRunner; the beacon simulator reuses the
 // counters for per-interval rule evaluations vs dirty-skip suppressions).
 inline constexpr const char* kActiveNodes = "active_nodes_total";
 inline constexpr const char* kSkippedNodes = "skipped_nodes_total";

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -11,7 +12,6 @@
 #include "core/matching_state.hpp"
 #include "core/sis.hpp"
 #include "core/smm.hpp"
-#include "engine/parallel_runner.hpp"
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/id_order.hpp"
@@ -32,16 +32,16 @@ struct SmmCampaignOutcome {
   std::vector<RecoveryMonitor::Record> records;
 };
 
-/// One SMM campaign under the serial executor; recovery budget 2n+1, the
-/// paper's stabilization bound.
+/// One SMM campaign; recovery budget 2n+1, the paper's stabilization bound.
 SmmCampaignOutcome runSmm(const FaultPlan& plan, std::size_t n,
                           std::uint64_t seed,
-                          engine::Schedule schedule = engine::Schedule::Dense) {
+                          engine::Schedule schedule = engine::Schedule::Dense,
+                          std::size_t threads = 1) {
   const core::SmmProtocol protocol = core::smmPaper();
   graph::Graph g = testGraph(n, seed);
   const graph::IdAssignment ids = graph::IdAssignment::identity(n);
   engine::SyncRunner<core::PointerState> runner(protocol, g, ids, seed,
-                                                schedule);
+                                                schedule, threads);
   std::vector<core::PointerState> states = runner.initialStates();
   RecoveryMonitor monitor;
   SmmCampaignOutcome out;
@@ -150,32 +150,19 @@ TEST(EngineCampaign, SerialAndParallelExecutorsAgree) {
   const std::size_t n = 15;
   const FaultPlan plan = makeCampaign("churn", 8, n);
   const auto serial = runSmm(plan, n, 8);
-
-  const core::SmmProtocol protocol = core::smmPaper();
-  graph::Graph g = testGraph(n, 8);
-  const graph::IdAssignment ids = graph::IdAssignment::identity(n);
   const std::size_t threads =
       std::max<std::size_t>(2, std::thread::hardware_concurrency() / 2);
-  engine::ParallelSyncRunner<core::PointerState> runner(protocol, g, ids,
-                                                        threads, 8);
-  std::vector<core::PointerState> states;
-  for (graph::Vertex v = 0; v < n; ++v) {
-    states.push_back(protocol.initialState(v));
-  }
-  RecoveryMonitor monitor;
-  const CampaignResult result = runEngineCampaign(
-      runner, protocol, g, ids, states, plan, kChaosSeed, 2 * n + 1,
-      core::randomPointerState, &monitor, smmSafetyCheck());
+  const auto pooled = runSmm(plan, n, 8, engine::Schedule::Dense, threads);
 
-  EXPECT_EQ(states, serial.states);
-  EXPECT_EQ(result.roundsExecuted, serial.result.roundsExecuted);
-  EXPECT_EQ(result.totalMoves, serial.result.totalMoves);
-  EXPECT_EQ(result.finalFixpoint, serial.result.finalFixpoint);
-  ASSERT_EQ(monitor.records().size(), serial.records.size());
+  EXPECT_EQ(pooled.states, serial.states);
+  EXPECT_EQ(pooled.result.roundsExecuted, serial.result.roundsExecuted);
+  EXPECT_EQ(pooled.result.totalMoves, serial.result.totalMoves);
+  EXPECT_EQ(pooled.result.finalFixpoint, serial.result.finalFixpoint);
+  ASSERT_EQ(pooled.records.size(), serial.records.size());
   for (std::size_t i = 0; i < serial.records.size(); ++i) {
-    EXPECT_EQ(monitor.records()[i].recoveryRounds,
+    EXPECT_EQ(pooled.records[i].recoveryRounds,
               serial.records[i].recoveryRounds);
-    EXPECT_EQ(monitor.records()[i].containmentRadius,
+    EXPECT_EQ(pooled.records[i].containmentRadius,
               serial.records[i].containmentRadius);
   }
 }

@@ -4,9 +4,9 @@
 // *bit-identical* trajectories against the generic LocalView + virtual
 // onRound path: same per-round state vectors, same move counts, same
 // RunResult, same fixpoint behavior — for every SMM choice-policy
-// combination, both SIS seniorities, both executors, both schedules,
-// arbitrary (possibly corrupt) starts, mid-run fault bursts, topology
-// churn, and full chaos campaigns. This suite hammers that claim with
+// combination, both SIS seniorities, one and four threads, both
+// schedules, arbitrary (possibly corrupt) starts, mid-run fault bursts,
+// topology churn, and full chaos campaigns. This suite hammers that claim with
 // randomized combinations and fails with a replayable seed.
 //
 // Iteration count scales with the SELFSTAB_STRESS_ITERS env var.
@@ -28,7 +28,6 @@
 #include "core/sis.hpp"
 #include "core/smm.hpp"
 #include "engine/fault.hpp"
-#include "engine/parallel_runner.hpp"
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
 
@@ -39,7 +38,6 @@ using core::BitState;
 using core::Choice;
 using core::PointerState;
 using core::Seniority;
-using engine::ParallelSyncRunner;
 using engine::Schedule;
 using engine::SyncRunner;
 using graph::Graph;
@@ -112,12 +110,14 @@ void attachFlat(SyncRunner<State>& runner,
   runner.setKernel(std::move(kernel));
 }
 
-// Lockstep flat-vs-generic on the serial executor under `schedule`, with a
-// mid-run fault burst replayed identically onto both trajectories. Also
-// asserts isFixpoint parity every round.
+// Lockstep flat-vs-generic under `schedule`: the generic reference at
+// threads = 1, the flat kernel at `threads`, with a mid-run fault burst
+// replayed identically onto both trajectories. Also asserts isFixpoint
+// parity on every quiet round and RunResult parity from fresh runners.
 template <typename State, typename Sampler>
-void checkSerial(const engine::Protocol<State>& protocol, Sampler sampler,
-                 Schedule schedule, std::uint64_t seed) {
+void checkKernel(const engine::Protocol<State>& protocol, Sampler sampler,
+                 Schedule schedule, std::uint64_t seed,
+                 std::size_t threads = 1) {
   graph::Rng rng(seed);
   const Graph g = makeGraph(static_cast<std::size_t>(seed), rng);
   const IdAssignment ids = makeIds(g, seed / 7, rng);
@@ -126,7 +126,7 @@ void checkSerial(const engine::Protocol<State>& protocol, Sampler sampler,
   const std::size_t maxRounds = 4 * g.order() + 8;
 
   SyncRunner<State> generic(protocol, g, ids, seed, schedule);
-  SyncRunner<State> flat(protocol, g, ids, seed, schedule);
+  SyncRunner<State> flat(protocol, g, ids, seed, schedule, threads);
   attachFlat(flat, protocol, g, ids);
 
   for (std::size_t r = 0; r < maxRounds; ++r) {
@@ -156,7 +156,7 @@ void checkSerial(const engine::Protocol<State>& protocol, Sampler sampler,
   auto gs = engine::randomConfiguration<State>(g, rng, sampler);
   auto fs = gs;
   SyncRunner<State> generic2(protocol, g, ids, seed, schedule);
-  SyncRunner<State> flat2(protocol, g, ids, seed, schedule);
+  SyncRunner<State> flat2(protocol, g, ids, seed, schedule, threads);
   attachFlat(flat2, protocol, g, ids);
   const engine::RunResult gr = generic2.run(gs, maxRounds);
   const engine::RunResult fr = flat2.run(fs, maxRounds);
@@ -164,54 +164,15 @@ void checkSerial(const engine::Protocol<State>& protocol, Sampler sampler,
   EXPECT_TRUE(gs == fs) << label(protocol.name(), seed, g, gr.rounds);
 }
 
-// Flat kernels on the worker pool, dense and active, against the serial
-// generic dense reference as ground truth each round.
-template <typename State, typename Sampler>
-void checkParallel(const engine::Protocol<State>& protocol, Sampler sampler,
-                   std::uint64_t seed) {
-  graph::Rng rng(seed);
-  const Graph g = makeGraph(static_cast<std::size_t>(seed), rng);
-  const IdAssignment ids = makeIds(g, seed / 7, rng);
-  const auto start = engine::randomConfiguration<State>(g, rng, sampler);
-  const std::size_t maxRounds = 4 * g.order() + 8;
-
-  SyncRunner<State> reference(protocol, g, ids, seed, Schedule::Dense);
-  ParallelSyncRunner<State> dense(protocol, g, ids, 4, seed, Schedule::Dense);
-  ParallelSyncRunner<State> active(protocol, g, ids, 4, seed,
-                                   Schedule::Active);
-  dense.setKernel(core::makeFlatKernel<State>(protocol, g, ids));
-  active.setKernel(core::makeFlatKernel<State>(protocol, g, ids));
-
-  auto refStates = start;
-  auto denseStates = start;
-  auto activeStates = start;
-  for (std::size_t r = 0; r < maxRounds; ++r) {
-    const std::size_t rm = reference.step(refStates);
-    const std::size_t dm = dense.step(denseStates);
-    const std::size_t am = active.step(activeStates);
-    ASSERT_EQ(rm, dm) << label(protocol.name(), seed, g, r);
-    ASSERT_EQ(rm, am) << label(protocol.name(), seed, g, r);
-    ASSERT_TRUE(refStates == denseStates)
-        << label(protocol.name(), seed, g, r);
-    ASSERT_TRUE(refStates == activeStates)
-        << label(protocol.name(), seed, g, r);
-    if (rm == 0 && reference.isFixpoint(refStates)) {
-      ASSERT_TRUE(dense.isFixpoint(denseStates))
-          << label(protocol.name(), seed, g, r);
-      ASSERT_TRUE(active.isFixpoint(activeStates))
-          << label(protocol.name(), seed, g, r);
-      break;
-    }
-  }
-}
-
 // Full chaos campaign (crash/partition/corruption template plan) run twice,
-// generic vs flat; the campaign mutates its own copy of the topology, so
-// this also covers kernel topology-mirror invalidation under edge masking.
+// generic at threads = 1 vs flat at `threads`; the campaign mutates its own
+// copy of the topology, so this also covers kernel topology-mirror
+// invalidation under edge masking (and, on the pool, the degree-weighted
+// repartitioning plus the pooled fixpoint sweep).
 template <typename State, typename Sampler>
 void checkChaosCampaign(const engine::Protocol<State>& protocol,
                         Sampler sampler, const char* planTemplate,
-                        std::uint64_t seed) {
+                        std::uint64_t seed, std::size_t threads = 1) {
   graph::Rng rng(seed);
   Graph base = makeGraph(static_cast<std::size_t>(seed), rng);
   if (base.order() < 6) base = graph::connectedErdosRenyi(12, 0.3, rng);
@@ -223,7 +184,8 @@ void checkChaosCampaign(const engine::Protocol<State>& protocol,
 
   const auto runOnce = [&](bool flat, std::vector<State>& states) {
     Graph effective = base;
-    SyncRunner<State> runner(protocol, effective, ids, seed, Schedule::Active);
+    SyncRunner<State> runner(protocol, effective, ids, seed, Schedule::Active,
+                             flat ? threads : 1);
     if (flat) attachFlat(runner, protocol, effective, ids);
     return chaos::runEngineCampaign(runner, protocol, effective, ids, states,
                                     plan, hashCombine(seed, 0xC4A05ULL),
@@ -257,7 +219,7 @@ TEST(KernelDifferential, SmmAllPoliciesDense) {
     for (const Choice accept : kChoices) {
       const core::SmmProtocol smm(propose, accept);
       for (std::size_t i = 0; i < iters; ++i) {
-        checkSerial<PointerState>(smm, core::wildPointerState,
+        checkKernel<PointerState>(smm, core::wildPointerState,
                                   Schedule::Dense, seed++);
       }
     }
@@ -271,7 +233,7 @@ TEST(KernelDifferential, SmmAllPoliciesActive) {
     for (const Choice accept : kChoices) {
       const core::SmmProtocol smm(propose, accept);
       for (std::size_t i = 0; i < iters; ++i) {
-        checkSerial<PointerState>(smm, core::wildPointerState,
+        checkKernel<PointerState>(smm, core::wildPointerState,
                                   Schedule::Active, seed++);
       }
     }
@@ -284,7 +246,7 @@ TEST(KernelDifferential, SisBothSenioritiesDense) {
   for (const Seniority s : {Seniority::LargerIdWins, Seniority::SmallerIdWins}) {
     const core::SisProtocol sis(s);
     for (std::size_t i = 0; i < iters; ++i) {
-      checkSerial<BitState>(sis, core::randomBitState, Schedule::Dense,
+      checkKernel<BitState>(sis, core::randomBitState, Schedule::Dense,
                             seed++);
     }
   }
@@ -296,7 +258,7 @@ TEST(KernelDifferential, SisBothSenioritiesActive) {
   for (const Seniority s : {Seniority::LargerIdWins, Seniority::SmallerIdWins}) {
     const core::SisProtocol sis(s);
     for (std::size_t i = 0; i < iters; ++i) {
-      checkSerial<BitState>(sis, core::randomBitState, Schedule::Active,
+      checkKernel<BitState>(sis, core::randomBitState, Schedule::Active,
                             seed++);
     }
   }
@@ -413,7 +375,7 @@ TEST(KernelDifferential, SimulatorViewKernel) {
   }
 }
 
-// ---- parallel executor --------------------------------------------------
+// ---- worker pool (threads = 4) -------------------------------------------
 
 TEST(KernelDifferentialParallel, SmmAllPolicies) {
   const std::size_t iters = stressIters(2);
@@ -422,7 +384,11 @@ TEST(KernelDifferentialParallel, SmmAllPolicies) {
     for (const Choice accept : kChoices) {
       const core::SmmProtocol smm(propose, accept);
       for (std::size_t i = 0; i < iters; ++i) {
-        checkParallel<PointerState>(smm, core::wildPointerState, seed++);
+        for (const Schedule schedule : {Schedule::Dense, Schedule::Active}) {
+          checkKernel<PointerState>(smm, core::wildPointerState, schedule,
+                                    seed, 4);
+        }
+        ++seed;
       }
     }
   }
@@ -434,55 +400,21 @@ TEST(KernelDifferentialParallel, SisBothSeniorities) {
   for (const Seniority s : {Seniority::LargerIdWins, Seniority::SmallerIdWins}) {
     const core::SisProtocol sis(s);
     for (std::size_t i = 0; i < iters; ++i) {
-      checkParallel<BitState>(sis, core::randomBitState, seed++);
+      for (const Schedule schedule : {Schedule::Dense, Schedule::Active}) {
+        checkKernel<BitState>(sis, core::randomBitState, schedule, seed, 4);
+      }
+      ++seed;
     }
   }
 }
 
-// Chaos campaigns on the pooled executor with flat kernels: covers the
-// degree-weighted partition recomputation under topology masking plus the
-// pooled fixpoint sweep used by maskedStable.
 TEST(KernelDifferentialParallel, ChaosCampaign) {
   const core::SmmProtocol smm = core::smmPaper();
   const std::size_t iters = stressIters(4);
-  for (std::uint64_t seed = 0; seed < iters; ++seed) {
-    graph::Rng rng(95'000 + seed);
-    Graph base = graph::connectedErdosRenyi(20 + rng.below(20), 0.15, rng);
-    const IdAssignment ids = makeIds(base, seed, rng);
-    const auto start = engine::randomConfiguration<PointerState>(
-        base, rng, core::wildPointerState);
-    const chaos::FaultPlan plan =
-        chaos::parseChaosSpec("churn:" + std::to_string(seed), base.order());
-
-    const auto runOnce = [&](bool flat, bool parallel,
-                             std::vector<PointerState>& states) {
-      Graph effective = base;
-      if (parallel) {
-        ParallelSyncRunner<PointerState> runner(smm, effective, ids, 4, seed,
-                                                Schedule::Active);
-        if (flat) {
-          runner.setKernel(
-              core::makeFlatKernel<PointerState>(smm, effective, ids));
-        }
-        return chaos::runEngineCampaign(runner, smm, effective, ids, states,
-                                        plan, hashCombine(seed, 0xC4A05ULL),
-                                        0, core::wildPointerState);
-      }
-      SyncRunner<PointerState> runner(smm, effective, ids, seed,
-                                      Schedule::Active);
-      return chaos::runEngineCampaign(runner, smm, effective, ids, states,
-                                      plan, hashCombine(seed, 0xC4A05ULL), 0,
-                                      core::wildPointerState);
-    };
-
-    auto refStates = start;
-    auto flatStates = start;
-    const chaos::CampaignResult ref = runOnce(false, false, refStates);
-    const chaos::CampaignResult par = runOnce(true, true, flatStates);
-    EXPECT_TRUE(refStates == flatStates) << "seed " << seed;
-    EXPECT_EQ(ref.roundsExecuted, par.roundsExecuted) << "seed " << seed;
-    EXPECT_EQ(ref.totalMoves, par.totalMoves) << "seed " << seed;
-    EXPECT_EQ(ref.finalFixpoint, par.finalFixpoint) << "seed " << seed;
+  std::uint64_t seed = 95'000;
+  for (std::size_t i = 0; i < iters; ++i) {
+    checkChaosCampaign<PointerState>(smm, core::wildPointerState, "churn",
+                                     seed++, 4);
   }
 }
 

@@ -1,11 +1,16 @@
-#include "engine/parallel_runner.hpp"
-
+// The pooled path of the round executor (SyncRunner with threads > 1):
+// bit-identity with threads = 1, pooled fixpoint sweeps, and the
+// degree-weighted chunking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "../support/test_protocols.hpp"
 #include "analysis/verifiers.hpp"
+#include "core/aggregation.hpp"
 #include "core/kernels.hpp"
 #include "core/local_mutex.hpp"
 #include "core/sis.hpp"
@@ -24,27 +29,6 @@ using graph::IdAssignment;
 using testing::MaxProtocol;
 using testing::ValueState;
 
-TEST(ParallelRunner, StepMatchesSerialExactly) {
-  graph::Rng rng(601);
-  const Graph g = graph::connectedErdosRenyi(64, 0.1, rng);
-  const auto ids = IdAssignment::identity(64);
-  const core::SmmProtocol smm = core::smmPaper();
-
-  auto serialStates = engine::randomConfiguration<PointerState>(
-      g, rng, core::randomPointerState);
-  auto parallelStates = serialStates;
-
-  SyncRunner<PointerState> serial(smm, g, ids, /*runSeed=*/5);
-  ParallelSyncRunner<PointerState> parallel(smm, g, ids, /*threads=*/4,
-                                            /*runSeed=*/5);
-  for (int r = 0; r < 10; ++r) {
-    const std::size_t serialMoves = serial.step(serialStates);
-    const std::size_t parallelMoves = parallel.step(parallelStates);
-    EXPECT_EQ(parallelMoves, serialMoves) << "round " << r;
-    EXPECT_EQ(parallelStates, serialStates) << "round " << r;
-  }
-}
-
 TEST(ParallelRunner, RunMatchesSerialForSeveralProtocols) {
   graph::Rng rng(603);
   const Graph g = graph::connectedErdosRenyi(80, 0.08, rng);
@@ -56,9 +40,9 @@ TEST(ParallelRunner, RunMatchesSerialForSeveralProtocols) {
         g, rng, core::randomPointerState);
     auto b = a;
     SyncRunner<PointerState> serial(smm, g, ids);
-    ParallelSyncRunner<PointerState> parallel(smm, g, ids, 3);
+    SyncRunner<PointerState> pooled(smm, g, ids, 0, Schedule::Dense, 3);
     const auto ra = serial.run(a, 200);
-    const auto rb = parallel.run(b, 200);
+    const auto rb = pooled.run(b, 200);
     EXPECT_EQ(ra, rb);
     EXPECT_EQ(a, b);
     EXPECT_TRUE(analysis::checkMatchingFixpoint(g, b).ok());
@@ -69,12 +53,32 @@ TEST(ParallelRunner, RunMatchesSerialForSeveralProtocols) {
                                                    core::randomBitState);
     auto b = a;
     SyncRunner<BitState> serial(sis, g, ids);
-    ParallelSyncRunner<BitState> parallel(sis, g, ids, 5);
-    EXPECT_EQ(serial.run(a, 200), parallel.run(b, 200));
+    SyncRunner<BitState> pooled(sis, g, ids, 0, Schedule::Dense, 5);
+    EXPECT_EQ(serial.run(a, 200), pooled.run(b, 200));
+    EXPECT_EQ(a, b);
+  }
+  {
+    // Aggregation composes the leader-tree rule with a convergecast; both
+    // layers evaluate without scratch state, so the pool may run them.
+    std::vector<std::uint64_t> readings(g.order());
+    for (auto& r : readings) r = rng.below(1000);
+    const core::AggregationProtocol aggregation(
+        static_cast<std::uint32_t>(g.order()), &readings);
+    auto a = engine::randomConfiguration<core::AggregateState>(
+        g, rng, core::randomAggregateState);
+    auto b = a;
+    SyncRunner<core::AggregateState> serial(aggregation, g, ids);
+    SyncRunner<core::AggregateState> pooled(aggregation, g, ids, 0,
+                                            Schedule::Active, 4);
+    const auto ra = serial.run(a, 1000);
+    EXPECT_TRUE(ra.stabilized);
+    EXPECT_EQ(ra, pooled.run(b, 1000));
     EXPECT_EQ(a, b);
   }
 }
 
+// Lockstep per round against threads = 1, then the same fixpoint for every
+// thread count (including more workers than some chunks have vertices).
 TEST(ParallelRunner, ThreadCountSweepIsInvariant) {
   graph::Rng rng(605);
   const Graph g = graph::connectedErdosRenyi(48, 0.12, rng);
@@ -83,17 +87,24 @@ TEST(ParallelRunner, ThreadCountSweepIsInvariant) {
   const auto start = engine::randomConfiguration<PointerState>(
       g, rng, core::randomPointerState);
 
-  std::vector<PointerState> reference;
-  for (const std::size_t threads : {1u, 2u, 3u, 7u, 16u}) {
-    auto states = start;
-    ParallelSyncRunner<PointerState> runner(smm, g, ids, threads);
-    const auto result = runner.run(states, 100);
-    ASSERT_TRUE(result.stabilized) << threads << " threads";
-    if (reference.empty()) {
-      reference = states;
-    } else {
-      EXPECT_EQ(states, reference) << threads << " threads";
+  for (const std::size_t threads : {2u, 3u, 7u, 16u}) {
+    auto serialStates = start;
+    auto pooledStates = start;
+    SyncRunner<PointerState> serial(smm, g, ids, /*runSeed=*/5);
+    SyncRunner<PointerState> pooled(smm, g, ids, /*runSeed=*/5,
+                                    Schedule::Dense, threads);
+    EXPECT_EQ(pooled.threadCount(), threads);
+    for (int r = 0; r < 10; ++r) {
+      EXPECT_EQ(pooled.step(pooledStates), serial.step(serialStates))
+          << threads << " threads, round " << r;
+      EXPECT_EQ(pooledStates, serialStates)
+          << threads << " threads, round " << r;
     }
+    const auto sr = serial.run(serialStates, 100);
+    const auto pr = pooled.run(pooledStates, 100);
+    ASSERT_TRUE(pr.stabilized) << threads << " threads";
+    EXPECT_EQ(pr, sr) << threads << " threads";
+    EXPECT_EQ(pooledStates, serialStates) << threads << " threads";
   }
 }
 
@@ -101,7 +112,7 @@ TEST(ParallelRunner, MoreThreadsThanVerticesIsFine) {
   const Graph g = graph::path(3);
   const auto ids = IdAssignment::identity(3);
   MaxProtocol protocol;
-  ParallelSyncRunner<ValueState> runner(protocol, g, ids, 8);
+  SyncRunner<ValueState> runner(protocol, g, ids, 0, Schedule::Dense, 8);
   std::vector<ValueState> states{{0}, {1}, {2}};
   const auto result = runner.run(states, 10);
   EXPECT_TRUE(result.stabilized);
@@ -112,7 +123,7 @@ TEST(ParallelRunner, ZeroThreadRequestClampsToOne) {
   const Graph g = graph::path(4);
   const auto ids = IdAssignment::identity(4);
   MaxProtocol protocol;
-  ParallelSyncRunner<ValueState> runner(protocol, g, ids, 0);
+  SyncRunner<ValueState> runner(protocol, g, ids, 0, Schedule::Dense, 0);
   EXPECT_EQ(runner.threadCount(), 1u);
   std::vector<ValueState> states{{3}, {0}, {0}, {0}};
   EXPECT_TRUE(runner.run(states, 10).stabilized);
@@ -120,7 +131,7 @@ TEST(ParallelRunner, ZeroThreadRequestClampsToOne) {
 }
 
 TEST(ParallelRunner, FixpointDetectionUsesIsStable) {
-  // A wrapped (randomized) protocol: the parallel runner must not mistake
+  // A wrapped (randomized) protocol: the pooled runner must not mistake
   // an all-blocked round for stabilization. (Synchronized has no mutable
   // scratch state, so it is safe to evaluate concurrently.)
   graph::Rng rng(607);
@@ -130,14 +141,38 @@ TEST(ParallelRunner, FixpointDetectionUsesIsStable) {
                                                       core::Choice::First);
   auto states = engine::randomConfiguration<PointerState>(
       g, rng, core::randomPointerState);
-  ParallelSyncRunner<PointerState> runner(wrapped, g, ids, 4, 9);
+  SyncRunner<PointerState> runner(wrapped, g, ids, 9, Schedule::Dense, 4);
   const auto result = runner.run(states, 5000);
   ASSERT_TRUE(result.stabilized);
   EXPECT_TRUE(analysis::checkMatchingFixpoint(g, states).ok());
 }
 
-// Regression for the pooled isFixpoint sweep (formerly a serial scan on the
-// calling thread): it must agree with SyncRunner::isFixpoint on arbitrary
+// A rule that throws on a worker thread surfaces in the caller's step(),
+// and the pool stays usable afterwards.
+TEST(ParallelRunner, WorkerExceptionReachesCaller) {
+  class ThrowsAtLastVertex final : public Protocol<ValueState> {
+   public:
+    [[nodiscard]] std::string_view name() const override { return "throws"; }
+    [[nodiscard]] std::optional<ValueState> onRound(
+        const LocalView<ValueState>& view) const override {
+      if (view.state().value == 99) throw std::runtime_error("rule failed");
+      return std::nullopt;
+    }
+  };
+  const Graph g = graph::path(8);
+  const auto ids = IdAssignment::identity(8);
+  const ThrowsAtLastVertex protocol;
+  SyncRunner<ValueState> runner(protocol, g, ids, 0, Schedule::Dense, 3);
+  std::vector<ValueState> states(8);
+  states[7].value = 99;
+  EXPECT_THROW(runner.step(states), std::runtime_error);
+  states[7].value = 0;
+  EXPECT_EQ(runner.step(states), 0u);
+  EXPECT_TRUE(runner.isFixpoint(states));
+}
+
+// Regression for the pooled isFixpoint sweep: it must agree with the
+// threads = 1 sweep on arbitrary
 // configurations — stable, unstable-at-one-vertex, and unstable-only-at-the-
 // last-vertex (the early-exit flag must not skip trailing chunks' verdicts).
 TEST(ParallelRunner, PooledFixpointMatchesSerial) {
@@ -148,7 +183,7 @@ TEST(ParallelRunner, PooledFixpointMatchesSerial) {
     const Graph g = graph::connectedErdosRenyi(30, 0.15, rng);
     const auto ids = IdAssignment::identity(g.order());
     SyncRunner<PointerState> serial(smm, g, ids, 5);
-    ParallelSyncRunner<PointerState> pooled(smm, g, ids, 4, 5);
+    SyncRunner<PointerState> pooled(smm, g, ids, 5, Schedule::Dense, 4);
 
     // Arbitrary (mostly unstable) configuration.
     auto states = engine::randomConfiguration<PointerState>(
@@ -176,7 +211,7 @@ TEST(ParallelRunner, PooledFixpointMatchesSerial) {
   const Graph g = graph::star(17);
   const auto ids = IdAssignment::identity(g.order());
   SyncRunner<BitState> serial(sis, g, ids, 5);
-  ParallelSyncRunner<BitState> pooled(sis, g, ids, 4, 5);
+  SyncRunner<BitState> pooled(sis, g, ids, 5, Schedule::Dense, 4);
   pooled.setKernel(core::makeFlatKernel<BitState>(sis, g, ids));
   std::vector<BitState> all(g.order(), BitState{true});
   EXPECT_EQ(serial.isFixpoint(all), pooled.isFixpoint(all));
@@ -245,9 +280,9 @@ TEST(ParallelRunner, WeightedBoundaries) {
   }
 }
 
-// The flat kernel on the pool must match the serial generic runner through
-// full runs — the narrow regression companion to the KernelDifferential
-// stress suite.
+// The flat kernel on the pool must match the threads = 1 generic runner
+// through full runs — the narrow regression companion to the
+// KernelDifferential stress suite.
 TEST(ParallelRunner, FlatKernelRunMatchesSerialGeneric) {
   graph::Rng rng(619);
   const core::SmmProtocol smm = core::smmPaper();
@@ -259,7 +294,7 @@ TEST(ParallelRunner, FlatKernelRunMatchesSerialGeneric) {
     auto pooledStates = serialStates;
 
     SyncRunner<PointerState> serial(smm, g, ids, 7);
-    ParallelSyncRunner<PointerState> pooled(smm, g, ids, 4, 7);
+    SyncRunner<PointerState> pooled(smm, g, ids, 7, Schedule::Dense, 4);
     pooled.setKernel(core::makeFlatKernel<PointerState>(smm, g, ids));
     const auto sr = serial.run(serialStates, 2 * g.order() + 8);
     const auto pr = pooled.run(pooledStates, 2 * g.order() + 8);

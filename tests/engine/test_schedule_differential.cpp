@@ -4,9 +4,9 @@
 // protocol, graph, ID order, seed, and (arbitrary, possibly corrupt) initial
 // configuration, the Active schedule must produce the SAME trajectory as the
 // Dense reference — identical per-round state vectors, identical per-round
-// move counts, identical RunResult — on both the serial and the parallel
-// executor. This suite hammers that claim with randomized combinations over
-// every registered protocol in src/core/ and fails with a replayable seed.
+// move counts, identical RunResult — at threads = 1 and on the worker pool.
+// This suite hammers that claim with randomized combinations over every
+// registered protocol in src/core/ and fails with a replayable seed.
 //
 // Iteration count scales with the SELFSTAB_STRESS_ITERS env var (per-protocol
 // iterations; default keeps the whole suite in the hundreds of combinations).
@@ -25,14 +25,12 @@
 #include "core/sis.hpp"
 #include "core/smm.hpp"
 #include "engine/fault.hpp"
-#include "engine/parallel_runner.hpp"
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
 
 namespace selfstab {
 namespace {
 
-using engine::ParallelSyncRunner;
 using engine::Schedule;
 using engine::SyncRunner;
 using graph::Graph;
@@ -96,46 +94,12 @@ std::string label(std::string_view protocol, std::uint64_t seed,
   return ss.str();
 }
 
-// Lockstep comparison on the serial executor: same start, two runners, one
-// dense and one active, stepping in parallel. Also asserts RunResult parity
-// from fresh runners over the same start.
+// Lockstep comparison: same start, a Dense threads = 1 reference plus one
+// Dense and one Active runner at `threads`, stepping together. Also asserts
+// RunResult parity from fresh runners over the same start.
 template <typename State, typename Sampler>
-void checkSerial(const engine::Protocol<State>& protocol, Sampler sampler,
-                 std::uint64_t seed) {
-  graph::Rng rng(seed);
-  const Graph g = makeGraph(static_cast<std::size_t>(seed), rng);
-  const IdAssignment ids = makeIds(g, seed / 7, rng);
-  const auto start = engine::randomConfiguration<State>(g, rng, sampler);
-  const std::size_t maxRounds = 4 * g.order() + 8;
-
-  SyncRunner<State> dense(protocol, g, ids, seed, Schedule::Dense);
-  SyncRunner<State> active(protocol, g, ids, seed, Schedule::Active);
-  auto denseStates = start;
-  auto activeStates = start;
-  for (std::size_t r = 0; r < maxRounds; ++r) {
-    const std::size_t dm = dense.step(denseStates);
-    const std::size_t am = active.step(activeStates);
-    ASSERT_EQ(dm, am) << label<State>(protocol.name(), seed, g, r);
-    ASSERT_TRUE(denseStates == activeStates)
-        << label<State>(protocol.name(), seed, g, r);
-    if (dm == 0 && dense.isFixpoint(denseStates)) break;
-  }
-
-  auto ds = start;
-  auto as = start;
-  SyncRunner<State> dense2(protocol, g, ids, seed, Schedule::Dense);
-  SyncRunner<State> active2(protocol, g, ids, seed, Schedule::Active);
-  const engine::RunResult dr = dense2.run(ds, maxRounds);
-  const engine::RunResult ar = active2.run(as, maxRounds);
-  EXPECT_TRUE(dr == ar) << label<State>(protocol.name(), seed, g, dr.rounds);
-  EXPECT_TRUE(ds == as) << label<State>(protocol.name(), seed, g, dr.rounds);
-}
-
-// Lockstep comparison on the parallel executor (dense vs active), checked
-// against the serial dense reference as ground truth each round.
-template <typename State, typename Sampler>
-void checkParallel(const engine::Protocol<State>& protocol, Sampler sampler,
-                   std::uint64_t seed) {
+void checkSchedules(const engine::Protocol<State>& protocol, Sampler sampler,
+                    std::uint64_t seed, std::size_t threads = 1) {
   graph::Rng rng(seed);
   const Graph g = makeGraph(static_cast<std::size_t>(seed), rng);
   const IdAssignment ids = makeIds(g, seed / 7, rng);
@@ -143,9 +107,8 @@ void checkParallel(const engine::Protocol<State>& protocol, Sampler sampler,
   const std::size_t maxRounds = 4 * g.order() + 8;
 
   SyncRunner<State> reference(protocol, g, ids, seed, Schedule::Dense);
-  ParallelSyncRunner<State> dense(protocol, g, ids, 4, seed, Schedule::Dense);
-  ParallelSyncRunner<State> active(protocol, g, ids, 4, seed,
-                                   Schedule::Active);
+  SyncRunner<State> dense(protocol, g, ids, seed, Schedule::Dense, threads);
+  SyncRunner<State> active(protocol, g, ids, seed, Schedule::Active, threads);
   auto refStates = start;
   auto denseStates = start;
   auto activeStates = start;
@@ -161,6 +124,15 @@ void checkParallel(const engine::Protocol<State>& protocol, Sampler sampler,
         << label<State>(protocol.name(), seed, g, r);
     if (rm == 0 && reference.isFixpoint(refStates)) break;
   }
+
+  auto ds = start;
+  auto as = start;
+  SyncRunner<State> dense2(protocol, g, ids, seed, Schedule::Dense);
+  SyncRunner<State> active2(protocol, g, ids, seed, Schedule::Active, threads);
+  const engine::RunResult dr = dense2.run(ds, maxRounds);
+  const engine::RunResult ar = active2.run(as, maxRounds);
+  EXPECT_TRUE(dr == ar) << label<State>(protocol.name(), seed, g, dr.rounds);
+  EXPECT_TRUE(ds == as) << label<State>(protocol.name(), seed, g, dr.rounds);
 }
 
 // Mid-run fault bursts: corrupt both trajectories identically (same Rng
@@ -204,7 +176,7 @@ TEST(ScheduleDifferential, SmmPaperSerial) {
   const core::SmmProtocol smm = core::smmPaper();
   const std::size_t iters = stressIters(28);
   for (std::size_t i = 0; i < iters; ++i) {
-    checkSerial<core::PointerState>(smm, core::wildPointerState, 1000 + i);
+    checkSchedules<core::PointerState>(smm, core::wildPointerState, 1000 + i);
   }
 }
 
@@ -214,7 +186,8 @@ TEST(ScheduleDifferential, SmmArbitrarySerial) {
   const core::SmmProtocol broken = core::smmArbitrary();
   const std::size_t iters = stressIters(28);
   for (std::size_t i = 0; i < iters; ++i) {
-    checkSerial<core::PointerState>(broken, core::wildPointerState, 2000 + i);
+    checkSchedules<core::PointerState>(broken, core::wildPointerState,
+                                       2000 + i);
   }
 }
 
@@ -222,7 +195,7 @@ TEST(ScheduleDifferential, SisSerial) {
   const core::SisProtocol sis;
   const std::size_t iters = stressIters(28);
   for (std::size_t i = 0; i < iters; ++i) {
-    checkSerial<core::BitState>(sis, core::randomBitState, 3000 + i);
+    checkSchedules<core::BitState>(sis, core::randomBitState, 3000 + i);
   }
 }
 
@@ -230,7 +203,8 @@ TEST(ScheduleDifferential, ColoringSerial) {
   const core::ColoringProtocol coloring;
   const std::size_t iters = stressIters(28);
   for (std::size_t i = 0; i < iters; ++i) {
-    checkSerial<core::ColorState>(coloring, core::randomColorState, 4000 + i);
+    checkSchedules<core::ColorState>(coloring, core::randomColorState,
+                                     4000 + i);
   }
 }
 
@@ -240,7 +214,7 @@ TEST(ScheduleDifferential, BfsTreeSerial) {
     // Root at ID 0 under identity/reversed orders; under random orders some
     // other vertex holds it — either way the protocol must agree with dense.
     const core::BfsTreeProtocol bfs(0, 64);
-    checkSerial<core::TreeState>(bfs, core::randomTreeState, 5000 + i);
+    checkSchedules<core::TreeState>(bfs, core::randomTreeState, 5000 + i);
   }
 }
 
@@ -248,7 +222,8 @@ TEST(ScheduleDifferential, LeaderTreeSerial) {
   const std::size_t iters = stressIters(28);
   for (std::size_t i = 0; i < iters; ++i) {
     const core::LeaderTreeProtocol leader(64);
-    checkSerial<core::LeaderState>(leader, core::randomLeaderState, 6000 + i);
+    checkSchedules<core::LeaderState>(leader, core::randomLeaderState,
+                                      6000 + i);
   }
 }
 
@@ -260,7 +235,7 @@ TEST(ScheduleDifferential, DominatingSetSynchronizedSerial) {
   const core::Synchronized<core::DominatingSetProtocol> domset;
   const std::size_t iters = stressIters(28);
   for (std::size_t i = 0; i < iters; ++i) {
-    checkSerial<core::DomState>(domset, core::randomDomState, 7000 + i);
+    checkSchedules<core::DomState>(domset, core::randomDomState, 7000 + i);
   }
 }
 
@@ -269,7 +244,7 @@ TEST(ScheduleDifferential, HsuHuangSynchronizedSerial) {
                                                  core::Choice::First);
   const std::size_t iters = stressIters(28);
   for (std::size_t i = 0; i < iters; ++i) {
-    checkSerial<core::PointerState>(hh, core::wildPointerState, 8000 + i);
+    checkSchedules<core::PointerState>(hh, core::wildPointerState, 8000 + i);
   }
 }
 
@@ -285,15 +260,14 @@ TEST(ScheduleDifferential, FaultInjectionSerial) {
   }
 }
 
-// ---- parallel executor --------------------------------------------------
-// LeaderTreeProtocol is excluded: its onRound uses a mutable scratch buffer
-// and is documented as not thread-compatible (see parallel_runner.hpp).
+// ---- worker pool (threads = 4) -------------------------------------------
 
 TEST(ScheduleDifferentialParallel, SmmPaper) {
   const core::SmmProtocol smm = core::smmPaper();
   const std::size_t iters = stressIters(10);
   for (std::size_t i = 0; i < iters; ++i) {
-    checkParallel<core::PointerState>(smm, core::wildPointerState, 1100 + i);
+    checkSchedules<core::PointerState>(smm, core::wildPointerState,
+                                       1100 + i, 4);
   }
 }
 
@@ -301,7 +275,7 @@ TEST(ScheduleDifferentialParallel, Sis) {
   const core::SisProtocol sis;
   const std::size_t iters = stressIters(10);
   for (std::size_t i = 0; i < iters; ++i) {
-    checkParallel<core::BitState>(sis, core::randomBitState, 3100 + i);
+    checkSchedules<core::BitState>(sis, core::randomBitState, 3100 + i, 4);
   }
 }
 
@@ -309,8 +283,8 @@ TEST(ScheduleDifferentialParallel, Coloring) {
   const core::ColoringProtocol coloring;
   const std::size_t iters = stressIters(10);
   for (std::size_t i = 0; i < iters; ++i) {
-    checkParallel<core::ColorState>(coloring, core::randomColorState,
-                                    4100 + i);
+    checkSchedules<core::ColorState>(coloring, core::randomColorState,
+                                    4100 + i, 4);
   }
 }
 
@@ -318,7 +292,16 @@ TEST(ScheduleDifferentialParallel, BfsTree) {
   const std::size_t iters = stressIters(10);
   for (std::size_t i = 0; i < iters; ++i) {
     const core::BfsTreeProtocol bfs(0, 64);
-    checkParallel<core::TreeState>(bfs, core::randomTreeState, 5100 + i);
+    checkSchedules<core::TreeState>(bfs, core::randomTreeState, 5100 + i, 4);
+  }
+}
+
+TEST(ScheduleDifferentialParallel, LeaderTree) {
+  const std::size_t iters = stressIters(10);
+  for (std::size_t i = 0; i < iters; ++i) {
+    const core::LeaderTreeProtocol leader(64);
+    checkSchedules<core::LeaderState>(leader, core::randomLeaderState,
+                                      6100 + i, 4);
   }
 }
 
@@ -326,7 +309,7 @@ TEST(ScheduleDifferentialParallel, DominatingSetSynchronized) {
   const core::Synchronized<core::DominatingSetProtocol> domset;
   const std::size_t iters = stressIters(10);
   for (std::size_t i = 0; i < iters; ++i) {
-    checkParallel<core::DomState>(domset, core::randomDomState, 7100 + i);
+    checkSchedules<core::DomState>(domset, core::randomDomState, 7100 + i, 4);
   }
 }
 

@@ -1,13 +1,12 @@
-// Satellite: telemetry must be purely observational. The parallel executor
-// with telemetry attached must produce bit-identical trajectories to the
-// serial executor, and both must report identical rounds_total/moves_total.
+// Telemetry must be purely observational. The executor at threads >= 2 with
+// telemetry attached must produce bit-identical trajectories to threads = 1,
+// and both must report identical rounds_total/moves_total.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/smm.hpp"
 #include "engine/fault.hpp"
-#include "engine/parallel_runner.hpp"
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
 #include "telemetry/telemetry.hpp"
@@ -35,8 +34,8 @@ TEST(ExecutorParity, ParallelWithTelemetryMatchesSerialBitForBit) {
 
   SyncRunner<PointerState> serial(smm, g, ids, /*runSeed=*/13);
   serial.attachTelemetry(&serialReg);
-  ParallelSyncRunner<PointerState> parallel(smm, g, ids, /*threads=*/4,
-                                            /*runSeed=*/13);
+  SyncRunner<PointerState> parallel(smm, g, ids, /*runSeed=*/13,
+                                    Schedule::Dense, /*threads=*/4);
   parallel.attachTelemetry(&parallelReg);
 
   const auto ra = serial.run(serialStates, 300);
@@ -44,7 +43,7 @@ TEST(ExecutorParity, ParallelWithTelemetryMatchesSerialBitForBit) {
   EXPECT_EQ(ra, rb);
   EXPECT_EQ(parallelStates, serialStates);
 
-  // Both executors executed the same step() calls, so the counters agree
+  // Both runners executed the same step() calls, so the counters agree
   // exactly — including the final zero-move verification round.
   EXPECT_EQ(parallelReg.counterValue(names::kRoundsTotal),
             serialReg.counterValue(names::kRoundsTotal));
@@ -103,12 +102,13 @@ TEST(ExecutorParity, PerPhaseHistogramsArePopulated) {
     ASSERT_NE(h, nullptr) << name;
     EXPECT_EQ(h->count(), serialRounds) << name;
   }
-  // The serial executor has no workers to report on.
+  // threads = 1 has no workers to report on.
   EXPECT_EQ(serialReg.findHistogram(names::kWorkerChunkDuration), nullptr);
 
   telemetry::Registry parallelReg;
   {
-    ParallelSyncRunner<PointerState> runner(smm, g, ids, /*threads=*/3);
+    SyncRunner<PointerState> runner(smm, g, ids, 0, Schedule::Dense,
+                                    /*threads=*/3);
     runner.attachTelemetry(&parallelReg);
     auto states = engine::randomConfiguration<PointerState>(
         g, rng, core::randomPointerState);
@@ -122,28 +122,43 @@ TEST(ExecutorParity, PerPhaseHistogramsArePopulated) {
   ASSERT_NE(chunks, nullptr);
   // Every round dispatches every worker once.
   EXPECT_EQ(chunks->count(), parallelRounds * 3);
+  // The commit phase runs on the calling thread at every thread count.
+  const telemetry::Histogram* commit =
+      parallelReg.findHistogram(names::kCommitDuration);
+  ASSERT_NE(commit, nullptr);
+  EXPECT_EQ(commit->count(), parallelRounds);
   EXPECT_GE(parallelReg.gaugeValue(names::kWorkerImbalance), 0.0);
 }
 
+// Round events name the mode: "sync" at threads = 1 (no workers field, so
+// logs match across releases), "parallel" with the worker count otherwise.
 TEST(ExecutorParity, ParallelEventsCarryExecutorTag) {
   const Graph g = graph::cycle(16);
   const auto ids = IdAssignment::identity(16);
   const core::SmmProtocol smm = core::smmPaper();
 
-  std::ostringstream events;
-  telemetry::EventLog log(events);
-  ParallelSyncRunner<PointerState> runner(smm, g, ids, /*threads=*/2);
-  runner.attachTelemetry(nullptr, &log);
-  auto states = SyncRunner<PointerState>(smm, g, ids).initialStates();
-  runner.run(states, 100);
+  for (const std::size_t threads : {1u, 2u}) {
+    std::ostringstream events;
+    telemetry::EventLog log(events);
+    SyncRunner<PointerState> runner(smm, g, ids, 0, Schedule::Dense, threads);
+    runner.attachTelemetry(nullptr, &log);
+    auto states = runner.initialStates();
+    runner.run(states, 100);
 
-  ASSERT_GT(log.lineCount(), 0u);
-  std::istringstream in(events.str());
-  std::string line;
-  while (std::getline(in, line)) {
-    EXPECT_NE(line.find("\"executor\":\"parallel\""), std::string::npos)
-        << line;
-    EXPECT_NE(line.find("\"workers\":2"), std::string::npos) << line;
+    ASSERT_GT(log.lineCount(), 0u);
+    std::istringstream in(events.str());
+    std::string line;
+    while (std::getline(in, line)) {
+      if (threads == 1) {
+        EXPECT_NE(line.find("\"executor\":\"sync\""), std::string::npos)
+            << line;
+        EXPECT_EQ(line.find("\"workers\""), std::string::npos) << line;
+      } else {
+        EXPECT_NE(line.find("\"executor\":\"parallel\""), std::string::npos)
+            << line;
+        EXPECT_NE(line.find("\"workers\":2"), std::string::npos) << line;
+      }
+    }
   }
 }
 
