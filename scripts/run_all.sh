@@ -53,14 +53,18 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
 
 # AddressSanitizer pass over the beacon-simulator suites: the spatial-index
 # rework moves neighbor caches and event queues onto flat vectors with
-# in-place compaction and move-out pops, exactly the kind of code ASan
-# catches misusing. The grid-vs-scan differential tests double as the
-# workload.
+# in-place compaction and move-out pops, and each broadcast's arrival reads
+# its payload and receiver list from a recycled batch slot, exactly the kind
+# of code ASan catches misusing. The grid-vs-scan differential tests double
+# as the workload.
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -G Ninja -S "$ROOT" -DSELFSTAB_SANITIZE=address
-cmake --build "$ASAN_DIR" --target adhoc_tests stress_tests
+cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests
 {
   "$ASAN_DIR/tests/adhoc_tests"
+  # Simulator fault injection: crashes and rejoins land while broadcasts are
+  # in flight, so arrivals run against batch slots other broadcasts recycle.
+  "$ASAN_DIR/tests/chaos_tests" --gtest_filter='SimInjector.*'
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" --gtest_filter='NetworkDifferential*'
   # Flat-kernel differential under ASan: the SoA mirrors index raw CSR

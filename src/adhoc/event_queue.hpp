@@ -12,8 +12,8 @@
 //                      now. Far-future events overflow into a plain heap
 //                      and migrate onto the wheel as the cursor approaches.
 //
-// Both pop by *moving* the stored event out — the payload (which carries a
-// whole protocol State for deliveries) is never copied on the hot path.
+// Both pop by *moving* the stored event out, so a payload that owns memory
+// is never deep-copied on the hot path.
 #pragma once
 
 #include <algorithm>

@@ -20,14 +20,22 @@
 // order, same event tie-breaking — which the differential suite in
 // tests/adhoc/test_network_differential.cpp asserts):
 //
+//  * A broadcast is one queue event, not one per receiver. At send time the
+//    sender's radio picks its receivers and the payload is captured into a
+//    recycled batch slot; one Arrival event at send + propagationDelay walks
+//    the ascending receiver list and applies each receiver's crash check at
+//    arrival time. Per-receiver events would share that timestamp and take
+//    consecutive sequence numbers, so no other event could fall between
+//    them: the batch replays exactly their order.
 //  * Broadcast fan-out and collision checks consult an incrementally
 //    maintained SpatialGrid instead of scanning all n nodes. A node's cell
 //    is refreshed at its own beacon, so a recorded position is stale by at
 //    most one (jittered) beacon interval; queries widen the radius by
-//    maxSpeed x staleness to cover the drift, then apply the reference
-//    implementation's exact distance test to the candidates, sorted into
-//    ascending vertex order so the per-receiver RNG draws (loss) and
-//    delivery sequence numbers come out identical to the full scan.
+//    maxSpeed x staleness to cover the drift. The reference implementation's
+//    exact distance test (which draws no random number) then filters the
+//    unsorted candidates, and only the survivors are sorted into ascending
+//    vertex order, so the per-receiver loss draws and collision checks come
+//    out identical to the full scan.
 //  * Collision checks only ever need nodes that transmitted within
 //    collisionWindow, so each grid cell keeps a ring of recent
 //    transmissions (recorded at the transmitter's exact cell at
@@ -227,8 +235,9 @@ class NetworkSimulator {
   }
 
   /// Attaches metric/event sinks (either may be null; pass nulls to
-  /// detach). Counters shadow NetworkStats increment-for-increment, so a
-  /// registry dump always agrees with stats() exactly; the index/queue
+  /// detach). Counters shadow NetworkStats exactly (a broadcast's losses,
+  /// collisions and deliveries are added in one step), so a registry dump
+  /// always agrees with stats(); the index/queue
   /// diagnostics shadow IndexStats the same way (and are mode-dependent,
   /// see IndexStats). The event log receives "move", "neighbor_expired",
   /// and "reboot" records keyed by simulated time — never wall clock — so
@@ -299,6 +308,9 @@ class NetworkSimulator {
   /// evaluating its rules each interval but none is privileged.)
   /// `noQuietBefore` suppresses the quiet exit until that time — a fault
   /// campaign must not declare quiescence while events are still pending.
+  /// Quiet is checked after each queue event, and a broadcast's arrival at
+  /// all of its receivers is one event, so the run stops on a broadcast
+  /// boundary: no arrival is ever left half-delivered.
   QuietResult runUntilQuiet(SimTime quietWindow, SimTime maxTime,
                             SimTime noQuietBefore = 0) {
     QuietResult result;
@@ -531,16 +543,25 @@ class NetworkSimulator {
     /// when no chaos state is attached.
     std::uint32_t epoch = 0;
   };
-  struct Delivery {
-    graph::Vertex to;
+  /// One broadcast's arrival at all of its receivers; `slot` indexes the
+  /// Batch holding the payload and the receiver list.
+  struct Arrival {
     graph::Vertex from;
-    State payload;
+    std::uint32_t slot;
   };
   /// Fault-campaign timer; `index` identifies the FaultEvent to apply.
   struct ChaosTick {
     std::int64_t index;
   };
-  using Event = std::variant<BeaconTimer, Delivery, ChaosTick>;
+  using Event = std::variant<BeaconTimer, Arrival, ChaosTick>;
+
+  /// Payload as sent (a garbled one included) and the ascending receivers
+  /// that passed the range, chaos, loss and collision tests. Slots are
+  /// recycled once their arrival event has run.
+  struct Batch {
+    State payload{};
+    std::vector<graph::Vertex> receivers;
+  };
 
   struct CacheEntry {
     graph::Vertex from;
@@ -572,7 +593,7 @@ class NetworkSimulator {
     } else if (auto* tick = std::get_if<ChaosTick>(&event)) {
       if (chaos_ != nullptr && chaos_->handler) chaos_->handler(tick->index);
     } else {
-      onDelivery(std::get<Delivery>(std::move(event)));
+      onArrival(std::get<Arrival>(event));
     }
   }
 
@@ -658,52 +679,31 @@ class NetworkSimulator {
 
     // Broadcast the (possibly updated) state to everyone in the *sender's*
     // transmit range (reception is governed by the transmitter's power).
-    // Both index modes run the same per-receiver pipeline — exact distance
-    // test, loss draw, collision check, delivery — over ascending receiver
-    // vertices, so RNG draws and event sequence numbers are identical; the
-    // grid merely prunes receivers that cannot possibly be in range.
+    // First the draw-free filters — chaos drops and the exact distance test —
+    // over the unsorted candidates; then the survivors, in ascending vertex
+    // order, take the loss draw and the collision check. Both index modes
+    // end up with the same ascending in-range list, so RNG draws come out
+    // identical; the grid merely prunes receivers that cannot be in range.
     const graph::Point me = positionAt(v, now);
     const double r2 = radiusOf(v) * radiusOf(v);
-    const State* payload = &node.state;
-    if (chaos_ != nullptr && chaos_->garbled[v].has_value()) {
-      payload = &*chaos_->garbled[v];
-    }
-    const auto offerBeacon = [&](graph::Vertex u) {
-      if (u == v) return;
+    std::size_t rangeChecks = 0;
+    const auto inRange = [&](graph::Vertex u) {
+      if (u == v) return false;
       if (chaos_ != nullptr) {
         // Crashed receivers hear nothing; a partition cuts cross-side
-        // links. Both tests precede the distance test and the loss draw so
-        // Grid and Scan stay RNG-aligned: a chaos-dropped receiver consumes
-        // no draws in either mode.
-        if (chaos_->crashed[u] != 0) return;
+        // links. Neither test consumes a draw or counts as a range check.
+        if (chaos_->crashed[u] != 0) return false;
         if (chaos_->partitionActive && chaos_->side[u] != chaos_->side[v]) {
-          return;
+          return false;
         }
       }
-      const graph::Point other = positionAt(u, now);
-      ++indexStats_.rangeChecks;
-      if (metrics_.rangeChecks != nullptr) metrics_.rangeChecks->inc();
-      if (graph::squaredDistance(me, other) > r2) return;
-      if (rng_.chance(config_.lossProbability)) {
-        ++stats_.beaconsLost;
-        if (metrics_.beaconsLost != nullptr) metrics_.beaconsLost->inc();
-        return;
-      }
-      if (config_.collisionWindow > 0 && collidesAt(u, v, other, now)) {
-        ++stats_.beaconsCollided;
-        if (metrics_.beaconsCollided != nullptr) {
-          metrics_.beaconsCollided->inc();
-        }
-        return;
-      }
-      queue_.schedule(now + config_.propagationDelay,
-                      Event{Delivery{u, v, *payload}});
+      ++rangeChecks;
+      return graph::squaredDistance(me, positionAt(u, now)) <= r2;
     };
     if (config_.index == IndexMode::Grid) {
       grid_.place(v, me);
       candidates_.clear();
       grid_.gather(me, radiusOf(v) + broadcastSlack_, candidates_);
-      std::sort(candidates_.begin(), candidates_.end());
       ++indexStats_.gridQueries;
       indexStats_.broadcastCandidates += candidates_.size();
       if (metrics_.broadcastCandidates != nullptr) {
@@ -714,9 +714,41 @@ class NetworkSimulator {
         metrics_.gridOccupancy->observe(static_cast<double>(
             grid_.cellMembers(grid_.cellOf(me)).size()));
       }
-      for (const graph::Vertex u : candidates_) offerBeacon(u);
+      std::erase_if(candidates_, [&](graph::Vertex u) { return !inRange(u); });
+      std::sort(candidates_.begin(), candidates_.end());
     } else {
-      for (graph::Vertex u = 0; u < nodes_.size(); ++u) offerBeacon(u);
+      candidates_.clear();
+      for (graph::Vertex u = 0; u < nodes_.size(); ++u) {
+        if (inRange(u)) candidates_.push_back(u);
+      }
+    }
+    countBatch(indexStats_.rangeChecks, metrics_.rangeChecks, rangeChecks);
+    std::size_t lost = 0;
+    std::size_t collided = 0;
+    std::size_t receivers = 0;
+    for (const graph::Vertex u : candidates_) {
+      if (rng_.chance(config_.lossProbability)) {
+        ++lost;
+      } else if (config_.collisionWindow > 0 &&
+                 collidesAt(u, v, positionAt(u, now), now)) {
+        ++collided;
+      } else {
+        candidates_[receivers++] = u;
+      }
+    }
+    candidates_.resize(receivers);
+    countBatch(stats_.beaconsLost, metrics_.beaconsLost, lost);
+    countBatch(stats_.beaconsCollided, metrics_.beaconsCollided, collided);
+    if (!candidates_.empty()) {
+      // One arrival event for the whole broadcast. The payload is captured
+      // now, so a garble reset or a state change before arrival is unseen.
+      const std::uint32_t slot = acquireBatch();
+      Batch& batch = batches_[slot];
+      batch.payload = (chaos_ != nullptr && chaos_->garbled[v].has_value())
+                          ? *chaos_->garbled[v]
+                          : node.state;
+      batch.receivers.assign(candidates_.begin(), candidates_.end());
+      queue_.schedule(now + config_.propagationDelay, Event{Arrival{v, slot}});
     }
     if (config_.index == IndexMode::Grid && config_.collisionWindow > 0) {
       auto& ring = txRings_[grid_.cellOf(me)];
@@ -744,29 +776,52 @@ class NetworkSimulator {
     }
   }
 
-  void onDelivery(Delivery&& d) {
-    if (chaos_ != nullptr && chaos_->crashed[d.to] != 0) return;
-    Node& node = nodes_[d.to];
+  /// Delivers one broadcast to its receivers, in ascending order. A
+  /// receiver that crashed after the send hears nothing; the others are
+  /// unaffected. The slot goes back to the free list afterwards.
+  void onArrival(const Arrival& arrival) {
+    const Batch& batch = batches_[arrival.slot];
     const SimTime now = queue_.now();
-    const auto it = std::lower_bound(
-        node.cache.begin(), node.cache.end(), d.from,
-        [](const CacheEntry& e, graph::Vertex from) { return e.from < from; });
-    if (it == node.cache.end() || it->from != d.from) {
-      node.cache.insert(it, CacheEntry{d.from, now, std::move(d.payload)});
-      node.dirty = true;  // new neighbor appeared in the view
-    } else {
-      // Refresh heardAt in place; a changed payload moves in and dirties
-      // the view, an unchanged one costs no copy at all.
-      if (!(it->state == d.payload)) {
-        it->state = std::move(d.payload);
-        node.dirty = true;
+    std::size_t delivered = 0;
+    for (const graph::Vertex to : batch.receivers) {
+      if (chaos_ != nullptr && chaos_->crashed[to] != 0) continue;
+      Node& node = nodes_[to];
+      const auto it = std::lower_bound(
+          node.cache.begin(), node.cache.end(), arrival.from,
+          [](const CacheEntry& e, graph::Vertex f) { return e.from < f; });
+      if (it == node.cache.end() || it->from != arrival.from) {
+        node.cache.insert(it, CacheEntry{arrival.from, now, batch.payload});
+        node.dirty = true;  // new neighbor appeared in the view
+      } else {
+        // Refresh heardAt in place; a changed payload is copied in and
+        // dirties the view, an unchanged one costs no copy at all.
+        if (!(it->state == batch.payload)) {
+          it->state = batch.payload;
+          node.dirty = true;
+        }
+        it->heardAt = now;
       }
-      it->heardAt = now;
+      ++delivered;
     }
-    ++stats_.beaconsDelivered;
-    if (metrics_.beaconsDelivered != nullptr) {
-      metrics_.beaconsDelivered->inc();
+    countBatch(stats_.beaconsDelivered, metrics_.beaconsDelivered, delivered);
+    freeBatches_.push_back(arrival.slot);
+  }
+
+  [[nodiscard]] std::uint32_t acquireBatch() {
+    if (freeBatches_.empty()) {
+      batches_.emplace_back();
+      return static_cast<std::uint32_t>(batches_.size() - 1);
     }
+    const std::uint32_t slot = freeBatches_.back();
+    freeBatches_.pop_back();
+    return slot;
+  }
+
+  /// Adds one broadcast's worth to a stats field and its shadow counter.
+  static void countBatch(std::size_t& stat, telemetry::Counter* counter,
+                         std::size_t count) {
+    stat += count;
+    if (counter != nullptr && count > 0) counter->inc(count);
   }
 
   /// MAC collision check for a beacon sent by `sender` at `now` towards the
@@ -937,7 +992,9 @@ class NetworkSimulator {
   std::vector<graph::Point> posPoint_;
   graph::SpatialGrid grid_;
   std::vector<std::vector<TxRecord>> txRings_;  ///< per grid cell
-  std::vector<graph::Vertex> candidates_;       ///< reused gather buffer
+  std::vector<graph::Vertex> candidates_;       ///< reused receiver buffer
+  std::vector<Batch> batches_;                  ///< broadcasts in flight
+  std::vector<std::uint32_t> freeBatches_;      ///< recycled batches_ slots
   double maxRadius_ = 0.0;
   double broadcastSlack_ = 0.0;
   double collisionSlack_ = 0.0;

@@ -1,6 +1,7 @@
 #include "cli/sim_options.hpp"
 
 #include <charconv>
+#include <limits>
 
 namespace selfstab::cli {
 
@@ -45,10 +46,19 @@ double parsePositive(const std::string& text, const std::string& what) {
   }
 }
 
+/// Seconds to whole microseconds. A value below 1 us would truncate to 0
+/// (a zero report step never advances the timeline), and one at or above the
+/// SimTime range has no defined conversion; both are rejected.
 adhoc::SimTime secondsToSimTime(const std::string& text,
                                 const std::string& what) {
-  return static_cast<adhoc::SimTime>(parsePositive(text, what) *
-                                     static_cast<double>(adhoc::kSecond));
+  const double us =
+      parsePositive(text, what) * static_cast<double>(adhoc::kSecond);
+  constexpr auto kMax = std::numeric_limits<adhoc::SimTime>::max();
+  if (!(us >= 1.0 && us < static_cast<double>(kMax))) {
+    fail("invalid " + what + " (want 1e-6 to 9.2e12 seconds): '" + text +
+         "'");
+  }
+  return static_cast<adhoc::SimTime>(us);
 }
 
 }  // namespace

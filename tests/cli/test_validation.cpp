@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "adhoc/network.hpp"
 #include "cli/options.hpp"
@@ -89,6 +90,31 @@ TEST(SimOptionsValidation, RejectsDegeneratePhysics) {
   EXPECT_THROW((void)parseSimOptions({"--timeout-factor", "0"}), CliError);
   EXPECT_THROW((void)parseSimOptions({"--radius", "0"}), CliError);
   EXPECT_THROW((void)parseSimOptions({"--nodes", "0"}), CliError);
+}
+
+// Simulated time is whole microseconds in an int64: a value that truncates
+// to 0 us (a report step that never advances) or overflows the range must
+// fail at parse time, not hang or wrap.
+TEST(SimOptionsValidation, TimeFlagsStayInSimTimeRange) {
+  using cli::CliError;
+  using cli::parseSimOptions;
+  for (const char* flag : {"--report-sec", "--duration-sec", "--stop-sec"}) {
+    EXPECT_THROW((void)parseSimOptions({flag, "1e-7"}), CliError) << flag;
+    EXPECT_THROW((void)parseSimOptions({flag, "9.9e-7"}), CliError) << flag;
+    EXPECT_THROW((void)parseSimOptions({flag, "1e300"}), CliError) << flag;
+    EXPECT_THROW((void)parseSimOptions({flag, "1e13"}), CliError) << flag;
+    EXPECT_THROW((void)parseSimOptions({flag, "inf"}), CliError) << flag;
+  }
+  EXPECT_EQ(parseSimOptions({"--report-sec", "1e-6"}).reportEvery, 1);
+  EXPECT_EQ(parseSimOptions({"--duration-sec", "9e12"}).duration,
+            static_cast<adhoc::SimTime>(9e12 * 1e6));
+  try {
+    (void)parseSimOptions({"--report-sec", "1e-7"});
+    FAIL() << "expected CliError";
+  } catch (const CliError& e) {
+    EXPECT_NE(std::string(e.what()).find("report-sec"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ChaosFlag, ParsedOnBothClis) {
