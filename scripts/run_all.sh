@@ -59,9 +59,14 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
 # as the workload.
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -G Ninja -S "$ROOT" -DSELFSTAB_SANITIZE=address
-cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests
+cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
+  engine_tests
 {
   "$ASAN_DIR/tests/adhoc_tests"
+  # The installed kernel owns the only CSR the runner reads, and setKernel
+  # frees it: a span kept across a kernel swap or a pooled round would be a
+  # use-after-free here.
+  "$ASAN_DIR/tests/engine_tests" --gtest_filter='ParallelRunner.*:SetKernel.*'
   # Simulator fault injection: crashes and rejoins land while broadcasts are
   # in flight, so arrivals run against batch slots other broadcasts recycle.
   "$ASAN_DIR/tests/chaos_tests" --gtest_filter='SimInjector.*'

@@ -1,7 +1,12 @@
 #include "cli/run.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <fstream>
+#include <iomanip>
+#include <limits>
+#include <numbers>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -33,6 +38,11 @@ namespace {
 using graph::Graph;
 using graph::IdAssignment;
 using graph::Vertex;
+
+/// Peak resident bytes per edge of a flat-kernel `selfstab` run (Graph,
+/// IDs, the kernel's CSR and state mirror): 549 MB for the 14.1M edges of
+/// udg:1000000:0.003.
+constexpr double kBytesPerEdge = 40.0;
 
 /// Optional telemetry sinks threaded from execute() into every driver.
 struct Sinks {
@@ -77,9 +87,10 @@ void maybeWriteDot(const Options& options, const Graph& g,
 /// Installs the compiled SoA kernel on the runner per --kernel and records
 /// the path actually taken in the report. Auto silently falls back to the
 /// generic LocalView path for protocols without a kernel; an explicit
-/// `--kernel flat` there is a usage error. The graph reference must be the
-/// one the runner itself iterates (the mutable chaos copy under --chaos), so
-/// the kernel's topology mirror tracks the same edge masking.
+/// `--kernel flat` there is a usage error. `g` and `ids` must be the very
+/// objects the runner was built over (the mutable chaos copy under
+/// --chaos): the kernel's CSR becomes the topology the runner reads, and
+/// setKernel throws std::invalid_argument for any other objects.
 template <typename State>
 void installKernel(engine::SyncRunner<State>& runner,
                    const engine::Protocol<State>& protocol, const Graph& g,
@@ -453,7 +464,65 @@ Report runLeaderTree(const Options& options, const Sinks& sinks,
 
 }  // namespace
 
+double estimateEdges(const GraphSpec& spec) {
+  const auto n = static_cast<double>(spec.n);
+  const double pairs = n * (n - 1) / 2;
+  switch (spec.kind) {
+    case GraphSpec::Kind::Path:
+    case GraphSpec::Kind::Star:
+    case GraphSpec::Kind::Tree:
+      return n > 0 ? n - 1 : 0;
+    case GraphSpec::Kind::Cycle:
+      return n;
+    case GraphSpec::Kind::Complete:
+      return pairs;
+    case GraphSpec::Kind::Grid: {
+      const auto cols = static_cast<double>(spec.cols);
+      return n > 0 && cols > 0 ? n * (cols - 1) + cols * (n - 1) : 0;
+    }
+    case GraphSpec::Kind::Gnp:
+      return spec.param * pairs;
+    case GraphSpec::Kind::Udg:
+      return pairs *
+             std::min(1.0, std::numbers::pi * spec.param * spec.param);
+    case GraphSpec::Kind::File:
+      break;
+  }
+  return 0;
+}
+
+void checkGraphSize(const GraphSpec& spec, double memoryBytes) {
+  if (spec.kind == GraphSpec::Kind::File) return;
+  const double vertices =
+      static_cast<double>(spec.n) *
+      (spec.kind == GraphSpec::Kind::Grid ? static_cast<double>(spec.cols)
+                                          : 1.0);
+  std::ostringstream msg;
+  msg << std::fixed << std::setprecision(0);
+  if (vertices >= static_cast<double>(graph::kNoVertex)) {
+    msg << "graph too large: " << vertices << " vertices (the limit is "
+        << graph::kNoVertex - 1 << ")";
+    throw CliError(msg.str());
+  }
+  const double edges = estimateEdges(spec);
+  const double bytes = edges * kBytesPerEdge;
+  if (bytes > memoryBytes) {
+    msg << "graph too large: ~" << edges << " edges estimated, ~"
+        << std::setprecision(1) << bytes / 1e9 << " GB at "
+        << std::setprecision(0) << kBytesPerEdge << " B per edge, over the "
+        << std::setprecision(1) << memoryBytes / 1e9
+        << " GB of physical memory";
+    throw CliError(msg.str());
+  }
+}
+
 Graph buildGraph(const GraphSpec& spec, std::uint64_t seed) {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long pageSize = sysconf(_SC_PAGE_SIZE);
+  checkGraphSize(spec, pages > 0 && pageSize > 0
+                           ? static_cast<double>(pages) *
+                                 static_cast<double>(pageSize)
+                           : std::numeric_limits<double>::infinity());
   graph::Rng rng(hashCombine(seed, 0x6772617068ULL));
   switch (spec.kind) {
     case GraphSpec::Kind::Path:

@@ -34,9 +34,21 @@ struct Report {
   std::size_t chaosSafetyViolations = 0;
 };
 
+/// Edge count a generator spec will produce: exact for path, cycle, star,
+/// tree, grid and complete; the expectation p·n(n−1)/2 for gnp and
+/// n(n−1)/2·min(1, πr²) for udg. 0 for files, known only once read.
+[[nodiscard]] double estimateEdges(const GraphSpec& spec);
+
+/// Fails fast on a spec that cannot be built: throws CliError, naming the
+/// estimate, when the vertex count reaches graph::kNoVertex or when
+/// estimateEdges × 40 bytes (a measured run's peak RSS per edge) exceeds
+/// `memoryBytes`.
+void checkGraphSize(const GraphSpec& spec, double memoryBytes);
+
 /// Builds the topology described by `spec` (reads files for Kind::File).
 /// Generator-based specs retry/connect so the result is connected, matching
-/// the paper's system model.
+/// the paper's system model. Runs checkGraphSize against the machine's
+/// physical memory before generating anything.
 [[nodiscard]] graph::Graph buildGraph(const GraphSpec& spec,
                                       std::uint64_t seed);
 

@@ -49,8 +49,6 @@ class SisViewKernel final : public engine::ViewKernel<BitState> {
  public:
   explicit SisViewKernel(Seniority seniority) : seniority_(seniority) {}
 
-  [[nodiscard]] std::string_view name() const override { return "sis/flat"; }
-
   [[nodiscard]] std::optional<BitState> evaluateView(
       const engine::LocalView<BitState>& view) const override {
     return sisEvaluateView(view, seniority_);
@@ -64,8 +62,6 @@ class SmmViewKernel final : public engine::ViewKernel<PointerState> {
  public:
   SmmViewKernel(Choice propose, Choice accept)
       : propose_(propose), accept_(accept) {}
-
-  [[nodiscard]] std::string_view name() const override { return "smm/flat"; }
 
   [[nodiscard]] std::optional<PointerState> evaluateView(
       const engine::LocalView<PointerState>& view) const override {

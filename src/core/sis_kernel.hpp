@@ -11,8 +11,7 @@
 //
 // Existence is all the rules need: the generic loop short-circuits on the
 // first bigger in-neighbor, and any word hit here witnesses the same
-// existential, so decisions are bit-identical by construction (both paths
-// also share sisEvaluateView for the per-view form).
+// existential, so decisions are bit-identical by construction.
 #pragma once
 
 #include <bit>
@@ -21,7 +20,6 @@
 
 #include "core/sis.hpp"
 #include "engine/kernel.hpp"
-#include "engine/topology.hpp"
 
 namespace selfstab::core {
 
@@ -29,18 +27,14 @@ class SisKernel final : public engine::FlatKernel<BitState> {
  public:
   SisKernel(const graph::Graph& g, const graph::IdAssignment& ids,
             Seniority seniority)
-      : topo_(g, ids), seniority_(seniority) {}
-
-  [[nodiscard]] std::string_view name() const override { return "sis/flat"; }
-
-  [[nodiscard]] std::optional<BitState> evaluateView(
-      const engine::LocalView<BitState>& view) const override {
-    return sisEvaluateView(view, seniority_);
-  }
+      : FlatKernel(g, ids), seniority_(seniority) {}
 
   void sync(const std::vector<BitState>& states) override {
-    if (topo_.refresh() || !built_) rebuildBiggerSlices();
-    const std::size_t n = topo_.order();
+    const std::size_t n = states.size();
+    // The runner may already have refreshed the shared topology (isFixpoint
+    // after a topology change), so the slices key on its generation.
+    topology().refresh();
+    if (slicesGeneration_ != topology().generation()) rebuildBiggerSlices(n);
     const std::size_t full = n / 64;
     words_.resize((n + 63) / 64);
     // Branchless packing, one fixed-trip inner loop per word: a converged
@@ -131,15 +125,15 @@ class SisKernel final : public engine::FlatKernel<BitState> {
   // Per node, the bigger neighbors folded into (word, mask) groups. Vertex
   // order is ascending within a neighbor slice, so word indices are
   // nondecreasing and one pass groups them.
-  void rebuildBiggerSlices() {
-    const std::size_t n = topo_.order();
+  void rebuildBiggerSlices(std::size_t n) {
+    const engine::CsrTopology& topo = topology();
     groupOffsets_.assign(n + 1, 0);
     groupWord_.clear();
     groupMask_.clear();
     for (graph::Vertex v = 0; v < n; ++v) {
-      const auto nbrs = topo_.neighbors(v);
-      const auto nbrIds = topo_.neighborIds(v);
-      const graph::Id selfId = topo_.idOf(v);
+      const auto nbrs = topo.neighbors(v);
+      const auto nbrIds = topo.neighborIds(v);
+      const graph::Id selfId = topo.idOf(v);
       std::uint32_t curWord = kNoWord;
       std::uint64_t curMask = 0;
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
@@ -161,14 +155,13 @@ class SisKernel final : public engine::FlatKernel<BitState> {
       }
       groupOffsets_[v + 1] = static_cast<std::uint32_t>(groupWord_.size());
     }
-    built_ = true;
+    slicesGeneration_ = topo.generation();
   }
 
   // Word indices top out at (2^32-1)>>6, so the all-ones value is free as a
   // "no open group" sentinel.
   static constexpr std::uint32_t kNoWord = ~std::uint32_t{0};
 
-  engine::CsrTopology topo_;
   Seniority seniority_;
   std::vector<std::uint64_t> words_;         // x(i) bits, 64 nodes per word
   // CSR over the (word, mask) groups. 32-bit offsets halve the per-node
@@ -177,7 +170,7 @@ class SisKernel final : public engine::FlatKernel<BitState> {
   std::vector<std::uint32_t> groupOffsets_;
   std::vector<std::uint32_t> groupWord_;
   std::vector<std::uint64_t> groupMask_;
-  bool built_ = false;
+  std::uint64_t slicesGeneration_ = 0;  // topology generation of the groups
 };
 
 }  // namespace selfstab::core

@@ -23,7 +23,6 @@
 
 #include "core/smm.hpp"
 #include "engine/kernel.hpp"
-#include "engine/topology.hpp"
 
 namespace selfstab::core {
 
@@ -31,17 +30,10 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
  public:
   SmmKernel(const graph::Graph& g, const graph::IdAssignment& ids,
             Choice propose, Choice accept)
-      : topo_(g, ids), propose_(propose), accept_(accept) {}
-
-  [[nodiscard]] std::string_view name() const override { return "smm/flat"; }
-
-  [[nodiscard]] std::optional<PointerState> evaluateView(
-      const engine::LocalView<PointerState>& view) const override {
-    return smmEvaluateView(view, propose_, accept_);
-  }
+      : FlatKernel(g, ids), propose_(propose), accept_(accept) {}
 
   void sync(const std::vector<PointerState>& states) override {
-    topo_.refresh();
+    topology().refresh();
     ptr_.resize(states.size());
     for (std::size_t v = 0; v < states.size(); ++v) ptr_[v] = states[v].ptr;
   }
@@ -79,7 +71,7 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
 
   void evaluateOne(graph::Vertex v, std::uint64_t roundKey, Scratch& scratch,
                    engine::MoveList<PointerState>& out) const {
-    const auto nbrs = topo_.neighbors(v);
+    const auto nbrs = topology().neighbors(v);
     const graph::Vertex p = ptr_[v];
 
     if (p == graph::kNoVertex) {
@@ -116,7 +108,7 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
   }
 
   [[nodiscard]] bool hasNeighbor(graph::Vertex v, graph::Vertex w) const {
-    const auto nbrs = topo_.neighbors(v);
+    const auto nbrs = topology().neighbors(v);
     const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), w);
     return it != nbrs.end() && *it == w;
   }
@@ -125,7 +117,7 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
   [[nodiscard]] std::size_t select(
       Choice choice, graph::Vertex v, std::uint64_t roundKey,
       const std::vector<std::size_t>& candidates) const {
-    const auto ids = topo_.neighborIds(v);
+    const auto ids = topology().neighborIds(v);
     const auto argBest = [&](auto betterThan) {
       std::size_t best = candidates.front();
       for (const std::size_t c : candidates) {
@@ -141,7 +133,7 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
       case Choice::First:
         return candidates.front();
       case Choice::Successor: {
-        const auto nbrs = topo_.neighbors(v);
+        const auto nbrs = topology().neighbors(v);
         for (const std::size_t c : candidates) {
           if (nbrs[c] == v + 1 ||
               (v != 0 && nbrs[c] == 0 && !hasNeighbor(v, v + 1))) {
@@ -151,14 +143,13 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
         return argBest([](graph::Id a, graph::Id b) { return a < b; });
       }
       case Choice::Random: {
-        SplitMix64 sm(hashCombine(roundKey, topo_.idOf(v)));
+        SplitMix64 sm(hashCombine(roundKey, topology().idOf(v)));
         return candidates[sm.next() % candidates.size()];
       }
     }
     return candidates.front();
   }
 
-  engine::CsrTopology topo_;
   Choice propose_;
   Choice accept_;
   std::vector<graph::Vertex> ptr_;  // p(i), Λ = kNoVertex

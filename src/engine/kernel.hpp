@@ -7,15 +7,16 @@
 // CSR adjacency (engine/topology.hpp) and structure-of-arrays state — no
 // views, no virtual dispatch in the inner loop, no pointer indirection.
 //
-// Two layers:
+// Two independent interfaces:
 //  * ViewKernel  — devirtualized single-view evaluation, bit-identical to
 //    Protocol::onRound. This is what the beacon simulator uses (it has no
 //    static graph to mirror, only per-node caches).
-//  * FlatKernel  — adds the SoA mirror plus whole-range / dirty-list batch
-//    evaluation for the round executor. sync() reloads the mirror from the
-//    authoritative state vector (and refreshes topology); apply() patches a
-//    single slot so the Active schedule can keep the mirror hot between
-//    rounds.
+//  * FlatKernel  — whole-range / dirty-list batch evaluation for the round
+//    executor over an SoA state mirror. It owns the run's one CSR topology
+//    (topology()), which the executor also reads for its fixpoint sweep and
+//    active-set marks. sync() refreshes that topology and reloads the mirror
+//    from the authoritative state vector; apply() patches a single slot so
+//    the Active schedule can keep the mirror hot between rounds.
 //
 // The executor evaluates every round through a FlatKernel. Protocols
 // without a compiled kernel run through GenericKernel, an adapter that
@@ -83,8 +84,6 @@ class ViewKernel {
   ViewKernel& operator=(const ViewKernel&) = delete;
   virtual ~ViewKernel() = default;
 
-  [[nodiscard]] virtual std::string_view name() const = 0;
-
   [[nodiscard]] virtual std::optional<State> evaluateView(
       const LocalView<State>& view) const = 0;
 };
@@ -100,8 +99,20 @@ class ViewKernel {
 /// evaluateRange/evaluateList are const and touch only the mirror, so
 /// disjoint chunks may be evaluated concurrently.
 template <typename State>
-class FlatKernel : public ViewKernel<State> {
+class FlatKernel {
  public:
+  FlatKernel(const graph::Graph& g, const graph::IdAssignment& ids)
+      : topo_(g, ids) {}
+  FlatKernel(const FlatKernel&) = delete;
+  FlatKernel& operator=(const FlatKernel&) = delete;
+  virtual ~FlatKernel() = default;
+
+  /// The CSR adjacency of (g, ids) this kernel evaluates over. Built on its
+  /// first refresh(); any reader may refresh it, so caches derived from it
+  /// key on CsrTopology::generation().
+  [[nodiscard]] CsrTopology& topology() noexcept { return topo_; }
+  [[nodiscard]] const CsrTopology& topology() const noexcept { return topo_; }
+
   /// Refreshes the topology mirror and reloads the whole SoA state mirror
   /// from the authoritative vector. Handles external state edits (fault
   /// injection) and graph mutation exactly like the generic path's full
@@ -121,28 +132,24 @@ class FlatKernel : public ViewKernel<State> {
   virtual void evaluateList(std::span<const graph::Vertex> vertices,
                             std::uint64_t roundKey,
                             MoveList<State>& out) const = 0;
+
+ private:
+  CsrTopology topo_;
 };
 
 /// The generic Protocol path as a FlatKernel: the "mirror" is a full copy
 /// of the state vector and each node is evaluated through a LocalView over
-/// a CSR topology the executor owns (sync() refreshes it). Each batch call
-/// walks with its own neighbor buffer, so disjoint ranges may run
-/// concurrently like any other kernel.
+/// the kernel's topology. Each batch call walks with its own neighbor
+/// buffer, so disjoint ranges may run concurrently like any other kernel.
 template <typename State>
 class GenericKernel final : public FlatKernel<State> {
  public:
-  GenericKernel(const Protocol<State>& protocol, CsrTopology& topo)
-      : protocol_(&protocol), topo_(&topo) {}
-
-  [[nodiscard]] std::string_view name() const override { return "generic"; }
-
-  [[nodiscard]] std::optional<State> evaluateView(
-      const LocalView<State>& view) const override {
-    return protocol_->onRound(view);
-  }
+  GenericKernel(const Protocol<State>& protocol, const graph::Graph& g,
+                const graph::IdAssignment& ids)
+      : FlatKernel<State>(g, ids), protocol_(&protocol) {}
 
   void sync(const std::vector<State>& states) override {
-    topo_->refresh();
+    this->topology().refresh();
     snapshot_ = states;
   }
 
@@ -171,7 +178,7 @@ class GenericKernel final : public FlatKernel<State> {
                    std::vector<NeighborRef<State>>& buffer,
                    MoveList<State>& out) const {
     const LocalView<State> view =
-        buildView(*topo_, v, snapshot_, roundKey, buffer);
+        buildView(this->topology(), v, snapshot_, roundKey, buffer);
     if (auto next = protocol_->onRound(view)) {
       assert(!(*next == snapshot_[v]) && "a move must change the node's state");
       out.emplace_back(v, std::move(*next));
@@ -179,7 +186,6 @@ class GenericKernel final : public FlatKernel<State> {
   }
 
   const Protocol<State>* protocol_;
-  CsrTopology* topo_;
   std::vector<State> snapshot_;
 };
 

@@ -8,16 +8,18 @@
 //
 // It is the repo's only round executor. Every round goes through a
 // FlatKernel (engine/kernel.hpp): a compiled protocol kernel when one is
-// installed (setKernel), otherwise the GenericKernel adapter over the
-// executor's own CSR topology, which also serves isFixpoint and the
-// active-set marks. The round is embarrassingly parallel — every node reads
-// only the snapshot S_t and the commit writes each moved node's own slot —
-// so with threads > 1 the evaluate phase and the fixpoint sweep are split
-// into degree-weighted contiguous chunks (weight deg(v)+1, so power-law hubs
-// spread across workers) on a persistent WorkerPool. Moves are committed
-// in ascending chunk order, so trajectories are bit-identical at every
-// thread count; threads = 1 runs inline with no pool, partition pass or
-// atomics. On small n the barrier costs more than it saves.
+// installed (setKernel), otherwise the GenericKernel adapter. The installed
+// kernel owns the run's only CSR topology; the executor keeps just the
+// Graph and IdAssignment references and reads the kernel's topology() for
+// isFixpoint, the active-set marks and the chunk weights. The round is
+// embarrassingly parallel — every node reads only the snapshot S_t and the
+// commit writes each moved node's own slot — so with threads > 1 the
+// evaluate phase and the fixpoint sweep are split into degree-weighted
+// contiguous chunks (weight deg(v)+1, so power-law hubs spread across
+// workers) on a persistent WorkerPool. Moves are committed in ascending
+// chunk order, so trajectories are bit-identical at every thread count;
+// threads = 1 runs inline with no pool, partition pass or atomics. On
+// small n the barrier costs more than it saves.
 //
 // Protocols must be thread-compatible for threads > 1: onRound() and
 // isStable() are const and may run concurrently for different vertices.
@@ -33,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -71,10 +74,11 @@ class SyncRunner {
              const graph::IdAssignment& ids, std::uint64_t runSeed = 0,
              Schedule schedule = Schedule::Dense, std::size_t threads = 1)
       : protocol_(&protocol),
-        topo_(g, ids),
+        g_(&g),
+        ids_(&ids),
         runSeed_(runSeed),
         schedule_(schedule),
-        kernel_(std::make_unique<GenericKernel<State>>(protocol, topo_)),
+        kernel_(std::make_unique<GenericKernel<State>>(protocol, g, ids)),
         chunks_(std::max<std::size_t>(threads, 1)) {
     assert(ids.order() == g.order());
     if (chunks_.size() > 1) {
@@ -87,7 +91,7 @@ class SyncRunner {
 
   /// The protocol's canonical clean start.
   [[nodiscard]] std::vector<State> initialStates() const {
-    const auto n = topo_.graphRef().order();
+    const auto n = g_->order();
     std::vector<State> states;
     states.reserve(n);
     for (graph::Vertex v = 0; v < n; ++v) {
@@ -124,7 +128,7 @@ class SyncRunner {
   /// node is evaluated each round; the incremental snapshot still avoids the
   /// O(n) copy.
   std::size_t step(std::vector<State>& states) {
-    assert(states.size() == topo_.graphRef().order());
+    assert(states.size() == g_->order());
     const telemetry::ScopedTimer roundTimer(metrics_.roundDuration);
     const std::uint64_t key = roundKey(round_);
     const std::size_t n = states.size();
@@ -132,13 +136,13 @@ class SyncRunner {
     {
       const telemetry::ScopedTimer t(metrics_.snapshotDuration);
       if (!active || !scheduleValid_ || seededCount_ != n ||
-          graphVersion_ != topo_.graphRef().version()) {
+          graphVersion_ != g_->version()) {
         kernel_->sync(states);  // Active's only full copy is its (re)seed
         if (active) {
           seededCount_ = n;
           active_.reset(n);
           active_.seedAll();
-          graphVersion_ = topo_.graphRef().version();
+          graphVersion_ = g_->version();
           scheduleValid_ = true;
         }
       }
@@ -155,7 +159,8 @@ class SyncRunner {
     std::size_t moves = 0;
     {
       const telemetry::ScopedTimer t(metrics_.commitDuration);
-      if (active) topo_.refresh();
+      // Current: this round re-synced, or the graph is unchanged since.
+      const CsrTopology& topo = kernel_->topology();
       for (Chunk& chunk : chunks_) {
         moves += chunk.moves.size();
         for (auto& [v, next] : chunk.moves) {
@@ -165,7 +170,7 @@ class SyncRunner {
           // re-evaluate next round.
           kernel_->apply(v, states[v]);
           active_.mark(v);
-          for (const graph::Vertex w : topo_.neighbors(v)) active_.mark(w);
+          for (const graph::Vertex w : topo.neighbors(v)) active_.mark(w);
         }
       }
       if (active) active_.advance();
@@ -187,12 +192,18 @@ class SyncRunner {
   /// evaluation path for subsequent rounds; nullptr reverts to the generic
   /// adapter. The kernel must mirror this runner's protocol — trajectories
   /// stay bit-identical either way (the KernelDifferential suite enforces
-  /// it). Safe between rounds; counts as an external mutation for
-  /// Active-schedule bookkeeping.
+  /// it) — and be built over this runner's own Graph and IdAssignment
+  /// objects (else std::invalid_argument), as the runner reads its CSR.
+  /// Safe between rounds; counts as an external mutation for Active-schedule
+  /// bookkeeping.
   void setKernel(std::unique_ptr<FlatKernel<State>> kernel) {
+    if (kernel != nullptr && !kernel->topology().mirrors(*g_, *ids_)) {
+      throw std::invalid_argument("setKernel: kernel over another topology");
+    }
     flat_ = kernel != nullptr;
     kernel_ = flat_ ? std::move(kernel)
-                    : std::make_unique<GenericKernel<State>>(*protocol_, topo_);
+                    : std::make_unique<GenericKernel<State>>(*protocol_, *g_,
+                                                             *ids_);
     scheduleValid_ = false;
   }
 
@@ -240,7 +251,7 @@ class SyncRunner {
   /// mirror has seen. With threads > 1 the sweep is chunked across the pool
   /// with a shared early-exit flag; the verdict is exact either way.
   [[nodiscard]] bool isFixpoint(const std::vector<State>& states) {
-    topo_.refresh();
+    kernel_->topology().refresh();
     const std::uint64_t key = roundKey(round_);
     if (pool_ == nullptr) return rangeStable(states, key, 0, states.size());
     const std::vector<std::size_t>& bounds = partition(true, {}, states.size());
@@ -256,12 +267,13 @@ class SyncRunner {
   /// Vertices privileged in `states` (diagnostics and daemon baselines).
   [[nodiscard]] std::vector<graph::Vertex> enabledVertices(
       const std::vector<State>& states) {
-    topo_.refresh();
+    CsrTopology& topo = kernel_->topology();
+    topo.refresh();
     const std::uint64_t key = roundKey(round_);
     std::vector<NeighborRef<State>> buffer;
     std::vector<graph::Vertex> enabled;
     for (graph::Vertex v = 0; v < states.size(); ++v) {
-      if (isEnabled(*protocol_, buildView(topo_, v, states, key, buffer))) {
+      if (isEnabled(*protocol_, buildView(topo, v, states, key, buffer))) {
         enabled.push_back(v);
       }
     }
@@ -309,26 +321,28 @@ class SyncRunner {
   // Degree-weighted chunk boundaries for the pool: worker t owns work items
   // [bounds[t], bounds[t+1]). Weighting by deg(v)+1 balances the neighbor
   // scan, not the item count (the worker_imbalance_ratio gauge tracks the
-  // effect). The full-range split depends only on (graph version, n), so it
-  // is cached across rounds; dirty lists are split afresh each round.
+  // effect). Degrees come from the kernel's topology, fresh at every call
+  // site (after sync() or a refresh()). The full-range split depends only on
+  // (graph version, n), so it is cached across rounds and kernel swaps;
+  // dirty lists are split afresh each round.
   const std::vector<std::size_t>& partition(
       bool all, std::span<const graph::Vertex> work, std::size_t count) {
-    const graph::Graph& g = topo_.graphRef();
+    const CsrTopology& topo = kernel_->topology();
     const std::size_t parts = pool_->size();
     if (!all) {
       listBounds_ = weightedBoundaries(count, parts, [&](std::size_t i) {
-        return static_cast<std::uint64_t>(g.degree(work[i])) + 1;
+        return static_cast<std::uint64_t>(topo.degree(work[i])) + 1;
       });
       return listBounds_;
     }
     if (denseBounds_.empty() || denseBounds_.back() != count ||
-        denseBoundsVersion_ != g.version()) {
+        denseBoundsVersion_ != g_->version()) {
       denseBounds_ = weightedBoundaries(count, parts, [&](std::size_t i) {
         return static_cast<std::uint64_t>(
-                   g.degree(static_cast<graph::Vertex>(i))) +
+                   topo.degree(static_cast<graph::Vertex>(i))) +
                1;
       });
-      denseBoundsVersion_ = g.version();
+      denseBoundsVersion_ = g_->version();
     }
     return denseBounds_;
   }
@@ -340,6 +354,7 @@ class SyncRunner {
   bool rangeStable(const std::vector<State>& states, std::uint64_t key,
                    std::size_t begin, std::size_t end,
                    const std::atomic<bool>* stop = nullptr) const {
+    const CsrTopology& topo = kernel_->topology();
     std::vector<NeighborRef<State>> buffer;
     for (std::size_t i = begin; i < end; ++i) {
       if (stop != nullptr && ((i - begin) & 31U) == 0 &&
@@ -347,7 +362,7 @@ class SyncRunner {
         return true;
       }
       const auto v = static_cast<graph::Vertex>(i);
-      if (!protocol_->isStable(buildView(topo_, v, states, key, buffer))) {
+      if (!protocol_->isStable(buildView(topo, v, states, key, buffer))) {
         return false;
       }
     }
@@ -423,11 +438,12 @@ class SyncRunner {
   }
 
   const Protocol<State>* protocol_;
-  CsrTopology topo_;
+  const graph::Graph* g_;
+  const graph::IdAssignment* ids_;
   std::uint64_t runSeed_;
   Schedule schedule_;
   std::size_t round_ = 0;
-  std::unique_ptr<FlatKernel<State>> kernel_;  // never null
+  std::unique_ptr<FlatKernel<State>> kernel_;  // never null; owns the CSR
   bool flat_ = false;
   // One evaluate-phase chunk's output. Cache-line aligned: each worker
   // appends to its own queue, and neighbouring vector headers on one line

@@ -1,12 +1,13 @@
 // Flat CSR mirror of a graph's adjacency with pre-resolved IDs.
 //
-// Extracted from ViewBuilder (PR 2) so the same mirror can back both the
-// generic LocalView path and the flat protocol kernels (engine/kernel.hpp):
 // offsets + targets + per-slot neighbor IDs in one contiguous layout, so a
 // per-node evaluation is a cache-linear sweep over one slice instead of a
-// pointer-chasing walk over per-vertex vectors. The mirror revalidates
-// lazily against Graph::version(), so post-construction topology edits
-// (mobility, fault campaigns) are reflected on the next refresh().
+// pointer-chasing walk over per-vertex vectors. A run holds exactly one,
+// owned by its FlatKernel (engine/kernel.hpp) and read by the round
+// executor too. It is built on the first refresh() and revalidates lazily
+// against Graph::version(), so topology edits (mobility, fault campaigns)
+// show up on the next refresh() — whichever reader makes it. Caches
+// derived from the mirror therefore key on generation().
 #pragma once
 
 #include <cstddef>
@@ -24,13 +25,12 @@ class CsrTopology {
   CsrTopology(const graph::Graph& g, const graph::IdAssignment& ids)
       : g_(&g), ids_(&ids) {}
 
-  /// Rebuilds the mirror iff the graph mutated since the last refresh.
-  /// Returns true when a rebuild happened, so owners of derived caches
-  /// (e.g. SisKernel's bigger-neighbor slices) know to rebuild them too.
-  bool refresh() {
-    if (fresh_ && cachedVersion_ == g_->version() &&
+  /// Rebuilds the mirror iff the graph mutated since the last refresh (or
+  /// it was never built); a rebuild bumps generation().
+  void refresh() {
+    if (generation_ != 0 && cachedVersion_ == g_->version() &&
         offsets_.size() == g_->order() + 1) {
-      return false;
+      return;
     }
     const std::size_t n = g_->order();
     offsets_.resize(n + 1);
@@ -47,12 +47,13 @@ class CsrTopology {
       offsets_[v + 1] = targets_.size();
     }
     cachedVersion_ = g_->version();
-    fresh_ = true;
-    return true;
+    ++generation_;
   }
 
-  [[nodiscard]] std::size_t order() const noexcept {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  /// Number of rebuilds so far (0 = never built). A cache derived from the
+  /// mirror is current iff it was built at the present generation.
+  [[nodiscard]] std::uint64_t generation() const noexcept {
+    return generation_;
   }
 
   /// Neighbors of v in ascending vertex order. Valid until the next
@@ -76,9 +77,10 @@ class CsrTopology {
     return ids_->idOf(v);
   }
 
-  [[nodiscard]] const graph::Graph& graphRef() const noexcept { return *g_; }
-  [[nodiscard]] const graph::IdAssignment& ids() const noexcept {
-    return *ids_;
+  /// True iff this mirrors exactly these objects (identity, not equality).
+  [[nodiscard]] bool mirrors(const graph::Graph& g,
+                             const graph::IdAssignment& ids) const noexcept {
+    return g_ == &g && ids_ == &ids;
   }
 
  private:
@@ -88,7 +90,7 @@ class CsrTopology {
   std::vector<graph::Vertex> targets_;
   std::vector<graph::Id> targetIds_;
   std::uint64_t cachedVersion_ = 0;
-  bool fresh_ = false;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace selfstab::engine

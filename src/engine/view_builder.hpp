@@ -1,4 +1,9 @@
-// Shared helper for constructing LocalViews from a global state vector.
+// Shared helpers for constructing LocalViews from a global state vector.
+//
+// Two adjacency sources, one view shape: buildView reads the CSR mirror a
+// FlatKernel owns (the round executor's fast sweep), and ViewBuilder reads
+// the Graph itself (daemons, replay, chaos masking), so it needs no mirror
+// of its own and always sees the current topology.
 #pragma once
 
 #include <cstdint>
@@ -26,53 +31,40 @@ LocalView<State> buildView(const CsrTopology& topo, graph::Vertex v,
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     buffer.push_back(NeighborRef<State>{nbrs[i], nbrIds[i], &states[nbrs[i]]});
   }
-  LocalView<State> view;
-  view.self = v;
-  view.selfId = topo.idOf(v);
-  view.selfState = &states[v];
-  view.neighbors = buffer;
-  view.roundKey = roundKey;
-  return view;
+  return {.self = v, .selfId = topo.idOf(v), .selfState = &states[v],
+          .neighbors = buffer, .roundKey = roundKey};
 }
 
 /// Builds LocalViews against a (graph, id assignment, state vector) triple,
 /// reusing one neighbor buffer across calls. The returned view aliases both
 /// the builder's buffer and the state vector passed in, so it is valid only
-/// until the next build() call or state mutation.
-///
-/// The CSR adjacency mirror itself lives in CsrTopology (engine/topology.hpp)
-/// so the flat protocol kernels can share the exact same layout; the builder
-/// only adds the per-call NeighborRef materialization. The mirror revalidates
-/// lazily against Graph::version(), so post-construction topology edits are
-/// still reflected — the contract existing callers rely on.
+/// until the next build() call or state mutation. Neighbors come straight
+/// from Graph::neighbors, so topology edits show up on the next build().
 template <typename State>
 class ViewBuilder {
  public:
   ViewBuilder(const graph::Graph& g, const graph::IdAssignment& ids)
-      : topo_(g, ids) {}
+      : g_(&g), ids_(&ids) {}
 
   LocalView<State> build(graph::Vertex v, const std::vector<State>& states,
                          std::uint64_t roundKey = 0) {
-    topo_.refresh();
-    return buildView(topo_, v, states, roundKey, buffer_);
+    buffer_.clear();
+    const std::span<const graph::Vertex> nbrs = g_->neighbors(v);
+    buffer_.reserve(nbrs.size());
+    for (const graph::Vertex w : nbrs) {
+      buffer_.push_back(NeighborRef<State>{w, ids_->idOf(w), &states[w]});
+    }
+    return {.self = v, .selfId = ids_->idOf(v), .selfState = &states[v],
+            .neighbors = buffer_, .roundKey = roundKey};
   }
 
-  /// Neighbors of v in ascending vertex order, straight from the CSR mirror.
-  /// The span is invalidated by graph mutation followed by a refresh.
-  [[nodiscard]] std::span<const graph::Vertex> neighborsOf(graph::Vertex v) {
-    topo_.refresh();
-    return topo_.neighbors(v);
-  }
-
-  [[nodiscard]] const graph::Graph& graphRef() const noexcept {
-    return topo_.graphRef();
-  }
   [[nodiscard]] const graph::IdAssignment& ids() const noexcept {
-    return topo_.ids();
+    return *ids_;
   }
 
  private:
-  CsrTopology topo_;
+  const graph::Graph* g_;
+  const graph::IdAssignment* ids_;
   std::vector<NeighborRef<State>> buffer_;
 };
 

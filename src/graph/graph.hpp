@@ -89,8 +89,8 @@ class Graph {
   bool toggleEdge(Vertex u, Vertex v);
 
   /// Monotone mutation counter: bumped by every successful edge insertion or
-  /// removal. Lets adjacency caches (engine::ViewBuilder's CSR mirror)
-  /// revalidate with a single integer compare instead of a deep scan.
+  /// removal. Lets adjacency caches (engine::CsrTopology) revalidate with a
+  /// single integer compare instead of a deep scan.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
   /// Equality is structural (same adjacency), independent of the mutation

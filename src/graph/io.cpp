@@ -11,6 +11,16 @@ namespace {
 
 [[noreturn]] void fail(const std::string& message) { throw ParseError(message); }
 
+// Vertices are 32-bit with kNoVertex reserved, so a larger header count can
+// never be a real graph. Stream extraction wraps "-1" into a huge unsigned
+// value, which lands here too instead of in Graph's allocation.
+void checkVertexCount(std::uint64_t n) {
+  if (n >= kNoVertex) {
+    fail("vertex count " + std::to_string(n) + " out of range (must be < " +
+         std::to_string(kNoVertex) + ")");
+  }
+}
+
 void addCheckedEdge(Graph& g, std::uint64_t u, std::uint64_t v) {
   if (u >= g.order() || v >= g.order()) fail("edge endpoint out of range");
   if (u == v) fail("self-loop not allowed");
@@ -30,6 +40,7 @@ Graph readEdgeList(std::istream& in) {
   std::uint64_t n = 0;
   std::uint64_t m = 0;
   if (!(in >> n >> m)) fail("missing edge-list header");
+  checkVertexCount(n);
   Graph g(n);
   for (std::uint64_t i = 0; i < m; ++i) {
     std::uint64_t u = 0;
@@ -63,6 +74,7 @@ Graph readDimacs(std::istream& in) {
       if (!(ls >> format >> n >> expectedEdges) || format != "edge") {
         fail("bad DIMACS problem line");
       }
+      checkVertexCount(n);
       g = Graph(n);
       sawHeader = true;
     } else if (kind == 'e') {

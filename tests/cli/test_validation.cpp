@@ -3,12 +3,16 @@
 // a silently degenerate simulation.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "adhoc/network.hpp"
 #include "cli/options.hpp"
+#include "cli/run.hpp"
 #include "cli/sim_options.hpp"
 #include "core/smm.hpp"
 #include "graph/generators.hpp"
@@ -125,6 +129,87 @@ TEST(ChaosFlag, ParsedOnBothClis) {
   EXPECT_TRUE(cli::parseSimOptions({}).chaosSpec.empty());
   EXPECT_THROW((void)cli::parseSimOptions({"--chaos"}), cli::CliError);
   EXPECT_THROW((void)cli::parseOptions({"--chaos", ""}), cli::CliError);
+}
+
+// Edge-list headers whose vertex count cannot be a graph used to escape as
+// std::length_error ("-1" wraps to 2^64-1) or std::bad_alloc (> 2^32).
+TEST(GraphFileValidation, OutOfRangeVertexCountIsABadGraphFile) {
+  const std::string path = ::testing::TempDir() + "/cli_bad_header.txt";
+  for (const char* text : {"-1 0\n", "4294967297 1\n0 1\n"}) {
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    cli::GraphSpec spec;
+    spec.kind = cli::GraphSpec::Kind::File;
+    spec.path = path;
+    try {
+      (void)cli::buildGraph(spec, 1);
+      ADD_FAILURE() << "expected CliError for header " << text;
+    } catch (const cli::CliError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad graph file"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(GraphSizeCheck, EstimatesMatchGenerators) {
+  for (const char* text : {"path:10", "cycle:10", "star:7", "tree:20",
+                           "grid:3x4", "complete:9"}) {
+    const cli::GraphSpec spec = cli::parseGraphSpec(text);
+    EXPECT_EQ(cli::estimateEdges(spec),
+              static_cast<double>(cli::buildGraph(spec, 1).size()))
+        << text;
+  }
+  // Expectations: within 10% for densities that need no connecting splice.
+  for (const char* text : {"gnp:400:0.05", "udg:2000:0.05"}) {
+    const cli::GraphSpec spec = cli::parseGraphSpec(text);
+    const auto actual = static_cast<double>(cli::buildGraph(spec, 1).size());
+    EXPECT_NEAR(cli::estimateEdges(spec), actual, 0.1 * actual) << text;
+  }
+  EXPECT_NEAR(cli::estimateEdges(cli::parseGraphSpec("udg:1000000:0.003")),
+              1.414e7, 0.01e7);
+}
+
+// Oversized specs fail before generating anything, naming the estimate:
+// complete:100000 would be ~5e9 edges, path:5000000000 exceeds 32-bit
+// vertex indices.
+TEST(GraphSizeCheck, RejectsOversizedSpecsFast) {
+  const auto rejectsFast = [](const char* text, const char* needle) {
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      (void)cli::buildGraph(cli::parseGraphSpec(text), 1);
+      ADD_FAILURE() << "expected CliError for " << text;
+    } catch (const cli::CliError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start)
+                  .count(),
+              1.0)
+        << text;
+  };
+  rejectsFast("complete:100000", "4999950000 edges");
+  rejectsFast("path:5000000000", "5000000000 vertices");
+  rejectsFast("grid:70000x70000", "4900000000 vertices");
+  EXPECT_THROW(cli::checkGraphSize(cli::parseGraphSpec("complete:100000"),
+                                   1e11),
+               cli::CliError);
+  EXPECT_NO_THROW(
+      cli::checkGraphSize(cli::parseGraphSpec("complete:1000"), 1e9));
+}
+
+// The benchmark workloads' graphs (selfstab's two udg specs and a graph the
+// size of the simulator's) fit in a modest 4 GB machine.
+TEST(GraphSizeCheck, BenchmarkSpecsPass) {
+  for (const char* text :
+       {"udg:1000000:0.003", "udg:100000:0.008", "udg:10000:0.02"}) {
+    EXPECT_NO_THROW(cli::checkGraphSize(cli::parseGraphSpec(text), 4e9))
+        << text;
+  }
 }
 
 }  // namespace

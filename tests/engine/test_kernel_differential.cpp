@@ -281,29 +281,49 @@ TEST(KernelDifferential, WrappedProtocolsHaveNoKernel) {
   EXPECT_NE(core::makeViewKernel<BitState>(sis), nullptr);
 }
 
-// Topology churn through the runner's shared graph reference: the kernel's
-// CSR mirror must refresh off Graph::version() exactly like ViewBuilder.
+// Topology churn through the runner's shared graph reference. The runner
+// reads the kernel's own CSR, so isFixpoint/enabledVertices right after an
+// edit rebuild it before the kernel's next sync() does: caches derived from
+// the CSR (SisKernel's bigger-neighbor slices) must key on its rebuild
+// generation, not on whether their own refresh() saw the rebuild.
+template <typename State, typename Sampler>
+void checkTopologyChurn(const engine::Protocol<State>& protocol,
+                        Sampler sampler, Schedule schedule,
+                        std::uint64_t seed) {
+  graph::Rng rng(91'000 + seed);
+  Graph g = graph::connectedErdosRenyi(24, 0.15, rng);
+  const IdAssignment ids = makeIds(g, seed, rng);
+  auto genericStates = engine::randomConfiguration<State>(g, rng, sampler);
+  auto flatStates = genericStates;
+  SyncRunner<State> generic(protocol, g, ids, seed, schedule);
+  SyncRunner<State> flat(protocol, g, ids, seed, schedule);
+  attachFlat(flat, protocol, g, ids);
+  for (std::size_t r = 0; r < 40; ++r) {
+    if (r == 5 || r == 17 || r == 29) {
+      engine::perturbTopology(g, rng, 4, /*keepConnected=*/false);
+      ASSERT_EQ(generic.isFixpoint(genericStates),
+                flat.isFixpoint(flatStates))
+          << label(protocol.name(), seed, g, r);
+      ASSERT_EQ(generic.enabledVertices(genericStates),
+                flat.enabledVertices(flatStates))
+          << label(protocol.name(), seed, g, r);
+    }
+    const std::size_t gm = generic.step(genericStates);
+    const std::size_t fm = flat.step(flatStates);
+    ASSERT_EQ(gm, fm) << label(protocol.name(), seed, g, r);
+    ASSERT_TRUE(genericStates == flatStates)
+        << label(protocol.name(), seed, g, r);
+  }
+}
+
 TEST(KernelDifferential, TopologyChurnRefreshesMirror) {
   const core::SisProtocol sis;
+  const core::SmmProtocol smm = core::smmPaper();
   for (std::uint64_t seed = 0; seed < stressIters(8); ++seed) {
-    graph::Rng rng(91'000 + seed);
-    Graph g = graph::connectedErdosRenyi(24, 0.15, rng);
-    const IdAssignment ids = IdAssignment::identity(g.order());
-    auto genericStates = engine::randomConfiguration<BitState>(
-        g, rng, core::randomBitState);
-    auto flatStates = genericStates;
-    SyncRunner<BitState> generic(sis, g, ids, seed, Schedule::Active);
-    SyncRunner<BitState> flat(sis, g, ids, seed, Schedule::Active);
-    flat.setKernel(core::makeFlatKernel<BitState>(sis, g, ids));
-    for (std::size_t r = 0; r < 40; ++r) {
-      if (r == 5 || r == 17) {
-        engine::perturbTopology(g, rng, 4, /*keepConnected=*/false);
-      }
-      const std::size_t gm = generic.step(genericStates);
-      const std::size_t fm = flat.step(flatStates);
-      ASSERT_EQ(gm, fm) << "seed " << seed << " round " << r;
-      ASSERT_TRUE(genericStates == flatStates)
-          << "seed " << seed << " round " << r;
+    for (const Schedule schedule : {Schedule::Dense, Schedule::Active}) {
+      checkTopologyChurn<BitState>(sis, core::randomBitState, schedule, seed);
+      checkTopologyChurn<PointerState>(smm, core::wildPointerState, schedule,
+                                       seed);
     }
   }
 }

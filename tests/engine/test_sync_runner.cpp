@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <vector>
+
 #include "../support/test_protocols.hpp"
+#include "analysis/verifiers.hpp"
+#include "core/kernels.hpp"
+#include "core/sis.hpp"
+#include "core/smm.hpp"
+#include "engine/fault.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 
@@ -130,6 +139,86 @@ TEST(RunFromClean, ReturnsFinalStates) {
   EXPECT_TRUE(result.stabilized);
   ASSERT_EQ(finalStates.size(), 6u);
   for (const ValueState& s : finalStates) EXPECT_EQ(s.value, 5u);
+}
+
+// The installed kernel's CSR is the topology the runner reads, so a kernel
+// over a different Graph or IdAssignment object — even an equal copy — is
+// refused, and the runner keeps the kernel it had.
+TEST(SetKernel, RejectsKernelOverAnotherTopology) {
+  const core::SisProtocol sis;
+  const Graph g = graph::cycle(9);
+  const auto ids = IdAssignment::reversed(g.order());
+  const Graph graphCopy = g;
+  const IdAssignment idsCopy = ids;
+  SyncRunner<core::BitState> runner(sis, g, ids);
+  EXPECT_THROW(
+      runner.setKernel(core::makeFlatKernel<core::BitState>(sis, graphCopy,
+                                                            ids)),
+      std::invalid_argument);
+  EXPECT_THROW(
+      runner.setKernel(core::makeFlatKernel<core::BitState>(sis, g, idsCopy)),
+      std::invalid_argument);
+  EXPECT_EQ(runner.kernel(), Kernel::Generic);
+
+  runner.setKernel(core::makeFlatKernel<core::BitState>(sis, g, ids));
+  EXPECT_EQ(runner.kernel(), Kernel::Flat);
+  EXPECT_THROW(
+      runner.setKernel(core::makeFlatKernel<core::BitState>(sis, graphCopy,
+                                                            idsCopy)),
+      std::invalid_argument);
+  EXPECT_EQ(runner.kernel(), Kernel::Flat);
+  auto states = runner.initialStates();
+  EXPECT_TRUE(runner.run(states, g.order() + 1).stabilized);
+  EXPECT_TRUE(
+      analysis::isMaximalIndependentSet(g, analysis::membersOf(states)));
+}
+
+// Swapping kernels every round frees the CSR the runner was reading: the
+// trajectory must match a runner that never swaps, with isFixpoint and
+// enabledVertices read between swap and step, a topology edit mid-run, and
+// the pooled chunking on. Run under ASan, any span kept across a swap
+// would be a use-after-free.
+template <typename State, typename Sampler>
+void checkKernelSwaps(const Protocol<State>& protocol, Sampler sampler,
+                      Schedule schedule, std::size_t threads,
+                      std::uint64_t seed) {
+  graph::Rng rng(seed);
+  Graph g = graph::connectedErdosRenyi(40, 0.12, rng);
+  const auto ids = IdAssignment::randomPermutation(g.order(), rng);
+  auto reference = randomConfiguration<State>(g, rng, sampler);
+  auto swapped = reference;
+  SyncRunner<State> plain(protocol, g, ids, seed, schedule);
+  SyncRunner<State> swapping(protocol, g, ids, seed, schedule, threads);
+  for (std::size_t r = 0; r < 30; ++r) {
+    if (r % 3 == 2) {
+      swapping.setKernel(nullptr);
+    } else {
+      swapping.setKernel(core::makeFlatKernel<State>(protocol, g, ids));
+    }
+    if (r == 10) perturbTopology(g, rng, 5, /*keepConnected=*/false);
+    ASSERT_EQ(plain.isFixpoint(reference), swapping.isFixpoint(swapped))
+        << "seed " << seed << " round " << r;
+    ASSERT_EQ(plain.enabledVertices(reference),
+              swapping.enabledVertices(swapped))
+        << "seed " << seed << " round " << r;
+    ASSERT_EQ(plain.step(reference), swapping.step(swapped))
+        << "seed " << seed << " round " << r;
+    ASSERT_EQ(reference, swapped) << "seed " << seed << " round " << r;
+  }
+}
+
+TEST(SetKernel, SwapsBetweenRoundsKeepTheTrajectory) {
+  const core::SisProtocol sis;
+  const core::SmmProtocol smm = core::smmPaper();
+  std::uint64_t seed = 640;
+  for (const Schedule schedule : {Schedule::Dense, Schedule::Active}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      checkKernelSwaps<core::BitState>(sis, core::randomBitState, schedule,
+                                       threads, seed++);
+      checkKernelSwaps<core::PointerState>(smm, core::wildPointerState,
+                                           schedule, threads, seed++);
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "../support/test_protocols.hpp"
+#include "engine/topology.hpp"
 #include "graph/generators.hpp"
 
 namespace selfstab::engine {
@@ -139,34 +142,63 @@ TEST(ViewBuilder, FindBinarySearchEdgeCases) {
   EXPECT_EQ(view.find(graph::kNoVertex), nullptr);
 }
 
-// The CSR mirror exposed via neighborsOf must equal Graph::neighbors and
-// revalidate across arbitrary mutation sequences (Graph::version bumps).
-TEST(ViewBuilder, NeighborsOfMirrorsGraphAcrossMutations) {
+// The CSR mirror must equal Graph::neighbors (slot-aligned IDs included),
+// revalidate across arbitrary mutation sequences (Graph::version bumps),
+// bump its generation exactly when it rebuilds, and give buildView the
+// same views ViewBuilder reads off the Graph.
+TEST(CsrTopology, MirrorsGraphAcrossMutations) {
   graph::Rng rng(813);
   Graph g = graph::connectedErdosRenyi(20, 0.15, rng);
-  const auto ids = IdAssignment::identity(g.order());
+  graph::Rng idRng(814);
+  const auto ids = IdAssignment::randomSparse(g.order(), idRng);
+  CsrTopology topo(g, ids);
   ViewBuilder<ValueState> builder(g, ids);
+  const std::vector<ValueState> states(g.order());
+  std::vector<NeighborRef<ValueState>> buffer;
+  EXPECT_EQ(topo.generation(), 0u);  // nothing built before a refresh
 
   const auto check = [&] {
+    topo.refresh();
     for (graph::Vertex v = 0; v < g.order(); ++v) {
-      const auto mirrored = builder.neighborsOf(v);
+      const auto mirrored = topo.neighbors(v);
+      const auto mirroredIds = topo.neighborIds(v);
       const auto truth = g.neighbors(v);
       ASSERT_EQ(mirrored.size(), truth.size()) << "v=" << v;
+      ASSERT_EQ(topo.degree(v), truth.size()) << "v=" << v;
       for (std::size_t i = 0; i < truth.size(); ++i) {
         EXPECT_EQ(mirrored[i], truth[i]) << "v=" << v << " slot " << i;
+        EXPECT_EQ(mirroredIds[i], ids.idOf(truth[i]))
+            << "v=" << v << " slot " << i;
+      }
+      const auto fromCsr = buildView(topo, v, states, 5, buffer);
+      const auto fromGraph = builder.build(v, states, 5);
+      EXPECT_EQ(fromCsr.selfId, fromGraph.selfId);
+      ASSERT_EQ(fromCsr.neighbors.size(), fromGraph.neighbors.size());
+      for (std::size_t i = 0; i < truth.size(); ++i) {
+        EXPECT_EQ(fromCsr.neighbors[i].vertex, fromGraph.neighbors[i].vertex);
+        EXPECT_EQ(fromCsr.neighbors[i].id, fromGraph.neighbors[i].id);
+        EXPECT_EQ(fromCsr.neighbors[i].state, fromGraph.neighbors[i].state);
       }
     }
   };
 
   check();
+  EXPECT_EQ(topo.generation(), 1u);
+  topo.refresh();  // no mutation: no rebuild
+  EXPECT_EQ(topo.generation(), 1u);
   for (int round = 0; round < 30; ++round) {
     const auto u = static_cast<graph::Vertex>(rng.below(g.order()));
     const auto w = static_cast<graph::Vertex>(rng.below(g.order()));
+    const std::uint64_t before = topo.generation();
     if (u != w) g.toggleEdge(u, w);
     check();
+    EXPECT_EQ(topo.generation(), before + (u != w ? 1 : 0));
   }
   g.clearEdges();
   check();
+  EXPECT_TRUE(topo.mirrors(g, ids));
+  const Graph copy = g;
+  EXPECT_FALSE(topo.mirrors(copy, ids));
 }
 
 }  // namespace

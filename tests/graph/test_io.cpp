@@ -51,6 +51,17 @@ TEST(EdgeListIo, RejectsMissingHeader) {
   EXPECT_THROW(readEdgeList(ss), ParseError);
 }
 
+// A negative count wraps to a huge unsigned value on extraction, and a
+// count past 32 bits cannot be a vertex index: both must be parse errors,
+// not a length_error / bad_alloc from allocating the vertex set.
+TEST(EdgeListIo, RejectsVertexCountOutOfRange) {
+  for (const char* header : {"-1 0\n", "4294967297 1\n0 1\n",
+                             "4294967295 0\n", "18446744073709551615 0\n"}) {
+    std::stringstream ss(header);
+    EXPECT_THROW(readEdgeList(ss), ParseError) << header;
+  }
+}
+
 TEST(DimacsIo, RoundTrip) {
   Rng rng(2);
   const Graph original = connectedErdosRenyi(15, 0.3, rng);
@@ -75,6 +86,15 @@ TEST(DimacsIo, RejectsEdgeBeforeHeader) {
 TEST(DimacsIo, RejectsCountMismatch) {
   std::stringstream ss("p edge 3 2\ne 1 2\n");
   EXPECT_THROW(readDimacs(ss), ParseError);
+}
+
+TEST(DimacsIo, RejectsVertexCountOutOfRange) {
+  for (const char* header :
+       {"p edge -1 0\n", "p edge 4294967297 1\ne 1 2\n",
+        "p edge 4294967295 0\n"}) {
+    std::stringstream ss(header);
+    EXPECT_THROW(readDimacs(ss), ParseError) << header;
+  }
 }
 
 TEST(DimacsIo, RejectsZeroBasedVertex) {
