@@ -159,8 +159,8 @@ BENCHMARK(BM_RecoveryDense)->Arg(4096)->Arg(16384);
 BENCHMARK(BM_RecoveryActive)->Arg(4096)->Arg(16384);
 
 // A single step on an already-converged graph: the per-round floor of each
-// schedule. Dense pays the full snapshot+evaluate sweep; active pays a
-// reseed-free no-op round.
+// schedule. Dense pays its snapshot copy-and-compare and skips the quiet
+// round's evaluation; active pays a reseed-free no-op round.
 void quiescentStepBench(benchmark::State& state, Schedule schedule) {
   const auto n = static_cast<std::size_t>(state.range(0));
   graph::Rng rng(n);

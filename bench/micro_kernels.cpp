@@ -56,13 +56,15 @@ const char* toString(Family family) {
 }
 
 /// One timed batch: `reps` dense steps on an already-converged runner.
-/// Every dense step() still evaluates all n vertices, so this isolates
-/// pure whole-round rule-evaluation throughput (evaluations/second).
+/// invalidateSchedule() keeps the runner from skipping the steps as quiet
+/// rounds, so each evaluates all n vertices and this isolates pure
+/// whole-round rule-evaluation throughput (evaluations/second).
 template <typename State>
 double timeBatch(SyncRunner<State>& runner, std::vector<State>& states,
                  int reps) {
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < reps; ++i) {
+    runner.invalidateSchedule();
     benchmark::DoNotOptimize(runner.step(states));
   }
   const auto stop = std::chrono::steady_clock::now();
@@ -223,6 +225,7 @@ void denseStepBench(benchmark::State& state, const Protocol& protocol,
     return;
   }
   for (auto _ : state) {
+    runner.invalidateSchedule();  // a full sweep, not a skipped quiet round
     benchmark::DoNotOptimize(runner.step(states));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
@@ -279,6 +282,7 @@ void parallelDenseStepBench(benchmark::State& state, const Protocol& protocol,
     return;
   }
   for (auto _ : state) {
+    runner.invalidateSchedule();  // a full sweep, not a skipped quiet round
     benchmark::DoNotOptimize(runner.step(states));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));

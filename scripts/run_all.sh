@@ -37,10 +37,14 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   stress_tests
 {
   "$TSAN_DIR/tests/telemetry_tests"
-  "$TSAN_DIR/tests/engine_tests" --gtest_filter='ParallelRunner.*'
-  # A campaign at threads >= 2: fault injection between pooled rounds.
-  "$TSAN_DIR/tests/chaos_tests" \
-    --gtest_filter='EngineCampaign.SerialAndParallelExecutorsAgree'
+  # SyncRunnerQuietRounds.*: the dense quiet-round skip at threads = 3 —
+  # skipped rounds clear every worker's move queue without a pool barrier.
+  "$TSAN_DIR/tests/engine_tests" \
+    --gtest_filter='ParallelRunner.*:SyncRunnerQuietRounds.*'
+  # Campaigns at threads >= 2: fault injection between pooled rounds (the
+  # fingerprint suite runs every protocol and event kind at threads = 3).
+  "$TSAN_DIR/tests/chaos_tests" --gtest_filter=\
+'EngineCampaign.SerialAndParallelExecutorsAgree:EngineCampaignFingerprint.*'
   # '*Parallel*' selects ScheduleDifferentialParallel (every protocol in
   # core/, LeaderTree included) and KernelDifferentialParallel (the flat
   # kernels' shared CSR mirror and per-worker move queues on the pool).
@@ -69,7 +73,10 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   "$ASAN_DIR/tests/engine_tests" --gtest_filter='ParallelRunner.*:SetKernel.*'
   # Simulator fault injection: crashes and rejoins land while broadcasts are
   # in flight, so arrivals run against batch slots other broadcasts recycle.
-  "$ASAN_DIR/tests/chaos_tests" --gtest_filter='SimInjector.*'
+  # The recovery monitor holds each window's topology by reference and
+  # grows its BFS lazily, so every campaign doubles as a lifetime check.
+  "$ASAN_DIR/tests/chaos_tests" \
+    --gtest_filter='SimInjector.*:EngineCampaign*:RecoveryMonitor*'
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" --gtest_filter='NetworkDifferential*'
   # Flat-kernel differential under ASan: the SoA mirrors index raw CSR

@@ -95,8 +95,9 @@ struct NetworkConfig {
   /// node evaluates only when *dirty* — its own state or its neighbor cache
   /// (membership or cached states) changed since its last evaluation. A
   /// deterministic rule over an unchanged view returns the same answer, so
-  /// skipping it cannot change the trajectory; protocols that read roundKey
-  /// (Protocol::usesRoundEntropy) always evaluate. Beacons are broadcast
+  /// skipping it cannot change the trajectory; protocols whose decisions
+  /// read more than N[v] (Protocol::readsBeyondNeighborhood) always
+  /// evaluate. Beacons are broadcast
   /// either way — only the rule evaluation is elided.
   engine::Schedule schedule = engine::Schedule::Dense;
   /// Optional per-node transmit ranges overriding `radius` (empty = uniform).
@@ -640,7 +641,7 @@ class NetworkSimulator {
     const bool stuckNode = chaos_ != nullptr && chaos_->stuck[v] != 0;
     const bool evaluate =
         !stuckNode && (config_.schedule != engine::Schedule::Active ||
-                       protocol_->usesRoundEntropy() || node.dirty);
+                       protocol_->readsBeyondNeighborhood() || node.dirty);
     if (evaluate) {
       ++stats_.ruleEvaluations;
       if (metrics_.ruleEvaluations != nullptr) metrics_.ruleEvaluations->inc();

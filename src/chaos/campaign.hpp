@@ -29,6 +29,16 @@
 // Determinism: all campaign randomness comes from a dedicated Rng seeded by
 // `chaosSeed`, so the same (plan, seeds, executor schedule) replays
 // bit-identically at every thread count.
+//
+// Cost follows the change, not n. A round in which the runner moved nothing
+// and no event fired since the previous round is the identity: nothing to
+// pin, diff, safety-check or report, so it costs the runner's step alone. A
+// moving round makes one O(n) diff into a `moved` list, which feeds the
+// monitor and the masked-stability cache. For local protocols (see
+// Protocol::readsBeyondNeighborhood) that cache re-asks only the closed
+// neighborhoods of moved, injected and newly frozen or released nodes; a
+// topology rebuild (crash, rejoin, partition) forces a full sweep, and
+// non-local protocols always get one.
 #pragma once
 
 #include <algorithm>
@@ -56,7 +66,10 @@ struct CampaignResult {
 /// `states` is the live configuration, mutated in place. `recoveryBudget`
 /// caps each fault's recovery window and the final drain (0 = 2n+8, the
 /// template gap). `sampler(v, g, rng)` supplies corrupted states. `monitor`
-/// and `safety` may be null/empty.
+/// and `safety` may be null/empty. `safety` runs only on rounds that changed
+/// some state (identity transitions are violation-free by SafetyCheck's
+/// contract); `monitor` sees `g` as each window's topology, which stays
+/// unchanged until the window closes.
 template <typename State, typename Runner, typename Sampler>
 CampaignResult runEngineCampaign(
     Runner& runner, const engine::Protocol<State>& protocol, graph::Graph& g,
@@ -76,10 +89,33 @@ CampaignResult runEngineCampaign(
 
   std::vector<std::uint8_t> crashed(n, 0);  // isolated in the topology
   std::vector<std::uint8_t> frozen(n, 0);   // executes nothing (crash|stuck)
+  std::vector<graph::Vertex> frozenList;    // {v : frozen[v]}, any order
   std::vector<std::uint8_t> side(n, 0);
   std::vector<std::uint8_t> faulty(n, 0);   // frozen or in the open window
   std::vector<State> frozenState(states);
   bool partitionActive = false;
+
+  // Nodes whose closed neighborhoods must be re-asked for masked stability;
+  // a topology rebuild asks everyone.
+  std::vector<graph::Vertex> touched;
+  std::vector<std::uint8_t> isTouched(n, 0);
+  bool sweepAll = true;
+  const auto touch = [&](graph::Vertex v) {
+    if (isTouched[v] != 0) return;
+    isTouched[v] = 1;
+    touched.push_back(v);
+  };
+
+  const auto setFrozen = [&](graph::Vertex v, bool on) {
+    if ((frozen[v] != 0) == on) return;
+    frozen[v] = on ? 1 : 0;
+    if (on) {
+      frozenList.push_back(v);
+    } else {
+      frozenList.erase(std::find(frozenList.begin(), frozenList.end(), v));
+    }
+    touch(v);
+  };
 
   // Syncs the shared Graph to base minus crashed-incident and cross-side
   // edges. Rebuilding bumps Graph::version(), which makes the runner (and
@@ -92,42 +128,96 @@ CampaignResult runEngineCampaign(
       g.addEdge(e.u, e.v);
     }
     runner.invalidateSchedule();
+    sweepAll = true;
   };
 
+  // Masked stability: no live (non-frozen) node has an enabled rule. For
+  // local protocols unstable[v] caches v's verdict and unstableCount their
+  // number; a verdict depends only on N[v]'s states, v's frozen status and
+  // the topology, so only N[touched] is re-asked between rebuilds.
+  const bool local = !protocol.readsBeyondNeighborhood();
+  std::vector<std::uint8_t> unstable(n, 0);
+  std::size_t unstableCount = 0;
   const auto maskedStable = [&] {
     const std::uint64_t key = runner.roundKey(runner.round());
-    for (graph::Vertex v = 0; v < n; ++v) {
-      if (frozen[v] != 0) continue;
-      if (!protocol.isStable(builder.build(v, states, key))) return false;
+    const auto enabled = [&](graph::Vertex v) {
+      return frozen[v] == 0 &&
+             !protocol.isStable(builder.build(v, states, key));
+    };
+    const auto recheck = [&](graph::Vertex v) {
+      const bool bad = enabled(v);
+      if (bad == (unstable[v] != 0)) return;
+      unstable[v] = bad ? 1 : 0;
+      unstableCount = bad ? unstableCount + 1 : unstableCount - 1;
+    };
+    // Close the touched set over neighborhoods, then re-ask it.
+    const bool incremental = local && !sweepAll;
+    if (incremental) {
+      const std::size_t seeds = touched.size();
+      for (std::size_t i = 0; i < seeds; ++i) {
+        for (const graph::Vertex w : g.neighbors(touched[i])) touch(w);
+      }
     }
-    return true;
+    for (const graph::Vertex v : touched) {
+      isTouched[v] = 0;
+      if (incremental) recheck(v);
+    }
+    touched.clear();
+    if (!local) {
+      for (graph::Vertex v = 0; v < n; ++v) {
+        if (enabled(v)) return false;
+      }
+      return true;
+    }
+    if (sweepAll) {
+      sweepAll = false;
+      for (graph::Vertex v = 0; v < n; ++v) recheck(v);
+    }
+    return unstableCount == 0;
   };
 
+  // prev is S_t of the round being stepped; it is kept equal to `states`
+  // between rounds by patching moved slots, and recopied only after an
+  // event edits states behind its back.
   std::vector<State> prev;
+  std::vector<graph::Vertex> moved;
+  bool prevStale = true;
   const auto stepOnce = [&] {
-    prev = states;
-    result.totalMoves += runner.step(states);
+    if (prevStale) prev = states;
+    const std::size_t moves = runner.step(states);
+    result.totalMoves += moves;
     ++result.roundsExecuted;
+    // Nothing moved and nothing happened since the last round: frozen nodes
+    // are still pinned and prev == states, so the transition is the
+    // identity — no pins, no safety violations, no state changes to report.
+    if (moves == 0 && !prevStale) return;
+    prevStale = false;
     // Pin frozen nodes: a crashed node executes nothing, a stuck node keeps
     // beaconing its frozen state. Reverting before anyone reads S_{t+1}
-    // keeps the move invisible under the synchronous model.
+    // keeps the move invisible under the synchronous model. Right after an
+    // event this also reverts a frozen node the event corrupted.
     bool reverted = false;
-    for (graph::Vertex v = 0; v < n; ++v) {
-      if (frozen[v] != 0 && !(states[v] == frozenState[v])) {
+    for (const graph::Vertex v : frozenList) {
+      if (!(states[v] == frozenState[v])) {
         states[v] = frozenState[v];
         reverted = true;
       }
     }
     if (reverted) runner.invalidateSchedule();
+    moved.clear();
+    for (graph::Vertex v = 0; v < n; ++v) {
+      if (!(states[v] == prev[v])) moved.push_back(v);
+    }
+    if (moved.empty()) return;
     if (safety) {
       const std::size_t violations = safety(g, prev, states, faulty);
       result.safetyViolations += violations;
       if (monitor != nullptr) monitor->onSafetyViolations(violations);
     }
-    if (monitor != nullptr) {
-      for (graph::Vertex v = 0; v < n; ++v) {
-        if (!(states[v] == prev[v])) monitor->onStateChanged(v);
-      }
+    for (const graph::Vertex v : moved) {
+      if (monitor != nullptr) monitor->onStateChanged(v);
+      touch(v);
+      prev[v] = states[v];
     }
   };
 
@@ -163,6 +253,7 @@ CampaignResult runEngineCampaign(
             }
           }
         }
+        for (const graph::Vertex v : injected) touch(v);
         runner.invalidateSchedule();
         break;
       case FaultKind::Garble:
@@ -170,18 +261,19 @@ CampaignResult runEngineCampaign(
         // one corrupted state snapshot at the garbled node.
         states[ev.node] = sampler(ev.node, g, chaosRng);
         injected.push_back(ev.node);
+        touch(ev.node);
         runner.invalidateSchedule();
         break;
       case FaultKind::Crash:
         crashed[ev.node] = 1;
-        frozen[ev.node] = 1;
+        setFrozen(ev.node, true);
         frozenState[ev.node] = states[ev.node];
         rebuildEffective();
         injected.push_back(ev.node);
         break;
       case FaultKind::Rejoin:
         crashed[ev.node] = 0;
-        frozen[ev.node] = 0;
+        setFrozen(ev.node, false);
         states[ev.node] = protocol.initialState(ev.node);
         rebuildEffective();
         injected.push_back(ev.node);
@@ -199,12 +291,12 @@ CampaignResult runEngineCampaign(
         rebuildEffective();
         break;
       case FaultKind::Stuck:
-        frozen[ev.node] = 1;
+        setFrozen(ev.node, true);
         frozenState[ev.node] = states[ev.node];
         injected.push_back(ev.node);
         break;
       case FaultKind::Release:
-        frozen[ev.node] = 0;
+        setFrozen(ev.node, false);
         injected.push_back(ev.node);
         runner.invalidateSchedule();
         break;
@@ -212,6 +304,7 @@ CampaignResult runEngineCampaign(
       case FaultKind::ClockDrift:
         break;  // beacon-model-only; nothing to do under the abstract engine
     }
+    prevStale = true;
     return injected;
   };
 
@@ -244,9 +337,7 @@ CampaignResult runEngineCampaign(
 
   // Drain to a true global fixpoint (or masked stability, if the plan left
   // nodes crashed or stuck — templates never do).
-  const bool anyFrozen =
-      std::any_of(frozen.begin(), frozen.end(),
-                  [](std::uint8_t f) { return f != 0; });
+  const bool anyFrozen = !frozenList.empty();
   const auto finalStable = [&] {
     return anyFrozen ? maskedStable() : runner.isFixpoint(states);
   };

@@ -19,7 +19,8 @@
 // intervals from injection to the last observed move, and the window counts
 // as recovered when the simulator has then been quiet for at least two
 // intervals. Containment uses the monitor's BFS distances over the
-// ground-truth topology at fault time, fed by the simulator's move hook.
+// ground-truth topology at fault time (kept here while the window is open),
+// fed by the simulator's move hook.
 //
 // Determinism: all fault randomness comes from the controller's own Rng
 // (seeded by `chaosSeed`), never from the simulator's stream, so the same
@@ -120,7 +121,10 @@ class SimChaosController {
     closeWindow();
     windowOpenAt_ = sim_->now();
     std::vector<graph::Vertex> injected = applyEvent(ev);
-    monitor_->onFault(ev.at, ev.kind, injected, sim_->currentTopology());
+    // The monitor explores this topology lazily until the window closes, so
+    // it lives here, unchanged, until the next tick or finalize().
+    windowTopology_ = sim_->currentTopology();
+    monitor_->onFault(ev.at, ev.kind, injected, windowTopology_);
   }
 
   std::vector<graph::Vertex> applyEvent(const FaultEvent& ev) {
@@ -221,6 +225,7 @@ class SimChaosController {
   Sampler sampler_;
   adhoc::SimTime interval_;
   RecoveryMonitor* monitor_;
+  graph::Graph windowTopology_;  // the open window's ground truth
   std::vector<Tick> ticks_;
   std::vector<std::uint8_t> side_;
   double baseLoss_ = 0.0;

@@ -10,7 +10,10 @@
 //  * containment     the largest BFS distance — on the topology at fault
 //    radius          time — from the injected node set to any node that
 //                    changed state during recovery (n if a changed node is
-//                    unreachable from every injected node);
+//                    unreachable from every injected node). The BFS grows
+//                    lazily, one layer at a time, only as far as the
+//                    farthest changed node, so a fault whose repair stays
+//                    local costs its neighborhood, not the graph;
 //  * safety          protocol-specific "a healthy node was harmed" checks
 //    violations      (e.g. a matched edge between two non-faulty nodes
 //                    broken), counted per committed round.
@@ -24,7 +27,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -38,7 +40,10 @@ namespace selfstab::chaos {
 
 /// Counts safety violations in one committed round. `faulty[v]` is nonzero
 /// while v is crashed, stuck, or was injected by the still-open fault
-/// window; violations are only charged to non-faulty nodes.
+/// window; violations are only charged to non-faulty nodes. Contract: an
+/// identity transition (before == after) has no violations — a check
+/// charges only transitions that harm someone — so callers skip rounds in
+/// which nothing changed instead of asking.
 template <typename State>
 using SafetyCheck = std::function<std::size_t(
     const graph::Graph& g, const std::vector<State>& before,
@@ -79,7 +84,9 @@ class RecoveryMonitor {
 
   /// Opens a fault window (closing any still-open one as unrecovered is the
   /// caller's job via onRecovered). `topo` is the effective topology at
-  /// fault time; BFS distances from `injected` are frozen here.
+  /// fault time; distances from `injected` are measured on it. The monitor
+  /// keeps a reference and explores it lazily from onStateChanged, so `topo`
+  /// must stay alive and unchanged until onRecovered closes the window.
   void onFault(std::int64_t at, FaultKind kind,
                const std::vector<graph::Vertex>& injected,
                const graph::Graph& topo) {
@@ -88,7 +95,7 @@ class RecoveryMonitor {
     current_.at = at;
     current_.kind = std::string(toString(kind));
     current_.injected = injected.size();
-    computeDistances(injected, topo);
+    startSearch(injected, topo);
     maxChangedDistance_ = 0;
     if (faults_ != nullptr) faults_->inc();
     if (events_ != nullptr) {
@@ -99,11 +106,12 @@ class RecoveryMonitor {
   }
 
   /// Reports that v's state changed while the current window is open.
-  /// Cheap enough for per-move hooks: one array read and a max.
+  /// Cheap enough for per-move hooks: a label lookup and a max, plus the
+  /// BFS layers needed to reach v the first time the window meets a node
+  /// farther out than any before.
   void onStateChanged(graph::Vertex v) {
     if (!open_) return;
-    const std::size_t d = v < distance_.size() ? distance_[v] : 0;
-    maxChangedDistance_ = std::max(maxChangedDistance_, d);
+    maxChangedDistance_ = std::max(maxChangedDistance_, distanceTo(v));
   }
 
   /// Closes the open window: `rounds` since the fault, and whether the
@@ -130,6 +138,7 @@ class RecoveryMonitor {
                      {"recovered", recovered}});
     }
     records_.push_back(current_);
+    topo_ = nullptr;
   }
 
   void onSafetyViolations(std::size_t count) {
@@ -169,36 +178,68 @@ class RecoveryMonitor {
   }
 
  private:
-  /// Multi-source BFS from the injected set; unreachable nodes get distance
-  /// n (the containment cap — "the fault's effect crossed a partition").
-  /// An empty injected set (loss bursts, clock drift) maps every node to
-  /// distance 0: those faults have no epicenter to measure from.
-  void computeDistances(const std::vector<graph::Vertex>& injected,
-                        const graph::Graph& topo) {
+  // Containment distances are a multi-source BFS from the injected set,
+  // expanded one layer at a time on demand. Unreachable nodes get distance
+  // n (the containment cap — "the fault's effect crossed a partition"). An
+  // empty injected set (loss bursts, clock drift) maps every node to
+  // distance 0: those faults have no epicenter to measure from. Labels are
+  // stamped with the window, so opening one costs O(|injected|), not O(n).
+  void startSearch(const std::vector<graph::Vertex>& injected,
+                   const graph::Graph& topo) {
+    topo_ = &topo;
+    noEpicenter_ = injected.empty();
     const std::size_t n = topo.order();
-    distance_.assign(n, injected.empty() ? 0 : n);
-    std::deque<graph::Vertex> frontier;
-    for (const graph::Vertex v : injected) {
-      if (v < n && distance_[v] != 0) {
-        distance_[v] = 0;
-        frontier.push_back(v);
-      }
+    if (stamp_.size() != n || ++window_ == 0) {
+      stamp_.assign(n, 0);
+      distance_.resize(n);
+      window_ = 1;
     }
-    while (!frontier.empty()) {
-      const graph::Vertex v = frontier.front();
-      frontier.pop_front();
-      for (const graph::Vertex w : topo.neighbors(v)) {
-        if (distance_[w] > distance_[v] + 1) {
-          distance_[w] = distance_[v] + 1;
-          frontier.push_back(w);
-        }
+    frontier_.clear();
+    depth_ = 0;
+    for (const graph::Vertex v : injected) {
+      if (v < n && !labelled(v)) label(v, 0);
+    }
+  }
+
+  [[nodiscard]] std::size_t distanceTo(graph::Vertex v) {
+    if (noEpicenter_ || v >= stamp_.size()) return 0;
+    while (!labelled(v) && !frontier_.empty()) expandLayer();
+    return labelled(v) ? distance_[v] : stamp_.size();
+  }
+
+  // Labels every unlabelled neighbor of the current frontier (all at
+  // distance depth_) with depth_ + 1; they become the next frontier.
+  void expandLayer() {
+    next_.clear();
+    frontier_.swap(next_);
+    ++depth_;
+    for (const graph::Vertex v : next_) {
+      for (const graph::Vertex w : topo_->neighbors(v)) {
+        if (!labelled(w)) label(w, depth_);
       }
     }
   }
 
+  [[nodiscard]] bool labelled(graph::Vertex v) const noexcept {
+    return stamp_[v] == window_;
+  }
+
+  void label(graph::Vertex v, graph::Vertex d) {
+    stamp_[v] = window_;
+    distance_[v] = d;
+    frontier_.push_back(v);
+  }
+
   bool open_ = false;
   Record current_;
-  std::vector<std::size_t> distance_;
+  const graph::Graph* topo_ = nullptr;  // the open window's topology
+  bool noEpicenter_ = false;
+  std::vector<std::uint32_t> stamp_;    // == window_ iff distance_ is set
+  std::vector<graph::Vertex> distance_;  // hops; < n fits a vertex index
+  std::uint32_t window_ = 0;
+  std::vector<graph::Vertex> frontier_;  // labelled at distance depth_
+  std::vector<graph::Vertex> next_;
+  graph::Vertex depth_ = 0;
   std::size_t maxChangedDistance_ = 0;
   std::vector<Record> records_;
   std::size_t safetyTotal_ = 0;

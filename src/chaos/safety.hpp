@@ -3,8 +3,10 @@
 // Containment asks how far a fault's effects travel; safety asks whether
 // they *harm* nodes that were doing fine. Each check inspects one committed
 // round transition (before -> after) and counts transitions the protocol
-// should never inflict on a non-faulty node. For the paper's protocols both
-// checks are invariants — campaigns gate them at exactly zero:
+// should never inflict on a non-faulty node; an identity transition harms
+// no one, so campaigns do not ask about rounds in which nothing changed.
+// For the paper's protocols both checks are invariants — campaigns gate
+// them at exactly zero:
 //
 //  * SMM   a matched edge (mutual pointers) between two non-faulty nodes is
 //          never broken: a married node has no enabled rule, so only a fault

@@ -44,6 +44,21 @@ using graph::Vertex;
 /// udg:1000000:0.003.
 constexpr double kBytesPerEdge = 40.0;
 
+/// Resident bytes per vertex of such a run, an upper estimate: adjacency
+/// vector header 24, CSR offset 8, ID 8, state and kernel mirror up to 8
+/// each: 56, rounded up.
+constexpr double kBytesPerVertex = 64.0;
+
+/// The machine's physical memory, the budget the size checks hold a graph
+/// to (infinite if sysconf cannot tell).
+double physicalMemoryBytes() {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long pageSize = sysconf(_SC_PAGE_SIZE);
+  return pages > 0 && pageSize > 0
+             ? static_cast<double>(pages) * static_cast<double>(pageSize)
+             : std::numeric_limits<double>::infinity();
+}
+
 /// Optional telemetry sinks threaded from execute() into every driver.
 struct Sinks {
   telemetry::Registry* registry = nullptr;
@@ -516,13 +531,24 @@ void checkGraphSize(const GraphSpec& spec, double memoryBytes) {
   }
 }
 
+void checkGraphFileHeader(const std::string& path, std::uint64_t vertices,
+                          std::uint64_t edges, double memoryBytes) {
+  const double bytes = static_cast<double>(vertices) * kBytesPerVertex +
+                       static_cast<double>(edges) * kBytesPerEdge;
+  if (bytes <= memoryBytes) return;
+  std::ostringstream msg;
+  msg << std::fixed << std::setprecision(1) << "bad graph file '" << path
+      << "': its header declares " << vertices << " vertices and " << edges
+      << " edges, ~" << bytes / 1e9 << " GB at " << std::setprecision(0)
+      << kBytesPerVertex << " B per vertex and " << kBytesPerEdge
+      << " B per edge, over the " << std::setprecision(1)
+      << memoryBytes / 1e9 << " GB of physical memory";
+  throw CliError(msg.str());
+}
+
 Graph buildGraph(const GraphSpec& spec, std::uint64_t seed) {
-  const long pages = sysconf(_SC_PHYS_PAGES);
-  const long pageSize = sysconf(_SC_PAGE_SIZE);
-  checkGraphSize(spec, pages > 0 && pageSize > 0
-                           ? static_cast<double>(pages) *
-                                 static_cast<double>(pageSize)
-                           : std::numeric_limits<double>::infinity());
+  const double memory = physicalMemoryBytes();
+  checkGraphSize(spec, memory);
   graph::Rng rng(hashCombine(seed, 0x6772617068ULL));
   switch (spec.kind) {
     case GraphSpec::Kind::Path:
@@ -545,7 +571,10 @@ Graph buildGraph(const GraphSpec& spec, std::uint64_t seed) {
       std::ifstream file(spec.path);
       if (!file) throw CliError("cannot open graph file '" + spec.path + "'");
       try {
-        return graph::readEdgeList(file);
+        return graph::readEdgeList(
+            file, [&](std::uint64_t vertices, std::uint64_t edges) {
+              checkGraphFileHeader(spec.path, vertices, edges, memory);
+            });
       } catch (const graph::ParseError& e) {
         throw CliError("bad graph file '" + spec.path + "': " + e.what());
       }

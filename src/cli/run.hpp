@@ -2,6 +2,7 @@
 // requested protocol, verify the stabilized predicate, and report.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -45,10 +46,17 @@ struct Report {
 /// `memoryBytes`.
 void checkGraphSize(const GraphSpec& spec, double memoryBytes);
 
+/// The same budget for an edge-list file, checked against its header before
+/// anything is allocated: throws CliError ("bad graph file") when `vertices`
+/// × 64 bytes + `edges` × 40 bytes exceeds `memoryBytes`.
+void checkGraphFileHeader(const std::string& path, std::uint64_t vertices,
+                          std::uint64_t edges, double memoryBytes);
+
 /// Builds the topology described by `spec` (reads files for Kind::File).
 /// Generator-based specs retry/connect so the result is connected, matching
 /// the paper's system model. Runs checkGraphSize against the machine's
-/// physical memory before generating anything.
+/// physical memory before generating anything (for files: before
+/// allocating the header's vertex count).
 [[nodiscard]] graph::Graph buildGraph(const GraphSpec& spec,
                                       std::uint64_t seed);
 

@@ -95,6 +95,13 @@ class AggregationProtocol final : public engine::Protocol<AggregateState> {
     return target;
   }
 
+  /// The readings are inputs outside N[v]'s states: a new sample changes a
+  /// node's decision while its neighborhood stands still, so the executors
+  /// must not skip nodes or rounds on that evidence.
+  [[nodiscard]] bool readsBeyondNeighborhood() const noexcept override {
+    return true;
+  }
+
   [[nodiscard]] AggregateState initialState(graph::Vertex v) const override {
     AggregateState s;
     s.sum = (*readings_)[v];

@@ -65,9 +65,11 @@ class Synchronized final
   }
 
   /// The lottery re-draws priorities from roundKey every round, so a node's
-  /// decision can flip with an unchanged neighborhood — the active-set
-  /// scheduler must not skip nodes for this wrapper.
-  [[nodiscard]] bool usesRoundEntropy() const noexcept override { return true; }
+  /// decision can flip with an unchanged neighborhood — the executors must
+  /// not skip nodes or rounds for this wrapper.
+  [[nodiscard]] bool readsBeyondNeighborhood() const noexcept override {
+    return true;
+  }
 
   [[nodiscard]] const Inner& inner() const noexcept { return inner_; }
 

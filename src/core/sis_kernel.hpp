@@ -29,23 +29,28 @@ class SisKernel final : public engine::FlatKernel<BitState> {
             Seniority seniority)
       : FlatKernel(g, ids), seniority_(seniority) {}
 
-  void sync(const std::vector<BitState>& states) override {
+  bool sync(const std::vector<BitState>& states) override {
     const std::size_t n = states.size();
     // The runner may already have refreshed the shared topology (isFixpoint
     // after a topology change), so the slices key on its generation.
     topology().refresh();
     if (slicesGeneration_ != topology().generation()) rebuildBiggerSlices(n);
     const std::size_t full = n / 64;
-    words_.resize((n + 63) / 64);
+    const std::size_t wordCount = (n + 63) / 64;
+    const bool resized = words_.size() != wordCount;
+    words_.resize(wordCount);
     // Branchless packing, one fixed-trip inner loop per word: a converged
     // MIS is an unpredictable bit pattern, so the per-bit branch mispredicts
-    // enough to dominate the snapshot phase at scale.
+    // enough to dominate the snapshot phase at scale. The change report is
+    // the OR of old ^ new words, one XOR per 64 nodes.
+    std::uint64_t diff = 0;
     std::size_t v = 0;
     for (std::size_t w = 0; w < full; ++w) {
       std::uint64_t word = 0;
       for (int b = 0; b < 64; ++b, ++v) {
         word |= static_cast<std::uint64_t>(states[v].in) << b;
       }
+      diff |= words_[w] ^ word;
       words_[w] = word;
     }
     if (v < n) {
@@ -53,8 +58,10 @@ class SisKernel final : public engine::FlatKernel<BitState> {
       for (int b = 0; v < n; ++b, ++v) {
         word |= static_cast<std::uint64_t>(states[v].in) << b;
       }
+      diff |= words_[full] ^ word;
       words_[full] = word;
     }
+    return resized || diff != 0;
   }
 
   void apply(graph::Vertex v, const BitState& s) override {

@@ -32,10 +32,18 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
             Choice propose, Choice accept)
       : FlatKernel(g, ids), propose_(propose), accept_(accept) {}
 
-  void sync(const std::vector<PointerState>& states) override {
+  bool sync(const std::vector<PointerState>& states) override {
     topology().refresh();
+    const bool resized = ptr_.size() != states.size();
     ptr_.resize(states.size());
-    for (std::size_t v = 0; v < states.size(); ++v) ptr_[v] = states[v].ptr;
+    // OR of old ^ new over the copy: branch-free, so it adds no stall to
+    // the snapshot loop.
+    graph::Vertex diff = 0;
+    for (std::size_t v = 0; v < states.size(); ++v) {
+      diff |= ptr_[v] ^ states[v].ptr;
+      ptr_[v] = states[v].ptr;
+    }
+    return resized || diff != 0;
   }
 
   void apply(graph::Vertex v, const PointerState& s) override {

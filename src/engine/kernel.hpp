@@ -14,9 +14,10 @@
 //  * FlatKernel  — whole-range / dirty-list batch evaluation for the round
 //    executor over an SoA state mirror. It owns the run's one CSR topology
 //    (topology()), which the executor also reads for its fixpoint sweep and
-//    active-set marks. sync() refreshes that topology and reloads the mirror
-//    from the authoritative state vector; apply() patches a single slot so
-//    the Active schedule can keep the mirror hot between rounds.
+//    active-set marks. sync() refreshes that topology, reloads the mirror
+//    from the authoritative state vector and reports whether the mirror
+//    changed; apply() patches a single slot so the Active schedule can keep
+//    the mirror hot between rounds.
 //
 // The executor evaluates every round through a FlatKernel. Protocols
 // without a compiled kernel run through GenericKernel, an adapter that
@@ -92,7 +93,9 @@ class ViewKernel {
 ///
 /// Usage by the executor:
 ///   * Dense rounds: sync(states) once per round (the snapshot phase), then
-///     evaluateRange over [0, n) — possibly chunked across workers.
+///     evaluateRange over [0, n) — possibly chunked across workers — unless
+///     sync() found the mirror unchanged after a quiet round (the executor
+///     then skips the round).
 ///   * Active rounds: sync(states) on (re)seed, evaluateList over the dirty
 ///     set, then apply(v, next) for each committed move so the mirror stays
 ///     current without a full reload.
@@ -116,8 +119,10 @@ class FlatKernel {
   /// Refreshes the topology mirror and reloads the whole SoA state mirror
   /// from the authoritative vector. Handles external state edits (fault
   /// injection) and graph mutation exactly like the generic path's full
-  /// snapshot copy.
-  virtual void sync(const std::vector<State>& states) = 0;
+  /// snapshot copy. Returns true iff the state mirror changed (any slot
+  /// differs, or the vertex count did), computed during the copy; topology
+  /// changes are reported by topology().generation() instead.
+  virtual bool sync(const std::vector<State>& states) = 0;
 
   /// Patches one slot of the SoA mirror after a committed move.
   virtual void apply(graph::Vertex v, const State& s) = 0;
@@ -148,9 +153,20 @@ class GenericKernel final : public FlatKernel<State> {
                 const graph::IdAssignment& ids)
       : FlatKernel<State>(g, ids), protocol_(&protocol) {}
 
-  void sync(const std::vector<State>& states) override {
+  bool sync(const std::vector<State>& states) override {
     this->topology().refresh();
-    snapshot_ = states;
+    if (snapshot_.size() != states.size()) {
+      snapshot_ = states;
+      return true;
+    }
+    bool changed = false;
+    for (std::size_t v = 0; v < states.size(); ++v) {
+      if (!(snapshot_[v] == states[v])) {
+        snapshot_[v] = states[v];
+        changed = true;
+      }
+    }
+    return changed;
   }
 
   void apply(graph::Vertex v, const State& s) override { snapshot_[v] = s; }

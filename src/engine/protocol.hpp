@@ -94,14 +94,20 @@ class Protocol {
     return !onRound(view).has_value();
   }
 
-  /// True if onRound() reads LocalView::roundKey — i.e. the decision at a
-  /// node can change from round to round even when its closed neighborhood
-  /// is unchanged (randomized wrappers like core::Synchronized re-draw
-  /// per-round priorities). The active-set scheduler relies on the converse
-  /// for plain protocols ("unchanged neighborhood => still disabled"), so
-  /// when this returns true it falls back to evaluating every node each
-  /// round while still maintaining its snapshot incrementally.
-  [[nodiscard]] virtual bool usesRoundEntropy() const noexcept { return false; }
+  /// True if a node's decision may change while the states of its closed
+  /// neighborhood N[v] (and the topology) stay unchanged: the protocol
+  /// reads LocalView::roundKey (randomized wrappers like core::Synchronized
+  /// re-draw per-round priorities) or inputs held outside the protocol
+  /// state (core::AggregationProtocol's sensor readings). The executors rely
+  /// on the converse for local protocols — "unchanged N[v] => unchanged
+  /// decision" — to skip work: the active schedule evaluates only dirty
+  /// nodes, a dense round that follows a quiet round over an unchanged
+  /// configuration is skipped, and fault campaigns re-check masked
+  /// stability only around changes. A protocol returning true opts out of
+  /// all three.
+  [[nodiscard]] virtual bool readsBeyondNeighborhood() const noexcept {
+    return false;
+  }
 
   /// The canonical "clean" starting state (most protocols: all-null /
   /// all-zero). Self-stabilization of course never relies on it.

@@ -118,26 +118,39 @@ class SyncRunner {
   /// snapshot, chunked across the pool when threads > 1), *commit* (apply
   /// the moves, forming S_{t+1}).
   ///
+  /// Dense schedule — a provably quiet round is skipped: when the previous
+  /// round evaluated every node of this mirror and committed no move, sync()
+  /// reports the mirror unchanged, and the topology generation is the one
+  /// that evaluation saw, every rule would return "no move" again. The round
+  /// still counts, with 0 moves and 0 evaluated nodes. The generation (not
+  /// whether this sync() rebuilt the CSR) is the key, since isFixpoint may
+  /// have refreshed the topology in between.
+  ///
   /// Active schedule — same round semantics, bit-identical trajectory, but
   /// only *dirty* nodes (closed neighborhood changed in the previous round)
   /// are evaluated, and the snapshot is maintained incrementally instead of
-  /// recopied. Soundness: a rule reads only N[v], so an unchanged closed
-  /// neighborhood means an unchanged decision — a clean node that was
-  /// disabled stays disabled. Protocols that read roundKey
-  /// (Protocol::usesRoundEntropy) break that implication, so for them every
-  /// node is evaluated each round; the incremental snapshot still avoids the
-  /// O(n) copy.
+  /// recopied.
+  ///
+  /// Soundness of both: a rule reads only N[v], so an unchanged closed
+  /// neighborhood means an unchanged decision — a disabled node stays
+  /// disabled. Protocols whose decisions read more than that
+  /// (Protocol::readsBeyondNeighborhood) break the implication, so for them
+  /// no dense round is skipped and the active schedule evaluates every node
+  /// each round; its incremental snapshot still avoids the O(n) copy.
   std::size_t step(std::vector<State>& states) {
     assert(states.size() == g_->order());
     const telemetry::ScopedTimer roundTimer(metrics_.roundDuration);
     const std::uint64_t key = roundKey(round_);
     const std::size_t n = states.size();
     const bool active = schedule_ == Schedule::Active;
+    const bool local = !protocol_->readsBeyondNeighborhood();
+    bool mirrorChanged = true;
     {
       const telemetry::ScopedTimer t(metrics_.snapshotDuration);
       if (!active || !scheduleValid_ || seededCount_ != n ||
           graphVersion_ != g_->version()) {
-        kernel_->sync(states);  // Active's only full copy is its (re)seed
+        // Active's only full copy is its (re)seed.
+        mirrorChanged = kernel_->sync(states);
         if (active) {
           seededCount_ = n;
           active_.reset(n);
@@ -147,14 +160,20 @@ class SyncRunner {
         }
       }
     }
-    const bool all = !active || protocol_->usesRoundEntropy();
+    const bool quiet = !active && local && quiet_ && !mirrorChanged &&
+                       kernel_->topology().generation() == quietGeneration_;
+    const bool all = !active || !local;
     const std::span<const graph::Vertex> work =
         all ? std::span<const graph::Vertex>{} : active_.current();
-    const std::size_t evaluated = all ? n : work.size();
+    const std::size_t evaluated = quiet ? 0 : all ? n : work.size();
     {
       const telemetry::ScopedTimer t(metrics_.evaluateDuration);
       const EvalStopwatch stopwatch(metrics_, evaluated);
-      evaluate(all, work, evaluated, key);
+      if (quiet) {
+        for (Chunk& chunk : chunks_) chunk.moves.clear();
+      } else {
+        evaluate(all, work, evaluated, key);
+      }
     }
     std::size_t moves = 0;
     {
@@ -175,16 +194,26 @@ class SyncRunner {
       }
       if (active) active_.advance();
     }
+    if (!active) {
+      quiet_ = moves == 0;
+      quietGeneration_ = kernel_->topology().generation();
+    }
     return finishRound(moves, evaluated, n);
   }
 
-  /// Tells an Active-schedule runner that states or topology were mutated
-  /// externally (fault injection, topology churn) behind its back: the next
-  /// round re-snapshots and evaluates every node, exactly like round 0.
-  /// Harmless no-op under the Dense schedule. Topology edits through the
-  /// runner's own Graph reference are detected automatically via
-  /// Graph::version(), but state-vector edits are invisible without this.
-  void invalidateSchedule() noexcept { scheduleValid_ = false; }
+  /// Tells the runner that states or topology were mutated externally
+  /// (fault injection, topology churn) behind its back: the next round
+  /// re-snapshots and evaluates every node, exactly like round 0. Topology
+  /// edits through the runner's own Graph reference are detected
+  /// automatically via Graph::version(), and the Dense schedule's per-round
+  /// copy compares as it copies, so it sees state edits too; state-vector
+  /// edits are invisible to the Active schedule without this call. Under
+  /// Dense it only forbids skipping the next round as quiet (benchmarks use
+  /// that to time full sweeps over a converged configuration).
+  void invalidateSchedule() noexcept {
+    scheduleValid_ = false;
+    quiet_ = false;
+  }
 
   [[nodiscard]] Schedule schedule() const noexcept { return schedule_; }
 
@@ -195,7 +224,7 @@ class SyncRunner {
   /// it) — and be built over this runner's own Graph and IdAssignment
   /// objects (else std::invalid_argument), as the runner reads its CSR.
   /// Safe between rounds; counts as an external mutation for Active-schedule
-  /// bookkeeping.
+  /// bookkeeping, and the next dense round is never skipped.
   void setKernel(std::unique_ptr<FlatKernel<State>> kernel) {
     if (kernel != nullptr && !kernel->topology().mirrors(*g_, *ids_)) {
       throw std::invalid_argument("setKernel: kernel over another topology");
@@ -205,6 +234,7 @@ class SyncRunner {
                     : std::make_unique<GenericKernel<State>>(*protocol_, *g_,
                                                              *ids_);
     scheduleValid_ = false;
+    quiet_ = false;
   }
 
   /// Which evaluation path step() is on.
@@ -457,6 +487,10 @@ class SyncRunner {
   std::size_t seededCount_ = 0;
   bool scheduleValid_ = false;
   std::uint64_t graphVersion_ = 0;
+  // Dense quiet-round skip: the last evaluated dense round committed no
+  // move, over the kernel topology of generation quietGeneration_.
+  bool quiet_ = false;
+  std::uint64_t quietGeneration_ = 0;
   RunnerMetrics metrics_;
   telemetry::EventLog* events_ = nullptr;
   // Pool state (threads > 1 only). The pool is declared last so its

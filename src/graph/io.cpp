@@ -36,11 +36,12 @@ void writeEdgeList(std::ostream& out, const Graph& g) {
   for (const Edge& e : g.edges()) out << e.u << ' ' << e.v << '\n';
 }
 
-Graph readEdgeList(std::istream& in) {
+Graph readEdgeList(std::istream& in, const HeaderCheck& checkHeader) {
   std::uint64_t n = 0;
   std::uint64_t m = 0;
   if (!(in >> n >> m)) fail("missing edge-list header");
   checkVertexCount(n);
+  if (checkHeader) checkHeader(n, m);
   Graph g(n);
   for (std::uint64_t i = 0; i < m; ++i) {
     std::uint64_t u = 0;

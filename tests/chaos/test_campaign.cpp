@@ -13,6 +13,7 @@
 #include "core/sis.hpp"
 #include "core/smm.hpp"
 #include "engine/sync_runner.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/id_order.hpp"
 
@@ -225,6 +226,70 @@ TEST(EngineCampaign, RestoresCallerGraphTopologyAfterCleanPlan) {
       kChaosSeed, std::size_t{0}, core::randomPointerState);
   EXPECT_TRUE(result.finalFixpoint);
   EXPECT_EQ(g.edges(), base.edges());
+}
+
+// The monitor grows its containment BFS lazily, one layer per unlabelled
+// node it meets. Its radii must equal an eager multi-source BFS: the
+// distance from the nearest injected node, n for nodes no injected node
+// reaches, and 0 for every node when nothing was injected.
+TEST(RecoveryMonitor, LazyContainmentMatchesEagerBfs) {
+  Rng rng(31);
+  const graph::Graph udg = graph::connectedRandomGeometric(50, 0.2, rng);
+  graph::Graph g(60);  // the udg plus a separate 10-node path
+  for (const auto& e : udg.edges()) g.addEdge(e.u, e.v);
+  for (graph::Vertex v = 50; v + 1 < 60; ++v) g.addEdge(v, v + 1);
+  const std::size_t n = g.order();
+
+  const auto eager = [&](const std::vector<graph::Vertex>& injected,
+                         const std::vector<graph::Vertex>& changed) {
+    std::size_t worst = 0;
+    for (const graph::Vertex v : changed) {
+      std::size_t d = injected.empty() ? 0 : n;
+      for (const graph::Vertex s : injected) {
+        const std::size_t ds = graph::bfsDistances(g, s)[v];
+        if (ds != graph::kUnreachable) d = std::min(d, ds);
+      }
+      worst = std::max(worst, d);
+    }
+    return worst;
+  };
+
+  RecoveryMonitor monitor;
+  std::vector<std::size_t> expected;
+  const auto window = [&](const std::vector<graph::Vertex>& injected,
+                          const std::vector<graph::Vertex>& changed) {
+    monitor.onFault(static_cast<std::int64_t>(expected.size()),
+                    FaultKind::Corrupt, injected, g);
+    for (const graph::Vertex v : changed) monitor.onStateChanged(v);
+    monitor.onRecovered(1, true);
+    expected.push_back(eager(injected, changed));
+  };
+  window({3}, {3, 4, 40, 12});
+  window({3}, {});                          // nothing changed: radius 0
+  window({7, 7, 22}, {49, 0, 7, 22, 1});    // duplicate epicenter
+  window({55}, {59, 50, 51});               // inside the path component
+  window({2}, {1, 57});                     // 57 unreachable: radius n
+  window({}, {5, 58});                      // no epicenter: radius 0
+  window({10, 52}, {58, 33, 10});           // one epicenter per component
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<graph::Vertex> injected;
+    std::vector<graph::Vertex> changed;
+    for (std::uint64_t k = rng.below(4); k > 0; --k) {
+      injected.push_back(static_cast<graph::Vertex>(rng.below(n)));
+    }
+    for (std::uint64_t k = rng.below(12); k > 0; --k) {
+      changed.push_back(static_cast<graph::Vertex>(rng.below(n)));
+    }
+    window(injected, changed);
+  }
+  ASSERT_EQ(monitor.records().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(monitor.records()[i].containmentRadius, expected[i])
+        << "window " << i;
+  }
+  EXPECT_EQ(monitor.records()[1].containmentRadius, 0u);
+  EXPECT_EQ(monitor.records()[4].containmentRadius, n);
+  EXPECT_EQ(monitor.records()[5].containmentRadius, 0u);
 }
 
 }  // namespace

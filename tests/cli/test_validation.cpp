@@ -132,10 +132,12 @@ TEST(ChaosFlag, ParsedOnBothClis) {
 }
 
 // Edge-list headers whose vertex count cannot be a graph used to escape as
-// std::length_error ("-1" wraps to 2^64-1) or std::bad_alloc (> 2^32).
+// std::length_error ("-1" wraps to 2^64-1) or std::bad_alloc (> 2^32, or
+// just under it: 2^32-2 vertices would need ~275 GB).
 TEST(GraphFileValidation, OutOfRangeVertexCountIsABadGraphFile) {
   const std::string path = ::testing::TempDir() + "/cli_bad_header.txt";
-  for (const char* text : {"-1 0\n", "4294967297 1\n0 1\n"}) {
+  for (const char* text :
+       {"-1 0\n", "4294967297 1\n0 1\n", "4294967294 0\n"}) {
     {
       std::ofstream out(path);
       out << text;
@@ -153,6 +155,23 @@ TEST(GraphFileValidation, OutOfRangeVertexCountIsABadGraphFile) {
     }
   }
   std::remove(path.c_str());
+}
+
+// The header is held to the same physical-memory budget as generated
+// specs, before the vertex array is allocated.
+TEST(GraphFileValidation, HeaderIsCheckedAgainstMemory) {
+  try {
+    cli::checkGraphFileHeader("big.txt", 4294967294ULL, 0, 16e9);
+    ADD_FAILURE() << "expected CliError";
+  } catch (const cli::CliError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bad graph file 'big.txt'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("4294967294 vertices"), std::string::npos) << what;
+  }
+  EXPECT_THROW(cli::checkGraphFileHeader("f", 1000, 5000000000ULL, 16e9),
+               cli::CliError);
+  EXPECT_NO_THROW(cli::checkGraphFileHeader("f", 1000000, 14000000, 4e9));
 }
 
 TEST(GraphSizeCheck, EstimatesMatchGenerators) {

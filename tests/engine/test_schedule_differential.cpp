@@ -229,9 +229,9 @@ TEST(ScheduleDifferential, LeaderTreeSerial) {
 
 TEST(ScheduleDifferential, DominatingSetSynchronizedSerial) {
   // Synchronized wrappers draw per-round lottery priorities from roundKey:
-  // usesRoundEntropy() forces the active scheduler into evaluate-everything
-  // mode, which must STILL be bit-identical (it shares the incremental
-  // snapshot path, not the dense one).
+  // readsBeyondNeighborhood() forces the active scheduler into
+  // evaluate-everything mode, which must STILL be bit-identical (it shares
+  // the incremental snapshot path, not the dense one).
   const core::Synchronized<core::DominatingSetProtocol> domset;
   const std::size_t iters = stressIters(28);
   for (std::size_t i = 0; i < iters; ++i) {

@@ -3,17 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "../support/test_protocols.hpp"
 #include "analysis/verifiers.hpp"
+#include "core/aggregation.hpp"
 #include "core/kernels.hpp"
 #include "core/sis.hpp"
 #include "core/smm.hpp"
 #include "engine/fault.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace selfstab::engine {
 namespace {
@@ -218,6 +222,138 @@ TEST(SetKernel, SwapsBetweenRoundsKeepTheTrajectory) {
       checkKernelSwaps<core::PointerState>(smm, core::wildPointerState,
                                            schedule, threads, seed++);
     }
+  }
+}
+
+
+// Dense quiet rounds: once a fully evaluated round moved nothing, a round
+// over the same configuration and topology is skipped. Every way the
+// configuration can change behind the runner's back must still get a full
+// evaluation, which moves exactly the nodes a fresh runner finds enabled.
+template <typename State, typename Sampler>
+void checkQuietRounds(const Protocol<State>& protocol, Sampler sampler,
+                      bool flat, std::size_t threads) {
+  SCOPED_TRACE(std::string(protocol.name()) + (flat ? " flat" : " generic") +
+               " threads " + std::to_string(threads));
+  graph::Rng rng(77);
+  Graph g = graph::connectedRandomGeometric(60, 0.25, rng);
+  const auto ids = IdAssignment::identity(g.order());
+  const std::size_t n = g.order();
+  telemetry::Registry registry;
+  std::ostringstream eventText;
+  telemetry::EventLog events(eventText);
+  SyncRunner<State> runner(protocol, g, ids, 5, Schedule::Dense, threads);
+  runner.attachTelemetry(&registry, &events);
+  if (flat) runner.setKernel(core::makeFlatKernel<State>(protocol, g, ids));
+  auto states = randomConfiguration<State>(g, rng, sampler);
+  const auto settle = [&] {
+    ASSERT_TRUE(runner.run(states, 4 * n).stabilized);
+  };
+  const auto enabledCount = [&](const std::vector<State>& s) {
+    SyncRunner<State> fresh(protocol, g, ids);
+    return fresh.enabledVertices(s).size();
+  };
+  const auto evaluated = [&] {
+    return registry.counterValue(telemetry::names::kActiveNodes);
+  };
+  // Resamples node states until some node is enabled.
+  const auto disturb = [&] {
+    for (std::size_t i = 0; enabledCount(states) == 0; ++i) {
+      const auto v = static_cast<graph::Vertex>(i % n);
+      states[v] = sampler(v, g, rng);
+    }
+  };
+
+  settle();
+  // The run's last round evaluated everyone and moved nothing; the next
+  // rounds are quiet: skipped, counted, and logged with "active":0.
+  const auto skipped = [&] {
+    return registry.counterValue(telemetry::names::kSkippedNodes);
+  };
+  const std::size_t roundBefore = runner.round();
+  std::uint64_t before = evaluated();
+  const std::uint64_t skippedBefore = skipped();
+  EXPECT_EQ(runner.step(states), 0u);
+  EXPECT_EQ(runner.step(states), 0u);
+  EXPECT_EQ(evaluated(), before);
+  EXPECT_EQ(skipped() - skippedBefore, 2 * n);
+  EXPECT_EQ(runner.round(), roundBefore + 2);
+  EXPECT_NE(eventText.str().rfind("\"active\":0"), std::string::npos);
+
+  // An external state edit, without invalidateSchedule.
+  disturb();
+  std::size_t expected = enabledCount(states);
+  EXPECT_EQ(runner.step(states), expected);
+  settle();
+
+  // Topology churn, then isFixpoint (which refreshes the CSR), then step:
+  // this sync() rebuilds nothing, but the generation moved.
+  (void)runner.step(states);
+  do {
+    perturbTopology(g, rng, 3, /*keepConnected=*/false);
+  } while (enabledCount(states) == 0);
+  expected = enabledCount(states);
+  EXPECT_FALSE(runner.isFixpoint(states));
+  EXPECT_EQ(runner.step(states), expected);
+  settle();
+
+  // A move that is pinned and reverted: the configuration is back to the
+  // one the last round evaluated, but that round moved, so it runs again.
+  (void)runner.step(states);
+  disturb();
+  const std::vector<State> pinned = states;
+  expected = enabledCount(states);
+  ASSERT_EQ(runner.step(states), expected);
+  const std::vector<State> afterFirst = states;
+  states = pinned;
+  EXPECT_EQ(runner.step(states), expected);
+  EXPECT_EQ(states, afterFirst);
+  settle();
+
+  // A kernel swap forgets the quiet round: the next round evaluates all.
+  (void)runner.step(states);
+  runner.setKernel(flat ? core::makeFlatKernel<State>(protocol, g, ids)
+                        : nullptr);
+  before = evaluated();
+  EXPECT_EQ(runner.step(states), 0u);
+  EXPECT_EQ(evaluated() - before, n);
+}
+
+TEST(SyncRunnerQuietRounds, ExternalEditsAreNeverSkipped) {
+  const core::SisProtocol sis;
+  const core::SmmProtocol smm = core::smmPaper();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    for (const bool flat : {false, true}) {
+      checkQuietRounds<core::BitState>(sis, core::randomBitState, flat,
+                                       threads);
+      checkQuietRounds<core::PointerState>(smm, core::wildPointerState, flat,
+                                           threads);
+    }
+  }
+}
+
+// A protocol whose decisions read beyond N[v] is never skipped: its inputs
+// can change while every state stands still.
+TEST(SyncRunnerQuietRounds, NonLocalProtocolIsNeverSkipped) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    const Graph g = graph::binaryTree(15);
+    const auto ids = IdAssignment::identity(g.order());
+    std::vector<std::uint64_t> readings(g.order(), 1);
+    const core::AggregationProtocol protocol(
+        static_cast<std::uint32_t>(g.order()), &readings);
+    telemetry::Registry registry;
+    SyncRunner<core::AggregateState> runner(protocol, g, ids, 0,
+                                            Schedule::Dense, threads);
+    runner.attachTelemetry(&registry);
+    auto states = runner.initialStates();
+    ASSERT_TRUE(runner.run(states, 60).stabilized);
+    const std::uint64_t before =
+        registry.counterValue(telemetry::names::kActiveNodes);
+    EXPECT_EQ(runner.step(states), 0u);
+    EXPECT_EQ(registry.counterValue(telemetry::names::kActiveNodes) - before,
+              g.order());
+    readings[9] = 40;
+    EXPECT_GT(runner.step(states), 0u) << "threads " << threads;
   }
 }
 
