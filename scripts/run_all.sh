@@ -64,9 +64,16 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -G Ninja -S "$ROOT" -DSELFSTAB_SANITIZE=address
 cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
-  engine_tests
+  engine_tests graph_tests core_tests
 {
   "$ASAN_DIR/tests/adhoc_tests"
+  # unitDiskGraph's grid path indexes raw cell offsets over a cell-ordered
+  # copy of the points, and Graph::fromSortedAdjacency adopts the lists it
+  # builds without a per-edge insert.
+  "$ASAN_DIR/tests/graph_tests" --gtest_filter='Geometry.*:Generators.*:Graph*'
+  # SmmKernel's verified-pointer cache: one slot per vertex, resized and
+  # reset by sync() across topology changes.
+  "$ASAN_DIR/tests/core_tests" --gtest_filter='SmmPointerCache.*'
   # The installed kernel owns the only CSR the runner reads, and setKernel
   # frees it: a span kept across a kernel swap or a pooled round would be a
   # use-after-free here.

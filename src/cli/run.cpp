@@ -39,14 +39,18 @@ using graph::Graph;
 using graph::IdAssignment;
 using graph::Vertex;
 
-/// Peak resident bytes per edge of a flat-kernel `selfstab` run (Graph,
-/// IDs, the kernel's CSR and state mirror): 549 MB for the 14.1M edges of
-/// udg:1000000:0.003.
+/// Resident bytes per edge a `selfstab` run may need, an upper bound. A
+/// flat-kernel run holds each edge twice in the Graph's exact-size
+/// neighbor lists and twice in the kernel's CSR targets (4 B per slot; the
+/// CSR keeps no per-slot neighbor ID): 297 MB peak, or 21 B per edge with
+/// the per-vertex arrays included, for the 14.1M edges of
+/// udg:1000000:0.003. The bound stays at 40 B because `--chaos` holds two
+/// more Graph copies.
 constexpr double kBytesPerEdge = 40.0;
 
-/// Resident bytes per vertex of such a run, an upper estimate: adjacency
-/// vector header 24, CSR offset 8, ID 8, state and kernel mirror up to 8
-/// each: 56, rounded up.
+/// Resident bytes per vertex of such a run, an upper estimate: neighbor
+/// list header 24, CSR offset 8, ID 8, and up to 8 each for the state, the
+/// kernel mirror and a kernel cache (SMM's verified pointers): 64.
 constexpr double kBytesPerVertex = 64.0;
 
 /// The machine's physical memory, the budget the size checks hold a graph

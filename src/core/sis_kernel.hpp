@@ -138,14 +138,12 @@ class SisKernel final : public engine::FlatKernel<BitState> {
     groupWord_.clear();
     groupMask_.clear();
     for (graph::Vertex v = 0; v < n; ++v) {
-      const auto nbrs = topo.neighbors(v);
-      const auto nbrIds = topo.neighborIds(v);
       const graph::Id selfId = topo.idOf(v);
       std::uint32_t curWord = kNoWord;
       std::uint64_t curMask = 0;
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (!sisBigger(seniority_, nbrIds[i], selfId)) continue;
-        const auto w = static_cast<std::uint32_t>(nbrs[i] >> 6);
+      for (const graph::Vertex u : topo.neighbors(v)) {
+        if (!sisBigger(seniority_, topo.idOf(u), selfId)) continue;
+        const auto w = static_cast<std::uint32_t>(u >> 6);
         if (w != curWord) {
           if (curWord != kNoWord) {
             groupWord_.push_back(curWord);
@@ -154,7 +152,7 @@ class SisKernel final : public engine::FlatKernel<BitState> {
           curWord = w;
           curMask = 0;
         }
-        curMask |= std::uint64_t{1} << (nbrs[i] & 63);
+        curMask |= std::uint64_t{1} << (u & 63);
       }
       if (curWord != kNoWord) {
         groupWord_.push_back(curWord);

@@ -7,8 +7,18 @@
 //   * p(i)=Λ  — one sweep over the slice collecting proposers (p(j)=i) and
 //     null neighbors, then the same selection policies as smm.cpp applied to
 //     raw (vertex, id) slots;
-//   * p(i)=j  — binary search j in the sorted slice (dangling ⇒ back off),
-//     then a single load of p(j) decides R3.
+//   * p(i)=j  — confirm j ∈ N(i) (dangling ⇒ back off), then a single load
+//     of p(j) decides R3.
+//
+// Verified-pointer cache: a pointer can leave N(i) only through a corrupt
+// start or a topology change, so checked_[i] holds the last value of p(i)
+// shown to be a neighbor under the current topology generation. R1/R2 record
+// the neighbor they pick (it comes from the slice), and the binary search
+// over the slice runs only when p(i) differs from it — after a random start,
+// a corruption, a pinned node's revert or a wild pointer. sync() clears the
+// cache when the generation or n changes. Evaluation writes only the
+// evaluated vertex's own slot, so disjoint chunks stay race-free (see the
+// FlatKernel contract in engine/kernel.hpp).
 //
 // Selection mirrors core/smm.cpp select() case by case — argBest with a
 // strict comparator (first minimum wins), Successor's clockwise probe with
@@ -18,6 +28,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +47,10 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
     topology().refresh();
     const bool resized = ptr_.size() != states.size();
     ptr_.resize(states.size());
+    if (resized || checkedGeneration_ != topology().generation()) {
+      checked_.assign(states.size(), graph::kNoVertex);
+      checkedGeneration_ = topology().generation();
+    }
     // OR of old ^ new over the copy: branch-free, so it adds no stall to
     // the snapshot loop.
     graph::Vertex diff = 0;
@@ -79,6 +94,8 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
 
   void evaluateOne(graph::Vertex v, std::uint64_t roundKey, Scratch& scratch,
                    engine::MoveList<PointerState>& out) const {
+    assert(checkedGeneration_ == topology().generation() &&
+           "evaluate after a topology change needs a sync() first");
     const auto nbrs = topology().neighbors(v);
     const graph::Vertex p = ptr_[v];
 
@@ -93,21 +110,26 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
       if (!scratch.proposers.empty()) {
         // R1 [accept a proposal].
         const std::size_t j = select(accept_, v, roundKey, scratch.proposers);
+        checked_[v] = nbrs[j];
         out.emplace_back(v, PointerState{nbrs[j]});
       } else if (!scratch.nullNeighbors.empty()) {
         // R2 [make a proposal].
         const std::size_t j =
             select(propose_, v, roundKey, scratch.nullNeighbors);
+        checked_[v] = nbrs[j];
         out.emplace_back(v, PointerState{nbrs[j]});
       }
       return;
     }
 
-    // Pointer set: locate its target among current neighbors.
-    const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), p);
-    if (it == nbrs.end() || *it != p) {
-      out.emplace_back(v, PointerState{});  // dangling: back off
-      return;
+    // Pointer set: confirm its target is a current neighbor, by the cache
+    // or else by a search of the sorted slice.
+    if (p != checked_[v]) {
+      if (!hasNeighbor(v, p)) {
+        out.emplace_back(v, PointerState{});  // dangling: back off
+        return;
+      }
+      checked_[v] = p;
     }
     const graph::Vertex targetPtr = ptr_[p];
     if (targetPtr != graph::kNoVertex && targetPtr != v) {
@@ -125,11 +147,17 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
   [[nodiscard]] std::size_t select(
       Choice choice, graph::Vertex v, std::uint64_t roundKey,
       const std::vector<std::size_t>& candidates) const {
-    const auto ids = topology().neighborIds(v);
+    const engine::CsrTopology& topo = topology();
+    const auto nbrs = topo.neighbors(v);
     const auto argBest = [&](auto betterThan) {
       std::size_t best = candidates.front();
+      graph::Id bestId = topo.idOf(nbrs[best]);
       for (const std::size_t c : candidates) {
-        if (betterThan(ids[c], ids[best])) best = c;
+        const graph::Id id = topo.idOf(nbrs[c]);
+        if (betterThan(id, bestId)) {
+          best = c;
+          bestId = id;
+        }
       }
       return best;
     };
@@ -141,7 +169,6 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
       case Choice::First:
         return candidates.front();
       case Choice::Successor: {
-        const auto nbrs = topology().neighbors(v);
         for (const std::size_t c : candidates) {
           if (nbrs[c] == v + 1 ||
               (v != 0 && nbrs[c] == 0 && !hasNeighbor(v, v + 1))) {
@@ -151,7 +178,7 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
         return argBest([](graph::Id a, graph::Id b) { return a < b; });
       }
       case Choice::Random: {
-        SplitMix64 sm(hashCombine(roundKey, topology().idOf(v)));
+        SplitMix64 sm(hashCombine(roundKey, topo.idOf(v)));
         return candidates[sm.next() % candidates.size()];
       }
     }
@@ -161,6 +188,10 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
   Choice propose_;
   Choice accept_;
   std::vector<graph::Vertex> ptr_;  // p(i), Λ = kNoVertex
+  // Per vertex, a pointer value known to be in N(v) at checkedGeneration_
+  // (kNoVertex: none). Written by evaluation, one slot per evaluated vertex.
+  mutable std::vector<graph::Vertex> checked_;
+  std::uint64_t checkedGeneration_ = 0;
 };
 
 }  // namespace selfstab::core

@@ -99,8 +99,13 @@ class ViewKernel {
 ///   * Active rounds: sync(states) on (re)seed, evaluateList over the dirty
 ///     set, then apply(v, next) for each committed move so the mirror stays
 ///     current without a full reload.
-/// evaluateRange/evaluateList are const and touch only the mirror, so
-/// disjoint chunks may be evaluated concurrently.
+/// evaluateRange/evaluateList are const and read only the mirror and the
+/// topology. A kernel may also keep a per-vertex cache that evaluating v
+/// writes in v's own slot and nowhere else (SmmKernel's verified pointers);
+/// it must hold only facts about the topology, be reset by sync() when
+/// topology().generation() moves, and never change a decision. Since the
+/// executor evaluates each vertex at most once per round, disjoint chunks
+/// may be evaluated concurrently.
 template <typename State>
 class FlatKernel {
  public:

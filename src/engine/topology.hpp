@@ -1,15 +1,18 @@
-// Flat CSR mirror of a graph's adjacency with pre-resolved IDs.
+// Flat CSR mirror of a graph's adjacency: offsets + targets.
 //
-// offsets + targets + per-slot neighbor IDs in one contiguous layout, so a
-// per-node evaluation is a cache-linear sweep over one slice instead of a
-// pointer-chasing walk over per-vertex vectors. A run holds exactly one,
-// owned by its FlatKernel (engine/kernel.hpp) and read by the round
-// executor too. It is built on the first refresh() and revalidates lazily
-// against Graph::version(), so topology edits (mobility, fault campaigns)
-// show up on the next refresh() — whichever reader makes it. Caches
-// derived from the mirror therefore key on generation().
+// Each vertex's neighbors are one contiguous, ascending slice of targets,
+// so a per-node evaluation is a cache-linear sweep instead of a
+// pointer-chasing walk over per-vertex vectors. The mirror holds no
+// per-edge copy of the neighbor IDs: a reader that needs one loads
+// idOf(w), trading a random load for 8 bytes per edge slot.
+// A run holds exactly one, owned by its FlatKernel (engine/kernel.hpp) and
+// read by the round executor too. It is built on the first refresh() and
+// revalidates lazily against Graph::version(), so topology edits (mobility,
+// fault campaigns) show up on the next refresh() — whichever reader makes
+// it. Caches derived from the mirror therefore key on generation().
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -34,17 +37,12 @@ class CsrTopology {
     }
     const std::size_t n = g_->order();
     offsets_.resize(n + 1);
-    targets_.clear();
-    targetIds_.clear();
-    targets_.reserve(2 * g_->size());
-    targetIds_.reserve(2 * g_->size());
+    targets_.resize(2 * g_->size());
     offsets_[0] = 0;
     for (graph::Vertex v = 0; v < n; ++v) {
-      for (const graph::Vertex w : g_->neighbors(v)) {
-        targets_.push_back(w);
-        targetIds_.push_back(ids_->idOf(w));
-      }
-      offsets_[v + 1] = targets_.size();
+      const auto nbrs = g_->neighbors(v);
+      std::copy(nbrs.begin(), nbrs.end(), targets_.data() + offsets_[v]);
+      offsets_[v + 1] = offsets_[v] + nbrs.size();
     }
     cachedVersion_ = g_->version();
     ++generation_;
@@ -61,12 +59,6 @@ class CsrTopology {
   [[nodiscard]] std::span<const graph::Vertex> neighbors(
       graph::Vertex v) const noexcept {
     return {targets_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
-  }
-
-  /// IDs of v's neighbors, slot-aligned with neighbors(v).
-  [[nodiscard]] std::span<const graph::Id> neighborIds(
-      graph::Vertex v) const noexcept {
-    return {targetIds_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
   [[nodiscard]] std::size_t degree(graph::Vertex v) const noexcept {
@@ -88,7 +80,6 @@ class CsrTopology {
   const graph::IdAssignment* ids_;
   std::vector<std::size_t> offsets_;
   std::vector<graph::Vertex> targets_;
-  std::vector<graph::Id> targetIds_;
   std::uint64_t cachedVersion_ = 0;
   std::uint64_t generation_ = 0;
 };

@@ -26,10 +26,9 @@ LocalView<State> buildView(const CsrTopology& topo, graph::Vertex v,
                            std::vector<NeighborRef<State>>& buffer) {
   buffer.clear();
   const std::span<const graph::Vertex> nbrs = topo.neighbors(v);
-  const std::span<const graph::Id> nbrIds = topo.neighborIds(v);
   buffer.reserve(nbrs.size());
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    buffer.push_back(NeighborRef<State>{nbrs[i], nbrIds[i], &states[nbrs[i]]});
+  for (const graph::Vertex w : nbrs) {
+    buffer.push_back(NeighborRef<State>{w, topo.idOf(w), &states[w]});
   }
   return {.self = v, .selfId = topo.idOf(v), .selfState = &states[v],
           .neighbors = buffer, .roundKey = roundKey};

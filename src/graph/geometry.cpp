@@ -2,8 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace selfstab::graph {
+
+namespace {
+
+// Sorts one neighbor list. Unit-disk lists hold a few dozen entries, where
+// insertion sort beats std::sort's partitioning; long lists (dense disks)
+// must not pay its quadratic cost.
+void sortNeighbors(Vertex* first, std::size_t count) {
+  if (count > 64) {
+    std::sort(first, first + count);
+    return;
+  }
+  for (std::size_t a = 1; a < count; ++a) {
+    const Vertex x = first[a];
+    std::size_t b = a;
+    for (; b > 0 && first[b - 1] > x; --b) first[b] = first[b - 1];
+    first[b] = x;
+  }
+}
+
+}  // namespace
 
 std::vector<Point> randomPoints(std::size_t n, Rng& rng) {
   std::vector<Point> points(n);
@@ -15,76 +36,99 @@ std::vector<Point> randomPoints(std::size_t n, Rng& rng) {
 }
 
 Graph unitDiskGraph(const std::vector<Point>& points, double radius) {
-  Graph g(points.size());
+  const std::size_t n = points.size();
   const double r2 = radius * radius;
+  // Every vertex's list is produced in one place, sorted, and adopted in
+  // bulk, so no edge is ever inserted into the middle of a list.
+  std::vector<std::vector<Vertex>> adj(n);
+  std::vector<Vertex> found;
 
-  // Spatial hashing: bucket the unit square into cells of side >= radius, so
-  // every in-range pair lives in the same or an adjacent cell. Expected cost
-  // is O(n + m) instead of the all-pairs O(n^2), which is what makes
-  // 100k-node geometric topologies practical. Small inputs keep the direct
-  // scan — building the grid would cost more than it saves.
-  if (points.size() < 256 || radius <= 0.0 || radius >= 0.5) {
-    for (Vertex u = 0; u < points.size(); ++u) {
-      for (Vertex v = u + 1; v < points.size(); ++v) {
-        if (squaredDistance(points[u], points[v]) <= r2) g.addEdge(u, v);
+  // Small inputs (and radii the grid cannot help with) compare all pairs:
+  // building the grid would cost more than it saves. Scanning v upwards
+  // fills each list already sorted.
+  if (n < 256 || !(radius > 0.0 && radius < 0.5)) {
+    for (Vertex u = 0; u < n; ++u) {
+      found.clear();
+      for (Vertex v = 0; v < n; ++v) {
+        if (v != u && squaredDistance(points[u], points[v]) <= r2) {
+          found.push_back(v);
+        }
       }
+      adj[u].assign(found.begin(), found.end());
     }
-    return g;
+    return Graph::fromSortedAdjacency(std::move(adj));
   }
 
-  const auto side = static_cast<std::size_t>(1.0 / radius);  // side >= 2
-  const auto cellOf = [&](const Point& p) {
-    auto cx = static_cast<std::size_t>(p.x * static_cast<double>(side));
-    auto cy = static_cast<std::size_t>(p.y * static_cast<double>(side));
-    cx = std::min(cx, side - 1);
-    cy = std::min(cy, side - 1);
-    return cy * side + cx;
+  // Spatial hashing: bucket the unit square into cells at least `radius`
+  // wide, so every in-range pair lives in the same or an adjacent cell.
+  // Expected cost is O(n + m) instead of the all-pairs O(n^2), which is what
+  // makes 10^6-node geometric topologies practical. The 1e-9 margin keeps
+  // cells wide enough after rounding: with side * radius == 1, a point one
+  // ulp below a cell edge and its partner at distance exactly `radius` could
+  // land two cells apart. The sqrt(n) cap keeps the cell count O(n) for tiny
+  // radii (wider cells only add candidates).
+  const double cap = std::ceil(std::sqrt(static_cast<double>(n)));
+  const std::size_t side = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::min((1.0 - 1e-9) / radius, cap)));
+  const auto scale = static_cast<double>(side);
+  const auto axisCell = [&](double t) {
+    return static_cast<std::size_t>(std::clamp(t * scale, 0.0, scale - 1.0));
   };
 
-  // Counting sort of vertices into cells (CSR layout: offsets + members).
+  // Counting sort of vertices into cells (CSR layout: offsets + members),
+  // with the coordinates copied into the same cell order so every neighbor
+  // search below reads contiguous memory.
   std::vector<std::size_t> offsets(side * side + 1, 0);
-  for (const Point& p : points) ++offsets[cellOf(p) + 1];
+  std::vector<std::size_t> cellOf(n);
+  for (Vertex v = 0; v < n; ++v) {
+    cellOf[v] = axisCell(points[v].y) * side + axisCell(points[v].x);
+    ++offsets[cellOf[v] + 1];
+  }
   for (std::size_t c = 1; c < offsets.size(); ++c) offsets[c] += offsets[c - 1];
-  std::vector<Vertex> members(points.size());
+  std::vector<Vertex> members(n);
+  std::vector<Point> sorted(n);
   {
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (Vertex v = 0; v < points.size(); ++v) {
-      members[cursor[cellOf(points[v])]++] = v;
+    for (Vertex v = 0; v < n; ++v) {
+      const std::size_t i = cursor[cellOf[v]]++;
+      members[i] = v;
+      sorted[i] = points[v];
     }
   }
 
+  // Each vertex searches its full 3x3 block of cells. A row of the block is
+  // consecutive cells, hence one contiguous run of `sorted`.
   for (std::size_t cy = 0; cy < side; ++cy) {
+    const std::size_t y0 = cy == 0 ? 0 : cy - 1;
+    const std::size_t y1 = std::min(cy + 1, side - 1);
     for (std::size_t cx = 0; cx < side; ++cx) {
+      const std::size_t x0 = cx == 0 ? 0 : cx - 1;
+      const std::size_t x1 = std::min(cx + 1, side - 1);
       const std::size_t c = cy * side + cx;
+      std::size_t block = 0;
+      for (std::size_t y = y0; y <= y1; ++y) {
+        block += offsets[y * side + x1 + 1] - offsets[y * side + x0];
+      }
+      if (found.size() < block) found.resize(block);
       for (std::size_t i = offsets[c]; i < offsets[c + 1]; ++i) {
-        const Vertex u = members[i];
-        // Same cell: remaining members only, each pair visited once.
-        for (std::size_t j = i + 1; j < offsets[c + 1]; ++j) {
-          const Vertex v = members[j];
-          if (squaredDistance(points[u], points[v]) <= r2) g.addEdge(u, v);
-        }
-        // Forward half of the 8-neighborhood (E, SW, S, SE): every adjacent
-        // cell pair is visited exactly once.
-        constexpr int kDx[] = {1, -1, 0, 1};
-        constexpr int kDy[] = {0, 1, 1, 1};
-        for (int k = 0; k < 4; ++k) {
-          const auto nx = static_cast<std::ptrdiff_t>(cx) + kDx[k];
-          const auto ny = static_cast<std::ptrdiff_t>(cy) + kDy[k];
-          if (nx < 0 || ny < 0 || nx >= static_cast<std::ptrdiff_t>(side) ||
-              ny >= static_cast<std::ptrdiff_t>(side)) {
-            continue;
-          }
-          const std::size_t d = static_cast<std::size_t>(ny) * side +
-                                static_cast<std::size_t>(nx);
-          for (std::size_t j = offsets[d]; j < offsets[d + 1]; ++j) {
-            const Vertex v = members[j];
-            if (squaredDistance(points[u], points[v]) <= r2) g.addEdge(u, v);
+        const Point p = sorted[i];
+        // Branch-free filter: write every candidate, keep the in-range ones
+        // (about a third of the block, in no predictable pattern).
+        std::size_t k = 0;
+        for (std::size_t y = y0; y <= y1; ++y) {
+          const std::size_t end = offsets[y * side + x1 + 1];
+          for (std::size_t j = offsets[y * side + x0]; j < end; ++j) {
+            found[k] = members[j];
+            k += static_cast<std::size_t>(
+                (j != i) & (squaredDistance(p, sorted[j]) <= r2));
           }
         }
+        sortNeighbors(found.data(), k);
+        adj[members[i]].assign(found.data(), found.data() + k);
       }
     }
   }
-  return g;
+  return Graph::fromSortedAdjacency(std::move(adj));
 }
 
 SpatialGrid::SpatialGrid(std::size_t order, double cellWidth) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <utility>
 
 namespace selfstab::graph {
 
@@ -24,6 +26,30 @@ bool sortedErase(std::vector<Vertex>& v, Vertex x) {
 }
 
 }  // namespace
+
+Graph Graph::fromSortedAdjacency(std::vector<std::vector<Vertex>> adj) {
+  Graph g;
+  g.adj_ = std::move(adj);
+  std::size_t slots = 0;
+  for (const auto& nbrs : g.adj_) slots += nbrs.size();
+#ifndef NDEBUG
+  for (Vertex u = 0; u < g.adj_.size(); ++u) {
+    const auto& nbrs = g.adj_[u];
+    assert(std::adjacent_find(nbrs.begin(), nbrs.end(),
+                              std::greater_equal<>()) == nbrs.end() &&
+           "adjacency lists must be strictly ascending");
+    for (const Vertex w : nbrs) {
+      assert(w != u && g.contains(w) && "loop or out-of-range neighbor");
+      assert(std::binary_search(g.adj_[w].begin(), g.adj_[w].end(), u) &&
+             "adjacency must be symmetric");
+    }
+  }
+#endif
+  assert(slots % 2 == 0);
+  g.edgeCount_ = slots / 2;
+  g.version_ = g.edgeCount_;  // as if each edge came from one addEdge
+  return g;
+}
 
 bool Graph::addEdge(Vertex u, Vertex v) {
   assert(contains(u) && contains(v));

@@ -46,6 +46,13 @@ class Graph {
   /// Creates an edgeless graph on n vertices.
   explicit Graph(std::size_t n) : adj_(n) {}
 
+  /// Adopts adjacency lists built in bulk: one per vertex, each strictly
+  /// ascending, symmetric (w in adj[v] iff v in adj[w]), loop-free and in
+  /// range (checked in debug builds). The result equals the graph built by
+  /// adding the same edges one addEdge at a time, version() included.
+  [[nodiscard]] static Graph fromSortedAdjacency(
+      std::vector<std::vector<Vertex>> adj);
+
   /// Number of vertices.
   [[nodiscard]] std::size_t order() const noexcept { return adj_.size(); }
 

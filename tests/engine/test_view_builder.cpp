@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "../support/test_protocols.hpp"
@@ -142,7 +144,7 @@ TEST(ViewBuilder, FindBinarySearchEdgeCases) {
   EXPECT_EQ(view.find(graph::kNoVertex), nullptr);
 }
 
-// The CSR mirror must equal Graph::neighbors (slot-aligned IDs included),
+// The CSR mirror must equal Graph::neighbors (buildView's IDs equal idOf),
 // revalidate across arbitrary mutation sequences (Graph::version bumps),
 // bump its generation exactly when it rebuilds, and give buildView the
 // same views ViewBuilder reads off the Graph.
@@ -161,14 +163,12 @@ TEST(CsrTopology, MirrorsGraphAcrossMutations) {
     topo.refresh();
     for (graph::Vertex v = 0; v < g.order(); ++v) {
       const auto mirrored = topo.neighbors(v);
-      const auto mirroredIds = topo.neighborIds(v);
       const auto truth = g.neighbors(v);
       ASSERT_EQ(mirrored.size(), truth.size()) << "v=" << v;
       ASSERT_EQ(topo.degree(v), truth.size()) << "v=" << v;
+      EXPECT_EQ(topo.idOf(v), ids.idOf(v)) << "v=" << v;
       for (std::size_t i = 0; i < truth.size(); ++i) {
         EXPECT_EQ(mirrored[i], truth[i]) << "v=" << v << " slot " << i;
-        EXPECT_EQ(mirroredIds[i], ids.idOf(truth[i]))
-            << "v=" << v << " slot " << i;
       }
       const auto fromCsr = buildView(topo, v, states, 5, buffer);
       const auto fromGraph = builder.build(v, states, 5);
@@ -176,6 +176,8 @@ TEST(CsrTopology, MirrorsGraphAcrossMutations) {
       ASSERT_EQ(fromCsr.neighbors.size(), fromGraph.neighbors.size());
       for (std::size_t i = 0; i < truth.size(); ++i) {
         EXPECT_EQ(fromCsr.neighbors[i].vertex, fromGraph.neighbors[i].vertex);
+        EXPECT_EQ(fromCsr.neighbors[i].id, ids.idOf(truth[i]))
+            << "v=" << v << " slot " << i;
         EXPECT_EQ(fromCsr.neighbors[i].id, fromGraph.neighbors[i].id);
         EXPECT_EQ(fromCsr.neighbors[i].state, fromGraph.neighbors[i].state);
       }
@@ -199,6 +201,51 @@ TEST(CsrTopology, MirrorsGraphAcrossMutations) {
   EXPECT_TRUE(topo.mirrors(g, ids));
   const Graph copy = g;
   EXPECT_FALSE(topo.mirrors(copy, ids));
+}
+
+// A bulk-built Graph must drive the CSR exactly like the addEdge-built one:
+// the same mirror on the first refresh, no rebuild without a mutation, and
+// a rebuild after each successful edit (version() bumps) but not after a
+// no-op one.
+TEST(CsrTopology, RefreshesABulkBuiltGraphLikeAnAddEdgeBuiltOne) {
+  graph::Rng rng(815);
+  Graph built = graph::connectedErdosRenyi(30, 0.2, rng);
+  std::vector<std::vector<graph::Vertex>> adj(built.order());
+  for (graph::Vertex v = 0; v < built.order(); ++v) {
+    adj[v].assign(built.neighbors(v).begin(), built.neighbors(v).end());
+  }
+  Graph bulk = Graph::fromSortedAdjacency(std::move(adj));
+  const auto ids = IdAssignment::identity(built.order());
+  CsrTopology fromBuilt(built, ids);
+  CsrTopology fromBulk(bulk, ids);
+
+  const auto check = [&] {
+    fromBuilt.refresh();
+    fromBulk.refresh();
+    ASSERT_EQ(fromBulk.generation(), fromBuilt.generation());
+    for (graph::Vertex v = 0; v < built.order(); ++v) {
+      const auto a = fromBuilt.neighbors(v);
+      const auto b = fromBulk.neighbors(v);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "v=" << v;
+    }
+  };
+  check();
+  EXPECT_EQ(fromBulk.generation(), 1U);
+  check();
+  EXPECT_EQ(fromBulk.generation(), 1U);
+  for (int k = 0; k < 40; ++k) {
+    const auto u = static_cast<graph::Vertex>(rng.below(built.order()));
+    const auto w = static_cast<graph::Vertex>(rng.below(built.order()));
+    ASSERT_EQ(bulk.toggleEdge(u, w), built.toggleEdge(u, w));
+    check();
+  }
+  const graph::Edge e = bulk.edges().front();
+  ASSERT_FALSE(bulk.addEdge(e.u, e.v));  // already present: no version bump
+  ASSERT_FALSE(built.addEdge(e.u, e.v));
+  const std::uint64_t before = fromBulk.generation();
+  check();
+  EXPECT_EQ(fromBulk.generation(), before);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace selfstab::graph {
@@ -45,6 +47,102 @@ TEST(Geometry, FullRadiusGivesCompleteGraph) {
   const auto pts = randomPoints(20, rng);
   const Graph g = unitDiskGraph(pts, 2.0);  // > diagonal of unit square
   EXPECT_EQ(g.size(), 20u * 19u / 2);
+}
+
+// unitDiskGraph buckets n >= 256 points into a grid of cells at least r
+// wide; below that it compares all pairs. The grid path must give exactly
+// the all-pairs edge set, including the cases a cell index gets wrong
+// first: points on and just below cell boundaries, and pairs at distance r
+// (inclusive) straddling them.
+TEST(Geometry, GridPathMatchesAllPairs) {
+  for (const std::size_t n : {256U, 1000U, 4000U}) {
+    for (const double r : {0.01, 0.05, 0.2, 0.49}) {
+      for (const std::uint64_t seed : {1U, 2U, 3U}) {
+        Rng rng(seed * 7919 + n);
+        std::vector<Point> pts = randomPoints(n, rng);
+        const auto side = static_cast<std::size_t>(1.0 / r);
+        const auto boundary = [&] {
+          return static_cast<double>(rng.below(side + 1)) /
+                 static_cast<double>(side);
+        };
+        // A quarter of the points sit on cell boundaries (one axis, both
+        // axes, or one ulp below), the next quarter in pairs at distance r
+        // along an axis or a 3-4-5 diagonal.
+        const std::size_t quarter = n / 4;
+        for (std::size_t i = 0; i < quarter; ++i) {
+          Point& p = pts[i];
+          switch (i % 4) {
+            case 0: p.x = boundary(); break;
+            case 1: p.y = boundary(); break;
+            case 2: p = {boundary(), boundary()}; break;
+            default: p.x = std::nextafter(boundary(), 0.0); break;
+          }
+          p.x = std::min(p.x, std::nextafter(1.0, 0.0));
+          p.y = std::min(p.y, std::nextafter(1.0, 0.0));
+        }
+        for (std::size_t i = quarter; i + 1 < 2 * quarter; i += 2) {
+          Point a = pts[i];
+          if ((i / 2) % 2 == 0) a.x = boundary();
+          const double dx[] = {r, 0.0, 0.6 * r};
+          const double dy[] = {0.0, r, 0.8 * r};
+          const std::size_t k = (i / 2) % 3;
+          a.x = std::min(a.x, 1.0 - r);
+          a.y = std::min(a.y, 1.0 - r);
+          pts[i] = a;
+          pts[i + 1] = {a.x + dx[k], a.y + dy[k]};
+        }
+
+        // All pairs in lexicographic order, as Graph::edges() lists them.
+        std::vector<Edge> expected;
+        for (Vertex u = 0; u < n; ++u) {
+          for (Vertex v = u + 1; v < n; ++v) {
+            if (squaredDistance(pts[u], pts[v]) <= r * r) {
+              expected.push_back({u, v});
+            }
+          }
+        }
+        const Graph got = unitDiskGraph(pts, r);
+        ASSERT_EQ(got.size(), expected.size())
+            << "n=" << n << " r=" << r << " seed=" << seed;
+        ASSERT_TRUE(got.edges() == expected)
+            << "n=" << n << " r=" << r << " seed=" << seed;
+      }
+    }
+  }
+}
+
+// With side = floor(1/r) cells per axis, side * r rounds to 1, and a point
+// one ulp below a cell edge can land two cells away from its partner at
+// distance r: a grid that searches only adjacent cells then misses the
+// edge (r = 0.05, 0.1, 0.2, 0.25 each have such pairs). Every such
+// candidate pair, next to random filler, must still give the all-pairs
+// edge set.
+TEST(Geometry, GridPathKeepsPairsOneUlpBelowACellEdge) {
+  for (const double r : {0.05, 0.1, 0.2, 0.25, 0.01, 0.003}) {
+    Rng rng(99);
+    std::vector<Point> pts = randomPoints(256, rng);
+    const auto side = static_cast<std::size_t>(1.0 / r);
+    for (std::size_t k = 1; k < side; ++k) {
+      double x = static_cast<double>(k) / static_cast<double>(side);
+      for (int ulps = 0; ulps < 4; ++ulps, x = std::nextafter(x, 0.0)) {
+        if (x + r >= 1.0) continue;
+        const double y = rng.real();
+        pts.push_back({x, y});
+        pts.push_back({x + r, y});
+        pts.push_back({y, x});
+        pts.push_back({y, x + r});
+      }
+    }
+    std::vector<Edge> expected;
+    for (Vertex u = 0; u < pts.size(); ++u) {
+      for (Vertex v = u + 1; v < pts.size(); ++v) {
+        if (squaredDistance(pts[u], pts[v]) <= r * r) expected.push_back({u, v});
+      }
+    }
+    const Graph got = unitDiskGraph(pts, r);
+    EXPECT_EQ(got.size(), expected.size()) << "r=" << r;
+    EXPECT_TRUE(got.edges() == expected) << "r=" << r;
+  }
 }
 
 TEST(SpatialGrid, GatherIsASupersetOfTheDisk) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
+
+#include "graph/rng.hpp"
 
 namespace selfstab::graph {
 namespace {
@@ -119,6 +122,70 @@ TEST(Graph, EqualityComparesStructure) {
   b.addEdge(0, 1);
   EXPECT_EQ(a, b);
 }
+
+// The bulk factory must give the graph addEdge would have built from the
+// same edges, and that graph must behave identically under later edits.
+TEST(Graph, FromSortedAdjacencyEqualsAddEdgeBuild) {
+  Rng rng(42);
+  const std::size_t n = 40;
+  Graph built(n);
+  for (int k = 0; k < 150; ++k) {
+    built.addEdge(static_cast<Vertex>(rng.below(n)),
+                  static_cast<Vertex>(rng.below(n)));
+  }
+  std::vector<std::vector<Vertex>> adj(n);
+  for (Vertex v = 0; v < n; ++v) {
+    adj[v].assign(built.neighbors(v).begin(), built.neighbors(v).end());
+  }
+  Graph bulk = Graph::fromSortedAdjacency(std::move(adj));
+
+  const auto same = [&] {
+    ASSERT_TRUE(bulk == built);
+    ASSERT_EQ(bulk.order(), built.order());
+    ASSERT_EQ(bulk.size(), built.size());
+    ASSERT_EQ(bulk.version(), built.version());
+    ASSERT_EQ(bulk.edges(), built.edges());
+    for (Vertex u = 0; u < n; ++u) {
+      ASSERT_EQ(bulk.degree(u), built.degree(u));
+      for (Vertex v = 0; v < n; ++v) {
+        ASSERT_EQ(bulk.hasEdge(u, v), built.hasEdge(u, v));
+      }
+    }
+  };
+  same();
+  for (int k = 0; k < 200; ++k) {
+    const auto u = static_cast<Vertex>(rng.below(n));
+    const auto v = static_cast<Vertex>(rng.below(n));
+    if (rng.chance(0.5)) {
+      ASSERT_EQ(bulk.addEdge(u, v), built.addEdge(u, v));
+    } else {
+      ASSERT_EQ(bulk.removeEdge(u, v), built.removeEdge(u, v));
+    }
+    same();
+  }
+  bulk.clearEdges();
+  built.clearEdges();
+  same();
+}
+
+TEST(Graph, FromSortedAdjacencyOfEmptyListsIsEdgeless) {
+  const Graph g = Graph::fromSortedAdjacency(std::vector<std::vector<Vertex>>(5));
+  EXPECT_TRUE(g == Graph(5));
+  EXPECT_EQ(g.size(), 0U);
+  EXPECT_EQ(g.version(), 0U);
+  EXPECT_EQ(Graph::fromSortedAdjacency({}).order(), 0U);
+}
+
+#ifndef NDEBUG
+TEST(GraphDeathTest, FromSortedAdjacencyChecksItsInput) {
+  using Lists = std::vector<std::vector<Vertex>>;
+  EXPECT_DEATH(Graph::fromSortedAdjacency(Lists{{1}, {}}), "symmetric");
+  EXPECT_DEATH(Graph::fromSortedAdjacency(Lists{{2, 1}, {0}, {0}}),
+               "ascending");
+  EXPECT_DEATH(Graph::fromSortedAdjacency(Lists{{0}}), "loop");
+  EXPECT_DEATH(Graph::fromSortedAdjacency(Lists{{3}, {}}), "range");
+}
+#endif
 
 TEST(MakeEdge, NormalizesOrder) {
   EXPECT_EQ(makeEdge(5, 2), (Edge{2, 5}));
