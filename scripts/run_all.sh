@@ -27,16 +27,25 @@ sh "$ROOT/scripts/bench_smoke.sh" "$BUILD_DIR"
 
 # ThreadSanitizer pass over the concurrency-sensitive suites: the telemetry
 # instruments (lock-free counters and histograms shared by the worker pool,
-# plus the ExecutorParity threads = 1 vs >= 2 checks), SyncRunner's pooled
-# path itself (ParallelRunner.*: degree-weighted chunks, the pooled fixpoint
-# sweep, Aggregation on the pool), and the pooled differential suites. A
-# separate build dir keeps sanitizer objects out of the main build.
+# plus the ExecutorParity threads = 1 vs >= 2 checks, among them
+# EventLogsAreIdenticalAtEveryThreadCount), SyncRunner's pooled path itself
+# (ParallelRunner.*: degree-weighted blocks claimed by whichever worker is
+# free, the pooled fixpoint sweep, Aggregation on the pool), the banded
+# unit-disk build, the selfstab CLI on its own pool, and the pooled
+# differential suites. A separate build dir keeps sanitizer objects out of
+# the main build.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -G Ninja -S "$ROOT" -DSELFSTAB_SANITIZE=thread
 cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
-  stress_tests
+  stress_tests graph_tests cli_tests
 {
   "$TSAN_DIR/tests/telemetry_tests"
+  # unitDiskGraph's bands: each worker fills its own buffer and its own
+  # slots of the degree array, and the calling thread adopts the lists.
+  "$TSAN_DIR/tests/graph_tests" --gtest_filter='Geometry.BandedBuildMatchesSerial'
+  # selfstab sizes both pools itself: a 20000-node run (four workers where
+  # four CPUs are free) against the same run held to one CPU.
+  "$TSAN_DIR/tests/cli_tests" --gtest_filter='Execute.PooledRunMatchesSingleCpuRun'
   # SyncRunnerQuietRounds.*: the dense quiet-round skip at threads = 3 —
   # skipped rounds clear every worker's move queue without a pool barrier.
   "$TSAN_DIR/tests/engine_tests" \
@@ -46,7 +55,7 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   "$TSAN_DIR/tests/chaos_tests" --gtest_filter=\
 'EngineCampaign.SerialAndParallelExecutorsAgree:EngineCampaignFingerprint.*'
   # '*Parallel*' selects ScheduleDifferentialParallel (every protocol in
-  # core/, LeaderTree included) and KernelDifferentialParallel (the flat
+  # core/, LeaderTree, SmmArbitrary and HsuHuangSynchronized included) and KernelDifferentialParallel (the flat
   # kernels' shared CSR mirror and per-worker move queues on the pool).
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" --gtest_filter='*Parallel*'

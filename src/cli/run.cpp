@@ -29,6 +29,7 @@
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "parallel/workers.hpp"
 #include "telemetry/json.hpp"
 
 namespace selfstab::cli {
@@ -142,6 +143,9 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
                          std::size_t autoBudget, Sampler sampler,
                          Metric metric, std::ostream& out, Report& report,
                          const chaos::SafetyCheck<State>& safety = {}) {
+  // Trajectories and event logs are identical at every thread count, so the
+  // count is the machine's business, not an option.
+  const std::size_t threads = roundThreads(g.order());
   if (!options.chaosSpec.empty()) {
     // Fault campaign: the runner owns a mutable copy of the topology (crash
     // and partition events mask edges in place); the caller's graph stays
@@ -151,7 +155,7 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
         chaos::parseChaosSpec(options.chaosSpec, g.order());
     Graph effective = g;
     engine::SyncRunner<State> runner(protocol, effective, ids, options.seed,
-                                     options.schedule);
+                                     options.schedule, threads);
     runner.attachTelemetry(sinks.registry, sinks.events);
     installKernel(runner, protocol, effective, ids, options, report);
     std::vector<State> states;
@@ -188,7 +192,7 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
   }
 
   engine::SyncRunner<State> runner(protocol, g, ids, options.seed,
-                                   options.schedule);
+                                   options.schedule, threads);
   runner.attachTelemetry(sinks.registry, sinks.events);
   installKernel(runner, protocol, g, ids, options, report);
   std::vector<State> states;
@@ -482,6 +486,10 @@ Report runLeaderTree(const Options& options, const Sinks& sinks,
 }
 
 }  // namespace
+
+std::size_t roundThreads(std::size_t n) {
+  return parallel::workersFor(n, kRoundGrain);
+}
 
 double estimateEdges(const GraphSpec& spec) {
   const auto n = static_cast<double>(spec.n);

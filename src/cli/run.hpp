@@ -2,6 +2,7 @@
 // requested protocol, verify the stabilized predicate, and report.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -34,6 +35,16 @@ struct Report {
   std::size_t chaosMaxContainment = 0;    ///< worst BFS containment radius
   std::size_t chaosSafetyViolations = 0;
 };
+
+/// Vertices per round worker: a run on fewer than 2 × this many vertices
+/// stays on one thread. The measured break-even of pooled rounds, see
+/// docs/PERFORMANCE.md.
+inline constexpr std::size_t kRoundGrain = 5000;
+
+/// Threads `selfstab` runs an n-vertex graph's rounds on:
+/// parallel::workersFor(n, kRoundGrain), at most the CPUs in the process's
+/// affinity mask (`taskset` lowers it). Output does not depend on it.
+[[nodiscard]] std::size_t roundThreads(std::size_t n);
 
 /// Edge count a generator spec will produce: exact for path, cycle, star,
 /// tree, grid and complete; the expectation p·n(n−1)/2 for gnp and

@@ -8,6 +8,8 @@
 // the execution, it does not participate in it.
 #pragma once
 
+#include <cstddef>
+
 #include "telemetry/telemetry.hpp"
 
 namespace selfstab::engine {
@@ -22,18 +24,19 @@ struct RunnerMetrics {
   telemetry::Histogram* commitDuration = nullptr;
   telemetry::Histogram* workerChunkDuration = nullptr;  // threads > 1 only
   telemetry::Gauge* workerImbalance = nullptr;          // threads > 1 only
+  telemetry::Gauge* workerThreads = nullptr;
   telemetry::Gauge* evaluationsPerSecond = nullptr;
   telemetry::Counter* activeNodes = nullptr;
   telemetry::Counter* skippedNodes = nullptr;
   telemetry::Histogram* activationFraction = nullptr;
 };
 
-/// `workers` adds the pool instruments of a runner with threads > 1: one
-/// chunk-duration observation per worker per round plus a max/mean
-/// imbalance gauge. The snapshot/evaluate/commit phases exist at every
-/// thread count.
+/// `threads` sets the worker_threads gauge; above 1 it adds the pool
+/// instruments: one chunk-duration observation per worker per round plus a
+/// max/mean imbalance gauge. The snapshot/evaluate/commit phases exist at
+/// every thread count.
 [[nodiscard]] inline RunnerMetrics resolveRunnerMetrics(
-    telemetry::Registry* registry, bool workers) {
+    telemetry::Registry* registry, std::size_t threads) {
   RunnerMetrics m;
   if (registry == nullptr) return m;
   namespace names = telemetry::names;
@@ -47,7 +50,9 @@ struct RunnerMetrics {
                                             telemetry::durationBuckets());
   m.commitDuration = &registry->histogram(names::kCommitDuration,
                                           telemetry::durationBuckets());
-  if (workers) {
+  m.workerThreads = &registry->gauge(names::kWorkerThreads);
+  m.workerThreads->set(static_cast<double>(threads));
+  if (threads > 1) {
     m.workerChunkDuration = &registry->histogram(
         names::kWorkerChunkDuration, telemetry::durationBuckets());
     m.workerImbalance = &registry->gauge(names::kWorkerImbalance);

@@ -15,11 +15,15 @@
 // embarrassingly parallel — every node reads only the snapshot S_t and the
 // commit writes each moved node's own slot — so with threads > 1 the
 // evaluate phase and the fixpoint sweep are split into degree-weighted
-// contiguous chunks (weight deg(v)+1, so power-law hubs spread across
-// workers) on a persistent WorkerPool. Moves are committed in ascending
-// chunk order, so trajectories are bit-identical at every thread count;
-// threads = 1 runs inline with no pool, partition pass or atomics. On
-// small n the barrier costs more than it saves.
+// contiguous blocks (weight deg(v)+1, so power-law hubs spread across
+// workers), kBlocksPerWorker per worker of a persistent WorkerPool. Workers
+// claim blocks in ascending order as they free up, since a vertex's cost
+// also depends on its state and ID (a static split measured workers idle
+// for ~40% of the evaluate phase on a 10^6-node SMM run). Each block fills
+// its own move queue and the queues are committed in block order, so
+// trajectories are bit-identical at every thread count; threads = 1 runs
+// inline with no pool, partition pass or atomics. On small n the barrier
+// costs more than it saves.
 //
 // Protocols must be thread-compatible for threads > 1: onRound() and
 // isStable() are const and may run concurrently for different vertices.
@@ -45,8 +49,8 @@
 #include "engine/schedule.hpp"
 #include "engine/topology.hpp"
 #include "engine/view_builder.hpp"
-#include "engine/worker_pool.hpp"
 #include "graph/rng.hpp"
+#include "parallel/worker_pool.hpp"
 
 namespace selfstab::engine {
 
@@ -79,10 +83,13 @@ class SyncRunner {
         runSeed_(runSeed),
         schedule_(schedule),
         kernel_(std::make_unique<GenericKernel<State>>(protocol, g, ids)),
-        chunks_(std::max<std::size_t>(threads, 1)) {
+        workerSeconds_(std::max<std::size_t>(threads, 1)),
+        chunks_(workerSeconds_.size() > 1
+                    ? workerSeconds_.size() * kBlocksPerWorker
+                    : 1) {
     assert(ids.order() == g.order());
-    if (chunks_.size() > 1) {
-      pool_ = std::make_unique<WorkerPool>(chunks_.size());
+    if (workerSeconds_.size() > 1) {
+      pool_ = std::make_unique<parallel::WorkerPool>(workerSeconds_.size());
     }
   }
 
@@ -107,7 +114,7 @@ class SyncRunner {
   /// clock reads or atomic writes at all.
   void attachTelemetry(telemetry::Registry* registry,
                        telemetry::EventLog* events = nullptr) {
-    metrics_ = resolveRunnerMetrics(registry, /*workers=*/pool_ != nullptr);
+    metrics_ = resolveRunnerMetrics(registry, threadCount());
     events_ = events;
   }
 
@@ -243,7 +250,7 @@ class SyncRunner {
   }
 
   [[nodiscard]] std::size_t threadCount() const noexcept {
-    return chunks_.size();
+    return workerSeconds_.size();
   }
 
   /// Runs until a fixpoint or until maxRounds rounds have executed. The
@@ -278,17 +285,23 @@ class SyncRunner {
   /// True if no node has an enabled rule in `states` (modulo scheduling —
   /// see Protocol::isStable). Always asks the protocol through LocalViews:
   /// `states` may be any external vector (chaos masking) that no kernel
-  /// mirror has seen. With threads > 1 the sweep is chunked across the pool
-  /// with a shared early-exit flag; the verdict is exact either way.
+  /// mirror has seen. With threads > 1 the sweep runs block by block across
+  /// the pool with a shared early-exit flag; the verdict is exact either
+  /// way.
   [[nodiscard]] bool isFixpoint(const std::vector<State>& states) {
     kernel_->topology().refresh();
     const std::uint64_t key = roundKey(round_);
     if (pool_ == nullptr) return rangeStable(states, key, 0, states.size());
     const std::vector<std::size_t>& bounds = partition(true, {}, states.size());
     std::atomic<bool> unstable{false};
-    pool_->run([&](std::size_t t) {
-      if (!rangeStable(states, key, bounds[t], bounds[t + 1], &unstable)) {
-        unstable.store(true, std::memory_order_relaxed);
+    std::atomic<std::size_t> next{0};
+    pool_->run([&](std::size_t) {
+      for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
+           b < chunks_.size() && !unstable.load(std::memory_order_relaxed);
+           b = next.fetch_add(1, std::memory_order_relaxed)) {
+        if (!rangeStable(states, key, bounds[b], bounds[b + 1], &unstable)) {
+          unstable.store(true, std::memory_order_relaxed);
+        }
       }
     });
     return !unstable.load(std::memory_order_relaxed);
@@ -319,7 +332,9 @@ class SyncRunner {
 
  private:
   // Evaluates this round's work — every vertex, or the sorted dirty list —
-  // into the chunks' move queues: inline as one chunk, or one per worker.
+  // into the chunks' move queues: inline as one chunk, or on the pool, each
+  // worker claiming the next unclaimed block until none is left. Every
+  // block is evaluated by exactly one worker into its own queue.
   void evaluate(bool all, std::span<const graph::Vertex> work,
                 std::size_t count, std::uint64_t key) {
     if (pool_ == nullptr) {
@@ -327,12 +342,17 @@ class SyncRunner {
       return;
     }
     const std::vector<std::size_t>& bounds = partition(all, work, count);
+    std::atomic<std::size_t> next{0};
     pool_->run([&](std::size_t t) {
       const telemetry::ScopedTimer timer(metrics_.workerChunkDuration);
-      evaluateChunk(chunks_[t].moves, all, work, bounds[t], bounds[t + 1],
-                    key);
+      for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
+           b < chunks_.size();
+           b = next.fetch_add(1, std::memory_order_relaxed)) {
+        evaluateChunk(chunks_[b].moves, all, work, bounds[b], bounds[b + 1],
+                      key);
+      }
       // Own slot only; the main thread reads after the pool barrier.
-      chunks_[t].seconds = timer.elapsedSeconds();
+      workerSeconds_[t] = timer.elapsedSeconds();
     });
   }
 
@@ -348,8 +368,8 @@ class SyncRunner {
     }
   }
 
-  // Degree-weighted chunk boundaries for the pool: worker t owns work items
-  // [bounds[t], bounds[t+1]). Weighting by deg(v)+1 balances the neighbor
+  // Degree-weighted block boundaries for the pool: block b holds work items
+  // [bounds[b], bounds[b+1]). Weighting by deg(v)+1 balances the neighbor
   // scan, not the item count (the worker_imbalance_ratio gauge tracks the
   // effect). Degrees come from the kernel's topology, fresh at every call
   // site (after sync() or a refresh()). The full-range split depends only on
@@ -358,7 +378,7 @@ class SyncRunner {
   const std::vector<std::size_t>& partition(
       bool all, std::span<const graph::Vertex> work, std::size_t count) {
     const CsrTopology& topo = kernel_->topology();
-    const std::size_t parts = pool_->size();
+    const std::size_t parts = chunks_.size();
     if (!all) {
       listBounds_ = weightedBoundaries(count, parts, [&](std::size_t i) {
         return static_cast<std::uint64_t>(topo.degree(work[i])) + 1;
@@ -432,12 +452,12 @@ class SyncRunner {
   [[nodiscard]] double imbalanceRatio() const {
     double sum = 0.0;
     double worst = 0.0;
-    for (const Chunk& chunk : chunks_) {
-      sum += chunk.seconds;
-      worst = std::max(worst, chunk.seconds);
+    for (const double seconds : workerSeconds_) {
+      sum += seconds;
+      worst = std::max(worst, seconds);
     }
     if (sum <= 0.0) return 0.0;
-    return worst / (sum / static_cast<double>(chunks_.size()));
+    return worst / (sum / static_cast<double>(workerSeconds_.size()));
   }
 
   // Shared round epilogue: telemetry, round event, round counter.
@@ -449,18 +469,13 @@ class SyncRunner {
       metrics_.workerImbalance->set(imbalanceRatio());
     }
     recordActivation(metrics_, evaluated, n);
-    if (events_ != nullptr && pool_ == nullptr) {
+    // The same record at every thread count: the count depends on the
+    // machine (it goes to the worker_threads gauge), the log must not.
+    if (events_ != nullptr) {
       events_->emit("round", {{"executor", "sync"},
                               {"round", round_},
                               {"moves", moves},
                               {"active", evaluated},
-                              {"kernel", toString(kernel())}});
-    } else if (events_ != nullptr) {
-      events_->emit("round", {{"executor", "parallel"},
-                              {"round", round_},
-                              {"moves", moves},
-                              {"active", evaluated},
-                              {"workers", threadCount()},
                               {"kernel", toString(kernel())}});
     }
     ++round_;
@@ -475,12 +490,16 @@ class SyncRunner {
   std::size_t round_ = 0;
   std::unique_ptr<FlatKernel<State>> kernel_;  // never null; owns the CSR
   bool flat_ = false;
-  // One evaluate-phase chunk's output. Cache-line aligned: each worker
-  // appends to its own queue, and neighbouring vector headers on one line
-  // would false-share on every push.
+  // Pool blocks per worker: enough for a worker that finishes early to
+  // take over work, few enough that claiming one stays negligible.
+  static constexpr std::size_t kBlocksPerWorker = 16;
+  // Per worker: its evaluate time in the last pooled round (telemetry on).
+  std::vector<double> workerSeconds_;
+  // One evaluate-phase block's output (the only one at threads = 1).
+  // Cache-line aligned: workers append to different queues at once, and
+  // neighbouring vector headers on one line would false-share every push.
   struct alignas(64) Chunk {
     MoveList<State> moves;
-    double seconds = 0.0;  // last timed chunk (threads > 1, telemetry on)
   };
   std::vector<Chunk> chunks_;
   ActiveSet active_;
@@ -498,7 +517,7 @@ class SyncRunner {
   std::vector<std::size_t> denseBounds_;
   std::uint64_t denseBoundsVersion_ = 0;
   std::vector<std::size_t> listBounds_;
-  std::unique_ptr<WorkerPool> pool_;
+  std::unique_ptr<parallel::WorkerPool> pool_;
 };
 
 /// Convenience: clean start, run to fixpoint.

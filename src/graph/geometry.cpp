@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numbers>
 #include <utility>
+
+#include "parallel/worker_pool.hpp"
+#include "parallel/workers.hpp"
 
 namespace selfstab::graph {
 
@@ -36,6 +41,14 @@ std::vector<Point> randomPoints(std::size_t n, Rng& rng) {
 }
 
 Graph unitDiskGraph(const std::vector<Point>& points, double radius) {
+  return detail::unitDiskGraph(
+      points, radius, parallel::workersFor(points.size(), kUnitDiskGrain));
+}
+
+namespace detail {
+
+Graph unitDiskGraph(const std::vector<Point>& points, double radius,
+                    std::size_t bands) {
   const std::size_t n = points.size();
   const double r2 = radius * radius;
   // Every vertex's list is produced in one place, sorted, and adopted in
@@ -97,39 +110,94 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius) {
   }
 
   // Each vertex searches its full 3x3 block of cells. A row of the block is
-  // consecutive cells, hence one contiguous run of `sorted`.
-  for (std::size_t cy = 0; cy < side; ++cy) {
-    const std::size_t y0 = cy == 0 ? 0 : cy - 1;
-    const std::size_t y1 = std::min(cy + 1, side - 1);
-    for (std::size_t cx = 0; cx < side; ++cx) {
-      const std::size_t x0 = cx == 0 ? 0 : cx - 1;
-      const std::size_t x1 = std::min(cx + 1, side - 1);
-      const std::size_t c = cy * side + cx;
-      std::size_t block = 0;
-      for (std::size_t y = y0; y <= y1; ++y) {
-        block += offsets[y * side + x1 + 1] - offsets[y * side + x0];
-      }
-      if (found.size() < block) found.resize(block);
-      for (std::size_t i = offsets[c]; i < offsets[c + 1]; ++i) {
-        const Point p = sorted[i];
-        // Branch-free filter: write every candidate, keep the in-range ones
-        // (about a third of the block, in no predictable pattern).
-        std::size_t k = 0;
+  // consecutive cells, hence one contiguous run of `sorted`. Rows
+  // [rowBegin, rowEnd) hand each vertex's sorted list, in cell order, to
+  // keep(i, list, count), i being the vertex's slot in `members`.
+  const auto searchRows = [&](std::size_t rowBegin, std::size_t rowEnd,
+                              std::vector<Vertex>& buffer, auto&& keep) {
+    for (std::size_t cy = rowBegin; cy < rowEnd; ++cy) {
+      const std::size_t y0 = cy == 0 ? 0 : cy - 1;
+      const std::size_t y1 = std::min(cy + 1, side - 1);
+      for (std::size_t cx = 0; cx < side; ++cx) {
+        const std::size_t x0 = cx == 0 ? 0 : cx - 1;
+        const std::size_t x1 = std::min(cx + 1, side - 1);
+        const std::size_t c = cy * side + cx;
+        std::size_t block = 0;
         for (std::size_t y = y0; y <= y1; ++y) {
-          const std::size_t end = offsets[y * side + x1 + 1];
-          for (std::size_t j = offsets[y * side + x0]; j < end; ++j) {
-            found[k] = members[j];
-            k += static_cast<std::size_t>(
-                (j != i) & (squaredDistance(p, sorted[j]) <= r2));
-          }
+          block += offsets[y * side + x1 + 1] - offsets[y * side + x0];
         }
-        sortNeighbors(found.data(), k);
-        adj[members[i]].assign(found.data(), found.data() + k);
+        if (buffer.size() < block) buffer.resize(block);
+        for (std::size_t i = offsets[c]; i < offsets[c + 1]; ++i) {
+          const Point p = sorted[i];
+          // Branch-free filter: write every candidate, keep the in-range
+          // ones (about a third of the block, in no predictable pattern).
+          std::size_t k = 0;
+          for (std::size_t y = y0; y <= y1; ++y) {
+            const std::size_t end = offsets[y * side + x1 + 1];
+            for (std::size_t j = offsets[y * side + x0]; j < end; ++j) {
+              buffer[k] = members[j];
+              k += static_cast<std::size_t>(
+                  (j != i) & (squaredDistance(p, sorted[j]) <= r2));
+            }
+          }
+          sortNeighbors(buffer.data(), k);
+          keep(i, buffer.data(), k);
+        }
       }
     }
+  };
+
+  bands = std::clamp<std::size_t>(bands, 1, side);
+  if (bands == 1) {
+    searchRows(0, side, found,
+               [&](std::size_t i, const Vertex* list, std::size_t k) {
+                 adj[members[i]].assign(list, list + k);
+               });
+    return Graph::fromSortedAdjacency(std::move(adj));
+  }
+
+  // Banded: worker b searches cell rows [b·side/bands, (b+1)·side/bands)
+  // into its own flat buffer, recording each list's length by slot. The
+  // lists are then allocated here, on the calling thread, in the same cell
+  // order as the serial build, so neighboring vertices' lists stay
+  // neighbors in memory (lists allocated on the workers measured slower to
+  // traverse). Each band's buffer is freed as soon as it is adopted.
+  const auto rowOf = [&](std::size_t b) { return b * side / bands; };
+  std::vector<std::vector<Vertex>> bandLists(bands);
+  std::vector<std::uint32_t> degree(n);
+  // Expected degree (n-1)·πr², ignoring the border: a reservation that a
+  // uniform sample rarely outgrows.
+  const double expectedDegree =
+      static_cast<double>(n - 1) * std::numbers::pi * r2;
+  {
+    parallel::WorkerPool pool(bands);
+    pool.run([&](std::size_t b) {
+      const std::size_t first = offsets[rowOf(b) * side];
+      const std::size_t last = offsets[rowOf(b + 1) * side];
+      std::vector<Vertex>& out = bandLists[b];
+      out.reserve(static_cast<std::size_t>(
+          static_cast<double>(last - first) * expectedDegree));
+      std::vector<Vertex> buffer;
+      searchRows(rowOf(b), rowOf(b + 1), buffer,
+                 [&](std::size_t i, const Vertex* list, std::size_t k) {
+                   out.insert(out.end(), list, list + k);
+                   degree[i] = static_cast<std::uint32_t>(k);
+                 });
+    });
+  }
+  for (std::size_t b = 0; b < bands; ++b) {
+    const Vertex* list = bandLists[b].data();
+    for (std::size_t i = offsets[rowOf(b) * side];
+         i < offsets[rowOf(b + 1) * side]; ++i) {
+      adj[members[i]].assign(list, list + degree[i]);
+      list += degree[i];
+    }
+    std::vector<Vertex>().swap(bandLists[b]);
   }
   return Graph::fromSortedAdjacency(std::move(adj));
 }
+
+}  // namespace detail
 
 SpatialGrid::SpatialGrid(std::size_t order, double cellWidth) {
   // floor(1/width) keeps cells at least cellWidth wide; the sqrt(order) cap

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,8 +33,21 @@ std::vector<Point> randomPoints(std::size_t n, Rng& rng);
 
 /// The unit-disk graph of the given points: {u,v} is an edge iff the two
 /// points are within `radius` of each other. This is the standard model of
-/// radio connectivity in an ad hoc network.
+/// radio connectivity in an ad hoc network. Large inputs are built by
+/// parallel::workersFor(n, kUnitDiskGrain) workers, one band of grid rows
+/// each; the graph is the same at every worker count.
 Graph unitDiskGraph(const std::vector<Point>& points, double radius);
+
+/// Points per unitDiskGraph worker: below 2 × this a build stays serial.
+/// Measured break-even, see docs/PERFORMANCE.md.
+inline constexpr std::size_t kUnitDiskGrain = 5000;
+
+namespace detail {
+/// unitDiskGraph with an explicit band count (clamped to [1, grid rows]);
+/// tests compare band counts against each other through it.
+Graph unitDiskGraph(const std::vector<Point>& points, double radius,
+                    std::size_t bands);
+}  // namespace detail
 
 /// Incrementally-maintained uniform grid over up to `order` moving points in
 /// the unit square. place() inserts a vertex or moves it between cells in

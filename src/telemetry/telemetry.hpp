@@ -14,8 +14,9 @@
 
 namespace selfstab::telemetry::names {
 
-// Round executor (SyncRunner). The worker_* instruments exist only when it
-// runs with threads > 1.
+// Round executor (SyncRunner). worker_threads is its thread count at every
+// count; the other worker_* instruments exist only when it runs with
+// threads > 1.
 inline constexpr const char* kRoundsTotal = "rounds_total";
 inline constexpr const char* kMovesTotal = "moves_total";
 inline constexpr const char* kRoundDuration = "round_duration_seconds";
@@ -28,6 +29,9 @@ inline constexpr const char* kCommitDuration =
 inline constexpr const char* kWorkerChunkDuration =
     "worker_chunk_duration_seconds";
 inline constexpr const char* kWorkerImbalance = "worker_imbalance_ratio";
+// The runner's thread count (gauge). It depends on the machine, so it lives
+// in metrics, never in the event log.
+inline constexpr const char* kWorkerThreads = "worker_threads";
 // Rule evaluations per second over the last round's evaluate phase (gauge;
 // wall-clock-derived, so it lives in metrics, never in the event log — see
 // docs/OBSERVABILITY.md on reproducibility).

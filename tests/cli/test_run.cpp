@@ -1,13 +1,16 @@
 #include "cli/run.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "graph/algorithms.hpp"
 #include "graph/io.hpp"
+#include "parallel/workers.hpp"
 
 namespace selfstab::cli {
 namespace {
@@ -323,6 +326,113 @@ TEST(Execute, JsonReportCarriesKernelAndRate) {
   EXPECT_NE(text.find("\"rounds\":" + std::to_string(r.rounds)),
             std::string::npos);
   EXPECT_EQ(text.back(), '\n');
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream content;
+  content << in.rdbuf();
+  return content.str();
+}
+
+// selfstab sizes its round pool and its unit-disk build from n and the CPUs
+// it may run on, so a run above both thresholds (20000 vertices: four
+// workers each, where four CPUs are available) must be byte for byte the
+// run of a process held to one CPU, as `taskset -c 0` would: same report,
+// same saved graph, same event log, with and without a fault campaign.
+// Only the worker_threads gauge differs.
+TEST(Execute, PooledRunMatchesSingleCpuRun) {
+  const std::string dir = ::testing::TempDir();
+  const std::string plan = dir + "/cli_pool_plan.json";
+  {
+    // The templates space faults 2n + 8 rounds apart; a short plan keeps
+    // the campaign to ~100 rounds at this n.
+    std::ofstream file(plan);
+    file << R"({"events":[
+      {"at":5,"kind":"corrupt","fraction":0.1},
+      {"at":30,"kind":"crash","node":7},
+      {"at":60,"kind":"rejoin","node":7},
+      {"at":70,"kind":"stuck","node":11},
+      {"at":90,"kind":"release","node":11},
+      {"at":100,"kind":"corrupt","fraction":0.05}]})";
+  }
+  ASSERT_EQ(roundThreads(20000),
+            std::min<std::size_t>(parallel::availableCpus(), 4));
+  for (const ProtocolKind kind : {ProtocolKind::Smm, ProtocolKind::Sis}) {
+    for (const std::string& chaos : {std::string(), plan}) {
+      Options options = makeOptions(kind, "udg:20000:0.02");
+      options.start = StartKind::Random;
+      options.idOrder = IdOrderKind::Random;
+      options.seed = 9;
+      options.chaosSpec = chaos;
+      options.saveGraphPath = dir + "/cli_pool_graph.txt";
+      options.eventsPath = dir + "/cli_pool_events.jsonl";
+      options.metricsPath = dir + "/cli_pool_metrics.txt";
+      struct Run {
+        Report report;
+        std::string graph, events, metrics;
+      };
+      const auto run = [&] {
+        std::ostringstream out;
+        Run r{execute(options, out), readFile(options.saveGraphPath),
+              readFile(options.eventsPath), readFile(options.metricsPath)};
+        return r;
+      };
+
+      cpu_set_t saved;
+      CPU_ZERO(&saved);
+      ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+      int first = 0;
+      while (!CPU_ISSET(first, &saved)) ++first;
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(first, &one);
+      ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+      const Run serial = run();
+      ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+      const Run pooled = run();
+
+      const std::string what = std::string(toString(kind)) + " " + chaos;
+      EXPECT_TRUE(chaos.empty() ? pooled.report.stabilized
+                                : pooled.report.chaosFaults == 6)
+          << what;
+      EXPECT_EQ(pooled.report.protocol, serial.report.protocol) << what;
+      EXPECT_EQ(pooled.report.n, serial.report.n) << what;
+      EXPECT_EQ(pooled.report.m, serial.report.m) << what;
+      EXPECT_EQ(pooled.report.rounds, serial.report.rounds) << what;
+      EXPECT_EQ(pooled.report.moves, serial.report.moves) << what;
+      EXPECT_EQ(pooled.report.stabilized, serial.report.stabilized) << what;
+      EXPECT_EQ(pooled.report.predicateOk, serial.report.predicateOk) << what;
+      EXPECT_EQ(pooled.report.kernel, serial.report.kernel) << what;
+      EXPECT_EQ(pooled.report.summary, serial.report.summary) << what;
+      EXPECT_EQ(pooled.report.chaosFaults, serial.report.chaosFaults) << what;
+      EXPECT_EQ(pooled.report.chaosRecoveredAll,
+                serial.report.chaosRecoveredAll)
+          << what;
+      EXPECT_EQ(pooled.report.chaosMaxRecoveryRounds,
+                serial.report.chaosMaxRecoveryRounds)
+          << what;
+      EXPECT_EQ(pooled.report.chaosMaxContainment,
+                serial.report.chaosMaxContainment)
+          << what;
+      EXPECT_EQ(pooled.report.chaosSafetyViolations,
+                serial.report.chaosSafetyViolations)
+          << what;
+      EXPECT_TRUE(pooled.graph == serial.graph) << what;
+      EXPECT_FALSE(serial.events.empty()) << what;
+      EXPECT_TRUE(pooled.events == serial.events) << what;
+      EXPECT_NE(serial.metrics.find("\nworker_threads 1\n"),
+                std::string::npos)
+          << what;
+      const std::string workers =
+          "\nworker_threads " + std::to_string(roundThreads(20000)) + "\n";
+      EXPECT_NE(pooled.metrics.find(workers), std::string::npos) << what;
+    }
+  }
+  std::remove(plan.c_str());
+  std::remove((dir + "/cli_pool_graph.txt").c_str());
+  std::remove((dir + "/cli_pool_events.jsonl").c_str());
+  std::remove((dir + "/cli_pool_metrics.txt").c_str());
 }
 
 TEST(PrintReport, RendersAllFields) {

@@ -271,6 +271,15 @@ TEST(ScheduleDifferentialParallel, SmmPaper) {
   }
 }
 
+TEST(ScheduleDifferentialParallel, SmmArbitrary) {
+  const core::SmmProtocol broken = core::smmArbitrary();
+  const std::size_t iters = stressIters(10);
+  for (std::size_t i = 0; i < iters; ++i) {
+    checkSchedules<core::PointerState>(broken, core::wildPointerState,
+                                       2100 + i, 4);
+  }
+}
+
 TEST(ScheduleDifferentialParallel, Sis) {
   const core::SisProtocol sis;
   const std::size_t iters = stressIters(10);
@@ -310,6 +319,16 @@ TEST(ScheduleDifferentialParallel, DominatingSetSynchronized) {
   const std::size_t iters = stressIters(10);
   for (std::size_t i = 0; i < iters; ++i) {
     checkSchedules<core::DomState>(domset, core::randomDomState, 7100 + i, 4);
+  }
+}
+
+TEST(ScheduleDifferentialParallel, HsuHuangSynchronized) {
+  const core::Synchronized<core::SmmProtocol> hh(core::Choice::First,
+                                                 core::Choice::First);
+  const std::size_t iters = stressIters(10);
+  for (std::size_t i = 0; i < iters; ++i) {
+    checkSchedules<core::PointerState>(hh, core::wildPointerState, 8100 + i,
+                                       4);
   }
 }
 

@@ -145,6 +145,41 @@ TEST(Geometry, GridPathKeepsPairsOneUlpBelowACellEdge) {
   }
 }
 
+// The banded build splits the grid rows among workers; every list is still
+// searched and sorted on its own, so any band count must give the serial
+// graph. Band counts 2 and 3 split rows unevenly; 4096 exceeds the rows of
+// every grid here and is clamped. The points include pairs at distance r
+// straddling cell edges (one ulp below them too, where r = 0.05 and 0.1
+// once lost edges).
+TEST(Geometry, BandedBuildMatchesSerial) {
+  for (const double r : {0.003, 0.01, 0.05, 0.1, 0.2}) {
+    Rng rng(4242);
+    std::vector<Point> pts = randomPoints(6000, rng);
+    const auto side = static_cast<std::size_t>(1.0 / r);
+    for (std::size_t k = 1; k < side && k < 200; ++k) {
+      double x = static_cast<double>(k) / static_cast<double>(side);
+      for (int ulps = 0; ulps < 2; ++ulps, x = std::nextafter(x, 0.0)) {
+        if (x + r >= 1.0) continue;
+        const double y = rng.real();
+        pts.push_back({x, y});
+        pts.push_back({x + r, y});
+        pts.push_back({y, x});
+        pts.push_back({y, x + r});
+      }
+    }
+    const Graph serial = detail::unitDiskGraph(pts, r, 1);
+    ASSERT_GT(serial.size(), 0U) << "r=" << r;
+    for (const std::size_t bands : {2U, 3U, 4096U}) {
+      const Graph banded = detail::unitDiskGraph(pts, r, bands);
+      EXPECT_EQ(banded.size(), serial.size())
+          << "r=" << r << " bands=" << bands;
+      EXPECT_TRUE(banded == serial) << "r=" << r << " bands=" << bands;
+      EXPECT_EQ(banded.version(), serial.version());
+    }
+    EXPECT_TRUE(unitDiskGraph(pts, r) == serial) << "r=" << r;
+  }
+}
+
 TEST(SpatialGrid, GatherIsASupersetOfTheDisk) {
   Rng rng(7);
   const auto pts = randomPoints(500, rng);
