@@ -41,7 +41,8 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
 {
   "$TSAN_DIR/tests/telemetry_tests"
   # unitDiskGraph's bands: each worker fills its own buffer and its own
-  # slots of the degree array, and the calling thread adopts the lists.
+  # slots of the degree array, then scatters its lists into its vertices'
+  # disjoint slices of the Graph's CSR.
   "$TSAN_DIR/tests/graph_tests" --gtest_filter='Geometry.BandedBuildMatchesSerial'
   # selfstab sizes both pools itself: a 20000-node run (four workers where
   # four CPUs are free) against the same run held to one CPU.
@@ -55,8 +56,9 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   "$TSAN_DIR/tests/chaos_tests" --gtest_filter=\
 'EngineCampaign.SerialAndParallelExecutorsAgree:EngineCampaignFingerprint.*'
   # '*Parallel*' selects ScheduleDifferentialParallel (every protocol in
-  # core/, LeaderTree, SmmArbitrary and HsuHuangSynchronized included) and KernelDifferentialParallel (the flat
-  # kernels' shared CSR mirror and per-worker move queues on the pool).
+  # core/, LeaderTree, SmmArbitrary and HsuHuangSynchronized included) and
+  # KernelDifferentialParallel (the flat kernels reading the Graph's CSR
+  # and per-worker move queues on the pool).
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" --gtest_filter='*Parallel*'
   # Chaos soak under TSan: the fault-injection plumbing around the runner.
@@ -77,16 +79,18 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
 {
   "$ASAN_DIR/tests/adhoc_tests"
   # unitDiskGraph's grid path indexes raw cell offsets over a cell-ordered
-  # copy of the points, and Graph::fromSortedAdjacency adopts the lists it
-  # builds without a per-edge insert.
+  # copy of the points and scatters its band buffers into the Graph's CSR
+  # by raw offsets; Graph's own edits shift that CSR in place.
   "$ASAN_DIR/tests/graph_tests" --gtest_filter='Geometry.*:Generators.*:Graph*'
   # SmmKernel's verified-pointer cache: one slot per vertex, resized and
   # reset by sync() across topology changes.
   "$ASAN_DIR/tests/core_tests" --gtest_filter='SmmPointerCache.*'
-  # The installed kernel owns the only CSR the runner reads, and setKernel
-  # frees it: a span kept across a kernel swap or a pooled round would be a
+  # The runner and its kernel read the Graph's CSR through spans, and every
+  # edit moves it: a span kept across an edit, a kernel swap (setKernel
+  # frees the old kernel's caches) or a pooled round would be a
   # use-after-free here.
-  "$ASAN_DIR/tests/engine_tests" --gtest_filter='ParallelRunner.*:SetKernel.*'
+  "$ASAN_DIR/tests/engine_tests" \
+    --gtest_filter='ParallelRunner.*:SetKernel.*:BuildView.*:ViewBuilder.*'
   # Simulator fault injection: crashes and rejoins land while broadcasts are
   # in flight, so arrivals run against batch slots other broadcasts recycle.
   # The recovery monitor holds each window's topology by reference and
@@ -101,21 +105,32 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" --gtest_filter='KernelDifferential.*'
   # Chaos soak under ASan: crash/rejoin churn and partition masks rebuild
-  # graph edge lists and neighbor caches in place — the fault campaigns
+  # the Graph's CSR and neighbor caches in place — the fault campaigns
   # exercise exactly the compaction paths ASan is here to police.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" --gtest_filter='ChaosSoak.*'
 } 2>&1 | tee "$ROOT/asan_output.txt"
 
+# Debug pass: the Graph's bulk factory checks its input (ascending,
+# loop-free, in-range, symmetric slices; fromEdges' endpoints) with asserts,
+# which every build above compiles out (RelWithDebInfo defines NDEBUG), so
+# GraphDeathTest.* runs only here. The rest of graph_tests sends every
+# generator, reader and unit-disk build through those asserts too. Not
+# piped, so a failure stops the script.
+DEBUG_DIR="${BUILD_DIR}-debug"
+cmake -B "$DEBUG_DIR" -G Ninja -S "$ROOT" -DCMAKE_BUILD_TYPE=Debug
+cmake --build "$DEBUG_DIR" --target graph_tests
+"$DEBUG_DIR/tests/graph_tests"
+
 # Benches append machine-readable results here (see
 # bench/support/bench_json.hpp). The file name tracks the change number,
-# read from the leading "PR <n>" of the last CHANGES.md line (one change may
-# add several lines, and numbers can skip). The simulator perf gates live
+# read from the last CHANGES.md line that starts with "PR <n>" (one change
+# may add several lines, some of them notes, and numbers can skip). The simulator perf gates live
 # in scale_network, the chaos gates in soak_chaos, and the kernel gates in
 # micro_kernels.
-PR_NUM="$(tail -n 1 "$ROOT/CHANGES.md" | sed -n 's/^PR \([0-9][0-9]*\).*/\1/p')"
+PR_NUM="$(sed -n 's/^PR \([0-9][0-9]*\).*/\1/p' "$ROOT/CHANGES.md" | tail -n 1)"
 if [ -z "$PR_NUM" ]; then
-  echo "run_all.sh: last CHANGES.md line does not start with 'PR <n>'" >&2
+  echo "run_all.sh: no CHANGES.md line starts with 'PR <n>'" >&2
   exit 1
 fi
 BENCH_JSON="$ROOT/BENCH_PR${PR_NUM}.json"

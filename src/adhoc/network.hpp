@@ -371,36 +371,48 @@ class NetworkSimulator {
     for (graph::Vertex v = 0; v < nodes_.size(); ++v) {
       pts[v] = positionAt(v, now);
     }
-    graph::Graph g(nodes_.size());
-    if (config_.index == IndexMode::Scan || nodes_.size() < 256) {
-      for (graph::Vertex u = 0; u < nodes_.size(); ++u) {
-        for (graph::Vertex v = u + 1; v < nodes_.size(); ++v) {
-          const double reach = std::min(radiusOf(u), radiusOf(v));
-          if (graph::squaredDistance(pts[u], pts[v]) <= reach * reach) {
-            g.addEdge(u, v);
-          }
-        }
-      }
-      return g;
+    // Two passes over each vertex's candidates (every vertex, or a fresh
+    // exact-position grid's neighborhood: the incremental one lags by a
+    // beacon interval): count its links, then write them into targets,
+    // allocated once at its exact size. Each slice is sorted, so the
+    // discovery order is unobservable; the link test is symmetric, so the
+    // slices are too.
+    const std::size_t n = nodes_.size();
+    const bool scan = config_.index == IndexMode::Scan || n < 256;
+    graph::SpatialGrid snap(scan ? 0 : n, maxRadius_);
+    if (!scan) {
+      for (graph::Vertex v = 0; v < n; ++v) snap.place(v, pts[v]);
     }
-    // A fresh exact-position grid (the incremental one lags by a beacon
-    // interval). Graph stores sorted adjacency and compares structurally,
-    // so the cell-driven discovery order is unobservable.
-    graph::SpatialGrid snap(nodes_.size(), maxRadius_);
-    for (graph::Vertex v = 0; v < nodes_.size(); ++v) snap.place(v, pts[v]);
     std::vector<graph::Vertex> near;
-    for (graph::Vertex u = 0; u < nodes_.size(); ++u) {
+    const auto forEachLink = [&](graph::Vertex u, auto&& visit) {
+      const auto consider = [&](graph::Vertex v) {
+        const double reach = std::min(radiusOf(u), radiusOf(v));
+        if (v != u &&
+            graph::squaredDistance(pts[u], pts[v]) <= reach * reach) {
+          visit(v);
+        }
+      };
+      if (scan) {
+        for (graph::Vertex v = 0; v < n; ++v) consider(v);
+        return;
+      }
       near.clear();
       snap.gather(pts[u], maxRadius_, near);
-      for (const graph::Vertex v : near) {
-        if (v <= u) continue;
-        const double reach = std::min(radiusOf(u), radiusOf(v));
-        if (graph::squaredDistance(pts[u], pts[v]) <= reach * reach) {
-          g.addEdge(u, v);
-        }
-      }
+      for (const graph::Vertex v : near) consider(v);
+    };
+    std::vector<std::size_t> offsets(n + 1, 0);
+    for (graph::Vertex u = 0; u < n; ++u) {
+      offsets[u + 1] = offsets[u];
+      forEachLink(u, [&](graph::Vertex) { ++offsets[u + 1]; });
     }
-    return g;
+    std::vector<graph::Vertex> targets(offsets[n]);
+    for (graph::Vertex u = 0; u < n; ++u) {
+      std::size_t next = offsets[u];
+      forEachLink(u, [&](graph::Vertex v) { targets[next++] = v; });
+      std::sort(targets.begin() + static_cast<std::ptrdiff_t>(offsets[u]),
+                targets.begin() + static_cast<std::ptrdiff_t>(next));
+    }
+    return graph::Graph::fromCsr(std::move(offsets), std::move(targets));
   }
 
   [[nodiscard]] const NetworkConfig& config() const noexcept {

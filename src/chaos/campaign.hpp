@@ -118,15 +118,16 @@ CampaignResult runEngineCampaign(
   };
 
   // Syncs the shared Graph to base minus crashed-incident and cross-side
-  // edges. Rebuilding bumps Graph::version(), which makes the runner (and
-  // `builder`) refresh their mirrors before the next round.
+  // edges. It is rebuilt in place, so Graph::version() moves on and the
+  // runner's and kernel's version-keyed caches see the change.
   const auto rebuildEffective = [&] {
-    g.clearEdges();
+    std::vector<graph::Edge> kept;
     for (const auto& e : base.edges()) {
       if (crashed[e.u] != 0 || crashed[e.v] != 0) continue;
       if (partitionActive && side[e.u] != side[e.v]) continue;
-      g.addEdge(e.u, e.v);
+      kept.push_back(e);
     }
+    g.rebuildFrom(graph::Graph::fromEdges(n, kept));
     runner.invalidateSchedule();
     sweepAll = true;
   };

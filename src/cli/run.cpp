@@ -40,18 +40,20 @@ using graph::Graph;
 using graph::IdAssignment;
 using graph::Vertex;
 
-/// Resident bytes per edge a `selfstab` run may need, an upper bound. A
-/// flat-kernel run holds each edge twice in the Graph's exact-size
-/// neighbor lists and twice in the kernel's CSR targets (4 B per slot; the
-/// CSR keeps no per-slot neighbor ID): 297 MB peak, or 21 B per edge with
-/// the per-vertex arrays included, for the 14.1M edges of
-/// udg:1000000:0.003. The bound stays at 40 B because `--chaos` holds two
-/// more Graph copies.
+/// Resident bytes per edge a `selfstab` run may need, an upper bound. The
+/// Graph is one CSR holding each edge twice in its targets (4 B per slot,
+/// no per-slot neighbor ID), and no layer copies it; a unit-disk build
+/// briefly holds its band buffers, one more copy of the targets, besides
+/// it: 16 B per edge. `--chaos` holds two more Graph copies (the
+/// campaign's base and the masked topology it rebuilds), 8 B each, which
+/// the bound of 40 B covers with room to spare.
 constexpr double kBytesPerEdge = 40.0;
 
-/// Resident bytes per vertex of such a run, an upper estimate: neighbor
-/// list header 24, CSR offset 8, ID 8, and up to 8 each for the state, the
-/// kernel mirror and a kernel cache (SMM's verified pointers): 64.
+/// Resident bytes per vertex of such a run, an upper estimate: 56 while a
+/// unit-disk graph is built (CSR offset 8, point 16, its cell 8, slot 4
+/// and cell-ordered copy 16, degree 4) and 40 during the rounds (CSR
+/// offset 8, ID 8, and up to 8 each for the state, the kernel mirror and a
+/// kernel cache such as SMM's verified pointers), rounded up to 64.
 constexpr double kBytesPerVertex = 64.0;
 
 /// The machine's physical memory, the budget the size checks hold a graph

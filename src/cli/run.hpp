@@ -24,7 +24,7 @@ struct Report {
   bool predicateOk = false;
   std::string kernel;    ///< evaluation path taken: "flat" or "generic"
   std::string schedule;  ///< "dense" or "active"
-  double evaluationsPerSecond = 0.0;  ///< last-round rate (0 = not measured)
+  double evaluationsPerSecond = 0.0;  ///< whole-run rate (0 = not measured)
   std::string summary;  ///< e.g. "maximal matching: 12 pairs"
 
   // Fault-campaign outcome (--chaos); see docs/ROBUSTNESS.md.

@@ -31,10 +31,9 @@ class SisKernel final : public engine::FlatKernel<BitState> {
 
   bool sync(const std::vector<BitState>& states) override {
     const std::size_t n = states.size();
-    // The runner may already have refreshed the shared topology (isFixpoint
-    // after a topology change), so the slices key on its generation.
-    topology().refresh();
-    if (slicesGeneration_ != topology().generation()) rebuildBiggerSlices(n);
+    if (groupOffsets_.size() != n + 1 || slicesVersion_ != graph().version()) {
+      rebuildBiggerSlices(n);
+    }
     const std::size_t full = n / 64;
     const std::size_t wordCount = (n + 63) / 64;
     const bool resized = words_.size() != wordCount;
@@ -133,16 +132,16 @@ class SisKernel final : public engine::FlatKernel<BitState> {
   // order is ascending within a neighbor slice, so word indices are
   // nondecreasing and one pass groups them.
   void rebuildBiggerSlices(std::size_t n) {
-    const engine::CsrTopology& topo = topology();
+    const graph::Graph& g = graph();
     groupOffsets_.assign(n + 1, 0);
     groupWord_.clear();
     groupMask_.clear();
     for (graph::Vertex v = 0; v < n; ++v) {
-      const graph::Id selfId = topo.idOf(v);
+      const graph::Id selfId = ids().idOf(v);
       std::uint32_t curWord = kNoWord;
       std::uint64_t curMask = 0;
-      for (const graph::Vertex u : topo.neighbors(v)) {
-        if (!sisBigger(seniority_, topo.idOf(u), selfId)) continue;
+      for (const graph::Vertex u : g.neighbors(v)) {
+        if (!sisBigger(seniority_, ids().idOf(u), selfId)) continue;
         const auto w = static_cast<std::uint32_t>(u >> 6);
         if (w != curWord) {
           if (curWord != kNoWord) {
@@ -160,7 +159,7 @@ class SisKernel final : public engine::FlatKernel<BitState> {
       }
       groupOffsets_[v + 1] = static_cast<std::uint32_t>(groupWord_.size());
     }
-    slicesGeneration_ = topo.generation();
+    slicesVersion_ = g.version();
   }
 
   // Word indices top out at (2^32-1)>>6, so the all-ones value is free as a
@@ -175,7 +174,7 @@ class SisKernel final : public engine::FlatKernel<BitState> {
   std::vector<std::uint32_t> groupOffsets_;
   std::vector<std::uint32_t> groupWord_;
   std::vector<std::uint64_t> groupMask_;
-  std::uint64_t slicesGeneration_ = 0;  // topology generation of the groups
+  std::uint64_t slicesVersion_ = 0;  // Graph::version() of the groups
 };
 
 }  // namespace selfstab::core

@@ -12,11 +12,11 @@
 //
 // Verified-pointer cache: a pointer can leave N(i) only through a corrupt
 // start or a topology change, so checked_[i] holds the last value of p(i)
-// shown to be a neighbor under the current topology generation. R1/R2 record
+// shown to be a neighbor at the current Graph::version(). R1/R2 record
 // the neighbor they pick (it comes from the slice), and the binary search
 // over the slice runs only when p(i) differs from it — after a random start,
 // a corruption, a pinned node's revert or a wild pointer. sync() clears the
-// cache when the generation or n changes. Evaluation writes only the
+// cache when the version or n changes. Evaluation writes only the
 // evaluated vertex's own slot, so disjoint chunks stay race-free (see the
 // FlatKernel contract in engine/kernel.hpp).
 //
@@ -44,12 +44,11 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
       : FlatKernel(g, ids), propose_(propose), accept_(accept) {}
 
   bool sync(const std::vector<PointerState>& states) override {
-    topology().refresh();
     const bool resized = ptr_.size() != states.size();
     ptr_.resize(states.size());
-    if (resized || checkedGeneration_ != topology().generation()) {
+    if (resized || checkedVersion_ != graph().version()) {
       checked_.assign(states.size(), graph::kNoVertex);
-      checkedGeneration_ = topology().generation();
+      checkedVersion_ = graph().version();
     }
     // OR of old ^ new over the copy: branch-free, so it adds no stall to
     // the snapshot loop.
@@ -94,9 +93,9 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
 
   void evaluateOne(graph::Vertex v, std::uint64_t roundKey, Scratch& scratch,
                    engine::MoveList<PointerState>& out) const {
-    assert(checkedGeneration_ == topology().generation() &&
+    assert(checkedVersion_ == graph().version() &&
            "evaluate after a topology change needs a sync() first");
-    const auto nbrs = topology().neighbors(v);
+    const auto nbrs = graph().neighbors(v);
     const graph::Vertex p = ptr_[v];
 
     if (p == graph::kNoVertex) {
@@ -138,7 +137,7 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
   }
 
   [[nodiscard]] bool hasNeighbor(graph::Vertex v, graph::Vertex w) const {
-    const auto nbrs = topology().neighbors(v);
+    const auto nbrs = graph().neighbors(v);
     const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), w);
     return it != nbrs.end() && *it == w;
   }
@@ -147,13 +146,12 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
   [[nodiscard]] std::size_t select(
       Choice choice, graph::Vertex v, std::uint64_t roundKey,
       const std::vector<std::size_t>& candidates) const {
-    const engine::CsrTopology& topo = topology();
-    const auto nbrs = topo.neighbors(v);
+    const auto nbrs = graph().neighbors(v);
     const auto argBest = [&](auto betterThan) {
       std::size_t best = candidates.front();
-      graph::Id bestId = topo.idOf(nbrs[best]);
+      graph::Id bestId = ids().idOf(nbrs[best]);
       for (const std::size_t c : candidates) {
-        const graph::Id id = topo.idOf(nbrs[c]);
+        const graph::Id id = ids().idOf(nbrs[c]);
         if (betterThan(id, bestId)) {
           best = c;
           bestId = id;
@@ -178,7 +176,7 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
         return argBest([](graph::Id a, graph::Id b) { return a < b; });
       }
       case Choice::Random: {
-        SplitMix64 sm(hashCombine(roundKey, topo.idOf(v)));
+        SplitMix64 sm(hashCombine(roundKey, ids().idOf(v)));
         return candidates[sm.next() % candidates.size()];
       }
     }
@@ -188,10 +186,10 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
   Choice propose_;
   Choice accept_;
   std::vector<graph::Vertex> ptr_;  // p(i), Λ = kNoVertex
-  // Per vertex, a pointer value known to be in N(v) at checkedGeneration_
+  // Per vertex, a pointer value known to be in N(v) at checkedVersion_
   // (kNoVertex: none). Written by evaluation, one slot per evaluated vertex.
   mutable std::vector<graph::Vertex> checked_;
-  std::uint64_t checkedGeneration_ = 0;
+  std::uint64_t checkedVersion_ = 0;
 };
 
 }  // namespace selfstab::core

@@ -4,20 +4,20 @@
 // Protocol::onRound call, and a const State* chase per neighbor. For the
 // paper's two flagship protocols (SMM, SIS) the whole round is a pure map
 // over flat data, so a per-protocol kernel can evaluate it directly off the
-// CSR adjacency (engine/topology.hpp) and structure-of-arrays state — no
-// views, no virtual dispatch in the inner loop, no pointer indirection.
+// Graph's CSR adjacency and structure-of-arrays state — no views, no
+// virtual dispatch in the inner loop, no pointer indirection.
 //
 // Two independent interfaces:
 //  * ViewKernel  — devirtualized single-view evaluation, bit-identical to
 //    Protocol::onRound. This is what the beacon simulator uses (it has no
 //    static graph to mirror, only per-node caches).
 //  * FlatKernel  — whole-range / dirty-list batch evaluation for the round
-//    executor over an SoA state mirror. It owns the run's one CSR topology
-//    (topology()), which the executor also reads for its fixpoint sweep and
-//    active-set marks. sync() refreshes that topology, reloads the mirror
-//    from the authoritative state vector and reports whether the mirror
-//    changed; apply() patches a single slot so the Active schedule can keep
-//    the mirror hot between rounds.
+//    executor over an SoA state mirror. It reads the adjacency straight
+//    from the Graph it was built over, the run's one adjacency. sync()
+//    reloads the mirror from the authoritative state vector (and revalidates
+//    any topology-derived cache against Graph::version()) and reports
+//    whether the mirror changed; apply() patches a single slot so the
+//    Active schedule can keep the mirror hot between rounds.
 //
 // The executor evaluates every round through a FlatKernel. Protocols
 // without a compiled kernel run through GenericKernel, an adapter that
@@ -41,9 +41,9 @@
 #include <vector>
 
 #include "engine/protocol.hpp"
-#include "engine/topology.hpp"
 #include "engine/view_builder.hpp"
 #include "graph/graph.hpp"
+#include "graph/id_order.hpp"
 
 namespace selfstab::engine {
 
@@ -100,33 +100,34 @@ class ViewKernel {
 ///     set, then apply(v, next) for each committed move so the mirror stays
 ///     current without a full reload.
 /// evaluateRange/evaluateList are const and read only the mirror and the
-/// topology. A kernel may also keep a per-vertex cache that evaluating v
-/// writes in v's own slot and nowhere else (SmmKernel's verified pointers);
-/// it must hold only facts about the topology, be reset by sync() when
-/// topology().generation() moves, and never change a decision. Since the
-/// executor evaluates each vertex at most once per round, disjoint chunks
-/// may be evaluated concurrently.
+/// graph. A kernel may also keep a cache derived from the topology: a
+/// per-vertex one that evaluating v writes in v's own slot and nowhere else
+/// (SmmKernel's verified pointers), or one built whole (SisKernel's
+/// bigger-neighbour slices). It must hold only facts about the topology, be
+/// rebuilt or reset by sync() when graph().version() moves, and never change
+/// a decision. Since the executor evaluates each vertex at most once per
+/// round, disjoint chunks may be evaluated concurrently.
 template <typename State>
 class FlatKernel {
  public:
   FlatKernel(const graph::Graph& g, const graph::IdAssignment& ids)
-      : topo_(g, ids) {}
+      : g_(&g), ids_(&ids) {}
   FlatKernel(const FlatKernel&) = delete;
   FlatKernel& operator=(const FlatKernel&) = delete;
   virtual ~FlatKernel() = default;
 
-  /// The CSR adjacency of (g, ids) this kernel evaluates over. Built on its
-  /// first refresh(); any reader may refresh it, so caches derived from it
-  /// key on CsrTopology::generation().
-  [[nodiscard]] CsrTopology& topology() noexcept { return topo_; }
-  [[nodiscard]] const CsrTopology& topology() const noexcept { return topo_; }
+  /// The graph and IDs this kernel evaluates over (identity, not a copy).
+  [[nodiscard]] const graph::Graph& graph() const noexcept { return *g_; }
+  [[nodiscard]] const graph::IdAssignment& ids() const noexcept {
+    return *ids_;
+  }
 
-  /// Refreshes the topology mirror and reloads the whole SoA state mirror
-  /// from the authoritative vector. Handles external state edits (fault
-  /// injection) and graph mutation exactly like the generic path's full
-  /// snapshot copy. Returns true iff the state mirror changed (any slot
-  /// differs, or the vertex count did), computed during the copy; topology
-  /// changes are reported by topology().generation() instead.
+  /// Reloads the whole SoA state mirror from the authoritative vector.
+  /// Handles external state edits (fault injection) and graph mutation
+  /// exactly like the generic path's full snapshot copy. Returns true iff
+  /// the state mirror changed (any slot differs, or the vertex count did),
+  /// computed during the copy; topology changes are reported by
+  /// Graph::version() instead.
   virtual bool sync(const std::vector<State>& states) = 0;
 
   /// Patches one slot of the SoA mirror after a committed move.
@@ -144,12 +145,13 @@ class FlatKernel {
                             MoveList<State>& out) const = 0;
 
  private:
-  CsrTopology topo_;
+  const graph::Graph* g_;
+  const graph::IdAssignment* ids_;
 };
 
 /// The generic Protocol path as a FlatKernel: the "mirror" is a full copy
 /// of the state vector and each node is evaluated through a LocalView over
-/// the kernel's topology. Each batch call walks with its own neighbor
+/// the graph. Each batch call walks with its own neighbor
 /// buffer, so disjoint ranges may run concurrently like any other kernel.
 template <typename State>
 class GenericKernel final : public FlatKernel<State> {
@@ -159,7 +161,6 @@ class GenericKernel final : public FlatKernel<State> {
       : FlatKernel<State>(g, ids), protocol_(&protocol) {}
 
   bool sync(const std::vector<State>& states) override {
-    this->topology().refresh();
     if (snapshot_.size() != states.size()) {
       snapshot_ = states;
       return true;
@@ -198,8 +199,8 @@ class GenericKernel final : public FlatKernel<State> {
   void evaluateOne(graph::Vertex v, std::uint64_t roundKey,
                    std::vector<NeighborRef<State>>& buffer,
                    MoveList<State>& out) const {
-    const LocalView<State> view =
-        buildView(this->topology(), v, snapshot_, roundKey, buffer);
+    const LocalView<State> view = buildView(this->graph(), this->ids(), v,
+                                           snapshot_, roundKey, buffer);
     if (auto next = protocol_->onRound(view)) {
       assert(!(*next == snapshot_[v]) && "a move must change the node's state");
       out.emplace_back(v, std::move(*next));

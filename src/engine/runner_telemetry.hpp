@@ -65,16 +65,6 @@ struct RunnerMetrics {
   return m;
 }
 
-/// Sets the evaluations-per-second gauge from one round's evaluate phase.
-/// Wall-clock-derived, so it goes to metrics only — round *events* must stay
-/// byte-reproducible. No-op when telemetry is disabled or nothing was timed.
-inline void recordEvaluationRate(const RunnerMetrics& m, std::size_t evaluated,
-                                 double seconds) {
-  if (m.evaluationsPerSecond != nullptr && seconds > 0.0 && evaluated > 0) {
-    m.evaluationsPerSecond->set(static_cast<double>(evaluated) / seconds);
-  }
-}
-
 /// Records one round's activation: `evaluated` of `n` nodes had their rules
 /// run (dense rounds report n of n). No-op when telemetry is disabled.
 inline void recordActivation(const RunnerMetrics& m, std::size_t evaluated,
@@ -84,6 +74,20 @@ inline void recordActivation(const RunnerMetrics& m, std::size_t evaluated,
   if (m.activationFraction != nullptr && n > 0) {
     m.activationFraction->observe(static_cast<double>(evaluated) /
                                   static_cast<double>(n));
+  }
+}
+
+/// Sets the evaluations-per-second gauge to the whole run's rate so far:
+/// active_nodes_total over the evaluate-duration histogram's sum. Call it
+/// after recordActivation. Wall-clock-derived, so it goes to metrics only —
+/// round *events* must stay byte-reproducible. No-op when telemetry is
+/// disabled or no evaluate time was recorded yet.
+inline void recordEvaluationRate(const RunnerMetrics& m) {
+  if (m.evaluationsPerSecond == nullptr) return;
+  const double seconds = m.evaluateDuration->sum();
+  if (seconds > 0.0) {
+    m.evaluationsPerSecond->set(static_cast<double>(m.activeNodes->value()) /
+                                seconds);
   }
 }
 

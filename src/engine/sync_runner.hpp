@@ -8,10 +8,9 @@
 //
 // It is the repo's only round executor. Every round goes through a
 // FlatKernel (engine/kernel.hpp): a compiled protocol kernel when one is
-// installed (setKernel), otherwise the GenericKernel adapter. The installed
-// kernel owns the run's only CSR topology; the executor keeps just the
-// Graph and IdAssignment references and reads the kernel's topology() for
-// isFixpoint, the active-set marks and the chunk weights. The round is
+// installed (setKernel), otherwise the GenericKernel adapter. The Graph is
+// the run's one CSR adjacency: the kernel, isFixpoint, the active-set marks
+// and the chunk weights all read it directly. The round is
 // embarrassingly parallel — every node reads only the snapshot S_t and the
 // commit writes each moved node's own slot — so with threads > 1 the
 // evaluate phase and the fixpoint sweep are split into degree-weighted
@@ -33,7 +32,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -47,7 +45,6 @@
 #include "engine/protocol.hpp"
 #include "engine/runner_telemetry.hpp"
 #include "engine/schedule.hpp"
-#include "engine/topology.hpp"
 #include "engine/view_builder.hpp"
 #include "graph/rng.hpp"
 #include "parallel/worker_pool.hpp"
@@ -127,11 +124,9 @@ class SyncRunner {
   ///
   /// Dense schedule — a provably quiet round is skipped: when the previous
   /// round evaluated every node of this mirror and committed no move, sync()
-  /// reports the mirror unchanged, and the topology generation is the one
-  /// that evaluation saw, every rule would return "no move" again. The round
-  /// still counts, with 0 moves and 0 evaluated nodes. The generation (not
-  /// whether this sync() rebuilt the CSR) is the key, since isFixpoint may
-  /// have refreshed the topology in between.
+  /// reports the mirror unchanged, and Graph::version() is the one that
+  /// evaluation saw, every rule would return "no move" again. The round
+  /// still counts, with 0 moves and 0 evaluated nodes.
   ///
   /// Active schedule — same round semantics, bit-identical trajectory, but
   /// only *dirty* nodes (closed neighborhood changed in the previous round)
@@ -168,14 +163,13 @@ class SyncRunner {
       }
     }
     const bool quiet = !active && local && quiet_ && !mirrorChanged &&
-                       kernel_->topology().generation() == quietGeneration_;
+                       g_->version() == quietVersion_;
     const bool all = !active || !local;
     const std::span<const graph::Vertex> work =
         all ? std::span<const graph::Vertex>{} : active_.current();
     const std::size_t evaluated = quiet ? 0 : all ? n : work.size();
     {
       const telemetry::ScopedTimer t(metrics_.evaluateDuration);
-      const EvalStopwatch stopwatch(metrics_, evaluated);
       if (quiet) {
         for (Chunk& chunk : chunks_) chunk.moves.clear();
       } else {
@@ -185,8 +179,6 @@ class SyncRunner {
     std::size_t moves = 0;
     {
       const telemetry::ScopedTimer t(metrics_.commitDuration);
-      // Current: this round re-synced, or the graph is unchanged since.
-      const CsrTopology& topo = kernel_->topology();
       for (Chunk& chunk : chunks_) {
         moves += chunk.moves.size();
         for (auto& [v, next] : chunk.moves) {
@@ -196,14 +188,14 @@ class SyncRunner {
           // re-evaluate next round.
           kernel_->apply(v, states[v]);
           active_.mark(v);
-          for (const graph::Vertex w : topo.neighbors(v)) active_.mark(w);
+          for (const graph::Vertex w : g_->neighbors(v)) active_.mark(w);
         }
       }
       if (active) active_.advance();
     }
     if (!active) {
       quiet_ = moves == 0;
-      quietGeneration_ = kernel_->topology().generation();
+      quietVersion_ = g_->version();
     }
     return finishRound(moves, evaluated, n);
   }
@@ -229,11 +221,12 @@ class SyncRunner {
   /// adapter. The kernel must mirror this runner's protocol — trajectories
   /// stay bit-identical either way (the KernelDifferential suite enforces
   /// it) — and be built over this runner's own Graph and IdAssignment
-  /// objects (else std::invalid_argument), as the runner reads its CSR.
+  /// objects (else std::invalid_argument): both read the same adjacency.
   /// Safe between rounds; counts as an external mutation for Active-schedule
   /// bookkeeping, and the next dense round is never skipped.
   void setKernel(std::unique_ptr<FlatKernel<State>> kernel) {
-    if (kernel != nullptr && !kernel->topology().mirrors(*g_, *ids_)) {
+    if (kernel != nullptr &&
+        (&kernel->graph() != g_ || &kernel->ids() != ids_)) {
       throw std::invalid_argument("setKernel: kernel over another topology");
     }
     flat_ = kernel != nullptr;
@@ -289,7 +282,6 @@ class SyncRunner {
   /// the pool with a shared early-exit flag; the verdict is exact either
   /// way.
   [[nodiscard]] bool isFixpoint(const std::vector<State>& states) {
-    kernel_->topology().refresh();
     const std::uint64_t key = roundKey(round_);
     if (pool_ == nullptr) return rangeStable(states, key, 0, states.size());
     const std::vector<std::size_t>& bounds = partition(true, {}, states.size());
@@ -310,13 +302,12 @@ class SyncRunner {
   /// Vertices privileged in `states` (diagnostics and daemon baselines).
   [[nodiscard]] std::vector<graph::Vertex> enabledVertices(
       const std::vector<State>& states) {
-    CsrTopology& topo = kernel_->topology();
-    topo.refresh();
     const std::uint64_t key = roundKey(round_);
     std::vector<NeighborRef<State>> buffer;
     std::vector<graph::Vertex> enabled;
     for (graph::Vertex v = 0; v < states.size(); ++v) {
-      if (isEnabled(*protocol_, buildView(topo, v, states, key, buffer))) {
+      if (isEnabled(*protocol_,
+                    buildView(*g_, *ids_, v, states, key, buffer))) {
         enabled.push_back(v);
       }
     }
@@ -371,17 +362,15 @@ class SyncRunner {
   // Degree-weighted block boundaries for the pool: block b holds work items
   // [bounds[b], bounds[b+1]). Weighting by deg(v)+1 balances the neighbor
   // scan, not the item count (the worker_imbalance_ratio gauge tracks the
-  // effect). Degrees come from the kernel's topology, fresh at every call
-  // site (after sync() or a refresh()). The full-range split depends only on
-  // (graph version, n), so it is cached across rounds and kernel swaps;
-  // dirty lists are split afresh each round.
+  // effect). The full-range split depends only on (graph version, n), so it
+  // is cached across rounds and kernel swaps; dirty lists are split afresh
+  // each round.
   const std::vector<std::size_t>& partition(
       bool all, std::span<const graph::Vertex> work, std::size_t count) {
-    const CsrTopology& topo = kernel_->topology();
     const std::size_t parts = chunks_.size();
     if (!all) {
       listBounds_ = weightedBoundaries(count, parts, [&](std::size_t i) {
-        return static_cast<std::uint64_t>(topo.degree(work[i])) + 1;
+        return static_cast<std::uint64_t>(g_->degree(work[i])) + 1;
       });
       return listBounds_;
     }
@@ -389,7 +378,7 @@ class SyncRunner {
         denseBoundsVersion_ != g_->version()) {
       denseBounds_ = weightedBoundaries(count, parts, [&](std::size_t i) {
         return static_cast<std::uint64_t>(
-                   topo.degree(static_cast<graph::Vertex>(i))) +
+                   g_->degree(static_cast<graph::Vertex>(i))) +
                1;
       });
       denseBoundsVersion_ = g_->version();
@@ -404,7 +393,6 @@ class SyncRunner {
   bool rangeStable(const std::vector<State>& states, std::uint64_t key,
                    std::size_t begin, std::size_t end,
                    const std::atomic<bool>* stop = nullptr) const {
-    const CsrTopology& topo = kernel_->topology();
     std::vector<NeighborRef<State>> buffer;
     for (std::size_t i = begin; i < end; ++i) {
       if (stop != nullptr && ((i - begin) & 31U) == 0 &&
@@ -412,40 +400,12 @@ class SyncRunner {
         return true;
       }
       const auto v = static_cast<graph::Vertex>(i);
-      if (!protocol_->isStable(buildView(topo, v, states, key, buffer))) {
+      if (!protocol_->isStable(buildView(*g_, *ids_, v, states, key, buffer))) {
         return false;
       }
     }
     return true;
   }
-
-  // Times one evaluate phase into the evaluations_per_second gauge; skips
-  // the clock entirely when no registry is attached.
-  class EvalStopwatch {
-   public:
-    EvalStopwatch(const RunnerMetrics& metrics, std::size_t evaluated)
-        : metrics_(metrics), evaluated_(evaluated) {
-      if (metrics_.evaluationsPerSecond != nullptr) {
-        start_ = std::chrono::steady_clock::now();
-      }
-    }
-    ~EvalStopwatch() {
-      if (metrics_.evaluationsPerSecond != nullptr) {
-        const double seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start_)
-                .count();
-        recordEvaluationRate(metrics_, evaluated_, seconds);
-      }
-    }
-    EvalStopwatch(const EvalStopwatch&) = delete;
-    EvalStopwatch& operator=(const EvalStopwatch&) = delete;
-
-   private:
-    const RunnerMetrics& metrics_;
-    std::size_t evaluated_;
-    std::chrono::steady_clock::time_point start_;
-  };
 
   // Load imbalance of the last pooled round: slowest worker chunk over the
   // mean chunk time (1.0 = perfectly balanced). 0 until a timed round ran.
@@ -469,6 +429,7 @@ class SyncRunner {
       metrics_.workerImbalance->set(imbalanceRatio());
     }
     recordActivation(metrics_, evaluated, n);
+    recordEvaluationRate(metrics_);
     // The same record at every thread count: the count depends on the
     // machine (it goes to the worker_threads gauge), the log must not.
     if (events_ != nullptr) {
@@ -488,7 +449,7 @@ class SyncRunner {
   std::uint64_t runSeed_;
   Schedule schedule_;
   std::size_t round_ = 0;
-  std::unique_ptr<FlatKernel<State>> kernel_;  // never null; owns the CSR
+  std::unique_ptr<FlatKernel<State>> kernel_;  // never null
   bool flat_ = false;
   // Pool blocks per worker: enough for a worker that finishes early to
   // take over work, few enough that claiming one stays negligible.
@@ -507,9 +468,9 @@ class SyncRunner {
   bool scheduleValid_ = false;
   std::uint64_t graphVersion_ = 0;
   // Dense quiet-round skip: the last evaluated dense round committed no
-  // move, over the kernel topology of generation quietGeneration_.
+  // move, over the graph at version quietVersion_.
   bool quiet_ = false;
-  std::uint64_t quietGeneration_ = 0;
+  std::uint64_t quietVersion_ = 0;
   RunnerMetrics metrics_;
   telemetry::EventLog* events_ = nullptr;
   // Pool state (threads > 1 only). The pool is declared last so its

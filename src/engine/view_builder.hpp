@@ -1,9 +1,8 @@
-// Shared helpers for constructing LocalViews from a global state vector.
-//
-// Two adjacency sources, one view shape: buildView reads the CSR mirror a
-// FlatKernel owns (the round executor's fast sweep), and ViewBuilder reads
-// the Graph itself (daemons, replay, chaos masking), so it needs no mirror
-// of its own and always sees the current topology.
+// The one way to assemble a LocalView: v's self slot plus one NeighborRef
+// per neighbor, read straight off the Graph's CSR and the IdAssignment, so
+// every reader sees the current topology. The executor's generic kernel
+// calls buildView with a buffer per batch; ViewBuilder keeps one buffer for
+// callers that build views one at a time (daemons, replay, chaos masking).
 #pragma once
 
 #include <cstdint>
@@ -11,34 +10,34 @@
 #include <vector>
 
 #include "engine/protocol.hpp"
-#include "engine/topology.hpp"
+#include "graph/graph.hpp"
+#include "graph/id_order.hpp"
 
 namespace selfstab::engine {
 
-/// Assembles v's LocalView over an already refreshed CSR mirror, filling
-/// `buffer` with one NeighborRef per neighbor. The view aliases `buffer` and
-/// `states`: it is valid until either changes. Concurrent callers need
-/// their own buffers; the mirror itself is only read.
+/// Assembles v's LocalView over (g, ids, states), filling `buffer` with one
+/// NeighborRef per neighbor. The view aliases `buffer` and `states`: it is
+/// valid until either changes or the graph is edited. Concurrent callers
+/// need their own buffers; the graph is only read.
 template <typename State>
-LocalView<State> buildView(const CsrTopology& topo, graph::Vertex v,
+LocalView<State> buildView(const graph::Graph& g,
+                           const graph::IdAssignment& ids, graph::Vertex v,
                            const std::vector<State>& states,
                            std::uint64_t roundKey,
                            std::vector<NeighborRef<State>>& buffer) {
   buffer.clear();
-  const std::span<const graph::Vertex> nbrs = topo.neighbors(v);
+  const std::span<const graph::Vertex> nbrs = g.neighbors(v);
   buffer.reserve(nbrs.size());
   for (const graph::Vertex w : nbrs) {
-    buffer.push_back(NeighborRef<State>{w, topo.idOf(w), &states[w]});
+    buffer.push_back(NeighborRef<State>{w, ids.idOf(w), &states[w]});
   }
-  return {.self = v, .selfId = topo.idOf(v), .selfState = &states[v],
+  return {.self = v, .selfId = ids.idOf(v), .selfState = &states[v],
           .neighbors = buffer, .roundKey = roundKey};
 }
 
-/// Builds LocalViews against a (graph, id assignment, state vector) triple,
-/// reusing one neighbor buffer across calls. The returned view aliases both
-/// the builder's buffer and the state vector passed in, so it is valid only
-/// until the next build() call or state mutation. Neighbors come straight
-/// from Graph::neighbors, so topology edits show up on the next build().
+/// buildView against a fixed (graph, id assignment) pair, reusing one
+/// neighbor buffer across calls. The returned view is valid only until the
+/// next build() call, state mutation or graph edit.
 template <typename State>
 class ViewBuilder {
  public:
@@ -47,14 +46,7 @@ class ViewBuilder {
 
   LocalView<State> build(graph::Vertex v, const std::vector<State>& states,
                          std::uint64_t roundKey = 0) {
-    buffer_.clear();
-    const std::span<const graph::Vertex> nbrs = g_->neighbors(v);
-    buffer_.reserve(nbrs.size());
-    for (const graph::Vertex w : nbrs) {
-      buffer_.push_back(NeighborRef<State>{w, ids_->idOf(w), &states[w]});
-    }
-    return {.self = v, .selfId = ids_->idOf(v), .selfState = &states[v],
-            .neighbors = buffer_, .roundKey = roundKey};
+    return buildView(*g_, *ids_, v, states, roundKey, buffer_);
   }
 
   [[nodiscard]] const graph::IdAssignment& ids() const noexcept {

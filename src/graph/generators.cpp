@@ -7,199 +7,213 @@
 
 namespace selfstab::graph {
 
+// Each generator lists its edges and builds the graph in one bulk pass
+// (Graph::fromEdges): the same graph, version() included, as adding them one
+// addEdge at a time, from the same RNG draws.
+
+namespace {
+
+void addClique(std::vector<Edge>& edges, Vertex base, std::size_t k) {
+  for (Vertex u = 0; u < k; ++u) {
+    for (Vertex v = u + 1; v < k; ++v) edges.push_back({base + u, base + v});
+  }
+}
+
+// The path first, first+1, ..., first+count; returns its last vertex.
+Vertex addPath(std::vector<Edge>& edges, Vertex first, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i, ++first) {
+    edges.push_back({first, first + 1});
+  }
+  return first;
+}
+
+// A uniformly random labelled tree: vertex v >= 1 attaches to a uniform
+// earlier vertex, one draw each in vertex order. Its edge to v lands at
+// index v - 1 of what this appends.
+void addRandomTree(std::vector<Edge>& edges, std::size_t n, Rng& rng) {
+  for (Vertex v = 1; v < n; ++v) {
+    edges.push_back({static_cast<Vertex>(rng.below(v)), v});
+  }
+}
+
+}  // namespace
+
 Graph path(std::size_t n) {
-  Graph g(n);
-  for (Vertex v = 0; v + 1 < n; ++v) g.addEdge(v, v + 1);
-  return g;
+  std::vector<Edge> edges;
+  addPath(edges, 0, n > 0 ? n - 1 : 0);
+  return Graph::fromEdges(n, edges);
 }
 
 Graph cycle(std::size_t n) {
   assert(n >= 3);
-  Graph g = path(n);
-  g.addEdge(static_cast<Vertex>(n - 1), 0);
-  return g;
+  std::vector<Edge> edges;
+  const Vertex last = addPath(edges, 0, n - 1);
+  edges.push_back({0, last});
+  return Graph::fromEdges(n, edges);
 }
 
 Graph complete(std::size_t n) {
-  Graph g(n);
-  for (Vertex u = 0; u < n; ++u) {
-    for (Vertex v = u + 1; v < n; ++v) g.addEdge(u, v);
-  }
-  return g;
+  std::vector<Edge> edges;
+  addClique(edges, 0, n);
+  return Graph::fromEdges(n, edges);
 }
 
 Graph completeBipartite(std::size_t a, std::size_t b) {
-  Graph g(a + b);
+  std::vector<Edge> edges;
   for (Vertex u = 0; u < a; ++u) {
     for (Vertex v = 0; v < b; ++v) {
-      g.addEdge(u, static_cast<Vertex>(a + v));
+      edges.push_back({u, static_cast<Vertex>(a + v)});
     }
   }
-  return g;
+  return Graph::fromEdges(a + b, edges);
 }
 
 Graph star(std::size_t n) {
-  Graph g(n);
-  for (Vertex v = 1; v < n; ++v) g.addEdge(0, v);
-  return g;
+  std::vector<Edge> edges;
+  for (Vertex v = 1; v < n; ++v) edges.push_back({0, v});
+  return Graph::fromEdges(n, edges);
 }
 
 Graph grid(std::size_t rows, std::size_t cols) {
-  Graph g(rows * cols);
   const auto at = [cols](std::size_t r, std::size_t c) {
     return static_cast<Vertex>(r * cols + c);
   };
+  std::vector<Edge> edges;
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) g.addEdge(at(r, c), at(r, c + 1));
-      if (r + 1 < rows) g.addEdge(at(r, c), at(r + 1, c));
+      if (c + 1 < cols) edges.push_back({at(r, c), at(r, c + 1)});
+      if (r + 1 < rows) edges.push_back({at(r, c), at(r + 1, c)});
     }
   }
-  return g;
+  return Graph::fromEdges(rows * cols, edges);
 }
 
 Graph hypercube(std::size_t d) {
   const std::size_t n = std::size_t{1} << d;
-  Graph g(n);
+  std::vector<Edge> edges;
   for (std::size_t u = 0; u < n; ++u) {
     for (std::size_t bit = 0; bit < d; ++bit) {
       const std::size_t v = u ^ (std::size_t{1} << bit);
-      if (u < v) g.addEdge(static_cast<Vertex>(u), static_cast<Vertex>(v));
+      if (u < v) {
+        edges.push_back({static_cast<Vertex>(u), static_cast<Vertex>(v)});
+      }
     }
   }
-  return g;
+  return Graph::fromEdges(n, edges);
 }
 
 Graph binaryTree(std::size_t n) {
-  Graph g(n);
+  std::vector<Edge> edges;
   for (std::size_t v = 1; v < n; ++v) {
-    g.addEdge(static_cast<Vertex>((v - 1) / 2), static_cast<Vertex>(v));
+    edges.push_back(
+        {static_cast<Vertex>((v - 1) / 2), static_cast<Vertex>(v)});
   }
-  return g;
+  return Graph::fromEdges(n, edges);
 }
 
 Graph randomTree(std::size_t n, Rng& rng) {
-  Graph g(n);
-  for (Vertex v = 1; v < n; ++v) {
-    const auto parent = static_cast<Vertex>(rng.below(v));
-    g.addEdge(parent, v);
-  }
-  return g;
+  std::vector<Edge> edges;
+  addRandomTree(edges, n, rng);
+  return Graph::fromEdges(n, edges);
 }
 
 Graph caterpillar(std::size_t spine, std::size_t legsPerSpine) {
   const std::size_t n = spine + spine * legsPerSpine;
-  Graph g(n);
-  for (Vertex v = 0; v + 1 < spine; ++v) g.addEdge(v, v + 1);
+  std::vector<Edge> edges;
+  addPath(edges, 0, spine > 0 ? spine - 1 : 0);
   Vertex next = static_cast<Vertex>(spine);
   for (Vertex s = 0; s < spine; ++s) {
     for (std::size_t leg = 0; leg < legsPerSpine; ++leg) {
-      g.addEdge(s, next++);
+      edges.push_back({s, next++});
     }
   }
-  return g;
+  return Graph::fromEdges(n, edges);
 }
 
 Graph erdosRenyi(std::size_t n, double p, Rng& rng) {
-  Graph g(n);
+  std::vector<Edge> edges;
   for (Vertex u = 0; u < n; ++u) {
     for (Vertex v = u + 1; v < n; ++v) {
-      if (rng.chance(p)) g.addEdge(u, v);
+      if (rng.chance(p)) edges.push_back({u, v});
     }
   }
-  return g;
+  return Graph::fromEdges(n, edges);
 }
 
 Graph connectedErdosRenyi(std::size_t n, double p, Rng& rng) {
-  Graph g = randomTree(n, rng);
+  // A pair u < v is a tree edge iff edges[v - 1].u == u; only absent pairs
+  // draw.
+  std::vector<Edge> edges;
+  addRandomTree(edges, n, rng);
   for (Vertex u = 0; u < n; ++u) {
     for (Vertex v = u + 1; v < n; ++v) {
-      if (!g.hasEdge(u, v) && rng.chance(p)) g.addEdge(u, v);
+      if (edges[v - 1].u != u && rng.chance(p)) edges.push_back({u, v});
     }
   }
-  return g;
+  return Graph::fromEdges(n, edges);
 }
 
 Graph wheel(std::size_t n) {
   assert(n >= 4);
-  Graph g(n);
+  std::vector<Edge> edges;
   for (Vertex v = 1; v < n; ++v) {
-    g.addEdge(0, v);
-    g.addEdge(v, v + 1 < n ? v + 1 : 1);
+    edges.push_back({0, v});
+    edges.push_back(makeEdge(v, v + 1 < n ? v + 1 : 1));
   }
-  return g;
+  return Graph::fromEdges(n, edges);
 }
 
 Graph petersen() {
-  Graph g(10);
+  std::vector<Edge> edges;
   for (Vertex v = 0; v < 5; ++v) {
-    g.addEdge(v, (v + 1) % 5);                       // outer cycle
-    g.addEdge(static_cast<Vertex>(5 + v),
-              static_cast<Vertex>(5 + (v + 2) % 5)); // inner pentagram
-    g.addEdge(v, static_cast<Vertex>(5 + v));        // spokes
+    edges.push_back(makeEdge(v, (v + 1) % 5));                  // outer cycle
+    edges.push_back(makeEdge(5 + v, 5 + (v + 2) % 5));          // pentagram
+    edges.push_back({v, static_cast<Vertex>(5 + v)});           // spokes
   }
-  return g;
+  return Graph::fromEdges(10, edges);
 }
 
 Graph barbell(std::size_t k, std::size_t bridge) {
   assert(k >= 1);
-  const std::size_t n = 2 * k + bridge;
-  Graph g(n);
-  const auto clique = [&](Vertex base) {
-    for (Vertex u = 0; u < k; ++u) {
-      for (Vertex v = u + 1; v < k; ++v) {
-        g.addEdge(base + u, base + v);
-      }
-    }
-  };
-  clique(0);
-  clique(static_cast<Vertex>(k + bridge));
+  std::vector<Edge> edges;
+  addClique(edges, 0, k);
+  addClique(edges, static_cast<Vertex>(k + bridge), k);
   // Path from the last vertex of the left clique through the bridge to the
   // first vertex of the right clique.
-  Vertex prev = static_cast<Vertex>(k - 1);
-  for (std::size_t i = 0; i < bridge; ++i) {
-    const auto next = static_cast<Vertex>(k + i);
-    g.addEdge(prev, next);
-    prev = next;
-  }
-  g.addEdge(prev, static_cast<Vertex>(k + bridge));
-  return g;
+  addPath(edges, static_cast<Vertex>(k - 1), bridge + 1);
+  return Graph::fromEdges(2 * k + bridge, edges);
 }
 
 Graph lollipop(std::size_t k, std::size_t tail) {
   assert(k >= 1);
-  Graph g(k + tail);
-  for (Vertex u = 0; u < k; ++u) {
-    for (Vertex v = u + 1; v < k; ++v) g.addEdge(u, v);
-  }
-  Vertex prev = static_cast<Vertex>(k - 1);
-  for (std::size_t i = 0; i < tail; ++i) {
-    const auto next = static_cast<Vertex>(k + i);
-    g.addEdge(prev, next);
-    prev = next;
-  }
-  return g;
+  std::vector<Edge> edges;
+  addClique(edges, 0, k);
+  addPath(edges, static_cast<Vertex>(k - 1), tail);
+  return Graph::fromEdges(k + tail, edges);
 }
 
 Graph randomRegular(std::size_t n, std::size_t d, Rng& rng, int maxTries) {
   assert(d < n && (n * d) % 2 == 0);
   for (int attempt = 0; attempt < maxTries; ++attempt) {
-    // Pairing model: n*d half-edge stubs, shuffled and paired up.
+    // Pairing model: n*d half-edge stubs, shuffled and paired up. A
+    // self-loop or multi-edge rejects the whole pairing; the shuffle is the
+    // attempt's only draw.
     std::vector<Vertex> stubs;
     stubs.reserve(n * d);
     for (Vertex v = 0; v < n; ++v) {
       for (std::size_t i = 0; i < d; ++i) stubs.push_back(v);
     }
     rng.shuffle(stubs);
-    Graph g(n);
+    std::vector<Edge> edges;
     bool ok = true;
-    for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
-      if (stubs[i] == stubs[i + 1] || !g.addEdge(stubs[i], stubs[i + 1])) {
-        ok = false;  // self-loop or multi-edge: resample
-        break;
-      }
+    for (std::size_t i = 0; ok && i + 1 < stubs.size(); i += 2) {
+      ok = stubs[i] != stubs[i + 1];  // a self-loop rejects the pairing
+      if (ok) edges.push_back(makeEdge(stubs[i], stubs[i + 1]));
     }
-    if (ok) return g;
+    std::sort(edges.begin(), edges.end());
+    if (ok && std::adjacent_find(edges.begin(), edges.end()) == edges.end()) {
+      return Graph::fromEdges(n, edges);
+    }
   }
   // The pairing model succeeds with constant probability for modest d;
   // exhausting maxTries indicates misuse.
@@ -229,18 +243,17 @@ Graph connectedRandomGeometric(std::size_t n, double radius, Rng& rng,
   // spanning tree so the result is connected (the paper assumes coordinated
   // movement keeps the network connected).
   std::vector<Point> points = randomPoints(n, rng);
-  Graph g = unitDiskGraph(points, radius);
-  for (Vertex v = 1; v < n; ++v) {
-    const auto parent = static_cast<Vertex>(rng.below(v));
-    g.addEdge(parent, v);
-  }
+  std::vector<Edge> edges = unitDiskGraph(points, radius).edges();
+  addRandomTree(edges, n, rng);
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   if (outPoints != nullptr) *outPoints = std::move(points);
-  return g;
+  return Graph::fromEdges(n, edges);
 }
 
 Graph preferentialAttachment(std::size_t n, std::size_t m, Rng& rng) {
   assert(m >= 1);
-  Graph g(n);
+  std::vector<Edge> edges;
   // Endpoint multiset: one baseline slot per vertex plus one slot per
   // incident half-edge, so a uniform draw is a degree+1-proportional draw.
   std::vector<Vertex> slots;
@@ -253,16 +266,19 @@ Graph preferentialAttachment(std::size_t n, std::size_t m, Rng& rng) {
     const std::size_t poolSize = slots.size();
     std::size_t added = 0;
     while (added < wanted) {
-      const Vertex target = slots[rng.below(poolSize)];
-      if (g.addEdge(target, v)) {  // rejects duplicates; resample
-        slots.push_back(target);
+      const Edge e{slots[rng.below(poolSize)], v};
+      // v's edges so far are the last `added`; a duplicate is resampled.
+      if (std::find(edges.end() - static_cast<std::ptrdiff_t>(added),
+                    edges.end(), e) == edges.end()) {
+        edges.push_back(e);
+        slots.push_back(e.u);
         slots.push_back(v);
         ++added;
       }
     }
     slots.push_back(v);
   }
-  return g;
+  return Graph::fromEdges(n, edges);
 }
 
 }  // namespace selfstab::graph

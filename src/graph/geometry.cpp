@@ -51,25 +51,22 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
                     std::size_t bands) {
   const std::size_t n = points.size();
   const double r2 = radius * radius;
-  // Every vertex's list is produced in one place, sorted, and adopted in
-  // bulk, so no edge is ever inserted into the middle of a list.
-  std::vector<std::vector<Vertex>> adj(n);
-  std::vector<Vertex> found;
+  std::vector<std::size_t> offsets(n + 1, 0);
 
   // Small inputs (and radii the grid cannot help with) compare all pairs:
-  // building the grid would cost more than it saves. Scanning v upwards
-  // fills each list already sorted.
+  // building the grid would cost more than it saves. Scanning vertices in
+  // order fills the CSR directly, each slice already sorted.
   if (n < 256 || !(radius > 0.0 && radius < 0.5)) {
+    std::vector<Vertex> targets;
     for (Vertex u = 0; u < n; ++u) {
-      found.clear();
       for (Vertex v = 0; v < n; ++v) {
         if (v != u && squaredDistance(points[u], points[v]) <= r2) {
-          found.push_back(v);
+          targets.push_back(v);
         }
       }
-      adj[u].assign(found.begin(), found.end());
+      offsets[u + 1] = targets.size();
     }
-    return Graph::fromSortedAdjacency(std::move(adj));
+    return Graph::fromCsr(std::move(offsets), std::move(targets));
   }
 
   // Spatial hashing: bucket the unit square into cells at least `radius`
@@ -88,20 +85,22 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
     return static_cast<std::size_t>(std::clamp(t * scale, 0.0, scale - 1.0));
   };
 
-  // Counting sort of vertices into cells (CSR layout: offsets + members),
+  // Counting sort of vertices into cells (CSR layout: cellStart + members),
   // with the coordinates copied into the same cell order so every neighbor
   // search below reads contiguous memory.
-  std::vector<std::size_t> offsets(side * side + 1, 0);
+  std::vector<std::size_t> cellStart(side * side + 1, 0);
   std::vector<std::size_t> cellOf(n);
   for (Vertex v = 0; v < n; ++v) {
     cellOf[v] = axisCell(points[v].y) * side + axisCell(points[v].x);
-    ++offsets[cellOf[v] + 1];
+    ++cellStart[cellOf[v] + 1];
   }
-  for (std::size_t c = 1; c < offsets.size(); ++c) offsets[c] += offsets[c - 1];
+  for (std::size_t c = 1; c < cellStart.size(); ++c) {
+    cellStart[c] += cellStart[c - 1];
+  }
   std::vector<Vertex> members(n);
   std::vector<Point> sorted(n);
   {
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+    std::vector<std::size_t> cursor(cellStart.begin(), cellStart.end() - 1);
     for (Vertex v = 0; v < n; ++v) {
       const std::size_t i = cursor[cellOf[v]]++;
       members[i] = v;
@@ -109,13 +108,26 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
     }
   }
 
-  // Each vertex searches its full 3x3 block of cells. A row of the block is
-  // consecutive cells, hence one contiguous run of `sorted`. Rows
-  // [rowBegin, rowEnd) hand each vertex's sorted list, in cell order, to
-  // keep(i, list, count), i being the vertex's slot in `members`.
-  const auto searchRows = [&](std::size_t rowBegin, std::size_t rowEnd,
-                              std::vector<Vertex>& buffer, auto&& keep) {
-    for (std::size_t cy = rowBegin; cy < rowEnd; ++cy) {
+  // Band b searches cell rows [b·side/bands, (b+1)·side/bands): each vertex
+  // searches its full 3x3 block of cells (a row of the block is consecutive
+  // cells, hence one contiguous run of `sorted`) and appends its sorted list
+  // to the band's flat buffer, recording the list's length by slot.
+  bands = std::clamp<std::size_t>(bands, 1, side);
+  const auto rowOf = [&](std::size_t b) { return b * side / bands; };
+  std::vector<std::vector<Vertex>> bandLists(bands);
+  std::vector<std::uint32_t> degree(n);
+  // Expected degree (n-1)·πr², ignoring the border: a reservation that a
+  // uniform sample rarely outgrows.
+  const double expectedDegree =
+      static_cast<double>(n - 1) * std::numbers::pi * r2;
+  const auto searchBand = [&](std::size_t b) {
+    std::vector<Vertex>& out = bandLists[b];
+    out.reserve(static_cast<std::size_t>(
+        static_cast<double>(cellStart[rowOf(b + 1) * side] -
+                            cellStart[rowOf(b) * side]) *
+        expectedDegree));
+    std::vector<Vertex> buffer;
+    for (std::size_t cy = rowOf(b); cy < rowOf(b + 1); ++cy) {
       const std::size_t y0 = cy == 0 ? 0 : cy - 1;
       const std::size_t y1 = std::min(cy + 1, side - 1);
       for (std::size_t cx = 0; cx < side; ++cx) {
@@ -124,77 +136,57 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
         const std::size_t c = cy * side + cx;
         std::size_t block = 0;
         for (std::size_t y = y0; y <= y1; ++y) {
-          block += offsets[y * side + x1 + 1] - offsets[y * side + x0];
+          block += cellStart[y * side + x1 + 1] - cellStart[y * side + x0];
         }
         if (buffer.size() < block) buffer.resize(block);
-        for (std::size_t i = offsets[c]; i < offsets[c + 1]; ++i) {
+        for (std::size_t i = cellStart[c]; i < cellStart[c + 1]; ++i) {
           const Point p = sorted[i];
           // Branch-free filter: write every candidate, keep the in-range
           // ones (about a third of the block, in no predictable pattern).
           std::size_t k = 0;
           for (std::size_t y = y0; y <= y1; ++y) {
-            const std::size_t end = offsets[y * side + x1 + 1];
-            for (std::size_t j = offsets[y * side + x0]; j < end; ++j) {
+            const std::size_t end = cellStart[y * side + x1 + 1];
+            for (std::size_t j = cellStart[y * side + x0]; j < end; ++j) {
               buffer[k] = members[j];
               k += static_cast<std::size_t>(
                   (j != i) & (squaredDistance(p, sorted[j]) <= r2));
             }
           }
           sortNeighbors(buffer.data(), k);
-          keep(i, buffer.data(), k);
+          out.insert(out.end(), buffer.data(), buffer.data() + k);
+          degree[i] = static_cast<std::uint32_t>(k);
         }
       }
     }
   };
-
-  bands = std::clamp<std::size_t>(bands, 1, side);
-  if (bands == 1) {
-    searchRows(0, side, found,
-               [&](std::size_t i, const Vertex* list, std::size_t k) {
-                 adj[members[i]].assign(list, list + k);
-               });
-    return Graph::fromSortedAdjacency(std::move(adj));
-  }
-
-  // Banded: worker b searches cell rows [b·side/bands, (b+1)·side/bands)
-  // into its own flat buffer, recording each list's length by slot. The
-  // lists are then allocated here, on the calling thread, in the same cell
-  // order as the serial build, so neighboring vertices' lists stay
-  // neighbors in memory (lists allocated on the workers measured slower to
-  // traverse). Each band's buffer is freed as soon as it is adopted.
-  const auto rowOf = [&](std::size_t b) { return b * side / bands; };
-  std::vector<std::vector<Vertex>> bandLists(bands);
-  std::vector<std::uint32_t> degree(n);
-  // Expected degree (n-1)·πr², ignoring the border: a reservation that a
-  // uniform sample rarely outgrows.
-  const double expectedDegree =
-      static_cast<double>(n - 1) * std::numbers::pi * r2;
-  {
-    parallel::WorkerPool pool(bands);
-    pool.run([&](std::size_t b) {
-      const std::size_t first = offsets[rowOf(b) * side];
-      const std::size_t last = offsets[rowOf(b + 1) * side];
-      std::vector<Vertex>& out = bandLists[b];
-      out.reserve(static_cast<std::size_t>(
-          static_cast<double>(last - first) * expectedDegree));
-      std::vector<Vertex> buffer;
-      searchRows(rowOf(b), rowOf(b + 1), buffer,
-                 [&](std::size_t i, const Vertex* list, std::size_t k) {
-                   out.insert(out.end(), list, list + k);
-                   degree[i] = static_cast<std::uint32_t>(k);
-                 });
-    });
-  }
-  for (std::size_t b = 0; b < bands; ++b) {
+  // Scatters band b's lists, slot by slot, into their vertices' slices of
+  // the CSR (disjoint across bands) and frees the band's buffer.
+  std::vector<Vertex> targets;
+  const auto scatterBand = [&](std::size_t b) {
     const Vertex* list = bandLists[b].data();
-    for (std::size_t i = offsets[rowOf(b) * side];
-         i < offsets[rowOf(b + 1) * side]; ++i) {
-      adj[members[i]].assign(list, list + degree[i]);
+    for (std::size_t i = cellStart[rowOf(b) * side];
+         i < cellStart[rowOf(b + 1) * side]; ++i) {
+      std::copy_n(list, degree[i], targets.data() + offsets[members[i]]);
       list += degree[i];
     }
     std::vector<Vertex>().swap(bandLists[b]);
+  };
+  const auto layOut = [&] {
+    for (std::size_t i = 0; i < n; ++i) offsets[members[i] + 1] = degree[i];
+    for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+    targets.resize(offsets[n]);
+  };
+  if (bands == 1) {
+    searchBand(0);
+    layOut();
+    scatterBand(0);
+  } else {
+    parallel::WorkerPool pool(bands);
+    pool.run(searchBand);
+    layOut();
+    pool.run(scatterBand);
   }
-  return Graph::fromSortedAdjacency(std::move(adj));
+  return Graph::fromCsr(std::move(offsets), std::move(targets));
 }
 
 }  // namespace detail

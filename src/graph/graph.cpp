@@ -7,94 +7,121 @@
 
 namespace selfstab::graph {
 
-namespace {
-
-// Inserts x into the sorted vector v if absent; returns true on insertion.
-bool sortedInsert(std::vector<Vertex>& v, Vertex x) {
-  const auto it = std::lower_bound(v.begin(), v.end(), x);
-  if (it != v.end() && *it == x) return false;
-  v.insert(it, x);
-  return true;
-}
-
-// Erases x from the sorted vector v if present; returns true on erasure.
-bool sortedErase(std::vector<Vertex>& v, Vertex x) {
-  const auto it = std::lower_bound(v.begin(), v.end(), x);
-  if (it == v.end() || *it != x) return false;
-  v.erase(it);
-  return true;
-}
-
-}  // namespace
-
-Graph Graph::fromSortedAdjacency(std::vector<std::vector<Vertex>> adj) {
+Graph Graph::fromCsr(std::vector<std::size_t> offsets,
+                     std::vector<Vertex> targets) {
+  assert(!offsets.empty() && offsets.front() == 0 &&
+         offsets.back() == targets.size() &&
+         std::is_sorted(offsets.begin(), offsets.end()) &&
+         "offsets must run from 0 to targets.size() without decreasing");
   Graph g;
-  g.adj_ = std::move(adj);
-  std::size_t slots = 0;
-  for (const auto& nbrs : g.adj_) slots += nbrs.size();
+  g.offsets_ = std::move(offsets);
+  g.targets_ = std::move(targets);
 #ifndef NDEBUG
-  for (Vertex u = 0; u < g.adj_.size(); ++u) {
-    const auto& nbrs = g.adj_[u];
+  for (Vertex u = 0; u < g.order(); ++u) {
+    const auto nbrs = g.neighbors(u);
     assert(std::adjacent_find(nbrs.begin(), nbrs.end(),
                               std::greater_equal<>()) == nbrs.end() &&
-           "adjacency lists must be strictly ascending");
+           "neighbor slices must be strictly ascending");
     for (const Vertex w : nbrs) {
       assert(w != u && g.contains(w) && "loop or out-of-range neighbor");
-      assert(std::binary_search(g.adj_[w].begin(), g.adj_[w].end(), u) &&
+      const auto back = g.neighbors(w);
+      assert(std::binary_search(back.begin(), back.end(), u) &&
              "adjacency must be symmetric");
     }
   }
 #endif
-  assert(slots % 2 == 0);
-  g.edgeCount_ = slots / 2;
-  g.version_ = g.edgeCount_;  // as if each edge came from one addEdge
+  assert(g.targets_.size() % 2 == 0);
+  g.recomputeMaxDegree();
+  g.version_ = g.size();  // as if each edge came from one addEdge
   return g;
+}
+
+Graph Graph::fromEdges(std::size_t n, std::span<const Edge> edges) {
+  std::vector<std::size_t> offsets(n + 1, 0);
+  for (const Edge& e : edges) {
+    assert(e.u != e.v && e.u < n && e.v < n && "loop or out-of-range endpoint");
+    ++offsets[e.u + 1];
+    ++offsets[e.v + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  std::vector<Vertex> targets(offsets[n]);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const Edge& e : edges) {
+    targets[cursor[e.u]++] = e.v;
+    targets[cursor[e.v]++] = e.u;
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    std::sort(targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+              targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+  }
+  return fromCsr(std::move(offsets), std::move(targets));
+}
+
+std::size_t Graph::slot(Vertex x, Vertex y) const noexcept {
+  const auto nbrs = neighbors(x);
+  return offsets_[x] + static_cast<std::size_t>(
+                           std::lower_bound(nbrs.begin(), nbrs.end(), y) -
+                           nbrs.begin());
 }
 
 bool Graph::addEdge(Vertex u, Vertex v) {
   assert(contains(u) && contains(v));
-  if (u == v) return false;
-  if (!sortedInsert(adj_[u], v)) return false;
-  sortedInsert(adj_[v], u);
-  ++edgeCount_;
+  if (u == v || hasEdge(u, v)) return false;
+  const Vertex a = std::min(u, v);
+  const Vertex b = std::max(u, v);
+  // b's slice lies after a's, so inserting there first keeps a's slot.
+  targets_.insert(targets_.begin() + static_cast<std::ptrdiff_t>(slot(b, a)),
+                  a);
+  targets_.insert(targets_.begin() + static_cast<std::ptrdiff_t>(slot(a, b)),
+                  b);
+  // Slices after a's start one slot later, those after b's two.
+  for (std::size_t x = a + 1; x <= b; ++x) ++offsets_[x];
+  for (std::size_t x = b + 1; x < offsets_.size(); ++x) offsets_[x] += 2;
+  maxDegree_ = std::max({maxDegree_, degree(a), degree(b)});
   ++version_;
   return true;
 }
 
 bool Graph::removeEdge(Vertex u, Vertex v) {
   assert(contains(u) && contains(v));
-  if (u == v) return false;
-  if (!sortedErase(adj_[u], v)) return false;
-  sortedErase(adj_[v], u);
-  --edgeCount_;
+  if (u == v || !hasEdge(u, v)) return false;
+  const Vertex a = std::min(u, v);
+  const Vertex b = std::max(u, v);
+  const bool hadMax = degree(a) == maxDegree_ || degree(b) == maxDegree_;
+  targets_.erase(targets_.begin() + static_cast<std::ptrdiff_t>(slot(b, a)));
+  targets_.erase(targets_.begin() + static_cast<std::ptrdiff_t>(slot(a, b)));
+  for (std::size_t x = a + 1; x <= b; ++x) --offsets_[x];
+  for (std::size_t x = b + 1; x < offsets_.size(); ++x) offsets_[x] -= 2;
+  if (hadMax) recomputeMaxDegree();
   ++version_;
   return true;
 }
 
 bool Graph::hasEdge(Vertex u, Vertex v) const noexcept {
   if (!contains(u) || !contains(v) || u == v) return false;
-  const auto& nbrs = adj_[u];
+  const auto nbrs = neighbors(u);
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
-std::size_t Graph::maxDegree() const noexcept {
-  std::size_t best = 0;
-  for (const auto& nbrs : adj_) best = std::max(best, nbrs.size());
+std::size_t Graph::minDegree() const noexcept {
+  if (order() == 0) return 0;
+  std::size_t best = degree(0);
+  for (Vertex v = 1; v < order(); ++v) best = std::min(best, degree(v));
   return best;
 }
 
-std::size_t Graph::minDegree() const noexcept {
-  if (adj_.empty()) return 0;
-  std::size_t best = adj_[0].size();
-  for (const auto& nbrs : adj_) best = std::min(best, nbrs.size());
-  return best;
+void Graph::recomputeMaxDegree() noexcept {
+  maxDegree_ = 0;
+  for (Vertex v = 0; v < order(); ++v) {
+    maxDegree_ = std::max(maxDegree_, degree(v));
+  }
 }
 
 std::vector<Edge> Graph::edges() const {
   std::vector<Edge> result;
-  result.reserve(edgeCount_);
-  for (Vertex u = 0; u < adj_.size(); ++u) {
-    for (const Vertex v : adj_[u]) {
+  result.reserve(size());
+  for (Vertex u = 0; u < order(); ++u) {
+    for (const Vertex v : neighbors(u)) {
       if (u < v) result.push_back(Edge{u, v});
     }
   }
@@ -102,9 +129,10 @@ std::vector<Edge> Graph::edges() const {
 }
 
 void Graph::clearEdges() {
-  for (auto& nbrs : adj_) nbrs.clear();
-  if (edgeCount_ > 0) ++version_;
-  edgeCount_ = 0;
+  if (size() > 0) ++version_;
+  targets_.clear();
+  std::fill(offsets_.begin(), offsets_.end(), 0);
+  maxDegree_ = 0;
 }
 
 bool Graph::toggleEdge(Vertex u, Vertex v) {
@@ -113,6 +141,16 @@ bool Graph::toggleEdge(Vertex u, Vertex v) {
     return false;
   }
   return addEdge(u, v);
+}
+
+void Graph::rebuildFrom(Graph&& built) {
+  assert(built.order() == order() && "a rebuild keeps the vertex set");
+  const std::uint64_t steps = (size() > 0 ? 1 : 0) + built.size();
+  offsets_ = std::move(built.offsets_);
+  targets_ = std::move(built.targets_);
+  maxDegree_ = built.maxDegree_;
+  version_ += steps;
+  built = Graph();
 }
 
 }  // namespace selfstab::graph

@@ -34,55 +34,70 @@ constexpr Edge makeEdge(Vertex a, Vertex b) noexcept {
   return a < b ? Edge{a, b} : Edge{b, a};
 }
 
-/// Undirected simple graph on a fixed vertex set with a mutable edge set.
-///
-/// Adjacency lists are kept sorted, so neighbors() enumerates in increasing
-/// vertex order and hasEdge() is O(log deg). Mutation is O(deg) per endpoint,
-/// which is cheap at the degrees ad hoc networks exhibit.
+/// Undirected simple graph on a fixed vertex set with a mutable edge set,
+/// stored as one CSR: offsets (n+1) and targets (2m), each vertex's slice
+/// of targets strictly ascending. Every round reads N[v] for every node and
+/// edits are rare, so reads are one contiguous slice (neighbors() in
+/// increasing vertex order, hasEdge() O(log deg)) and a single edit costs
+/// O(n + m). Large graphs are built in bulk through fromCsr (or fromEdges,
+/// which feeds it), never edge by edge.
 class Graph {
  public:
   Graph() = default;
 
   /// Creates an edgeless graph on n vertices.
-  explicit Graph(std::size_t n) : adj_(n) {}
+  explicit Graph(std::size_t n) : offsets_(n + 1, 0) {}
 
-  /// Adopts adjacency lists built in bulk: one per vertex, each strictly
-  /// ascending, symmetric (w in adj[v] iff v in adj[w]), loop-free and in
-  /// range (checked in debug builds). The result equals the graph built by
-  /// adding the same edges one addEdge at a time, version() included.
-  [[nodiscard]] static Graph fromSortedAdjacency(
-      std::vector<std::vector<Vertex>> adj);
+  /// The bulk factory: adopts a CSR built in one pass. `offsets` has n+1
+  /// entries, starts at 0, never decreases and ends at targets.size(); each
+  /// slice targets[offsets[v], offsets[v+1]) is strictly ascending,
+  /// loop-free and in range, and the adjacency is symmetric (w in N(v) iff
+  /// v in N(w)); all checked in debug builds. The result equals the graph
+  /// built by adding the same edges one addEdge at a time, version()
+  /// included.
+  [[nodiscard]] static Graph fromCsr(std::vector<std::size_t> offsets,
+                                     std::vector<Vertex> targets);
+
+  /// fromCsr over an edge list: every edge once, in any order and either
+  /// orientation, loop-free and in range (debug-checked). O(n + m) plus a
+  /// sort of each neighbor slice.
+  [[nodiscard]] static Graph fromEdges(std::size_t n,
+                                       std::span<const Edge> edges);
 
   /// Number of vertices.
-  [[nodiscard]] std::size_t order() const noexcept { return adj_.size(); }
+  [[nodiscard]] std::size_t order() const noexcept {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
 
   /// Number of edges.
-  [[nodiscard]] std::size_t size() const noexcept { return edgeCount_; }
-
-  [[nodiscard]] bool contains(Vertex v) const noexcept {
-    return v < adj_.size();
+  [[nodiscard]] std::size_t size() const noexcept {
+    return targets_.size() / 2;
   }
+
+  [[nodiscard]] bool contains(Vertex v) const noexcept { return v < order(); }
 
   /// Adds edge {u, v}. Returns false (and changes nothing) if the edge
   /// already exists or u == v. Both endpoints must be valid vertices.
+  /// O(n + m): for tests and small perturbations, not for building.
   bool addEdge(Vertex u, Vertex v);
 
-  /// Removes edge {u, v}. Returns false if it was not present.
+  /// Removes edge {u, v}. Returns false if it was not present. O(n + m).
   bool removeEdge(Vertex u, Vertex v);
 
   /// True if {u, v} is an edge. Safe for any vertex arguments.
   [[nodiscard]] bool hasEdge(Vertex u, Vertex v) const noexcept;
 
-  /// Neighbors of v in increasing vertex order.
+  /// Neighbors of v in increasing vertex order. Valid until the next edit.
   [[nodiscard]] std::span<const Vertex> neighbors(Vertex v) const noexcept {
-    return adj_[v];
+    return {targets_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
   [[nodiscard]] std::size_t degree(Vertex v) const noexcept {
-    return adj_[v].size();
+    return offsets_[v + 1] - offsets_[v];
   }
 
-  [[nodiscard]] std::size_t maxDegree() const noexcept;
+  /// O(1): recorded when the graph is built or edited.
+  [[nodiscard]] std::size_t maxDegree() const noexcept { return maxDegree_; }
   [[nodiscard]] std::size_t minDegree() const noexcept;
 
   /// All edges, each once, with u < v, in lexicographic order.
@@ -95,20 +110,33 @@ class Graph {
   /// otherwise. Returns true if the edge is present afterwards.
   bool toggleEdge(Vertex u, Vertex v);
 
+  /// Replaces the edge set with `built`'s (same order), in place, as
+  /// clearEdges() followed by one addEdge per edge of `built` would:
+  /// version() advances by that many steps. This is how a graph that a
+  /// runner or kernel holds gets rebuilt in bulk; assigning a fresh Graph
+  /// over it would move version() backwards under their caches.
+  void rebuildFrom(Graph&& built);
+
   /// Monotone mutation counter: bumped by every successful edge insertion or
-  /// removal. Lets adjacency caches (engine::CsrTopology) revalidate with a
-  /// single integer compare instead of a deep scan.
+  /// removal. Caches derived from the adjacency (a kernel's verified
+  /// pointers, an executor's schedule) revalidate with one integer compare.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
   /// Equality is structural (same adjacency), independent of the mutation
   /// history that produced it.
   friend bool operator==(const Graph& a, const Graph& b) {
-    return a.adj_ == b.adj_;
+    return a.order() == b.order() && a.targets_ == b.targets_ &&
+           (a.order() == 0 || a.offsets_ == b.offsets_);
   }
 
  private:
-  std::vector<std::vector<Vertex>> adj_;
-  std::size_t edgeCount_ = 0;
+  // Index in targets_ where y sits, or would sit, in x's slice.
+  [[nodiscard]] std::size_t slot(Vertex x, Vertex y) const noexcept;
+  void recomputeMaxDegree() noexcept;
+
+  std::vector<std::size_t> offsets_;  // n+1 entries; empty only when n == 0
+  std::vector<Vertex> targets_;
+  std::size_t maxDegree_ = 0;
   std::uint64_t version_ = 0;
 };
 

@@ -1,9 +1,11 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace selfstab::graph {
 
@@ -21,13 +23,41 @@ void checkVertexCount(std::uint64_t n) {
   }
 }
 
-void addCheckedEdge(Graph& g, std::uint64_t u, std::uint64_t v) {
-  if (u >= g.order() || v >= g.order()) fail("edge endpoint out of range");
-  if (u == v) fail("self-loop not allowed");
-  if (!g.addEdge(static_cast<Vertex>(u), static_cast<Vertex>(v))) {
-    fail("duplicate edge");
+// Gathers a reader's edges, each checked as it is read, and builds the
+// graph in one bulk pass. Duplicates show only once the edges are sorted, so
+// every failure first reports a duplicate among the edges read before it:
+// the error an edge-by-edge reader would have stopped at.
+class EdgeCollector {
+ public:
+  explicit EdgeCollector(std::uint64_t n = 0) : n_(n) {}
+
+  void add(std::uint64_t u, std::uint64_t v) {
+    if (u >= n_ || v >= n_) fail("edge endpoint out of range");
+    if (u == v) fail("self-loop not allowed");
+    edges_.push_back(makeEdge(static_cast<Vertex>(u), static_cast<Vertex>(v)));
   }
-}
+
+  [[noreturn]] void fail(const std::string& message) {
+    rejectDuplicates();
+    throw ParseError(message);
+  }
+
+  Graph build() {
+    rejectDuplicates();
+    return Graph::fromEdges(n_, edges_);
+  }
+
+  void rejectDuplicates() {
+    std::sort(edges_.begin(), edges_.end());
+    if (std::adjacent_find(edges_.begin(), edges_.end()) != edges_.end()) {
+      throw ParseError("duplicate edge");
+    }
+  }
+
+ private:
+  std::uint64_t n_;
+  std::vector<Edge> edges_;
+};
 
 }  // namespace
 
@@ -42,14 +72,14 @@ Graph readEdgeList(std::istream& in, const HeaderCheck& checkHeader) {
   if (!(in >> n >> m)) fail("missing edge-list header");
   checkVertexCount(n);
   if (checkHeader) checkHeader(n, m);
-  Graph g(n);
+  EdgeCollector edges(n);
   for (std::uint64_t i = 0; i < m; ++i) {
     std::uint64_t u = 0;
     std::uint64_t v = 0;
-    if (!(in >> u >> v)) fail("truncated edge list");
-    addCheckedEdge(g, u, v);
+    if (!(in >> u >> v)) edges.fail("truncated edge list");
+    edges.add(u, v);
   }
-  return g;
+  return edges.build();
 }
 
 void writeDimacs(std::ostream& out, const Graph& g) {
@@ -60,7 +90,7 @@ void writeDimacs(std::ostream& out, const Graph& g) {
 }
 
 Graph readDimacs(std::istream& in) {
-  Graph g;
+  EdgeCollector edges;
   bool sawHeader = false;
   std::uint64_t expectedEdges = 0;
   std::string line;
@@ -73,22 +103,26 @@ Graph readDimacs(std::istream& in) {
       std::string format;
       std::uint64_t n = 0;
       if (!(ls >> format >> n >> expectedEdges) || format != "edge") {
-        fail("bad DIMACS problem line");
+        edges.fail("bad DIMACS problem line");
       }
+      edges.rejectDuplicates();  // a later problem line starts over
       checkVertexCount(n);
-      g = Graph(n);
+      edges = EdgeCollector(n);
       sawHeader = true;
     } else if (kind == 'e') {
-      if (!sawHeader) fail("DIMACS edge before problem line");
+      if (!sawHeader) edges.fail("DIMACS edge before problem line");
       std::uint64_t u = 0;
       std::uint64_t v = 0;
-      if (!(ls >> u >> v) || u == 0 || v == 0) fail("bad DIMACS edge line");
-      addCheckedEdge(g, u - 1, v - 1);
+      if (!(ls >> u >> v) || u == 0 || v == 0) {
+        edges.fail("bad DIMACS edge line");
+      }
+      edges.add(u - 1, v - 1);
     } else {
-      fail("unknown DIMACS line kind");
+      edges.fail("unknown DIMACS line kind");
     }
   }
   if (!sawHeader) fail("missing DIMACS problem line");
+  const Graph g = edges.build();
   if (g.size() != expectedEdges) fail("DIMACS edge count mismatch");
   return g;
 }

@@ -12,6 +12,7 @@
 #include "engine/sync_runner.hpp"
 #include "engine/view_builder.hpp"
 #include "graph/generators.hpp"
+#include "../support/small_graphs.hpp"
 
 namespace selfstab::core {
 namespace {
@@ -131,10 +132,11 @@ TEST(SisConvergence, FromRandomConfigurations) {
   }
 }
 
-class SisExhaustive : public ::testing::TestWithParam<Graph> {};
+class SisExhaustive : public ::testing::TestWithParam<testing::SmallGraph> {};
 
 TEST_P(SisExhaustive, EveryConfigurationStabilizesToMis) {
-  const Graph& g = GetParam();
+  SCOPED_TRACE(GetParam().family);
+  const Graph g = GetParam().build();
   const auto ids = IdAssignment::identity(g.order());
   const SisProtocol sis;
   std::vector<std::vector<BitState>> candidates(
@@ -155,15 +157,16 @@ TEST_P(SisExhaustive, EveryConfigurationStabilizesToMis) {
 
 INSTANTIATE_TEST_SUITE_P(
     SmallGraphs, SisExhaustive,
-    ::testing::Values(graph::path(6), graph::cycle(6), graph::cycle(7),
-                      graph::complete(5), graph::star(6),
-                      graph::completeBipartite(3, 3), graph::grid(2, 4),
-                      graph::binaryTree(7)),
-    [](const ::testing::TestParamInfo<Graph>& paramInfo) {
-      return "g" + std::to_string(paramInfo.index) + "_n" +
-             std::to_string(paramInfo.param.order()) + "_m" +
-             std::to_string(paramInfo.param.size());
-    });
+    ::testing::Values(
+        testing::SmallGraph::of("path", graph::path(6)),
+        testing::SmallGraph::of("cycle", graph::cycle(6)),
+        testing::SmallGraph::of("cycle", graph::cycle(7)),
+        testing::SmallGraph::of("complete", graph::complete(5)),
+        testing::SmallGraph::of("star", graph::star(6)),
+        testing::SmallGraph::of("bipartite", graph::completeBipartite(3, 3)),
+        testing::SmallGraph::of("grid", graph::grid(2, 4)),
+        testing::SmallGraph::of("tree", graph::binaryTree(7))),
+    testing::smallGraphName);
 
 TEST(SisProperties, LargestNodeAlwaysEndsInSet) {
   graph::Rng rng(37);

@@ -1,7 +1,7 @@
 // Regression tests for SmmKernel's verified-pointer cache.
 //
 // The kernel skips the membership search for p(i) when p(i) equals the
-// value it last verified (or chose) under the current topology generation.
+// value it last verified (or chose) at the current Graph::version().
 // Each test below first lets pointers get verified, then invalidates that
 // knowledge the three ways a run can: a topology change removing the
 // pointer's edge, an external state edit that aims pointers at
@@ -93,7 +93,7 @@ Graph makeGraph(std::uint64_t seed) {
 }
 
 // A matched pair's pointers were verified when they were chosen. Removing
-// the pair's edge bumps the topology generation: both must see a dangling
+// the pair's edge bumps Graph::version(): both must see a dangling
 // pointer and back off, even though each still points at a partner that
 // points back.
 TEST(SmmPointerCache, RemovingAVerifiedEdgeDropsThePointer) {

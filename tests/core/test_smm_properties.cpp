@@ -15,6 +15,7 @@
 #include "engine/fault.hpp"
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
+#include "../support/small_graphs.hpp"
 
 namespace selfstab::core {
 namespace {
@@ -124,10 +125,11 @@ TEST(SmmLemmas, TransitionDiagramHoldsOnRandomRuns) {
 }
 
 // Exhaustive Theorem 1 check: every configuration of every small instance.
-class SmmExhaustive : public ::testing::TestWithParam<Graph> {};
+class SmmExhaustive : public ::testing::TestWithParam<testing::SmallGraph> {};
 
 TEST_P(SmmExhaustive, EveryConfigurationStabilizesWithinBound) {
-  const Graph& g = GetParam();
+  SCOPED_TRACE(GetParam().family);
+  const Graph g = GetParam().build();
   const auto ids = IdAssignment::identity(g.order());
   const SmmProtocol smm = smmPaper();
 
@@ -160,14 +162,16 @@ TEST_P(SmmExhaustive, EveryConfigurationStabilizesWithinBound) {
 
 INSTANTIATE_TEST_SUITE_P(
     SmallGraphs, SmmExhaustive,
-    ::testing::Values(graph::path(4), graph::path(5), graph::cycle(4),
-                      graph::cycle(5), graph::cycle(6), graph::complete(4),
-                      graph::star(5), graph::completeBipartite(2, 3)),
-    [](const ::testing::TestParamInfo<Graph>& paramInfo) {
-      return "g" + std::to_string(paramInfo.index) + "_n" +
-             std::to_string(paramInfo.param.order()) + "_m" +
-             std::to_string(paramInfo.param.size());
-    });
+    ::testing::Values(
+        testing::SmallGraph::of("path", graph::path(4)),
+        testing::SmallGraph::of("path", graph::path(5)),
+        testing::SmallGraph::of("cycle", graph::cycle(4)),
+        testing::SmallGraph::of("cycle", graph::cycle(5)),
+        testing::SmallGraph::of("cycle", graph::cycle(6)),
+        testing::SmallGraph::of("complete", graph::complete(4)),
+        testing::SmallGraph::of("star", graph::star(5)),
+        testing::SmallGraph::of("bipartite", graph::completeBipartite(2, 3))),
+    testing::smallGraphName);
 
 TEST(SmmProperties, StabilizationRoundsCanReachOrderOfN) {
   // The n+1 bound is asymptotically tight: on a path with identity IDs and

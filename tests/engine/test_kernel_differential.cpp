@@ -165,10 +165,10 @@ void checkKernel(const engine::Protocol<State>& protocol, Sampler sampler,
 }
 
 // Full chaos campaign (crash/partition/corruption template plan) run twice,
-// generic at threads = 1 vs flat at `threads`; the campaign mutates its own
-// copy of the topology, so this also covers kernel topology-mirror
-// invalidation under edge masking (and, on the pool, the degree-weighted
-// repartitioning plus the pooled fixpoint sweep).
+// generic at threads = 1 vs flat at `threads`; the campaign rebuilds its own
+// copy of the topology in place, so this also covers the kernels'
+// version-keyed caches under edge masking (and, on the pool, the
+// degree-weighted repartitioning plus the pooled fixpoint sweep).
 template <typename State, typename Sampler>
 void checkChaosCampaign(const engine::Protocol<State>& protocol,
                         Sampler sampler, const char* planTemplate,
@@ -281,11 +281,11 @@ TEST(KernelDifferential, WrappedProtocolsHaveNoKernel) {
   EXPECT_NE(core::makeViewKernel<BitState>(sis), nullptr);
 }
 
-// Topology churn through the runner's shared graph reference. The runner
-// reads the kernel's own CSR, so isFixpoint/enabledVertices right after an
-// edit rebuild it before the kernel's next sync() does: caches derived from
-// the CSR (SisKernel's bigger-neighbor slices) must key on its rebuild
-// generation, not on whether their own refresh() saw the rebuild.
+// Topology churn through the runner's shared graph reference, with
+// isFixpoint/enabledVertices read right after each edit, before the
+// kernel's next sync(): caches derived from the topology (SisKernel's
+// bigger-neighbor slices, SmmKernel's verified pointers) must notice the
+// edit through Graph::version() at that sync().
 template <typename State, typename Sampler>
 void checkTopologyChurn(const engine::Protocol<State>& protocol,
                         Sampler sampler, Schedule schedule,

@@ -145,8 +145,41 @@ TEST(RunFromClean, ReturnsFinalStates) {
   for (const ValueState& s : finalStates) EXPECT_EQ(s.value, 5u);
 }
 
-// The installed kernel's CSR is the topology the runner reads, so a kernel
-// over a different Graph or IdAssignment object — even an equal copy — is
+// evaluations_per_second is the whole run's rate, not the last round's:
+// every evaluation counted in active_nodes_total over the evaluate phases'
+// total time, the evaluate-duration histogram's sum.
+TEST(SyncRunnerTelemetry, EvaluationRateIsTheWholeRunRate) {
+  const core::SmmProtocol smm = core::smmPaper();
+  for (const Schedule schedule : {Schedule::Dense, Schedule::Active}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      graph::Rng rng(77);
+      const Graph g = graph::connectedRandomGeometric(400, 0.1, rng);
+      const auto ids = IdAssignment::randomPermutation(g.order(), rng);
+      telemetry::Registry registry;
+      SyncRunner<core::PointerState> runner(smm, g, ids, 3, schedule,
+                                            threads);
+      runner.attachTelemetry(&registry);
+      runner.setKernel(core::makeFlatKernel<core::PointerState>(smm, g, ids));
+      auto states = randomConfiguration<core::PointerState>(
+          g, rng, core::wildPointerState);
+      ASSERT_TRUE(runner.run(states, 4 * g.order()).stabilized);
+      const telemetry::Histogram* evaluate =
+          registry.findHistogram(telemetry::names::kEvaluateDuration);
+      ASSERT_NE(evaluate, nullptr);
+      ASSERT_GT(evaluate->count(), 1U);
+      const auto evaluated = static_cast<double>(
+          registry.counterValue(telemetry::names::kActiveNodes));
+      const double rate =
+          registry.gaugeValue(telemetry::names::kEvaluationsPerSecond);
+      EXPECT_GT(rate, 0.0);
+      EXPECT_EQ(rate, evaluated / evaluate->sum())
+          << "threads " << threads << " schedule " << toString(schedule);
+    }
+  }
+}
+
+// The runner and its kernel must read the same topology, so a kernel over
+// a different Graph or IdAssignment object — even an equal copy — is
 // refused, and the runner keeps the kernel it had.
 TEST(SetKernel, RejectsKernelOverAnotherTopology) {
   const core::SisProtocol sis;
@@ -177,11 +210,11 @@ TEST(SetKernel, RejectsKernelOverAnotherTopology) {
       analysis::isMaximalIndependentSet(g, analysis::membersOf(states)));
 }
 
-// Swapping kernels every round frees the CSR the runner was reading: the
+// Swapping kernels every round frees the old kernel and its caches: the
 // trajectory must match a runner that never swaps, with isFixpoint and
 // enabledVertices read between swap and step, a topology edit mid-run, and
-// the pooled chunking on. Run under ASan, any span kept across a swap
-// would be a use-after-free.
+// the pooled chunking on. Run under ASan, any span kept across a swap or
+// an edit would be a use-after-free.
 template <typename State, typename Sampler>
 void checkKernelSwaps(const Protocol<State>& protocol, Sampler sampler,
                       Schedule schedule, std::size_t threads,
@@ -286,8 +319,8 @@ void checkQuietRounds(const Protocol<State>& protocol, Sampler sampler,
   EXPECT_EQ(runner.step(states), expected);
   settle();
 
-  // Topology churn, then isFixpoint (which refreshes the CSR), then step:
-  // this sync() rebuilds nothing, but the generation moved.
+  // Topology churn, then isFixpoint, then step: the states are those of
+  // the last quiet round, but Graph::version() moved, so it runs.
   (void)runner.step(states);
   do {
     perturbTopology(g, rng, 3, /*keepConnected=*/false);

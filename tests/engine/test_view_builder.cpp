@@ -2,12 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "../support/test_protocols.hpp"
-#include "engine/topology.hpp"
 #include "graph/generators.hpp"
 
 namespace selfstab::engine {
@@ -144,108 +141,48 @@ TEST(ViewBuilder, FindBinarySearchEdgeCases) {
   EXPECT_EQ(view.find(graph::kNoVertex), nullptr);
 }
 
-// The CSR mirror must equal Graph::neighbors (buildView's IDs equal idOf),
-// revalidate across arbitrary mutation sequences (Graph::version bumps),
-// bump its generation exactly when it rebuilds, and give buildView the
-// same views ViewBuilder reads off the Graph.
-TEST(CsrTopology, MirrorsGraphAcrossMutations) {
+// buildView reads the Graph and IdAssignment directly, so across arbitrary
+// edits every view carries exactly the current neighbor slice with each
+// neighbor's ID and state slot, and ViewBuilder (which calls it) agrees.
+TEST(BuildView, ReadsGraphAndIdsAcrossEdits) {
   graph::Rng rng(813);
   Graph g = graph::connectedErdosRenyi(20, 0.15, rng);
   graph::Rng idRng(814);
   const auto ids = IdAssignment::randomSparse(g.order(), idRng);
-  CsrTopology topo(g, ids);
   ViewBuilder<ValueState> builder(g, ids);
   const std::vector<ValueState> states(g.order());
   std::vector<NeighborRef<ValueState>> buffer;
-  EXPECT_EQ(topo.generation(), 0u);  // nothing built before a refresh
 
   const auto check = [&] {
-    topo.refresh();
     for (graph::Vertex v = 0; v < g.order(); ++v) {
-      const auto mirrored = topo.neighbors(v);
       const auto truth = g.neighbors(v);
-      ASSERT_EQ(mirrored.size(), truth.size()) << "v=" << v;
-      ASSERT_EQ(topo.degree(v), truth.size()) << "v=" << v;
-      EXPECT_EQ(topo.idOf(v), ids.idOf(v)) << "v=" << v;
+      const auto view = buildView(g, ids, v, states, 5, buffer);
+      EXPECT_EQ(view.self, v);
+      EXPECT_EQ(view.selfId, ids.idOf(v));
+      EXPECT_EQ(view.selfState, &states[v]);
+      EXPECT_EQ(view.roundKey, 5U);
+      ASSERT_EQ(view.neighbors.size(), truth.size()) << "v=" << v;
+      const auto built = builder.build(v, states, 5);
+      ASSERT_EQ(built.neighbors.size(), truth.size()) << "v=" << v;
       for (std::size_t i = 0; i < truth.size(); ++i) {
-        EXPECT_EQ(mirrored[i], truth[i]) << "v=" << v << " slot " << i;
-      }
-      const auto fromCsr = buildView(topo, v, states, 5, buffer);
-      const auto fromGraph = builder.build(v, states, 5);
-      EXPECT_EQ(fromCsr.selfId, fromGraph.selfId);
-      ASSERT_EQ(fromCsr.neighbors.size(), fromGraph.neighbors.size());
-      for (std::size_t i = 0; i < truth.size(); ++i) {
-        EXPECT_EQ(fromCsr.neighbors[i].vertex, fromGraph.neighbors[i].vertex);
-        EXPECT_EQ(fromCsr.neighbors[i].id, ids.idOf(truth[i]))
-            << "v=" << v << " slot " << i;
-        EXPECT_EQ(fromCsr.neighbors[i].id, fromGraph.neighbors[i].id);
-        EXPECT_EQ(fromCsr.neighbors[i].state, fromGraph.neighbors[i].state);
+        EXPECT_EQ(view.neighbors[i].vertex, truth[i]) << "v=" << v;
+        EXPECT_EQ(view.neighbors[i].id, ids.idOf(truth[i])) << "v=" << v;
+        EXPECT_EQ(view.neighbors[i].state, &states[truth[i]]) << "v=" << v;
+        EXPECT_EQ(built.neighbors[i].vertex, truth[i]) << "v=" << v;
+        EXPECT_EQ(built.neighbors[i].id, ids.idOf(truth[i])) << "v=" << v;
       }
     }
   };
 
   check();
-  EXPECT_EQ(topo.generation(), 1u);
-  topo.refresh();  // no mutation: no rebuild
-  EXPECT_EQ(topo.generation(), 1u);
   for (int round = 0; round < 30; ++round) {
     const auto u = static_cast<graph::Vertex>(rng.below(g.order()));
     const auto w = static_cast<graph::Vertex>(rng.below(g.order()));
-    const std::uint64_t before = topo.generation();
     if (u != w) g.toggleEdge(u, w);
     check();
-    EXPECT_EQ(topo.generation(), before + (u != w ? 1 : 0));
   }
   g.clearEdges();
   check();
-  EXPECT_TRUE(topo.mirrors(g, ids));
-  const Graph copy = g;
-  EXPECT_FALSE(topo.mirrors(copy, ids));
-}
-
-// A bulk-built Graph must drive the CSR exactly like the addEdge-built one:
-// the same mirror on the first refresh, no rebuild without a mutation, and
-// a rebuild after each successful edit (version() bumps) but not after a
-// no-op one.
-TEST(CsrTopology, RefreshesABulkBuiltGraphLikeAnAddEdgeBuiltOne) {
-  graph::Rng rng(815);
-  Graph built = graph::connectedErdosRenyi(30, 0.2, rng);
-  std::vector<std::vector<graph::Vertex>> adj(built.order());
-  for (graph::Vertex v = 0; v < built.order(); ++v) {
-    adj[v].assign(built.neighbors(v).begin(), built.neighbors(v).end());
-  }
-  Graph bulk = Graph::fromSortedAdjacency(std::move(adj));
-  const auto ids = IdAssignment::identity(built.order());
-  CsrTopology fromBuilt(built, ids);
-  CsrTopology fromBulk(bulk, ids);
-
-  const auto check = [&] {
-    fromBuilt.refresh();
-    fromBulk.refresh();
-    ASSERT_EQ(fromBulk.generation(), fromBuilt.generation());
-    for (graph::Vertex v = 0; v < built.order(); ++v) {
-      const auto a = fromBuilt.neighbors(v);
-      const auto b = fromBulk.neighbors(v);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-          << "v=" << v;
-    }
-  };
-  check();
-  EXPECT_EQ(fromBulk.generation(), 1U);
-  check();
-  EXPECT_EQ(fromBulk.generation(), 1U);
-  for (int k = 0; k < 40; ++k) {
-    const auto u = static_cast<graph::Vertex>(rng.below(built.order()));
-    const auto w = static_cast<graph::Vertex>(rng.below(built.order()));
-    ASSERT_EQ(bulk.toggleEdge(u, w), built.toggleEdge(u, w));
-    check();
-  }
-  const graph::Edge e = bulk.edges().front();
-  ASSERT_FALSE(bulk.addEdge(e.u, e.v));  // already present: no version bump
-  ASSERT_FALSE(built.addEdge(e.u, e.v));
-  const std::uint64_t before = fromBulk.generation();
-  check();
-  EXPECT_EQ(fromBulk.generation(), before);
 }
 
 }  // namespace

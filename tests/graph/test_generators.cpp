@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/algorithms.hpp"
+#include "graph/io.hpp"
 
 namespace selfstab::graph {
 namespace {
@@ -216,6 +222,102 @@ TEST(Generators, ConnectedRandomGeometricFallbackStillConnected) {
   // the spanning-tree fallback.
   const Graph g = connectedRandomGeometric(20, 0.01, rng, nullptr, 2);
   EXPECT_TRUE(isConnected(g));
+}
+
+// Hash of a graph's edge set, order and version(): equal fingerprints mean
+// the same edges, reached through the same number of successful edits.
+std::uint64_t fingerprint(const Graph& g) {
+  std::uint64_t h = hashCombine(g.order(), g.version());
+  for (const Edge& e : g.edges()) {
+    h = hashCombine(h, (std::uint64_t{e.u} << 32) | e.v);
+  }
+  return h;
+}
+
+// A seeded generator's fingerprint, folded with the next draw of its Rng, so
+// a changed graph and a changed number of RNG draws both show.
+std::uint64_t seeded(std::uint64_t seed,
+                     const std::function<Graph(Rng&)>& generate) {
+  Rng rng(seed);
+  const Graph g = generate(rng);
+  return hashCombine(fingerprint(g), rng.next());
+}
+
+// An edge list of a random graph, edges shuffled and half of them written
+// high endpoint first.
+std::string shuffledEdgeList(std::uint64_t seed) {
+  Rng rng(seed);
+  const Graph g = connectedErdosRenyi(40, 0.1, rng);
+  std::vector<Edge> edges = g.edges();
+  rng.shuffle(edges);
+  std::ostringstream out;
+  out << g.order() << ' ' << edges.size() << '\n';
+  for (const Edge& e : edges) {
+    if (rng.chance(0.5)) {
+      out << e.v << ' ' << e.u << '\n';
+    } else {
+      out << e.u << ' ' << e.v << '\n';
+    }
+  }
+  return out.str();
+}
+
+// Every generator and reader at fixed seeds, pinned to the values the
+// per-edge addEdge builds produced: same edges, same version(), same RNG
+// draws (connectedErdosRenyi draws only for absent edges,
+// preferentialAttachment resamples duplicates, randomRegular rejects
+// multi-edges, connectedRandomGeometric splices a tree into its last sample).
+TEST(Generators, PinnedFingerprints) {
+  EXPECT_EQ(fingerprint(path(17)), 0x843a1efd684af722ULL);
+  EXPECT_EQ(fingerprint(cycle(13)), 0x044d26c05ab551bdULL);
+  EXPECT_EQ(fingerprint(complete(9)), 0x8df5751a4963a44cULL);
+  EXPECT_EQ(fingerprint(completeBipartite(4, 6)), 0x189a0298b2ca5994ULL);
+  EXPECT_EQ(fingerprint(star(11)), 0x3089517f25bf920bULL);
+  EXPECT_EQ(fingerprint(grid(5, 7)), 0xc9dc5b4aba198c31ULL);
+  EXPECT_EQ(fingerprint(hypercube(5)), 0xcbbc7ef679065220ULL);
+  EXPECT_EQ(fingerprint(binaryTree(23)), 0x7f5ef546b3e840efULL);
+  EXPECT_EQ(fingerprint(caterpillar(6, 3)), 0x0cafe2cb326e07d8ULL);
+  EXPECT_EQ(fingerprint(wheel(9)), 0x810a80696048429eULL);
+  EXPECT_EQ(fingerprint(petersen()), 0xd15191c5cbbcd7a5ULL);
+  EXPECT_EQ(fingerprint(barbell(5, 3)), 0xdfb321a26e5114e5ULL);
+  EXPECT_EQ(fingerprint(barbell(4, 0)), 0xa76562ae467984d8ULL);
+  EXPECT_EQ(fingerprint(lollipop(6, 4)), 0x2efb2b52307f6ac4ULL);
+  EXPECT_EQ(seeded(101, [](Rng& r) { return randomTree(50, r); }),
+            0x4c0111a74246fd3eULL);
+  EXPECT_EQ(seeded(102, [](Rng& r) { return erdosRenyi(60, 0.1, r); }),
+            0x3967c720b5fa7a31ULL);
+  EXPECT_EQ(
+      seeded(103, [](Rng& r) { return connectedErdosRenyi(60, 0.08, r); }),
+      0x4b57e8b71ab72f7bULL);
+  EXPECT_EQ(seeded(104, [](Rng& r) { return randomRegular(40, 4, r); }),
+            0x5ee873ec7af8f249ULL);
+  EXPECT_EQ(seeded(105, [](Rng& r) { return randomGeometric(300, 0.1, r); }),
+            0x28b839cd0c384c38ULL);
+  EXPECT_EQ(seeded(106,
+                   [](Rng& r) {
+                     return connectedRandomGeometric(300, 0.12, r);
+                   }),
+            0x27f6b92cd6e76324ULL);
+  // Two samples of a tiny radius, then the spanning-tree splice.
+  EXPECT_EQ(seeded(107,
+                   [](Rng& r) {
+                     return connectedRandomGeometric(60, 0.05, r, nullptr, 2);
+                   }),
+            0x54579ff574785e41ULL);
+  EXPECT_EQ(
+      seeded(108, [](Rng& r) { return preferentialAttachment(200, 3, r); }),
+      0x89a9a37230711ccfULL);
+  Rng pointRng(109);
+  EXPECT_EQ(fingerprint(detail::unitDiskGraph(randomPoints(2000, pointRng),
+                                              0.04, 4)),
+            0xf07ca08f9288c7a4ULL);
+  std::istringstream edgeList(shuffledEdgeList(110));
+  EXPECT_EQ(fingerprint(readEdgeList(edgeList)), 0xae0aedbd00ab459eULL);
+  Rng dimacsRng(111);
+  std::ostringstream dimacsText;
+  writeDimacs(dimacsText, erdosRenyi(30, 0.2, dimacsRng));
+  std::istringstream dimacs(dimacsText.str());
+  EXPECT_EQ(fingerprint(readDimacs(dimacs)), 0x5b675de72c0301f6ULL);
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "graph/generators.hpp"
 #include "graph/rng.hpp"
 
 namespace selfstab::graph {
@@ -123,9 +127,87 @@ TEST(Graph, EqualityComparesStructure) {
   EXPECT_EQ(a, b);
 }
 
-// The bulk factory must give the graph addEdge would have built from the
-// same edges, and that graph must behave identically under later edits.
-TEST(Graph, FromSortedAdjacencyEqualsAddEdgeBuild) {
+// The CSR a mix of edits leaves behind (ported from the executor's former
+// CSR mirror test): after every add, remove, toggle or clear it must equal
+// a std::set reference adjacency, with each vertex's slice ascending and
+// laid out right after its predecessor's, maxDegree() exact, and version()
+// advanced by exactly one on each successful edit and not at all on a
+// failed one.
+TEST(Graph, CsrMatchesSetReferenceAcrossEdits) {
+  Rng rng(813);
+  const std::size_t n = 24;
+  Graph g(n);
+  std::vector<std::set<Vertex>> ref(n);
+  std::uint64_t version = 0;
+
+  const auto check = [&] {
+    ASSERT_EQ(g.version(), version);
+    std::size_t slots = 0;
+    std::size_t maxDeg = 0;
+    std::size_t minDeg = n;
+    std::vector<Edge> edges;
+    for (Vertex v = 0; v < n; ++v) {
+      const auto nbrs = g.neighbors(v);
+      ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(), ref[v].begin(),
+                             ref[v].end()))
+          << "v=" << v;
+      ASSERT_EQ(g.degree(v), ref[v].size());
+      // One flat array: each slice starts where the previous one ended.
+      ASSERT_EQ(nbrs.data(), g.neighbors(0).data() + slots) << "v=" << v;
+      slots += nbrs.size();
+      maxDeg = std::max(maxDeg, ref[v].size());
+      minDeg = std::min(minDeg, ref[v].size());
+      for (const Vertex w : ref[v]) {
+        if (v < w) edges.push_back({v, w});
+      }
+    }
+    ASSERT_EQ(g.size() * 2, slots);
+    ASSERT_EQ(g.maxDegree(), maxDeg);
+    ASSERT_EQ(g.minDegree(), minDeg);
+    ASSERT_EQ(g.edges(), edges);
+  };
+
+  check();
+  for (int step = 0; step < 600; ++step) {
+    const auto u = static_cast<Vertex>(rng.below(n));
+    const auto w = static_cast<Vertex>(rng.below(n));
+    const std::uint64_t op = rng.below(20);
+    if (op == 0) {
+      if (g.size() > 0) ++version;
+      g.clearEdges();
+      for (auto& nbrs : ref) nbrs.clear();
+    } else if (op < 8) {
+      const bool added = u != w && ref[u].insert(w).second;
+      if (added) ref[w].insert(u);
+      ASSERT_EQ(g.addEdge(u, w), added);
+      version += added ? 1 : 0;
+    } else if (op < 14) {
+      const bool removed = u != w && ref[u].erase(w) == 1;
+      if (removed) ref[w].erase(u);
+      ASSERT_EQ(g.removeEdge(u, w), removed);
+      version += removed ? 1 : 0;
+    } else {
+      const bool present = ref[u].count(w) == 1;
+      if (u != w) {
+        if (present) {
+          ref[u].erase(w);
+          ref[w].erase(u);
+        } else {
+          ref[u].insert(w);
+          ref[w].insert(u);
+        }
+        ++version;
+      }
+      ASSERT_EQ(g.toggleEdge(u, w), u != w && !present);
+    }
+    check();
+  }
+}
+
+// The bulk factories must give the graph addEdge would have built from the
+// same edges, version() included, and that graph must behave identically
+// under later edits, successful or not.
+TEST(Graph, FromCsrEqualsAddEdgeBuild) {
   Rng rng(42);
   const std::size_t n = 40;
   Graph built(n);
@@ -133,17 +215,28 @@ TEST(Graph, FromSortedAdjacencyEqualsAddEdgeBuild) {
     built.addEdge(static_cast<Vertex>(rng.below(n)),
                   static_cast<Vertex>(rng.below(n)));
   }
-  std::vector<std::vector<Vertex>> adj(n);
+  std::vector<std::size_t> offsets{0};
+  std::vector<Vertex> targets;
   for (Vertex v = 0; v < n; ++v) {
-    adj[v].assign(built.neighbors(v).begin(), built.neighbors(v).end());
+    targets.insert(targets.end(), built.neighbors(v).begin(),
+                   built.neighbors(v).end());
+    offsets.push_back(targets.size());
   }
-  Graph bulk = Graph::fromSortedAdjacency(std::move(adj));
+  Graph bulk = Graph::fromCsr(std::move(offsets), std::move(targets));
+  std::vector<Edge> shuffled = built.edges();
+  rng.shuffle(shuffled);
+  for (Edge& e : shuffled) {
+    if (rng.chance(0.5)) std::swap(e.u, e.v);
+  }
+  EXPECT_EQ(Graph::fromEdges(n, shuffled), built);
+  EXPECT_EQ(Graph::fromEdges(n, shuffled).version(), built.version());
 
   const auto same = [&] {
     ASSERT_TRUE(bulk == built);
     ASSERT_EQ(bulk.order(), built.order());
     ASSERT_EQ(bulk.size(), built.size());
     ASSERT_EQ(bulk.version(), built.version());
+    ASSERT_EQ(bulk.maxDegree(), built.maxDegree());
     ASSERT_EQ(bulk.edges(), built.edges());
     for (Vertex u = 0; u < n; ++u) {
       ASSERT_EQ(bulk.degree(u), built.degree(u));
@@ -156,34 +249,118 @@ TEST(Graph, FromSortedAdjacencyEqualsAddEdgeBuild) {
   for (int k = 0; k < 200; ++k) {
     const auto u = static_cast<Vertex>(rng.below(n));
     const auto v = static_cast<Vertex>(rng.below(n));
-    if (rng.chance(0.5)) {
-      ASSERT_EQ(bulk.addEdge(u, v), built.addEdge(u, v));
-    } else {
-      ASSERT_EQ(bulk.removeEdge(u, v), built.removeEdge(u, v));
+    switch (rng.below(3)) {
+      case 0:
+        ASSERT_EQ(bulk.addEdge(u, v), built.addEdge(u, v));
+        break;
+      case 1:
+        ASSERT_EQ(bulk.removeEdge(u, v), built.removeEdge(u, v));
+        break;
+      default:
+        ASSERT_EQ(bulk.toggleEdge(u, v), built.toggleEdge(u, v));
+        break;
     }
     same();
   }
+  const Edge e = bulk.edges().front();
+  ASSERT_FALSE(bulk.addEdge(e.u, e.v));  // already present: no version bump
+  ASSERT_FALSE(built.addEdge(e.u, e.v));
+  same();
   bulk.clearEdges();
   built.clearEdges();
   same();
 }
 
-TEST(Graph, FromSortedAdjacencyOfEmptyListsIsEdgeless) {
-  const Graph g = Graph::fromSortedAdjacency(std::vector<std::vector<Vertex>>(5));
+// version() is what a kernel's or executor's cache revalidates against: a
+// bulk-built graph must start where the addEdge-built one stands, stay put
+// with no edit or a no-op one, and move in step on every successful edit.
+TEST(Graph, BulkBuiltGraphVersionsEditsLikeAnAddEdgeBuiltOne) {
+  Rng rng(815);
+  Graph built = graph::connectedErdosRenyi(30, 0.2, rng);
+  Graph bulk = Graph::fromEdges(built.order(), built.edges());
+
+  const auto check = [&] {
+    ASSERT_EQ(bulk.version(), built.version());
+    for (Vertex v = 0; v < built.order(); ++v) {
+      const auto a = built.neighbors(v);
+      const auto b = bulk.neighbors(v);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "v=" << v;
+    }
+  };
+  check();
+  const std::uint64_t start = bulk.version();
+  EXPECT_EQ(start, built.size());
+  check();
+  EXPECT_EQ(bulk.version(), start);
+  for (int k = 0; k < 40; ++k) {
+    const auto u = static_cast<Vertex>(rng.below(built.order()));
+    const auto w = static_cast<Vertex>(rng.below(built.order()));
+    const std::uint64_t before = bulk.version();
+    ASSERT_EQ(bulk.toggleEdge(u, w), built.toggleEdge(u, w));
+    check();
+    EXPECT_EQ(bulk.version(), before + (u != w ? 1U : 0U));
+  }
+  const Edge e = bulk.edges().front();
+  const std::uint64_t before = bulk.version();
+  ASSERT_FALSE(bulk.addEdge(e.u, e.v));  // already present: no version bump
+  ASSERT_FALSE(built.addEdge(e.u, e.v));
+  check();
+  EXPECT_EQ(bulk.version(), before);
+}
+
+TEST(Graph, FromCsrOfEmptySlicesIsEdgeless) {
+  const Graph g = Graph::fromCsr(std::vector<std::size_t>(6, 0), {});
   EXPECT_TRUE(g == Graph(5));
   EXPECT_EQ(g.size(), 0U);
+  EXPECT_EQ(g.maxDegree(), 0U);
   EXPECT_EQ(g.version(), 0U);
-  EXPECT_EQ(Graph::fromSortedAdjacency({}).order(), 0U);
+  EXPECT_EQ(Graph::fromCsr({0}, {}).order(), 0U);
+  EXPECT_TRUE(Graph::fromEdges(0, {}) == Graph());
+  EXPECT_TRUE(Graph::fromEdges(3, {}) == Graph(3));
+}
+
+// rebuildFrom replaces the edges in place and moves version() on as
+// clearEdges() plus one addEdge per new edge would, so a cache keyed on
+// the rebuilt object's version() can never see an old value again.
+TEST(Graph, RebuildFromAdvancesVersionLikeClearAndAdd) {
+  Graph g(6);
+  g.addEdge(0, 1);
+  g.addEdge(1, 2);
+  Graph twin = g;
+  const std::vector<Edge> next{{0, 5}, {2, 3}, {3, 4}};
+  g.rebuildFrom(Graph::fromEdges(6, next));
+  twin.clearEdges();
+  for (const Edge& e : next) twin.addEdge(e.u, e.v);
+  EXPECT_EQ(g, twin);
+  EXPECT_EQ(g.version(), twin.version());
+  EXPECT_EQ(g.version(), 2U + 1U + 3U);
+  EXPECT_EQ(g.maxDegree(), 2U);
+
+  const std::uint64_t before = g.version();
+  g.rebuildFrom(Graph(6));
+  EXPECT_EQ(g, Graph(6));
+  EXPECT_EQ(g.version(), before + 1);  // the clear
+  g.rebuildFrom(Graph(6));
+  EXPECT_EQ(g.version(), before + 1);  // nothing changed
 }
 
 #ifndef NDEBUG
-TEST(GraphDeathTest, FromSortedAdjacencyChecksItsInput) {
-  using Lists = std::vector<std::vector<Vertex>>;
-  EXPECT_DEATH(Graph::fromSortedAdjacency(Lists{{1}, {}}), "symmetric");
-  EXPECT_DEATH(Graph::fromSortedAdjacency(Lists{{2, 1}, {0}, {0}}),
+TEST(GraphDeathTest, FromCsrChecksItsInput) {
+  using Offsets = std::vector<std::size_t>;
+  using Targets = std::vector<Vertex>;
+  EXPECT_DEATH(Graph::fromCsr(Offsets{0, 1, 1}, Targets{1}), "symmetric");
+  EXPECT_DEATH(Graph::fromCsr(Offsets{0, 2, 3, 4}, Targets{2, 1, 0, 0}),
                "ascending");
-  EXPECT_DEATH(Graph::fromSortedAdjacency(Lists{{0}}), "loop");
-  EXPECT_DEATH(Graph::fromSortedAdjacency(Lists{{3}, {}}), "range");
+  EXPECT_DEATH(Graph::fromCsr(Offsets{0, 2, 2}, Targets{1, 1}), "ascending");
+  EXPECT_DEATH(Graph::fromCsr(Offsets{0, 1}, Targets{0}), "loop");
+  EXPECT_DEATH(Graph::fromCsr(Offsets{0, 1, 1}, Targets{3}), "range");
+  EXPECT_DEATH(Graph::fromCsr(Offsets{0, 2}, Targets{1}), "offsets");
+  EXPECT_DEATH(Graph::fromCsr(Offsets{}, Targets{}), "offsets");
+  EXPECT_DEATH(Graph::fromEdges(2, std::vector<Edge>{{0, 2}}), "range");
+  EXPECT_DEATH(Graph::fromEdges(3, std::vector<Edge>{{0, 1}, {1, 0}}),
+               "ascending");
+  EXPECT_DEATH(Graph::fromEdges(3, std::vector<Edge>{{1, 1}}), "loop");
 }
 #endif
 
