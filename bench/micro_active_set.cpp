@@ -1,25 +1,42 @@
-// Active-set scheduling microbench plus its acceptance gate.
+// Work-set executor microbench plus its acceptance gate.
 //
-// The scenario the schedule exists for: a large, near-converged network
-// absorbs a small fault burst. Dense rounds still evaluate every node;
-// active rounds evaluate only the dirty frontier around the burst. The
-// gate in main() runs exactly that scenario on a ~100k-node unit-disk
-// graph and exits non-zero unless the active schedule (a) performs at
-// most one third of the dense schedule's rule evaluations and (b) is
-// faster in wall-clock time — both measured before any benchmark timing.
+// SyncRunner evaluates only the closed neighborhoods of the last round's
+// movers (and of announced edits), as a list while the set is small and as
+// a full sweep once it is large. Two measurements live here:
+//
+//  * The gate, run before any timing: a ~100k-node unit-disk graph,
+//    converged, absorbs a 0.5% fault burst. The adaptive executor (the
+//    default Dense schedule) must perform at most one third of the rule
+//    evaluations of the textbook sweep (the Sweep oracle, which evaluates
+//    every node every round) and finish the recovery faster.
+//  * The switch sweep: for each kernel, the cost of evaluating a work set
+//    of k random vertices as a list (bitset scan included) against one sweep
+//    over all n, for a range of k/n. The executor's switch point,
+//    SyncRunner::kSweepShare, is read off this table
+//    (docs/PERFORMANCE.md, "Round executor"), as is the pool dispatch cost
+//    behind its inline threshold for short lists.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/coloring.hpp"
+#include "core/kernels.hpp"
 #include "core/sis.hpp"
 #include "core/smm.hpp"
 #include "engine/fault.hpp"
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
+#include "parallel/worker_pool.hpp"
+#include "support/bench_json.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace selfstab {
@@ -80,47 +97,147 @@ RecoveryStats measureRecovery(const Graph& g, const IdAssignment& ids,
   return stats;
 }
 
-// The acceptance gate: >= 3x fewer evaluations AND a wall-clock win on a
-// near-converged ~100k-node geometric graph recovering from a 0.5% burst.
-void assertActiveSetWins() {
+// The acceptance gate: >= 3x fewer evaluations than the full sweep AND a
+// wall-clock win on a near-converged ~100k-node geometric graph recovering
+// from a 0.5% burst.
+void assertWorkSetWins() {
   graph::Rng rng(42);
   const Graph g = bigGeometric(100'000, rng);
   const IdAssignment ids = IdAssignment::identity(g.order());
 
-  const RecoveryStats dense =
+  const RecoveryStats sweep =
+      measureRecovery(g, ids, Schedule::Sweep, 0.005);
+  const RecoveryStats adaptive =
       measureRecovery(g, ids, Schedule::Dense, 0.005);
-  const RecoveryStats active =
-      measureRecovery(g, ids, Schedule::Active, 0.005);
 
   std::fprintf(stderr,
-               "active-set gate: n=%zu m=%zu | dense %llu evals in %.3fs "
-               "(%zu rounds) | active %llu evals in %.3fs (%zu rounds)\n",
+               "work-set gate: n=%zu m=%zu | sweep %llu evals in %.3fs "
+               "(%zu rounds) | adaptive %llu evals in %.3fs (%zu rounds)\n",
                static_cast<std::size_t>(g.order()),
                static_cast<std::size_t>(g.size()),
-               static_cast<unsigned long long>(dense.evaluations),
-               dense.seconds, dense.rounds,
-               static_cast<unsigned long long>(active.evaluations),
-               active.seconds, active.rounds);
+               static_cast<unsigned long long>(sweep.evaluations),
+               sweep.seconds, sweep.rounds,
+               static_cast<unsigned long long>(adaptive.evaluations),
+               adaptive.seconds, adaptive.rounds);
 
-  if (active.evaluations * 3 > dense.evaluations) {
+  if (adaptive.evaluations * 3 > sweep.evaluations) {
     std::fprintf(stderr,
-                 "FAIL: active schedule ran %llu evaluations, more than a "
-                 "third of dense's %llu\n",
-                 static_cast<unsigned long long>(active.evaluations),
-                 static_cast<unsigned long long>(dense.evaluations));
+                 "FAIL: adaptive executor ran %llu evaluations, more than a "
+                 "third of the sweep's %llu\n",
+                 static_cast<unsigned long long>(adaptive.evaluations),
+                 static_cast<unsigned long long>(sweep.evaluations));
     std::exit(1);
   }
-  if (active.seconds >= dense.seconds) {
+  if (adaptive.seconds >= sweep.seconds) {
     std::fprintf(stderr,
-                 "FAIL: active schedule (%.3fs) not faster than dense "
+                 "FAIL: adaptive executor (%.3fs) not faster than the sweep "
                  "(%.3fs)\n",
-                 active.seconds, dense.seconds);
+                 adaptive.seconds, sweep.seconds);
     std::exit(1);
   }
 }
 
+// Best of `reps` wall-clock timings of fn().
+template <typename Fn>
+double bestSeconds(int reps, Fn&& fn) {
+  double best = 1e300;
+  for (int i = 0; i < reps; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    const auto stop = std::chrono::steady_clock::now();
+    best = std::min(best,
+                    std::chrono::duration<double>(stop - start).count());
+  }
+  return best;
+}
+
+// One kernel's row set of the switch sweep: list cost over sweep cost for
+// work sets of n / share random vertices. The list cost includes the
+// bitset scan the executor pays to extract it.
+template <typename State>
+void sweepKernel(const char* name, const engine::Protocol<State>& protocol,
+                 std::unique_ptr<engine::FlatKernel<State>> kernel,
+                 const Graph& g, const IdAssignment& ids) {
+  SyncRunner<State> runner(protocol, g, ids, /*seed=*/7);
+  auto states = runner.initialStates();
+  if (!runner.run(states, 2 * g.order() + 1).stabilized) {
+    std::fprintf(stderr, "switch sweep: %s did not stabilize\n", name);
+    std::exit(1);
+  }
+  if (kernel == nullptr) {
+    kernel = std::make_unique<engine::GenericKernel<State>>(protocol, g, ids);
+  }
+  kernel->sync(states, nullptr, nullptr);
+  const std::size_t n = g.order();
+  engine::MoveList<State> out;
+  const double sweep = bestSeconds(5, [&] {
+    out.clear();
+    kernel->evaluateRange(0, static_cast<graph::Vertex>(n), 1, out);
+  });
+  for (const std::size_t share : {64, 32, 16, 8, 4, 2}) {
+    graph::Rng rng(share);
+    std::vector<std::uint64_t> marks((n + 63) / 64, 0);
+    for (std::size_t i = 0; i < n / share; ++i) {
+      const std::size_t v = rng.below(n);
+      marks[v >> 6] |= std::uint64_t{1} << (v & 63);
+    }
+    std::vector<graph::Vertex> work;
+    const double list = bestSeconds(5, [&] {
+      work.clear();
+      for (std::size_t w = 0; w < marks.size(); ++w) {
+        for (std::uint64_t bits = marks[w]; bits != 0; bits &= bits - 1) {
+          work.push_back(static_cast<graph::Vertex>(
+              64 * w + static_cast<std::size_t>(std::countr_zero(bits))));
+        }
+      }
+      out.clear();
+      kernel->evaluateList(work, 1, out);
+    });
+    std::fprintf(stderr,
+                 "switch sweep [%s]: k = n/%-2zu list %.3f ms, sweep %.3f ms, "
+                 "list/sweep %.2f\n",
+                 name, share, list * 1e3, sweep * 1e3, list / sweep);
+    const std::string row = std::string("micro_active_set/switch_") + name +
+                            "_n_over_" + std::to_string(share);
+    bench::appendBenchJson(row.c_str(),
+                           {{"n", static_cast<double>(n)},
+                            {"listed", static_cast<double>(work.size())},
+                            {"list_seconds", list},
+                            {"sweep_seconds", sweep}});
+  }
+}
+
+void recordSwitchSweep() {
+  const bool smoke = std::getenv("SELFSTAB_SMOKE") != nullptr;
+  graph::Rng rng(43);
+  const Graph g = bigGeometric(smoke ? 20'000 : 100'000, rng);
+  const IdAssignment ids = IdAssignment::randomPermutation(g.order(), rng);
+  const core::SisProtocol sis;
+  const core::SmmProtocol smm = core::smmPaper();
+  const core::ColoringProtocol coloring;
+  sweepKernel<core::BitState>("sis_flat", sis,
+                              core::makeFlatKernel<core::BitState>(sis, g, ids),
+                              g, ids);
+  sweepKernel<PointerState>("smm_flat", smm,
+                            core::makeFlatKernel<PointerState>(smm, g, ids),
+                            g, ids);
+  sweepKernel<core::ColorState>("coloring_generic", coloring, nullptr, g, ids);
+
+  // What a pool round trip costs with nothing to do: the floor under which
+  // a short list is cheaper to evaluate inline.
+  parallel::WorkerPool pool(4);
+  std::atomic<std::size_t> sink{0};
+  const double dispatch = bestSeconds(200, [&] {
+    pool.run([&](std::size_t t) { sink.fetch_add(t); });
+  });
+  std::fprintf(stderr, "switch sweep: empty 4-worker pool dispatch %.1f us\n",
+               dispatch * 1e6);
+  bench::appendBenchJson("micro_active_set/pool_dispatch",
+                         {{"workers", 4.0}, {"seconds", dispatch}});
+}
+
 // Timed benchmark: one recovery run (fault burst through re-stabilization)
-// at smaller sizes, dense vs active.
+// at smaller sizes, sweep oracle vs adaptive executor.
 void recoveryBench(benchmark::State& state, Schedule schedule) {
   const auto n = static_cast<std::size_t>(state.range(0));
   graph::Rng rng(n);
@@ -149,18 +266,18 @@ void recoveryBench(benchmark::State& state, Schedule schedule) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 
-void BM_RecoveryDense(benchmark::State& state) {
+void BM_RecoverySweep(benchmark::State& state) {
+  recoveryBench(state, Schedule::Sweep);
+}
+void BM_RecoveryAdaptive(benchmark::State& state) {
   recoveryBench(state, Schedule::Dense);
 }
-void BM_RecoveryActive(benchmark::State& state) {
-  recoveryBench(state, Schedule::Active);
-}
-BENCHMARK(BM_RecoveryDense)->Arg(4096)->Arg(16384);
-BENCHMARK(BM_RecoveryActive)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_RecoverySweep)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_RecoveryAdaptive)->Arg(4096)->Arg(16384);
 
-// A single step on an already-converged graph: the per-round floor of each
-// schedule. Dense pays its snapshot copy-and-compare and skips the quiet
-// round's evaluation; active pays a reseed-free no-op round.
+// A single step on an already-converged graph: the per-round floor. The
+// sweep oracle reloads and evaluates everything; the adaptive executor's
+// work set is empty, so its round is skipped outright.
 void quiescentStepBench(benchmark::State& state, Schedule schedule) {
   const auto n = static_cast<std::size_t>(state.range(0));
   graph::Rng rng(n);
@@ -179,22 +296,23 @@ void quiescentStepBench(benchmark::State& state, Schedule schedule) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 
-void BM_QuiescentStepDense(benchmark::State& state) {
+void BM_QuiescentStepSweep(benchmark::State& state) {
+  quiescentStepBench(state, Schedule::Sweep);
+}
+void BM_QuiescentStepAdaptive(benchmark::State& state) {
   quiescentStepBench(state, Schedule::Dense);
 }
-void BM_QuiescentStepActive(benchmark::State& state) {
-  quiescentStepBench(state, Schedule::Active);
-}
-BENCHMARK(BM_QuiescentStepDense)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_QuiescentStepActive)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_QuiescentStepSweep)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_QuiescentStepAdaptive)->Arg(4096)->Arg(65536);
 
 }  // namespace
 }  // namespace selfstab
 
 int main(int argc, char** argv) {
-  // Hard gate before timing anything: the active schedule must deliver the
+  // Hard gate before timing anything: the work set must deliver the
   // promised evaluation reduction and a real wall-clock win at scale.
-  selfstab::assertActiveSetWins();
+  selfstab::assertWorkSetWins();
+  selfstab::recordSwitchSweep();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -55,16 +55,15 @@ const char* toString(Family family) {
   return family == Family::PowerLaw ? "powerlaw" : "geometric";
 }
 
-/// One timed batch: `reps` dense steps on an already-converged runner.
-/// invalidateSchedule() keeps the runner from skipping the steps as quiet
-/// rounds, so each evaluates all n vertices and this isolates pure
+/// One timed batch: `reps` steps of an already-converged runner on the
+/// Sweep schedule, which reloads the mirror and evaluates all n vertices
+/// every round instead of skipping the quiet ones, so this isolates pure
 /// whole-round rule-evaluation throughput (evaluations/second).
 template <typename State>
 double timeBatch(SyncRunner<State>& runner, std::vector<State>& states,
                  int reps) {
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < reps; ++i) {
-    runner.invalidateSchedule();
     benchmark::DoNotOptimize(runner.step(states));
   }
   const auto stop = std::chrono::steady_clock::now();
@@ -86,8 +85,8 @@ struct GateRates {
 /// equally and cancels out of the speedup instead of flaking the gate.
 GateRates measureSisGate(const Graph& g, const IdAssignment& ids, int reps) {
   const core::SisProtocol sis;
-  SyncRunner<BitState> genericRunner(sis, g, ids, /*seed=*/7, Schedule::Dense);
-  SyncRunner<BitState> flatRunner(sis, g, ids, /*seed=*/7, Schedule::Dense);
+  SyncRunner<BitState> genericRunner(sis, g, ids, /*seed=*/7, Schedule::Sweep);
+  SyncRunner<BitState> flatRunner(sis, g, ids, /*seed=*/7, Schedule::Sweep);
   auto kernel = core::makeFlatKernel<BitState>(sis, g, ids);
   if (kernel == nullptr) {
     std::fprintf(stderr, "FAIL: no flat kernel for SIS\n");
@@ -171,9 +170,9 @@ void recordSmmSpeedup() {
 
     // Same interleaved-batch methodology as the SIS gate.
     SyncRunner<PointerState> genericRunner(smm, g, ids, /*seed=*/7,
-                                           Schedule::Dense);
+                                           Schedule::Sweep);
     SyncRunner<PointerState> flatRunner(smm, g, ids, /*seed=*/7,
-                                        Schedule::Dense);
+                                        Schedule::Sweep);
     flatRunner.setKernel(core::makeFlatKernel<PointerState>(smm, g, ids));
     auto genericStates = genericRunner.initialStates();
     auto flatStates = flatRunner.initialStates();
@@ -217,7 +216,7 @@ void denseStepBench(benchmark::State& state, const Protocol& protocol,
   graph::Rng rng(n);
   const Graph g = makeGraph(family, n, rng);
   const IdAssignment ids = IdAssignment::identity(g.order());
-  SyncRunner<State> runner(protocol, g, ids, /*seed=*/7, Schedule::Dense);
+  SyncRunner<State> runner(protocol, g, ids, /*seed=*/7, Schedule::Sweep);
   if (flat) runner.setKernel(core::makeFlatKernel<State>(protocol, g, ids));
   auto states = runner.initialStates();
   if (!runner.run(states, 2 * g.order() + 1).stabilized) {
@@ -225,14 +224,13 @@ void denseStepBench(benchmark::State& state, const Protocol& protocol,
     return;
   }
   for (auto _ : state) {
-    runner.invalidateSchedule();  // a full sweep, not a skipped quiet round
-    benchmark::DoNotOptimize(runner.step(states));
+    benchmark::DoNotOptimize(runner.step(states));  // a full sweep
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 
-/// Fault-burst recovery under the active schedule at threads = 1: exercises
-/// the kernels' evaluateList + apply path instead of the dense range sweep.
+/// Fault-burst recovery on the list-only schedule at threads = 1: exercises
+/// the kernels' evaluateList + apply path instead of the range sweep.
 template <typename State, typename Protocol, typename Sampler>
 void activeRecoveryBench(benchmark::State& state, const Protocol& protocol,
                          Family family, bool flat, Sampler sampler) {
@@ -270,7 +268,7 @@ void parallelDenseStepBench(benchmark::State& state, const Protocol& protocol,
   const Graph g = makeGraph(family, n, rng);
   const IdAssignment ids = IdAssignment::identity(g.order());
   engine::SyncRunner<State> runner(protocol, g, ids, /*seed=*/7,
-                                   Schedule::Dense, /*threads=*/4);
+                                   Schedule::Sweep, /*threads=*/4);
   if (flat) runner.setKernel(core::makeFlatKernel<State>(protocol, g, ids));
   std::vector<State> states;
   states.reserve(g.order());
@@ -282,8 +280,7 @@ void parallelDenseStepBench(benchmark::State& state, const Protocol& protocol,
     return;
   }
   for (auto _ : state) {
-    runner.invalidateSchedule();  // a full sweep, not a skipped quiet round
-    benchmark::DoNotOptimize(runner.step(states));
+    benchmark::DoNotOptimize(runner.step(states));  // a full sweep
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }

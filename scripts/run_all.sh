@@ -64,6 +64,12 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # Chaos soak under TSan: the fault-injection plumbing around the runner.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" --gtest_filter='ChaosSoak.*'
+  # The work-set executor at threads = 3: every pool block marks its own
+  # movers' neighbourhoods in one shared bitset (atomic_ref fetch_or), the
+  # main thread reads it after the barrier, and SisKernel builds its slices
+  # on the same pool.
+  SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
+    "$TSAN_DIR/tests/stress_tests" --gtest_filter='ExactExecutor.*'
 } 2>&1 | tee "$ROOT/tsan_output.txt"
 
 # AddressSanitizer pass over the beacon-simulator suites: the spatial-index
@@ -109,18 +115,26 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # exercise exactly the compaction paths ASan is here to police.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" --gtest_filter='ChaosSoak.*'
+  # The work-set bitset is indexed by raw vertex numbers (v >> 6), the work
+  # list is a span into a reused vector, and the campaign reads the commit
+  # queues back as its moved list.
+  SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
+    "$ASAN_DIR/tests/stress_tests" --gtest_filter='ExactExecutor.*'
 } 2>&1 | tee "$ROOT/asan_output.txt"
 
 # Debug pass: the Graph's bulk factory checks its input (ascending,
 # loop-free, in-range, symmetric slices; fromEdges' endpoints) with asserts,
 # which every build above compiles out (RelWithDebInfo defines NDEBUG), so
 # GraphDeathTest.* runs only here. The rest of graph_tests sends every
-# generator, reader and unit-disk build through those asserts too. Not
-# piped, so a failure stops the script.
+# generator, reader and unit-disk build through those asserts too.
+# engine_tests runs here for SyncRunner's round-entry assert that the
+# kernel mirror equals the states: a test that edits states without
+# invalidateSchedule() fails it. Not piped, so a failure stops the script.
 DEBUG_DIR="${BUILD_DIR}-debug"
 cmake -B "$DEBUG_DIR" -G Ninja -S "$ROOT" -DCMAKE_BUILD_TYPE=Debug
-cmake --build "$DEBUG_DIR" --target graph_tests
+cmake --build "$DEBUG_DIR" --target graph_tests engine_tests
 "$DEBUG_DIR/tests/graph_tests"
+"$DEBUG_DIR/tests/engine_tests"
 
 # Benches append machine-readable results here (see
 # bench/support/bench_json.hpp). The file name tracks the change number,

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "adhoc/sim_time.hpp"
@@ -37,6 +38,15 @@ class Mobility {
   /// per second). The spatial index uses it to bound how far a host can
   /// drift between position refreshes.
   [[nodiscard]] virtual double maxSpeed() const noexcept = 0;
+
+  /// Time from which no host moves any more; kNeverSettles if some host may
+  /// keep moving. A link that breaks just before this time is noticed only
+  /// when its cache entry expires, so quiescence counts from here at the
+  /// earliest (NetworkSimulator::runUntilQuiet).
+  [[nodiscard]] virtual SimTime settleTime() const noexcept = 0;
+
+  static constexpr SimTime kNeverSettles =
+      std::numeric_limits<SimTime>::max();
 };
 
 /// Hosts that never move.
@@ -52,6 +62,8 @@ class StaticPlacement final : public Mobility {
   }
 
   [[nodiscard]] double maxSpeed() const noexcept override { return 0.0; }
+
+  [[nodiscard]] SimTime settleTime() const noexcept override { return 0; }
 
  private:
   std::vector<graph::Point> points_;
@@ -80,6 +92,10 @@ class RandomWaypoint final : public Mobility {
 
   [[nodiscard]] double maxSpeed() const noexcept override {
     return config_.speedMax;
+  }
+
+  [[nodiscard]] SimTime settleTime() const noexcept override {
+    return config_.stopTime >= 0 ? config_.stopTime : kNeverSettles;
   }
 
  private:

@@ -306,7 +306,9 @@ class NetworkSimulator {
 
   /// Runs until no node has changed protocol state for `quietWindow`, or
   /// until maxTime. (Quiescence in the beacon model: every node keeps
-  /// evaluating its rules each interval but none is privileged.)
+  /// evaluating its rules each interval but none is privileged.) The window
+  /// counts from the last move or from Mobility::settleTime(), whichever is
+  /// later: hosts still moving is not quiescence.
   /// `noQuietBefore` suppresses the quiet exit until that time — a fault
   /// campaign must not declare quiescence while events are still pending.
   /// Quiet is checked after each queue event, and a broadcast's arrival at
@@ -316,10 +318,15 @@ class NetworkSimulator {
                             SimTime noQuietBefore = 0) {
     QuietResult result;
     const EvalRateScope rate(metrics_, stats_);
+    // While hosts move, links break unseen until their cache entries
+    // expire, so a quiet window opens no earlier than the last position
+    // change; a topology that never settles is never quiet.
+    const SimTime settle = mobility_->settleTime();
+    const bool settles = settle != Mobility::kNeverSettles;
     while (!queue_.empty() && queue_.nextTime() <= maxTime) {
       dispatch(queue_.pop());
-      if (queue_.now() >= noQuietBefore &&
-          queue_.now() - lastMove_ >= quietWindow) {
+      if (settles && queue_.now() >= noQuietBefore &&
+          queue_.now() - std::max(lastMove_, settle) >= quietWindow) {
         result.quiet = true;
         break;
       }

@@ -6,8 +6,8 @@
 // executor-visible model is the paper's:
 //
 //  * corrupt/garble  resample states behind the runner's back, then
-//                    invalidateSchedule() so active-set dirty bits stay
-//                    correct (the same contract as engine::corruptAndReschedule);
+//                    invalidateSchedule() so the runner's work set covers
+//                    them (the same contract as engine::corruptAndReschedule);
 //  * crash           the node is isolated (its incident edges are removed
 //                    from the shared Graph — Graph::version() makes the
 //                    runner re-snapshot) and frozen: it executes nothing
@@ -33,8 +33,10 @@
 // Cost follows the change, not n. A round in which the runner moved nothing
 // and no event fired since the previous round is the identity: nothing to
 // pin, diff, safety-check or report, so it costs the runner's step alone. A
-// moving round makes one O(n) diff into a `moved` list, which feeds the
-// monitor and the masked-stability cache. For local protocols (see
+// moving round builds a `moved` list — from the runner's own moved list
+// (SyncRunner::forEachMoved) plus the frozen nodes, minus those a revert
+// put back, or by one O(n) diff for a runner that does not expose it — which
+// feeds the monitor and the masked-stability cache. For local protocols (see
 // Protocol::readsBeyondNeighborhood) that cache re-asks only the closed
 // neighborhoods of moved, injected and newly frozen or released nodes; a
 // topology rebuild (crash, rejoin, partition) forces a full sweep, and
@@ -183,6 +185,27 @@ CampaignResult runEngineCampaign(
   std::vector<State> prev;
   std::vector<graph::Vertex> moved;
   bool prevStale = true;
+  // Only the runner's movers and the pinned nodes can differ from prev
+  // after a step. A runner without a moved list gets the O(n) diff.
+  constexpr bool listsMoves =
+      requires(const Runner& r) { r.forEachMoved([](graph::Vertex) {}); };
+  const auto collectMoved = [&] {
+    moved.clear();
+    if constexpr (listsMoves) {
+      runner.forEachMoved([&](graph::Vertex v) { moved.push_back(v); });
+      if (!frozenList.empty()) {
+        moved.insert(moved.end(), frozenList.begin(), frozenList.end());
+        std::sort(moved.begin(), moved.end());
+        moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
+      }
+      std::erase_if(moved,
+                    [&](graph::Vertex v) { return states[v] == prev[v]; });
+    } else {
+      for (graph::Vertex v = 0; v < n; ++v) {
+        if (!(states[v] == prev[v])) moved.push_back(v);
+      }
+    }
+  };
   const auto stepOnce = [&] {
     if (prevStale) prev = states;
     const std::size_t moves = runner.step(states);
@@ -205,10 +228,7 @@ CampaignResult runEngineCampaign(
       }
     }
     if (reverted) runner.invalidateSchedule();
-    moved.clear();
-    for (graph::Vertex v = 0; v < n; ++v) {
-      if (!(states[v] == prev[v])) moved.push_back(v);
-    }
+    collectMoved();
     if (moved.empty()) return;
     if (safety) {
       const std::size_t violations = safety(g, prev, states, faulty);

@@ -217,8 +217,10 @@ usage: selfstab [options]
   --start         clean | random                              [default: clean]
   --seed          64-bit seed for all randomness              [default: 1]
   --max-rounds    round budget (0 = protocol-appropriate)     [default: 0]
-  --schedule      dense | active (evaluate only dirty nodes;
-                  trajectory is bit-identical)                [default: dense]
+  --schedule      dense | active: dense adapts (it evaluates the
+                  neighbourhoods of last round's moves, as a list
+                  or as a sweep); active always walks the list;
+                  trajectory is bit-identical                 [default: dense]
   --kernel        auto | generic | flat (compiled SoA fast path for
                   smm/sis; trajectory is bit-identical)       [default: auto]
   --json          print the run report as one JSON object

@@ -16,6 +16,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/sis.hpp"
@@ -29,47 +30,65 @@ class SisKernel final : public engine::FlatKernel<BitState> {
             Seniority seniority)
       : FlatKernel(g, ids), seniority_(seniority) {}
 
-  bool sync(const std::vector<BitState>& states) override {
+  void sync(const std::vector<BitState>& states,
+            std::vector<graph::Vertex>* changed,
+            parallel::WorkerPool* pool) override {
     const std::size_t n = states.size();
     if (groupOffsets_.size() != n + 1 || slicesVersion_ != graph().version()) {
-      rebuildBiggerSlices(n);
+      rebuildBiggerSlices(n, pool);
     }
     const std::size_t full = n / 64;
-    const std::size_t wordCount = (n + 63) / 64;
-    const bool resized = words_.size() != wordCount;
-    words_.resize(wordCount);
+    words_.resize((n + 63) / 64);
     // Branchless packing, one fixed-trip inner loop per word: a converged
     // MIS is an unpredictable bit pattern, so the per-bit branch mispredicts
-    // enough to dominate the snapshot phase at scale. The change report is
-    // the OR of old ^ new words, one XOR per 64 nodes.
-    std::uint64_t diff = 0;
+    // enough to dominate a full reload at scale. Changed slots are the set
+    // bits of old ^ new, one XOR per 64 nodes.
+    const auto store = [&](std::size_t w, std::uint64_t word) {
+      const std::uint64_t diff = words_[w] ^ word;
+      words_[w] = word;
+      if (changed == nullptr) return;
+      for (std::uint64_t d = diff; d != 0; d &= d - 1) {
+        changed->push_back(
+            static_cast<graph::Vertex>(64 * w + std::countr_zero(d)));
+      }
+    };
     std::size_t v = 0;
     for (std::size_t w = 0; w < full; ++w) {
       std::uint64_t word = 0;
       for (int b = 0; b < 64; ++b, ++v) {
         word |= static_cast<std::uint64_t>(states[v].in) << b;
       }
-      diff |= words_[w] ^ word;
-      words_[w] = word;
+      store(w, word);
     }
     if (v < n) {
       std::uint64_t word = 0;
       for (int b = 0; v < n; ++b, ++v) {
         word |= static_cast<std::uint64_t>(states[v].in) << b;
       }
-      diff |= words_[full] ^ word;
-      words_[full] = word;
+      store(full, word);
     }
-    return resized || diff != 0;
   }
 
-  void apply(graph::Vertex v, const BitState& s) override {
-    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-    if (s.in) {
-      words_[v >> 6] |= bit;
-    } else {
-      words_[v >> 6] &= ~bit;
+  void apply(const engine::MoveList<BitState>& moves) override {
+    for (const auto& [v, s] : moves) {
+      const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+      if (s.in) {
+        words_[v >> 6] |= bit;
+      } else {
+        words_[v >> 6] &= ~bit;
+      }
     }
+  }
+
+  [[nodiscard]] bool mirrors(
+      const std::vector<BitState>& states) const override {
+    if (words_.size() != (states.size() + 63) / 64) return false;
+    for (std::size_t v = 0; v < states.size(); ++v) {
+      if (((words_[v >> 6] >> (v & 63)) & 1U) != (states[v].in ? 1U : 0U)) {
+        return false;
+      }
+    }
+    return true;
   }
 
   void evaluateRange(graph::Vertex begin, graph::Vertex end,
@@ -130,13 +149,15 @@ class SisKernel final : public engine::FlatKernel<BitState> {
 
   // Per node, the bigger neighbors folded into (word, mask) groups. Vertex
   // order is ascending within a neighbor slice, so word indices are
-  // nondecreasing and one pass groups them.
-  void rebuildBiggerSlices(std::size_t n) {
+  // nondecreasing and one pass groups them. Built in two passes over
+  // vertex blocks on the executor's pool: count each node's groups,
+  // prefix-sum the counts into offsets, then fill each node's groups at its
+  // offset. Each pass writes only its own nodes' slots, and a node's groups
+  // do not depend on the split, so the result is the same at every thread
+  // count.
+  void rebuildBiggerSlices(std::size_t n, parallel::WorkerPool* pool) {
     const graph::Graph& g = graph();
-    groupOffsets_.assign(n + 1, 0);
-    groupWord_.clear();
-    groupMask_.clear();
-    for (graph::Vertex v = 0; v < n; ++v) {
+    const auto forEachGroup = [&](graph::Vertex v, auto&& emit) {
       const graph::Id selfId = ids().idOf(v);
       std::uint32_t curWord = kNoWord;
       std::uint64_t curMask = 0;
@@ -144,23 +165,48 @@ class SisKernel final : public engine::FlatKernel<BitState> {
         if (!sisBigger(seniority_, ids().idOf(u), selfId)) continue;
         const auto w = static_cast<std::uint32_t>(u >> 6);
         if (w != curWord) {
-          if (curWord != kNoWord) {
-            groupWord_.push_back(curWord);
-            groupMask_.push_back(curMask);
-          }
+          if (curWord != kNoWord) emit(curWord, curMask);
           curWord = w;
           curMask = 0;
         }
         curMask |= std::uint64_t{1} << (u & 63);
       }
-      if (curWord != kNoWord) {
-        groupWord_.push_back(curWord);
-        groupMask_.push_back(curMask);
+      if (curWord != kNoWord) emit(curWord, curMask);
+    };
+    groupOffsets_.assign(n + 1, 0);
+    parallel::forEachBlock(pool, n, kSliceBlock, [&](std::size_t b,
+                                                     std::size_t e) {
+      for (auto v = static_cast<graph::Vertex>(b); v < e; ++v) {
+        std::uint32_t count = 0;
+        forEachGroup(v, [&](std::uint32_t, std::uint64_t) { ++count; });
+        groupOffsets_[v + 1] = count;
       }
-      groupOffsets_[v + 1] = static_cast<std::uint32_t>(groupWord_.size());
+    });
+    for (std::size_t v = 0; v < n; ++v) {
+      groupOffsets_[v + 1] += groupOffsets_[v];
     }
+    // Uninitialized: the fill pass writes every slot, so its workers take
+    // the first-touch page faults in parallel instead of a serial zeroing.
+    const std::size_t groups = groupOffsets_[n];
+    groupWord_ = std::make_unique_for_overwrite<std::uint32_t[]>(groups);
+    groupMask_ = std::make_unique_for_overwrite<std::uint64_t[]>(groups);
+    parallel::forEachBlock(pool, n, kSliceBlock, [&](std::size_t b,
+                                                     std::size_t e) {
+      for (auto v = static_cast<graph::Vertex>(b); v < e; ++v) {
+        std::uint32_t at = groupOffsets_[v];
+        forEachGroup(v, [&](std::uint32_t word, std::uint64_t mask) {
+          groupWord_[at] = word;
+          groupMask_[at] = mask;
+          ++at;
+        });
+      }
+    });
     slicesVersion_ = g.version();
   }
+
+  // Vertices per slice-build block: large enough that claiming one is
+  // negligible, small enough to balance a skewed degree distribution.
+  static constexpr std::size_t kSliceBlock = 4096;
 
   // Word indices top out at (2^32-1)>>6, so the all-ones value is free as a
   // "no open group" sentinel.
@@ -172,8 +218,8 @@ class SisKernel final : public engine::FlatKernel<BitState> {
   // index stream; one group per 12 bytes of mask+word storage means 2^32
   // groups would already need >48 GiB, so narrowing cannot truncate first.
   std::vector<std::uint32_t> groupOffsets_;
-  std::vector<std::uint32_t> groupWord_;
-  std::vector<std::uint64_t> groupMask_;
+  std::unique_ptr<std::uint32_t[]> groupWord_;
+  std::unique_ptr<std::uint64_t[]> groupMask_;
   std::uint64_t slicesVersion_ = 0;  // Graph::version() of the groups
 };
 

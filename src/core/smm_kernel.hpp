@@ -43,25 +43,38 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
             Choice propose, Choice accept)
       : FlatKernel(g, ids), propose_(propose), accept_(accept) {}
 
-  bool sync(const std::vector<PointerState>& states) override {
+  void sync(const std::vector<PointerState>& states,
+            std::vector<graph::Vertex>* changed,
+            parallel::WorkerPool* /*pool*/) override {
     const bool resized = ptr_.size() != states.size();
     ptr_.resize(states.size());
     if (resized || checkedVersion_ != graph().version()) {
       checked_.assign(states.size(), graph::kNoVertex);
       checkedVersion_ = graph().version();
     }
-    // OR of old ^ new over the copy: branch-free, so it adds no stall to
-    // the snapshot loop.
-    graph::Vertex diff = 0;
-    for (std::size_t v = 0; v < states.size(); ++v) {
-      diff |= ptr_[v] ^ states[v].ptr;
-      ptr_[v] = states[v].ptr;
+    if (changed == nullptr) {
+      for (std::size_t v = 0; v < states.size(); ++v) ptr_[v] = states[v].ptr;
+      return;
     }
-    return resized || diff != 0;
+    for (std::size_t v = 0; v < states.size(); ++v) {
+      if (ptr_[v] != states[v].ptr) {
+        ptr_[v] = states[v].ptr;
+        changed->push_back(static_cast<graph::Vertex>(v));
+      }
+    }
   }
 
-  void apply(graph::Vertex v, const PointerState& s) override {
-    ptr_[v] = s.ptr;
+  void apply(const engine::MoveList<PointerState>& moves) override {
+    for (const auto& [v, s] : moves) ptr_[v] = s.ptr;
+  }
+
+  [[nodiscard]] bool mirrors(
+      const std::vector<PointerState>& states) const override {
+    if (ptr_.size() != states.size()) return false;
+    for (std::size_t v = 0; v < states.size(); ++v) {
+      if (ptr_[v] != states[v].ptr) return false;
+    }
+    return true;
   }
 
   void evaluateRange(graph::Vertex begin, graph::Vertex end,

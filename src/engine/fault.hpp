@@ -58,12 +58,11 @@ std::size_t corruptVertices(std::vector<State>& states, const graph::Graph& g,
   return victims.size();
 }
 
-/// corruptConfiguration plus the scheduling hook an Active-schedule runner
-/// needs: a transient fault changes states behind the runner's back, so its
-/// dirty-set bookkeeping is stale until invalidateSchedule() reseeds it with
-/// every node. Works with SyncRunner at any thread count (and with runner
-/// wrappers exposing the same call); under the Dense schedule the
-/// invalidation is a harmless no-op.
+/// corruptConfiguration plus the announcement SyncRunner requires: a
+/// transient fault changes states behind the runner's back, and
+/// invalidateSchedule() makes its next round diff them and evaluate the
+/// changed nodes' closed neighborhoods. Works with SyncRunner at any thread
+/// count (and with runner wrappers exposing the same call).
 template <typename Runner, typename State, typename Sampler>
 std::size_t corruptAndReschedule(Runner& runner, std::vector<State>& states,
                                  const graph::Graph& g, Rng& rng,

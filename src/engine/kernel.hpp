@@ -11,13 +11,13 @@
 //  * ViewKernel  — devirtualized single-view evaluation, bit-identical to
 //    Protocol::onRound. This is what the beacon simulator uses (it has no
 //    static graph to mirror, only per-node caches).
-//  * FlatKernel  — whole-range / dirty-list batch evaluation for the round
+//  * FlatKernel  — whole-range / vertex-list batch evaluation for the round
 //    executor over an SoA state mirror. It reads the adjacency straight
 //    from the Graph it was built over, the run's one adjacency. sync()
-//    reloads the mirror from the authoritative state vector (and revalidates
-//    any topology-derived cache against Graph::version()) and reports
-//    whether the mirror changed; apply() patches a single slot so the
-//    Active schedule can keep the mirror hot between rounds.
+//    reloads the mirror from the authoritative state vector (and
+//    revalidates any topology-derived cache against Graph::version()),
+//    optionally reporting the slots that changed; apply() patches the
+//    committed moves so the mirror stays hot between rounds.
 //
 // The executor evaluates every round through a FlatKernel. Protocols
 // without a compiled kernel run through GenericKernel, an adapter that
@@ -28,8 +28,8 @@
 // Contract: every kernel must produce the exact same decision as the
 // protocol object it mirrors, for every view — same moves, same resulting
 // states, same fixpoint behavior. The KernelDifferential stress suite
-// enforces this bit-identity at every thread count and under both
-// schedules; see docs/PERFORMANCE.md.
+// enforces this bit-identity at every thread count and under every
+// schedule; see docs/PERFORMANCE.md.
 #pragma once
 
 #include <cassert>
@@ -44,6 +44,7 @@
 #include "engine/view_builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/id_order.hpp"
+#include "parallel/worker_pool.hpp"
 
 namespace selfstab::engine {
 
@@ -91,14 +92,14 @@ class ViewKernel {
 
 /// Whole-round evaluation over CSR adjacency + structure-of-arrays state.
 ///
-/// Usage by the executor:
-///   * Dense rounds: sync(states) once per round (the snapshot phase), then
-///     evaluateRange over [0, n) — possibly chunked across workers — unless
-///     sync() found the mirror unchanged after a quiet round (the executor
-///     then skips the round).
-///   * Active rounds: sync(states) on (re)seed, evaluateList over the dirty
-///     set, then apply(v, next) for each committed move so the mirror stays
-///     current without a full reload.
+/// Usage by the executor (engine/sync_runner.hpp):
+///   * sync(states, nullptr, pool) on the first round, after a kernel swap
+///     and after a topology change: a full reload.
+///   * sync(states, &changed, pool) after the caller announced state edits
+///     (SyncRunner::invalidateSchedule): reloads and lists the edited slots.
+///   * evaluateRange over [0, n) or evaluateList over the work set —
+///     possibly chunked across workers — then apply(moves) for each chunk's
+///     committed moves, so no round needs a full reload.
 /// evaluateRange/evaluateList are const and read only the mirror and the
 /// graph. A kernel may also keep a cache derived from the topology: a
 /// per-vertex one that evaluating v writes in v's own slot and nowhere else
@@ -122,24 +123,29 @@ class FlatKernel {
     return *ids_;
   }
 
-  /// Reloads the whole SoA state mirror from the authoritative vector.
-  /// Handles external state edits (fault injection) and graph mutation
-  /// exactly like the generic path's full snapshot copy. Returns true iff
-  /// the state mirror changed (any slot differs, or the vertex count did),
-  /// computed during the copy; topology changes are reported by
-  /// Graph::version() instead.
-  virtual bool sync(const std::vector<State>& states) = 0;
+  /// Reloads the whole SoA state mirror from the authoritative vector and
+  /// revalidates topology-derived caches against Graph::version(). When
+  /// `changed` is non-null the mirror already holds states.size() slots,
+  /// and every vertex whose slot differed is appended to it in ascending
+  /// order. `pool` (null: run inline) is the executor's own WorkerPool, for
+  /// cache rebuilds worth splitting; a kernel never starts threads itself.
+  virtual void sync(const std::vector<State>& states,
+                    std::vector<graph::Vertex>* changed,
+                    parallel::WorkerPool* pool) = 0;
 
-  /// Patches one slot of the SoA mirror after a committed move.
-  virtual void apply(graph::Vertex v, const State& s) = 0;
+  /// Patches the mirror with committed moves (each vertex's new state).
+  virtual void apply(const MoveList<State>& moves) = 0;
+
+  /// True iff the mirror equals `states` slot for slot (debug checks).
+  [[nodiscard]] virtual bool mirrors(const std::vector<State>& states) const = 0;
 
   /// Evaluates every vertex in [begin, end), appending moves to out.
   virtual void evaluateRange(graph::Vertex begin, graph::Vertex end,
                              std::uint64_t roundKey,
                              MoveList<State>& out) const = 0;
 
-  /// Evaluates exactly the given vertices (ascending, as ActiveSet yields
-  /// them), appending moves to out.
+  /// Evaluates exactly the given vertices (ascending, as the executor's
+  /// work set yields them), appending moves to out.
   virtual void evaluateList(std::span<const graph::Vertex> vertices,
                             std::uint64_t roundKey,
                             MoveList<State>& out) const = 0;
@@ -160,22 +166,28 @@ class GenericKernel final : public FlatKernel<State> {
                 const graph::IdAssignment& ids)
       : FlatKernel<State>(g, ids), protocol_(&protocol) {}
 
-  bool sync(const std::vector<State>& states) override {
-    if (snapshot_.size() != states.size()) {
+  void sync(const std::vector<State>& states,
+            std::vector<graph::Vertex>* changed,
+            parallel::WorkerPool* /*pool*/) override {
+    if (changed == nullptr) {
       snapshot_ = states;
-      return true;
+      return;
     }
-    bool changed = false;
     for (std::size_t v = 0; v < states.size(); ++v) {
       if (!(snapshot_[v] == states[v])) {
         snapshot_[v] = states[v];
-        changed = true;
+        changed->push_back(static_cast<graph::Vertex>(v));
       }
     }
-    return changed;
   }
 
-  void apply(graph::Vertex v, const State& s) override { snapshot_[v] = s; }
+  void apply(const MoveList<State>& moves) override {
+    for (const auto& [v, s] : moves) snapshot_[v] = s;
+  }
+
+  [[nodiscard]] bool mirrors(const std::vector<State>& states) const override {
+    return snapshot_ == states;
+  }
 
   void evaluateRange(graph::Vertex begin, graph::Vertex end,
                      std::uint64_t roundKey,

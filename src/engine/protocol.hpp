@@ -100,11 +100,11 @@ class Protocol {
   /// re-draw per-round priorities) or inputs held outside the protocol
   /// state (core::AggregationProtocol's sensor readings). The executors rely
   /// on the converse for local protocols — "unchanged N[v] => unchanged
-  /// decision" — to skip work: the active schedule evaluates only dirty
-  /// nodes, a dense round that follows a quiet round over an unchanged
-  /// configuration is skipped, and fault campaigns re-check masked
-  /// stability only around changes. A protocol returning true opts out of
-  /// all three.
+  /// decision" — to skip work: SyncRunner evaluates only the closed
+  /// neighborhoods of the last round's moves and edits (a round with none
+  /// is skipped), the beacon simulator's active schedule evaluates only
+  /// dirty nodes, and fault campaigns re-check masked stability only around
+  /// changes. A protocol returning true opts out of all three.
   [[nodiscard]] virtual bool readsBeyondNeighborhood() const noexcept {
     return false;
   }

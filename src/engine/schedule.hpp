@@ -1,32 +1,37 @@
-// Round-scheduling policy for the synchronous executors.
+// Round-scheduling policy for the synchronous executor.
 //
-// Dense is the textbook synchronous daemon: every round snapshots the full
-// state vector and evaluates every node. Active exploits the locality of the
-// paper's rules — a node's guard reads only its closed neighborhood, so a node
-// whose closed neighborhood did not change since its last (disabled)
-// evaluation is still disabled. Tracking that "dirty" set lets near-converged
-// runs evaluate a handful of nodes per round instead of all n, without
-// changing a single committed state: trajectories are bit-identical to Dense.
+// A node's guard reads only its closed neighborhood N[v] (Section 2), so
+// after a round only N[moved] can hold a newly enabled node. SyncRunner's
+// one exact executor keeps that work set as a bitset and evaluates it
+// adaptively: as an ascending list while it is small, as a full sweep once
+// it is large (see sync_runner.hpp). The enum below selects that executor
+// (Dense, the default) or pins it to one of its two evaluation paths; the
+// pinned modes are test oracles, and every mode produces the same
+// trajectory bit for bit.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <numeric>
-#include <span>
 #include <string_view>
 #include <vector>
 
-#include "graph/graph.hpp"
 
 namespace selfstab::engine {
 
-/// Which nodes a synchronous executor evaluates each round.
+/// How SyncRunner walks each round's work set.
 enum class Schedule {
-  /// Evaluate every node every round (reference semantics).
+  /// The exact adaptive executor: the work set N[moved] ∪ N[edited] as a
+  /// list while small, as a sweep once large, skipped when empty. The name
+  /// is the reference semantics it reproduces: every round behaves as if
+  /// every node were evaluated. The CLIs' default.
   Dense,
-  /// Evaluate only nodes whose closed neighborhood changed in the previous
-  /// round. Seeded with all nodes at round 0 and after fault injection.
+  /// Oracle: the same work set, always walked as an ascending list (every
+  /// vertex when the whole graph is marked). `--schedule active`.
   Active,
+  /// Oracle: the textbook synchronous daemon. Every round reloads the whole
+  /// mirror and evaluates every node; nothing is marked or skipped.
+  Sweep,
 };
 
 [[nodiscard]] constexpr std::string_view toString(Schedule s) noexcept {
@@ -35,6 +40,8 @@ enum class Schedule {
       return "dense";
     case Schedule::Active:
       return "active";
+    case Schedule::Sweep:
+      return "sweep";
   }
   return "?";
 }
@@ -77,63 +84,5 @@ template <typename WeightFn>
   }
   return bounds;
 }
-
-/// Epoch-stamped dirty set with deterministic (ascending-vertex) iteration.
-///
-/// Two generations are live at once: current() is the sorted set of nodes to
-/// evaluate this round; mark() accumulates next round's set, deduplicated by
-/// comparing a per-vertex stamp against the current epoch. advance() rotates
-/// generations in O(k log k) for k marked nodes — no O(n) clears.
-class ActiveSet {
- public:
-  /// Resets to an unseeded set over n vertices.
-  void reset(std::size_t n) {
-    stamp_.assign(n, 0);
-    epoch_ = 0;
-    current_.clear();
-    next_.clear();
-    seeded_ = false;
-  }
-
-  /// True once seedAll() has run since the last reset().
-  [[nodiscard]] bool seeded() const noexcept { return seeded_; }
-
-  /// Makes every vertex current; clears any pending marks.
-  void seedAll() {
-    ++epoch_;
-    next_.clear();
-    current_.resize(stamp_.size());
-    std::iota(current_.begin(), current_.end(), graph::Vertex{0});
-    seeded_ = true;
-  }
-
-  /// Queues v for the next generation (idempotent within a generation).
-  void mark(graph::Vertex v) {
-    if (stamp_[v] != epoch_) {
-      stamp_[v] = epoch_;
-      next_.push_back(v);
-    }
-  }
-
-  /// Rotates: the marked set becomes current (sorted ascending).
-  void advance() {
-    std::sort(next_.begin(), next_.end());
-    current_.swap(next_);
-    next_.clear();
-    ++epoch_;
-  }
-
-  /// The vertices to evaluate this round, in ascending order.
-  [[nodiscard]] std::span<const graph::Vertex> current() const noexcept {
-    return current_;
-  }
-
- private:
-  std::vector<std::uint64_t> stamp_;
-  std::uint64_t epoch_ = 0;  // seedAll/advance bump this before any mark()
-  std::vector<graph::Vertex> current_;
-  std::vector<graph::Vertex> next_;
-  bool seeded_ = false;
-};
 
 }  // namespace selfstab::engine

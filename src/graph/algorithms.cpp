@@ -1,6 +1,7 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <numeric>
 
@@ -25,11 +26,28 @@ std::vector<std::size_t> bfsDistances(const Graph& g, Vertex source) {
   return dist;
 }
 
+// Reachability only: a byte per vertex and the visit order as a flat vector
+// that doubles as the queue (vertices are appended once, when first seen, and
+// read back in order). Eight times less state than bfsDistances' distances
+// and no deque blocks, which matters when 10^6 vertices are visited in an
+// order that is random in memory.
 bool isConnected(const Graph& g) {
-  if (g.order() <= 1) return true;
-  const auto dist = bfsDistances(g, 0);
-  return std::none_of(dist.begin(), dist.end(),
-                      [](std::size_t d) { return d == kUnreachable; });
+  const std::size_t n = g.order();
+  if (n <= 1) return true;
+  std::vector<std::uint8_t> seen(n, 0);
+  std::vector<Vertex> order;
+  order.reserve(n);
+  seen[0] = 1;
+  order.push_back(0);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const Vertex v : g.neighbors(order[head])) {
+      if (seen[v] == 0) {
+        seen[v] = 1;
+        order.push_back(v);
+      }
+    }
+  }
+  return order.size() == n;
 }
 
 std::vector<std::size_t> connectedComponents(const Graph& g) {

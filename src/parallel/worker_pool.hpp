@@ -2,11 +2,14 @@
 //
 // SyncRunner with threads > 1 runs each round (and each fixpoint sweep) as
 // one job per worker, each claiming blocks of vertices until none is left;
-// graph::unitDiskGraph runs one band of cell rows per worker. The pool keeps its threads parked on a condition variable
-// between dispatches, so a round costs one wake-up and one barrier, not a
-// thread spawn per chunk.
+// graph::unitDiskGraph runs one band of cell rows per worker; forEachBlock
+// lends the runner's pool to other whole-graph passes (SisKernel's slice
+// build). The pool keeps its threads parked on a condition variable between
+// dispatches, so a round costs one wake-up and one barrier, not a thread
+// spawn per chunk.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -99,5 +102,26 @@ class WorkerPool {
   std::atomic<std::size_t> pending_{0};
   std::vector<std::thread> threads_;
 };
+
+/// Runs body(begin, end) over [0, count) in contiguous blocks of at most
+/// `block` items, each block claimed by whichever worker is free; inline as
+/// one call over the whole range when `pool` is null. Blocks are disjoint,
+/// so a body that writes only its own items' slots needs no locking.
+template <typename Body>
+void forEachBlock(WorkerPool* pool, std::size_t count, std::size_t block,
+                  const Body& body) {
+  if (pool == nullptr) {
+    body(std::size_t{0}, count);
+    return;
+  }
+  if (block == 0) block = 1;
+  std::atomic<std::size_t> next{0};
+  pool->run([&](std::size_t) {
+    for (std::size_t b = next.fetch_add(block, std::memory_order_relaxed);
+         b < count; b = next.fetch_add(block, std::memory_order_relaxed)) {
+      body(b, std::min(b + block, count));
+    }
+  });
+}
 
 }  // namespace selfstab::parallel

@@ -135,7 +135,7 @@ class Histogram {
 
 /// Default buckets for fractions in [0, 1] (per-round activation fraction).
 /// Log-spaced toward 0 because near-converged rounds activate a vanishing
-/// share of nodes — exactly the regime the active-set scheduler targets.
+/// share of nodes — exactly the regime the work-set executor targets.
 [[nodiscard]] inline std::vector<double> fractionBuckets() {
   return {0,    0.001, 0.002, 0.005, 0.01, 0.02,
           0.05, 0.1,   0.2,   0.5,   1.0};

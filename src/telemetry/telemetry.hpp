@@ -38,8 +38,9 @@ inline constexpr const char* kWorkerThreads = "worker_threads";
 inline constexpr const char* kEvaluationsPerSecond =
     "evaluations_per_second";
 
-// Active-set scheduling (SyncRunner; the beacon simulator reuses the
-// counters for per-interval rule evaluations vs dirty-skip suppressions).
+// Work-set evaluation (SyncRunner: each round's work set vs the rest; the
+// beacon simulator reuses the counters for per-interval rule evaluations vs
+// dirty-skip suppressions).
 inline constexpr const char* kActiveNodes = "active_nodes_total";
 inline constexpr const char* kSkippedNodes = "skipped_nodes_total";
 inline constexpr const char* kActivationFraction = "round_active_fraction";

@@ -1,10 +1,11 @@
-// Property-based differential harness for active-set scheduling.
+// Property-based differential harness for the work-set executor.
 //
-// The active scheduler's whole claim is semantic transparency: for every
-// protocol, graph, ID order, seed, and (arbitrary, possibly corrupt) initial
-// configuration, the Active schedule must produce the SAME trajectory as the
-// Dense reference — identical per-round state vectors, identical per-round
-// move counts, identical RunResult — at threads = 1 and on the worker pool.
+// Its whole claim is semantic transparency: for every protocol, graph, ID
+// order, seed, and (arbitrary, possibly corrupt) initial configuration, the
+// adaptive Dense executor and the list-only Active mode must produce the
+// SAME trajectory as the Sweep oracle — identical per-round state vectors,
+// identical per-round move counts, identical RunResult — at threads = 1 and
+// on the worker pool.
 // This suite hammers that claim with randomized combinations over every
 // registered protocol in src/core/ and fails with a replayable seed.
 //
@@ -94,9 +95,10 @@ std::string label(std::string_view protocol, std::uint64_t seed,
   return ss.str();
 }
 
-// Lockstep comparison: same start, a Dense threads = 1 reference plus one
-// Dense and one Active runner at `threads`, stepping together. Also asserts
-// RunResult parity from fresh runners over the same start.
+// Lockstep comparison: same start, a threads = 1 reference on the Sweep
+// oracle (every node, every round) plus one Dense and one Active runner at
+// `threads`, stepping together. Also asserts RunResult parity from fresh
+// runners over the same start.
 template <typename State, typename Sampler>
 void checkSchedules(const engine::Protocol<State>& protocol, Sampler sampler,
                     std::uint64_t seed, std::size_t threads = 1) {
@@ -106,7 +108,7 @@ void checkSchedules(const engine::Protocol<State>& protocol, Sampler sampler,
   const auto start = engine::randomConfiguration<State>(g, rng, sampler);
   const std::size_t maxRounds = 4 * g.order() + 8;
 
-  SyncRunner<State> reference(protocol, g, ids, seed, Schedule::Dense);
+  SyncRunner<State> reference(protocol, g, ids, seed, Schedule::Sweep);
   SyncRunner<State> dense(protocol, g, ids, seed, Schedule::Dense, threads);
   SyncRunner<State> active(protocol, g, ids, seed, Schedule::Active, threads);
   auto refStates = start;
@@ -229,9 +231,9 @@ TEST(ScheduleDifferential, LeaderTreeSerial) {
 
 TEST(ScheduleDifferential, DominatingSetSynchronizedSerial) {
   // Synchronized wrappers draw per-round lottery priorities from roundKey:
-  // readsBeyondNeighborhood() forces the active scheduler into
-  // evaluate-everything mode, which must STILL be bit-identical (it shares
-  // the incremental snapshot path, not the dense one).
+  // readsBeyondNeighborhood() makes the executor evaluate everything each
+  // round, which must STILL be bit-identical with the oracle (it keeps the
+  // mirror hot through apply() instead of reloading it).
   const core::Synchronized<core::DominatingSetProtocol> domset;
   const std::size_t iters = stressIters(28);
   for (std::size_t i = 0; i < iters; ++i) {

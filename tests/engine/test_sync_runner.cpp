@@ -259,10 +259,12 @@ TEST(SetKernel, SwapsBetweenRoundsKeepTheTrajectory) {
 }
 
 
-// Dense quiet rounds: once a fully evaluated round moved nothing, a round
-// over the same configuration and topology is skipped. Every way the
-// configuration can change behind the runner's back must still get a full
-// evaluation, which moves exactly the nodes a fresh runner finds enabled.
+// Quiet rounds: once a round moved nothing and nothing was edited, the next
+// round's work set is empty and the round is skipped. Every way the
+// configuration can change behind the runner's back — a state edit
+// announced with invalidateSchedule(), as the runner's contract requires, a
+// topology change, a kernel swap — must still get evaluated, and move
+// exactly the nodes a fresh runner finds enabled.
 template <typename State, typename Sampler>
 void checkQuietRounds(const Protocol<State>& protocol, Sampler sampler,
                       bool flat, std::size_t threads) {
@@ -313,8 +315,9 @@ void checkQuietRounds(const Protocol<State>& protocol, Sampler sampler,
   EXPECT_EQ(runner.round(), roundBefore + 2);
   EXPECT_NE(eventText.str().rfind("\"active\":0"), std::string::npos);
 
-  // An external state edit, without invalidateSchedule.
+  // An external state edit, announced.
   disturb();
+  runner.invalidateSchedule();
   std::size_t expected = enabledCount(states);
   EXPECT_EQ(runner.step(states), expected);
   settle();
@@ -330,15 +333,18 @@ void checkQuietRounds(const Protocol<State>& protocol, Sampler sampler,
   EXPECT_EQ(runner.step(states), expected);
   settle();
 
-  // A move that is pinned and reverted: the configuration is back to the
-  // one the last round evaluated, but that round moved, so it runs again.
+  // A move that is pinned and reverted (announced): the configuration is
+  // back to the one the last round evaluated, but that round moved, so it
+  // runs again.
   (void)runner.step(states);
   disturb();
+  runner.invalidateSchedule();
   const std::vector<State> pinned = states;
   expected = enabledCount(states);
   ASSERT_EQ(runner.step(states), expected);
   const std::vector<State> afterFirst = states;
   states = pinned;
+  runner.invalidateSchedule();
   EXPECT_EQ(runner.step(states), expected);
   EXPECT_EQ(states, afterFirst);
   settle();
