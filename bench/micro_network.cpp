@@ -1,6 +1,7 @@
 // Microbenchmarks for the beacon-model simulator: events/second and cost of
 // simulated protocol time, plus a machine-readable grid-vs-scan comparison
-// appended to $SELFSTAB_BENCH_JSON before the google-benchmark run.
+// appended to $SELFSTAB_BENCH_JSON and the window executor's grain table
+// (docs/PERFORMANCE.md) before the google-benchmark run.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -8,7 +9,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
+#include <vector>
 
+#include "adhoc/mobility.hpp"
 #include "adhoc/network.hpp"
 #include "core/sis.hpp"
 #include "core/smm.hpp"
@@ -115,11 +118,59 @@ void emitGridVsScan() {
        {"scan_range_checks", static_cast<double>(scan.second)}});
 }
 
+// The window executor's grain table: wall time of 2 simulated seconds of
+// SMM under waypoint mobility (the beacon-waypoint workload's shape: ~15
+// neighbours per node, 1 ms delay, 100 ms beacons) at 1-4 workers, for
+// several expected beacons per window. kBeaconWindowGrain is the smallest
+// per-worker share at which a worker count beats the one below it. Every
+// column must end in the same states (the table doubles as a check).
+void printWindowGrainTable() {
+  std::printf("window executor grain (ms per 2 simulated s; best of 3)\n");
+  std::printf("%9s %7s %8s %8s %8s %8s\n", "beacons/w", "n", "1 wkr",
+              "2 wkrs", "3 wkrs", "4 wkrs");
+  const core::SmmProtocol smm = core::smmPaper();
+  for (const std::size_t perWindow : {6, 12, 24, 48, 96}) {
+    const std::size_t n = perWindow * 100;
+    const IdAssignment ids = IdAssignment::identity(n);
+    std::printf("%9zu %7zu", perWindow, n);
+    std::vector<PointerState> reference;
+    for (std::size_t workers = 1; workers <= 4; ++workers) {
+      double best = 1e30;
+      for (int rep = 0; rep < 3; ++rep) {
+        graph::Rng rng(21);
+        RandomWaypoint::Config wp;
+        wp.speedMin = 0.01;
+        wp.speedMax = 0.05;
+        RandomWaypoint mobility(graph::randomPoints(n, rng), wp, 22);
+        NetworkConfig config;
+        config.seed = 23;
+        config.radius = std::sqrt(15.0 / (3.14159 * static_cast<double>(n)));
+        NetworkSimulator<PointerState> sim(smm, ids, mobility, config,
+                                           workers);
+        const auto t0 = std::chrono::steady_clock::now();
+        sim.run(2 * kSecond);
+        best = std::min(best, std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
+        if (reference.empty()) reference = sim.states();
+        if (sim.states() != reference) {
+          std::fprintf(stderr, "micro_network: %zu workers diverged\n",
+                       workers);
+          std::exit(1);
+        }
+      }
+      std::printf(" %8.1f", 1e3 * best);
+    }
+    std::printf("\n");
+  }
+}
+
 }  // namespace
 }  // namespace selfstab::adhoc
 
 int main(int argc, char** argv) {
   selfstab::adhoc::emitGridVsScan();
+  selfstab::adhoc::printWindowGrainTable();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -43,7 +43,10 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # unitDiskGraph's bands: each worker fills its own buffer and its own
   # slots of the degree array, then scatters its lists into its vertices'
   # disjoint slices of the Graph's CSR.
-  "$TSAN_DIR/tests/graph_tests" --gtest_filter='Geometry.BandedBuildMatchesSerial'
+  # SpinTeam: the simulator's spinning fork-join team (dispatch, parking,
+  # exception hand-off).
+  "$TSAN_DIR/tests/graph_tests" \
+    --gtest_filter='Geometry.BandedBuildMatchesSerial:SpinTeam.*'
   # selfstab sizes both pools itself: a 20000-node run (four workers where
   # four CPUs are free) against the same run held to one CPU.
   "$TSAN_DIR/tests/cli_tests" --gtest_filter='Execute.PooledRunMatchesSingleCpuRun'
@@ -70,6 +73,12 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # on the same pool.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" --gtest_filter='ExactExecutor.*'
+  # The simulator's window executor at 2-4 workers: per-node phases write
+  # disjoint node ranges and their beacons' slots while the next window's
+  # geometry reads positions and the grid; the driving thread emits after
+  # the barrier.
+  SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
+    "$TSAN_DIR/tests/stress_tests" --gtest_filter='SimWindowExecutor.*'
 } 2>&1 | tee "$ROOT/tsan_output.txt"
 
 # AddressSanitizer pass over the beacon-simulator suites: the spatial-index
@@ -120,6 +129,11 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # queues back as its moved list.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" --gtest_filter='ExactExecutor.*'
+  # Window executor: batch slots freed inside a window are recycled only
+  # after its per-node phase, and prepared mobility spans must cover every
+  # position a window queries.
+  SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
+    "$ASAN_DIR/tests/stress_tests" --gtest_filter='SimWindowExecutor.*'
 } 2>&1 | tee "$ROOT/asan_output.txt"
 
 # Debug pass: the Graph's bulk factory checks its input (ascending,

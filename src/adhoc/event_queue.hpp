@@ -162,6 +162,14 @@ class CalendarQueue {
                        : wheel_[slotOf(cursor_)].front().at;
   }
 
+  /// The earliest event, left in place; queue must be non-empty.
+  [[nodiscard]] const Event& peek() {
+    assert(size_ > 0);
+    settle();
+    return width_ <= 0 ? overflow_.front().event
+                       : wheel_[slotOf(cursor_)].front().event;
+  }
+
   /// Removes and returns the earliest event, advancing now().
   Event pop() {
     assert(size_ > 0);

@@ -1,6 +1,7 @@
 #include "adhoc/mobility.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace selfstab::adhoc {
@@ -48,13 +49,72 @@ RandomWaypoint::Leg RandomWaypoint::nextLeg(Vertex v, const Leg& current) {
 
 void RandomWaypoint::advance(Vertex v, SimTime t) {
   Leg& leg = legs_[v];
-  while (leg.end < t) leg = nextLeg(v, leg);
+  if (ahead_.empty()) {  // never prepared
+    while (leg.end < t) leg = nextLeg(v, leg);
+    return;
+  }
+  std::vector<Leg>& ahead = ahead_[v];
+  std::size_t used = 0;
+  while (leg.end < t) {
+    leg = used < ahead.size() ? ahead[used++] : nextLeg(v, leg);
+  }
+  ahead.erase(ahead.begin(), ahead.begin() + static_cast<std::ptrdiff_t>(used));
 }
 
 Point RandomWaypoint::position(Vertex v, SimTime t) {
-  if (config_.stopTime >= 0) t = std::min(t, config_.stopTime);
+  t = clampTime(t);
   advance(v, t);
-  const Leg& leg = legs_[v];
+  return interpolate(legs_[v], t);
+}
+
+void RandomWaypoint::prepare(SimTime from, SimTime to) {
+  from = clampTime(from);
+  to = clampTime(to);
+  const auto later = [](const std::pair<SimTime, Vertex>& a,
+                        const std::pair<SimTime, Vertex>& b) {
+    return a > b;
+  };
+  if (ahead_.size() != legs_.size()) {
+    // First span: built here rather than in the constructor, so a model
+    // only ever asked for position() pays nothing for it.
+    ahead_.resize(legs_.size());
+    due_.reserve(legs_.size());
+    for (Vertex v = 0; v < legs_.size(); ++v) {
+      due_.emplace_back(coveredUntil(v), v);
+    }
+    std::make_heap(due_.begin(), due_.end(), later);
+  }
+  while (!due_.empty() && due_.front().first < to) {
+    std::pop_heap(due_.begin(), due_.end(), later);
+    const Vertex v = due_.back().second;
+    due_.pop_back();
+    // Drop the legs the span has left behind, then draw up to `to`.
+    advance(v, from);
+    std::vector<Leg>& ahead = ahead_[v];
+    while (coveredUntil(v) < to) {
+      ahead.push_back(nextLeg(v, ahead.empty() ? legs_[v] : ahead.back()));
+    }
+    due_.emplace_back(coveredUntil(v), v);
+    std::push_heap(due_.begin(), due_.end(), later);
+  }
+}
+
+Point RandomWaypoint::preparedPosition(Vertex v, SimTime t) const {
+  t = clampTime(t);
+  const Leg* leg = &legs_[v];
+  if (leg->end < t) {
+    const std::vector<Leg>& ahead = ahead_[v];
+    std::size_t i = 0;
+    while (ahead[i].end < t) {
+      ++i;
+      assert(i < ahead.size() && "t lies outside the prepared span");
+    }
+    leg = &ahead[i];
+  }
+  return interpolate(*leg, t);
+}
+
+Point RandomWaypoint::interpolate(const Leg& leg, SimTime t) noexcept {
   if (leg.end == leg.start) return leg.to;
   const double frac = static_cast<double>(t - leg.start) /
                       static_cast<double>(leg.end - leg.start);

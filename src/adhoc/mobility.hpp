@@ -6,8 +6,10 @@
 // and destroys links exactly as the neighbor-discovery protocol expects.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "adhoc/sim_time.hpp"
@@ -24,6 +26,13 @@ namespace selfstab::adhoc {
 /// vertices, must not influence any trajectory. (The spatial-index and
 /// reference simulator paths query different vertex subsets; purity is what
 /// keeps their trajectories bit-identical.)
+///
+/// prepare(from, to) + preparedPosition(v, t) is the read-only form the
+/// simulator's worker threads use: after prepare, preparedPosition answers
+/// any (v, t) with t in [from, to] without mutating anything, so concurrent
+/// calls are safe, and it returns exactly position(v, t). Spans must not
+/// move backwards: `from` is no earlier than any earlier span's `from` or
+/// any position() query already made.
 class Mobility {
  public:
   Mobility() = default;
@@ -33,6 +42,14 @@ class Mobility {
 
   [[nodiscard]] virtual std::size_t order() const = 0;
   [[nodiscard]] virtual graph::Point position(graph::Vertex v, SimTime t) = 0;
+
+  /// Makes preparedPosition valid over [from, to] (from <= to).
+  virtual void prepare(SimTime from, SimTime to) = 0;
+
+  /// position(v, t) for t in the last prepared span, bit for bit; const and
+  /// safe to call from several threads at once.
+  [[nodiscard]] virtual graph::Point preparedPosition(graph::Vertex v,
+                                                      SimTime t) const = 0;
 
   /// Hard upper bound on any host's instantaneous speed (unit-square widths
   /// per second). The spatial index uses it to bound how far a host can
@@ -58,6 +75,13 @@ class StaticPlacement final : public Mobility {
   [[nodiscard]] std::size_t order() const override { return points_.size(); }
 
   [[nodiscard]] graph::Point position(graph::Vertex v, SimTime) override {
+    return points_[v];
+  }
+
+  void prepare(SimTime, SimTime) override {}
+
+  [[nodiscard]] graph::Point preparedPosition(graph::Vertex v,
+                                              SimTime) const override {
     return points_[v];
   }
 
@@ -90,6 +114,13 @@ class RandomWaypoint final : public Mobility {
 
   [[nodiscard]] graph::Point position(graph::Vertex v, SimTime t) override;
 
+  /// Advances only the hosts whose materialized legs end before `to` (a
+  /// min-heap on that end time), so a span costs O(legs started in it).
+  void prepare(SimTime from, SimTime to) override;
+
+  [[nodiscard]] graph::Point preparedPosition(graph::Vertex v,
+                                              SimTime t) const override;
+
   [[nodiscard]] double maxSpeed() const noexcept override {
     return config_.speedMax;
   }
@@ -108,8 +139,24 @@ class RandomWaypoint final : public Mobility {
 
   void advance(graph::Vertex v, SimTime t);
   Leg nextLeg(graph::Vertex v, const Leg& current);
+  [[nodiscard]] SimTime clampTime(SimTime t) const noexcept {
+    return config_.stopTime >= 0 ? std::min(t, config_.stopTime) : t;
+  }
+  /// End of v's last drawn leg; needs ahead_ allocated.
+  [[nodiscard]] SimTime coveredUntil(graph::Vertex v) const noexcept {
+    return ahead_[v].empty() ? legs_[v].end : ahead_[v].back().end;
+  }
+  static graph::Point interpolate(const Leg& leg, SimTime t) noexcept;
 
+  // legs_[v] is v's current leg; ahead_[v] holds the legs prepare() has
+  // already drawn after it (usually none: legs last seconds, a span a
+  // millisecond), in order. position() consumes ahead_ before drawing.
+  // ahead_ and due_ stay empty until the first prepare().
   std::vector<Leg> legs_;
+  std::vector<std::vector<Leg>> ahead_;
+  // (coveredUntil, v) min-heap for prepare(); an entry is stale when
+  // position() advanced v since, which prepare() detects and re-keys.
+  std::vector<std::pair<SimTime, graph::Vertex>> due_;
   Config config_;
   // One RNG stream per host, seeded from (seed, v): a host's waypoint
   // sequence depends only on its own draws, making position(v, t) pure in

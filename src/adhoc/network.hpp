@@ -28,32 +28,65 @@
 //    consecutive sequence numbers, so no other event could fall between
 //    them: the batch replays exactly their order.
 //  * Broadcast fan-out and collision checks consult an incrementally
-//    maintained SpatialGrid instead of scanning all n nodes. A node's cell
-//    is refreshed at its own beacon, so a recorded position is stale by at
-//    most one (jittered) beacon interval; queries widen the radius by
-//    maxSpeed x staleness to cover the drift. The reference implementation's
-//    exact distance test (which draws no random number) then filters the
-//    unsorted candidates, and only the survivors are sorted into ascending
-//    vertex order, so the per-receiver loss draws and collision checks come
-//    out identical to the full scan.
+//    maintained SpatialGrid instead of scanning all n nodes. The exact
+//    distance test (which draws no random number) then filters the unsorted
+//    candidates, and only the survivors are sorted into ascending vertex
+//    order, so the per-receiver loss draws and collision checks come out
+//    identical to the full scan. See "Grid staleness" below for the slack.
 //  * Collision checks only ever need nodes that transmitted within
 //    collisionWindow, so each grid cell keeps a ring of recent
 //    transmissions (recorded at the transmitter's exact cell at
 //    transmission time, lazily pruned); the query widens by
 //    maxSpeed x collisionWindow.
 //  * The event queue is a CalendarQueue bucketed at 1/16 beacon interval.
-//  * Mobility::position is memoized per (node, event-timestamp).
+//
+// Lookahead windows (docs/MODEL.md, docs/PERFORMANCE.md). A beacon reaches
+// its receivers exactly propagationDelay D after it is sent, and a node's
+// next beacon is at least (1 - jitter) x drift x beaconInterval >= D away.
+// So with time cut into aligned windows [kD, (k+1)D), every event of a
+// window is already queued when the window opens, and nothing the window
+// does can schedule into it (conservative parallel simulation, Chandy &
+// Misra 1979). run() and runUntilQuiet() therefore execute a window in
+// three phases that reproduce the per-event order bit for bit:
+//   (A) geometry, on the team: each beacon's ascending receiver list, a
+//       pure function of positions, radii and chaos masks;
+//   (B) serial, in event order: loss/jitter draws from the one RNG,
+//       collision checks, batch slots and every queue schedule;
+//   (C) per node, on the team: each node's own events in (time, seq)
+//       order — arrivals into its cache, expiry, rule evaluation, payload
+//       capture — followed by a serial pass that emits move /
+//       neighbor_expired records, move hooks, stats and counters in event
+//       order.
+// Phase C of one window runs in the same team dispatch as phase A of the
+// next. A ChaosTick or `until` ends a window early (the tick runs alone,
+// serially). The per-event loop (dispatch()) remains the reference order:
+// it runs every window when propagationDelay is 0 or the lookahead bound
+// fails, runUntilQuiet's window in which the quiet test could fire, and the
+// whole run for a simulator built with kPerEventLoop workers. Both orders
+// call the same handlers (locate / broadcast / expireAndEvaluate / deliver
+// / finish).
+//
+// Grid staleness. With D > 0 a beacon's grid placement is deferred to the
+// start of the next aligned window that holds an event, so a window's
+// gathers read a grid that no event inside the window changes: the same
+// grid at every worker count and every run() slicing. A recorded position
+// then lags by at most one jittered (drifted) beacon interval plus D, and
+// the gather widens the radius by maxSpeed x that. With D = 0 a beacon
+// places itself before its own gather.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -67,6 +100,9 @@
 #include "graph/geometry.hpp"
 #include "graph/id_order.hpp"
 #include "graph/rng.hpp"
+#include "graph/sort_neighbors.hpp"
+#include "parallel/spin_team.hpp"
+#include "parallel/workers.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace selfstab::adhoc {
@@ -156,6 +192,8 @@ struct NetworkStats {
 /// NetworkStats these are *mode-dependent by design* — the grid exists to
 /// shrink rangeChecks — so equivalence suites must not compare them across
 /// IndexMode values. The scale benchmark's >= 20x reduction gate reads them.
+/// Within one mode they do not depend on the worker count or on how run()
+/// is sliced.
 struct IndexStats {
   std::size_t rangeChecks = 0;         ///< exact distance tests executed
   std::size_t gridQueries = 0;         ///< broadcast gathers (Grid mode)
@@ -172,12 +210,27 @@ struct QuietResult {
   NetworkStats stats;
 };
 
+/// Worker counts for NetworkSimulator's constructor. kAutoWorkers (the
+/// default) sizes the window executor as parallel::workersFor(expected
+/// beacons per window, kBeaconWindowGrain); kPerEventLoop runs every event
+/// through the reference per-event loop (the test oracle).
+inline constexpr std::size_t kAutoWorkers =
+    std::numeric_limits<std::size_t>::max();
+inline constexpr std::size_t kPerEventLoop = 0;
+
+/// Expected beacons per lookahead window that one extra worker needs before
+/// it pays for its share of the dispatch (measured; docs/PERFORMANCE.md).
+inline constexpr std::size_t kBeaconWindowGrain = 6;
+
 template <typename State>
 class NetworkSimulator {
  public:
+  /// `workers`: see kAutoWorkers / kPerEventLoop; any other value is the
+  /// window executor's worker count (1 runs its phases inline). Every
+  /// choice gives the same trajectory, stats, event log and IndexStats.
   NetworkSimulator(const engine::Protocol<State>& protocol,
                    const graph::IdAssignment& ids, Mobility& mobility,
-                   NetworkConfig config)
+                   NetworkConfig config, std::size_t workers = kAutoWorkers)
       : protocol_(&protocol),
         ids_(&ids),
         mobility_(&mobility),
@@ -187,9 +240,7 @@ class NetworkSimulator {
         lastTx_(mobility.order(), -1),
         queue_(config_.queue == QueueMode::Calendar
                    ? std::max<SimTime>(1, config_.beaconInterval / 16)
-                   : 0),
-        posStamp_(mobility.order(), -1),
-        posPoint_(mobility.order()) {
+                   : 0) {
     assert(ids.order() == mobility.order());
     config_.validate();
     if (!config_.perNodeRadius.empty() &&
@@ -202,30 +253,39 @@ class NetworkSimulator {
       maxRadius_ = *std::max_element(config_.perNodeRadius.begin(),
                                      config_.perNodeRadius.end());
     }
-    // A recorded position lags reality by at most one jittered beacon
-    // interval (a node re-places itself at every beacon; the construction
-    // placement below covers the first interval, whose phase is < one
-    // interval). Collision candidates lag by at most collisionWindow. The
+    const std::size_t n = nodes_.size();
+    if (workers == kAutoWorkers) {
+      const auto perWindow = static_cast<std::size_t>(
+          static_cast<double>(n) *
+          static_cast<double>(config_.propagationDelay) /
+          static_cast<double>(config_.beaconInterval));
+      workers = parallel::workersFor(perWindow, kBeaconWindowGrain);
+    }
+    perEventOnly_ = workers == kPerEventLoop;
+    workers_ = std::max<std::size_t>(workers, 1);
+    workerSlots_.resize(workers_);
+    // Grid staleness (header comment): one jittered interval plus one
+    // window, and collision candidates lag by at most collisionWindow. The
     // epsilon absorbs the interpolation arithmetic of Mobility::position.
     constexpr double kSlack = 1e-9;
-    const double secondsPerInterval = static_cast<double>(
-                                          config_.beaconInterval) /
-                                      static_cast<double>(kSecond);
-    broadcastSlack_ = mobility.maxSpeed() * (1.0 + config_.jitterFraction) *
-                          secondsPerInterval +
-                      kSlack;
-    collisionSlack_ = mobility.maxSpeed() *
-                          (static_cast<double>(config_.collisionWindow) /
-                           static_cast<double>(kSecond)) +
-                      kSlack;
+    const auto seconds = [](SimTime t) {
+      return static_cast<double>(t) / static_cast<double>(kSecond);
+    };
+    broadcastSlack_ =
+        mobility.maxSpeed() *
+            ((1.0 + config_.jitterFraction) * seconds(config_.beaconInterval) +
+             seconds(config_.propagationDelay)) +
+        kSlack;
+    collisionSlack_ =
+        mobility.maxSpeed() * seconds(config_.collisionWindow) + kSlack;
     if (config_.index == IndexMode::Grid) {
-      grid_ = graph::SpatialGrid(nodes_.size(), maxRadius_);
+      grid_ = graph::SpatialGrid(n, maxRadius_);
       if (config_.collisionWindow > 0) txRings_.resize(grid_.cellCount());
-      for (graph::Vertex v = 0; v < nodes_.size(); ++v) {
-        grid_.place(v, positionAt(v, 0));
+      for (graph::Vertex v = 0; v < n; ++v) {
+        grid_.place(v, mobility.position(v, 0));
       }
     }
-    for (graph::Vertex v = 0; v < nodes_.size(); ++v) {
+    for (graph::Vertex v = 0; v < n; ++v) {
       nodes_[v].state = protocol.initialState(v);
       // Desynchronized start: first beacon at a random phase of one interval.
       queue_.schedule(
@@ -273,11 +333,19 @@ class NetworkSimulator {
                                                telemetry::depthBuckets());
     // A node's beacon-interval work (expiry sweep, rule evaluation,
     // broadcast) is its share of one paper-round; that is the latency this
-    // histogram tracks in the beacon model.
+    // histogram tracks in the beacon model. The window executor times the
+    // node's per-node phase (expiry + evaluation) only.
     metrics_.roundDuration = &registry->histogram(
         names::kRoundDuration, telemetry::durationBuckets());
     metrics_.evaluationsPerSecond =
         &registry->gauge(names::kEvaluationsPerSecond);
+    metrics_.windows = &registry->counter(names::kSimWindows);
+    metrics_.eventLoopWindows = &registry->counter(names::kSimEventLoopWindows);
+    metrics_.geometrySeconds = &registry->gauge(names::kSimGeometrySeconds);
+    metrics_.nodeSeconds = &registry->gauge(names::kSimNodeSeconds);
+    metrics_.serialSeconds = &registry->gauge(names::kSimSerialSeconds);
+    registry->gauge(names::kWorkerThreads)
+        .set(static_cast<double>(perEventOnly_ ? 1 : workers_));
   }
 
   /// Installs a devirtualized view kernel (core/kernels.hpp) for rule
@@ -299,9 +367,7 @@ class NetworkSimulator {
   /// Runs until simulated time `until`.
   void run(SimTime until) {
     const EvalRateScope rate(metrics_, stats_);
-    while (!queue_.empty() && queue_.nextTime() <= until) {
-      dispatch(queue_.pop());
-    }
+    drive(until, nullptr);
   }
 
   /// Runs until no node has changed protocol state for `quietWindow`, or
@@ -313,7 +379,8 @@ class NetworkSimulator {
   /// campaign must not declare quiescence while events are still pending.
   /// Quiet is checked after each queue event, and a broadcast's arrival at
   /// all of its receivers is one event, so the run stops on a broadcast
-  /// boundary: no arrival is ever left half-delivered.
+  /// boundary: no arrival is ever left half-delivered. (The lookahead
+  /// window in which the test could first pass runs event by event.)
   QuietResult runUntilQuiet(SimTime quietWindow, SimTime maxTime,
                             SimTime noQuietBefore = 0) {
     QuietResult result;
@@ -322,15 +389,9 @@ class NetworkSimulator {
     // expire, so a quiet window opens no earlier than the last position
     // change; a topology that never settles is never quiet.
     const SimTime settle = mobility_->settleTime();
-    const bool settles = settle != Mobility::kNeverSettles;
-    while (!queue_.empty() && queue_.nextTime() <= maxTime) {
-      dispatch(queue_.pop());
-      if (settles && queue_.now() >= noQuietBefore &&
-          queue_.now() - std::max(lastMove_, settle) >= quietWindow) {
-        result.quiet = true;
-        break;
-      }
-    }
+    const QuietTest test{quietWindow, noQuietBefore, settle};
+    result.quiet =
+        drive(maxTime, settle != Mobility::kNeverSettles ? &test : nullptr);
     result.endTime = queue_.now();
     result.stats = stats_;
     return result;
@@ -376,7 +437,7 @@ class NetworkSimulator {
     const SimTime now = queue_.now();
     std::vector<graph::Point> pts(nodes_.size());
     for (graph::Vertex v = 0; v < nodes_.size(); ++v) {
-      pts[v] = positionAt(v, now);
+      pts[v] = mobility_->position(v, now);
     }
     // Two passes over each vertex's candidates (every vertex, or a fresh
     // exact-position grid's neighborhood: the incremental one lags by a
@@ -416,8 +477,7 @@ class NetworkSimulator {
     for (graph::Vertex u = 0; u < n; ++u) {
       std::size_t next = offsets[u];
       forEachLink(u, [&](graph::Vertex v) { targets[next++] = v; });
-      std::sort(targets.begin() + static_cast<std::ptrdiff_t>(offsets[u]),
-                targets.begin() + static_cast<std::ptrdiff_t>(next));
+      graph::sortNeighbors(targets.data() + offsets[u], next - offsets[u]);
     }
     return graph::Graph::fromCsr(std::move(offsets), std::move(targets));
   }
@@ -472,7 +532,10 @@ class NetworkSimulator {
   void chaosSetHandler(std::function<void(std::int64_t)> handler) {
     chaos_->handler = std::move(handler);
   }
-  /// Called after every committed protocol move (simulated time, node).
+  /// Called after every committed protocol move (simulated time, node), in
+  /// event order. Under the window executor the calls come after the
+  /// move's lookahead window has run, so a hook must not read simulator
+  /// state; the controller's feeds a RecoveryMonitor.
   void chaosSetMoveHook(std::function<void(SimTime, graph::Vertex)> hook) {
     chaos_->moveHook = std::move(hook);
   }
@@ -482,6 +545,8 @@ class NetworkSimulator {
   /// Neighbors discover the silence through cache expiry, exactly like a
   /// real host vanishing.
   void chaosCrash(graph::Vertex v) {
+    chaos_->faulted = true;
+    if (chaos_->crashed[v] == 0) ++chaos_->crashedCount;
     chaos_->crashed[v] = 1;
     ++chaos_->epoch[v];
   }
@@ -490,6 +555,8 @@ class NetworkSimulator {
   /// new beacon-timer chain starting `phase` from now (the caller picks the
   /// phase from its own RNG to keep the restart desynchronized).
   void chaosRejoin(graph::Vertex v, SimTime phase) {
+    chaos_->faulted = true;
+    if (chaos_->crashed[v] != 0) --chaos_->crashedCount;
     chaos_->crashed[v] = 0;
     ++chaos_->epoch[v];
     nodes_[v].state = protocol_->initialState(v);
@@ -497,7 +564,12 @@ class NetworkSimulator {
     nodes_[v].dirty = true;
     lastMove_ = queue_.now();
     if (config_.index == IndexMode::Grid) {
-      grid_.place(v, positionAt(v, queue_.now()));
+      // Placed at once (its recorded cell may be arbitrarily old), and
+      // queued as the node's latest deferred placement so an earlier one
+      // from the same window cannot overwrite it.
+      const graph::Point p = mobility_->position(v, queue_.now());
+      grid_.place(v, p);
+      if (deferPlaces()) pendingPlaces_.push_back(Placement{v, p});
     }
     queue_.schedule(queue_.now() + std::max<SimTime>(1, phase),
                     Event{BeaconTimer{v, chaos_->epoch[v]}});
@@ -509,6 +581,7 @@ class NetworkSimulator {
   /// Partition: beacons between different sides are dropped at the radio.
   void chaosSetPartition(std::vector<std::uint8_t> side) {
     assert(side.size() == nodes_.size());
+    chaos_->faulted = true;
     chaos_->side = std::move(side);
     chaos_->partitionActive = true;
   }
@@ -525,12 +598,16 @@ class NetworkSimulator {
   /// Clock drift: this node's beacon interval is multiplied by `factor`
   /// (1.0 restores a true clock).
   void chaosSetDrift(graph::Vertex v, double factor) {
+    chaos_->faulted = true;
     chaos_->drift[v] = factor;
+    chaos_->minDrift =
+        *std::min_element(chaos_->drift.begin(), chaos_->drift.end());
   }
 
   /// Stuck: the node keeps beaconing its current state but never evaluates
   /// its rules — a frozen program with a live radio.
   void chaosSetStuck(graph::Vertex v, bool stuck) {
+    chaos_->faulted = true;
     chaos_->stuck[v] = stuck ? 1 : 0;
     if (!stuck) nodes_[v].dirty = true;  // resume with a forced evaluation
   }
@@ -538,6 +615,7 @@ class NetworkSimulator {
   /// Garble: the node's *next* beacon carries `payload` instead of its real
   /// state (one corrupted transmission, then the radio is honest again).
   void chaosGarble(graph::Vertex v, State payload) {
+    chaos_->faulted = true;
     chaos_->garbled[v] = std::move(payload);
   }
 
@@ -583,10 +661,12 @@ class NetworkSimulator {
     std::vector<graph::Vertex> receivers;
   };
 
+  // Sender first, then the state, then the 8-byte stamp: a 4-byte state
+  // packs the entry into 16 bytes instead of 24.
   struct CacheEntry {
     graph::Vertex from;
-    SimTime heardAt;
     State state;
+    SimTime heardAt;
   };
 
   struct Node {
@@ -607,9 +687,311 @@ class NetworkSimulator {
     graph::Vertex node;
   };
 
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// One beacon-timer firing, carried through the handlers: locate (A)
+  /// fills the receiver list and its diagnostics, broadcast (B) filters it
+  /// and picks the slot, expireAndEvaluate (C) records what finish() emits.
+  struct alignas(64) Beacon {
+    graph::Vertex node = 0;
+    SimTime at = 0;
+    graph::Point pos;
+    std::vector<graph::Vertex> receivers;
+    std::size_t candidates = 0;   ///< grid gather size
+    std::size_t occupancy = 0;    ///< sender's grid cell population
+    std::size_t rangeChecks = 0;
+    std::uint32_t slot = kNoSlot;
+    bool capture = false;         ///< the slot takes the post-move state
+    std::vector<graph::Vertex> expired;  ///< filled only with an event log
+    std::size_t expiredCount = 0;
+    std::size_t cacheSize = 0;
+    bool evaluated = false;
+    bool moved = false;
+    double seconds = 0.0;         ///< per-node phase, with metrics only
+  };
+
+  /// A window's events in (time, seq) order; `index` is the Beacon slot of
+  /// a timer.
+  struct WindowEvent {
+    enum class Kind : std::uint8_t { Timer, Arrival, Orphan };
+    Kind kind;
+    SimTime at;
+    graph::Vertex from;    ///< Arrival
+    std::uint32_t index;   ///< Timer: beacon; Arrival: batch slot
+  };
+
+  struct Window {
+    std::vector<WindowEvent> events;
+    std::vector<Beacon> beacons;  ///< grows, never shrinks: buffers reused
+    std::size_t beaconCount = 0;
+  };
+
+  struct Placement {
+    graph::Vertex node;
+    graph::Point at;
+  };
+
+  struct QuietTest {
+    SimTime window;
+    SimTime noQuietBefore;
+    SimTime settle;
+  };
+
+  /// One worker's own state: the view buffer, its delivery count, and the
+  /// cumulative seconds it spent in each team phase (cache-line aligned so
+  /// workers never share a line).
+  struct alignas(64) WorkerSlot {
+    std::vector<engine::NeighborRef<State>> view;
+    std::size_t delivered = 0;  ///< this window's deliveries (phase C)
+    double geometry = 0.0;
+    double node = 0.0;
+  };
+
+  // --- Drive loop --------------------------------------------------------
+
+  /// Advances to `until`, window by window; returns true when `quiet`'s
+  /// test passed (the run then stopped right after that event).
+  bool drive(SimTime until, const QuietTest* quiet) {
+    const bool timed = metrics_.serialSeconds != nullptr;
+    const auto start = timed ? Clock::now() : Clock::time_point{};
+    dispatchSeconds_ = 0.0;
+    const bool stopped = driveWindows(until, quiet);
+    if (team_ != nullptr) team_->rest();  // no dispatch until the next drive
+    if (timed) {
+      const double total =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      metrics_.serialSeconds->add(total - dispatchSeconds_);
+      double geometry = 0.0;
+      double node = 0.0;
+      for (WorkerSlot& p : workerSlots_) {
+        geometry += std::exchange(p.geometry, 0.0);
+        node += std::exchange(p.node, 0.0);
+      }
+      metrics_.geometrySeconds->add(geometry);
+      metrics_.nodeSeconds->add(node);
+    }
+    return stopped;
+  }
+
+  bool driveWindows(SimTime until, const QuietTest* quiet) {
+    while (!queue_.empty() && queue_.nextTime() <= until) {
+      const SimTime first = queue_.nextTime();
+      enterWindowOf(first);
+      if (std::holds_alternative<ChaosTick>(queue_.peek())) {
+        dispatch(queue_.pop());
+        if (quietNow(quiet)) return true;
+        continue;
+      }
+      if (phasedNext(until, quiet)) {
+        runWindows(until, quiet);
+        continue;
+      }
+      // The reference order: event by event to the window's end.
+      countOne(metrics_.eventLoopWindows);
+      const SimTime end = windowEnd(first);
+      while (!queue_.empty() && queue_.nextTime() < end &&
+             queue_.nextTime() <= until) {
+        dispatch(queue_.pop());
+        if (quietNow(quiet)) return true;
+      }
+    }
+    return false;
+  }
+
+  /// Whether the next event opens a window the executor may run in phases:
+  /// it is due by `until`, is no ChaosTick, the lookahead bound holds, and
+  /// runUntilQuiet's test cannot pass inside the window.
+  [[nodiscard]] bool phasedNext(SimTime until, const QuietTest* quiet) {
+    return !queue_.empty() && queue_.nextTime() <= until &&
+           !std::holds_alternative<ChaosTick>(queue_.peek()) && windowed() &&
+           !quietPossible(quiet, windowEnd(queue_.nextTime()));
+  }
+
+  /// The window executor: runs consecutive lookahead windows, overlapping
+  /// phase C of each with phase A of the next, until the next event is a
+  /// ChaosTick, lies past `until`, or needs the per-event loop.
+  void runWindows(SimTime until, const QuietTest* quiet) {
+    Window* cur = &windows_[0];
+    Window* next = &windows_[1];
+    collect(*cur, until);
+    runTeam(nullptr, cur);
+    for (;;) {
+      broadcastAll(*cur);
+      const bool more = phasedNext(until, quiet);
+      if (more) {
+        enterWindowOf(queue_.nextTime());
+        collect(*next, until);
+      }
+      runTeam(cur, more ? next : nullptr);
+      std::size_t delivered = 0;
+      for (WorkerSlot& worker : workerSlots_) {
+        delivered += std::exchange(worker.delivered, 0);
+      }
+      countBatch(stats_.beaconsDelivered, metrics_.beaconsDelivered,
+                 delivered);
+      for (const WindowEvent& e : cur->events) {
+        if (e.kind == WindowEvent::Kind::Timer) finish(cur->beacons[e.index]);
+      }
+      freeBatches_.insert(freeBatches_.end(), released_.begin(),
+                          released_.end());
+      released_.clear();
+      if (!more) return;
+      std::swap(cur, next);
+    }
+  }
+
+  /// Pops one window's events (all already queued: see the header comment)
+  /// and prepares the mobility span they query.
+  void collect(Window& w, SimTime until) {
+    countOne(metrics_.windows);
+    w.events.clear();
+    w.beaconCount = 0;
+    const SimTime first = queue_.nextTime();
+    const SimTime end = windowEnd(first);
+    SimTime last = first;
+    while (!queue_.empty() && queue_.nextTime() < end &&
+           queue_.nextTime() <= until &&
+           !std::holds_alternative<ChaosTick>(queue_.peek())) {
+      Event event = queue_.pop();
+      last = queue_.now();
+      if (const auto* timer = std::get_if<BeaconTimer>(&event)) {
+        if (orphaned(*timer)) {
+          w.events.push_back({WindowEvent::Kind::Orphan, last, 0, 0});
+          continue;
+        }
+        if (w.beaconCount == w.beacons.size()) w.beacons.emplace_back();
+        Beacon& b = w.beacons[w.beaconCount];
+        b.node = timer->node;
+        b.at = last;
+        w.events.push_back({WindowEvent::Kind::Timer, last, 0,
+                            static_cast<std::uint32_t>(w.beaconCount++)});
+      } else {
+        const auto& arrival = std::get<Arrival>(event);
+        w.events.push_back(
+            {WindowEvent::Kind::Arrival, last, arrival.from, arrival.slot});
+      }
+    }
+    mobility_->prepare(first, last);
+  }
+
+  /// Phase B over a window, in event order.
+  void broadcastAll(Window& w) {
+    for (std::size_t i = 0; i < w.events.size(); ++i) {
+      const WindowEvent& e = w.events[i];
+      const std::size_t later = w.events.size() - i - 1;
+      if (e.kind == WindowEvent::Kind::Timer) {
+        broadcast(w.beacons[e.index], later);
+      } else if (e.kind == WindowEvent::Kind::Arrival) {
+        // Phase C still reads the slot (and counts its deliveries); it is
+        // recycled after the window.
+        released_.push_back(e.index);
+      }
+    }
+  }
+
+  /// One team dispatch: phase C of `nodeWindow` and phase A of
+  /// `geometryWindow` (either may be null). Worker t owns the t-th node
+  /// range in every window, so a node's cache stays in one core's caches;
+  /// geometry blocks of a few beacons are then claimed by whoever is free.
+  void runTeam(Window* nodeWindow, Window* geometryWindow) {
+    const std::size_t n = nodes_.size();
+    const std::size_t beacons =
+        geometryWindow != nullptr ? geometryWindow->beaconCount : 0;
+    if (workers_ == 1) {
+      if (nodeWindow != nullptr) nodePhase(*nodeWindow, 0, n, 0);
+      if (beacons > 0) geometryPhase(*geometryWindow, 0, beacons, 0);
+      return;
+    }
+    if (team_ == nullptr) {
+      team_ = std::make_unique<parallel::SpinTeam>(workers_);
+    }
+    constexpr std::size_t kBeaconsPerBlock = 4;
+    const std::size_t blocks =
+        (beacons + kBeaconsPerBlock - 1) / kBeaconsPerBlock;
+    const bool timed = metrics_.serialSeconds != nullptr;
+    const auto start = timed ? Clock::now() : Clock::time_point{};
+    std::atomic<std::size_t> claim{0};
+    team_->run([&](std::size_t worker) {
+      if (nodeWindow != nullptr) {
+        nodePhase(*nodeWindow, worker * n / workers_,
+                  (worker + 1) * n / workers_, worker);
+      }
+      for (std::size_t b = claim.fetch_add(1, std::memory_order_relaxed);
+           b < blocks; b = claim.fetch_add(1, std::memory_order_relaxed)) {
+        const std::size_t g = b * kBeaconsPerBlock;
+        geometryPhase(*geometryWindow, g,
+                      std::min(g + kBeaconsPerBlock, beacons), worker);
+      }
+    });
+    if (timed) {
+      dispatchSeconds_ +=
+          std::chrono::duration<double>(Clock::now() - start).count();
+    }
+  }
+
+  /// Phase A for beacons [first, last) of a window.
+  void geometryPhase(Window& w, std::size_t first, std::size_t last,
+                     std::size_t worker) {
+    const bool timed = metrics_.serialSeconds != nullptr;
+    const auto start = timed ? Clock::now() : Clock::time_point{};
+    for (std::size_t i = first; i < last; ++i) {
+      Beacon& b = w.beacons[i];
+      b.pos = mobility_->preparedPosition(b.node, b.at);
+      locate(b);
+    }
+    if (timed) {
+      workerSlots_[worker].geometry +=
+          std::chrono::duration<double>(Clock::now() - start).count();
+    }
+  }
+
+  /// Phase C for the nodes in [lo, hi): their events of the window, in
+  /// event order. Receiver lists are ascending, so each arrival's share is
+  /// one contiguous run.
+  void nodePhase(Window& w, std::size_t lo, std::size_t hi,
+                 std::size_t worker) {
+    const bool timed = metrics_.serialSeconds != nullptr;
+    const auto start = timed ? Clock::now() : Clock::time_point{};
+    for (const WindowEvent& e : w.events) {
+      if (e.kind == WindowEvent::Kind::Timer) {
+        Beacon& b = w.beacons[e.index];
+        if (b.node < lo || b.node >= hi) continue;
+        const auto begin =
+            metrics_.roundDuration != nullptr ? Clock::now()
+                                              : Clock::time_point{};
+        expireAndEvaluate(b, workerSlots_[worker].view);
+        capture(b);
+        if (metrics_.roundDuration != nullptr) {
+          b.seconds =
+              std::chrono::duration<double>(Clock::now() - begin).count();
+        }
+      } else if (e.kind == WindowEvent::Kind::Arrival) {
+        const Batch& batch = batches_[e.index];
+        const auto& to = batch.receivers;
+        auto it = std::lower_bound(to.begin(), to.end(),
+                                   static_cast<graph::Vertex>(lo));
+        std::size_t delivered = 0;
+        const bool crashes = anyCrashed();
+        for (; it != to.end() && *it < hi; ++it) {
+          if (crashes && chaos_->crashed[*it] != 0) continue;
+          deliver(nodes_[*it], e.from, batch.payload, e.at);
+          ++delivered;
+        }
+        workerSlots_[worker].delivered += delivered;
+      }
+    }
+    if (timed) {
+      workerSlots_[worker].node +=
+          std::chrono::duration<double>(Clock::now() - start).count();
+    }
+  }
+
+  // --- Per-event loop ---------------------------------------------------
+
   void dispatch(Event event) {
     if (auto* timer = std::get_if<BeaconTimer>(&event)) {
-      onBeaconTimer(timer->node, timer->epoch);
+      onBeaconTimer(*timer);
     } else if (auto* tick = std::get_if<ChaosTick>(&event)) {
       if (chaos_ != nullptr && chaos_->handler) chaos_->handler(tick->index);
     } else {
@@ -617,183 +999,28 @@ class NetworkSimulator {
     }
   }
 
-  void onBeaconTimer(graph::Vertex v, std::uint32_t epoch) {
-    if (chaos_ != nullptr && epoch != chaos_->epoch[v]) return;  // orphaned
-    const telemetry::ScopedTimer roundTimer(metrics_.roundDuration);
+  void onBeaconTimer(const BeaconTimer& timer) {
+    if (orphaned(timer)) return;
+    const auto start = metrics_.roundDuration != nullptr
+                           ? Clock::now()
+                           : Clock::time_point{};
     const SimTime now = queue_.now();
-    Node& node = nodes_[v];
-
-    // Neighbor discovery: expire links whose beacons stopped arriving. The
-    // cache compacts in place; entries stay sorted by sender, so expiry
-    // events fire in ascending neighbor order.
-    const auto timeout = static_cast<SimTime>(
-        config_.timeoutFactor * static_cast<double>(config_.beaconInterval));
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < node.cache.size(); ++i) {
-      CacheEntry& entry = node.cache[i];
-      if (now - entry.heardAt > timeout) {
-        if (metrics_.neighborExpirations != nullptr) {
-          metrics_.neighborExpirations->inc();
-        }
-        if (events_ != nullptr) {
-          events_->emit(
-              "neighbor_expired",
-              {{"t_us", now}, {"node", v}, {"neighbor", entry.from}});
-        }
-        node.dirty = true;  // view shrank: re-evaluate
-      } else {
-        if (keep != i) node.cache[keep] = std::move(entry);
-        ++keep;
-      }
+    mobility_->prepare(now, now);
+    Beacon& b = solo_;
+    b.node = timer.node;
+    b.at = now;
+    expireAndEvaluate(b, workerSlots_[0].view);
+    b.pos = mobility_->preparedPosition(b.node, now);
+    if (config_.index == IndexMode::Grid && !deferPlaces()) {
+      grid_.place(b.node, b.pos);
     }
-    node.cache.erase(node.cache.begin() + static_cast<std::ptrdiff_t>(keep),
-                     node.cache.end());
-    if (metrics_.cacheSize != nullptr) {
-      metrics_.cacheSize->observe(static_cast<double>(node.cache.size()));
+    locate(b);
+    broadcast(b, 0);
+    capture(b);
+    if (metrics_.roundDuration != nullptr) {
+      b.seconds = std::chrono::duration<double>(Clock::now() - start).count();
     }
-
-    // Act on the beacons gathered this round (the paper: a node takes action
-    // after receiving beacon messages from all its neighbors). Under the
-    // Active schedule a clean node skips the evaluation: its view is
-    // unchanged since the last (disabled) evaluation, so a deterministic
-    // rule would return the same nullopt.
-    const bool stuckNode = chaos_ != nullptr && chaos_->stuck[v] != 0;
-    const bool evaluate =
-        !stuckNode && (config_.schedule != engine::Schedule::Active ||
-                       protocol_->readsBeyondNeighborhood() || node.dirty);
-    if (evaluate) {
-      ++stats_.ruleEvaluations;
-      if (metrics_.ruleEvaluations != nullptr) metrics_.ruleEvaluations->inc();
-      node.dirty = false;
-      neighborBuffer_.clear();
-      for (const CacheEntry& entry : node.cache) {
-        neighborBuffer_.push_back(engine::NeighborRef<State>{
-            entry.from, ids_->idOf(entry.from), &entry.state});
-      }
-      engine::LocalView<State> view;
-      view.self = v;
-      view.selfId = ids_->idOf(v);
-      view.selfState = &node.state;
-      view.neighbors = neighborBuffer_;
-      view.roundKey = hashCombine(config_.seed,
-                                  static_cast<std::uint64_t>(
-                                      now / config_.beaconInterval));
-      if (auto next = viewKernel_ != nullptr ? viewKernel_->evaluateView(view)
-                                             : protocol_->onRound(view)) {
-        node.state = std::move(*next);
-        node.dirty = true;  // own state is part of the view
-        ++stats_.moves;
-        if (metrics_.moves != nullptr) metrics_.moves->inc();
-        if (events_ != nullptr) {
-          events_->emit("move", {{"t_us", now}, {"node", v}});
-        }
-        lastMove_ = now;
-        if (chaos_ != nullptr && chaos_->moveHook) chaos_->moveHook(now, v);
-      }
-    } else {
-      ++stats_.evaluationsSkipped;
-      if (metrics_.evaluationsSkipped != nullptr) {
-        metrics_.evaluationsSkipped->inc();
-      }
-    }
-
-    // Broadcast the (possibly updated) state to everyone in the *sender's*
-    // transmit range (reception is governed by the transmitter's power).
-    // First the draw-free filters — chaos drops and the exact distance test —
-    // over the unsorted candidates; then the survivors, in ascending vertex
-    // order, take the loss draw and the collision check. Both index modes
-    // end up with the same ascending in-range list, so RNG draws come out
-    // identical; the grid merely prunes receivers that cannot be in range.
-    const graph::Point me = positionAt(v, now);
-    const double r2 = radiusOf(v) * radiusOf(v);
-    std::size_t rangeChecks = 0;
-    const auto inRange = [&](graph::Vertex u) {
-      if (u == v) return false;
-      if (chaos_ != nullptr) {
-        // Crashed receivers hear nothing; a partition cuts cross-side
-        // links. Neither test consumes a draw or counts as a range check.
-        if (chaos_->crashed[u] != 0) return false;
-        if (chaos_->partitionActive && chaos_->side[u] != chaos_->side[v]) {
-          return false;
-        }
-      }
-      ++rangeChecks;
-      return graph::squaredDistance(me, positionAt(u, now)) <= r2;
-    };
-    if (config_.index == IndexMode::Grid) {
-      grid_.place(v, me);
-      candidates_.clear();
-      grid_.gather(me, radiusOf(v) + broadcastSlack_, candidates_);
-      ++indexStats_.gridQueries;
-      indexStats_.broadcastCandidates += candidates_.size();
-      if (metrics_.broadcastCandidates != nullptr) {
-        metrics_.broadcastCandidates->observe(
-            static_cast<double>(candidates_.size()));
-      }
-      if (metrics_.gridOccupancy != nullptr) {
-        metrics_.gridOccupancy->observe(static_cast<double>(
-            grid_.cellMembers(grid_.cellOf(me)).size()));
-      }
-      std::erase_if(candidates_, [&](graph::Vertex u) { return !inRange(u); });
-      std::sort(candidates_.begin(), candidates_.end());
-    } else {
-      candidates_.clear();
-      for (graph::Vertex u = 0; u < nodes_.size(); ++u) {
-        if (inRange(u)) candidates_.push_back(u);
-      }
-    }
-    countBatch(indexStats_.rangeChecks, metrics_.rangeChecks, rangeChecks);
-    std::size_t lost = 0;
-    std::size_t collided = 0;
-    std::size_t receivers = 0;
-    for (const graph::Vertex u : candidates_) {
-      if (rng_.chance(config_.lossProbability)) {
-        ++lost;
-      } else if (config_.collisionWindow > 0 &&
-                 collidesAt(u, v, positionAt(u, now), now)) {
-        ++collided;
-      } else {
-        candidates_[receivers++] = u;
-      }
-    }
-    candidates_.resize(receivers);
-    countBatch(stats_.beaconsLost, metrics_.beaconsLost, lost);
-    countBatch(stats_.beaconsCollided, metrics_.beaconsCollided, collided);
-    if (!candidates_.empty()) {
-      // One arrival event for the whole broadcast. The payload is captured
-      // now, so a garble reset or a state change before arrival is unseen.
-      const std::uint32_t slot = acquireBatch();
-      Batch& batch = batches_[slot];
-      batch.payload = (chaos_ != nullptr && chaos_->garbled[v].has_value())
-                          ? *chaos_->garbled[v]
-                          : node.state;
-      batch.receivers.assign(candidates_.begin(), candidates_.end());
-      queue_.schedule(now + config_.propagationDelay, Event{Arrival{v, slot}});
-    }
-    if (config_.index == IndexMode::Grid && config_.collisionWindow > 0) {
-      auto& ring = txRings_[grid_.cellOf(me)];
-      pruneRing(ring, now);
-      ring.push_back(TxRecord{now, v});
-    }
-    lastTx_[v] = now;
-    ++stats_.beaconsSent;
-    if (metrics_.beaconsSent != nullptr) metrics_.beaconsSent->inc();
-    if (chaos_ != nullptr) chaos_->garbled[v].reset();  // one beacon only
-
-    // Next beacon with jitter (and any chaos clock drift; drift 1.0
-    // multiplies through exactly, keeping the undrifted interval
-    // bit-identical).
-    const double jitter =
-        rng_.real(-config_.jitterFraction, config_.jitterFraction);
-    const double drift = chaos_ != nullptr ? chaos_->drift[v] : 1.0;
-    const auto interval = std::max<SimTime>(
-        1, static_cast<SimTime>(
-               (1.0 + jitter) * drift *
-               static_cast<double>(config_.beaconInterval)));
-    queue_.schedule(now + interval, Event{BeaconTimer{v, epoch}});
-    if (metrics_.queueDepth != nullptr) {
-      metrics_.queueDepth->observe(static_cast<double>(queue_.size()));
-    }
+    finish(b);
   }
 
   /// Delivers one broadcast to its receivers, in ascending order. A
@@ -803,28 +1030,334 @@ class NetworkSimulator {
     const Batch& batch = batches_[arrival.slot];
     const SimTime now = queue_.now();
     std::size_t delivered = 0;
+    const bool crashes = anyCrashed();
     for (const graph::Vertex to : batch.receivers) {
-      if (chaos_ != nullptr && chaos_->crashed[to] != 0) continue;
-      Node& node = nodes_[to];
-      const auto it = std::lower_bound(
-          node.cache.begin(), node.cache.end(), arrival.from,
-          [](const CacheEntry& e, graph::Vertex f) { return e.from < f; });
-      if (it == node.cache.end() || it->from != arrival.from) {
-        node.cache.insert(it, CacheEntry{arrival.from, now, batch.payload});
-        node.dirty = true;  // new neighbor appeared in the view
-      } else {
-        // Refresh heardAt in place; a changed payload is copied in and
-        // dirties the view, an unchanged one costs no copy at all.
-        if (!(it->state == batch.payload)) {
-          it->state = batch.payload;
-          node.dirty = true;
-        }
-        it->heardAt = now;
-      }
+      if (crashes && chaos_->crashed[to] != 0) continue;
+      deliver(nodes_[to], arrival.from, batch.payload, now);
       ++delivered;
     }
     countBatch(stats_.beaconsDelivered, metrics_.beaconsDelivered, delivered);
     freeBatches_.push_back(arrival.slot);
+  }
+
+  // --- Handlers shared by both orders -----------------------------------
+
+  /// Phase A: the ascending list of nodes in the sender's transmit range
+  /// at b.at (reception is governed by the transmitter's power), after the
+  /// draw-free filters — chaos drops and the exact distance test — over
+  /// the unsorted candidates. Both index modes end up with the same list,
+  /// so the draws that follow come out identical; the grid merely prunes
+  /// receivers that cannot be in range. Reads only positions, radii, chaos
+  /// masks and the grid.
+  void locate(Beacon& b) const {
+    const graph::Vertex v = b.node;
+    const graph::Point me = b.pos;
+    const double r2 = radiusOf(v) * radiusOf(v);
+    std::size_t rangeChecks = 0;
+    const bool masked =
+        anyCrashed() || (chaos_ != nullptr && chaos_->partitionActive);
+    const auto inRange = [&](graph::Vertex u) {
+      if (u == v) return false;
+      if (masked) {
+        // Crashed receivers hear nothing; a partition cuts cross-side
+        // links. Neither test consumes a draw or counts as a range check.
+        if (chaos_->crashed[u] != 0) return false;
+        if (chaos_->partitionActive && chaos_->side[u] != chaos_->side[v]) {
+          return false;
+        }
+      }
+      ++rangeChecks;
+      return graph::squaredDistance(me, mobility_->preparedPosition(u, b.at)) <=
+             r2;
+    };
+    std::vector<graph::Vertex>& out = b.receivers;
+    out.clear();
+    if (config_.index == IndexMode::Grid) {
+      grid_.gather(me, radiusOf(v) + broadcastSlack_, out);
+      b.candidates = out.size();
+      b.occupancy = grid_.cellMembers(grid_.cellOf(me)).size();
+      std::erase_if(out, [&](graph::Vertex u) { return !inRange(u); });
+      graph::sortNeighbors(out.data(), out.size());
+    } else {
+      for (graph::Vertex u = 0; u < nodes_.size(); ++u) {
+        if (inRange(u)) out.push_back(u);
+      }
+    }
+    b.rangeChecks = rangeChecks;
+  }
+
+  /// Phase B for one beacon: index diagnostics, deferred grid placement,
+  /// loss draws and collision checks in ascending receiver order, the batch
+  /// slot and both schedules, then the jitter draw. `later` is the number
+  /// of this window's events still to come, which the per-event loop would
+  /// not have popped yet (so the queue-depth sample matches it).
+  void broadcast(Beacon& b, std::size_t later) {
+    const graph::Vertex v = b.node;
+    const SimTime now = b.at;
+    if (config_.index == IndexMode::Grid) {
+      ++indexStats_.gridQueries;
+      indexStats_.broadcastCandidates += b.candidates;
+      if (metrics_.broadcastCandidates != nullptr) {
+        metrics_.broadcastCandidates->observe(
+            static_cast<double>(b.candidates));
+      }
+      if (metrics_.gridOccupancy != nullptr) {
+        metrics_.gridOccupancy->observe(static_cast<double>(b.occupancy));
+      }
+      if (deferPlaces()) pendingPlaces_.push_back(Placement{v, b.pos});
+    }
+    countBatch(indexStats_.rangeChecks, metrics_.rangeChecks, b.rangeChecks);
+    std::size_t lost = 0;
+    std::size_t collided = 0;
+    std::size_t receivers = 0;
+    for (const graph::Vertex u : b.receivers) {
+      if (rng_.chance(config_.lossProbability)) {
+        ++lost;
+      } else if (config_.collisionWindow > 0 &&
+                 collidesAt(u, v, mobility_->preparedPosition(u, now), now)) {
+        ++collided;
+      } else {
+        b.receivers[receivers++] = u;
+      }
+    }
+    b.receivers.resize(receivers);
+    countBatch(stats_.beaconsLost, metrics_.beaconsLost, lost);
+    countBatch(stats_.beaconsCollided, metrics_.beaconsCollided, collided);
+    b.slot = kNoSlot;
+    b.capture = false;
+    if (!b.receivers.empty()) {
+      // One arrival event for the whole broadcast. The payload is captured
+      // at send time, so a garble reset or a state change before arrival
+      // is unseen: a garbled one here, the post-evaluation state in
+      // capture().
+      b.slot = acquireBatch();
+      Batch& batch = batches_[b.slot];
+      if (faulted() && chaos_->garbled[v].has_value()) {
+        batch.payload = *chaos_->garbled[v];
+      } else {
+        b.capture = true;
+      }
+      batch.receivers.swap(b.receivers);  // b's list is rebuilt next time
+      queue_.schedule(now + config_.propagationDelay,
+                      Event{Arrival{v, b.slot}});
+    }
+    if (config_.index == IndexMode::Grid && config_.collisionWindow > 0) {
+      auto& ring = txRings_[grid_.cellOf(b.pos)];
+      pruneRing(ring, now);
+      ring.push_back(TxRecord{now, v});
+    }
+    lastTx_[v] = now;
+    ++stats_.beaconsSent;
+    if (metrics_.beaconsSent != nullptr) metrics_.beaconsSent->inc();
+    if (faulted()) chaos_->garbled[v].reset();  // one beacon only
+
+    // Next beacon with jitter (and any chaos clock drift; drift 1.0
+    // multiplies through exactly, keeping the undrifted interval
+    // bit-identical).
+    const double jitter =
+        rng_.real(-config_.jitterFraction, config_.jitterFraction);
+    const double drift = faulted() ? chaos_->drift[v] : 1.0;
+    const auto interval = std::max<SimTime>(
+        1, static_cast<SimTime>(
+               (1.0 + jitter) * drift *
+               static_cast<double>(config_.beaconInterval)));
+    queue_.schedule(now + interval,
+                    Event{BeaconTimer{v, faulted() ? chaos_->epoch[v] : 0}});
+    if (metrics_.queueDepth != nullptr) {
+      metrics_.queueDepth->observe(static_cast<double>(queue_.size() + later));
+    }
+  }
+
+  /// Phase C for a beacon's own node: expire links whose beacons stopped
+  /// arriving, then act on the beacons gathered this round (the paper: a
+  /// node takes action after receiving beacon messages from all its
+  /// neighbors). Touches only the node and `b`; finish() emits the record.
+  void expireAndEvaluate(Beacon& b,
+                         std::vector<engine::NeighborRef<State>>& view) {
+    const graph::Vertex v = b.node;
+    const SimTime now = b.at;
+    Node& node = nodes_[v];
+    // The cache compacts in place; entries stay sorted by sender, so expiry
+    // records come out in ascending neighbor order.
+    const auto timeout = static_cast<SimTime>(
+        config_.timeoutFactor * static_cast<double>(config_.beaconInterval));
+    b.expired.clear();
+    b.expiredCount = 0;
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < node.cache.size(); ++i) {
+      CacheEntry& entry = node.cache[i];
+      if (now - entry.heardAt > timeout) {
+        ++b.expiredCount;
+        if (events_ != nullptr) b.expired.push_back(entry.from);
+        node.dirty = true;  // view shrank: re-evaluate
+      } else {
+        if (keep != i) node.cache[keep] = std::move(entry);
+        ++keep;
+      }
+    }
+    node.cache.erase(node.cache.begin() + static_cast<std::ptrdiff_t>(keep),
+                     node.cache.end());
+    b.cacheSize = node.cache.size();
+
+    // Under the Active schedule a clean node skips the evaluation: its view
+    // is unchanged since the last (disabled) evaluation, so a deterministic
+    // rule would return the same nullopt.
+    const bool stuckNode = faulted() && chaos_->stuck[v] != 0;
+    b.evaluated =
+        !stuckNode && (config_.schedule != engine::Schedule::Active ||
+                       protocol_->readsBeyondNeighborhood() || node.dirty);
+    b.moved = false;
+    if (!b.evaluated) return;
+    node.dirty = false;
+    view.clear();
+    for (const CacheEntry& entry : node.cache) {
+      view.push_back(engine::NeighborRef<State>{
+          entry.from, ids_->idOf(entry.from), &entry.state});
+    }
+    engine::LocalView<State> local;
+    local.self = v;
+    local.selfId = ids_->idOf(v);
+    local.selfState = &node.state;
+    local.neighbors = view;
+    local.roundKey = hashCombine(
+        config_.seed, static_cast<std::uint64_t>(now / config_.beaconInterval));
+    if (auto next = viewKernel_ != nullptr ? viewKernel_->evaluateView(local)
+                                           : protocol_->onRound(local)) {
+      node.state = std::move(*next);
+      node.dirty = true;  // own state is part of the view
+      b.moved = true;
+    }
+  }
+
+  /// The post-evaluation state into the broadcast's slot (phase C).
+  void capture(const Beacon& b) {
+    if (b.capture) batches_[b.slot].payload = nodes_[b.node].state;
+  }
+
+  /// One receiver's share of an arrival: insert or refresh the sender's
+  /// cache entry.
+  static void deliver(Node& node, graph::Vertex from, const State& payload,
+                      SimTime at) {
+    const auto it = std::lower_bound(
+        node.cache.begin(), node.cache.end(), from,
+        [](const CacheEntry& e, graph::Vertex f) { return e.from < f; });
+    if (it == node.cache.end() || it->from != from) {
+      node.cache.insert(it, CacheEntry{from, payload, at});
+      node.dirty = true;  // new neighbor appeared in the view
+    } else {
+      // Refresh heardAt in place; a changed payload is copied in and
+      // dirties the view, an unchanged one costs no copy at all.
+      if (!(it->state == payload)) {
+        it->state = payload;
+        node.dirty = true;
+      }
+      it->heardAt = at;
+    }
+  }
+
+  /// Serial emission of one beacon's per-node record, in event order.
+  void finish(const Beacon& b) {
+    if (b.expiredCount > 0 && metrics_.neighborExpirations != nullptr) {
+      metrics_.neighborExpirations->inc(b.expiredCount);
+    }
+    if (events_ != nullptr) {
+      for (const graph::Vertex neighbor : b.expired) {
+        events_->emit("neighbor_expired",
+                      {{"t_us", b.at}, {"node", b.node}, {"neighbor", neighbor}});
+      }
+    }
+    if (metrics_.cacheSize != nullptr) {
+      metrics_.cacheSize->observe(static_cast<double>(b.cacheSize));
+    }
+    if (b.evaluated) {
+      ++stats_.ruleEvaluations;
+      if (metrics_.ruleEvaluations != nullptr) metrics_.ruleEvaluations->inc();
+    } else {
+      ++stats_.evaluationsSkipped;
+      if (metrics_.evaluationsSkipped != nullptr) {
+        metrics_.evaluationsSkipped->inc();
+      }
+    }
+    if (b.moved) {
+      ++stats_.moves;
+      if (metrics_.moves != nullptr) metrics_.moves->inc();
+      if (events_ != nullptr) {
+        events_->emit("move", {{"t_us", b.at}, {"node", b.node}});
+      }
+      lastMove_ = b.at;
+      if (chaos_ != nullptr && chaos_->moveHook) chaos_->moveHook(b.at, b.node);
+    }
+    if (metrics_.roundDuration != nullptr) {
+      metrics_.roundDuration->observe(b.seconds);
+    }
+  }
+
+  // --- Window bookkeeping -----------------------------------------------
+
+  [[nodiscard]] bool deferPlaces() const noexcept {
+    return config_.propagationDelay > 0;
+  }
+
+  /// End of the aligned lookahead window holding time t; with no delay
+  /// there are no windows and the per-event loop runs to `until`.
+  [[nodiscard]] SimTime windowEnd(SimTime t) const noexcept {
+    const SimTime d = config_.propagationDelay;
+    return d > 0 ? (t / d + 1) * d : std::numeric_limits<SimTime>::max();
+  }
+
+  /// Applies the placements deferred from earlier windows once the run
+  /// reaches a new aligned window.
+  void enterWindowOf(SimTime t) {
+    if (!deferPlaces()) return;
+    const SimTime index = t / config_.propagationDelay;
+    if (index == placedWindow_) return;
+    placedWindow_ = index;
+    for (const Placement& p : pendingPlaces_) grid_.place(p.node, p.at);
+    pendingPlaces_.clear();
+  }
+
+  /// Whether windows may run in phases: a delay to look ahead by, a worker
+  /// count chosen for it, and no beacon timer able to land inside the window
+  /// that scheduled it.
+  [[nodiscard]] bool windowed() const noexcept {
+    if (perEventOnly_ || config_.propagationDelay <= 0) return false;
+    const double drift = chaos_ != nullptr ? chaos_->minDrift : 1.0;
+    const auto shortest =
+        static_cast<SimTime>((1.0 - config_.jitterFraction) * drift *
+                             static_cast<double>(config_.beaconInterval)) -
+        1;
+    return shortest >= config_.propagationDelay;
+  }
+
+  /// Whether some node is crashed (the per-receiver checks are skipped
+  /// otherwise, so an attached but idle campaign costs one test per event).
+  [[nodiscard]] bool anyCrashed() const noexcept {
+    return chaos_ != nullptr && chaos_->crashedCount > 0;
+  }
+
+  /// Whether a fault hook has ever run: until then every per-node chaos
+  /// array holds its neutral value, and the hot paths skip reading them.
+  [[nodiscard]] bool faulted() const noexcept {
+    return chaos_ != nullptr && chaos_->faulted;
+  }
+
+  [[nodiscard]] bool orphaned(const BeaconTimer& timer) const noexcept {
+    return faulted() && timer.epoch != chaos_->epoch[timer.node];
+  }
+
+  /// Whether runUntilQuiet's test could pass at an event before `end`. The
+  /// last move only moves later, so this errs towards the per-event loop.
+  [[nodiscard]] bool quietPossible(const QuietTest* q,
+                                   SimTime end) const noexcept {
+    if (q == nullptr) return false;
+    const SimTime earliest =
+        std::max(q->noQuietBefore, std::max(lastMove_, q->settle) + q->window);
+    return earliest < end;
+  }
+
+  [[nodiscard]] bool quietNow(const QuietTest* q) const noexcept {
+    return q != nullptr && queue_.now() >= q->noQuietBefore &&
+           queue_.now() - std::max(lastMove_, q->settle) >= q->window;
   }
 
   [[nodiscard]] std::uint32_t acquireBatch() {
@@ -842,6 +1375,10 @@ class NetworkSimulator {
                          std::size_t count) {
     stat += count;
     if (counter != nullptr && count > 0) counter->inc(count);
+  }
+
+  static void countOne(telemetry::Counter* counter) {
+    if (counter != nullptr) counter->inc();
   }
 
   /// MAC collision check for a beacon sent by `sender` at `now` towards the
@@ -868,7 +1405,7 @@ class NetworkSimulator {
       ++candidates;
       ++indexStats_.rangeChecks;
       if (metrics_.rangeChecks != nullptr) metrics_.rangeChecks->inc();
-      const graph::Point kp = positionAt(k, now);
+      const graph::Point kp = mobility_->preparedPosition(k, now);
       const double rk = radiusOf(k);
       if (graph::squaredDistance(kp, receiverPos) <= rk * rk) hit = true;
     };
@@ -908,22 +1445,12 @@ class NetworkSimulator {
     }
   }
 
-  /// Mobility::position memoized per (node, event timestamp): one beacon
-  /// touches a receiver several times (broadcast test + collision checks),
-  /// and position(v, t) is pure in (v, t), so a same-timestamp replay is
-  /// free.
-  [[nodiscard]] graph::Point positionAt(graph::Vertex v, SimTime t) {
-    if (posStamp_[v] == t) return posPoint_[v];
-    const graph::Point p = mobility_->position(v, t);
-    posStamp_[v] = t;
-    posPoint_[v] = p;
-    return p;
-  }
-
   [[nodiscard]] double radiusOf(graph::Vertex v) const noexcept {
     return config_.perNodeRadius.empty() ? config_.radius
                                          : config_.perNodeRadius[v];
   }
+
+  using Clock = std::chrono::steady_clock;
 
   /// Resolved registry endpoints; all null when telemetry is disabled, in
   /// which case the simulator performs no clock reads or atomic writes.
@@ -944,6 +1471,11 @@ class NetworkSimulator {
     telemetry::Histogram* queueDepth = nullptr;
     telemetry::Histogram* roundDuration = nullptr;
     telemetry::Gauge* evaluationsPerSecond = nullptr;
+    telemetry::Counter* windows = nullptr;
+    telemetry::Counter* eventLoopWindows = nullptr;
+    telemetry::Gauge* geometrySeconds = nullptr;
+    telemetry::Gauge* nodeSeconds = nullptr;
+    telemetry::Gauge* serialSeconds = nullptr;
   };
 
   // Times one drive call (run / runUntilQuiet) into the
@@ -987,13 +1519,18 @@ class NetworkSimulator {
   /// flags — no RNG stream, event, or schedule is perturbed until a fault
   /// actually fires. Fault randomness (victim choice, corrupted states,
   /// rejoin phases) lives in the controller's own Rng, never in rng_.
+  /// Every field changes only inside a ChaosTick (or between runs), never
+  /// inside a lookahead window.
   struct ChaosState {
     std::function<void(std::int64_t)> handler;
     std::function<void(SimTime, graph::Vertex)> moveHook;
+    bool faulted = false;  ///< some fault hook has run
     std::vector<std::uint8_t> crashed;
+    std::size_t crashedCount = 0;
     std::vector<std::uint8_t> stuck;
     std::vector<std::uint32_t> epoch;
     std::vector<double> drift;
+    double minDrift = 1.0;  ///< min over drift: the lookahead bound
     std::vector<std::uint8_t> side;
     std::vector<std::optional<State>> garbled;
     bool partitionActive = false;
@@ -1008,13 +1545,13 @@ class NetworkSimulator {
   std::vector<Node> nodes_;
   std::vector<SimTime> lastTx_;
   CalendarQueue<Event> queue_;
-  std::vector<SimTime> posStamp_;      ///< timestamp posPoint_[v] is valid for
-  std::vector<graph::Point> posPoint_;
   graph::SpatialGrid grid_;
   std::vector<std::vector<TxRecord>> txRings_;  ///< per grid cell
-  std::vector<graph::Vertex> candidates_;       ///< reused receiver buffer
   std::vector<Batch> batches_;                  ///< broadcasts in flight
   std::vector<std::uint32_t> freeBatches_;      ///< recycled batches_ slots
+  std::vector<std::uint32_t> released_;  ///< freed this window, recycled after
+  std::vector<Placement> pendingPlaces_;  ///< deferred grid placements
+  SimTime placedWindow_ = 0;  ///< aligned window the grid was brought up to
   double maxRadius_ = 0.0;
   double broadcastSlack_ = 0.0;
   double collisionSlack_ = 0.0;
@@ -1023,7 +1560,13 @@ class NetworkSimulator {
   Metrics metrics_;
   telemetry::EventLog* events_ = nullptr;
   SimTime lastMove_ = 0;
-  std::vector<engine::NeighborRef<State>> neighborBuffer_;
+  bool perEventOnly_ = false;
+  std::size_t workers_ = 1;
+  std::unique_ptr<parallel::SpinTeam> team_;  ///< made by the first window
+  Window windows_[2];
+  Beacon solo_;  ///< the per-event loop's beacon
+  std::vector<WorkerSlot> workerSlots_;  ///< per worker
+  double dispatchSeconds_ = 0.0;
   std::unique_ptr<ChaosState> chaos_;
 };
 

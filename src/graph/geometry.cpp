@@ -6,30 +6,11 @@
 #include <numbers>
 #include <utility>
 
+#include "graph/sort_neighbors.hpp"
 #include "parallel/worker_pool.hpp"
 #include "parallel/workers.hpp"
 
 namespace selfstab::graph {
-
-namespace {
-
-// Sorts one neighbor list. Unit-disk lists hold a few dozen entries, where
-// insertion sort beats std::sort's partitioning; long lists (dense disks)
-// must not pay its quadratic cost.
-void sortNeighbors(Vertex* first, std::size_t count) {
-  if (count > 64) {
-    std::sort(first, first + count);
-    return;
-  }
-  for (std::size_t a = 1; a < count; ++a) {
-    const Vertex x = first[a];
-    std::size_t b = a;
-    for (; b > 0 && first[b - 1] > x; --b) first[b] = first[b - 1];
-    first[b] = x;
-  }
-}
-
-}  // namespace
 
 std::vector<Point> randomPoints(std::size_t n, Rng& rng) {
   std::vector<Point> points(n);

@@ -53,6 +53,18 @@ inline constexpr const char* kBeaconsCollided = "beacons_collided_total";
 inline constexpr const char* kNeighborExpirations =
     "neighbor_expirations_total";
 inline constexpr const char* kNeighborCacheSize = "neighbor_cache_size";
+// Lookahead windows the simulator ran in phases, and windows it handed to
+// the per-event loop (counters; they depend on how run() is sliced, never
+// on the worker count). The three gauges split the drive calls' wall time:
+// geometry and per-node are seconds summed over the pool's workers, serial
+// is the driving thread's time outside pool dispatches. worker_threads (see
+// above) is the window executor's worker count.
+inline constexpr const char* kSimWindows = "sim_windows_total";
+inline constexpr const char* kSimEventLoopWindows =
+    "sim_event_loop_windows_total";
+inline constexpr const char* kSimGeometrySeconds = "sim_geometry_seconds";
+inline constexpr const char* kSimNodeSeconds = "sim_node_seconds";
+inline constexpr const char* kSimSerialSeconds = "sim_serial_seconds";
 
 // Spatial-index / event-queue diagnostics (adhoc::NetworkSimulator). These
 // shadow IndexStats, not NetworkStats: they are *mode-dependent* by design

@@ -72,8 +72,10 @@ TEST(CalendarQueue, PopsInTimeOrderWithTies) {
   q.schedule(5, "second");  // same timestamp: insertion order wins
   q.schedule(12, "mid");
   EXPECT_EQ(q.nextTime(), 5);
+  EXPECT_EQ(q.peek(), "first");  // peek leaves it in place
   EXPECT_EQ(q.pop(), "first");
   EXPECT_EQ(q.pop(), "second");
+  EXPECT_EQ(q.peek(), "mid");
   EXPECT_EQ(q.pop(), "mid");
   EXPECT_EQ(q.pop(), "late");
   EXPECT_TRUE(q.empty());
@@ -84,6 +86,7 @@ TEST(CalendarQueue, WidthZeroDegeneratesToHeap) {
   q.schedule(30, 3);
   q.schedule(10, 1);
   q.schedule(20, 2);
+  EXPECT_EQ(q.peek(), 1);
   EXPECT_EQ(q.pop(), 1);
   EXPECT_EQ(q.pop(), 2);
   EXPECT_EQ(q.pop(), 3);

@@ -14,6 +14,8 @@ TEST(StaticPlacement, NeverMoves) {
     EXPECT_EQ(mobility.position(0, t), (Point{0.1, 0.2}));
     EXPECT_EQ(mobility.position(1, t), (Point{0.3, 0.4}));
   }
+  mobility.prepare(0, kSecond);
+  EXPECT_EQ(mobility.preparedPosition(1, kSecond / 2), (Point{0.3, 0.4}));
 }
 
 TEST(RandomWaypoint, StaysInUnitSquare) {
@@ -86,6 +88,49 @@ TEST(RandomWaypoint, PauseLegsDwell) {
   const Point a = mobility.position(0, 50 * kSecond);
   const Point b = mobility.position(0, 51 * kSecond);
   EXPECT_EQ(a, b);
+}
+
+// prepare() + preparedPosition() must return exactly what position() does,
+// across leg boundaries, at stopTime, and with legs shorter than a span.
+TEST(Mobility, PreparedSpanMatchesLazyPosition) {
+  graph::Rng rng(6);
+  const auto start = graph::randomPoints(12, rng);
+  RandomWaypoint::Config config;
+  config.speedMin = 0.5;   // travel legs of a second or two
+  config.speedMax = 3.0;
+  config.pause = 300;      // 0.3 ms pause legs: several fit in one span
+  config.stopTime = 7 * kSecond + 4321;
+  RandomWaypoint prepared(start, config, 17);
+  RandomWaypoint lazy(start, config, 17);
+  constexpr SimTime kSpan = kMillisecond;
+  std::size_t legChanges = 0;
+  for (SimTime from = 0; from < 9 * kSecond; from += kSpan) {
+    prepared.prepare(from, from + kSpan - 1);
+    for (graph::Vertex v = 0; v < 12; ++v) {
+      Point last = prepared.preparedPosition(v, from);
+      for (SimTime t = from; t < from + kSpan; t += 97) {
+        const Point p = prepared.preparedPosition(v, t);
+        ASSERT_EQ(p, lazy.position(v, t)) << "v=" << v << " t=" << t;
+        if (!(p == last)) ++legChanges;
+        last = p;
+      }
+    }
+    // A serial position() query inside the span (the simulator's rejoin
+    // and topology paths make them) must not disturb later prepared ones.
+    if (from % (50 * kSpan) == 0) {
+      ASSERT_EQ(prepared.position(3, from + kSpan / 2),
+                lazy.position(3, from + kSpan / 2));
+      ASSERT_EQ(prepared.preparedPosition(3, from + kSpan - 1),
+                lazy.position(3, from + kSpan - 1));
+    }
+  }
+  EXPECT_GT(legChanges, 0U);
+  // Frozen after stopTime: the prepared span answers with the stop point.
+  prepared.prepare(20 * kSecond, 20 * kSecond + kSpan);
+  for (graph::Vertex v = 0; v < 12; ++v) {
+    EXPECT_EQ(prepared.preparedPosition(v, 20 * kSecond),
+              lazy.position(v, config.stopTime));
+  }
 }
 
 }  // namespace

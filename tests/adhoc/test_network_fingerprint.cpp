@@ -6,7 +6,11 @@
 // states and a hash of the JSONL event log, plus the index counters, after one
 // full-duration run() call. The expected values were recorded with one queue
 // event per (broadcast, receiver); the batched arrival path must reproduce
-// them exactly. Every case runs under both event queues.
+// them exactly. Every case runs under both event queues. The grid's
+// diagnostic counters (rangeChecks, broadcastCandidates) of the mobile grid
+// cases were re-pinned when grid placements became deferred to the next
+// lookahead window and the gather slack grew by maxSpeed x propagationDelay:
+// the gathers return a few more candidates; stats, states and events held.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -182,7 +186,7 @@ TEST(NetworkFingerprint, SisUnderWaypointMobilityLossAndCollisions) {
   expectPinned<core::BitState>(
       core::SisProtocol{}, waypoint(90, 14), config, 80 * kInterval,
       {{7197, 56747, 3005, 2951, 345, 7197, 0},
-       0x7648cf4107849fdbULL, 0x2f09852fe7aad73dULL, 199637, 198874, 59710});
+       0x7648cf4107849fdbULL, 0x2f09852fe7aad73dULL, 199828, 199065, 59710});
 }
 
 TEST(NetworkFingerprint, LeaderTreeUnderActiveScheduleAndMobility) {
@@ -193,7 +197,7 @@ TEST(NetworkFingerprint, LeaderTreeUnderActiveScheduleAndMobility) {
   expectPinned<core::LeaderState>(
       core::LeaderTreeProtocol(80), waypoint(80, 15), config, 80 * kInterval,
       {{6399, 65788, 0, 0, 1556, 5488, 911},
-       0x1f51d42818a88960ULL, 0xf94b7d033174ee50ULL, 180134, 186533, 0});
+       0x1f51d42818a88960ULL, 0xf94b7d033174ee50ULL, 180283, 186682, 0});
 }
 
 TEST(NetworkFingerprint, SmmWithReboots) {
@@ -277,7 +281,7 @@ TEST(NetworkFingerprint, SmmChaosCampaignGridIndex) {
   expectChaosPinned(
       IndexMode::Grid,
       {{4769, 41640, 2341, 1658, 517, 4769, 0},
-       0x9f474fc4fb4ba516ULL, 0x772789b5a8422021ULL, 133512, 143501, 43307});
+       0x9f474fc4fb4ba516ULL, 0x772789b5a8422021ULL, 133583, 143578, 43307});
 }
 
 // Same trajectory as the grid case; only the index counters differ.

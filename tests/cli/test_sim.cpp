@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace selfstab::cli {
 namespace {
@@ -291,6 +292,43 @@ TEST(ExecuteSim, MetricsDumpMatchesReportExactly) {
   EXPECT_NE(text.find("# TYPE round_duration_seconds histogram"),
             std::string::npos);
   EXPECT_NE(text.find("round_duration_seconds_count"), std::string::npos);
+}
+
+// The window executor's instruments: phased windows, windows handed to the
+// per-event loop (the early-stop run's quiet test needs one), the worker
+// gauge and the phase split.
+TEST(ExecuteSim, MetricsCountWindowsAndSplitPhases) {
+  const auto counter = [](const std::string& text, const std::string& name) {
+    const std::size_t at = text.find('"' + name + "\":");
+    EXPECT_NE(at, std::string::npos) << name;
+    return at == std::string::npos
+               ? 0UL
+               : std::stoul(text.substr(at + name.size() + 3));
+  };
+  SimOptions options;
+  options.nodes = 15;
+  options.seed = 3;
+  options.duration = 120 * adhoc::kSecond;
+  options.metricsPath = "-";
+  options.json = true;
+  std::ostringstream quiet;
+  const SimReport report = executeSim(options, quiet);
+  ASSERT_TRUE(report.quiet);
+  EXPECT_GT(counter(quiet.str(), "sim_windows_total"), 0UL);
+  EXPECT_GE(counter(quiet.str(), "sim_event_loop_windows_total"), 1UL);
+  for (const char* gauge : {"worker_threads", "sim_geometry_seconds",
+                            "sim_node_seconds", "sim_serial_seconds"}) {
+    EXPECT_NE(quiet.str().find(std::string("# TYPE ") + gauge + " gauge"),
+              std::string::npos)
+        << gauge;
+  }
+
+  options.untilQuiet = false;
+  std::ostringstream full;
+  (void)executeSim(options, full);
+  // Only windows holding an event count: ~300 events per second here.
+  EXPECT_GT(counter(full.str(), "sim_windows_total"), 1000UL);
+  EXPECT_EQ(counter(full.str(), "sim_event_loop_windows_total"), 0UL);
 }
 
 TEST(ExecuteSim, EventsStreamIsJsonl) {
