@@ -20,6 +20,12 @@ cmake --build "$BUILD_DIR"
 ctest --test-dir "$BUILD_DIR" --output-on-failure 2>&1 \
   | tee "$ROOT/test_output.txt"
 
+# Peak-memory gate: two 3·10^5-node selfstab runs (SMM from a random start,
+# coloring) must each stay within 1.5× the Graph's own bytes plus 8 MiB, so
+# a second copy of the adjacency or per-node DOT strings built without
+# --dot cannot come back silently.
+python3 "$ROOT/scripts/rss_gate.py" "$BUILD_DIR/src/cli/selfstab"
+
 # Fast perf sanity before the expensive passes: the micro_kernels gate at
 # smoke scale (<60s). A kernel-throughput regression fails here in seconds
 # instead of at the end of the full bench sweep.
@@ -37,16 +43,21 @@ sh "$ROOT/scripts/bench_smoke.sh" "$BUILD_DIR"
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -G Ninja -S "$ROOT" -DSELFSTAB_SANITIZE=thread
 cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
-  stress_tests graph_tests cli_tests
+  stress_tests graph_tests cli_tests analysis_tests
 {
   "$TSAN_DIR/tests/telemetry_tests"
-  # unitDiskGraph's bands: each worker fills its own buffer and its own
-  # slots of the degree array, then scatters its lists into its vertices'
-  # disjoint slices of the Graph's CSR.
+  # unitDiskGraph's bands: each worker counts its slots' neighbours into
+  # their vertices' CSR offsets, then writes each list into its vertex's
+  # disjoint slice of the targets.
   # SpinTeam: the simulator's spinning fork-join team (dispatch, parking,
   # exception hand-off).
+  # Connectivity.*: isConnected's union-find links roots with
+  # compare-and-swap from every worker and compresses paths in parallel.
   "$TSAN_DIR/tests/graph_tests" \
-    --gtest_filter='Geometry.BandedBuildMatchesSerial:SpinTeam.*'
+    --gtest_filter='Geometry.BandedBuildMatchesSerial:SpinTeam.*:Connectivity.*'
+  # The one-pass verifiers: pool blocks read states and the CSR and fold
+  # their verdicts into shared atomics.
+  "$TSAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'
   # selfstab sizes both pools itself: a 20000-node run (four workers where
   # four CPUs are free) against the same run held to one CPU.
   "$TSAN_DIR/tests/cli_tests" --gtest_filter='Execute.PooledRunMatchesSingleCpuRun'
@@ -90,13 +101,18 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -G Ninja -S "$ROOT" -DSELFSTAB_SANITIZE=address
 cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
-  engine_tests graph_tests core_tests
+  engine_tests graph_tests core_tests analysis_tests
 {
   "$ASAN_DIR/tests/adhoc_tests"
   # unitDiskGraph's grid path indexes raw cell offsets over a cell-ordered
-  # copy of the points and scatters its band buffers into the Graph's CSR
-  # by raw offsets; Graph's own edits shift that CSR in place.
-  "$ASAN_DIR/tests/graph_tests" --gtest_filter='Geometry.*:Generators.*:Graph*'
+  # copy of the points and copies each list into the Graph's CSR at raw
+  # offsets; Graph's own edits shift that CSR in place. isConnected's
+  # union-find follows parent links by raw vertex numbers.
+  "$ASAN_DIR/tests/graph_tests" \
+    --gtest_filter='Geometry.*:Generators.*:Graph*:Connectivity.*'
+  # The one-pass verifiers follow pointers, including wild ones, into the
+  # states.
+  "$ASAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'
   # SmmKernel's verified-pointer cache: one slot per vertex, resized and
   # reset by sync() across topology changes.
   "$ASAN_DIR/tests/core_tests" --gtest_filter='SmmPointerCache.*'
@@ -110,8 +126,9 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # in flight, so arrivals run against batch slots other broadcasts recycle.
   # The recovery monitor holds each window's topology by reference and
   # grows its BFS lazily, so every campaign doubles as a lifetime check.
-  "$ASAN_DIR/tests/chaos_tests" \
-    --gtest_filter='SimInjector.*:EngineCampaign*:RecoveryMonitor*'
+  # The SMM safety check follows wild pointers instead of the edge list.
+  "$ASAN_DIR/tests/chaos_tests" --gtest_filter=\
+'SimInjector.*:EngineCampaign*:RecoveryMonitor*:SmmSafetyCheck.*'
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" --gtest_filter='NetworkDifferential*'
   # Flat-kernel differential under ASan: the SoA mirrors index raw CSR

@@ -1,9 +1,11 @@
 #include "analysis/verifiers.hpp"
 
 #include <algorithm>
+#include <atomic>
 
-#include "analysis/node_types.hpp"
 #include "graph/algorithms.hpp"
+#include "parallel/worker_pool.hpp"
+#include "parallel/workers.hpp"
 
 namespace selfstab::analysis {
 
@@ -51,22 +53,86 @@ bool isMaximalMatching(const Graph& g, std::span<const Edge> edges) {
 
 MatchingFixpointCheck checkMatchingFixpoint(
     const Graph& g, const std::vector<PointerState>& states) {
+  return detail::checkMatchingFixpoint(
+      g, states, parallel::workersFor(g.order(), kVerifyGrain));
+}
+
+namespace {
+
+// Vertices per block a verifier worker claims.
+constexpr std::size_t kVerifyBlock = 4096;
+
+// Runs body(begin, end) over the vertex blocks of an n-vertex graph on a
+// pool of `workers` threads (inline at one).
+template <typename Body>
+void forEachVertexBlock(std::size_t n, std::size_t workers, const Body& body) {
+  const auto pool = parallel::poolFor(workers);
+  parallel::forEachBlock(pool.get(), n, kVerifyBlock, body);
+}
+
+}  // namespace
+
+namespace detail {
+
+// Lemma 8's properties in one pass. Each node holds one pointer, so mutual
+// pointers are disjoint, and under type-correctness they are g-edges: the
+// matched pairs always form a matching. Every node is M or A⁰ exactly when
+// every non-null pointer is returned (a pointer at a node makes that node
+// pointed-at, and a returned one makes both ends M). The matching is
+// maximal when every unmatched node's neighbors are all matched. The
+// neighbor tests assume type-correctness; when it fails they are dropped.
+MatchingFixpointCheck checkMatchingFixpoint(
+    const Graph& g, const std::vector<PointerState>& states,
+    std::size_t workers) {
   MatchingFixpointCheck check;
-  check.typeCorrect = isTypeCorrect(g, states);
+  const std::size_t n = g.order();
+  if (states.size() != n) return check;
+  const auto matched = [&](Vertex w) {
+    const Vertex p = states[w].ptr;
+    return p < n && states[p].ptr == w;
+  };
+  std::atomic<std::size_t> pairs{0};
+  std::atomic<bool> typeCorrect{true};
+  std::atomic<bool> maximal{true};
+  std::atomic<bool> aloof{true};
+  forEachVertexBlock(n, workers, [&](std::size_t begin, std::size_t end) {
+    std::size_t ownPairs = 0;
+    bool ownTyped = true;
+    bool ownMaximal = true;
+    bool ownAloof = true;
+    for (auto v = static_cast<Vertex>(begin); v < end; ++v) {
+      const PointerState& s = states[v];
+      if (!s.isNull()) {
+        if (!g.hasEdge(v, s.ptr)) {
+          ownTyped = false;
+          continue;
+        }
+        if (states[s.ptr].ptr == v) {
+          ownPairs += s.ptr > v ? 1 : 0;
+          continue;
+        }
+        ownAloof = false;
+      }
+      if (ownMaximal) {
+        const auto nbrs = g.neighbors(v);
+        ownMaximal = std::all_of(nbrs.begin(), nbrs.end(), matched);
+      }
+    }
+    pairs.fetch_add(ownPairs, std::memory_order_relaxed);
+    if (!ownTyped) typeCorrect.store(false, std::memory_order_relaxed);
+    if (!ownMaximal) maximal.store(false, std::memory_order_relaxed);
+    if (!ownAloof) aloof.store(false, std::memory_order_relaxed);
+  });
+  check.matchedPairs = pairs.load();
+  check.typeCorrect = typeCorrect.load();
   if (!check.typeCorrect) return check;
-
-  const auto edges = matchedEdges(g, states);
-  check.isMatching = isMatching(g, edges);
-  check.isMaximal = isMaximalMatching(g, edges);
-
-  // Lemma 8: every node outside M is aloof (null pointer, nobody pointing).
-  const auto types = classifyNodes(g, states);
-  check.unmatchedAreAloof =
-      std::all_of(types.begin(), types.end(), [](NodeType t) {
-        return t == NodeType::M || t == NodeType::A0;
-      });
+  check.isMatching = true;
+  check.isMaximal = maximal.load();
+  check.unmatchedAreAloof = aloof.load();
   return check;
 }
+
+}  // namespace detail
 
 std::vector<Vertex> membersOf(const std::vector<BitState>& states) {
   std::vector<Vertex> members;
@@ -107,16 +173,31 @@ bool isIndependentSet(const Graph& g, std::span<const Vertex> members) {
 
 bool isMaximalIndependentSet(const Graph& g,
                              std::span<const Vertex> members) {
-  if (!isIndependentSet(g, members)) return false;
-  const auto in = membershipMask(g, members);
-  for (Vertex u = 0; u < g.order(); ++u) {
-    if (in[u]) continue;
-    const auto nbrs = g.neighbors(u);
-    const bool dominated = std::any_of(nbrs.begin(), nbrs.end(),
-                                       [&](Vertex v) { return in[v]; });
-    if (!dominated) return false;  // u could be added
-  }
-  return true;
+  return detail::isMaximalIndependentSet(
+      g, members, parallel::workersFor(g.order(), kVerifyGrain));
+}
+
+// Each vertex scans its neighbors up to the first member: a member must
+// find none (independence), a non-member must find one (maximality).
+bool detail::isMaximalIndependentSet(const Graph& g,
+                                     std::span<const Vertex> members,
+                                     std::size_t workers) {
+  const std::size_t n = g.order();
+  std::vector<std::uint8_t> in(n, 0);
+  for (const Vertex v : members) in[v] = 1;
+  std::atomic<bool> ok{true};
+  forEachVertexBlock(n, workers, [&](std::size_t begin, std::size_t end) {
+    for (auto u = static_cast<Vertex>(begin); u < end; ++u) {
+      const auto nbrs = g.neighbors(u);
+      const bool dominated = std::any_of(nbrs.begin(), nbrs.end(),
+                                         [&](Vertex v) { return in[v] != 0; });
+      if (dominated == (in[u] != 0)) {
+        ok.store(false, std::memory_order_relaxed);
+        return;
+      }
+    }
+  });
+  return ok.load();
 }
 
 bool isDominatingSet(const Graph& g, std::span<const Vertex> members) {
@@ -161,10 +242,13 @@ bool isMinimalDominatingSet(const Graph& g, std::span<const Vertex> members) {
   return true;
 }
 
+// Walks the CSR: g.edges() would materialize all m edges first.
 bool isProperColoring(const Graph& g,
                       const std::vector<std::uint32_t>& colors) {
-  for (const Edge& e : g.edges()) {
-    if (colors[e.u] == colors[e.v]) return false;
+  for (Vertex u = 0; u < g.order(); ++u) {
+    for (const Vertex v : g.neighbors(u)) {
+      if (colors[u] == colors[v]) return false;
+    }
   }
   return true;
 }

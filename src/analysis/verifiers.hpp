@@ -3,6 +3,7 @@
 // coloring? Every experiment and most tests end with one of these checks.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,14 +40,25 @@ struct MatchingFixpointCheck {
   bool isMaximal = false;         ///< Lemma 8: M is a maximal matching
   bool unmatchedAreAloof = false; ///< Lemma 8: non-M nodes have null
                                   ///< pointers and nobody points at them
+  /// matchedEdges(g, states).size(), whatever the verdict (0 when `states`
+  /// does not hold one state per vertex).
+  std::size_t matchedPairs = 0;
 
   [[nodiscard]] bool ok() const noexcept {
     return typeCorrect && isMatching && isMaximal && unmatchedAreAloof;
   }
 };
 
+/// One pass over vertex blocks on parallel::workersFor(n, kVerifyGrain)
+/// workers. When the states are not type-correct only typeCorrect (false)
+/// and matchedPairs are meaningful; the other verdicts stay false.
 [[nodiscard]] MatchingFixpointCheck checkMatchingFixpoint(
     const graph::Graph& g, const std::vector<core::PointerState>& states);
+
+/// Vertices per worker of the whole-graph verifiers (checkMatchingFixpoint,
+/// isMaximalIndependentSet): below 2 × this they run inline. Measured, see
+/// docs/PERFORMANCE.md.
+inline constexpr std::size_t kVerifyGrain = 100000;
 
 // ------------------------------------------------------------ vertex sets
 
@@ -57,6 +69,8 @@ struct MatchingFixpointCheck {
 
 [[nodiscard]] bool isIndependentSet(const graph::Graph& g,
                                     std::span<const graph::Vertex> members);
+/// Independent and dominating, checked in one pass over vertex blocks on
+/// parallel::workersFor(n, kVerifyGrain) workers.
 [[nodiscard]] bool isMaximalIndependentSet(
     const graph::Graph& g, std::span<const graph::Vertex> members);
 
@@ -94,5 +108,17 @@ struct MatchingFixpointCheck {
 [[nodiscard]] bool isLeaderTree(const graph::Graph& g,
                                 const graph::IdAssignment& ids,
                                 const std::vector<core::LeaderState>& states);
+
+namespace detail {
+/// The pooled verifiers with an explicit worker count (1 runs inline);
+/// tests compare worker counts against each other and against the serial
+/// predicates they fuse.
+[[nodiscard]] MatchingFixpointCheck checkMatchingFixpoint(
+    const graph::Graph& g, const std::vector<core::PointerState>& states,
+    std::size_t workers);
+[[nodiscard]] bool isMaximalIndependentSet(
+    const graph::Graph& g, std::span<const graph::Vertex> members,
+    std::size_t workers);
+}  // namespace detail
 
 }  // namespace selfstab::analysis

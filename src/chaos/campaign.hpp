@@ -45,6 +45,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "chaos/monitors.hpp"
@@ -85,7 +86,13 @@ CampaignResult runEngineCampaign(
   if (recoveryBudget == 0) recoveryBudget = 2 * n + 8;
 
   CampaignResult result;
-  const graph::Graph base = g;
+  // The topology before any crash, rejoin or partition: `g` itself until
+  // the first such event rebuilds it, so the copy is taken only then.
+  std::optional<graph::Graph> baseCopy;
+  const auto base = [&]() -> const graph::Graph& {
+    if (!baseCopy.has_value()) baseCopy.emplace(g);
+    return *baseCopy;
+  };
   Rng chaosRng(chaosSeed);
   engine::ViewBuilder<State> builder(g, ids);
 
@@ -124,7 +131,7 @@ CampaignResult runEngineCampaign(
   // runner's and kernel's version-keyed caches see the change.
   const auto rebuildEffective = [&] {
     std::vector<graph::Edge> kept;
-    for (const auto& e : base.edges()) {
+    for (const auto& e : base().edges()) {
       if (crashed[e.u] != 0 || crashed[e.v] != 0) continue;
       if (partitionActive && side[e.u] != side[e.v]) continue;
       kept.push_back(e);
@@ -246,7 +253,7 @@ CampaignResult runEngineCampaign(
   // whose views the event directly touches.
   const auto boundaryNodes = [&] {
     std::vector<std::uint8_t> hit(n, 0);
-    for (const auto& e : base.edges()) {
+    for (const auto& e : base().edges()) {
       if (crashed[e.u] != 0 || crashed[e.v] != 0) continue;
       if (side[e.u] != side[e.v]) hit[e.u] = hit[e.v] = 1;
     }

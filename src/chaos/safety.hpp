@@ -31,13 +31,15 @@ namespace selfstab::chaos {
             const std::vector<core::PointerState>& before,
             const std::vector<core::PointerState>& after,
             const std::vector<std::uint8_t>& faulty) {
+    // A node has at most one mutual partner, so walking each node's
+    // pointer visits every matched edge once (from its smaller end) without
+    // materializing the edge list.
     std::size_t violations = 0;
-    for (const auto& e : g.edges()) {
-      if (faulty[e.u] != 0 || faulty[e.v] != 0) continue;
-      const bool wasMatched = before[e.u].ptr == e.v && before[e.v].ptr == e.u;
-      if (!wasMatched) continue;
-      const bool stillMatched = after[e.u].ptr == e.v && after[e.v].ptr == e.u;
-      if (!stillMatched) ++violations;
+    for (graph::Vertex v = 0; v < before.size(); ++v) {
+      const graph::Vertex w = before[v].ptr;
+      if (w <= v || w >= before.size() || before[w].ptr != v) continue;
+      if (faulty[v] != 0 || faulty[w] != 0 || !g.hasEdge(v, w)) continue;
+      if (after[v].ptr != w || after[w].ptr != v) ++violations;
     }
     return violations;
   };

@@ -42,18 +42,19 @@ using graph::Vertex;
 
 /// Resident bytes per edge a `selfstab` run may need, an upper bound. The
 /// Graph is one CSR holding each edge twice in its targets (4 B per slot,
-/// no per-slot neighbor ID), and no layer copies it; a unit-disk build
-/// briefly holds its band buffers, one more copy of the targets, besides
-/// it: 16 B per edge. `--chaos` holds two more Graph copies (the
-/// campaign's base and the masked topology it rebuilds), 8 B each, which
-/// the bound of 40 B covers with room to spare.
+/// no per-slot neighbor ID), 8 B per edge, and no layer copies it: a
+/// unit-disk build counts each slice and then writes it in place, so it
+/// holds no second copy of the targets. `--chaos` holds up to two more
+/// Graph copies (the masked topology the runner reads and, once a crash or
+/// partition reshapes it, the campaign's base), 8 B each. The bound of 40 B
+/// covers the 24 B with room to spare.
 constexpr double kBytesPerEdge = 40.0;
 
-/// Resident bytes per vertex of such a run, an upper estimate: 56 while a
+/// Resident bytes per vertex of such a run, an upper estimate: 52 while a
 /// unit-disk graph is built (CSR offset 8, point 16, its cell 8, slot 4
-/// and cell-ordered copy 16, degree 4) and 40 during the rounds (CSR
-/// offset 8, ID 8, and up to 8 each for the state, the kernel mirror and a
-/// kernel cache such as SMM's verified pointers), rounded up to 64.
+/// and cell-ordered copy 16) and 40 during the rounds (CSR offset 8, ID 8,
+/// and up to 8 each for the state, the kernel mirror and a kernel cache
+/// such as SMM's verified pointers), rounded up to 64.
 constexpr double kBytesPerVertex = 64.0;
 
 /// The machine's physical memory, the budget the size checks hold a graph
@@ -96,11 +97,16 @@ void writeAnnotatedDot(std::ostream& out, const Graph& g,
   out << "}\n";
 }
 
+/// Writes the --dot file, if one was asked for, with the annotations
+/// annotate(vertexAttrs, edgeAttrs) fills in. Without --dot nothing is
+/// built: at 10^6 nodes the strings alone would take about 100 MB.
+template <typename Annotate>
 void maybeWriteDot(const Options& options, const Graph& g,
-                   const std::vector<std::string>& vertexAttrs,
-                   const std::vector<std::pair<graph::Edge, std::string>>&
-                       edgeAttrs) {
+                   const Annotate& annotate) {
   if (options.dotPath.empty()) return;
+  std::vector<std::string> vertexAttrs(g.order());
+  std::vector<std::pair<graph::Edge, std::string>> edgeAttrs;
+  annotate(vertexAttrs, edgeAttrs);
   std::ofstream file(options.dotPath);
   if (!file) throw CliError("cannot write DOT file '" + options.dotPath + "'");
   writeAnnotatedDot(file, g, vertexAttrs, edgeAttrs);
@@ -291,21 +297,20 @@ Report runMatching(const Options& options, const Sinks& sinks, const Graph& g,
                    core::randomPointerState, matchingMetric(g), out, report);
   }
 
-  const auto pairs = analysis::matchedEdges(g, states);
-  report.predicateOk =
-      report.stabilized && analysis::checkMatchingFixpoint(g, states).ok();
+  const analysis::MatchingFixpointCheck check =
+      analysis::checkMatchingFixpoint(g, states);
+  report.predicateOk = report.stabilized && check.ok();
   std::ostringstream summary;
-  summary << "matching: " << pairs.size() << " pair(s), "
-          << (2 * pairs.size()) << "/" << g.order() << " nodes matched";
+  summary << "matching: " << check.matchedPairs << " pair(s), "
+          << (2 * check.matchedPairs) << "/" << g.order() << " nodes matched";
   report.summary = summary.str();
 
-  std::vector<std::string> vattrs(g.order());
-  std::vector<std::pair<graph::Edge, std::string>> eattrs;
-  for (const auto& e : pairs) {
-    vattrs[e.u] = vattrs[e.v] = "style=filled,fillcolor=lightblue";
-    eattrs.emplace_back(e, "penwidth=3,color=blue");
-  }
-  maybeWriteDot(options, g, vattrs, eattrs);
+  maybeWriteDot(options, g, [&](auto& vattrs, auto& eattrs) {
+    for (const auto& e : analysis::matchedEdges(g, states)) {
+      vattrs[e.u] = vattrs[e.v] = "style=filled,fillcolor=lightblue";
+      eattrs.emplace_back(e, "penwidth=3,color=blue");
+    }
+  });
   return report;
 }
 
@@ -324,11 +329,9 @@ Report runSis(const Options& options, const Sinks& sinks, const Graph& g,
   summary << "independent set: " << members.size() << " member(s)";
   report.summary = summary.str();
 
-  std::vector<std::string> vattrs(g.order());
-  for (const Vertex v : members) {
-    vattrs[v] = "style=filled,fillcolor=gold";
-  }
-  maybeWriteDot(options, g, vattrs, {});
+  maybeWriteDot(options, g, [&](auto& vattrs, auto&) {
+    for (const Vertex v : members) vattrs[v] = "style=filled,fillcolor=gold";
+  });
   return report;
 }
 
@@ -350,17 +353,17 @@ Report runColoring(const Options& options, const Sinks& sinks, const Graph& g,
           << " color(s) (Delta+1 = " << g.maxDegree() + 1 << ")";
   report.summary = summary.str();
 
-  static const char* kPalette[] = {"lightblue",  "gold",   "palegreen",
-                                   "lightcoral", "plum",   "khaki",
-                                   "lightgray",  "orange", "cyan"};
-  std::vector<std::string> vattrs(g.order());
-  for (Vertex v = 0; v < g.order(); ++v) {
-    vattrs[v] = std::string("style=filled,fillcolor=") +
-                kPalette[states[v].color % 9] + ",label=\"" +
-                std::to_string(v) + ":" + std::to_string(states[v].color) +
-                "\"";
-  }
-  maybeWriteDot(options, g, vattrs, {});
+  maybeWriteDot(options, g, [&](auto& vattrs, auto&) {
+    static const char* kPalette[] = {"lightblue",  "gold",   "palegreen",
+                                     "lightcoral", "plum",   "khaki",
+                                     "lightgray",  "orange", "cyan"};
+    for (Vertex v = 0; v < g.order(); ++v) {
+      vattrs[v] = std::string("style=filled,fillcolor=") +
+                  kPalette[states[v].color % 9] + ",label=\"" +
+                  std::to_string(v) + ":" + std::to_string(states[v].color) +
+                  "\"";
+    }
+  });
   return report;
 }
 
@@ -380,11 +383,11 @@ Report runDominatingSet(const Options& options, const Sinks& sinks,
   summary << "minimal dominating set: " << members.size() << " member(s)";
   report.summary = summary.str();
 
-  std::vector<std::string> vattrs(g.order());
-  for (const Vertex v : members) {
-    vattrs[v] = "style=filled,fillcolor=lightcoral";
-  }
-  maybeWriteDot(options, g, vattrs, {});
+  maybeWriteDot(options, g, [&](auto& vattrs, auto&) {
+    for (const Vertex v : members) {
+      vattrs[v] = "style=filled,fillcolor=lightcoral";
+    }
+  });
   return report;
 }
 
@@ -423,16 +426,15 @@ Report runBfsTree(const Options& options, const Sinks& sinks,
   summary << "BFS tree rooted at " << root << ", depth " << depth;
   report.summary = summary.str();
 
-  std::vector<std::string> vattrs(g.order());
-  vattrs[root] = "style=filled,fillcolor=gold";
-  std::vector<std::pair<graph::Edge, std::string>> eattrs;
-  for (Vertex v = 0; v < g.order(); ++v) {
-    if (v != root && states[v].parent != graph::kNoVertex) {
-      eattrs.emplace_back(graph::makeEdge(v, states[v].parent),
-                          "penwidth=3,color=forestgreen");
+  maybeWriteDot(options, g, [&](auto& vattrs, auto& eattrs) {
+    vattrs[root] = "style=filled,fillcolor=gold";
+    for (Vertex v = 0; v < g.order(); ++v) {
+      if (v != root && states[v].parent != graph::kNoVertex) {
+        eattrs.emplace_back(graph::makeEdge(v, states[v].parent),
+                            "penwidth=3,color=forestgreen");
+      }
     }
-  }
-  maybeWriteDot(options, g, vattrs, eattrs);
+  });
   return report;
 }
 
@@ -472,18 +474,17 @@ Report runLeaderTree(const Options& options, const Sinks& sinks,
           << "), tree depth " << depth;
   report.summary = summary.str();
 
-  std::vector<std::string> vattrs(g.order());
-  if (leader != graph::kNoVertex) {
-    vattrs[leader] = "style=filled,fillcolor=gold";
-  }
-  std::vector<std::pair<graph::Edge, std::string>> eattrs;
-  for (Vertex v = 0; v < g.order(); ++v) {
-    if (states[v].parent != graph::kNoVertex) {
-      eattrs.emplace_back(graph::makeEdge(v, states[v].parent),
-                          "penwidth=3,color=forestgreen");
+  maybeWriteDot(options, g, [&](auto& vattrs, auto& eattrs) {
+    if (leader != graph::kNoVertex) {
+      vattrs[leader] = "style=filled,fillcolor=gold";
     }
-  }
-  maybeWriteDot(options, g, vattrs, eattrs);
+    for (Vertex v = 0; v < g.order(); ++v) {
+      if (states[v].parent != graph::kNoVertex) {
+        eattrs.emplace_back(graph::makeEdge(v, states[v].parent),
+                            "penwidth=3,color=forestgreen");
+      }
+    }
+  });
   return report;
 }
 

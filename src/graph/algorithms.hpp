@@ -14,7 +14,19 @@ inline constexpr std::size_t kUnreachable = static_cast<std::size_t>(-1);
 std::vector<std::size_t> bfsDistances(const Graph& g, Vertex source);
 
 /// True if the graph has one connected component (vacuously true for n <= 1).
+/// A parallel union-find on parallel::workersFor(n, kConnectivityGrain)
+/// workers; the verdict does not depend on the worker count.
 [[nodiscard]] bool isConnected(const Graph& g);
+
+/// Vertices per isConnected worker: below 2 × this the check stays serial.
+/// Measured, see docs/PERFORMANCE.md.
+inline constexpr std::size_t kConnectivityGrain = 25000;
+
+namespace detail {
+/// isConnected with an explicit worker count (1 runs inline); tests compare
+/// worker counts against each other and against connectedComponents.
+[[nodiscard]] bool isConnected(const Graph& g, std::size_t workers);
+}  // namespace detail
 
 /// Component label (0-based, in discovery order) for every vertex.
 std::vector<std::size_t> connectedComponents(const Graph& g);

@@ -4,9 +4,10 @@
 // one job per worker, each claiming blocks of vertices until none is left;
 // graph::unitDiskGraph runs one band of cell rows per worker; forEachBlock
 // lends the runner's pool to other whole-graph passes (SisKernel's slice
-// build). The pool keeps its threads parked on a condition variable between
-// dispatches, so a round costs one wake-up and one barrier, not a thread
-// spawn per chunk.
+// build), and poolFor gives one-off passes (graph::isConnected, the
+// analysis verifiers) a pool of their own. The pool keeps its threads
+// parked on a condition variable between dispatches, so a round costs one
+// wake-up and one barrier, not a thread spawn per chunk.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -102,6 +104,12 @@ class WorkerPool {
   std::atomic<std::size_t> pending_{0};
   std::vector<std::thread> threads_;
 };
+
+/// A pool of `workers` threads for one whole-graph pass, or null at one
+/// worker, where forEachBlock runs inline on the calling thread.
+inline std::unique_ptr<WorkerPool> poolFor(std::size_t workers) {
+  return workers > 1 ? std::make_unique<WorkerPool>(workers) : nullptr;
+}
 
 /// Runs body(begin, end) over [0, count) in contiguous blocks of at most
 /// `block` items, each block claimed by whichever worker is free; inline as

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "graph/generators.hpp"
+#include "graph/geometry.hpp"
 
 namespace selfstab::graph {
 namespace {
@@ -28,6 +33,99 @@ TEST(Connectivity, BasicCases) {
   EXPECT_FALSE(isConnected(Graph(2)));
   EXPECT_TRUE(isConnected(path(10)));
   EXPECT_TRUE(isConnected(cycle(10)));
+}
+
+// The union-find verdict against connectedComponents' BFS labels, at one
+// worker (inline) and on pools of 2 and 4.
+void expectVerdictMatchesComponents(const Graph& g) {
+  const auto comp = connectedComponents(g);
+  const bool want = std::all_of(comp.begin(), comp.end(),
+                                [](std::size_t c) { return c == 0; });
+  EXPECT_EQ(isConnected(g), want);
+  for (const std::size_t workers : {1, 2, 4}) {
+    EXPECT_EQ(detail::isConnected(g, workers), want)
+        << "workers " << workers << ", n " << g.order();
+  }
+}
+
+TEST(Connectivity, TinyGraphs) {
+  for (std::size_t n = 0; n <= 2; ++n) expectVerdictMatchesComponents(Graph(n));
+  expectVerdictMatchesComponents(path(2));
+}
+
+TEST(Connectivity, UnionFindAgreesWithComponentsOnRandomGraphs) {
+  Rng rng(1931);
+  std::size_t connected = 0;
+  std::size_t split = 0;
+  for (int i = 0; i < 12; ++i) {
+    // Near each family's connectivity threshold, so both verdicts occur.
+    const std::size_t n = 50 + 700 * static_cast<std::size_t>(i % 4);
+    const auto scale = static_cast<double>(n);
+    const double logn = std::log(scale);
+    const std::vector<Graph> graphs{
+        erdosRenyi(n, logn / scale, rng),
+        randomGeometric(n, std::sqrt(logn / (3.14159 * scale)), rng),
+        randomTree(n, rng)};
+    for (const Graph& g : graphs) {
+      expectVerdictMatchesComponents(g);
+      (isConnected(g) ? connected : split) += 1;
+    }
+  }
+  EXPECT_GT(connected, 0u);
+  EXPECT_GT(split, 0u);
+}
+
+TEST(Connectivity, IsolatedVertex) {
+  Rng rng(1933);
+  const Graph base = connectedRandomGeometric(3000, 0.05, rng);
+  for (const Vertex lonely : {Vertex{0}, Vertex{1500}, Vertex{2999}}) {
+    std::vector<Edge> edges;
+    for (const Edge& e : base.edges()) {
+      if (e.u != lonely && e.v != lonely) edges.push_back(e);
+    }
+    const Graph g = Graph::fromEdges(3000, edges);
+    expectVerdictMatchesComponents(g);
+    EXPECT_FALSE(detail::isConnected(g, 4));
+  }
+}
+
+// Two components of similar size, interleaved in vertex order, so the
+// sampled largest root is one of them and every vertex of the other must
+// be finished; one bridge edge joins them.
+TEST(Connectivity, TwoLargeComponents) {
+  Rng rng(1937);
+  for (const std::size_t half : {2000, 30000}) {
+    const double radius = half < 10000 ? 0.05 : 0.015;
+    const Graph left = connectedRandomGeometric(half, radius, rng);
+    const Graph right = connectedRandomGeometric(half + 17, radius, rng);
+    std::vector<Edge> edges;
+    for (const Edge& e : left.edges()) edges.push_back({2 * e.u, 2 * e.v});
+    for (const Edge& e : right.edges()) {
+      const auto at = [&](Vertex v) {
+        return v < half ? 2 * v + 1 : static_cast<Vertex>(half + v);
+      };
+      edges.push_back(makeEdge(at(e.u), at(e.v)));
+    }
+    const std::size_t n = 2 * half + 17;
+    const Graph split = Graph::fromEdges(n, edges);
+    expectVerdictMatchesComponents(split);
+    EXPECT_FALSE(detail::isConnected(split, 4));
+    edges.push_back(makeEdge(2 * static_cast<Vertex>(half) - 2,
+                             static_cast<Vertex>(n - 1)));
+    const Graph bridged = Graph::fromEdges(n, edges);
+    expectVerdictMatchesComponents(bridged);
+    EXPECT_TRUE(detail::isConnected(bridged, 4));
+  }
+}
+
+TEST(Connectivity, LargeUnitDiskAtOneAndFourWorkers) {
+  Rng rng(1939);
+  const auto points = randomPoints(100000, rng);
+  for (const double radius : {0.006, 0.0075}) {
+    const Graph g = unitDiskGraph(points, radius);
+    expectVerdictMatchesComponents(g);
+    EXPECT_EQ(detail::isConnected(g, 1), detail::isConnected(g, 4));
+  }
 }
 
 TEST(Connectivity, ComponentCount) {
