@@ -13,7 +13,7 @@
 //    of k random vertices as a list (bitset scan included) against one sweep
 //    over all n, for a range of k/n. The executor's switch point,
 //    SyncRunner::kSweepShare, is read off this table
-//    (docs/PERFORMANCE.md, "Round executor"), as is the pool dispatch cost
+//    (docs/PERFORMANCE.md, "Round executor"), as is the team dispatch cost
 //    behind its inline threshold for short lists.
 #include <benchmark/benchmark.h>
 
@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/coloring.hpp"
@@ -35,7 +36,7 @@
 #include "engine/fault.hpp"
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
-#include "parallel/worker_pool.hpp"
+#include "parallel/spin_team.hpp"
 #include "support/bench_json.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -223,17 +224,30 @@ void recordSwitchSweep() {
                             g, ids);
   sweepKernel<core::ColorState>("coloring_generic", coloring, nullptr, g, ids);
 
-  // What a pool round trip costs with nothing to do: the floor under which
-  // a short list is cheaper to evaluate inline.
-  parallel::WorkerPool pool(4);
+  // What a team round trip costs with nothing to do: the floor under which
+  // a short list is cheaper to evaluate inline. Back to back, the helpers
+  // are still spinning; after rest() they are parked and must be woken, as
+  // for the first busy round after a quiet spell.
+  parallel::SpinTeam team(4);
   std::atomic<std::size_t> sink{0};
-  const double dispatch = bestSeconds(200, [&] {
-    pool.run([&](std::size_t t) { sink.fetch_add(t); });
-  });
-  std::fprintf(stderr, "switch sweep: empty 4-worker pool dispatch %.1f us\n",
-               dispatch * 1e6);
-  bench::appendBenchJson("micro_active_set/pool_dispatch",
-                         {{"workers", 4.0}, {"seconds", dispatch}});
+  const auto dispatch = [&] {
+    team.run([&](std::size_t t) { sink.fetch_add(t); });
+  };
+  const double spinning = bestSeconds(200, dispatch);
+  double parked = 1e300;
+  for (int i = 0; i < 200; ++i) {
+    team.rest();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    parked = std::min(parked, bestSeconds(1, dispatch));
+  }
+  std::fprintf(stderr,
+               "switch sweep: empty 4-worker team dispatch %.1f us spinning, "
+               "%.1f us parked\n",
+               spinning * 1e6, parked * 1e6);
+  bench::appendBenchJson("micro_active_set/team_dispatch",
+                         {{"workers", 4.0},
+                          {"spinning_seconds", spinning},
+                          {"parked_seconds", parked}});
 }
 
 // Timed benchmark: one recovery run (fault burst through re-stabilization)

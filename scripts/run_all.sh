@@ -31,13 +31,17 @@ python3 "$ROOT/scripts/rss_gate.py" "$BUILD_DIR/src/cli/selfstab"
 # instead of at the end of the full bench sweep.
 sh "$ROOT/scripts/bench_smoke.sh" "$BUILD_DIR"
 
-# ThreadSanitizer pass over the concurrency-sensitive suites: the telemetry
-# instruments (lock-free counters and histograms shared by the worker pool,
-# plus the ExecutorParity threads = 1 vs >= 2 checks, among them
-# EventLogsAreIdenticalAtEveryThreadCount), SyncRunner's pooled path itself
+# ThreadSanitizer pass over the concurrency-sensitive suites. One
+# fork-join team, parallel::SpinTeam, carries every parallel pass: the round
+# executor, the SIS slice build, the banded unit-disk build, isConnected,
+# the verifiers and the simulator's windows. Covered here: the team itself
+# and forEachBlock, the telemetry instruments (lock-free counters and
+# histograms shared by the team's workers, plus the ExecutorParity
+# threads = 1 vs >= 2 checks, among them
+# EventLogsAreIdenticalAtEveryThreadCount), SyncRunner's parallel path
 # (ParallelRunner.*: degree-weighted blocks claimed by whichever worker is
-# free, the pooled fixpoint sweep, Aggregation on the pool), the banded
-# unit-disk build, the selfstab CLI on its own pool, and the pooled
+# free, the parallel fixpoint sweep, Aggregation on the team), the banded
+# unit-disk build, the selfstab CLI on its own teams, and the parallel
 # differential suites. A separate build dir keeps sanitizer objects out of
 # the main build.
 TSAN_DIR="${BUILD_DIR}-tsan"
@@ -49,39 +53,39 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # unitDiskGraph's bands: each worker counts its slots' neighbours into
   # their vertices' CSR offsets, then writes each list into its vertex's
   # disjoint slice of the targets.
-  # SpinTeam: the simulator's spinning fork-join team (dispatch, parking,
-  # exception hand-off).
+  # SpinTeam.*: the fork-join team every parallel pass runs on (dispatch,
+  # parking, exception hand-off) and forEachBlock's block claiming.
   # Connectivity.*: isConnected's union-find links roots with
   # compare-and-swap from every worker and compresses paths in parallel.
   "$TSAN_DIR/tests/graph_tests" \
     --gtest_filter='Geometry.BandedBuildMatchesSerial:SpinTeam.*:Connectivity.*'
-  # The one-pass verifiers: pool blocks read states and the CSR and fold
+  # The one-pass verifiers: team blocks read states and the CSR and fold
   # their verdicts into shared atomics.
   "$TSAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'
-  # selfstab sizes both pools itself: a 20000-node run (four workers where
+  # selfstab sizes its teams itself: a 20000-node run (four workers where
   # four CPUs are free) against the same run held to one CPU.
   "$TSAN_DIR/tests/cli_tests" --gtest_filter='Execute.PooledRunMatchesSingleCpuRun'
   # SyncRunnerQuietRounds.*: the dense quiet-round skip at threads = 3 —
-  # skipped rounds clear every worker's move queue without a pool barrier.
+  # skipped rounds clear every worker's move queue without a team barrier.
   "$TSAN_DIR/tests/engine_tests" \
     --gtest_filter='ParallelRunner.*:SyncRunnerQuietRounds.*'
-  # Campaigns at threads >= 2: fault injection between pooled rounds (the
+  # Campaigns at threads >= 2: fault injection between parallel rounds (the
   # fingerprint suite runs every protocol and event kind at threads = 3).
   "$TSAN_DIR/tests/chaos_tests" --gtest_filter=\
 'EngineCampaign.SerialAndParallelExecutorsAgree:EngineCampaignFingerprint.*'
   # '*Parallel*' selects ScheduleDifferentialParallel (every protocol in
   # core/, LeaderTree, SmmArbitrary and HsuHuangSynchronized included) and
   # KernelDifferentialParallel (the flat kernels reading the Graph's CSR
-  # and per-worker move queues on the pool).
+  # and per-worker move queues on the team).
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" --gtest_filter='*Parallel*'
   # Chaos soak under TSan: the fault-injection plumbing around the runner.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" --gtest_filter='ChaosSoak.*'
-  # The work-set executor at threads = 3: every pool block marks its own
+  # The work-set executor at threads = 3: every team block marks its own
   # movers' neighbourhoods in one shared bitset (atomic_ref fetch_or), the
-  # main thread reads it after the barrier, and SisKernel builds its slices
-  # on the same pool.
+  # calling thread reads it after the barrier, and SisKernel builds its
+  # slices on the same team.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" --gtest_filter='ExactExecutor.*'
   # The simulator's window executor at 2-4 workers: per-node phases write
@@ -107,9 +111,10 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # unitDiskGraph's grid path indexes raw cell offsets over a cell-ordered
   # copy of the points and copies each list into the Graph's CSR at raw
   # offsets; Graph's own edits shift that CSR in place. isConnected's
-  # union-find follows parent links by raw vertex numbers.
-  "$ASAN_DIR/tests/graph_tests" \
-    --gtest_filter='Geometry.*:Generators.*:Graph*:Connectivity.*'
+  # union-find follows parent links by raw vertex numbers. forEachBlock
+  # clamps its last block to the range end.
+  "$ASAN_DIR/tests/graph_tests" --gtest_filter=\
+'Geometry.*:Generators.*:Graph*:Connectivity.*:SpinTeam.ForEachBlock*'
   # The one-pass verifiers follow pointers, including wild ones, into the
   # states.
   "$ASAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'
@@ -118,7 +123,7 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   "$ASAN_DIR/tests/core_tests" --gtest_filter='SmmPointerCache.*'
   # The runner and its kernel read the Graph's CSR through spans, and every
   # edit moves it: a span kept across an edit, a kernel swap (setKernel
-  # frees the old kernel's caches) or a pooled round would be a
+  # frees the old kernel's caches) or a parallel round would be a
   # use-after-free here.
   "$ASAN_DIR/tests/engine_tests" \
     --gtest_filter='ParallelRunner.*:SetKernel.*:BuildView.*:ViewBuilder.*'

@@ -4,7 +4,7 @@
 #include <atomic>
 
 #include "graph/algorithms.hpp"
-#include "parallel/worker_pool.hpp"
+#include "parallel/spin_team.hpp"
 #include "parallel/workers.hpp"
 
 namespace selfstab::analysis {
@@ -63,11 +63,11 @@ namespace {
 constexpr std::size_t kVerifyBlock = 4096;
 
 // Runs body(begin, end) over the vertex blocks of an n-vertex graph on a
-// pool of `workers` threads (inline at one).
+// team of `workers` threads (inline at one).
 template <typename Body>
 void forEachVertexBlock(std::size_t n, std::size_t workers, const Body& body) {
-  const auto pool = parallel::poolFor(workers);
-  parallel::forEachBlock(pool.get(), n, kVerifyBlock, body);
+  const auto team = parallel::teamFor(workers);
+  parallel::forEachBlock(team.get(), n, kVerifyBlock, body);
 }
 
 }  // namespace

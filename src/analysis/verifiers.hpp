@@ -110,7 +110,7 @@ inline constexpr std::size_t kVerifyGrain = 100000;
                                 const std::vector<core::LeaderState>& states);
 
 namespace detail {
-/// The pooled verifiers with an explicit worker count (1 runs inline);
+/// The parallel verifiers with an explicit worker count (1 runs inline);
 /// tests compare worker counts against each other and against the serial
 /// predicates they fuse.
 [[nodiscard]] MatchingFixpointCheck checkMatchingFixpoint(

@@ -73,30 +73,6 @@ struct Sinks {
   telemetry::EventLog* events = nullptr;
 };
 
-/// Writes the final graph with per-vertex / per-edge annotations.
-void writeAnnotatedDot(std::ostream& out, const Graph& g,
-                       const std::vector<std::string>& vertexAttrs,
-                       const std::vector<std::pair<graph::Edge, std::string>>&
-                           edgeAttrs) {
-  out << "graph selfstab {\n  node [shape=circle];\n";
-  for (Vertex v = 0; v < g.order(); ++v) {
-    out << "  " << v;
-    if (!vertexAttrs[v].empty()) out << " [" << vertexAttrs[v] << "]";
-    out << ";\n";
-  }
-  for (const auto& e : g.edges()) {
-    out << "  " << e.u << " -- " << e.v;
-    for (const auto& [edge, attr] : edgeAttrs) {
-      if (edge == e) {
-        out << " [" << attr << "]";
-        break;
-      }
-    }
-    out << ";\n";
-  }
-  out << "}\n";
-}
-
 /// Writes the --dot file, if one was asked for, with the annotations
 /// annotate(vertexAttrs, edgeAttrs) fills in. Without --dot nothing is
 /// built: at 10^6 nodes the strings alone would take about 100 MB.
@@ -109,7 +85,7 @@ void maybeWriteDot(const Options& options, const Graph& g,
   annotate(vertexAttrs, edgeAttrs);
   std::ofstream file(options.dotPath);
   if (!file) throw CliError("cannot write DOT file '" + options.dotPath + "'");
-  writeAnnotatedDot(file, g, vertexAttrs, edgeAttrs);
+  writeAnnotatedDot(file, g, vertexAttrs, std::move(edgeAttrs));
 }
 
 /// Installs the compiled SoA kernel on the runner per --kernel and records
@@ -489,6 +465,38 @@ Report runLeaderTree(const Options& options, const Sinks& sinks,
 }
 
 }  // namespace
+
+void writeAnnotatedDot(
+    std::ostream& out, const Graph& g,
+    const std::vector<std::string>& vertexAttrs,
+    std::vector<std::pair<graph::Edge, std::string>> edgeAttrs) {
+  // Sorted once, the annotations are merged with the edges, which the CSR
+  // yields in ascending order; the stable sort keeps an edge's first
+  // annotation first among its duplicates.
+  std::stable_sort(
+      edgeAttrs.begin(), edgeAttrs.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  auto next = edgeAttrs.cbegin();
+  out << "graph selfstab {\n  node [shape=circle];\n";
+  for (Vertex v = 0; v < g.order(); ++v) {
+    out << "  " << v;
+    if (!vertexAttrs[v].empty()) out << " [" << vertexAttrs[v] << "]";
+    out << ";\n";
+  }
+  for (Vertex u = 0; u < g.order(); ++u) {
+    for (const Vertex v : g.neighbors(u)) {
+      if (v < u) continue;
+      const graph::Edge e{u, v};
+      out << "  " << u << " -- " << v;
+      while (next != edgeAttrs.cend() && next->first < e) ++next;
+      if (next != edgeAttrs.cend() && next->first == e) {
+        out << " [" << next->second << "]";
+      }
+      out << ";\n";
+    }
+  }
+  out << "}\n";
+}
 
 std::size_t roundThreads(std::size_t n) {
   return parallel::workersFor(n, kRoundGrain);

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/options.hpp"
 #include "graph/graph.hpp"
@@ -37,7 +39,7 @@ struct Report {
 };
 
 /// Vertices per round worker: a run on fewer than 2 × this many vertices
-/// stays on one thread. The measured break-even of pooled rounds, see
+/// stays on one thread. The measured break-even of parallel rounds, see
 /// docs/PERFORMANCE.md.
 inline constexpr std::size_t kRoundGrain = 5000;
 
@@ -73,6 +75,16 @@ void checkGraphFileHeader(const std::string& path, std::uint64_t vertices,
 
 [[nodiscard]] graph::IdAssignment buildIds(IdOrderKind kind, std::size_t n,
                                            std::uint64_t seed);
+
+/// Writes `g` as a DOT graph: every vertex with its attribute list
+/// (`vertexAttrs[v]`, omitted when empty), then every edge u < v in
+/// ascending order with the first attribute list `edgeAttrs` gives for it.
+/// Annotations of pairs that are not edges of `g` are ignored. Linear in
+/// the graph plus a sort of the annotations.
+void writeAnnotatedDot(
+    std::ostream& out, const graph::Graph& g,
+    const std::vector<std::string>& vertexAttrs,
+    std::vector<std::pair<graph::Edge, std::string>> edgeAttrs);
 
 /// Runs one protocol per `options`; trace lines (when enabled) and the DOT
 /// file go through/into the given stream/path. Throws CliError on

@@ -32,10 +32,10 @@ class SisKernel final : public engine::FlatKernel<BitState> {
 
   void sync(const std::vector<BitState>& states,
             std::vector<graph::Vertex>* changed,
-            parallel::WorkerPool* pool) override {
+            parallel::SpinTeam* team) override {
     const std::size_t n = states.size();
     if (groupOffsets_.size() != n + 1 || slicesVersion_ != graph().version()) {
-      rebuildBiggerSlices(n, pool);
+      rebuildBiggerSlices(n, team);
     }
     const std::size_t full = n / 64;
     words_.resize((n + 63) / 64);
@@ -100,7 +100,7 @@ class SisKernel final : public engine::FlatKernel<BitState> {
     // so folding 64 verdicts into one move-word turns the per-node emission
     // checks into a single (on quiet rounds never-taken) branch per word.
     // Decisions and emission order are unchanged, so trajectories stay
-    // bit-identical with evaluateOne — including across the worker pool's
+    // bit-identical with evaluateOne — including across the worker team's
     // unaligned partition boundaries handled above/below.
     for (; v + 64 <= end; v += 64) {
       const std::uint64_t selfWord = words_[v >> 6];
@@ -150,12 +150,12 @@ class SisKernel final : public engine::FlatKernel<BitState> {
   // Per node, the bigger neighbors folded into (word, mask) groups. Vertex
   // order is ascending within a neighbor slice, so word indices are
   // nondecreasing and one pass groups them. Built in two passes over
-  // vertex blocks on the executor's pool: count each node's groups,
+  // vertex blocks on the executor's team: count each node's groups,
   // prefix-sum the counts into offsets, then fill each node's groups at its
   // offset. Each pass writes only its own nodes' slots, and a node's groups
   // do not depend on the split, so the result is the same at every thread
   // count.
-  void rebuildBiggerSlices(std::size_t n, parallel::WorkerPool* pool) {
+  void rebuildBiggerSlices(std::size_t n, parallel::SpinTeam* team) {
     const graph::Graph& g = graph();
     const auto forEachGroup = [&](graph::Vertex v, auto&& emit) {
       const graph::Id selfId = ids().idOf(v);
@@ -174,7 +174,7 @@ class SisKernel final : public engine::FlatKernel<BitState> {
       if (curWord != kNoWord) emit(curWord, curMask);
     };
     groupOffsets_.assign(n + 1, 0);
-    parallel::forEachBlock(pool, n, kSliceBlock, [&](std::size_t b,
+    parallel::forEachBlock(team, n, kSliceBlock, [&](std::size_t b,
                                                      std::size_t e) {
       for (auto v = static_cast<graph::Vertex>(b); v < e; ++v) {
         std::uint32_t count = 0;
@@ -190,7 +190,7 @@ class SisKernel final : public engine::FlatKernel<BitState> {
     const std::size_t groups = groupOffsets_[n];
     groupWord_ = std::make_unique_for_overwrite<std::uint32_t[]>(groups);
     groupMask_ = std::make_unique_for_overwrite<std::uint64_t[]>(groups);
-    parallel::forEachBlock(pool, n, kSliceBlock, [&](std::size_t b,
+    parallel::forEachBlock(team, n, kSliceBlock, [&](std::size_t b,
                                                      std::size_t e) {
       for (auto v = static_cast<graph::Vertex>(b); v < e; ++v) {
         std::uint32_t at = groupOffsets_[v];

@@ -31,7 +31,7 @@ struct RunnerMetrics {
   telemetry::Histogram* activationFraction = nullptr;
 };
 
-/// `threads` sets the worker_threads gauge; above 1 it adds the pool
+/// `threads` sets the worker_threads gauge; above 1 it adds the team
 /// instruments: one chunk-duration observation per worker per round plus a
 /// max/mean imbalance gauge. The snapshot/evaluate/commit phases exist at
 /// every thread count.

@@ -10,12 +10,12 @@
 // node's rules read only its closed neighborhood N[v], so after a round
 // only N[moved] can hold a newly enabled node: the work set of round t+1 is
 // N[moved(t)] ∪ N[edited], edited being the slots the caller changed and
-// announced (invalidateSchedule). The set lives in a bitset that each pool
+// announced (invalidateSchedule). The set lives in a bitset that each team
 // block marks for its own movers. A round walks its set bits in ascending
 // order while the set is small and sweeps every vertex once it holds more
 // than a fixed share of the graph — the sparse/dense switch of
 // direction-optimizing BFS (Beamer, Asanović and Patterson, SC 2012). An
-// empty set is a quiet round: no evaluation, no pool dispatch. The kernel
+// empty set is a quiet round: no evaluation, no team dispatch. The kernel
 // mirror stays hot through FlatKernel::apply at commit time, so no round
 // reloads all n states. A topology change (Graph::version()) marks
 // everyone. Protocols whose decisions read beyond N[v]
@@ -30,13 +30,15 @@
 // with threads > 1 the evaluate phase and the fixpoint sweep are split into
 // degree-weighted contiguous blocks (weight deg(v)+1, so power-law hubs
 // spread across workers), kBlocksPerWorker per worker of a persistent
-// WorkerPool. Workers claim blocks in ascending order as they free up,
-// since a vertex's cost also depends on its state and ID (a static split
-// measured workers idle for ~40% of the evaluate phase on a 10^6-node SMM
-// run). Each block fills its own move queue and the queues are committed in
-// block order, so trajectories are bit-identical at every thread count;
-// threads = 1 runs inline with no pool, partition pass or atomics, and so
-// do work sets too small to pay for a pool barrier.
+// parallel::SpinTeam, the calling thread among them. Workers claim blocks
+// in ascending order as they free up, since a vertex's cost also depends
+// on its state and ID (a static split measured workers idle for ~40% of
+// the evaluate phase on a 10^6-node SMM run). Each block fills its own
+// move queue and the queues are committed in block order, so trajectories
+// are bit-identical at every thread count; threads = 1 runs inline with no
+// team, partition pass or atomics, and so do work sets too small to pay
+// for a team barrier. run() lets the helpers park when it returns, so they
+// do not spin while the caller does other work.
 //
 // Protocols must be thread-compatible for threads > 1: onRound() and
 // isStable() are const and may run concurrently for different vertices.
@@ -64,7 +66,7 @@
 #include "engine/schedule.hpp"
 #include "engine/view_builder.hpp"
 #include "graph/rng.hpp"
-#include "parallel/worker_pool.hpp"
+#include "parallel/spin_team.hpp"
 
 namespace selfstab::engine {
 
@@ -103,7 +105,7 @@ class SyncRunner {
                     : 1) {
     assert(ids.order() == g.order());
     if (workerSeconds_.size() > 1) {
-      pool_ = std::make_unique<parallel::WorkerPool>(workerSeconds_.size());
+      team_ = std::make_unique<parallel::SpinTeam>(workerSeconds_.size());
     }
   }
 
@@ -138,7 +140,7 @@ class SyncRunner {
   /// the kernel mirror to S_t — a full reload only on the first round, after
   /// a kernel swap or a topology change, a diff after announced edits, and
   /// nothing otherwise — and pick the walk), *evaluate* (run the rules of
-  /// the work set against the mirror, chunked across the pool when threads
+  /// the work set against the mirror, chunked across the team when threads
   /// > 1, and mark the movers' closed neighborhoods for the next round),
   /// *commit* (apply the moves to `states` and the mirror, forming S_{t+1}).
   ///
@@ -239,6 +241,7 @@ class SyncRunner {
   /// fixpoint; it counts as a round of scheduling delay and the run
   /// continues. `states` may have been edited since the last step(): run()
   /// announces that itself (invalidateSchedule) before its first round.
+  /// The team's helpers park when it returns, until the next dispatch.
   RunResult run(std::vector<State>& states, std::size_t maxRounds,
                 const Observer& observer = nullptr) {
     invalidateSchedule();
@@ -251,13 +254,16 @@ class SyncRunner {
       if (observer) observer(before, prev, states, moves);
       if (moves == 0 && isFixpoint(states)) {
         result.stabilized = true;
-        return result;
+        break;
       }
       ++result.rounds;
       result.totalMoves += moves;
     }
-    // Budget exhausted; check whether we happen to sit on a fixpoint.
-    result.stabilized = isFixpoint(states);
+    if (!result.stabilized) {
+      // Budget exhausted; check whether we happen to sit on a fixpoint.
+      result.stabilized = isFixpoint(states);
+    }
+    if (team_ != nullptr) team_->rest();
     return result;
   }
 
@@ -265,15 +271,15 @@ class SyncRunner {
   /// see Protocol::isStable). Always asks the protocol through LocalViews:
   /// `states` may be any external vector (chaos masking) that no kernel
   /// mirror has seen. With threads > 1 the sweep runs block by block across
-  /// the pool with a shared early-exit flag; the verdict is exact either
+  /// the team with a shared early-exit flag; the verdict is exact either
   /// way.
   [[nodiscard]] bool isFixpoint(const std::vector<State>& states) {
     const std::uint64_t key = roundKey(round_);
-    if (pool_ == nullptr) return rangeStable(states, key, 0, states.size());
+    if (team_ == nullptr) return rangeStable(states, key, 0, states.size());
     const std::vector<std::size_t>& bounds = partition(true, states.size());
     std::atomic<bool> unstable{false};
     std::atomic<std::size_t> next{0};
-    pool_->run([&](std::size_t) {
+    team_->run([&](std::size_t) {
       for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
            b < chunks_.size() && !unstable.load(std::memory_order_relaxed);
            b = next.fetch_add(1, std::memory_order_relaxed)) {
@@ -317,11 +323,11 @@ class SyncRunner {
   Walk prepare(const std::vector<State>& states) {
     const std::size_t n = states.size();
     if (schedule_ == Schedule::Sweep) {
-      kernel_->sync(states, nullptr, pool_.get());
+      kernel_->sync(states, nullptr, team_.get());
       return Walk::Sweep;
     }
     if (!synced_ || graphVersion_ != g_->version()) {
-      kernel_->sync(states, nullptr, pool_.get());
+      kernel_->sync(states, nullptr, team_.get());
       synced_ = true;
       edited_ = false;
       graphVersion_ = g_->version();
@@ -331,7 +337,7 @@ class SyncRunner {
     } else if (edited_) {
       edited_ = false;
       changed_.clear();
-      kernel_->sync(states, &changed_, pool_.get());
+      kernel_->sync(states, &changed_, team_.get());
       for (const graph::Vertex v : changed_) {
         marked_ += markClosed<false>(v);
       }
@@ -368,20 +374,22 @@ class SyncRunner {
   // docs/PERFORMANCE.md "Round executor"): a list of n/8 random vertices
   // costs 0.12-0.30 of a sweep, n/2 still 0.44-0.66, on one thread; the
   // margin pays for the list's serial extraction and its full marking on
-  // the pool.
+  // the team.
   static constexpr std::size_t kSweepShare = 8;
   [[nodiscard]] static std::size_t sweepLimit(std::size_t n) noexcept {
     return n / kSweepShare;
   }
-  // Work lists shorter than this are evaluated inline even with a pool. An
-  // empty 4-worker dispatch takes 10-20 us: about what SIS's kernel needs
-  // for 256 listed vertices (~20 ns each), while the generic kernel
-  // (~240 ns each) already gains from the pool there.
+  // Work lists shorter than this are evaluated inline even with a team.
+  // Set when an empty 4-worker dispatch took 10-20 us: about what SIS's
+  // kernel needs for 256 listed vertices (~20 ns each), while the generic
+  // kernel (~240 ns each) already gains from a dispatch there. On the team
+  // it takes ~1 us while the helpers spin and 20-30 us once they have
+  // parked (docs/PERFORMANCE.md, "Round executor").
   static constexpr std::size_t kInlineList = 256;
 
   // Evaluates this round's work — every vertex, or the ascending work list
   // — into the chunks' move queues, and marks each mover's closed
-  // neighborhood for the next round: inline as one chunk, or on the pool,
+  // neighborhood for the next round: inline as one chunk, or on the team,
   // each worker claiming the next unclaimed block until none is left. Every
   // block is evaluated by exactly one worker into its own queue.
   //
@@ -401,7 +409,7 @@ class SyncRunner {
     const std::size_t limit = schedule_ == Schedule::Dense
                                   ? sweepLimit(n)
                                   : std::numeric_limits<std::size_t>::max();
-    if (pool_ == nullptr || (!all && count < kInlineList)) {
+    if (team_ == nullptr || (!all && count < kInlineList)) {
       for (Chunk& chunk : chunks_) chunk.moves.clear();
       evaluateChunk(chunks_[0].moves, all, 0, count, key);
       if (mark) marked_ = markMoves<false>(chunks_[0].moves, limit);
@@ -410,7 +418,7 @@ class SyncRunner {
     const std::vector<std::size_t>& bounds = partition(all, count);
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> marked{0};
-    pool_->run([&](std::size_t t) {
+    team_->run([&](std::size_t t) {
       const telemetry::ScopedTimer timer(metrics_.workerChunkDuration);
       for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
            b < chunks_.size();
@@ -422,7 +430,7 @@ class SyncRunner {
         marked.fetch_add(markMoves<true>(chunks_[b].moves, limit - sofar),
                          std::memory_order_relaxed);
       }
-      // Own slot only; the main thread reads after the pool barrier.
+      // Own slot only; the caller reads after the team barrier.
       workerSeconds_[t] = timer.elapsedSeconds();
     });
     marked_ = marked.load(std::memory_order_relaxed);
@@ -442,10 +450,10 @@ class SyncRunner {
   }
 
   // Marks N[v] of every mover into the work-set bitset and returns how many
-  // bits were newly set — or stops once that exceeds `budget`. Pooled
-  // blocks mark concurrently (Atomic): a relaxed load skips bits already
-  // set, which in a busy round is most of them, and fetch_or claims the
-  // rest; the pool barrier publishes the bitset to the next round.
+  // bits were newly set — or stops once that exceeds `budget`. Team blocks
+  // mark concurrently (Atomic): a relaxed load skips bits already set,
+  // which in a busy round is most of them, and fetch_or claims the rest;
+  // the team barrier publishes the bitset to the next round.
   template <bool Atomic>
   std::size_t markMoves(const MoveList<State>& moves, std::size_t budget) {
     std::size_t count = 0;
@@ -479,7 +487,7 @@ class SyncRunner {
     }
   }
 
-  // Degree-weighted block boundaries for the pool: block b holds work items
+  // Degree-weighted block boundaries for the team: block b holds work items
   // [bounds[b], bounds[b+1]). Weighting by deg(v)+1 balances the neighbor
   // scan, not the item count (the worker_imbalance_ratio gauge tracks the
   // effect). The full-range split depends only on (graph version, n), so it
@@ -505,9 +513,9 @@ class SyncRunner {
     return denseBounds_;
   }
 
-  // True if no vertex in [begin, end) has an enabled rule — or, on the pool,
+  // True if no vertex in [begin, end) has an enabled rule — or, on the team,
   // once another chunk has raised `stop`: it is polled every 32 vertices so
-  // one hit ends the whole sweep. Relaxed ordering suffices; the pool
+  // one hit ends the whole sweep. Relaxed ordering suffices; the team
   // barrier publishes the flag, and a stale read only delays the exit.
   bool rangeStable(const std::vector<State>& states, std::uint64_t key,
                    std::size_t begin, std::size_t end,
@@ -526,7 +534,7 @@ class SyncRunner {
     return true;
   }
 
-  // Load imbalance of the last pooled round: slowest worker chunk over the
+  // Load imbalance of the last team round: slowest worker chunk over the
   // mean chunk time (1.0 = perfectly balanced). 0 until a timed round ran.
   [[nodiscard]] double imbalanceRatio() const {
     double sum = 0.0;
@@ -570,10 +578,10 @@ class SyncRunner {
   std::size_t round_ = 0;
   std::unique_ptr<FlatKernel<State>> kernel_;  // never null
   bool flat_ = false;
-  // Pool blocks per worker: enough for a worker that finishes early to
+  // Team blocks per worker: enough for a worker that finishes early to
   // take over work, few enough that claiming one stays negligible.
   static constexpr std::size_t kBlocksPerWorker = 16;
-  // Per worker: its evaluate time in the last pooled round (telemetry on).
+  // Per worker: its evaluate time in the last team round (telemetry on).
   std::vector<double> workerSeconds_;
   // One evaluate-phase block's output (the only one at threads = 1).
   // Cache-line aligned: workers append to different queues at once, and
@@ -598,12 +606,12 @@ class SyncRunner {
   std::vector<graph::Vertex> changed_;  // slots an announced edit changed
   RunnerMetrics metrics_;
   telemetry::EventLog* events_ = nullptr;
-  // Pool state (threads > 1 only). The pool is declared last so its
-  // destructor joins the workers before anything they touch goes away.
+  // Team state (threads > 1 only). The team is declared last so its
+  // destructor joins the helpers before anything they touch goes away.
   std::vector<std::size_t> denseBounds_;
   std::uint64_t denseBoundsVersion_ = 0;
   std::vector<std::size_t> listBounds_;
-  std::unique_ptr<parallel::WorkerPool> pool_;
+  std::unique_ptr<parallel::SpinTeam> team_;
 };
 
 /// Convenience: clean start, run to fixpoint.

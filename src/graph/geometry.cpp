@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "graph/sort_neighbors.hpp"
-#include "parallel/worker_pool.hpp"
+#include "parallel/spin_team.hpp"
 #include "parallel/workers.hpp"
 
 namespace selfstab::graph {
@@ -178,16 +178,11 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
     for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
     targets.resize(offsets[n]);
   };
-  if (bands == 1) {
-    countBand(0);
-    layOut();
-    fillBand(0);
-  } else {
-    parallel::WorkerPool pool(bands);
-    pool.run(countBand);
-    layOut();
-    pool.run(fillBand);
-  }
+  // Worker t runs band t; a team of one runs the single band inline.
+  parallel::SpinTeam team(bands);
+  team.run(countBand);
+  layOut();
+  team.run(fillBand);
   return Graph::fromCsr(std::move(offsets), std::move(targets));
 }
 

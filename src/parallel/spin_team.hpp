@@ -1,19 +1,20 @@
-// Fork-join team for fine-grained dispatches.
+// The fork-join team every parallel pass runs on.
 //
-// WorkerPool parks its threads on a condition variable between dispatches,
-// which is right for round-sized jobs but costs a wake-up per dispatch
-// (tens of microseconds on a virtual machine, where a parked vCPU must be
-// woken through the hypervisor). The beacon simulator dispatches once per
+// The round executor dispatches once per busy round and once per fixpoint
+// sweep; the unit-disk build once per band pass; graph::isConnected and the
+// analysis verifiers once per vertex pass; the beacon simulator once per
 // lookahead window — thousands of times per simulated second, each with
-// tens of microseconds of work — so its team keeps the helpers spinning
-// between dispatches and parks them only when the owner calls rest() or
-// after a long quiet spell. A short spin budget does not do: a helper whose
+// tens of microseconds of work. A dispatch that wakes parked threads costs
+// tens of microseconds on a virtual machine (a parked vCPU is woken through
+// the hypervisor), so the team keeps its helpers spinning between
+// dispatches and parks them only when the owner calls rest() or after a
+// quiet spell of kIdleSpin. A short spin budget does not do: a helper whose
 // vCPU the host preempts wakes past its deadline and parks, and every
-// dispatch after that pays a wake-up again (measured: a run in two went
-// from 1.0 to 2.2 s that way with a 500 µs budget). The calling
-// thread is worker 0, so a team of k runs k threads in all, and worker t
-// is the same thread in every dispatch (work kept on one worker stays in
-// that core's caches).
+// dispatch after that pays a wake-up again (measured on the simulator: a
+// run in two went from 1.0 to 2.2 s that way with a 500 µs budget). The
+// calling thread is worker 0, so a team of k runs k threads in all, and
+// worker t is the same thread in every dispatch (work kept on one worker
+// stays in that core's caches).
 //
 // Each helper is pinned to its own CPU of the process's affinity mask,
 // skipping the CPU the caller runs on when the team is built: left to the
@@ -22,11 +23,16 @@
 // 4.2 of 9.2 CPU-seconds idle in a 2.3 s run that takes 1.0 s pinned). A
 // waiter that has spun for a while yields between checks, so a team that
 // shares its CPUs with other work still makes progress.
+//
+// teamFor sizes a team for one pass (null at one worker, where the pass
+// runs inline), and forEachBlock splits a range into blocks that the
+// team's workers claim as they free up.
 #pragma once
 
 #include <pthread.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -34,6 +40,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -187,5 +194,33 @@ class SpinTeam {
   std::atomic<bool> resting_{false};
   std::vector<std::thread> threads_;
 };
+
+/// A team of `workers` for one whole-graph pass, or null at one worker,
+/// where forEachBlock runs inline on the calling thread.
+inline std::unique_ptr<SpinTeam> teamFor(std::size_t workers) {
+  return workers > 1 ? std::make_unique<SpinTeam>(workers) : nullptr;
+}
+
+/// Runs body(begin, end) over [0, count) in contiguous blocks of at most
+/// `block` items (0 counts as 1), each block claimed by whichever worker
+/// is free; inline as one call over the whole range when `team` is null.
+/// Blocks are disjoint, so a body that writes only its own items' slots
+/// needs no locking.
+template <typename Body>
+void forEachBlock(SpinTeam* team, std::size_t count, std::size_t block,
+                  const Body& body) {
+  if (team == nullptr) {
+    body(std::size_t{0}, count);
+    return;
+  }
+  if (block == 0) block = 1;
+  std::atomic<std::size_t> next{0};
+  team->run([&](std::size_t) {
+    for (std::size_t b = next.fetch_add(block, std::memory_order_relaxed);
+         b < count; b = next.fetch_add(block, std::memory_order_relaxed)) {
+      body(b, std::min(b + block, count));
+    }
+  });
+}
 
 }  // namespace selfstab::parallel

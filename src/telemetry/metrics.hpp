@@ -3,7 +3,7 @@
 // The paper's claims are stated in counts — rounds to stabilize, moves,
 // beacons heard per round — so the executors need cheap instruments they
 // can bump on hot paths. All three instruments are plain std::atomic
-// aggregates: SyncRunner's pool workers (threads > 1) observe the same
+// aggregates: SyncRunner's team workers (threads > 1) observe the same
 // Histogram from many threads with relaxed atomics and no mutex, and a
 // reader can snapshot at any time. Values only ever aggregate (no labels,
 // no time series); Registry (registry.hpp) owns naming and export.

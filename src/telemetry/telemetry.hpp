@@ -56,8 +56,8 @@ inline constexpr const char* kNeighborCacheSize = "neighbor_cache_size";
 // Lookahead windows the simulator ran in phases, and windows it handed to
 // the per-event loop (counters; they depend on how run() is sliced, never
 // on the worker count). The three gauges split the drive calls' wall time:
-// geometry and per-node are seconds summed over the pool's workers, serial
-// is the driving thread's time outside pool dispatches. worker_threads (see
+// geometry and per-node are seconds summed over the team's workers, serial
+// is the driving thread's time outside team dispatches. worker_threads (see
 // above) is the window executor's worker count.
 inline constexpr const char* kSimWindows = "sim_windows_total";
 inline constexpr const char* kSimEventLoopWindows =

@@ -7,6 +7,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/io.hpp"
@@ -134,6 +137,65 @@ TEST(Execute, WritesDotFile) {
   content << dot.rdbuf();
   EXPECT_NE(content.str().find("graph selfstab {"), std::string::npos);
   EXPECT_NE(content.str().find("penwidth=3"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+// Reference writer: for every edge, scans the whole annotation list for
+// its first match.
+std::string naiveDot(const graph::Graph& g,
+                     const std::vector<std::string>& vertexAttrs,
+                     const std::vector<std::pair<graph::Edge, std::string>>&
+                         edgeAttrs) {
+  std::ostringstream out;
+  out << "graph selfstab {\n  node [shape=circle];\n";
+  for (graph::Vertex v = 0; v < g.order(); ++v) {
+    out << "  " << v;
+    if (!vertexAttrs[v].empty()) out << " [" << vertexAttrs[v] << "]";
+    out << ";\n";
+  }
+  for (const graph::Edge& e : g.edges()) {
+    out << "  " << e.u << " -- " << e.v;
+    for (const auto& [edge, attr] : edgeAttrs) {
+      if (edge == e) {
+        out << " [" << attr << "]";
+        break;
+      }
+    }
+    out << ";\n";
+  }
+  out << "}\n";
+  return out.str();
+}
+
+TEST(WriteAnnotatedDot, MatchesNaiveWriter) {
+  const std::vector<graph::Edge> edges = {{0, 1}, {0, 2}, {1, 2},
+                                          {1, 3}, {2, 4}, {3, 4},
+                                          {4, 5}, {5, 6}, {0, 6}};
+  const graph::Graph g = graph::Graph::fromEdges(7, edges);
+  std::vector<std::string> vertexAttrs(g.order());
+  vertexAttrs[2] = "style=filled";
+  vertexAttrs[5] = "color=red";
+  // Out of order, {1, 3} annotated twice (the first must win), and one
+  // pair that is not an edge.
+  const std::vector<std::pair<graph::Edge, std::string>> edgeAttrs = {
+      {{4, 5}, "penwidth=3"},
+      {{1, 3}, "color=blue"},
+      {{0, 6}, "color=green"},
+      {{2, 6}, "color=gray"},
+      {{1, 3}, "color=orange"},
+      {{0, 1}, "style=dashed"},
+  };
+  const std::string path = ::testing::TempDir() + "/cli_annotated.dot";
+  {
+    std::ofstream file(path);
+    writeAnnotatedDot(file, g, vertexAttrs, edgeAttrs);
+  }
+  std::ifstream dot(path);
+  std::stringstream content;
+  content << dot.rdbuf();
+  const std::string expected = naiveDot(g, vertexAttrs, edgeAttrs);
+  EXPECT_EQ(content.str(), expected);
+  EXPECT_NE(expected.find("1 -- 3 [color=blue];"), std::string::npos);
   std::remove(path.c_str());
 }
 
