@@ -3,7 +3,7 @@
 
     scripts/rss_gate.py path/to/selfstab
 
-Runs two 3·10^5-node unit-disk runs as child processes and compares each
+Runs three 3·10^5-node unit-disk runs as child processes and compares each
 child's peak resident set (ru_maxrss) with a budget derived from the size
 of the run's one adjacency, the Graph's CSR: 8(n+1) + 8m bytes for n nodes
 and m edges, read back from the report. The budget is
@@ -14,23 +14,46 @@ The CSR itself is 1×; the factor leaves half as much again for the per-node
 arrays (points, states, IDs, kernel mirror and caches), and the slack covers
 the binary, the C++ runtime and thread stacks. A second copy of the
 adjacency (the unit-disk build holding its neighbour lists beside the CSR,
-a materialized edge list) or a string per node (DOT annotations built
+a materialized edge list, a fault campaign copying the Graph for a plan
+that never edits the topology) or a string per node (DOT annotations built
 without --dot) puts a run over it. Exits 1 if any run is over budget or
 fails.
+
+The campaign run is SIS with a corrupt-only --chaos plan, written to a
+temporary file. It uses the generic kernel: the flat SIS kernel's
+bigger-neighbour slices (12 B per edge) alone take 1.4x the CSR, which
+no CSR-relative budget can hold, while the generic kernel adds no
+per-edge array, so the campaign's own memory is what the budget sees.
 """
 
+import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 BUDGET_FACTOR = 1.5
 BUDGET_SLACK_MIB = 8.0
 
+NODES = 300000
+GRAPH = "udg:%d:0.0055" % NODES
 RUNS = (
-    ["-p", "smm", "-g", "udg:300000:0.0055", "--start", "random"],
-    ["-p", "coloring", "-g", "udg:300000:0.0055"],
+    ["-p", "smm", "-g", GRAPH, "--start", "random"],
+    ["-p", "coloring", "-g", GRAPH],
+    ["-p", "sis", "-g", GRAPH, "--kernel", "generic", "--chaos", None],
 )
+
+
+def write_plan(path):
+    """Corrupt-only plan: 10 events of 100 distinct nodes, 24 rounds apart
+    from round 48 (the recovery stream's spacing)."""
+    events = [{"at": 48 + 24 * e, "kind": "corrupt",
+               "nodes": sorted((e * 7919 + k * 2999) % NODES
+                               for k in range(100))}
+              for e in range(10)]
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"events": events}, f)
 
 
 def run(cmd):
@@ -43,27 +66,35 @@ def run(cmd):
     return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0, out
 
 
+def check(binary, args):
+    """Runs one child; prints its verdict and returns True if it failed."""
+    code, peak, out = run([binary] + args)
+    label = " ".join(args)
+    match = re.search(r"graph\s*: (\d+) nodes, (\d+) edges", out)
+    if code != 0 or match is None:
+        print("FAIL %s: exit %d, no report\n%s" % (label, code, out))
+        return True
+    n, m = int(match.group(1)), int(match.group(2))
+    graph_mib = (8 * (n + 1) + 8 * m) / 2**20
+    budget = BUDGET_FACTOR * graph_mib + BUDGET_SLACK_MIB
+    verdict = "ok" if peak <= budget else "FAIL"
+    print("%s %s: peak RSS %.1f MiB, budget %.1f MiB (graph %.1f MiB)"
+          % (verdict, label, peak, budget, graph_mib))
+    return peak > budget
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     binary = argv[1]
     failed = False
-    for args in RUNS:
-        code, peak, out = run([binary] + args)
-        label = " ".join(args)
-        match = re.search(r"graph\s*: (\d+) nodes, (\d+) edges", out)
-        if code != 0 or match is None:
-            print("FAIL %s: exit %d, no report\n%s" % (label, code, out))
-            failed = True
-            continue
-        n, m = int(match.group(1)), int(match.group(2))
-        graph_mib = (8 * (n + 1) + 8 * m) / 2**20
-        budget = BUDGET_FACTOR * graph_mib + BUDGET_SLACK_MIB
-        verdict = "ok" if peak <= budget else "FAIL"
-        failed = failed or peak > budget
-        print("%s %s: peak RSS %.1f MiB, budget %.1f MiB (graph %.1f MiB)"
-              % (verdict, label, peak, budget, graph_mib))
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = os.path.join(tmp, "plan.json")
+        write_plan(plan)
+        for args in RUNS:
+            args = [plan if a is None else a for a in args]
+            failed = check(binary, args) or failed
     return 1 if failed else 0
 
 

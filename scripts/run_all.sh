@@ -70,9 +70,11 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   "$TSAN_DIR/tests/engine_tests" \
     --gtest_filter='ParallelRunner.*:SyncRunnerQuietRounds.*'
   # Campaigns at threads >= 2: fault injection between parallel rounds (the
-  # fingerprint suite runs every protocol and event kind at threads = 3).
+  # fingerprint suite runs every protocol and event kind at threads = 3),
+  # and a campaign that throws out of a two-thread runner and hands the
+  # rebuilt graph back to it.
   "$TSAN_DIR/tests/chaos_tests" --gtest_filter=\
-'EngineCampaign.SerialAndParallelExecutorsAgree:EngineCampaignFingerprint.*'
+'EngineCampaign.SerialAndParallelExecutorsAgree:EngineCampaignFingerprint.*:EngineCampaign.RestoresCallerGraph*'
   # '*Parallel*' selects ScheduleDifferentialParallel (every protocol in
   # core/, LeaderTree, SmmArbitrary and HsuHuangSynchronized included) and
   # KernelDifferentialParallel (the flat kernels reading the Graph's CSR
@@ -131,9 +133,9 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # in flight, so arrivals run against batch slots other broadcasts recycle.
   # The recovery monitor holds each window's topology by reference and
   # grows its BFS lazily, so every campaign doubles as a lifetime check.
-  # The SMM safety check follows wild pointers instead of the edge list.
+  # The safety checks follow wild pointers and read only the moved list.
   "$ASAN_DIR/tests/chaos_tests" --gtest_filter=\
-'SimInjector.*:EngineCampaign*:RecoveryMonitor*:SmmSafetyCheck.*'
+'SimInjector.*:EngineCampaign*:RecoveryMonitor*:SmmSafetyCheck.*:SisSafetyCheck.*:SafetyCheck.*'
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" --gtest_filter='NetworkDifferential*'
   # Flat-kernel differential under ASan: the SoA mirrors index raw CSR

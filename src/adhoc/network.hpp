@@ -473,7 +473,7 @@ class NetworkSimulator {
       offsets[u + 1] = offsets[u];
       forEachLink(u, [&](graph::Vertex) { ++offsets[u + 1]; });
     }
-    std::vector<graph::Vertex> targets(offsets[n]);
+    graph::Graph::Targets targets(offsets[n]);
     for (graph::Vertex u = 0; u < n; ++u) {
       std::size_t next = offsets[u];
       forEachLink(u, [&](graph::Vertex v) { targets[next++] = v; });

@@ -33,19 +33,28 @@
 // Cost follows the change, not n. A round in which the runner moved nothing
 // and no event fired since the previous round is the identity: nothing to
 // pin, diff, safety-check or report, so it costs the runner's step alone. A
-// moving round builds a `moved` list — from the runner's own moved list
-// (SyncRunner::forEachMoved) plus the frozen nodes, minus those a revert
-// put back, or by one O(n) diff for a runner that does not expose it — which
-// feeds the monitor and the masked-stability cache. For local protocols (see
-// Protocol::readsBeyondNeighborhood) that cache re-asks only the closed
-// neighborhoods of moved, injected and newly frozen or released nodes; a
-// topology rebuild (crash, rejoin, partition) forces a full sweep, and
-// non-local protocols always get one.
+// moving round builds an exact `moved` list — from the runner's own moved
+// list (SyncRunner::forEachMoved) plus the frozen nodes, minus those a
+// revert put back, or by one O(n) diff for a runner that does not expose it
+// — which feeds the safety check (SafetyCheck's moved-list form), the
+// monitor and the masked-stability cache. For local protocols (see
+// Protocol::readsBeyondNeighborhood) that cache re-asks only verdicts in the
+// closed neighborhoods of moved, injected and newly frozen or released
+// nodes, and only until it meets an enabled one; a topology rebuild (crash,
+// rejoin, partition) makes every verdict stale, and non-local protocols
+// always get a full sweep. When a fault window closes the
+// runner's team may rest (SyncRunner::rest), since the rounds up to the
+// next event are mostly quiet.
+//
+// The topology is the caller's graph, edited in place: a crash, rejoin or
+// partition rebuilds it from a base copy taken at the first such event, and
+// the campaign rebuilds it to that base before it returns or throws.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chaos/monitors.hpp"
@@ -56,6 +65,28 @@
 #include "graph/rng.hpp"
 
 namespace selfstab::chaos {
+
+namespace detail {
+
+/// Gives a campaign's base topology back to the caller's graph when the
+/// campaign leaves, by return or by exception. Nothing to do if no event
+/// ever took the copy.
+class RestoreTopology {
+ public:
+  RestoreTopology(graph::Graph& g, std::optional<graph::Graph>& base) noexcept
+      : g_(g), base_(base) {}
+  RestoreTopology(const RestoreTopology&) = delete;
+  RestoreTopology& operator=(const RestoreTopology&) = delete;
+  ~RestoreTopology() {
+    if (base_.has_value()) g_.rebuildFrom(std::move(*base_));
+  }
+
+ private:
+  graph::Graph& g_;
+  std::optional<graph::Graph>& base_;
+};
+
+}  // namespace detail
 
 struct CampaignResult {
   std::size_t roundsExecuted = 0;
@@ -71,8 +102,10 @@ struct CampaignResult {
 /// template gap). `sampler(v, g, rng)` supplies corrupted states. `monitor`
 /// and `safety` may be null/empty. `safety` runs only on rounds that changed
 /// some state (identity transitions are violation-free by SafetyCheck's
-/// contract); `monitor` sees `g` as each window's topology, which stays
-/// unchanged until the window closes.
+/// contract), over the round's moved list; `monitor` sees `g` as each
+/// window's topology, which stays unchanged until the window closes. `g`
+/// is the runner's topology during the campaign and holds its original
+/// edges again when the campaign returns or throws.
 template <typename State, typename Runner, typename Sampler>
 CampaignResult runEngineCampaign(
     Runner& runner, const engine::Protocol<State>& protocol, graph::Graph& g,
@@ -87,12 +120,14 @@ CampaignResult runEngineCampaign(
 
   CampaignResult result;
   // The topology before any crash, rejoin or partition: `g` itself until
-  // the first such event rebuilds it, so the copy is taken only then.
+  // the first such event rebuilds it, so the copy is taken only then, and
+  // given back to `g` however the campaign ends.
   std::optional<graph::Graph> baseCopy;
   const auto base = [&]() -> const graph::Graph& {
     if (!baseCopy.has_value()) baseCopy.emplace(g);
     return *baseCopy;
   };
+  const detail::RestoreTopology restore{g, baseCopy};
   Rng chaosRng(chaosSeed);
   engine::ViewBuilder<State> builder(g, ids);
 
@@ -104,8 +139,9 @@ CampaignResult runEngineCampaign(
   std::vector<State> frozenState(states);
   bool partitionActive = false;
 
-  // Nodes whose closed neighborhoods must be re-asked for masked stability;
-  // a topology rebuild asks everyone.
+  // Nodes whose state or frozen status changed since masked stability was
+  // last asked: their closed neighborhoods' verdicts are stale. A topology
+  // rebuild makes every verdict stale.
   std::vector<graph::Vertex> touched;
   std::vector<std::uint8_t> isTouched(n, 0);
   bool sweepAll = true;
@@ -127,16 +163,32 @@ CampaignResult runEngineCampaign(
   };
 
   // Syncs the shared Graph to base minus crashed-incident and cross-side
-  // edges. It is rebuilt in place, so Graph::version() moves on and the
-  // runner's and kernel's version-keyed caches see the change.
+  // edges, filtering base's CSR slices (still ascending) into a new CSR. It
+  // is rebuilt in place, so Graph::version() moves on and the runner's and
+  // kernel's version-keyed caches see the change.
   const auto rebuildEffective = [&] {
-    std::vector<graph::Edge> kept;
-    for (const auto& e : base().edges()) {
-      if (crashed[e.u] != 0 || crashed[e.v] != 0) continue;
-      if (partitionActive && side[e.u] != side[e.v]) continue;
-      kept.push_back(e);
+    const graph::Graph& from = base();
+    const auto kept = [&](graph::Vertex u, graph::Vertex w) {
+      return crashed[u] == 0 && crashed[w] == 0 &&
+             (!partitionActive || side[u] == side[w]);
+    };
+    std::vector<std::size_t> offsets(n + 1, 0);
+    for (graph::Vertex u = 0; u < n; ++u) {
+      std::size_t degree = 0;
+      for (const graph::Vertex w : from.neighbors(u)) {
+        degree += kept(u, w) ? 1 : 0;
+      }
+      offsets[u + 1] = offsets[u] + degree;
     }
-    g.rebuildFrom(graph::Graph::fromEdges(n, kept));
+    graph::Graph::Targets targets(offsets[n]);
+    for (graph::Vertex u = 0; u < n; ++u) {
+      std::size_t next = offsets[u];
+      for (const graph::Vertex w : from.neighbors(u)) {
+        if (kept(u, w)) targets[next++] = w;
+      }
+    }
+    g.rebuildFrom(
+        graph::Graph::fromCsr(std::move(offsets), std::move(targets)));
     runner.invalidateSchedule();
     sweepAll = true;
   };
@@ -144,36 +196,33 @@ CampaignResult runEngineCampaign(
   // Masked stability: no live (non-frozen) node has an enabled rule. For
   // local protocols unstable[v] caches v's verdict and unstableCount their
   // number; a verdict depends only on N[v]'s states, v's frozen status and
-  // the topology, so only N[touched] is re-asked between rebuilds.
+  // the topology, so only verdicts in N[touched] go stale. Stale verdicts
+  // wait in `stale` and are re-asked only as far as the answer needs: a
+  // fresh "unstable" verdict anywhere answers no at once, and so does the
+  // first re-asked node found enabled; the rest wait for the next ask. A
+  // node is re-asked at most once per time it goes stale, so this never
+  // asks more than re-asking all of N[touched] on every call would.
   const bool local = !protocol.readsBeyondNeighborhood();
   std::vector<std::uint8_t> unstable(n, 0);
   std::size_t unstableCount = 0;
+  std::vector<graph::Vertex> stale;
+  std::vector<std::uint8_t> isStale(n, 0);
+  std::size_t staleUnstable = 0;  // |{v in stale : unstable[v]}|
+  const auto markStale = [&](graph::Vertex v) {
+    if (isStale[v] != 0) return;
+    isStale[v] = 1;
+    stale.push_back(v);
+    staleUnstable += unstable[v];
+  };
   const auto maskedStable = [&] {
     const std::uint64_t key = runner.roundKey(runner.round());
     const auto enabled = [&](graph::Vertex v) {
       return frozen[v] == 0 &&
              !protocol.isStable(builder.build(v, states, key));
     };
-    const auto recheck = [&](graph::Vertex v) {
-      const bool bad = enabled(v);
-      if (bad == (unstable[v] != 0)) return;
-      unstable[v] = bad ? 1 : 0;
-      unstableCount = bad ? unstableCount + 1 : unstableCount - 1;
-    };
-    // Close the touched set over neighborhoods, then re-ask it.
-    const bool incremental = local && !sweepAll;
-    if (incremental) {
-      const std::size_t seeds = touched.size();
-      for (std::size_t i = 0; i < seeds; ++i) {
-        for (const graph::Vertex w : g.neighbors(touched[i])) touch(w);
-      }
-    }
-    for (const graph::Vertex v : touched) {
-      isTouched[v] = 0;
-      if (incremental) recheck(v);
-    }
-    touched.clear();
     if (!local) {
+      for (const graph::Vertex v : touched) isTouched[v] = 0;
+      touched.clear();
       for (graph::Vertex v = 0; v < n; ++v) {
         if (enabled(v)) return false;
       }
@@ -181,9 +230,25 @@ CampaignResult runEngineCampaign(
     }
     if (sweepAll) {
       sweepAll = false;
-      for (graph::Vertex v = 0; v < n; ++v) recheck(v);
+      for (graph::Vertex v = 0; v < n; ++v) markStale(v);
     }
-    return unstableCount == 0;
+    for (const graph::Vertex v : touched) {
+      isTouched[v] = 0;
+      markStale(v);
+      for (const graph::Vertex w : g.neighbors(v)) markStale(w);
+    }
+    touched.clear();
+    while (unstableCount == staleUnstable) {
+      if (stale.empty()) return true;  // no verdict stale, none unstable
+      const graph::Vertex v = stale.back();
+      stale.pop_back();
+      isStale[v] = 0;
+      staleUnstable -= unstable[v];
+      unstableCount -= unstable[v];
+      unstable[v] = enabled(v) ? 1 : 0;
+      unstableCount += unstable[v];
+    }
+    return false;
   };
 
   // prev is S_t of the round being stepped; it is kept equal to `states`
@@ -238,7 +303,8 @@ CampaignResult runEngineCampaign(
     collectMoved();
     if (moved.empty()) return;
     if (safety) {
-      const std::size_t violations = safety(g, prev, states, faulty);
+      const std::size_t violations = safety(
+          g, prev, states, faulty, std::span<const graph::Vertex>(moved));
       result.safetyViolations += violations;
       if (monitor != nullptr) monitor->onSafetyViolations(violations);
     }
@@ -250,16 +316,18 @@ CampaignResult runEngineCampaign(
   };
 
   // Endpoints of edges a partition mask change cuts or restores: the nodes
-  // whose views the event directly touches.
+  // whose views the event directly touches, in ascending order.
   const auto boundaryNodes = [&] {
-    std::vector<std::uint8_t> hit(n, 0);
-    for (const auto& e : base().edges()) {
-      if (crashed[e.u] != 0 || crashed[e.v] != 0) continue;
-      if (side[e.u] != side[e.v]) hit[e.u] = hit[e.v] = 1;
-    }
+    const graph::Graph& from = base();
     std::vector<graph::Vertex> out;
     for (graph::Vertex v = 0; v < n; ++v) {
-      if (hit[v] != 0) out.push_back(v);
+      if (crashed[v] != 0) continue;
+      for (const graph::Vertex w : from.neighbors(v)) {
+        if (crashed[w] == 0 && side[v] != side[w]) {
+          out.push_back(v);
+          break;
+        }
+      }
     }
     return out;
   };
@@ -361,6 +429,7 @@ CampaignResult runEngineCampaign(
     if (monitor != nullptr) monitor->onRecovered(rounds, recovered);
     result.recoveredAll = result.recoveredAll && recovered;
     for (const graph::Vertex v : injected) faulty[v] = frozen[v];
+    if constexpr (requires(Runner& r) { r.rest(); }) runner.rest();
   }
 
   // Drain to a true global fixpoint (or masked stability, if the plan left

@@ -10,10 +10,14 @@
 //  * containment     the largest BFS distance — on the topology at fault
 //    radius          time — from the injected node set to any node that
 //                    changed state during recovery (n if a changed node is
-//                    unreachable from every injected node). The BFS grows
-//                    lazily, one layer at a time, only as far as the
-//                    farthest changed node, so a fault whose repair stays
-//                    local costs its neighborhood, not the graph;
+//                    unreachable from every injected node). A changed node
+//                    first searches outward for the nearest injected node,
+//                    visiting at most kNearBudget nodes; only a search that
+//                    runs out of budget grows the multi-source BFS from the
+//                    injected set, lazily, one layer at a time, only as far
+//                    as that node. A fault whose repair stays local costs
+//                    its neighborhood, not the graph, and no window costs
+//                    more than the eager BFS plus kNearBudget per change;
 //  * safety          protocol-specific "a healthy node was harmed" checks
 //    violations      (e.g. a matched edge between two non-faulty nodes
 //                    broken), counted per committed round.
@@ -26,10 +30,15 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "chaos/plan.hpp"
@@ -38,16 +47,89 @@
 
 namespace selfstab::chaos {
 
-/// Counts safety violations in one committed round. `faulty[v]` is nonzero
-/// while v is crashed, stuck, or was injected by the still-open fault
-/// window; violations are only charged to non-faulty nodes. Contract: an
-/// identity transition (before == after) has no violations — a check
-/// charges only transitions that harm someone — so callers skip rounds in
-/// which nothing changed instead of asking.
+/// Counts safety violations in one committed round transition (before ->
+/// after). `faulty[v]` is nonzero while v is crashed, stuck, or was injected
+/// by the still-open fault window; violations are only charged to non-faulty
+/// nodes. Contract: an identity transition (before == after) has no
+/// violations — a check charges only transitions that harm someone — so
+/// callers skip rounds in which nothing changed instead of asking.
+///
+/// Two call forms:
+///  * (g, before, after, faulty) inspects the whole transition, O(n);
+///  * (g, before, after, faulty, moved) may look only at `moved`, which must
+///    list every vertex whose state differs between before and after, each
+///    once (it may list more). A check built by overList() then costs
+///    O(|moved| · deg); one built from a four-argument callable ignores the
+///    list and pays its O(n). runEngineCampaign passes its exact moved list.
 template <typename State>
-using SafetyCheck = std::function<std::size_t(
-    const graph::Graph& g, const std::vector<State>& before,
-    const std::vector<State>& after, const std::vector<std::uint8_t>& faulty)>;
+class SafetyCheck {
+ public:
+  using Whole = std::function<std::size_t(
+      const graph::Graph& g, const std::vector<State>& before,
+      const std::vector<State>& after,
+      const std::vector<std::uint8_t>& faulty)>;
+
+  SafetyCheck() = default;
+  SafetyCheck(std::nullptr_t) noexcept {}
+
+  /// A check that only knows whole transitions.
+  template <typename F>
+    requires(!std::same_as<std::remove_cvref_t<F>, SafetyCheck> &&
+             std::constructible_from<Whole, F>)
+  SafetyCheck(F check)
+      : whole_(std::move(check)) {}
+
+  /// A check over a vertex list: `check(g, before, after, faulty, vertices)`
+  /// must accept any range of vertices (the moved span, or every vertex for
+  /// the whole-transition form) and count exactly the violations the
+  /// definition charges to a transition whose changed vertices are all in
+  /// that range.
+  template <typename F>
+  [[nodiscard]] static SafetyCheck overList(F check) {
+    SafetyCheck s;
+    s.whole_ = [check](const graph::Graph& g, const std::vector<State>& before,
+                       const std::vector<State>& after,
+                       const std::vector<std::uint8_t>& faulty) {
+      return check(g, before, after, faulty,
+                   std::views::iota(graph::Vertex{0},
+                                    static_cast<graph::Vertex>(before.size())));
+    };
+    s.listed_ = [check](const graph::Graph& g,
+                        const std::vector<State>& before,
+                        const std::vector<State>& after,
+                        const std::vector<std::uint8_t>& faulty,
+                        std::span<const graph::Vertex> moved) {
+      return check(g, before, after, faulty, moved);
+    };
+    return s;
+  }
+
+  explicit operator bool() const noexcept { return static_cast<bool>(whole_); }
+
+  std::size_t operator()(const graph::Graph& g,
+                         const std::vector<State>& before,
+                         const std::vector<State>& after,
+                         const std::vector<std::uint8_t>& faulty) const {
+    return whole_(g, before, after, faulty);
+  }
+
+  std::size_t operator()(const graph::Graph& g,
+                         const std::vector<State>& before,
+                         const std::vector<State>& after,
+                         const std::vector<std::uint8_t>& faulty,
+                         std::span<const graph::Vertex> moved) const {
+    return listed_ ? listed_(g, before, after, faulty, moved)
+                   : whole_(g, before, after, faulty);
+  }
+
+ private:
+  Whole whole_;
+  std::function<std::size_t(
+      const graph::Graph&, const std::vector<State>&,
+      const std::vector<State>&, const std::vector<std::uint8_t>&,
+      std::span<const graph::Vertex>)>
+      listed_;
+};
 
 class RecoveryMonitor {
  public:
@@ -106,9 +188,9 @@ class RecoveryMonitor {
   }
 
   /// Reports that v's state changed while the current window is open.
-  /// Cheap enough for per-move hooks: a label lookup and a max, plus the
-  /// BFS layers needed to reach v the first time the window meets a node
-  /// farther out than any before.
+  /// Cheap enough for per-move hooks: a label lookup and a max, or a search
+  /// of at most kNearBudget nodes around v, plus the BFS layers needed to
+  /// reach v when that search runs out of budget.
   void onStateChanged(graph::Vertex v) {
     if (!open_) return;
     maxChangedDistance_ = std::max(maxChangedDistance_, distanceTo(v));
@@ -178,12 +260,24 @@ class RecoveryMonitor {
   }
 
  private:
-  // Containment distances are a multi-source BFS from the injected set,
-  // expanded one layer at a time on demand. Unreachable nodes get distance
-  // n (the containment cap — "the fault's effect crossed a partition"). An
-  // empty injected set (loss bursts, clock drift) maps every node to
-  // distance 0: those faults have no epicenter to measure from. Labels are
-  // stamped with the window, so opening one costs O(|injected|), not O(n).
+  // Containment distances come from two searches over the window's
+  // topology. A budgeted BFS outward from the changed node stops at the
+  // first injected node it meets; that is the exact distance, because BFS
+  // meets nodes in distance order. It settles most changes of a local
+  // repair in a few hundred visits. A search that runs out of budget falls
+  // back to a multi-source BFS from the injected set, expanded one layer at
+  // a time on demand and kept for the rest of the window, so far-off movers
+  // (say, a graph still settling from its random start) share one BFS.
+  //
+  // Unreachable nodes get distance n (the containment cap — "the fault's
+  // effect crossed a partition"). An empty injected set (loss bursts, clock
+  // drift) maps every node to distance 0: those faults have no epicenter to
+  // measure from. Labels are stamped with the window (and the near search's
+  // marks with the search), so opening a window costs O(|injected|), not
+  // O(n); the arrays are sized at the first fault, so a monitor that never
+  // sees one holds none of them.
+  static constexpr std::size_t kNearBudget = 512;
+
   void startSearch(const std::vector<graph::Vertex>& injected,
                    const graph::Graph& topo) {
     topo_ = &topo;
@@ -203,8 +297,43 @@ class RecoveryMonitor {
 
   [[nodiscard]] std::size_t distanceTo(graph::Vertex v) {
     if (noEpicenter_ || v >= stamp_.size()) return 0;
+    if (labelled(v)) return distance_[v];
+    if (const std::size_t d = searchNear(v); d != kOverBudget) return d;
     while (!labelled(v) && !frontier_.empty()) expandLayer();
     return labelled(v) ? distance_[v] : stamp_.size();
+  }
+
+  // The budgeted search from v (unlabelled, so not injected): the distance
+  // to the nearest injected node, n if v's component holds none, or
+  // kOverBudget once it has visited more than kNearBudget nodes. Injected
+  // nodes are the ones labelled at distance 0.
+  static constexpr std::size_t kOverBudget = static_cast<std::size_t>(-1);
+
+  [[nodiscard]] std::size_t searchNear(graph::Vertex v) {
+    const std::size_t n = stamp_.size();
+    if (seen_.size() != n || ++search_ == 0) {
+      seen_.assign(n, 0);
+      search_ = 1;
+    }
+    near_.clear();
+    near_.push_back(v);
+    seen_[v] = search_;
+    std::size_t layerEnd = 1;
+    std::size_t depth = 1;
+    for (std::size_t i = 0; i < near_.size(); ++i) {
+      if (i == layerEnd) {
+        layerEnd = near_.size();
+        ++depth;
+      }
+      for (const graph::Vertex w : topo_->neighbors(near_[i])) {
+        if (seen_[w] == search_) continue;
+        if (labelled(w) && distance_[w] == 0) return depth;
+        if (near_.size() == kNearBudget) return kOverBudget;
+        seen_[w] = search_;
+        near_.push_back(w);
+      }
+    }
+    return n;
   }
 
   // Labels every unlabelled neighbor of the current frontier (all at
@@ -240,6 +369,9 @@ class RecoveryMonitor {
   std::vector<graph::Vertex> frontier_;  // labelled at distance depth_
   std::vector<graph::Vertex> next_;
   graph::Vertex depth_ = 0;
+  std::vector<std::uint32_t> seen_;     // == search_ iff the near search met it
+  std::uint32_t search_ = 0;
+  std::vector<graph::Vertex> near_;     // the near search's queue, by layer
   std::size_t maxChangedDistance_ = 0;
   std::vector<Record> records_;
   std::size_t safetyTotal_ = 0;

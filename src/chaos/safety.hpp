@@ -13,8 +13,14 @@
 //          at one endpoint can separate the pair.
 //  * SIS   a non-faulty member with no in-set neighbor never leaves the set:
 //          SIS's only leave rule requires a dominating in-set neighbor.
+//
+// Both look only at the vertices they are given: every vertex for the
+// whole-transition call, the round's moved list for a campaign's, so a
+// campaign round costs O(|moved| · deg) instead of O(n). The O(n)
+// definitions live on as oracles in tests/chaos/test_safety.cpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,46 +31,76 @@
 
 namespace selfstab::chaos {
 
+namespace detail {
+
+/// Matched pairs {v, w} — mutual pointers over a g-edge, both ends
+/// non-faulty — that the transition breaks, counted over the `listed`
+/// vertices. A pair breaks only if one of its ends changed, so every such
+/// pair has a changed, listed end; it is counted from the smaller of its
+/// changed ends, once.
+template <typename Vertices>
+std::size_t brokenPairs(const graph::Graph& g,
+                        const std::vector<core::PointerState>& before,
+                        const std::vector<core::PointerState>& after,
+                        const std::vector<std::uint8_t>& faulty,
+                        const Vertices& listed) {
+  const std::size_t n = before.size();
+  std::size_t violations = 0;
+  for (const graph::Vertex v : listed) {
+    if (before[v] == after[v]) continue;
+    const graph::Vertex w = before[v].ptr;
+    if (w >= n || w == v || before[w].ptr != v) continue;
+    if (w < v && !(before[w] == after[w])) continue;  // w counts it
+    if (faulty[v] != 0 || faulty[w] != 0 || !g.hasEdge(v, w)) continue;
+    if (after[v].ptr != w || after[w].ptr != v) ++violations;
+  }
+  return violations;
+}
+
+/// Non-faulty listed members that leave the set without an in-set
+/// neighbor before the round.
+template <typename Vertices>
+std::size_t strandedLeavers(const graph::Graph& g,
+                            const std::vector<core::BitState>& before,
+                            const std::vector<core::BitState>& after,
+                            const std::vector<std::uint8_t>& faulty,
+                            const Vertices& listed) {
+  std::size_t violations = 0;
+  for (const graph::Vertex v : listed) {
+    if (faulty[v] != 0) continue;
+    if (!before[v].in || after[v].in) continue;  // only set-leavers
+    bool hadInNeighbor = false;
+    for (const graph::Vertex w : g.neighbors(v)) {
+      if (before[w].in) {
+        hadInNeighbor = true;
+        break;
+      }
+    }
+    if (!hadInNeighbor) ++violations;
+  }
+  return violations;
+}
+
+}  // namespace detail
+
 /// SafetyCheck for the matching protocols (PointerState).
 [[nodiscard]] inline SafetyCheck<core::PointerState> smmSafetyCheck() {
-  return [](const graph::Graph& g,
-            const std::vector<core::PointerState>& before,
-            const std::vector<core::PointerState>& after,
-            const std::vector<std::uint8_t>& faulty) {
-    // A node has at most one mutual partner, so walking each node's
-    // pointer visits every matched edge once (from its smaller end) without
-    // materializing the edge list.
-    std::size_t violations = 0;
-    for (graph::Vertex v = 0; v < before.size(); ++v) {
-      const graph::Vertex w = before[v].ptr;
-      if (w <= v || w >= before.size() || before[w].ptr != v) continue;
-      if (faulty[v] != 0 || faulty[w] != 0 || !g.hasEdge(v, w)) continue;
-      if (after[v].ptr != w || after[w].ptr != v) ++violations;
-    }
-    return violations;
-  };
+  return SafetyCheck<core::PointerState>::overList(
+      [](const graph::Graph& g, const std::vector<core::PointerState>& before,
+         const std::vector<core::PointerState>& after,
+         const std::vector<std::uint8_t>& faulty, const auto& listed) {
+        return detail::brokenPairs(g, before, after, faulty, listed);
+      });
 }
 
 /// SafetyCheck for SIS (BitState).
 [[nodiscard]] inline SafetyCheck<core::BitState> sisSafetyCheck() {
-  return [](const graph::Graph& g, const std::vector<core::BitState>& before,
-            const std::vector<core::BitState>& after,
-            const std::vector<std::uint8_t>& faulty) {
-    std::size_t violations = 0;
-    for (graph::Vertex v = 0; v < before.size(); ++v) {
-      if (faulty[v] != 0) continue;
-      if (!before[v].in || after[v].in) continue;  // only set-leavers
-      bool hadInNeighbor = false;
-      for (const graph::Vertex w : g.neighbors(v)) {
-        if (before[w].in) {
-          hadInNeighbor = true;
-          break;
-        }
-      }
-      if (!hadInNeighbor) ++violations;
-    }
-    return violations;
-  };
+  return SafetyCheck<core::BitState>::overList(
+      [](const graph::Graph& g, const std::vector<core::BitState>& before,
+         const std::vector<core::BitState>& after,
+         const std::vector<std::uint8_t>& faulty, const auto& listed) {
+        return detail::strandedLeavers(g, before, after, faulty, listed);
+      });
 }
 
 }  // namespace selfstab::chaos

@@ -44,9 +44,9 @@ using graph::Vertex;
 /// Graph is one CSR holding each edge twice in its targets (4 B per slot,
 /// no per-slot neighbor ID), 8 B per edge, and no layer copies it: a
 /// unit-disk build counts each slice and then writes it in place, so it
-/// holds no second copy of the targets. `--chaos` holds up to two more
-/// Graph copies (the masked topology the runner reads and, once a crash or
-/// partition reshapes it, the campaign's base), 8 B each. The bound of 40 B
+/// holds no second copy of the targets. `--chaos` edits that Graph in
+/// place; once a crash or partition reshapes it, the campaign holds a base
+/// copy and, during each reshape, the new CSR: 8 B each. The bound of 40 B
 /// covers the 24 B with room to spare.
 constexpr double kBytesPerEdge = 40.0;
 
@@ -92,8 +92,7 @@ void maybeWriteDot(const Options& options, const Graph& g,
 /// the path actually taken in the report. Auto silently falls back to the
 /// generic LocalView path for protocols without a kernel; an explicit
 /// `--kernel flat` there is a usage error. `g` and `ids` must be the very
-/// objects the runner was built over (the mutable chaos copy under
-/// --chaos): the kernel's CSR becomes the topology the runner reads, and
+/// objects the runner was built over: the kernel reads the same CSR, and
 /// setKernel throws std::invalid_argument for any other objects.
 template <typename State>
 void installKernel(engine::SyncRunner<State>& runner,
@@ -119,11 +118,12 @@ void installKernel(engine::SyncRunner<State>& runner,
 /// Shared driver: runs `protocol` from the configured start, tracing if
 /// requested; fills the run-related Report fields. `metric` maps a
 /// configuration to the solution size recorded in the CSV trace (matched
-/// pairs, set members, colors, tree depth, ...).
+/// pairs, set members, colors, tree depth, ...). `g` is mutable for --chaos
+/// alone: a campaign edits it in place and hands it back unchanged.
 template <typename State, typename Sampler, typename Metric>
 std::vector<State> drive(const Options& options, const Sinks& sinks,
                          const engine::Protocol<State>& protocol,
-                         const Graph& g, const IdAssignment& ids,
+                         Graph& g, const IdAssignment& ids,
                          std::size_t autoBudget, Sampler sampler,
                          Metric metric, std::ostream& out, Report& report,
                          const chaos::SafetyCheck<State>& safety = {}) {
@@ -131,17 +131,16 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
   // count is the machine's business, not an option.
   const std::size_t threads = roundThreads(g.order());
   if (!options.chaosSpec.empty()) {
-    // Fault campaign: the runner owns a mutable copy of the topology (crash
-    // and partition events mask edges in place); the caller's graph stays
-    // the base topology its verifiers expect. --max-rounds, if set, caps
-    // each fault's recovery window instead of the whole run.
+    // Fault campaign: crash and partition events mask edges of `g` in
+    // place, and the campaign rebuilds the base topology the verifiers
+    // expect before it returns. --max-rounds, if set, caps each fault's
+    // recovery window instead of the whole run.
     const chaos::FaultPlan plan =
         chaos::parseChaosSpec(options.chaosSpec, g.order());
-    Graph effective = g;
-    engine::SyncRunner<State> runner(protocol, effective, ids, options.seed,
+    engine::SyncRunner<State> runner(protocol, g, ids, options.seed,
                                      options.schedule, threads);
     runner.attachTelemetry(sinks.registry, sinks.events);
-    installKernel(runner, protocol, effective, ids, options, report);
+    installKernel(runner, protocol, g, ids, options, report);
     std::vector<State> states;
     if (options.start == StartKind::Clean) {
       states = runner.initialStates();
@@ -152,7 +151,7 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
     chaos::RecoveryMonitor monitor;
     monitor.attachTelemetry(sinks.registry, sinks.events);
     const chaos::CampaignResult result = chaos::runEngineCampaign(
-        runner, protocol, effective, ids, states, plan,
+        runner, protocol, g, ids, states, plan,
         hashCombine(options.seed, 0xC4A05ULL), options.maxRounds, sampler,
         &monitor, safety);
     report.rounds = result.roundsExecuted;
@@ -238,7 +237,7 @@ auto membershipMetric() {
   };
 }
 
-Report runMatching(const Options& options, const Sinks& sinks, const Graph& g,
+Report runMatching(const Options& options, const Sinks& sinks, Graph& g,
                    const IdAssignment& ids, std::ostream& out) {
   Report report;
   std::vector<core::PointerState> states;
@@ -290,7 +289,7 @@ Report runMatching(const Options& options, const Sinks& sinks, const Graph& g,
   return report;
 }
 
-Report runSis(const Options& options, const Sinks& sinks, const Graph& g,
+Report runSis(const Options& options, const Sinks& sinks, Graph& g,
               const IdAssignment& ids, std::ostream& out) {
   Report report;
   const core::SisProtocol sis;
@@ -311,7 +310,7 @@ Report runSis(const Options& options, const Sinks& sinks, const Graph& g,
   return report;
 }
 
-Report runColoring(const Options& options, const Sinks& sinks, const Graph& g,
+Report runColoring(const Options& options, const Sinks& sinks, Graph& g,
                    const IdAssignment& ids, std::ostream& out) {
   Report report;
   const core::ColoringProtocol coloring;
@@ -344,7 +343,7 @@ Report runColoring(const Options& options, const Sinks& sinks, const Graph& g,
 }
 
 Report runDominatingSet(const Options& options, const Sinks& sinks,
-                        const Graph& g, const IdAssignment& ids,
+                        Graph& g, const IdAssignment& ids,
                         std::ostream& out) {
   Report report;
   const core::Synchronized<core::DominatingSetProtocol> dom;
@@ -368,7 +367,7 @@ Report runDominatingSet(const Options& options, const Sinks& sinks,
 }
 
 Report runBfsTree(const Options& options, const Sinks& sinks,
-                  const Graph& g, const IdAssignment& ids,
+                  Graph& g, const IdAssignment& ids,
                   std::ostream& out) {
   Report report;
   // Root: the vertex holding the smallest ID (deterministic under every
@@ -415,7 +414,7 @@ Report runBfsTree(const Options& options, const Sinks& sinks,
 }
 
 Report runLeaderTree(const Options& options, const Sinks& sinks,
-                     const Graph& g, const IdAssignment& ids,
+                     Graph& g, const IdAssignment& ids,
                      std::ostream& out) {
   Report report;
   const auto cap = static_cast<std::uint32_t>(std::max<std::size_t>(
@@ -621,7 +620,7 @@ IdAssignment buildIds(IdOrderKind kind, std::size_t n, std::uint64_t seed) {
 }
 
 Report execute(const Options& options, std::ostream& out) {
-  const Graph g = buildGraph(options.graph, options.seed);
+  Graph g = buildGraph(options.graph, options.seed);
   if (g.order() == 0) throw CliError("empty graph");
   if (!options.saveGraphPath.empty()) {
     std::ofstream file(options.saveGraphPath);

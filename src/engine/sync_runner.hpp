@@ -263,8 +263,16 @@ class SyncRunner {
       // Budget exhausted; check whether we happen to sit on a fixpoint.
       result.stabilized = isFixpoint(states);
     }
-    if (team_ != nullptr) team_->rest();
+    rest();
     return result;
+  }
+
+  /// Lets the team's helpers park until the next dispatch instead of
+  /// spinning out their idle budget: for step()-driven loops at a boundary
+  /// after which few rounds will dispatch (a fault campaign between
+  /// windows). A no-op at one thread; the next busy round wakes them.
+  void rest() noexcept {
+    if (team_ != nullptr) team_->rest();
   }
 
   /// True if no node has an enabled rule in `states` (modulo scheduling —

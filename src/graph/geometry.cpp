@@ -88,7 +88,7 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
   bands = std::clamp<std::size_t>(bands, 1, side);
   const auto rowOf = [&](std::size_t b) { return b * side / bands; };
   std::vector<std::size_t> offsets(n + 1, 0);
-  std::vector<Vertex> targets;
+  Graph::Targets targets;
   // Calls visit(slot, first, last) for every slot of band b, where the
   // slot's candidates are the runs [first[y], last[y]) of `sorted`, one per
   // row y of its 3x3 block (rows beyond the block are empty runs).
@@ -174,6 +174,8 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
     });
     flush();
   };
+  // Sizing leaves the targets unwritten (Graph::Targets): the fill pass
+  // writes every slot, so its bands take the page faults in parallel.
   const auto layOut = [&] {
     for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
     targets.resize(offsets[n]);

@@ -7,8 +7,7 @@
 
 namespace selfstab::graph {
 
-Graph Graph::fromCsr(std::vector<std::size_t> offsets,
-                     std::vector<Vertex> targets) {
+Graph Graph::fromCsr(std::vector<std::size_t> offsets, Targets targets) {
   assert(!offsets.empty() && offsets.front() == 0 &&
          offsets.back() == targets.size() &&
          std::is_sorted(offsets.begin(), offsets.end()) &&
@@ -44,7 +43,7 @@ Graph Graph::fromEdges(std::size_t n, std::span<const Edge> edges) {
     ++offsets[e.v + 1];
   }
   for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  std::vector<Vertex> targets(offsets[n]);
+  Targets targets(offsets[n]);
   std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
   for (const Edge& e : edges) {
     targets[cursor[e.u]++] = e.v;

@@ -9,6 +9,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -34,6 +36,27 @@ constexpr Edge makeEdge(Vertex a, Vertex b) noexcept {
   return a < b ? Edge{a, b} : Edge{b, a};
 }
 
+/// An allocator that default-initializes: a vector<Vertex> resized through
+/// it leaves the new slots unwritten instead of zeroing them, so a CSR
+/// builder that writes every slot anyway takes the page faults where it
+/// writes (on its worker team), not in a serial zero-fill.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  // Construction with arguments falls back to allocator_traits' default.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 /// Undirected simple graph on a fixed vertex set with a mutable edge set,
 /// stored as one CSR: offsets (n+1) and targets (2m), each vertex's slice
 /// of targets strictly ascending. Every round reads N[v] for every node and
@@ -43,6 +66,9 @@ constexpr Edge makeEdge(Vertex a, Vertex b) noexcept {
 /// which feeds it), never edge by edge.
 class Graph {
  public:
+  /// The CSR's targets array; resize() leaves new slots unwritten.
+  using Targets = std::vector<Vertex, DefaultInitAllocator<Vertex>>;
+
   Graph() = default;
 
   /// Creates an edgeless graph on n vertices.
@@ -56,7 +82,7 @@ class Graph {
   /// built by adding the same edges one addEdge at a time, version()
   /// included.
   [[nodiscard]] static Graph fromCsr(std::vector<std::size_t> offsets,
-                                     std::vector<Vertex> targets);
+                                     Targets targets);
 
   /// fromCsr over an edge list: every edge once, in any order and either
   /// orientation, loop-free and in range (debug-checked). O(n + m) plus a
@@ -135,7 +161,7 @@ class Graph {
   void recomputeMaxDegree() noexcept;
 
   std::vector<std::size_t> offsets_;  // n+1 entries; empty only when n == 0
-  std::vector<Vertex> targets_;
+  Targets targets_;
   std::size_t maxDegree_ = 0;
   std::uint64_t version_ = 0;
 };

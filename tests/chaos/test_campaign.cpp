@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "analysis/verifiers.hpp"
 #include "chaos/safety.hpp"
+#include "core/kernels.hpp"
 #include "core/matching_state.hpp"
 #include "core/sis.hpp"
 #include "core/smm.hpp"
@@ -228,6 +231,79 @@ TEST(EngineCampaign, RestoresCallerGraphTopologyAfterCleanPlan) {
   EXPECT_EQ(g.edges(), base.edges());
 }
 
+// A plan that crashes a node and cuts the graph in two, and never rejoins
+// or heals, leaves the runner's topology masked when it ends; the caller's
+// graph must still come back with its original edges.
+FaultPlan crashAndCutPlan(std::size_t n) {
+  FaultPlan plan;
+  FaultEvent crash;
+  crash.at = 3;
+  crash.kind = FaultKind::Crash;
+  crash.node = 2;
+  plan.events.push_back(crash);
+  FaultEvent cut;
+  cut.at = 9;
+  cut.kind = FaultKind::PartitionCut;
+  for (graph::Vertex v = 0; v < n / 2; ++v) cut.nodes.push_back(v);
+  plan.events.push_back(cut);
+  FaultEvent corrupt;
+  corrupt.at = 15;
+  corrupt.kind = FaultKind::Corrupt;
+  corrupt.fraction = 0.5;
+  plan.events.push_back(corrupt);
+  return plan;
+}
+
+TEST(EngineCampaign, RestoresCallerGraphAfterUnhealedCrashAndCut) {
+  const std::size_t n = 30;
+  graph::Graph g = testGraph(n, 23);
+  const graph::Graph base = g;
+  const core::SmmProtocol protocol = core::smmPaper();
+  const graph::IdAssignment ids = graph::IdAssignment::identity(n);
+  engine::SyncRunner<core::PointerState> runner(protocol, g, ids, 23);
+  std::vector<core::PointerState> states = runner.initialStates();
+  std::size_t cutEdges = 0;
+  const CampaignResult result = runEngineCampaign(
+      runner, protocol, g, ids, states, crashAndCutPlan(n), kChaosSeed,
+      std::size_t{0},
+      [&](graph::Vertex v, const graph::Graph& topo, Rng& rng) {
+        // The corruption lands while node 2 is isolated and the cut holds.
+        cutEdges = base.size() - topo.size();
+        return core::randomPointerState(v, topo, rng);
+      });
+  EXPECT_GT(cutEdges, base.degree(2));
+  EXPECT_TRUE(result.finalFixpoint);  // masked: node 2 stays crashed
+  EXPECT_EQ(g.edges(), base.edges());
+}
+
+TEST(EngineCampaign, RestoresCallerGraphWhenTheCampaignThrows) {
+  const std::size_t n = 30;
+  graph::Graph g = testGraph(n, 29);
+  const graph::Graph base = g;
+  const core::SmmProtocol protocol = core::smmPaper();
+  const graph::IdAssignment ids = graph::IdAssignment::identity(n);
+  engine::SyncRunner<core::PointerState> runner(protocol, g, ids, 29,
+                                                engine::Schedule::Dense, 2);
+  runner.setKernel(core::makeFlatKernel<core::PointerState>(protocol, g, ids));
+  std::vector<core::PointerState> states = runner.initialStates();
+  bool masked = false;
+  EXPECT_THROW(
+      (void)runEngineCampaign(
+          runner, protocol, g, ids, states, crashAndCutPlan(n), kChaosSeed,
+          std::size_t{0},
+          [&](graph::Vertex, const graph::Graph& topo,
+              Rng&) -> core::PointerState {
+            masked = topo.size() < base.size();
+            throw std::runtime_error("sampler failed");
+          }),
+      std::runtime_error);
+  EXPECT_TRUE(masked);
+  EXPECT_EQ(g.edges(), base.edges());
+  // The runner reads the restored graph and still converges on it.
+  EXPECT_TRUE(runner.run(states, 2 * n + 1).stabilized);
+  EXPECT_TRUE(analysis::checkMatchingFixpoint(g, states).ok());
+}
+
 // The monitor grows its containment BFS lazily, one layer per unlabelled
 // node it meets. Its radii must equal an eager multi-source BFS: the
 // distance from the nearest injected node, n for nodes no injected node
@@ -288,6 +364,104 @@ TEST(RecoveryMonitor, LazyContainmentMatchesEagerBfs) {
         << "window " << i;
   }
   EXPECT_EQ(monitor.records()[1].containmentRadius, 0u);
+  EXPECT_EQ(monitor.records()[4].containmentRadius, n);
+  EXPECT_EQ(monitor.records()[5].containmentRadius, 0u);
+}
+
+// Multi-source BFS distances from `sources`; n where none reaches.
+std::vector<std::size_t> eagerDistances(
+    const graph::Graph& g, const std::vector<graph::Vertex>& sources) {
+  const std::size_t n = g.order();
+  std::vector<std::size_t> dist(n, n);
+  std::deque<graph::Vertex> queue;
+  for (const graph::Vertex s : sources) {
+    if (dist[s] == 0) continue;
+    dist[s] = 0;
+    queue.push_back(s);
+  }
+  while (!queue.empty()) {
+    const graph::Vertex v = queue.front();
+    queue.pop_front();
+    for (const graph::Vertex w : g.neighbors(v)) {
+      if (dist[w] != n) continue;
+      dist[w] = dist[v] + 1;
+      queue.push_back(w);
+    }
+  }
+  return dist;
+}
+
+// On graphs whose far nodes lie beyond the near search's budget (a 70x70
+// grid: ~2d² nodes within distance d), the containment radius must still
+// equal the eager BFS: near movers settle in the budgeted search, far ones
+// in the layered fallback, and both kinds mix in one window. The graph
+// also holds a second component (a 20x20 grid) and two isolated nodes, so
+// some movers are unreachable (radius n), and some windows inject nothing.
+TEST(RecoveryMonitor, BudgetedSearchMatchesEagerBfsOnLargeGraphs) {
+  const graph::Graph big = graph::grid(70, 70);
+  const graph::Graph small = graph::grid(20, 20);
+  const std::size_t offset = big.order();
+  const std::size_t n = big.order() + small.order() + 2;
+  std::vector<graph::Edge> edges = big.edges();
+  for (const auto& e : small.edges()) {
+    edges.push_back({static_cast<graph::Vertex>(e.u + offset),
+                     static_cast<graph::Vertex>(e.v + offset)});
+  }
+  const graph::Graph g = graph::Graph::fromEdges(n, edges);
+  const auto isolated = static_cast<graph::Vertex>(n - 1);
+  const auto corner = static_cast<graph::Vertex>(0);
+  const auto farCorner = static_cast<graph::Vertex>(big.order() - 1);
+  const auto inSmall = static_cast<graph::Vertex>(offset + 5);
+
+  RecoveryMonitor monitor;
+  std::vector<std::size_t> expected;
+  const auto window = [&](const std::vector<graph::Vertex>& injected,
+                          const std::vector<graph::Vertex>& changed) {
+    monitor.onFault(static_cast<std::int64_t>(expected.size()),
+                    FaultKind::Corrupt, injected, g);
+    std::size_t worst = 0;
+    const std::vector<std::size_t> dist = eagerDistances(g, injected);
+    for (const graph::Vertex v : changed) {
+      monitor.onStateChanged(v);
+      worst = std::max(worst, injected.empty() ? 0 : dist[v]);
+    }
+    monitor.onRecovered(1, true);
+    expected.push_back(worst);
+  };
+  // Near movers only: the budgeted search settles every one.
+  window({corner}, {1, 70, 71, 141, 3});
+  // Far movers only (138 hops), then near ones the fallback BFS has passed.
+  window({corner}, {farCorner, farCorner - 1, 1, 140});
+  // Near first, then far, then near again.
+  window({corner, 35}, {36, farCorner, 2, 4000, 72});
+  // An isolated crash: every other mover is unreachable.
+  window({isolated}, {isolated, 5, inSmall});
+  // Movers in the other component than the epicenter, and in the same.
+  window({inSmall}, {inSmall + 1, 100, inSmall + 20});
+  // No epicenter: radius 0 however far the movers are.
+  window({}, {farCorner, inSmall, isolated});
+  // Repeated far movers after the fallback has labelled them.
+  window({farCorner}, {corner, corner, 1, corner + 70});
+  graph::Rng rng(77);
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<graph::Vertex> injected;
+    std::vector<graph::Vertex> changed;
+    for (std::uint64_t k = rng.below(4); k > 0; --k) {
+      injected.push_back(static_cast<graph::Vertex>(rng.below(n)));
+    }
+    for (std::uint64_t k = rng.below(40); k > 0; --k) {
+      changed.push_back(static_cast<graph::Vertex>(rng.below(n)));
+    }
+    window(injected, changed);
+  }
+  ASSERT_EQ(monitor.records().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(monitor.records()[i].containmentRadius, expected[i])
+        << "window " << i;
+  }
+  EXPECT_EQ(monitor.records()[0].containmentRadius, 3u);
+  EXPECT_EQ(monitor.records()[1].containmentRadius, 138u);
+  EXPECT_EQ(monitor.records()[3].containmentRadius, n);
   EXPECT_EQ(monitor.records()[4].containmentRadius, n);
   EXPECT_EQ(monitor.records()[5].containmentRadius, 0u);
 }

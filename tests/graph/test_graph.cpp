@@ -216,7 +216,7 @@ TEST(Graph, FromCsrEqualsAddEdgeBuild) {
                   static_cast<Vertex>(rng.below(n)));
   }
   std::vector<std::size_t> offsets{0};
-  std::vector<Vertex> targets;
+  Graph::Targets targets;
   for (Vertex v = 0; v < n; ++v) {
     targets.insert(targets.end(), built.neighbors(v).begin(),
                    built.neighbors(v).end());
@@ -348,7 +348,7 @@ TEST(Graph, RebuildFromAdvancesVersionLikeClearAndAdd) {
 #ifndef NDEBUG
 TEST(GraphDeathTest, FromCsrChecksItsInput) {
   using Offsets = std::vector<std::size_t>;
-  using Targets = std::vector<Vertex>;
+  using Targets = Graph::Targets;
   EXPECT_DEATH(Graph::fromCsr(Offsets{0, 1, 1}, Targets{1}), "symmetric");
   EXPECT_DEATH(Graph::fromCsr(Offsets{0, 2, 3, 4}, Targets{2, 1, 0, 0}),
                "ascending");
