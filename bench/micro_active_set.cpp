@@ -168,7 +168,7 @@ void sweepKernel(const char* name, const engine::Protocol<State>& protocol,
   if (kernel == nullptr) {
     kernel = std::make_unique<engine::GenericKernel<State>>(protocol, g, ids);
   }
-  kernel->sync(states, nullptr, nullptr);
+  kernel->sync(states, nullptr, 1);
   const std::size_t n = g.order();
   engine::MoveList<State> out;
   const double sweep = bestSeconds(5, [&] {
@@ -231,7 +231,7 @@ void recordSwitchSweep() {
   parallel::SpinTeam team(4);
   std::atomic<std::size_t> sink{0};
   const auto dispatch = [&] {
-    team.run([&](std::size_t t) { sink.fetch_add(t); });
+    team.run(4, [&](std::size_t t) { sink.fetch_add(t); });
   };
   const double spinning = bestSeconds(200, dispatch);
   double parked = 1e300;

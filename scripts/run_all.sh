@@ -31,17 +31,19 @@ python3 "$ROOT/scripts/rss_gate.py" "$BUILD_DIR/src/cli/selfstab"
 # instead of at the end of the full bench sweep.
 sh "$ROOT/scripts/bench_smoke.sh" "$BUILD_DIR"
 
-# ThreadSanitizer pass over the concurrency-sensitive suites. One
-# fork-join team, parallel::SpinTeam, carries every parallel pass: the round
-# executor, the SIS slice build, the banded unit-disk build, isConnected,
-# the verifiers and the simulator's windows. Covered here: the team itself
-# and forEachBlock, the telemetry instruments (lock-free counters and
+# ThreadSanitizer pass over the concurrency-sensitive suites. The
+# process's one fork-join team, parallel::team(), carries every parallel
+# pass at a width of its own: the round executor, the SIS slice build, the
+# banded unit-disk build, isConnected, the verifiers and the simulator's
+# windows. Covered here: the team itself (widths, nested and concurrent
+# dispatches) and forEachBlock, the telemetry instruments (lock-free counters and
 # histograms shared by the team's workers, plus the ExecutorParity
 # threads = 1 vs >= 2 checks, among them
 # EventLogsAreIdenticalAtEveryThreadCount), SyncRunner's parallel path
 # (ParallelRunner.*: degree-weighted blocks claimed by whichever worker is
-# free, the parallel fixpoint sweep, Aggregation on the team), the banded
-# unit-disk build, the selfstab CLI on its own teams, and the parallel
+# free, the parallel fixpoint sweep, Aggregation on the team, two runners
+# driven from two threads at once), the banded unit-disk build, the
+# selfstab CLI dispatching every pass on the one team, and the parallel
 # differential suites. A separate build dir keeps sanitizer objects out of
 # the main build.
 TSAN_DIR="${BUILD_DIR}-tsan"
@@ -53,8 +55,9 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # unitDiskGraph's bands: each worker counts its slots' neighbours into
   # their vertices' CSR offsets, then writes each list into its vertex's
   # disjoint slice of the targets.
-  # SpinTeam.*: the fork-join team every parallel pass runs on (dispatch,
-  # parking, exception hand-off) and forEachBlock's block claiming.
+  # SpinTeam.*: the fork-join team every parallel pass runs on (dispatch
+  # at every width, parking, exception hand-off, nested and concurrent
+  # dispatches run inline) and forEachBlock's block claiming.
   # Connectivity.*: isConnected's union-find links roots with
   # compare-and-swap from every worker and compresses paths in parallel.
   "$TSAN_DIR/tests/graph_tests" \
@@ -62,7 +65,7 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # The one-pass verifiers: team blocks read states and the CSR and fold
   # their verdicts into shared atomics.
   "$TSAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'
-  # selfstab sizes its teams itself: a 20000-node run (four workers where
+  # selfstab sizes its passes itself: a 20000-node run (four workers where
   # four CPUs are free) against the same run held to one CPU.
   "$TSAN_DIR/tests/cli_tests" --gtest_filter='Execute.PooledRunMatchesSingleCpuRun'
   # SyncRunnerQuietRounds.*: the dense quiet-round skip at threads = 3 —
@@ -114,9 +117,10 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # copy of the points and copies each list into the Graph's CSR at raw
   # offsets; Graph's own edits shift that CSR in place. isConnected's
   # union-find follows parent links by raw vertex numbers. forEachBlock
-  # clamps its last block to the range end.
+  # clamps its last block to the range end, and a dispatch hands index i
+  # to worker i % size.
   "$ASAN_DIR/tests/graph_tests" --gtest_filter=\
-'Geometry.*:Generators.*:Graph*:Connectivity.*:SpinTeam.ForEachBlock*'
+'Geometry.*:Generators.*:Graph*:Connectivity.*:SpinTeam.*'
   # The one-pass verifiers follow pointers, including wild ones, into the
   # states.
   "$ASAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'

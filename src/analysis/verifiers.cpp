@@ -62,14 +62,6 @@ namespace {
 // Vertices per block a verifier worker claims.
 constexpr std::size_t kVerifyBlock = 4096;
 
-// Runs body(begin, end) over the vertex blocks of an n-vertex graph on a
-// team of `workers` threads (inline at one).
-template <typename Body>
-void forEachVertexBlock(std::size_t n, std::size_t workers, const Body& body) {
-  const auto team = parallel::teamFor(workers);
-  parallel::forEachBlock(team.get(), n, kVerifyBlock, body);
-}
-
 }  // namespace
 
 namespace detail {
@@ -95,7 +87,7 @@ MatchingFixpointCheck checkMatchingFixpoint(
   std::atomic<bool> typeCorrect{true};
   std::atomic<bool> maximal{true};
   std::atomic<bool> aloof{true};
-  forEachVertexBlock(n, workers, [&](std::size_t begin, std::size_t end) {
+  const auto checkBlock = [&](std::size_t begin, std::size_t end) {
     std::size_t ownPairs = 0;
     bool ownTyped = true;
     bool ownMaximal = true;
@@ -122,7 +114,8 @@ MatchingFixpointCheck checkMatchingFixpoint(
     if (!ownTyped) typeCorrect.store(false, std::memory_order_relaxed);
     if (!ownMaximal) maximal.store(false, std::memory_order_relaxed);
     if (!ownAloof) aloof.store(false, std::memory_order_relaxed);
-  });
+  };
+  parallel::forEachBlock(workers, n, kVerifyBlock, checkBlock);
   check.matchedPairs = pairs.load();
   check.typeCorrect = typeCorrect.load();
   if (!check.typeCorrect) return check;
@@ -186,7 +179,7 @@ bool detail::isMaximalIndependentSet(const Graph& g,
   std::vector<std::uint8_t> in(n, 0);
   for (const Vertex v : members) in[v] = 1;
   std::atomic<bool> ok{true};
-  forEachVertexBlock(n, workers, [&](std::size_t begin, std::size_t end) {
+  const auto checkBlock = [&](std::size_t begin, std::size_t end) {
     for (auto u = static_cast<Vertex>(begin); u < end; ++u) {
       const auto nbrs = g.neighbors(u);
       const bool dominated = std::any_of(nbrs.begin(), nbrs.end(),
@@ -196,7 +189,8 @@ bool detail::isMaximalIndependentSet(const Graph& g,
         return;
       }
     }
-  });
+  };
+  parallel::forEachBlock(workers, n, kVerifyBlock, checkBlock);
   return ok.load();
 }
 

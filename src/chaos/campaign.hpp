@@ -42,9 +42,7 @@
 // closed neighborhoods of moved, injected and newly frozen or released
 // nodes, and only until it meets an enabled one; a topology rebuild (crash,
 // rejoin, partition) makes every verdict stale, and non-local protocols
-// always get a full sweep. When a fault window closes the
-// runner's team may rest (SyncRunner::rest), since the rounds up to the
-// next event are mostly quiet.
+// always get a full sweep.
 //
 // The topology is the caller's graph, edited in place: a crash, rejoin or
 // partition rebuilds it from a base copy taken at the first such event, and
@@ -55,6 +53,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "chaos/monitors.hpp"
@@ -133,10 +132,10 @@ CampaignResult runEngineCampaign(
 
   std::vector<std::uint8_t> crashed(n, 0);  // isolated in the topology
   std::vector<std::uint8_t> frozen(n, 0);   // executes nothing (crash|stuck)
-  std::vector<graph::Vertex> frozenList;    // {v : frozen[v]}, any order
+  // {(v, its pinned state) : frozen[v]}, any order.
+  std::vector<std::pair<graph::Vertex, State>> frozenList;
   std::vector<std::uint8_t> side(n, 0);
   std::vector<std::uint8_t> faulty(n, 0);   // frozen or in the open window
-  std::vector<State> frozenState(states);
   bool partitionActive = false;
 
   // Nodes whose state or frozen status changed since masked stability was
@@ -151,13 +150,17 @@ CampaignResult runEngineCampaign(
     touched.push_back(v);
   };
 
+  // Pins v at its current state (again if already frozen), or releases it.
   const auto setFrozen = [&](graph::Vertex v, bool on) {
+    const auto pin = std::find_if(frozenList.begin(), frozenList.end(),
+                                  [&](const auto& p) { return p.first == v; });
+    if (on && pin != frozenList.end()) pin->second = states[v];
     if ((frozen[v] != 0) == on) return;
     frozen[v] = on ? 1 : 0;
     if (on) {
-      frozenList.push_back(v);
+      frozenList.emplace_back(v, states[v]);
     } else {
-      frozenList.erase(std::find(frozenList.begin(), frozenList.end(), v));
+      frozenList.erase(pin);
     }
     touch(v);
   };
@@ -266,7 +269,7 @@ CampaignResult runEngineCampaign(
     if constexpr (listsMoves) {
       runner.forEachMoved([&](graph::Vertex v) { moved.push_back(v); });
       if (!frozenList.empty()) {
-        moved.insert(moved.end(), frozenList.begin(), frozenList.end());
+        for (const auto& entry : frozenList) moved.push_back(entry.first);
         std::sort(moved.begin(), moved.end());
         moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
       }
@@ -293,9 +296,9 @@ CampaignResult runEngineCampaign(
     // keeps the move invisible under the synchronous model. Right after an
     // event this also reverts a frozen node the event corrupted.
     bool reverted = false;
-    for (const graph::Vertex v : frozenList) {
-      if (!(states[v] == frozenState[v])) {
-        states[v] = frozenState[v];
+    for (const auto& [v, state] : frozenList) {
+      if (!(states[v] == state)) {
+        states[v] = state;
         reverted = true;
       }
     }
@@ -363,7 +366,6 @@ CampaignResult runEngineCampaign(
       case FaultKind::Crash:
         crashed[ev.node] = 1;
         setFrozen(ev.node, true);
-        frozenState[ev.node] = states[ev.node];
         rebuildEffective();
         injected.push_back(ev.node);
         break;
@@ -388,7 +390,6 @@ CampaignResult runEngineCampaign(
         break;
       case FaultKind::Stuck:
         setFrozen(ev.node, true);
-        frozenState[ev.node] = states[ev.node];
         injected.push_back(ev.node);
         break;
       case FaultKind::Release:
@@ -429,7 +430,6 @@ CampaignResult runEngineCampaign(
     if (monitor != nullptr) monitor->onRecovered(rounds, recovered);
     result.recoveredAll = result.recoveredAll && recovered;
     for (const graph::Vertex v : injected) faulty[v] = frozen[v];
-    if constexpr (requires(Runner& r) { r.rest(); }) runner.rest();
   }
 
   // Drain to a true global fixpoint (or masked stability, if the plan left

@@ -130,28 +130,30 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
   // Trajectories and event logs are identical at every thread count, so the
   // count is the machine's business, not an option.
   const std::size_t threads = roundThreads(g.order());
+  std::optional<chaos::FaultPlan> plan;
   if (!options.chaosSpec.empty()) {
+    plan = chaos::parseChaosSpec(options.chaosSpec, g.order());
+  }
+  engine::SyncRunner<State> runner(protocol, g, ids, options.seed,
+                                   options.schedule, threads);
+  runner.attachTelemetry(sinks.registry, sinks.events);
+  installKernel(runner, protocol, g, ids, options, report);
+  std::vector<State> states;
+  if (options.start == StartKind::Clean) {
+    states = runner.initialStates();
+  } else {
+    graph::Rng rng(hashCombine(options.seed, 0x5747u));
+    states = engine::randomConfiguration<State>(g, rng, sampler);
+  }
+  if (plan.has_value()) {
     // Fault campaign: crash and partition events mask edges of `g` in
     // place, and the campaign rebuilds the base topology the verifiers
     // expect before it returns. --max-rounds, if set, caps each fault's
     // recovery window instead of the whole run.
-    const chaos::FaultPlan plan =
-        chaos::parseChaosSpec(options.chaosSpec, g.order());
-    engine::SyncRunner<State> runner(protocol, g, ids, options.seed,
-                                     options.schedule, threads);
-    runner.attachTelemetry(sinks.registry, sinks.events);
-    installKernel(runner, protocol, g, ids, options, report);
-    std::vector<State> states;
-    if (options.start == StartKind::Clean) {
-      states = runner.initialStates();
-    } else {
-      graph::Rng rng(hashCombine(options.seed, 0x5747u));
-      states = engine::randomConfiguration<State>(g, rng, sampler);
-    }
     chaos::RecoveryMonitor monitor;
     monitor.attachTelemetry(sinks.registry, sinks.events);
     const chaos::CampaignResult result = chaos::runEngineCampaign(
-        runner, protocol, g, ids, states, plan,
+        runner, protocol, g, ids, states, *plan,
         hashCombine(options.seed, 0xC4A05ULL), options.maxRounds, sampler,
         &monitor, safety);
     report.rounds = result.roundsExecuted;
@@ -174,17 +176,6 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
     return states;
   }
 
-  engine::SyncRunner<State> runner(protocol, g, ids, options.seed,
-                                   options.schedule, threads);
-  runner.attachTelemetry(sinks.registry, sinks.events);
-  installKernel(runner, protocol, g, ids, options, report);
-  std::vector<State> states;
-  if (options.start == StartKind::Clean) {
-    states = runner.initialStates();
-  } else {
-    graph::Rng rng(hashCombine(options.seed, 0x5747u));
-    states = engine::randomConfiguration<State>(g, rng, sampler);
-  }
   const std::size_t budget =
       options.maxRounds > 0 ? options.maxRounds : autoBudget;
 

@@ -21,6 +21,7 @@
 
 #include "core/sis.hpp"
 #include "engine/kernel.hpp"
+#include "parallel/spin_team.hpp"
 
 namespace selfstab::core {
 
@@ -32,10 +33,10 @@ class SisKernel final : public engine::FlatKernel<BitState> {
 
   void sync(const std::vector<BitState>& states,
             std::vector<graph::Vertex>* changed,
-            parallel::SpinTeam* team) override {
+            std::size_t workers) override {
     const std::size_t n = states.size();
     if (groupOffsets_.size() != n + 1 || slicesVersion_ != graph().version()) {
-      rebuildBiggerSlices(n, team);
+      rebuildBiggerSlices(n, workers);
     }
     const std::size_t full = n / 64;
     words_.resize((n + 63) / 64);
@@ -150,12 +151,12 @@ class SisKernel final : public engine::FlatKernel<BitState> {
   // Per node, the bigger neighbors folded into (word, mask) groups. Vertex
   // order is ascending within a neighbor slice, so word indices are
   // nondecreasing and one pass groups them. Built in two passes over
-  // vertex blocks on the executor's team: count each node's groups,
+  // vertex blocks at the executor's width: count each node's groups,
   // prefix-sum the counts into offsets, then fill each node's groups at its
   // offset. Each pass writes only its own nodes' slots, and a node's groups
   // do not depend on the split, so the result is the same at every thread
   // count.
-  void rebuildBiggerSlices(std::size_t n, parallel::SpinTeam* team) {
+  void rebuildBiggerSlices(std::size_t n, std::size_t workers) {
     const graph::Graph& g = graph();
     const auto forEachGroup = [&](graph::Vertex v, auto&& emit) {
       const graph::Id selfId = ids().idOf(v);
@@ -174,8 +175,8 @@ class SisKernel final : public engine::FlatKernel<BitState> {
       if (curWord != kNoWord) emit(curWord, curMask);
     };
     groupOffsets_.assign(n + 1, 0);
-    parallel::forEachBlock(team, n, kSliceBlock, [&](std::size_t b,
-                                                     std::size_t e) {
+    parallel::forEachBlock(workers, n, kSliceBlock, [&](std::size_t b,
+                                                        std::size_t e) {
       for (auto v = static_cast<graph::Vertex>(b); v < e; ++v) {
         std::uint32_t count = 0;
         forEachGroup(v, [&](std::uint32_t, std::uint64_t) { ++count; });
@@ -190,8 +191,8 @@ class SisKernel final : public engine::FlatKernel<BitState> {
     const std::size_t groups = groupOffsets_[n];
     groupWord_ = std::make_unique_for_overwrite<std::uint32_t[]>(groups);
     groupMask_ = std::make_unique_for_overwrite<std::uint64_t[]>(groups);
-    parallel::forEachBlock(team, n, kSliceBlock, [&](std::size_t b,
-                                                     std::size_t e) {
+    parallel::forEachBlock(workers, n, kSliceBlock, [&](std::size_t b,
+                                                        std::size_t e) {
       for (auto v = static_cast<graph::Vertex>(b); v < e; ++v) {
         std::uint32_t at = groupOffsets_[v];
         forEachGroup(v, [&](std::uint32_t word, std::uint64_t mask) {

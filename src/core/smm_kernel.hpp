@@ -45,7 +45,7 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
 
   void sync(const std::vector<PointerState>& states,
             std::vector<graph::Vertex>* changed,
-            parallel::SpinTeam* /*team*/) override {
+            std::size_t /*workers*/) override {
     const bool resized = ptr_.size() != states.size();
     ptr_.resize(states.size());
     if (resized || checkedVersion_ != graph().version()) {

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -44,7 +45,6 @@
 #include "engine/view_builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/id_order.hpp"
-#include "parallel/spin_team.hpp"
 
 namespace selfstab::engine {
 
@@ -93,9 +93,9 @@ class ViewKernel {
 /// Whole-round evaluation over CSR adjacency + structure-of-arrays state.
 ///
 /// Usage by the executor (engine/sync_runner.hpp):
-///   * sync(states, nullptr, team) on the first round, after a kernel swap
+///   * sync(states, nullptr, workers) on the first round, after a kernel swap
 ///     and after a topology change: a full reload.
-///   * sync(states, &changed, team) after the caller announced state edits
+///   * sync(states, &changed, workers) after the caller announced state edits
 ///     (SyncRunner::invalidateSchedule): reloads and lists the edited slots.
 ///   * evaluateRange over [0, n) or evaluateList over the work set —
 ///     possibly chunked across workers — then apply(moves) for each chunk's
@@ -127,11 +127,11 @@ class FlatKernel {
   /// revalidates topology-derived caches against Graph::version(). When
   /// `changed` is non-null the mirror already holds states.size() slots,
   /// and every vertex whose slot differed is appended to it in ascending
-  /// order. `team` (null: run inline) is the executor's own SpinTeam, for
-  /// cache rebuilds worth splitting; a kernel never starts threads itself.
+  /// order. `workers` is the executor's width (1: run inline): a cache
+  /// rebuild worth splitting dispatches at that width on parallel::team().
   virtual void sync(const std::vector<State>& states,
                     std::vector<graph::Vertex>* changed,
-                    parallel::SpinTeam* team) = 0;
+                    std::size_t workers) = 0;
 
   /// Patches the mirror with committed moves (each vertex's new state).
   virtual void apply(const MoveList<State>& moves) = 0;
@@ -168,7 +168,7 @@ class GenericKernel final : public FlatKernel<State> {
 
   void sync(const std::vector<State>& states,
             std::vector<graph::Vertex>* changed,
-            parallel::SpinTeam* /*team*/) override {
+            std::size_t /*workers*/) override {
     if (changed == nullptr) {
       snapshot_ = states;
       return;

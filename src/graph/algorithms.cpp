@@ -127,9 +127,8 @@ bool isConnected(const Graph& g, std::size_t workers) {
   const std::size_t n = g.order();
   if (n <= 1) return true;
   Forest forest(n);
-  const auto team = parallel::teamFor(workers);
   const auto forEachVertex = [&](const auto& visit) {
-    parallel::forEachBlock(team.get(), n, kConnectivityBlock,
+    parallel::forEachBlock(workers, n, kConnectivityBlock,
                            [&](std::size_t begin, std::size_t end) {
                              for (auto v = static_cast<Vertex>(begin); v < end;
                                   ++v) {
@@ -153,7 +152,7 @@ bool isConnected(const Graph& g, std::size_t workers) {
     }
   });
   std::atomic<std::size_t> roots{0};
-  parallel::forEachBlock(team.get(), n, kConnectivityBlock,
+  parallel::forEachBlock(workers, n, kConnectivityBlock,
                          [&](std::size_t begin, std::size_t end) {
                            std::size_t own = 0;
                            for (auto v = static_cast<Vertex>(begin); v < end;

@@ -180,11 +180,10 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
     for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
     targets.resize(offsets[n]);
   };
-  // Worker t runs band t; a team of one runs the single band inline.
-  parallel::SpinTeam team(bands);
-  team.run(countBand);
+  // Index t runs band t; a single band runs inline.
+  parallel::team().run(bands, countBand);
   layOut();
-  team.run(fillBand);
+  parallel::team().run(bands, fillBand);
   return Graph::fromCsr(std::move(offsets), std::move(targets));
 }
 

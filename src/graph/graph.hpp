@@ -39,7 +39,7 @@ constexpr Edge makeEdge(Vertex a, Vertex b) noexcept {
 /// An allocator that default-initializes: a vector<Vertex> resized through
 /// it leaves the new slots unwritten instead of zeroing them, so a CSR
 /// builder that writes every slot anyway takes the page faults where it
-/// writes (on its worker team), not in a serial zero-fill.
+/// writes (on the team's workers), not in a serial zero-fill.
 template <typename T>
 struct DefaultInitAllocator : std::allocator<T> {
   template <typename U>

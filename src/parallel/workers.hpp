@@ -1,13 +1,13 @@
 // How many workers a piece of work deserves.
 //
-// A team pays for starting its helpers and for one barrier per dispatch
-// (and a wake-up when its helpers have parked), so splitting work only
-// helps once each worker gets enough of it. Callers state their work in
-// items and the smallest per-worker share that still pays (the grain,
-// measured per caller; see docs/PERFORMANCE.md), and get back a count no
-// larger than the CPUs this process may run on. Restricting the process's
-// affinity (`taskset -c 0 selfstab ...`) therefore restricts every team;
-// a one-CPU mask gives 1, the serial path.
+// A dispatch on the team pays for one barrier (and a wake-up when the
+// helpers have parked), so splitting work only helps once each worker gets
+// enough of it. Callers state their work in items and the smallest
+// per-worker share that still pays (the grain, measured per caller; see
+// docs/PERFORMANCE.md), and get back a width no larger than the CPUs this
+// process may run on. Restricting the process's affinity (`taskset -c 0
+// selfstab ...`) therefore restricts every pass; a one-CPU mask gives 1,
+// the serial path.
 #pragma once
 
 #include <cstddef>

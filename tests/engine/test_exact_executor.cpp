@@ -402,7 +402,7 @@ bool modelAgreesWithOracle(const engine::Protocol<State>& protocol,
   if (kernel == nullptr) {
     kernel = std::make_unique<engine::GenericKernel<State>>(protocol, g, ids);
   }
-  kernel->sync(states, nullptr, nullptr);
+  kernel->sync(states, nullptr, 1);
   std::vector<std::uint8_t> marked(g.order(), 1);
   const auto mark = [&](Vertex v) {
     marked[v] = 1;
@@ -417,7 +417,7 @@ bool modelAgreesWithOracle(const engine::Protocol<State>& protocol,
       graph::Rng same(seed);
       engine::corruptConfiguration(states, g, same, 0.02, sampler);
       std::vector<Vertex> changed;
-      kernel->sync(states, &changed, nullptr);
+      kernel->sync(states, &changed, 1);
       for (const Vertex v : changed) mark(v);
     }
     std::vector<Vertex> work;

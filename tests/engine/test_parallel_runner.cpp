@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "../support/test_protocols.hpp"
@@ -300,6 +301,50 @@ TEST(ParallelRunner, FlatKernelRunMatchesSerialGeneric) {
     const auto pr = pooled.run(pooledStates, 2 * g.order() + 8);
     EXPECT_TRUE(sr == pr) << "trial " << trial;
     EXPECT_TRUE(serialStates == pooledStates) << "trial " << trial;
+  }
+}
+
+// Two threads each drive a threads = 2 runner at once: both dispatch on the
+// one process team, so whichever finds it busy runs its rounds inline. Each
+// trajectory must still equal its serial run.
+TEST(ParallelRunner, ConcurrentRunnersShareTheProcessTeam) {
+  graph::Rng rng(611);
+  const Graph g = graph::connectedErdosRenyi(3000, 0.003, rng);
+  const auto ids = IdAssignment::randomPermutation(g.order(), rng);
+  const core::SmmProtocol smm = core::smmPaper();
+  const core::SisProtocol sis;
+  const auto smmStart = engine::randomConfiguration<PointerState>(
+      g, rng, core::randomPointerState);
+  const auto sisStart =
+      engine::randomConfiguration<BitState>(g, rng, core::randomBitState);
+  auto smmSerial = smmStart;
+  auto sisSerial = sisStart;
+  SyncRunner<PointerState> smmOracle(smm, g, ids, /*runSeed=*/3);
+  SyncRunner<BitState> sisOracle(sis, g, ids, /*runSeed=*/4);
+  const RunResult smmExpected = smmOracle.run(smmSerial, 10000);
+  const RunResult sisExpected = sisOracle.run(sisSerial, 10000);
+  ASSERT_TRUE(smmExpected.stabilized);
+  ASSERT_TRUE(sisExpected.stabilized);
+
+  for (int trial = 0; trial < 20; ++trial) {
+    auto smmStates = smmStart;
+    auto sisStates = sisStart;
+    RunResult smmResult;
+    RunResult sisResult;
+    std::thread first([&] {
+      SyncRunner<PointerState> runner(smm, g, ids, 3, Schedule::Dense, 2);
+      smmResult = runner.run(smmStates, 10000);
+    });
+    std::thread second([&] {
+      SyncRunner<BitState> runner(sis, g, ids, 4, Schedule::Dense, 2);
+      sisResult = runner.run(sisStates, 10000);
+    });
+    first.join();
+    second.join();
+    EXPECT_EQ(smmResult, smmExpected) << "trial " << trial;
+    EXPECT_EQ(smmStates, smmSerial) << "trial " << trial;
+    EXPECT_EQ(sisResult, sisExpected) << "trial " << trial;
+    EXPECT_EQ(sisStates, sisSerial) << "trial " << trial;
   }
 }
 
