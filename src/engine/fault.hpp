@@ -46,18 +46,6 @@ std::size_t corruptConfiguration(std::vector<State>& states,
   return corrupted;
 }
 
-/// Resamples exactly the listed vertices (a targeted fault, e.g. a chaos
-/// plan's explicit victim list). Returns the number corrupted.
-template <typename State, typename Sampler>
-std::size_t corruptVertices(std::vector<State>& states, const graph::Graph& g,
-                            Rng& rng, const std::vector<graph::Vertex>& victims,
-                            Sampler sampler) {
-  for (const graph::Vertex v : victims) {
-    states[v] = sampler(v, g, rng);
-  }
-  return victims.size();
-}
-
 /// corruptConfiguration plus the announcement SyncRunner requires: a
 /// transient fault changes states behind the runner's back, and
 /// invalidateSchedule() makes its next round diff them and evaluate the

@@ -165,12 +165,6 @@ class JsonWriter {
     return value(static_cast<unsigned long long>(v));
   }
 
-  JsonWriter& nullValue() {
-    prefix();
-    *out_ << "null";
-    return *this;
-  }
-
   /// True once every begin has been matched by an end.
   [[nodiscard]] bool complete() const noexcept { return stack_.empty(); }
 

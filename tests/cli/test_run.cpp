@@ -4,6 +4,7 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,6 +14,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/io.hpp"
+#include "parallel/spin_team.hpp"
 #include "parallel/workers.hpp"
 
 namespace selfstab::cli {
@@ -452,7 +454,13 @@ TEST(Execute, PooledRunMatchesSingleCpuRun) {
       ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
       const Run serial = run();
       ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+      const std::uint64_t dispatches = parallel::team().dispatches();
       const Run pooled = run();
+      // The pooled run really ran passes on more than one thread.
+      if (roundThreads(20000) > 1) {
+        EXPECT_GT(parallel::team().dispatches(), dispatches);
+        EXPECT_GT(parallel::team().size(), 1U);
+      }
 
       const std::string what = std::string(toString(kind)) + " " + chaos;
       EXPECT_TRUE(chaos.empty() ? pooled.report.stabilized
