@@ -20,10 +20,12 @@ cmake --build "$BUILD_DIR"
 ctest --test-dir "$BUILD_DIR" --output-on-failure 2>&1 \
   | tee "$ROOT/test_output.txt"
 
-# Peak-memory gate: two 3·10^5-node selfstab runs (SMM from a random start,
-# coloring) must each stay within 1.5× the Graph's own bytes plus 8 MiB, so
-# a second copy of the adjacency or per-node DOT strings built without
-# --dot cannot come back silently.
+# Peak-memory gate: four 3·10^5-node selfstab runs (SMM from a random start,
+# coloring, a corrupt-only SIS campaign, SIS on the flat kernel) must each
+# stay within 1.5× the Graph's own bytes plus 8 MiB, so a second copy of
+# the adjacency, per-node DOT strings built without --dot or a storage
+# order that scatters SIS's bigger-neighbour words cannot come back
+# silently.
 python3 "$ROOT/scripts/rss_gate.py" "$BUILD_DIR/src/cli/selfstab"
 
 # Fast perf sanity before the expensive passes: the micro_kernels gate at
@@ -60,8 +62,10 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # dispatches run inline) and forEachBlock's block claiming.
   # Connectivity.*: isConnected's union-find links roots with
   # compare-and-swap from every worker and compresses paths in parallel.
+  # Geometry.SpaceOrderRelabelsPointOrder: the space-ordered fill, whose
+  # bands write consecutive runs of the targets.
   "$TSAN_DIR/tests/graph_tests" \
-    --gtest_filter='Geometry.BandedBuildMatchesSerial:SpinTeam.*:Connectivity.*'
+    --gtest_filter='Geometry.BandedBuildMatchesSerial:Geometry.SpaceOrderRelabelsPointOrder:SpinTeam.*:Connectivity.*'
   # The one-pass verifiers: team blocks read states and the CSR and fold
   # their verdicts into shared atomics.
   "$TSAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'
@@ -70,8 +74,10 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   "$TSAN_DIR/tests/cli_tests" --gtest_filter='Execute.PooledRunMatchesSingleCpuRun'
   # SyncRunnerQuietRounds.*: the dense quiet-round skip at threads = 3 —
   # skipped rounds clear every worker's move queue without a team barrier.
+  # RandomConfiguration.SplitPointerDrawMatchesTheLabelWalk: SMM's split
+  # start scatters degrees by label and resolves draws at width 3.
   "$TSAN_DIR/tests/engine_tests" \
-    --gtest_filter='ParallelRunner.*:SyncRunnerQuietRounds.*'
+    --gtest_filter='ParallelRunner.*:SyncRunnerQuietRounds.*:RandomConfiguration.SplitPointerDrawMatchesTheLabelWalk'
   # Campaigns at threads >= 2: fault injection between parallel rounds (the
   # fingerprint suite runs every protocol and event kind at threads = 3),
   # and a campaign that throws out of a two-thread runner and hands the
@@ -110,7 +116,7 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -G Ninja -S "$ROOT" -DSELFSTAB_SANITIZE=address
 cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
-  engine_tests graph_tests core_tests analysis_tests
+  engine_tests graph_tests core_tests analysis_tests cli_tests
 {
   "$ASAN_DIR/tests/adhoc_tests"
   # unitDiskGraph's grid path indexes raw cell offsets over a cell-ordered
@@ -118,9 +124,11 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # offsets; Graph's own edits shift that CSR in place. isConnected's
   # union-find follows parent links by raw vertex numbers. forEachBlock
   # clamps its last block to the range end, and a dispatch hands index i
-  # to worker i % size.
+  # to worker i % size. A space-ordered build writes each slot's list
+  # through a scratch buffer into the contiguous targets, and the labelled
+  # writers and neighborByLabelRank index labels and their inverse.
   "$ASAN_DIR/tests/graph_tests" --gtest_filter=\
-'Geometry.*:Generators.*:Graph*:Connectivity.*:SpinTeam.*'
+'Geometry.*:Generators.*:Graph*:Connectivity.*:SpinTeam.*:LabelledIo.*'
   # The one-pass verifiers follow pointers, including wild ones, into the
   # states.
   "$ASAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'
@@ -131,8 +139,15 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # edit moves it: a span kept across an edit, a kernel swap (setKernel
   # frees the old kernel's caches) or a parallel round would be a
   # use-after-free here.
+  # RandomConfiguration.*: draws on a labelled graph walk the inverse
+  # labels and translate vertex fields through them; the split pointer draw
+  # scatters degrees by label on the team.
   "$ASAN_DIR/tests/engine_tests" \
-    --gtest_filter='ParallelRunner.*:SetKernel.*:BuildView.*:ViewBuilder.*'
+    --gtest_filter='ParallelRunner.*:SetKernel.*:BuildView.*:ViewBuilder.*:RandomConfiguration.*'
+  # The CLI in both storage orders (the test-only seam detail::execute):
+  # IDs, starts, plan nodes and every writer translated through labels.
+  "$ASAN_DIR/tests/cli_tests" \
+    --gtest_filter='Execute.SpaceOrderIsInvisible:WriteAnnotatedDot.*'
   # Simulator fault injection: crashes and rejoins land while broadcasts are
   # in flight, so arrivals run against batch slots other broadcasts recycle.
   # The recovery monitor holds each window's topology by reference and
@@ -167,8 +182,10 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
 # Debug pass: the Graph's bulk factory checks its input (ascending,
 # loop-free, in-range, symmetric slices; fromEdges' endpoints) with asserts,
 # which every build above compiles out (RelWithDebInfo defines NDEBUG), so
-# GraphDeathTest.* runs only here. The rest of graph_tests sends every
-# generator, reader and unit-disk build through those asserts too.
+# GraphDeathTest.* runs only here (LabelsMustBeAPermutation included). The
+# rest of graph_tests sends every generator, reader and unit-disk build
+# through those asserts too, the space-ordered builds of
+# Geometry.SpaceOrderRelabelsPointOrder with their labels among them.
 # engine_tests runs here for SyncRunner's round-entry assert that the
 # kernel mirror equals the states: a test that edits states without
 # invalidateSchedule() fails it. Not piped, so a failure stops the script.

@@ -58,6 +58,7 @@
 
 #include "chaos/monitors.hpp"
 #include "chaos/plan.hpp"
+#include "engine/fault.hpp"
 #include "engine/protocol.hpp"
 #include "engine/view_builder.hpp"
 #include "graph/graph.hpp"
@@ -98,7 +99,9 @@ struct CampaignResult {
 /// Drives `runner` (constructed over this same `g`, `ids`) through `plan`.
 /// `states` is the live configuration, mutated in place. `recoveryBudget`
 /// caps each fault's recovery window and the final drain (0 = 2n+8, the
-/// template gap). `sampler(v, g, rng)` supplies corrupted states. `monitor`
+/// template gap). `sampler(v, g, rng)` supplies corrupted states (drawn in
+/// the external frame on a labelled graph, as engine/fault.hpp describes;
+/// the plan's vertices are internal ones). `monitor`
 /// and `safety` may be null/empty. `safety` runs only on rounds that changed
 /// some state (identity transitions are violation-free by SafetyCheck's
 /// contract), over the round's moved list; `monitor` sees `g` as each
@@ -129,6 +132,21 @@ CampaignResult runEngineCampaign(
   const detail::RestoreTopology restore{g, baseCopy};
   Rng chaosRng(chaosSeed);
   engine::ViewBuilder<State> builder(g, ids);
+
+  // A labelled g's vertices by label: fraction corruption visits nodes in
+  // label order, and sampled vertex fields are external numbers (see
+  // engine/fault.hpp). Built at the first event that needs it.
+  std::vector<graph::Vertex> byLabel;
+  const auto labelOrder = [&]() -> std::span<const graph::Vertex> {
+    if (byLabel.empty()) byLabel = graph::vertexByLabel(g);
+    return byLabel;
+  };
+  const auto corrupt = [&](graph::Vertex v) {
+    states[v] = engine::sampleInternal<State>(
+        sampler, v, g, chaosRng,
+        engine::kHoldsVertices<State> ? labelOrder()
+                                      : std::span<const graph::Vertex>{});
+  };
 
   std::vector<std::uint8_t> crashed(n, 0);  // isolated in the topology
   std::vector<std::uint8_t> frozen(n, 0);   // executes nothing (crash|stuck)
@@ -341,13 +359,15 @@ CampaignResult runEngineCampaign(
       case FaultKind::Corrupt:
         if (!ev.nodes.empty()) {
           for (const graph::Vertex v : ev.nodes) {
-            states[v] = sampler(v, g, chaosRng);
+            corrupt(v);
             injected.push_back(v);
           }
         } else {
-          for (graph::Vertex v = 0; v < n; ++v) {
+          const std::span<const graph::Vertex> order = labelOrder();
+          for (graph::Vertex x = 0; x < n; ++x) {
             if (chaosRng.chance(ev.fraction)) {
-              states[v] = sampler(v, g, chaosRng);
+              const graph::Vertex v = order.empty() ? x : order[x];
+              corrupt(v);
               injected.push_back(v);
             }
           }
@@ -358,7 +378,7 @@ CampaignResult runEngineCampaign(
       case FaultKind::Garble:
         // No payloads to garble in the abstract model; the nearest fault is
         // one corrupted state snapshot at the garbled node.
-        states[ev.node] = sampler(ev.node, g, chaosRng);
+        corrupt(ev.node);
         injected.push_back(ev.node);
         touch(ev.node);
         runner.invalidateSchedule();

@@ -561,4 +561,15 @@ FaultPlan parseChaosSpec(const std::string& spec, std::size_t n) {
   return plan;
 }
 
+void toInternalFrame(FaultPlan& plan, const graph::Graph& g) {
+  const std::vector<graph::Vertex> byLabel = graph::vertexByLabel(g);
+  const auto map = [&](graph::Vertex& v) {
+    if (v < byLabel.size()) v = byLabel[v];
+  };
+  for (FaultEvent& ev : plan.events) {
+    for (graph::Vertex& v : ev.nodes) map(v);
+    map(ev.node);
+  }
+}
+
 }  // namespace selfstab::chaos

@@ -116,6 +116,10 @@ void validatePlan(const FaultPlan& plan, std::size_t n);
 [[nodiscard]] FaultPlan makeCampaign(std::string_view name,
                                      std::uint64_t seed, std::size_t n);
 
+/// Renumbers a plan's vertices, given in g's external numbering (the one
+/// users and templates see), to g's own; a no-op for an unlabelled graph.
+void toInternalFrame(FaultPlan& plan, const graph::Graph& g);
+
 /// Resolves a --chaos spec: "<template>:<seed>" (e.g. "churn:42") builds the
 /// named campaign; anything else is read as a JSON plan file. The result is
 /// validated against n either way.

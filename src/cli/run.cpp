@@ -10,6 +10,7 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "analysis/trace.hpp"
 #include "analysis/verifiers.hpp"
@@ -52,9 +53,13 @@ constexpr double kBytesPerEdge = 40.0;
 
 /// Resident bytes per vertex of such a run, an upper estimate: 52 while a
 /// unit-disk graph is built (CSR offset 8, point 16, its cell 8, slot 4
-/// and cell-ordered copy 16) and 40 during the rounds (CSR offset 8, ID 8,
-/// and up to 8 each for the state, the kernel mirror and a kernel cache
-/// such as SMM's verified pointers), rounded up to 64.
+/// that stays on as the vertex's label, and cell-ordered copy 16), and at
+/// most 52 afterwards: CSR offset 8 and label 4; ID 8, or 16 while the
+/// external IDs are gathered into the graph's order; and up to 16 for the
+/// state (a leader tree's), 8 for the kernel mirror and 8 for a kernel
+/// cache such as SMM's verified pointers. A random start's transient
+/// inverse labels or drawn ranks (4) are freed before the first round.
+/// Rounded up to 64.
 constexpr double kBytesPerVertex = 64.0;
 
 /// The machine's physical memory, the budget the size checks hold a graph
@@ -67,6 +72,23 @@ double physicalMemoryBytes() {
              : std::numeric_limits<double>::infinity();
 }
 
+/// The vertex whose external number is x (a scan; reports ask once).
+Vertex vertexLabelled(const Graph& g, Vertex x) {
+  const auto labels = g.labels();
+  if (labels.empty()) return x;
+  return static_cast<Vertex>(std::find(labels.begin(), labels.end(), x) -
+                             labels.begin());
+}
+
+/// `external` (IDs of external numbers) in g's own numbering: vertex v gets
+/// the ID of its label.
+IdAssignment internalIds(IdAssignment external, const Graph& g) {
+  if (!g.labelled()) return external;
+  std::vector<graph::Id> ids(g.order());
+  for (Vertex v = 0; v < g.order(); ++v) ids[v] = external.idOf(g.labelOf(v));
+  return IdAssignment(std::move(ids));
+}
+
 /// Optional telemetry sinks threaded from execute() into every driver.
 struct Sinks {
   telemetry::Registry* registry = nullptr;
@@ -74,7 +96,8 @@ struct Sinks {
 };
 
 /// Writes the --dot file, if one was asked for, with the annotations
-/// annotate(vertexAttrs, edgeAttrs) fills in. Without --dot nothing is
+/// annotate(vertexAttrs, edgeAttrs) fills in, in g's own numbering (the
+/// writer prints external numbers). Without --dot nothing is
 /// built: at 10^6 nodes the strings alone would take about 100 MB.
 template <typename Annotate>
 void maybeWriteDot(const Options& options, const Graph& g,
@@ -115,6 +138,20 @@ void installKernel(engine::SyncRunner<State>& runner,
   report.kernel = std::string(engine::toString(engine::Kernel::Flat));
 }
 
+/// A random start: engine::randomConfiguration, or the same states drawn
+/// `threads` wide by core::randomPointerConfiguration when the sampler is
+/// core::randomPointerState.
+template <typename State, typename Sampler>
+std::vector<State> randomStart(const Graph& g, graph::Rng& rng,
+                               Sampler sampler, std::size_t threads) {
+  if constexpr (std::is_same_v<Sampler, decltype(&core::randomPointerState)>) {
+    if (sampler == &core::randomPointerState) {
+      return core::randomPointerConfiguration(g, rng, threads);
+    }
+  }
+  return engine::randomConfiguration<State>(g, rng, sampler);
+}
+
 /// Shared driver: runs `protocol` from the configured start, tracing if
 /// requested; fills the run-related Report fields. `metric` maps a
 /// configuration to the solution size recorded in the CSV trace (matched
@@ -133,6 +170,7 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
   std::optional<chaos::FaultPlan> plan;
   if (!options.chaosSpec.empty()) {
     plan = chaos::parseChaosSpec(options.chaosSpec, g.order());
+    chaos::toInternalFrame(*plan, g);
   }
   engine::SyncRunner<State> runner(protocol, g, ids, options.seed,
                                    options.schedule, threads);
@@ -143,7 +181,7 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
     states = runner.initialStates();
   } else {
     graph::Rng rng(hashCombine(options.seed, 0x5747u));
-    states = engine::randomConfiguration<State>(g, rng, sampler);
+    states = randomStart<State>(g, rng, sampler, threads);
   }
   if (plan.has_value()) {
     // Fault campaign: crash and partition events mask edges of `g` in
@@ -326,7 +364,8 @@ Report runColoring(const Options& options, const Sinks& sinks, Graph& g,
     for (Vertex v = 0; v < g.order(); ++v) {
       vattrs[v] = std::string("style=filled,fillcolor=") +
                   kPalette[states[v].color % 9] + ",label=\"" +
-                  std::to_string(v) + ":" + std::to_string(states[v].color) +
+                  std::to_string(g.labelOf(v)) + ":" +
+                  std::to_string(states[v].color) +
                   "\"";
     }
   });
@@ -389,7 +428,7 @@ Report runBfsTree(const Options& options, const Sinks& sinks,
     if (s.dist < cap) depth = std::max(depth, s.dist);
   }
   std::ostringstream summary;
-  summary << "BFS tree rooted at " << root << ", depth " << depth;
+  summary << "BFS tree rooted at " << g.labelOf(root) << ", depth " << depth;
   report.summary = summary.str();
 
   maybeWriteDot(options, g, [&](auto& vattrs, auto& eattrs) {
@@ -423,21 +462,24 @@ Report runLeaderTree(const Options& options, const Sinks& sinks,
   report.predicateOk =
       report.stabilized && analysis::isLeaderTree(g, ids, states);
 
-  // Elected leader (of vertex 0's component — the whole graph if connected).
+  // Elected leader (of vertex 0's component — the whole graph if connected;
+  // vertex 0 in external numbers).
+  const graph::Id elected = states[vertexLabelled(g, 0)].root;
   Vertex leader = graph::kNoVertex;
   for (Vertex v = 0; v < g.order(); ++v) {
-    if (ids.idOf(v) == states[0].root) {
+    if (ids.idOf(v) == elected) {
       leader = v;
       break;
     }
   }
   std::uint32_t depth = 0;
   for (const auto& s : states) {
-    if (s.root == states[0].root) depth = std::max(depth, s.dist);
+    if (s.root == elected) depth = std::max(depth, s.dist);
   }
   std::ostringstream summary;
-  summary << "leader " << leader << " (id " << states[0].root
-          << "), tree depth " << depth;
+  summary << "leader "
+          << (leader == graph::kNoVertex ? leader : g.labelOf(leader))
+          << " (id " << elected << "), tree depth " << depth;
   report.summary = summary.str();
 
   maybeWriteDot(options, g, [&](auto& vattrs, auto& eattrs) {
@@ -460,31 +502,34 @@ void writeAnnotatedDot(
     std::ostream& out, const Graph& g,
     const std::vector<std::string>& vertexAttrs,
     std::vector<std::pair<graph::Edge, std::string>> edgeAttrs) {
-  // Sorted once, the annotations are merged with the edges, which the CSR
-  // yields in ascending order; the stable sort keeps an edge's first
-  // annotation first among its duplicates.
+  // Renumbered and sorted once, the annotations are merged with the edges,
+  // which forEachEdgeByLabel yields in ascending order; the stable sort
+  // keeps an edge's first annotation first among its duplicates.
+  const std::size_t n = g.order();
+  for (auto& [e, attrs] : edgeAttrs) {
+    if (e.u < n && e.v < n) e = graph::makeEdge(g.labelOf(e.u), g.labelOf(e.v));
+  }
   std::stable_sort(
       edgeAttrs.begin(), edgeAttrs.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
   auto next = edgeAttrs.cbegin();
   out << "graph selfstab {\n  node [shape=circle];\n";
-  for (Vertex v = 0; v < g.order(); ++v) {
-    out << "  " << v;
-    if (!vertexAttrs[v].empty()) out << " [" << vertexAttrs[v] << "]";
+  const std::vector<Vertex> byLabel = graph::vertexByLabel(g);
+  for (Vertex x = 0; x < n; ++x) {
+    const std::string& attrs = vertexAttrs[byLabel.empty() ? x : byLabel[x]];
+    out << "  " << x;
+    if (!attrs.empty()) out << " [" << attrs << "]";
     out << ";\n";
   }
-  for (Vertex u = 0; u < g.order(); ++u) {
-    for (const Vertex v : g.neighbors(u)) {
-      if (v < u) continue;
-      const graph::Edge e{u, v};
-      out << "  " << u << " -- " << v;
-      while (next != edgeAttrs.cend() && next->first < e) ++next;
-      if (next != edgeAttrs.cend() && next->first == e) {
-        out << " [" << next->second << "]";
-      }
-      out << ";\n";
+  graph::forEachEdgeByLabel(g, [&](Vertex u, Vertex v) {
+    const graph::Edge e{u, v};
+    out << "  " << u << " -- " << v;
+    while (next != edgeAttrs.cend() && next->first < e) ++next;
+    if (next != edgeAttrs.cend() && next->first == e) {
+      out << " [" << next->second << "]";
     }
-  }
+    out << ";\n";
+  });
   out << "}\n";
 }
 
@@ -560,6 +605,13 @@ void checkGraphFileHeader(const std::string& path, std::uint64_t vertices,
 }
 
 Graph buildGraph(const GraphSpec& spec, std::uint64_t seed) {
+  return detail::buildGraph(spec, seed, graph::VertexOrder::Points);
+}
+
+namespace detail {
+
+Graph buildGraph(const GraphSpec& spec, std::uint64_t seed,
+                 graph::VertexOrder udgOrder) {
   const double memory = physicalMemoryBytes();
   checkGraphSize(spec, memory);
   graph::Rng rng(hashCombine(seed, 0x6772617068ULL));
@@ -579,7 +631,8 @@ Graph buildGraph(const GraphSpec& spec, std::uint64_t seed) {
     case GraphSpec::Kind::Gnp:
       return graph::connectedErdosRenyi(spec.n, spec.param, rng);
     case GraphSpec::Kind::Udg:
-      return graph::connectedRandomGeometric(spec.n, spec.param, rng);
+      return graph::connectedRandomGeometric(spec.n, spec.param, rng, nullptr,
+                                             64, udgOrder);
     case GraphSpec::Kind::File: {
       std::ifstream file(spec.path);
       if (!file) throw CliError("cannot open graph file '" + spec.path + "'");
@@ -596,6 +649,8 @@ Graph buildGraph(const GraphSpec& spec, std::uint64_t seed) {
   throw CliError("unhandled graph kind");
 }
 
+}  // namespace detail
+
 IdAssignment buildIds(IdOrderKind kind, std::size_t n, std::uint64_t seed) {
   switch (kind) {
     case IdOrderKind::Identity:
@@ -611,7 +666,20 @@ IdAssignment buildIds(IdOrderKind kind, std::size_t n, std::uint64_t seed) {
 }
 
 Report execute(const Options& options, std::ostream& out) {
-  Graph g = buildGraph(options.graph, options.seed);
+  return detail::execute(options, out, graph::VertexOrder::Space);
+}
+
+Report detail::execute(const Options& options, std::ostream& out,
+                       graph::VertexOrder udgOrder) {
+  // smm-arbitrary and hh-sync pick among neighbours by vertex number
+  // (core::Choice::Successor and First), so their udg graphs keep point
+  // order. Every other protocol decides by IDs and runs on the graph in
+  // space order; outputs show external numbers (Graph::labels()).
+  const bool picksByNumber = options.protocol == ProtocolKind::SmmArbitrary ||
+                             options.protocol == ProtocolKind::HsuHuangSync;
+  Graph g = detail::buildGraph(
+      options.graph, options.seed,
+      picksByNumber ? graph::VertexOrder::Points : udgOrder);
   if (g.order() == 0) throw CliError("empty graph");
   if (!options.saveGraphPath.empty()) {
     std::ofstream file(options.saveGraphPath);
@@ -621,7 +689,8 @@ Report execute(const Options& options, std::ostream& out) {
     }
     graph::writeEdgeList(file, g);
   }
-  const IdAssignment ids = buildIds(options.idOrder, g.order(), options.seed);
+  const IdAssignment ids = internalIds(
+      buildIds(options.idOrder, g.order(), options.seed), g);
 
   // Telemetry is opt-in: with neither flag given the runners see null sinks
   // and instrument nothing. --json also needs a registry, to harvest the

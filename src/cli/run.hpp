@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cli/options.hpp"
+#include "graph/geometry.hpp"
 #include "graph/graph.hpp"
 #include "graph/id_order.hpp"
 
@@ -69,7 +70,9 @@ void checkGraphFileHeader(const std::string& path, std::uint64_t vertices,
 /// Generator-based specs retry/connect so the result is connected, matching
 /// the paper's system model. Runs checkGraphSize against the machine's
 /// physical memory before generating anything (for files: before
-/// allocating the header's vertex count).
+/// allocating the header's vertex count). Vertices are numbered as the
+/// generators number them (udg: point order); execute() runs on
+/// detail::buildGraph's space order instead.
 [[nodiscard]] graph::Graph buildGraph(const GraphSpec& spec,
                                       std::uint64_t seed);
 
@@ -79,8 +82,10 @@ void checkGraphFileHeader(const std::string& path, std::uint64_t vertices,
 /// Writes `g` as a DOT graph: every vertex with its attribute list
 /// (`vertexAttrs[v]`, omitted when empty), then every edge u < v in
 /// ascending order with the first attribute list `edgeAttrs` gives for it.
-/// Annotations of pairs that are not edges of `g` are ignored. Linear in
-/// the graph plus a sort of the annotations.
+/// Annotations of pairs that are not edges of `g` are ignored. Attributes
+/// are indexed by g's own vertices; the output shows external numbers
+/// (Graph::labels()), in their order. Linear in the graph plus a sort of
+/// the annotations.
 void writeAnnotatedDot(
     std::ostream& out, const graph::Graph& g,
     const std::vector<std::string>& vertexAttrs,
@@ -88,8 +93,22 @@ void writeAnnotatedDot(
 
 /// Runs one protocol per `options`; trace lines (when enabled) and the DOT
 /// file go through/into the given stream/path. Throws CliError on
-/// unusable input.
+/// unusable input. Every vertex number it prints or writes is external
+/// (for udg: the point index), whatever order the run stores vertices in.
 [[nodiscard]] Report execute(const Options& options, std::ostream& out);
+
+namespace detail {
+/// buildGraph with udg graphs built in `udgOrder`, labelled with their
+/// point indices in Space order.
+[[nodiscard]] graph::Graph buildGraph(const GraphSpec& spec,
+                                      std::uint64_t seed,
+                                      graph::VertexOrder udgOrder);
+
+/// execute() with udg graphs stored in `udgOrder` (Space in execute());
+/// tests run both orders through it and compare every output.
+[[nodiscard]] Report execute(const Options& options, std::ostream& out,
+                             graph::VertexOrder udgOrder);
+}  // namespace detail
 
 /// Renders the report in the CLI's human-readable format.
 void printReport(const Report& report, std::ostream& out);

@@ -45,6 +45,12 @@ struct AggregateState {
   friend constexpr std::uint64_t hashValue(const AggregateState& s) noexcept {
     return hashCombine(hashValue(s.tree), hashCombine(s.sum, s.count));
   }
+
+  /// The vertex-valued fields, for engine::toInternalFrame.
+  template <typename Fn>
+  friend constexpr void mapVertices(AggregateState& s, const Fn& fn) {
+    mapVertices(s.tree, fn);
+  }
 };
 
 inline AggregateState randomAggregateState(graph::Vertex v,

@@ -41,9 +41,16 @@ struct TreeState {
   friend constexpr std::uint64_t hashValue(const TreeState& s) noexcept {
     return hashCombine(s.dist, static_cast<std::uint64_t>(s.parent) + 1);
   }
+
+  /// The vertex-valued fields, for engine::toInternalFrame.
+  template <typename Fn>
+  friend constexpr void mapVertices(TreeState& s, const Fn& fn) {
+    fn(s.parent);
+  }
 };
 
-/// Arbitrary (possibly nonsensical) tree state, for fault injection.
+/// Arbitrary (possibly nonsensical) tree state, for fault injection. On a
+/// labelled graph the parent is an external number (engine/fault.hpp).
 inline TreeState randomTreeState(graph::Vertex v, const graph::Graph& g,
                                  Rng& rng) {
   (void)v;

@@ -39,10 +39,17 @@ struct LeaderState {
     return hashCombine(hashCombine(s.root, s.dist),
                        static_cast<std::uint64_t>(s.parent) + 1);
   }
+
+  /// The vertex-valued fields, for engine::toInternalFrame.
+  template <typename Fn>
+  friend constexpr void mapVertices(LeaderState& s, const Fn& fn) {
+    fn(s.parent);
+  }
 };
 
 /// Garbage state including fake root IDs that no node owns — the classical
-/// hard case for leader election.
+/// hard case for leader election. On a labelled graph the parent is an
+/// external number (engine/fault.hpp).
 inline LeaderState randomLeaderState(graph::Vertex v, const graph::Graph& g,
                                      Rng& rng) {
   (void)v;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -16,30 +17,76 @@
 
 namespace selfstab::engine {
 
-/// Builds a configuration by sampling each node's state independently.
+// Samplers and labelled graphs. A sampler is called with an internal
+// vertex v of g; on a labelled graph (Graph::labels()) it draws in the
+// external frame: a vertex-valued field holds an external number, and a
+// draw among v's neighbours ranks them by label. The helpers below visit
+// nodes in label order and translate what the sampler drew, so a labelled
+// graph gets the configuration its unlabelled twin would, renumbered, from
+// the same RNG draws.
+
+namespace detail {
+struct VertexFieldProbe {
+  void operator()(graph::Vertex&) const noexcept {}
+};
+}  // namespace detail
+
+/// True if State declares vertex-valued fields: a state type names them
+/// with a hidden friend `mapVertices(State&, fn)` that calls
+/// fn(graph::Vertex&) on each; types without one hold no vertex.
+template <typename State>
+inline constexpr bool kHoldsVertices =
+    requires(State& s) { mapVertices(s, detail::VertexFieldProbe{}); };
+
+/// Translates a state drawn in the external frame into the internal one:
+/// every vertex-valued field x < n becomes byLabel[x] (graph::vertexByLabel).
+template <typename State>
+void toInternalFrame(State& s, std::span<const graph::Vertex> byLabel) {
+  if constexpr (kHoldsVertices<State>) {
+    mapVertices(s, [&](graph::Vertex& x) {
+      if (x < byLabel.size()) x = byLabel[x];
+    });
+  }
+}
+
+/// sampler(v, g, rng) in g's internal frame; `byLabel` is g's inverse
+/// labels, empty for an unlabelled graph.
+template <typename State, typename Sampler>
+State sampleInternal(Sampler& sampler, graph::Vertex v, const graph::Graph& g,
+                     Rng& rng, std::span<const graph::Vertex> byLabel) {
+  State s = sampler(v, g, rng);
+  toInternalFrame(s, byLabel);
+  return s;
+}
+
+/// Builds a configuration by sampling each node's state independently, in
+/// label order (see above).
 /// Sampler signature: State(graph::Vertex v, const graph::Graph& g, Rng&).
 template <typename State, typename Sampler>
 std::vector<State> randomConfiguration(const graph::Graph& g, Rng& rng,
                                        Sampler sampler) {
-  std::vector<State> states;
-  states.reserve(g.order());
-  for (graph::Vertex v = 0; v < g.order(); ++v) {
-    states.push_back(sampler(v, g, rng));
+  const std::vector<graph::Vertex> byLabel = graph::vertexByLabel(g);
+  std::vector<State> states(g.order());
+  for (graph::Vertex x = 0; x < g.order(); ++x) {
+    const graph::Vertex v = byLabel.empty() ? x : byLabel[x];
+    states[v] = sampleInternal<State>(sampler, v, g, rng, byLabel);
   }
   return states;
 }
 
 /// Resamples each node's state independently with probability `fraction`
-/// (a transient-fault burst hitting a random subset of nodes). Returns the
-/// number of nodes corrupted.
+/// (a transient-fault burst hitting a random subset of nodes), visiting
+/// nodes in label order. Returns the number of nodes corrupted.
 template <typename State, typename Sampler>
 std::size_t corruptConfiguration(std::vector<State>& states,
                                  const graph::Graph& g, Rng& rng,
                                  double fraction, Sampler sampler) {
+  const std::vector<graph::Vertex> byLabel = graph::vertexByLabel(g);
   std::size_t corrupted = 0;
-  for (graph::Vertex v = 0; v < states.size(); ++v) {
+  for (graph::Vertex x = 0; x < states.size(); ++x) {
+    const graph::Vertex v = byLabel.empty() ? x : byLabel[x];
     if (rng.chance(fraction)) {
-      states[v] = sampler(v, g, rng);
+      states[v] = sampleInternal<State>(sampler, v, g, rng, byLabel);
       ++corrupted;
     }
   }

@@ -230,10 +230,11 @@ Graph randomGeometric(std::size_t n, double radius, Rng& rng,
 }
 
 Graph connectedRandomGeometric(std::size_t n, double radius, Rng& rng,
-                               std::vector<Point>* outPoints, int maxTries) {
+                               std::vector<Point>* outPoints, int maxTries,
+                               VertexOrder order) {
   for (int attempt = 0; attempt < maxTries; ++attempt) {
     std::vector<Point> points = randomPoints(n, rng);
-    Graph g = unitDiskGraph(points, radius);
+    Graph g = unitDiskGraph(points, radius, order);
     if (isConnected(g)) {
       if (outPoints != nullptr) *outPoints = std::move(points);
       return g;

@@ -81,10 +81,15 @@ Graph randomGeometric(std::size_t n, double radius, Rng& rng,
 
 /// Connected random geometric graph: resamples point sets (up to maxTries)
 /// until the unit-disk graph is connected; falls back to adding a random
-/// spanning tree over the final sample if the budget is exhausted.
+/// spanning tree over the final sample if the budget is exhausted. `order`
+/// numbers the vertices of a connected sample (see unitDiskGraph); a
+/// Space graph equals the Points one renumbered, with point indices as its
+/// labels, and the same RNG draws. The spliced fallback is always in point
+/// order, unlabelled. `outPoints` are in point order either way.
 Graph connectedRandomGeometric(std::size_t n, double radius, Rng& rng,
                                std::vector<Point>* outPoints = nullptr,
-                               int maxTries = 64);
+                               int maxTries = 64,
+                               VertexOrder order = VertexOrder::Points);
 
 /// Preferential attachment (Barabási–Albert): vertex v >= 1 attaches
 /// min(v, m) edges to distinct earlier vertices sampled proportionally to

@@ -31,12 +31,23 @@ inline double distance(const Point& a, const Point& b) noexcept {
 /// n points uniformly at random in the unit square.
 std::vector<Point> randomPoints(std::size_t n, Rng& rng);
 
+/// How a unit-disk build numbers its vertices.
+enum class VertexOrder {
+  Points,  ///< vertex i is point i
+  Space,   ///< grid-cell order (row-major cells, point order inside a
+           ///< cell); labels() map each vertex back to its point index
+};
+
 /// The unit-disk graph of the given points: {u,v} is an edge iff the two
 /// points are within `radius` of each other. This is the standard model of
 /// radio connectivity in an ad hoc network. Large inputs are built by
 /// parallel::workersFor(n, kUnitDiskGrain) workers, one band of grid rows
-/// each; the graph is the same at every worker count.
-Graph unitDiskGraph(const std::vector<Point>& points, double radius);
+/// each; the graph is the same at every worker count. In Space order the
+/// graph is the Points build renumbered so that neighbours in the plane are
+/// near in memory; it stays unlabelled when the grid has one cell, where
+/// the two orders coincide.
+Graph unitDiskGraph(const std::vector<Point>& points, double radius,
+                    VertexOrder order = VertexOrder::Points);
 
 /// Points per unitDiskGraph worker: below 2 × this a build stays serial.
 /// Measured break-even, see docs/PERFORMANCE.md.
@@ -46,7 +57,8 @@ namespace detail {
 /// unitDiskGraph with an explicit band count (clamped to [1, grid rows]);
 /// tests compare band counts against each other through it.
 Graph unitDiskGraph(const std::vector<Point>& points, double radius,
-                    std::size_t bands);
+                    std::size_t bands,
+                    VertexOrder order = VertexOrder::Points);
 }  // namespace detail
 
 /// Incrementally-maintained uniform grid over up to `order` moving points in

@@ -4,9 +4,12 @@
 // a fixed set of n nodes whose *edge set* changes over time as hosts move.
 // Vertices are dense indices 0..n-1; the protocol-level unique IDs the
 // algorithms compare (Section 2: "each node is assigned a unique ID") are kept
-// separate in IdAssignment so experiments can sweep ID orders.
+// separate in IdAssignment so experiments can sweep ID orders. A graph may
+// also carry labels: the external number (the one a user sees) of each
+// internal vertex, so storage can follow space while outputs do not.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -80,9 +83,11 @@ class Graph {
   /// loop-free and in range, and the adjacency is symmetric (w in N(v) iff
   /// v in N(w)); all checked in debug builds. The result equals the graph
   /// built by adding the same edges one addEdge at a time, version()
-  /// included.
+  /// included. `labels`, if not empty, is a permutation of 0..n-1 giving
+  /// each vertex its external number (debug-checked); see labels().
   [[nodiscard]] static Graph fromCsr(std::vector<std::size_t> offsets,
-                                     Targets targets);
+                                     Targets targets,
+                                     std::vector<Vertex> labels = {});
 
   /// fromCsr over an edge list: every edge once, in any order and either
   /// orientation, loop-free and in range (debug-checked). O(n + m) plus a
@@ -122,6 +127,19 @@ class Graph {
     return offsets_[v + 1] - offsets_[v];
   }
 
+  /// External numbers: labels()[v] is the number vertex v shows at the
+  /// API edge (files, DOT, reports). Empty means the identity, the case of
+  /// every graph not built in space order. Copies, edits and rebuildFrom
+  /// keep them; the inverse is built only where it is needed
+  /// (vertexByLabel).
+  [[nodiscard]] std::span<const Vertex> labels() const noexcept {
+    return labels_;
+  }
+  [[nodiscard]] bool labelled() const noexcept { return !labels_.empty(); }
+  [[nodiscard]] Vertex labelOf(Vertex v) const noexcept {
+    return labels_.empty() ? v : labels_[v];
+  }
+
   /// O(1): recorded when the graph is built or edited.
   [[nodiscard]] std::size_t maxDegree() const noexcept { return maxDegree_; }
   [[nodiscard]] std::size_t minDegree() const noexcept;
@@ -138,7 +156,8 @@ class Graph {
 
   /// Replaces the edge set with `built`'s (same order), in place, as
   /// clearEdges() followed by one addEdge per edge of `built` would:
-  /// version() advances by that many steps. This is how a graph that a
+  /// version() advances by that many steps. The labels stay this graph's
+  /// (`built` must carry none or the same). This is how a graph that a
   /// runner or kernel holds gets rebuilt in bulk; assigning a fresh Graph
   /// over it would move version() backwards under their caches.
   void rebuildFrom(Graph&& built);
@@ -148,11 +167,12 @@ class Graph {
   /// pointers, an executor's schedule) revalidate with one integer compare.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
-  /// Equality is structural (same adjacency), independent of the mutation
-  /// history that produced it.
+  /// Equality is structural (same adjacency and labels), independent of
+  /// the mutation history that produced it.
   friend bool operator==(const Graph& a, const Graph& b) {
     return a.order() == b.order() && a.targets_ == b.targets_ &&
-           (a.order() == 0 || a.offsets_ == b.offsets_);
+           (a.order() == 0 || a.offsets_ == b.offsets_) &&
+           a.labels_ == b.labels_;
   }
 
  private:
@@ -162,8 +182,48 @@ class Graph {
 
   std::vector<std::size_t> offsets_;  // n+1 entries; empty only when n == 0
   Targets targets_;
+  std::vector<Vertex> labels_;  // empty (identity) or n entries
   std::size_t maxDegree_ = 0;
   std::uint64_t version_ = 0;
 };
+
+/// The inverse of g's labels: entry x is the vertex labelled x; empty (the
+/// identity) for an unlabelled graph. O(n); callers hold it only while
+/// they translate.
+[[nodiscard]] std::vector<Vertex> vertexByLabel(const Graph& g);
+
+/// The neighbour of v whose label ranks `rank`-th (from 0) among the labels
+/// of v's neighbours: neighbors(v)[rank] in an unlabelled graph. Requires
+/// rank < degree(v). O(degree(v)²) up to 64 neighbours, O(degree(v))
+/// expected beyond.
+[[nodiscard]] Vertex neighborByLabelRank(const Graph& g, Vertex v,
+                                         std::size_t rank);
+
+/// Calls fn(a, b) once per edge in g's external numbering, a < b, in
+/// lexicographic order: the order edges() gives for the same graph built
+/// unlabelled. Holds the inverse labels and one slice's worth of scratch.
+/// A labelled graph is walked in label order, a cache miss or more per
+/// vertex: 1.1 s at 10^6 against 0.07 s for an unlabelled one.
+template <typename Fn>
+void forEachEdgeByLabel(const Graph& g, Fn&& fn) {
+  if (!g.labelled()) {
+    for (Vertex u = 0; u < g.order(); ++u) {
+      for (const Vertex v : g.neighbors(u)) {
+        if (u < v) fn(u, v);
+      }
+    }
+    return;
+  }
+  const std::vector<Vertex> byLabel = vertexByLabel(g);
+  std::vector<Vertex> later;
+  for (Vertex a = 0; a < g.order(); ++a) {
+    later.clear();
+    for (const Vertex w : g.neighbors(byLabel[a])) {
+      if (g.labelOf(w) > a) later.push_back(g.labelOf(w));
+    }
+    std::sort(later.begin(), later.end());
+    for (const Vertex b : later) fn(a, b);
+  }
+}
 
 }  // namespace selfstab::graph

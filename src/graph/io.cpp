@@ -63,7 +63,9 @@ class EdgeCollector {
 
 void writeEdgeList(std::ostream& out, const Graph& g) {
   out << g.order() << ' ' << g.size() << '\n';
-  for (const Edge& e : g.edges()) out << e.u << ' ' << e.v << '\n';
+  forEachEdgeByLabel(g, [&](Vertex u, Vertex v) {
+    out << u << ' ' << v << '\n';
+  });
 }
 
 Graph readEdgeList(std::istream& in, const HeaderCheck& checkHeader) {
@@ -84,9 +86,9 @@ Graph readEdgeList(std::istream& in, const HeaderCheck& checkHeader) {
 
 void writeDimacs(std::ostream& out, const Graph& g) {
   out << "p edge " << g.order() << ' ' << g.size() << '\n';
-  for (const Edge& e : g.edges()) {
-    out << "e " << (e.u + 1) << ' ' << (e.v + 1) << '\n';
-  }
+  forEachEdgeByLabel(g, [&](Vertex u, Vertex v) {
+    out << "e " << (u + 1) << ' ' << (v + 1) << '\n';
+  });
 }
 
 Graph readDimacs(std::istream& in) {
@@ -130,9 +132,9 @@ Graph readDimacs(std::istream& in) {
 void writeDot(std::ostream& out, const Graph& g, const std::string& name) {
   out << "graph " << name << " {\n";
   for (Vertex v = 0; v < g.order(); ++v) out << "  " << v << ";\n";
-  for (const Edge& e : g.edges()) {
-    out << "  " << e.u << " -- " << e.v << ";\n";
-  }
+  forEachEdgeByLabel(g, [&](Vertex u, Vertex v) {
+    out << "  " << u << " -- " << v << ";\n";
+  });
   out << "}\n";
 }
 

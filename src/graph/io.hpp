@@ -17,7 +17,8 @@ class ParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Writes "n m" followed by one "u v" line per edge.
+/// Writes "n m" followed by one "u v" line per edge (u < v, ascending), in
+/// g's external numbering (Graph::labels()).
 void writeEdgeList(std::ostream& out, const Graph& g);
 
 /// Called with the header's (vertex, edge) counts before anything is
@@ -29,6 +30,7 @@ using HeaderCheck = std::function<void(std::uint64_t, std::uint64_t)>;
 Graph readEdgeList(std::istream& in, const HeaderCheck& checkHeader = {});
 
 /// DIMACS format: "p edge n m" header, "e u v" lines with 1-based vertices.
+/// The writers print external numbers, like writeEdgeList.
 void writeDimacs(std::ostream& out, const Graph& g);
 Graph readDimacs(std::istream& in);
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "graph/geometry.hpp"
 #include "graph/io.hpp"
 #include "parallel/spin_team.hpp"
 #include "parallel/workers.hpp"
@@ -199,6 +200,36 @@ TEST(WriteAnnotatedDot, MatchesNaiveWriter) {
   EXPECT_EQ(content.str(), expected);
   EXPECT_NE(expected.find("1 -- 3 [color=blue];"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(WriteAnnotatedDot, LabelledGraphPrintsExternalNumbers) {
+  // The space-ordered build of a point set, annotated in its own
+  // numbering, prints what the point-ordered build annotated at the same
+  // points prints.
+  graph::Rng rng(17);
+  const std::vector<graph::Point> pts = graph::randomPoints(600, rng);
+  const graph::Graph points = graph::unitDiskGraph(pts, 0.08);
+  const graph::Graph space =
+      graph::unitDiskGraph(pts, 0.08, graph::VertexOrder::Space);
+  ASSERT_TRUE(space.labelled());
+  const auto annotate = [](const graph::Graph& g, auto pointOf) {
+    std::vector<std::string> vertexAttrs(g.order());
+    std::vector<std::pair<graph::Edge, std::string>> edgeAttrs;
+    for (graph::Vertex v = 0; v < g.order(); ++v) {
+      if (pointOf(v) % 7 == 0) vertexAttrs[v] = "p" + std::to_string(pointOf(v));
+      for (const graph::Vertex w : g.neighbors(v)) {
+        if (pointOf(v) < pointOf(w) && (pointOf(v) + pointOf(w)) % 5 == 0) {
+          edgeAttrs.emplace_back(graph::makeEdge(v, w),
+                                 std::to_string(pointOf(v)));
+        }
+      }
+    }
+    std::ostringstream out;
+    writeAnnotatedDot(out, g, vertexAttrs, std::move(edgeAttrs));
+    return out.str();
+  };
+  EXPECT_EQ(annotate(space, [&](graph::Vertex v) { return space.labelOf(v); }),
+            annotate(points, [](graph::Vertex v) { return v; }));
 }
 
 TEST(Execute, BfsTreeRootsAtSmallestId) {
@@ -522,6 +553,86 @@ TEST(PrintReport, RendersAllFields) {
   EXPECT_NE(text.find("5 nodes, 4 edges"), std::string::npos);
   EXPECT_NE(text.find("stabilized  : yes"), std::string::npos);
   EXPECT_NE(text.find("matching: 2 pair(s)"), std::string::npos);
+}
+
+// Every output of a run, with the udg graph stored in `order`: trace lines,
+// the text and JSON reports (the JSON's measured rate zeroed) and the
+// events, CSV, saved-graph and DOT files.
+std::vector<std::string> runOutputs(Options options,
+                                    graph::VertexOrder order) {
+  const std::string dir = ::testing::TempDir();
+  options.trace = true;
+  options.json = true;
+  options.eventsPath = dir + "/order_events.jsonl";
+  options.csvPath = dir + "/order_trace.csv";
+  options.saveGraphPath = dir + "/order_graph.txt";
+  options.dotPath = dir + "/order_graph.dot";
+  std::ostringstream out;
+  Report report = detail::execute(options, out, order);
+  report.evaluationsPerSecond = 0;
+  printReport(report, out);
+  printReportJson(report, out);
+  std::vector<std::string> outputs = {out.str()};
+  for (const std::string* path :
+       {&options.eventsPath, &options.csvPath, &options.saveGraphPath,
+        &options.dotPath}) {
+    outputs.push_back(readFile(*path));
+    std::remove(path->c_str());
+  }
+  return outputs;
+}
+
+// The storage order of a udg graph is invisible: a run on the space-ordered
+// build shows, byte for byte, what the same run on the point-ordered build
+// shows, whatever the start, the IDs or the fault campaign.
+TEST(Execute, SpaceOrderIsInvisible) {
+  const std::string spec = "udg:320:0.11";
+  ASSERT_TRUE(detail::buildGraph(parseGraphSpec(spec), 5,
+                                 graph::VertexOrder::Space)
+                  .labelled());
+  const std::vector<std::string> names = {"out+reports", "events", "csv",
+                                          "save-graph", "dot"};
+  // A plan naming nodes explicitly, in external numbers.
+  const std::string plan = ::testing::TempDir() + "/order_plan.json";
+  {
+    std::ofstream file(plan);
+    file << R"({"events":[{"at":6,"kind":"corrupt","nodes":[3,250,17,100]},)"
+         << R"({"at":40,"kind":"stuck","node":42},)"
+         << R"({"at":44,"kind":"garble","node":7},)"
+         << R"({"at":80,"kind":"release","node":42}]})";
+  }
+  for (const ProtocolKind protocol :
+       {ProtocolKind::Smm, ProtocolKind::Sis, ProtocolKind::Coloring,
+        ProtocolKind::DominatingSet, ProtocolKind::BfsTree,
+        ProtocolKind::LeaderTree}) {
+    for (const StartKind start : {StartKind::Clean, StartKind::Random}) {
+      for (const IdOrderKind ids : {IdOrderKind::Identity, IdOrderKind::Random}) {
+        for (const std::string& chaos :
+             {std::string(), std::string("crash-storm:3"),
+              std::string("churn:5"), std::string("rolling-partition:5"),
+              plan}) {
+          Options options = makeOptions(protocol, spec);
+          options.seed = 5;
+          options.start = start;
+          options.idOrder = ids;
+          options.chaosSpec = chaos;
+          if (!chaos.empty()) options.maxRounds = 300;
+          const auto space = runOutputs(options, graph::VertexOrder::Space);
+          const auto points = runOutputs(options, graph::VertexOrder::Points);
+          for (std::size_t k = 0; k < space.size(); ++k) {
+            EXPECT_EQ(space[k], points[k])
+                << toString(protocol) << " start "
+                << (start == StartKind::Clean ? "clean" : "random") << " ids "
+                << (ids == IdOrderKind::Identity ? "identity" : "random")
+                << " chaos '" << chaos << "': " << names[k] << " differ";
+          }
+          EXPECT_NE(points[0].find("verified    : yes"), std::string::npos)
+              << toString(protocol) << " chaos '" << chaos << "'";
+        }
+      }
+    }
+  }
+  std::remove(plan.c_str());
 }
 
 }  // namespace

@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "../support/test_protocols.hpp"
+#include "core/aggregation.hpp"
+#include "core/bfs_tree.hpp"
+#include "core/coloring.hpp"
+#include "core/dominating_set.hpp"
+#include "core/leader_tree.hpp"
 #include "core/matching_state.hpp"
+#include "core/sis.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "graph/geometry.hpp"
 
 namespace selfstab::engine {
 namespace {
@@ -51,6 +59,70 @@ TEST(CorruptConfiguration, FractionOneHitsEveryone) {
       states, g, rng, 1.0,
       [](graph::Vertex, const Graph&, Rng& r) { return ValueState{r.next()}; });
   EXPECT_EQ(corrupted, 8u);
+}
+
+// A state drawn on a space-ordered graph, renumbered to external numbers,
+// is the state drawn on the point-ordered build at the same point, for
+// every sampler, with the same RNG draws.
+template <typename State, typename Sampler>
+void expectRenumberedDraws(Sampler sampler) {
+  Rng pointsRng(77);
+  const std::vector<graph::Point> pts = graph::randomPoints(3000, pointsRng);
+  const Graph points = graph::unitDiskGraph(pts, 0.04);
+  const Graph space =
+      graph::unitDiskGraph(pts, 0.04, graph::VertexOrder::Space);
+  ASSERT_TRUE(space.labelled());
+  const auto external = [&](State s) {
+    if constexpr (kHoldsVertices<State>) {
+      mapVertices(s, [&](graph::Vertex& x) {
+        if (x < space.order()) x = space.labelOf(x);
+      });
+    }
+    return s;
+  };
+  Rng a(5);
+  Rng b(5);
+  auto drawn = randomConfiguration<State>(space, a, sampler);
+  auto expected = randomConfiguration<State>(points, b, sampler);
+  for (graph::Vertex v = 0; v < space.order(); ++v) {
+    ASSERT_TRUE(external(drawn[v]) == expected[space.labelOf(v)]) << v;
+  }
+  EXPECT_EQ(corruptConfiguration(drawn, space, a, 0.3, sampler),
+            corruptConfiguration(expected, points, b, 0.3, sampler));
+  for (graph::Vertex v = 0; v < space.order(); ++v) {
+    ASSERT_TRUE(external(drawn[v]) == expected[space.labelOf(v)]) << v;
+  }
+  EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(RandomConfiguration, LabelledGraphDrawsTheRenumberedConfiguration) {
+  expectRenumberedDraws<PointerState>(core::randomPointerState);
+  expectRenumberedDraws<PointerState>(core::wildPointerState);
+  expectRenumberedDraws<core::TreeState>(core::randomTreeState);
+  expectRenumberedDraws<core::LeaderState>(core::randomLeaderState);
+  expectRenumberedDraws<core::AggregateState>(core::randomAggregateState);
+  expectRenumberedDraws<core::DomState>(core::randomDomState);
+  expectRenumberedDraws<core::ColorState>(core::randomColorState);
+  expectRenumberedDraws<core::BitState>(core::randomBitState);
+}
+
+TEST(RandomConfiguration, SplitPointerDrawMatchesTheLabelWalk) {
+  Rng pointsRng(78);
+  const std::vector<graph::Point> pts = graph::randomPoints(20000, pointsRng);
+  for (const auto order : {graph::VertexOrder::Points,
+                           graph::VertexOrder::Space}) {
+    const Graph g = graph::unitDiskGraph(pts, 0.015, order);
+    Rng walk(9);
+    const auto expected =
+        randomConfiguration<PointerState>(g, walk, core::randomPointerState);
+    for (const std::size_t width : {1U, 3U}) {
+      Rng split(9);
+      EXPECT_TRUE(core::randomPointerConfiguration(g, split, width) ==
+                  expected)
+          << "width " << width;
+      EXPECT_EQ(split.next(), Rng(walk).next());
+    }
+  }
 }
 
 TEST(EnumerateConfigurations, VisitsFullProduct) {

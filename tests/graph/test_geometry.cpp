@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace selfstab::graph {
@@ -177,6 +179,73 @@ TEST(Geometry, BandedBuildMatchesSerial) {
       EXPECT_EQ(banded.version(), serial.version());
     }
     EXPECT_TRUE(unitDiskGraph(pts, r) == serial) << "r=" << r;
+  }
+}
+
+// The Space build is the Points build renumbered: mapping each Space
+// vertex to its label gives the Points graph edge for edge, and the labels
+// put the vertices in grid-cell order (row-major cells, ascending point
+// index inside a cell). The grid here repeats unitDiskGraph's sizing rule.
+TEST(Geometry, SpaceOrderRelabelsPointOrder) {
+  struct Case {
+    std::size_t n;
+    double r;
+  };
+  // n = 100 is one cell (all pairs); r = 0.005 at 5000 and r = 0.002 at
+  // 60000 are narrower than the sqrt(n) cap lets the cells be.
+  for (const Case c : {Case{100, 0.2}, Case{5000, 0.03}, Case{5000, 0.005},
+                       Case{60000, 0.006}, Case{60000, 0.002}}) {
+    Rng rng(1000 + c.n);
+    const std::vector<Point> pts = randomPoints(c.n, rng);
+    std::size_t side = 1;
+    if (c.n >= 256) {
+      const double cap = std::ceil(std::sqrt(static_cast<double>(c.n)));
+      side = static_cast<std::size_t>(std::min((1.0 - 1e-9) / c.r, cap));
+    }
+    const auto scale = static_cast<double>(side);
+    const auto cellOf = [&](const Point& p) {
+      const auto axis = [&](double t) {
+        return static_cast<std::size_t>(std::clamp(t * scale, 0.0, scale - 1));
+      };
+      return axis(p.y) * side + axis(p.x);
+    };
+    for (const std::size_t bands : {1U, 3U, 4U}) {
+      const std::string where =
+          "n=" + std::to_string(c.n) + " r=" + std::to_string(c.r) +
+          " bands=" + std::to_string(bands);
+      const Graph points = detail::unitDiskGraph(pts, c.r, bands);
+      const Graph space =
+          detail::unitDiskGraph(pts, c.r, bands, VertexOrder::Space);
+      ASSERT_EQ(space.order(), c.n) << where;
+      EXPECT_FALSE(points.labelled()) << where;
+      if (side == 1) {
+        EXPECT_FALSE(space.labelled()) << where;
+        EXPECT_TRUE(space == points) << where;
+        continue;
+      }
+      ASSERT_TRUE(space.labelled()) << where;
+      std::vector<bool> seen(c.n, false);
+      for (Vertex v = 0; v < c.n; ++v) {
+        const Vertex x = space.labelOf(v);
+        ASSERT_LT(x, c.n) << where;
+        EXPECT_FALSE(seen[x]) << where << " label " << x << " twice";
+        seen[x] = true;
+        if (v > 0) {
+          const Vertex prev = space.labelOf(v - 1);
+          const auto key = std::pair{cellOf(pts[x]), x};
+          EXPECT_LT(std::pair(cellOf(pts[prev]), prev), key)
+              << where << " vertex " << v << " out of cell order";
+        }
+      }
+      std::vector<graph::Edge> relabelled;
+      for (const graph::Edge& e : space.edges()) {
+        relabelled.push_back(
+            graph::makeEdge(space.labelOf(e.u), space.labelOf(e.v)));
+      }
+      EXPECT_TRUE(Graph::fromEdges(c.n, relabelled) == points) << where;
+      EXPECT_EQ(space.version(), points.version()) << where;
+      EXPECT_EQ(space.maxDegree(), points.maxDegree()) << where;
+    }
   }
 }
 

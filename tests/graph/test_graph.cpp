@@ -345,6 +345,78 @@ TEST(Graph, RebuildFromAdvancesVersionLikeClearAndAdd) {
   EXPECT_EQ(g.version(), before + 1);  // nothing changed
 }
 
+TEST(Graph, LabelsSurviveCopyEditsAndRebuild) {
+  // A 4-cycle 0-1-2-3 whose vertices show as 2, 0, 3, 1.
+  const std::vector<Vertex> labels = {2, 0, 3, 1};
+  Graph g = Graph::fromCsr({0, 2, 4, 6, 8}, Graph::Targets{1, 3, 0, 2, 1, 3,
+                                                           0, 2},
+                           labels);
+  ASSERT_TRUE(g.labelled());
+  EXPECT_EQ(std::vector<Vertex>(g.labels().begin(), g.labels().end()),
+            labels);
+  EXPECT_EQ(g.labelOf(2), 3U);
+  EXPECT_EQ(vertexByLabel(g), (std::vector<Vertex>{1, 3, 0, 2}));
+  EXPECT_EQ(Graph(4).labelOf(3), 3U);
+  EXPECT_TRUE(vertexByLabel(Graph(3)).empty());
+
+  // Labels are part of equality: the same CSR unlabelled is another graph.
+  const Graph unlabelled =
+      Graph::fromCsr({0, 2, 4, 6, 8}, Graph::Targets{1, 3, 0, 2, 1, 3, 0, 2});
+  EXPECT_FALSE(g == unlabelled);
+
+  Graph copy = g;
+  EXPECT_TRUE(copy == g);
+  EXPECT_TRUE(copy.addEdge(0, 2));
+  EXPECT_TRUE(copy.removeEdge(0, 1));
+  EXPECT_FALSE(copy.toggleEdge(1, 2));
+  EXPECT_EQ(copy.labelOf(0), 2U);
+  copy.clearEdges();
+  EXPECT_EQ(copy.labelOf(3), 1U);
+
+  // A rebuild takes the new edges and keeps the graph's own labels.
+  const std::uint64_t before = g.version();
+  g.rebuildFrom(Graph::fromEdges(4, std::vector<Edge>{{0, 2}, {1, 3}}));
+  EXPECT_TRUE(g.hasEdge(0, 2));
+  EXPECT_FALSE(g.hasEdge(0, 1));
+  EXPECT_GT(g.version(), before);
+  EXPECT_EQ(std::vector<Vertex>(g.labels().begin(), g.labels().end()),
+            labels);
+
+  Graph moved = std::move(g);
+  EXPECT_EQ(moved.labelOf(1), 0U);
+}
+
+TEST(Graph, NeighborByLabelRankRanksNeighboursByLabel) {
+  // Vertex 0 is adjacent to 1..5, whose labels are 9, 4, 7, 1, 8; large
+  // neighbourhoods take the selection path.
+  for (const std::size_t extra : {0U, 100U}) {
+    const std::size_t n = 10 + extra;
+    std::vector<Edge> edges;
+    for (Vertex w = 1; w < 6; ++w) edges.push_back({0, w});
+    for (Vertex w = 10; w < n; ++w) edges.push_back({0, w});
+    const Graph plain = Graph::fromEdges(n, edges);
+    std::vector<Vertex> labels = {0, 9, 4, 7, 1, 8, 2, 3, 5, 6};
+    for (Vertex x = 10; x < n; ++x) labels.push_back(x);
+    std::vector<std::size_t> offsets = {0};
+    for (Vertex v = 0; v < n; ++v) {
+      offsets.push_back(offsets.back() + plain.degree(v));
+    }
+    Graph::Targets targets;
+    for (Vertex v = 0; v < n; ++v) {
+      for (const Vertex w : plain.neighbors(v)) targets.push_back(w);
+    }
+    const Graph g = Graph::fromCsr(offsets, std::move(targets), labels);
+    std::vector<Vertex> byRank;
+    for (std::size_t r = 0; r < g.degree(0); ++r) {
+      byRank.push_back(g.labelOf(neighborByLabelRank(g, 0, r)));
+      EXPECT_EQ(neighborByLabelRank(plain, 0, r), plain.neighbors(0)[r]);
+    }
+    EXPECT_TRUE(std::is_sorted(byRank.begin(), byRank.end()));
+    EXPECT_EQ(byRank.front(), 1U);
+    EXPECT_EQ(byRank.size(), 5 + extra);
+  }
+}
+
 #ifndef NDEBUG
 TEST(GraphDeathTest, FromCsrChecksItsInput) {
   using Offsets = std::vector<std::size_t>;
@@ -361,6 +433,20 @@ TEST(GraphDeathTest, FromCsrChecksItsInput) {
   EXPECT_DEATH(Graph::fromEdges(3, std::vector<Edge>{{0, 1}, {1, 0}}),
                "ascending");
   EXPECT_DEATH(Graph::fromEdges(3, std::vector<Edge>{{1, 1}}), "loop");
+}
+
+TEST(GraphDeathTest, LabelsMustBeAPermutation) {
+  using Offsets = std::vector<std::size_t>;
+  using Targets = Graph::Targets;
+  EXPECT_DEATH(Graph::fromCsr(Offsets{0, 0, 0}, Targets{}, {0, 0}),
+               "permutation");
+  EXPECT_DEATH(Graph::fromCsr(Offsets{0, 0, 0}, Targets{}, {0, 2}),
+               "permutation");
+  EXPECT_DEATH(Graph::fromCsr(Offsets{0, 0, 0}, Targets{}, {0}), "label");
+  Graph g = Graph::fromCsr(Offsets{0, 0, 0}, Targets{}, {1, 0});
+  EXPECT_DEATH(g.rebuildFrom(Graph::fromCsr(Offsets{0, 0, 0}, Targets{},
+                                            {0, 1})),
+               "labels");
 }
 #endif
 

@@ -3,11 +3,41 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "graph/generators.hpp"
+#include "graph/geometry.hpp"
 
 namespace selfstab::graph {
 namespace {
+
+// The writers print a labelled graph in its external numbering, byte for
+// byte as they print the same graph built in point order.
+TEST(LabelledIo, WritersMatchPointOrderBuild) {
+  Rng rng(31);
+  const std::vector<Point> pts = randomPoints(2000, rng);
+  const Graph points = unitDiskGraph(pts, 0.05);
+  const Graph space = unitDiskGraph(pts, 0.05, VertexOrder::Space);
+  ASSERT_TRUE(space.labelled());
+  ASSERT_FALSE(space == points);
+  const auto bytes = [](const Graph& g, auto write) {
+    std::ostringstream out;
+    write(out, g);
+    return out.str();
+  };
+  const auto edgeList = [](std::ostream& o, const Graph& g) {
+    writeEdgeList(o, g);
+  };
+  const auto dimacs = [](std::ostream& o, const Graph& g) {
+    writeDimacs(o, g);
+  };
+  const auto dot = [](std::ostream& o, const Graph& g) { writeDot(o, g); };
+  EXPECT_EQ(bytes(space, edgeList), bytes(points, edgeList));
+  EXPECT_EQ(bytes(space, dimacs), bytes(points, dimacs));
+  EXPECT_EQ(bytes(space, dot), bytes(points, dot));
+  std::stringstream ss(bytes(space, edgeList));
+  EXPECT_TRUE(readEdgeList(ss) == points);
+}
 
 TEST(EdgeListIo, RoundTrip) {
   Rng rng(1);
