@@ -22,11 +22,13 @@
 #include <vector>
 
 #include "core/kernels.hpp"
+#include "core/matching_state.hpp"
 #include "core/sis.hpp"
 #include "core/smm.hpp"
 #include "engine/fault.hpp"
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
+#include "graph/geometry.hpp"
 #include "support/bench_json.hpp"
 
 namespace selfstab {
@@ -157,7 +159,8 @@ void assertFlatKernelWins() {
 }
 
 /// Companion measurement (recorded, not gated): SMM flat-vs-generic on the
-/// same converged-sweep methodology.
+/// same converged-sweep methodology: every pointer set, so this times the
+/// back-off pass alone (see recordSmmRandomStartRounds for the rest).
 void recordSmmSpeedup() {
   const bool smoke = std::getenv("SELFSTAB_SMOKE") != nullptr;
   const std::size_t n = smoke ? 20'000 : 100'000;
@@ -199,6 +202,98 @@ void recordSmmSpeedup() {
         std::string("micro_kernels/smm_info_") + toString(family);
     bench::appendBenchJson(row.c_str(),
                            {{"n", static_cast<double>(g.order())},
+                            {"generic_evals_per_sec", best.generic},
+                            {"flat_evals_per_sec", best.flat},
+                            {"speedup", best.speedup()}});
+  }
+}
+
+/// Mean seconds of one step of `runner` from `from`, over `reps` steps
+/// that each start from a fresh copy (copies untimed).
+double timeRoundFrom(SyncRunner<PointerState>& runner,
+                     const std::vector<PointerState>& from, int reps) {
+  double seconds = 0.0;
+  for (int i = 0; i < reps; ++i) {
+    auto states = from;
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(runner.step(states));
+    seconds += std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  }
+  return seconds / reps;
+}
+
+/// Companion (recorded, not gated): the two SMM rounds a random start
+/// alternates between, at one thread, flat against generic. The converged
+/// sweep above has every pointer set; here the graph is selfstab's 10^6
+/// unit-disk density in space order, IDs gathered through the labels, and
+/// the start random. Its first round backs nearly every pointer off, so
+/// the second is a proposal round (most nodes null, each keying its whole
+/// slice) and the third a back-off round (almost every node pointing).
+/// Each is timed from the state before it, on the Sweep schedule.
+void recordSmmRandomStartRounds() {
+  const bool smoke = std::getenv("SELFSTAB_SMOKE") != nullptr;
+  const std::size_t n = smoke ? 20'000 : 1'000'000;
+  const int reps = smoke ? 5 : 2;
+  graph::Rng rng(44);
+  const double radius = 0.003 * std::sqrt(1e6 / static_cast<double>(n));
+  const Graph g = graph::connectedRandomGeometric(n, radius, rng, nullptr, 64,
+                                                  graph::VertexOrder::Space);
+  std::vector<graph::Id> labels(g.order());
+  for (graph::Vertex v = 0; v < g.order(); ++v) labels[v] = g.labelOf(v);
+  const IdAssignment ids(std::move(labels));
+  const core::SmmProtocol smm = core::smmPaper();
+  SyncRunner<PointerState> genericRunner(smm, g, ids, /*seed=*/7,
+                                         Schedule::Sweep);
+  SyncRunner<PointerState> flatRunner(smm, g, ids, /*seed=*/7,
+                                      Schedule::Sweep);
+  flatRunner.setKernel(core::makeFlatKernel<PointerState>(smm, g, ids));
+
+  std::vector<std::vector<PointerState>> before(3);
+  before[0] = core::randomPointerConfiguration(g, rng, 1);
+  for (std::size_t r = 1; r < before.size(); ++r) {
+    before[r] = before[r - 1];
+    auto generic = before[r - 1];
+    flatRunner.step(before[r]);
+    genericRunner.step(generic);
+    if (generic != before[r]) {
+      std::fprintf(stderr, "FAIL: flat and generic SMM rounds differ\n");
+      std::exit(1);
+    }
+  }
+  const char* const kRounds[] = {"proposal", "back-off"};
+  for (std::size_t r = 1; r < before.size(); ++r) {
+    std::size_t nulls = 0;
+    for (const PointerState& s : before[r]) nulls += s.isNull() ? 1 : 0;
+    // Interleaved batches, best ratio, as in the gate.
+    GateRates best;
+    double flatSeconds = 0.0;
+    double genericSeconds = 0.0;
+    for (int batch = 0; batch < 3; ++batch) {
+      const double gs = timeRoundFrom(genericRunner, before[r], reps);
+      const double fs = timeRoundFrom(flatRunner, before[r], reps);
+      const GateRates sample{static_cast<double>(n) / gs,
+                             static_cast<double>(n) / fs};
+      if (best.generic == 0.0 || sample.speedup() > best.speedup()) {
+        best = sample;
+        genericSeconds = gs;
+        flatSeconds = fs;
+      }
+    }
+    const char* round = kRounds[r - 1];
+    std::fprintf(stderr,
+                 "kernel info [smm %s round]: n=%zu null=%zu | generic "
+                 "%.1f ms | flat %.1f ms | speedup %.2fx\n",
+                 round, static_cast<std::size_t>(g.order()), nulls,
+                 genericSeconds * 1e3, flatSeconds * 1e3, best.speedup());
+    const std::string row = std::string("micro_kernels/smm_") + round +
+                            "_round";
+    bench::appendBenchJson(row.c_str(),
+                           {{"n", static_cast<double>(g.order())},
+                            {"null_nodes", static_cast<double>(nulls)},
+                            {"generic_ms", genericSeconds * 1e3},
+                            {"flat_ms", flatSeconds * 1e3},
                             {"generic_evals_per_sec", best.generic},
                             {"flat_evals_per_sec", best.flat},
                             {"speedup", best.speedup()}});
@@ -369,6 +464,7 @@ int main(int argc, char** argv) {
   // promised 3x evaluation-throughput win on both graph families.
   selfstab::assertFlatKernelWins();
   selfstab::recordSmmSpeedup();
+  selfstab::recordSmmRandomStartRounds();
   // Gate-only mode for scripts/bench_smoke.sh: skip the timed benchmarks.
   if (std::getenv("SELFSTAB_GATE_ONLY") != nullptr) return 0;
   benchmark::Initialize(&argc, argv);

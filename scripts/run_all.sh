@@ -51,7 +51,7 @@ sh "$ROOT/scripts/bench_smoke.sh" "$BUILD_DIR"
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -G Ninja -S "$ROOT" -DSELFSTAB_SANITIZE=thread
 cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
-  stress_tests graph_tests cli_tests analysis_tests
+  stress_tests graph_tests cli_tests analysis_tests core_tests
 {
   "$TSAN_DIR/tests/telemetry_tests"
   # unitDiskGraph's bands: each worker counts its slots' neighbours into
@@ -64,11 +64,16 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # compare-and-swap from every worker and compresses paths in parallel.
   # Geometry.SpaceOrderRelabelsPointOrder: the space-ordered fill, whose
   # bands write consecutive runs of the targets.
+  # LabelledIo.EdgesByLabel*: the writers' label-ordered edge stream, each
+  # worker counting into and then filling its vertices' label slots.
   "$TSAN_DIR/tests/graph_tests" \
-    --gtest_filter='Geometry.BandedBuildMatchesSerial:Geometry.SpaceOrderRelabelsPointOrder:SpinTeam.*:Connectivity.*'
+    --gtest_filter='Geometry.BandedBuildMatchesSerial:Geometry.SpaceOrderRelabelsPointOrder:SpinTeam.*:Connectivity.*:LabelledIo.EdgesByLabel*'
   # The one-pass verifiers: team blocks read states and the CSR and fold
   # their verdicts into shared atomics.
   "$TSAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'
+  # SmmKernel on the team: sub-block evaluation with per-vertex cache
+  # writes, and sync()'s reload and changed-slot diff in per-block lists.
+  "$TSAN_DIR/tests/core_tests" --gtest_filter='*Parallel*'
   # selfstab sizes its passes itself: a 20000-node run (four workers where
   # four CPUs are free) against the same run held to one CPU.
   "$TSAN_DIR/tests/cli_tests" --gtest_filter='Execute.PooledRunMatchesSingleCpuRun'
@@ -133,8 +138,10 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # states.
   "$ASAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'
   # SmmKernel's verified-pointer cache: one slot per vertex, resized and
-  # reset by sync() across topology changes.
-  "$ASAN_DIR/tests/core_tests" --gtest_filter='SmmPointerCache.*'
+  # reset by sync() across topology changes. SmmKeyPath*: the sub-block
+  # arrays, partial last blocks, the compaction's writes past the movers
+  # and the slot and rank lookups of the packed keys.
+  "$ASAN_DIR/tests/core_tests" --gtest_filter='SmmPointerCache.*:SmmKeyPath*'
   # The runner and its kernel read the Graph's CSR through spans, and every
   # edit moves it: a span kept across an edit, a kernel swap (setKernel
   # frees the old kernel's caches) or a parallel round would be a

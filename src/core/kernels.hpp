@@ -22,7 +22,8 @@
 namespace selfstab::core {
 
 /// Flat (SoA batch) kernel for the round executors, or nullptr when the
-/// protocol has none.
+/// protocol has none (or, for SMM, when the graph is too large for its
+/// 31-bit key fields).
 template <typename State>
 [[nodiscard]] std::unique_ptr<engine::FlatKernel<State>> makeFlatKernel(
     const engine::Protocol<State>& protocol, const graph::Graph& g,
@@ -32,7 +33,8 @@ template <typename State>
       return std::make_unique<SisKernel>(g, ids, sis->seniority());
     }
   } else if constexpr (std::is_same_v<State, PointerState>) {
-    if (const auto* smm = dynamic_cast<const SmmProtocol*>(&protocol)) {
+    const auto* smm = dynamic_cast<const SmmProtocol*>(&protocol);
+    if (smm != nullptr && SmmKernel::fits(g)) {
       return std::make_unique<SmmKernel>(g, ids, smm->proposePolicy(),
                                          smm->acceptPolicy());
     }

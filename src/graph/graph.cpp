@@ -5,6 +5,8 @@
 #include <functional>
 #include <utility>
 
+#include "parallel/spin_team.hpp"
+
 namespace selfstab::graph {
 
 Graph Graph::fromCsr(std::vector<std::size_t> offsets, Targets targets,
@@ -205,5 +207,44 @@ Vertex neighborByLabelRank(const Graph& g, Vertex v, std::size_t rank) {
   return *std::find_if(nbrs.begin(), nbrs.end(),
                        [&](Vertex w) { return g.labelOf(w) == *nth; });
 }
+
+namespace detail {
+
+EdgesByLabel edgesByLabel(const Graph& g, std::size_t workers) {
+  constexpr std::size_t kBlock = 4096;
+  const std::size_t n = g.order();
+  EdgesByLabel edges;
+  edges.offsets.assign(n + 1, 0);
+  parallel::forEachBlock(workers, n, kBlock, [&](std::size_t b,
+                                                 std::size_t e) {
+    for (auto v = static_cast<Vertex>(b); v < e; ++v) {
+      const Vertex a = g.labelOf(v);
+      std::size_t count = 0;
+      for (const Vertex w : g.neighbors(v)) count += g.labelOf(w) > a;
+      edges.offsets[a + 1] = count;
+    }
+  });
+  for (std::size_t a = 0; a < n; ++a) {
+    edges.offsets[a + 1] += edges.offsets[a];
+  }
+  // Uninitialized: the fill writes every slot, its workers taking the
+  // first-touch page faults.
+  edges.later = std::make_unique_for_overwrite<Vertex[]>(edges.offsets[n]);
+  parallel::forEachBlock(workers, n, kBlock, [&](std::size_t b,
+                                                 std::size_t e) {
+    for (auto v = static_cast<Vertex>(b); v < e; ++v) {
+      const Vertex a = g.labelOf(v);
+      Vertex* const first = edges.later.get() + edges.offsets[a];
+      Vertex* last = first;
+      for (const Vertex w : g.neighbors(v)) {
+        if (g.labelOf(w) > a) *last++ = g.labelOf(w);
+      }
+      std::sort(first, last);
+    }
+  });
+  return edges;
+}
+
+}  // namespace detail
 
 }  // namespace selfstab::graph

@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "parallel/workers.hpp"
+
 namespace selfstab::graph {
 
 using Vertex = std::uint32_t;
@@ -199,11 +201,35 @@ class Graph {
 [[nodiscard]] Vertex neighborByLabelRank(const Graph& g, Vertex v,
                                          std::size_t rank);
 
+namespace detail {
+
+/// A labelled graph's edges in its external numbering, as a CSR over
+/// labels: later[offsets[a] .. offsets[a + 1]) holds the labels b > a of
+/// label a's neighbours, ascending.
+struct EdgesByLabel {
+  std::vector<std::size_t> offsets;
+  std::unique_ptr<Vertex[]> later;
+};
+
+/// Builds g's EdgesByLabel at width `workers` on parallel::team(): each
+/// stored vertex counts its larger-label neighbours into its label's slot,
+/// the counts are prefix-summed, and each vertex writes its sorted list at
+/// its label's offset. The same stream at every width.
+[[nodiscard]] EdgesByLabel edgesByLabel(const Graph& g, std::size_t workers);
+
+}  // namespace detail
+
+/// Labelled vertices per edgesByLabel worker; below 2 × this it stays
+/// serial. Measured on space-order unit-disk graphs (~0.45 µs a vertex
+/// serially): 2 workers win from 5000 vertices, 4 from 10000.
+inline constexpr std::size_t kLabelEdgeGrain = 2500;
+
 /// Calls fn(a, b) once per edge in g's external numbering, a < b, in
 /// lexicographic order: the order edges() gives for the same graph built
-/// unlabelled. Holds the inverse labels and one slice's worth of scratch.
-/// A labelled graph is walked in label order, a cache miss or more per
-/// vertex: 1.1 s at 10^6 against 0.07 s for an unlabelled one.
+/// unlabelled. A labelled graph is walked through detail::edgesByLabel,
+/// built on the team and held for the walk: (n + 1) × 8 B of offsets and
+/// m × 4 B of labels. Walking the CSR in label order instead costs a cache
+/// miss or more per vertex.
 template <typename Fn>
 void forEachEdgeByLabel(const Graph& g, Fn&& fn) {
   if (!g.labelled()) {
@@ -214,15 +240,12 @@ void forEachEdgeByLabel(const Graph& g, Fn&& fn) {
     }
     return;
   }
-  const std::vector<Vertex> byLabel = vertexByLabel(g);
-  std::vector<Vertex> later;
+  const detail::EdgesByLabel edges = detail::edgesByLabel(
+      g, parallel::workersFor(g.order(), kLabelEdgeGrain));
   for (Vertex a = 0; a < g.order(); ++a) {
-    later.clear();
-    for (const Vertex w : g.neighbors(byLabel[a])) {
-      if (g.labelOf(w) > a) later.push_back(g.labelOf(w));
+    for (std::size_t k = edges.offsets[a]; k < edges.offsets[a + 1]; ++k) {
+      fn(a, edges.later[k]);
     }
-    std::sort(later.begin(), later.end());
-    for (const Vertex b : later) fn(a, b);
   }
 }
 

@@ -39,6 +39,32 @@ TEST(LabelledIo, WritersMatchPointOrderBuild) {
   EXPECT_TRUE(readEdgeList(ss) == points);
 }
 
+// The label-ordered edge stream is the point-order build's edges(), at
+// every width: one worker, several workers each taking many blocks, and
+// more workers than blocks.
+TEST(LabelledIo, EdgesByLabelMatchesPointOrderAtEveryWidth) {
+  Rng rng(37);
+  const std::vector<Point> pts = randomPoints(20000, rng);
+  const Graph points = unitDiskGraph(pts, 0.012);
+  const Graph space = unitDiskGraph(pts, 0.012, VertexOrder::Space);
+  ASSERT_TRUE(space.labelled());
+  const std::vector<Edge> expected = points.edges();
+  for (const std::size_t workers : {1U, 3U, 8U}) {
+    SCOPED_TRACE(workers);
+    const detail::EdgesByLabel stream = detail::edgesByLabel(space, workers);
+    ASSERT_EQ(stream.offsets.size(), space.order() + 1);
+    ASSERT_EQ(stream.offsets.back(), expected.size());
+    std::vector<Edge> edges;
+    for (Vertex a = 0; a < space.order(); ++a) {
+      for (std::size_t k = stream.offsets[a]; k < stream.offsets[a + 1];
+           ++k) {
+        edges.push_back({a, stream.later[k]});
+      }
+    }
+    EXPECT_TRUE(edges == expected);
+  }
+}
+
 TEST(EdgeListIo, RoundTrip) {
   Rng rng(1);
   const Graph original = connectedErdosRenyi(20, 0.2, rng);
