@@ -105,18 +105,19 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" --gtest_filter='ExactExecutor.*'
   # The simulator's window executor at 2-4 workers: per-node phases write
-  # disjoint node ranges and their beacons' slots while the next window's
-  # geometry reads positions and the grid; the driving thread emits after
-  # the barrier.
+  # disjoint node ranges and capture payloads into their beacons' lane
+  # entries while other workers read the window's arrivals and the next
+  # window's geometry reads positions and the grid; the driving thread
+  # emits after the barrier.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
-    "$TSAN_DIR/tests/stress_tests" --gtest_filter='SimWindowExecutor.*'
+    "$TSAN_DIR/tests/stress_tests" --gtest_filter='*SimWindowExecutor*'
 } 2>&1 | tee "$ROOT/tsan_output.txt"
 
 # AddressSanitizer pass over the beacon-simulator suites: the spatial-index
 # rework moves neighbor caches and event queues onto flat vectors with
 # in-place compaction and move-out pops, and each broadcast's arrival reads
-# its payload and receiver list from a recycled batch slot, exactly the kind
-# of code ASan catches misusing. The grid-vs-scan differential tests double
+# its payload and receiver list from a recycled arrival-lane slot, exactly
+# the kind of code ASan catches misusing. The grid-vs-scan differential tests double
 # as the workload.
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -G Ninja -S "$ROOT" -DSELFSTAB_SANITIZE=address
@@ -179,11 +180,11 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # queues back as its moved list.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" --gtest_filter='ExactExecutor.*'
-  # Window executor: batch slots freed inside a window are recycled only
-  # after its per-node phase, and prepared mobility spans must cover every
+  # Window executor: lane slots popped by a window are released only after
+  # its per-node phase, and prepared mobility spans must cover every
   # position a window queries.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
-    "$ASAN_DIR/tests/stress_tests" --gtest_filter='SimWindowExecutor.*'
+    "$ASAN_DIR/tests/stress_tests" --gtest_filter='*SimWindowExecutor*'
 } 2>&1 | tee "$ROOT/asan_output.txt"
 
 # Debug pass: the Graph's bulk factory checks its input (ascending,

@@ -20,13 +20,18 @@
 // order, same event tie-breaking — which the differential suite in
 // tests/adhoc/test_network_differential.cpp asserts):
 //
-//  * A broadcast is one queue event, not one per receiver. At send time the
-//    sender's radio picks its receivers and the payload is captured into a
-//    recycled batch slot; one Arrival event at send + propagationDelay walks
-//    the ascending receiver list and applies each receiver's crash check at
-//    arrival time. Per-receiver events would share that timestamp and take
-//    consecutive sequence numbers, so no other event could fall between
-//    them: the batch replays exactly their order.
+//  * A broadcast is one arrival, not one event per receiver, and arrivals
+//    never enter the event queue. At send time the sender's radio picks its
+//    receivers, and the payload and the ascending receiver list go into an
+//    entry of the arrival lane (a FifoLane of recycled slots) keyed
+//    (send + propagationDelay, seq), the seq taken from the queue's one
+//    counter. Every arrival is due a fixed delay after its send, and sends
+//    run in time order, so the lane is sorted by construction, and merging
+//    it with the queue by (at, seq) pops exactly what one queue holding
+//    both would. The arrival walks its receivers and applies each one's
+//    crash check at arrival time. Per-receiver events would share that
+//    timestamp and take consecutive sequence numbers, so no other event
+//    could fall between them: the lane entry replays exactly their order.
 //  * Broadcast fan-out and collision checks consult an incrementally
 //    maintained SpatialGrid instead of scanning all n nodes. The exact
 //    distance test (which draws no random number) then filters the unsorted
@@ -38,7 +43,11 @@
 //    transmissions (recorded at the transmitter's exact cell at
 //    transmission time, lazily pruned); the query widens by
 //    maxSpeed x collisionWindow.
-//  * The event queue is a CalendarQueue bucketed at 1/16 beacon interval.
+//  * The event queue (beacon timers and chaos ticks) is a CalendarQueue
+//    whose buckets are one lookahead window wide, enough of them to cover
+//    one jittered, drifted beacon interval: a window drains whole buckets,
+//    each sorted once when the cursor reaches it (1/16 interval with no
+//    delay).
 //
 // Lookahead windows (docs/MODEL.md, docs/PERFORMANCE.md). A beacon reaches
 // its receivers exactly propagationDelay D after it is sent, and a node's
@@ -49,22 +58,27 @@
 // Misra 1979). run() and runUntilQuiet() therefore execute a window in
 // three phases that reproduce the per-event order bit for bit:
 //   (A) geometry, on the team: each beacon's ascending receiver list, a
-//       pure function of positions, radii and chaos masks;
-//   (B) serial, in event order: loss/jitter draws from the one RNG,
-//       collision checks, batch slots and every queue schedule;
+//       pure function of positions, radii and chaos masks, and its index
+//       counters (per worker) and histogram samples;
+//   (B) serial, in event order, only what needs that order: loss and
+//       jitter draws from the one RNG (with no loss and no collision model
+//       the loss draws are skipped over, Rng::discard, and the list is
+//       kept as it is), collision checks, lane appends and timer
+//       schedules; the window's grid placements are queued in event order
+//       beside it;
 //   (C) per node, on the team: each node's own events in (time, seq)
 //       order — arrivals into its cache, expiry, rule evaluation, payload
-//       capture — followed by a serial pass that emits move /
-//       neighbor_expired records, move hooks, stats and counters in event
-//       order.
+//       capture into its lane entry — followed by a serial pass that emits
+//       move / neighbor_expired records, move hooks, stats and counters in
+//       event order.
 // Phase C of one window runs in the same team dispatch as phase A of the
 // next. A ChaosTick or `until` ends a window early (the tick runs alone,
-// serially). The per-event loop (dispatch()) remains the reference order:
-// it runs every window when propagationDelay is 0 or the lookahead bound
-// fails, runUntilQuiet's window in which the quiet test could fire, and the
-// whole run for a simulator built with kPerEventLoop workers. Both orders
-// call the same handlers (locate / broadcast / expireAndEvaluate / deliver
-// / finish).
+// serially). The per-event loop (dispatchNext()) remains the reference
+// order: it runs every window when propagationDelay is 0 or the lookahead
+// bound fails, runUntilQuiet's window in which the quiet test could fire,
+// and the whole run for a simulator built with kPerEventLoop workers. Both
+// orders merge the lane with the queue and call the same handlers (locate
+// / broadcast / expireAndEvaluate / deliver / finish).
 //
 // Grid staleness. With D > 0 a beacon's grid placement is deferred to the
 // start of the next aligned window that holds an event, so a window's
@@ -237,12 +251,13 @@ class NetworkSimulator {
         config_(std::move(config)),
         rng_(config_.seed),
         nodes_(mobility.order()),
-        lastTx_(mobility.order(), -1),
-        queue_(config_.queue == QueueMode::Calendar
-                   ? std::max<SimTime>(1, config_.beaconInterval / 16)
-                   : 0) {
+        lastTx_(mobility.order(), -1) {
     assert(ids.order() == mobility.order());
     config_.validate();
+    if (config_.queue == QueueMode::Calendar) {  // else the one heap
+      const auto [width, count] = wheelShape(config_, 1.0);
+      queue_ = CalendarQueue<Event>(width, count);
+    }
     if (!config_.perNodeRadius.empty() &&
         config_.perNodeRadius.size() != mobility.order()) {
       throw std::invalid_argument(
@@ -377,7 +392,7 @@ class NetworkSimulator {
   /// later: hosts still moving is not quiescence.
   /// `noQuietBefore` suppresses the quiet exit until that time — a fault
   /// campaign must not declare quiescence while events are still pending.
-  /// Quiet is checked after each queue event, and a broadcast's arrival at
+  /// Quiet is checked after each event, and a broadcast's arrival at
   /// all of its receivers is one event, so the run stops on a broadcast
   /// boundary: no arrival is ever left half-delivered. (The lookahead
   /// window in which the test could first pass runs event by event.)
@@ -392,7 +407,7 @@ class NetworkSimulator {
     const QuietTest test{quietWindow, noQuietBefore, settle};
     result.quiet =
         drive(maxTime, settle != Mobility::kNeverSettles ? &test : nullptr);
-    result.endTime = queue_.now();
+    result.endTime = now_;
     result.stats = stats_;
     return result;
   }
@@ -405,7 +420,7 @@ class NetworkSimulator {
       nodes_[v].state = std::move(states[v]);
       nodes_[v].dirty = true;
     }
-    lastMove_ = queue_.now();
+    lastMove_ = now_;
   }
 
   /// Reboots node v: protocol state back to the protocol's initial value
@@ -416,9 +431,9 @@ class NetworkSimulator {
     nodes_[v].state = protocol_->initialState(v);
     nodes_[v].cache.clear();
     nodes_[v].dirty = true;
-    lastMove_ = queue_.now();
+    lastMove_ = now_;
     if (events_ != nullptr) {
-      events_->emit("reboot", {{"t_us", queue_.now()}, {"node", v}});
+      events_->emit("reboot", {{"t_us", now_}, {"node", v}});
     }
   }
 
@@ -434,7 +449,7 @@ class NetworkSimulator {
   /// (with uniform ranges this is the plain unit-disk graph). Asymmetric
   /// one-way reachability is, by the paper's model, not a link.
   [[nodiscard]] graph::Graph currentTopology() {
-    const SimTime now = queue_.now();
+    const SimTime now = now_;
     std::vector<graph::Point> pts(nodes_.size());
     for (graph::Vertex v = 0; v < nodes_.size(); ++v) {
       pts[v] = mobility_->position(v, now);
@@ -489,12 +504,12 @@ class NetworkSimulator {
   [[nodiscard]] const IndexStats& indexStats() const noexcept {
     return indexStats_;
   }
-  [[nodiscard]] SimTime now() const noexcept { return queue_.now(); }
+  [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] SimTime lastMoveTime() const noexcept { return lastMove_; }
 
   /// Number of whole beacon intervals elapsed — the paper's round count.
   [[nodiscard]] double roundsElapsed() const noexcept {
-    return static_cast<double>(queue_.now()) /
+    return static_cast<double>(now_) /
            static_cast<double>(config_.beaconInterval);
   }
 
@@ -518,7 +533,13 @@ class NetworkSimulator {
     chaos_->drift.assign(n, 1.0);
     chaos_->side.assign(n, 0);
     chaos_->garbled.assign(n, std::nullopt);
-    if (maxDriftFactor > 1.0) broadcastSlack_ *= maxDriftFactor;
+    if (maxDriftFactor > 1.0) {
+      broadcastSlack_ *= maxDriftFactor;
+      if (config_.queue == QueueMode::Calendar &&
+          config_.propagationDelay > 0) {
+        queue_.setBucketCount(wheelShape(config_, maxDriftFactor).second);
+      }
+    }
   }
 
   /// Schedules a ChaosTick carrying `index`; the handler set via
@@ -559,19 +580,19 @@ class NetworkSimulator {
     nodes_[v].state = protocol_->initialState(v);
     nodes_[v].cache.clear();
     nodes_[v].dirty = true;
-    lastMove_ = queue_.now();
+    lastMove_ = now_;
     if (config_.index == IndexMode::Grid) {
       // Placed at once (its recorded cell may be arbitrarily old), and
       // queued as the node's latest deferred placement so an earlier one
       // from the same window cannot overwrite it.
-      const graph::Point p = mobility_->position(v, queue_.now());
+      const graph::Point p = mobility_->position(v, now_);
       grid_.place(v, p);
       if (deferPlaces()) pendingPlaces_.push_back(Placement{v, p});
     }
-    queue_.schedule(queue_.now() + std::max<SimTime>(1, phase),
+    queue_.schedule(now_ + std::max<SimTime>(1, phase),
                     Event{BeaconTimer{v, chaos_->epoch[v]}});
     if (events_ != nullptr) {
-      events_->emit("reboot", {{"t_us", queue_.now()}, {"node", v}});
+      events_->emit("reboot", {{"t_us", now_}, {"node", v}});
     }
   }
 
@@ -620,7 +641,7 @@ class NetworkSimulator {
   void setNodeState(graph::Vertex v, State state) {
     nodes_[v].state = std::move(state);
     nodes_[v].dirty = true;
-    lastMove_ = queue_.now();
+    lastMove_ = now_;
   }
 
   [[nodiscard]] bool chaosCrashed(graph::Vertex v) const noexcept {
@@ -635,25 +656,26 @@ class NetworkSimulator {
     /// when no chaos state is attached.
     std::uint32_t epoch = 0;
   };
-  /// One broadcast's arrival at all of its receivers; `slot` indexes the
-  /// Batch holding the payload and the receiver list.
-  struct Arrival {
-    graph::Vertex from;
-    std::uint32_t slot;
-  };
   /// Fault-campaign timer; `index` identifies the FaultEvent to apply.
   struct ChaosTick {
     std::int64_t index;
   };
-  using Event = std::variant<BeaconTimer, Arrival, ChaosTick>;
+  /// What the queue holds; arrivals travel in the lane.
+  using Event = std::variant<BeaconTimer, ChaosTick>;
 
-  /// Payload as sent (a garbled one included) and the ascending receivers
-  /// that passed the range, chaos, loss and collision tests. Slots are
-  /// recycled once their arrival event has run.
-  struct Batch {
+  /// One broadcast's arrival at all of its receivers, an entry of the
+  /// arrival lane: the payload as sent (a garbled one included) and the
+  /// ascending receivers that passed the range, chaos, loss and collision
+  /// tests. Lane slots are recycled, receiver buffers included, once the
+  /// arrival has run.
+  struct Arrival {
+    SimTime at = 0;
+    std::uint64_t seq = 0;
+    graph::Vertex from = 0;
     State payload{};
     std::vector<graph::Vertex> receivers;
   };
+  using Lane = FifoLane<Arrival>;
 
   // Sender first, then the state, then the 8-byte stamp: a 4-byte state
   // packs the entry into 16 bytes instead of 24.
@@ -681,22 +703,17 @@ class NetworkSimulator {
     graph::Vertex node;
   };
 
-  static constexpr std::uint32_t kNoSlot =
-      std::numeric_limits<std::uint32_t>::max();
-
   /// One beacon-timer firing, carried through the handlers: locate (A)
-  /// fills the receiver list and its diagnostics, broadcast (B) filters it
-  /// and picks the slot, expireAndEvaluate (C) records what finish() emits.
+  /// fills the receiver list, broadcast (B) filters it into a lane entry,
+  /// expireAndEvaluate (C) records what finish() emits.
   struct alignas(64) Beacon {
     graph::Vertex node = 0;
+    std::uint32_t event = 0;      ///< its index in the window's events
     SimTime at = 0;
     graph::Point pos;
     std::vector<graph::Vertex> receivers;
-    std::size_t candidates = 0;   ///< grid gather size
-    std::size_t occupancy = 0;    ///< sender's grid cell population
-    std::size_t rangeChecks = 0;
-    std::uint32_t slot = kNoSlot;
-    bool capture = false;         ///< the slot takes the post-move state
+    typename Lane::Position arrival = 0;  ///< its lane entry
+    bool capture = false;         ///< the entry takes the post-move state
     std::vector<graph::Vertex> expired;  ///< filled only with an event log
     std::size_t expiredCount = 0;
     std::size_t cacheSize = 0;
@@ -706,19 +723,21 @@ class NetworkSimulator {
   };
 
   /// A window's events in (time, seq) order; `index` is the Beacon slot of
-  /// a timer.
+  /// a timer and the lane position of an arrival.
   struct WindowEvent {
     enum class Kind : std::uint8_t { Timer, Arrival, Orphan };
     Kind kind;
-    SimTime at;
-    graph::Vertex from;    ///< Arrival
-    std::uint32_t index;   ///< Timer: beacon; Arrival: batch slot
+    std::uint64_t index;
   };
 
   struct Window {
     std::vector<WindowEvent> events;
-    std::vector<Beacon> beacons;  ///< grows, never shrinks: buffers reused
+    /// The timers' beacons in event order; grows, never shrinks: buffers
+    /// are reused.
+    std::vector<Beacon> beacons;
     std::size_t beaconCount = 0;
+    /// One past the window's last arrival.
+    typename Lane::Position laneEnd = 0;
   };
 
   struct Placement {
@@ -732,15 +751,41 @@ class NetworkSimulator {
     SimTime settle;
   };
 
-  /// One worker's own state: the view buffer, its delivery count, and the
-  /// cumulative seconds it spent in each team phase (cache-line aligned so
-  /// workers never share a line).
+  /// One worker's own state: the view buffer, its delivery count, phase
+  /// A's index counters (added to IndexStats when a drive call returns),
+  /// and the cumulative seconds it spent in each team phase (cache-line
+  /// aligned so workers never share a line).
   struct alignas(64) WorkerSlot {
     std::vector<engine::NeighborRef<State>> view;
     std::size_t delivered = 0;  ///< this window's deliveries (phase C)
+    std::size_t gridQueries = 0;
+    std::size_t candidates = 0;
+    std::size_t rangeChecks = 0;
     double geometry = 0.0;
     double node = 0.0;
   };
+
+  /// The calendar's bucket width and count. With a delay D a bucket is one
+  /// lookahead window (a whole number of them once an interval spans more
+  /// than kMaxBuckets windows), so a window drains buckets that were each
+  /// sorted once, and the wheel covers one jittered beacon interval
+  /// stretched by `drift`; later timers overflow. With no delay, 64
+  /// buckets of 1/16 interval.
+  static std::pair<SimTime, std::size_t> wheelShape(const NetworkConfig& c,
+                                                    double drift) {
+    const SimTime d = c.propagationDelay;
+    if (d <= 0) return {std::max<SimTime>(1, c.beaconInterval / 16), 64};
+    constexpr SimTime kMaxBuckets = 4096;
+    const SimTime width =
+        d * std::max<SimTime>(1, (c.beaconInterval / d + kMaxBuckets - 1) /
+                                     kMaxBuckets);
+    const double cover = (1.0 + c.jitterFraction) * drift *
+                         static_cast<double>(c.beaconInterval);
+    return {width, static_cast<std::size_t>(std::min(
+                       cover / static_cast<double>(width),
+                       4.0 * static_cast<double>(kMaxBuckets))) +
+                       2};
+  }
 
   // --- Drive loop --------------------------------------------------------
 
@@ -752,6 +797,12 @@ class NetworkSimulator {
     dispatchSeconds_ = 0.0;
     const bool stopped = driveWindows(until, quiet);
     if (workers_ > 1) parallel::team().rest();  // none until the next drive
+    for (WorkerSlot& w : workerSlots_) {
+      indexStats_.gridQueries += std::exchange(w.gridQueries, 0);
+      indexStats_.broadcastCandidates += std::exchange(w.candidates, 0);
+      countBatch(indexStats_.rangeChecks, metrics_.rangeChecks,
+                 std::exchange(w.rangeChecks, 0));
+    }
     if (timed) {
       const double total =
           std::chrono::duration<double>(Clock::now() - start).count();
@@ -769,11 +820,11 @@ class NetworkSimulator {
   }
 
   bool driveWindows(SimTime until, const QuietTest* quiet) {
-    while (!queue_.empty() && queue_.nextTime() <= until) {
-      const SimTime first = queue_.nextTime();
+    while (pending() && nextTime() <= until) {
+      const SimTime first = nextTime();
       enterWindowOf(first);
-      if (std::holds_alternative<ChaosTick>(queue_.peek())) {
-        dispatch(queue_.pop());
+      if (tickNext()) {
+        dispatchNext();
         if (quietNow(quiet)) return true;
         continue;
       }
@@ -784,22 +835,37 @@ class NetworkSimulator {
       // The reference order: event by event to the window's end.
       countOne(metrics_.eventLoopWindows);
       const SimTime end = windowEnd(first);
-      while (!queue_.empty() && queue_.nextTime() < end &&
-             queue_.nextTime() <= until) {
-        dispatch(queue_.pop());
+      while (pending() && nextTime() < end && nextTime() <= until) {
+        dispatchNext();
         if (quietNow(quiet)) return true;
       }
     }
     return false;
   }
 
+  /// Whether an event is pending in the queue or the arrival lane.
+  [[nodiscard]] bool pending() const noexcept {
+    return !queue_.empty() || !lane_.empty();
+  }
+
+  /// Time of the next event, the lane's or the queue's, whichever leads by
+  /// (at, seq); requires pending().
+  [[nodiscard]] SimTime nextTime() {
+    return lane_.leads(queue_) ? lane_.front().at : queue_.nextTime();
+  }
+
+  /// Whether the next event is a ChaosTick; requires pending().
+  [[nodiscard]] bool tickNext() {
+    return !lane_.leads(queue_) &&
+           std::holds_alternative<ChaosTick>(queue_.peek());
+  }
+
   /// Whether the next event opens a window the executor may run in phases:
   /// it is due by `until`, is no ChaosTick, the lookahead bound holds, and
   /// runUntilQuiet's test cannot pass inside the window.
   [[nodiscard]] bool phasedNext(SimTime until, const QuietTest* quiet) {
-    return !queue_.empty() && queue_.nextTime() <= until &&
-           !std::holds_alternative<ChaosTick>(queue_.peek()) && windowed() &&
-           !quietPossible(quiet, windowEnd(queue_.nextTime()));
+    return pending() && nextTime() <= until && !tickNext() && windowed() &&
+           !quietPossible(quiet, windowEnd(nextTime()));
   }
 
   /// The window executor: runs consecutive lookahead windows, overlapping
@@ -811,10 +877,11 @@ class NetworkSimulator {
     collect(*cur, until);
     runTeam(nullptr, cur);
     for (;;) {
+      queuePlacements(*cur);
       broadcastAll(*cur);
       const bool more = phasedNext(until, quiet);
       if (more) {
-        enterWindowOf(queue_.nextTime());
+        enterWindowOf(nextTime());
         collect(*next, until);
       }
       runTeam(cur, more ? next : nullptr);
@@ -824,63 +891,71 @@ class NetworkSimulator {
       }
       countBatch(stats_.beaconsDelivered, metrics_.beaconsDelivered,
                  delivered);
-      for (const WindowEvent& e : cur->events) {
-        if (e.kind == WindowEvent::Kind::Timer) finish(cur->beacons[e.index]);
+      for (std::size_t i = 0; i < cur->beaconCount; ++i) {
+        finish(cur->beacons[i]);
       }
-      freeBatches_.insert(freeBatches_.end(), released_.begin(),
-                          released_.end());
-      released_.clear();
+      lane_.release(cur->laneEnd);  // phase C has read its arrivals
       if (!more) return;
       std::swap(cur, next);
     }
   }
 
-  /// Pops one window's events (all already queued: see the header comment)
-  /// and prepares the mobility span they query.
+  /// Pops one window's events (all already queued: see the header comment),
+  /// merging the lane's arrivals with the queue's timers by (at, seq), and
+  /// prepares the mobility span they query.
   void collect(Window& w, SimTime until) {
     countOne(metrics_.windows);
     w.events.clear();
     w.beaconCount = 0;
-    const SimTime first = queue_.nextTime();
+    const SimTime first = nextTime();
     const SimTime end = windowEnd(first);
+    const auto due = [&](SimTime at) { return at < end && at <= until; };
     SimTime last = first;
-    while (!queue_.empty() && queue_.nextTime() < end &&
-           queue_.nextTime() <= until &&
-           !std::holds_alternative<ChaosTick>(queue_.peek())) {
-      Event event = queue_.pop();
-      last = queue_.now();
-      if (const auto* timer = std::get_if<BeaconTimer>(&event)) {
-        if (orphaned(*timer)) {
-          w.events.push_back({WindowEvent::Kind::Orphan, last, 0, 0});
-          continue;
-        }
-        if (w.beaconCount == w.beacons.size()) w.beacons.emplace_back();
-        Beacon& b = w.beacons[w.beaconCount];
-        b.node = timer->node;
-        b.at = last;
-        w.events.push_back({WindowEvent::Kind::Timer, last, 0,
-                            static_cast<std::uint32_t>(w.beaconCount++)});
-      } else {
-        const auto& arrival = std::get<Arrival>(event);
-        w.events.push_back(
-            {WindowEvent::Kind::Arrival, last, arrival.from, arrival.slot});
+    for (;;) {
+      if (lane_.leads(queue_)) {
+        const SimTime at = lane_.front().at;
+        if (!due(at)) break;
+        last = at;
+        w.events.push_back({WindowEvent::Kind::Arrival, lane_.pop()});
+        continue;
       }
+      if (queue_.empty()) break;
+      const SimTime at = queue_.nextTime();
+      if (!due(at) || std::holds_alternative<ChaosTick>(queue_.peek())) {
+        break;
+      }
+      const BeaconTimer timer = std::get<BeaconTimer>(queue_.pop());
+      last = at;
+      if (orphaned(timer)) {
+        w.events.push_back({WindowEvent::Kind::Orphan, 0});
+        continue;
+      }
+      if (w.beaconCount == w.beacons.size()) w.beacons.emplace_back();
+      Beacon& b = w.beacons[w.beaconCount];
+      b.node = timer.node;
+      b.at = at;
+      b.event = static_cast<std::uint32_t>(w.events.size());
+      w.events.push_back({WindowEvent::Kind::Timer, w.beaconCount++});
     }
+    w.laneEnd = lane_.head();
+    now_ = last;
     mobility_->prepare(first, last);
+  }
+
+  /// The window's grid placements, in event order (a node's latest one
+  /// wins), for enterWindowOf to apply when the next window opens.
+  void queuePlacements(const Window& w) {
+    if (config_.index != IndexMode::Grid) return;
+    for (std::size_t i = 0; i < w.beaconCount; ++i) {
+      pendingPlaces_.push_back(Placement{w.beacons[i].node, w.beacons[i].pos});
+    }
   }
 
   /// Phase B over a window, in event order.
   void broadcastAll(Window& w) {
-    for (std::size_t i = 0; i < w.events.size(); ++i) {
-      const WindowEvent& e = w.events[i];
-      const std::size_t later = w.events.size() - i - 1;
-      if (e.kind == WindowEvent::Kind::Timer) {
-        broadcast(w.beacons[e.index], later);
-      } else if (e.kind == WindowEvent::Kind::Arrival) {
-        // Phase C still reads the slot (and counts its deliveries); it is
-        // recycled after the window.
-        released_.push_back(e.index);
-      }
+    for (std::size_t i = 0; i < w.beaconCount; ++i) {
+      Beacon& b = w.beacons[i];
+      broadcast(b, w.events.size() - b.event - 1);
     }
   }
 
@@ -926,13 +1001,14 @@ class NetworkSimulator {
                      std::size_t worker) {
     const bool timed = metrics_.serialSeconds != nullptr;
     const auto start = timed ? Clock::now() : Clock::time_point{};
+    WorkerSlot& slot = workerSlots_[worker];
     for (std::size_t i = first; i < last; ++i) {
       Beacon& b = w.beacons[i];
       b.pos = mobility_->preparedPosition(b.node, b.at);
-      locate(b);
+      locate(b, slot);
     }
     if (timed) {
-      workerSlots_[worker].geometry +=
+      slot.geometry +=
           std::chrono::duration<double>(Clock::now() - start).count();
     }
   }
@@ -958,15 +1034,15 @@ class NetworkSimulator {
               std::chrono::duration<double>(Clock::now() - begin).count();
         }
       } else if (e.kind == WindowEvent::Kind::Arrival) {
-        const Batch& batch = batches_[e.index];
-        const auto& to = batch.receivers;
+        const Arrival& arrival = std::as_const(lane_)[e.index];
+        const auto& to = arrival.receivers;
         auto it = std::lower_bound(to.begin(), to.end(),
                                    static_cast<graph::Vertex>(lo));
         std::size_t delivered = 0;
         const bool crashes = anyCrashed();
         for (; it != to.end() && *it < hi; ++it) {
           if (crashes && chaos_->crashed[*it] != 0) continue;
-          deliver(nodes_[*it], e.from, batch.payload, e.at);
+          deliver(nodes_[*it], arrival.from, arrival.payload, arrival.at);
           ++delivered;
         }
         workerSlots_[worker].delivered += delivered;
@@ -980,13 +1056,18 @@ class NetworkSimulator {
 
   // --- Per-event loop ---------------------------------------------------
 
-  void dispatch(Event event) {
+  /// Runs the next event, the lane's or the queue's.
+  void dispatchNext() {
+    if (lane_.leads(queue_)) {
+      onArrival();
+      return;
+    }
+    Event event = queue_.pop();
+    now_ = queue_.now();
     if (auto* timer = std::get_if<BeaconTimer>(&event)) {
       onBeaconTimer(*timer);
-    } else if (auto* tick = std::get_if<ChaosTick>(&event)) {
-      if (chaos_ != nullptr && chaos_->handler) chaos_->handler(tick->index);
-    } else {
-      onArrival(std::get<Arrival>(event));
+    } else if (chaos_ != nullptr && chaos_->handler) {
+      chaos_->handler(std::get<ChaosTick>(event).index);
     }
   }
 
@@ -995,17 +1076,21 @@ class NetworkSimulator {
     const auto start = metrics_.roundDuration != nullptr
                            ? Clock::now()
                            : Clock::time_point{};
-    const SimTime now = queue_.now();
+    const SimTime now = now_;
     mobility_->prepare(now, now);
     Beacon& b = solo_;
     b.node = timer.node;
     b.at = now;
     expireAndEvaluate(b, workerSlots_[0].view);
     b.pos = mobility_->preparedPosition(b.node, now);
-    if (config_.index == IndexMode::Grid && !deferPlaces()) {
-      grid_.place(b.node, b.pos);
+    if (config_.index == IndexMode::Grid) {
+      if (deferPlaces()) {
+        pendingPlaces_.push_back(Placement{b.node, b.pos});
+      } else {
+        grid_.place(b.node, b.pos);
+      }
     }
-    locate(b);
+    locate(b, workerSlots_[0]);
     broadcast(b, 0);
     capture(b);
     if (metrics_.roundDuration != nullptr) {
@@ -1014,21 +1099,22 @@ class NetworkSimulator {
     finish(b);
   }
 
-  /// Delivers one broadcast to its receivers, in ascending order. A
-  /// receiver that crashed after the send hears nothing; the others are
-  /// unaffected. The slot goes back to the free list afterwards.
-  void onArrival(const Arrival& arrival) {
-    const Batch& batch = batches_[arrival.slot];
-    const SimTime now = queue_.now();
+  /// Pops the lane's front and delivers that broadcast to its receivers,
+  /// in ascending order. A receiver that crashed after the send hears
+  /// nothing; the others are unaffected. The slot is released afterwards.
+  void onArrival() {
+    const typename Lane::Position at = lane_.pop();
+    const Arrival& arrival = lane_[at];
+    now_ = arrival.at;
     std::size_t delivered = 0;
     const bool crashes = anyCrashed();
-    for (const graph::Vertex to : batch.receivers) {
+    for (const graph::Vertex to : arrival.receivers) {
       if (crashes && chaos_->crashed[to] != 0) continue;
-      deliver(nodes_[to], arrival.from, batch.payload, now);
+      deliver(nodes_[to], arrival.from, arrival.payload, arrival.at);
       ++delivered;
     }
     countBatch(stats_.beaconsDelivered, metrics_.beaconsDelivered, delivered);
-    freeBatches_.push_back(arrival.slot);
+    lane_.release(at + 1);
   }
 
   // --- Handlers shared by both orders -----------------------------------
@@ -1039,8 +1125,9 @@ class NetworkSimulator {
   /// the unsorted candidates. Both index modes end up with the same list,
   /// so the draws that follow come out identical; the grid merely prunes
   /// receivers that cannot be in range. Reads only positions, radii, chaos
-  /// masks and the grid.
-  void locate(Beacon& b) const {
+  /// masks and the grid; counts its index diagnostics into `tally` (the
+  /// histograms are atomic).
+  void locate(Beacon& b, WorkerSlot& tally) const {
     const graph::Vertex v = b.node;
     const graph::Point me = b.pos;
     const double r2 = radiusOf(v) * radiusOf(v);
@@ -1065,8 +1152,15 @@ class NetworkSimulator {
     out.clear();
     if (config_.index == IndexMode::Grid) {
       grid_.gather(me, radiusOf(v) + broadcastSlack_, out);
-      b.candidates = out.size();
-      b.occupancy = grid_.cellMembers(grid_.cellOf(me)).size();
+      ++tally.gridQueries;
+      tally.candidates += out.size();
+      if (metrics_.broadcastCandidates != nullptr) {
+        metrics_.broadcastCandidates->observe(static_cast<double>(out.size()));
+      }
+      if (metrics_.gridOccupancy != nullptr) {
+        metrics_.gridOccupancy->observe(static_cast<double>(
+            grid_.cellMembers(grid_.cellOf(me)).size()));
+      }
       std::erase_if(out, [&](graph::Vertex u) { return !inRange(u); });
       graph::sortNeighbors(out.data(), out.size());
     } else {
@@ -1074,70 +1168,65 @@ class NetworkSimulator {
         if (inRange(u)) out.push_back(u);
       }
     }
-    b.rangeChecks = rangeChecks;
+    tally.rangeChecks += rangeChecks;
   }
 
-  /// Phase B for one beacon: index diagnostics, deferred grid placement,
-  /// loss draws and collision checks in ascending receiver order, the batch
-  /// slot and both schedules, then the jitter draw. `later` is the number
-  /// of this window's events still to come, which the per-event loop would
-  /// not have popped yet (so the queue-depth sample matches it).
+  /// Phase B for one beacon, the work that needs event order: loss draws
+  /// and collision checks in ascending receiver order, the lane entry, the
+  /// collision ring, then the jitter draw and the next timer. With no loss
+  /// and no collision model every draw would come out "kept", so the
+  /// stream is advanced by as many draws and the list is left as it is.
+  /// `later` is the number of this window's events still to come, which
+  /// the per-event loop would not have popped yet (so the queue-depth
+  /// sample matches it).
   void broadcast(Beacon& b, std::size_t later) {
     const graph::Vertex v = b.node;
     const SimTime now = b.at;
-    if (config_.index == IndexMode::Grid) {
-      ++indexStats_.gridQueries;
-      indexStats_.broadcastCandidates += b.candidates;
-      if (metrics_.broadcastCandidates != nullptr) {
-        metrics_.broadcastCandidates->observe(
-            static_cast<double>(b.candidates));
+    if (config_.lossProbability == 0.0 && config_.collisionWindow == 0) {
+      rng_.discard(b.receivers.size());
+    } else {
+      std::size_t lost = 0;
+      std::size_t collided = 0;
+      std::size_t receivers = 0;
+      for (const graph::Vertex u : b.receivers) {
+        if (rng_.chance(config_.lossProbability)) {
+          ++lost;
+        } else if (config_.collisionWindow > 0 &&
+                   collidesAt(u, v, mobility_->preparedPosition(u, now),
+                              now)) {
+          ++collided;
+        } else {
+          b.receivers[receivers++] = u;
+        }
       }
-      if (metrics_.gridOccupancy != nullptr) {
-        metrics_.gridOccupancy->observe(static_cast<double>(b.occupancy));
-      }
-      if (deferPlaces()) pendingPlaces_.push_back(Placement{v, b.pos});
+      b.receivers.resize(receivers);
+      countBatch(stats_.beaconsLost, metrics_.beaconsLost, lost);
+      countBatch(stats_.beaconsCollided, metrics_.beaconsCollided, collided);
     }
-    countBatch(indexStats_.rangeChecks, metrics_.rangeChecks, b.rangeChecks);
-    std::size_t lost = 0;
-    std::size_t collided = 0;
-    std::size_t receivers = 0;
-    for (const graph::Vertex u : b.receivers) {
-      if (rng_.chance(config_.lossProbability)) {
-        ++lost;
-      } else if (config_.collisionWindow > 0 &&
-                 collidesAt(u, v, mobility_->preparedPosition(u, now), now)) {
-        ++collided;
-      } else {
-        b.receivers[receivers++] = u;
-      }
-    }
-    b.receivers.resize(receivers);
-    countBatch(stats_.beaconsLost, metrics_.beaconsLost, lost);
-    countBatch(stats_.beaconsCollided, metrics_.beaconsCollided, collided);
-    b.slot = kNoSlot;
     b.capture = false;
     if (!b.receivers.empty()) {
-      // One arrival event for the whole broadcast. The payload is captured
-      // at send time, so a garble reset or a state change before arrival
-      // is unseen: a garbled one here, the post-evaluation state in
-      // capture().
-      b.slot = acquireBatch();
-      Batch& batch = batches_[b.slot];
+      // One lane entry for the whole broadcast. The payload is captured at
+      // send time, so a garble reset or a state change before arrival is
+      // unseen: a garbled one here, the post-evaluation state in capture().
+      Arrival& arrival =
+          lane_.push(now + config_.propagationDelay, queue_.takeSeq());
+      b.arrival = lane_.tail() - 1;
+      arrival.from = v;
+      arrival.receivers.swap(b.receivers);  // b's list is rebuilt next time
       if (faulted() && chaos_->garbled[v].has_value()) {
-        batch.payload = *chaos_->garbled[v];
+        arrival.payload = *chaos_->garbled[v];
       } else {
         b.capture = true;
       }
-      batch.receivers.swap(b.receivers);  // b's list is rebuilt next time
-      queue_.schedule(now + config_.propagationDelay,
-                      Event{Arrival{v, b.slot}});
     }
-    if (config_.index == IndexMode::Grid && config_.collisionWindow > 0) {
-      auto& ring = txRings_[grid_.cellOf(b.pos)];
-      pruneRing(ring, now);
-      ring.push_back(TxRecord{now, v});
+    if (config_.collisionWindow > 0) {
+      if (config_.index == IndexMode::Grid) {
+        auto& ring = txRings_[grid_.cellOf(b.pos)];
+        pruneRing(ring, now);
+        ring.push_back(TxRecord{now, v});
+      }
+      lastTx_[v] = now;
     }
-    lastTx_[v] = now;
     ++stats_.beaconsSent;
     if (metrics_.beaconsSent != nullptr) metrics_.beaconsSent->inc();
     if (faulted()) chaos_->garbled[v].reset();  // one beacon only
@@ -1155,7 +1244,8 @@ class NetworkSimulator {
     queue_.schedule(now + interval,
                     Event{BeaconTimer{v, faulted() ? chaos_->epoch[v] : 0}});
     if (metrics_.queueDepth != nullptr) {
-      metrics_.queueDepth->observe(static_cast<double>(queue_.size() + later));
+      metrics_.queueDepth->observe(
+          static_cast<double>(queue_.size() + lane_.size() + later));
     }
   }
 
@@ -1220,9 +1310,9 @@ class NetworkSimulator {
     }
   }
 
-  /// The post-evaluation state into the broadcast's slot (phase C).
+  /// The post-evaluation state into the broadcast's lane entry (phase C).
   void capture(const Beacon& b) {
-    if (b.capture) batches_[b.slot].payload = nodes_[b.node].state;
+    if (b.capture) lane_[b.arrival].payload = nodes_[b.node].state;
   }
 
   /// One receiver's share of an arrival: insert or refresh the sender's
@@ -1347,18 +1437,8 @@ class NetworkSimulator {
   }
 
   [[nodiscard]] bool quietNow(const QuietTest* q) const noexcept {
-    return q != nullptr && queue_.now() >= q->noQuietBefore &&
-           queue_.now() - std::max(lastMove_, q->settle) >= q->window;
-  }
-
-  [[nodiscard]] std::uint32_t acquireBatch() {
-    if (freeBatches_.empty()) {
-      batches_.emplace_back();
-      return static_cast<std::uint32_t>(batches_.size() - 1);
-    }
-    const std::uint32_t slot = freeBatches_.back();
-    freeBatches_.pop_back();
-    return slot;
+    return q != nullptr && now_ >= q->noQuietBefore &&
+           now_ - std::max(lastMove_, q->settle) >= q->window;
   }
 
   /// Adds one broadcast's worth to a stats field and its shadow counter.
@@ -1538,9 +1618,8 @@ class NetworkSimulator {
   CalendarQueue<Event> queue_;
   graph::SpatialGrid grid_;
   std::vector<std::vector<TxRecord>> txRings_;  ///< per grid cell
-  std::vector<Batch> batches_;                  ///< broadcasts in flight
-  std::vector<std::uint32_t> freeBatches_;      ///< recycled batches_ slots
-  std::vector<std::uint32_t> released_;  ///< freed this window, recycled after
+  Lane lane_;  ///< broadcasts in flight, in arrival order
+  SimTime now_ = 0;  ///< time of the last event run
   std::vector<Placement> pendingPlaces_;  ///< deferred grid placements
   SimTime placedWindow_ = 0;  ///< aligned window the grid was brought up to
   double maxRadius_ = 0.0;

@@ -105,6 +105,12 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool chance(double p) noexcept { return real() < p; }
 
+  /// Advances the stream past `k` draws: the state `k` calls to next()
+  /// (or to real() or chance()) would leave.
+  constexpr void discard(std::uint64_t k) noexcept {
+    for (; k > 0; --k) next();
+  }
+
   /// In-place Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::span<T> items) noexcept {

@@ -11,8 +11,10 @@
 // (with pause legs shorter than a window); per-node radii, loss and
 // collisions; chaos crash / rejoin inside a window / partition / drift /
 // garble / stuck; runUntilQuiet stopping mid-window; a zero propagation
-// delay; and run() called once, once per beacon interval, and at odd
-// times. Iteration count scales with the SELFSTAB_STRESS_ITERS env var.
+// delay; and run() called once, once per beacon interval, at odd times, and
+// at the last microsecond of a window with broadcasts in flight and a
+// ChaosTick on the boundary right after. Iteration count scales with the
+// SELFSTAB_STRESS_ITERS env var.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -43,7 +45,7 @@ std::size_t stressIters(std::size_t fallback) {
   return fallback;
 }
 
-enum class Slicing { Whole, PerInterval, OddSlices, UntilQuiet };
+enum class Slicing { Whole, PerInterval, OddSlices, UntilQuiet, WindowEdges };
 
 struct Scenario {
   std::size_t nodes = 0;
@@ -83,6 +85,19 @@ void expectSame(const Outcome& oracle, const Outcome& got,
       << oracle.events.size() << " bytes)";
 }
 
+/// Aligned window starts a little over two intervals apart: the
+/// WindowEdges slicing ends a run() one microsecond before each, with the
+/// last window's broadcasts still in flight.
+std::vector<SimTime> windowEdges(const Scenario& s) {
+  const SimTime d = s.config.propagationDelay;
+  std::vector<SimTime> edges;
+  for (SimTime t = 2 * s.config.beaconInterval + 3 * d; t < s.duration;
+       t += 2 * s.config.beaconInterval + 7 * d) {
+    edges.push_back(t / d * d);
+  }
+  return edges;
+}
+
 /// Faults at times that are no multiple of the 1 ms window, so ticks split
 /// windows: crash, rejoin, partition and heal, drift (one factor small
 /// enough to break the lookahead bound and force the per-event loop for a
@@ -119,6 +134,20 @@ void installChaos(NetworkSimulator<State>& sim, const Scenario& s,
     script.push_back(plan[i].second);
     sim.chaosScheduleTick(plan[i].first, static_cast<std::int64_t>(i));
   }
+  if (s.slicing == Slicing::WindowEdges) {
+    // A tick on the first microsecond after each slice, while the
+    // broadcasts of the slice's last (phased) window are in flight.
+    const std::vector<SimTime> edges = windowEdges(s);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const double loss = i % 2 == 0 ? 0.2 : s.config.lossProbability;
+      script.push_back([&sim, loss, b] {
+        sim.chaosSetLossProbability(loss);
+        sim.chaosGarble(b, State{});
+      });
+      sim.chaosScheduleTick(edges[i],
+                            static_cast<std::int64_t>(script.size() - 1));
+    }
+  }
   sim.chaosSetHandler(
       [&script](std::int64_t i) { script[static_cast<std::size_t>(i)](); });
 }
@@ -150,6 +179,10 @@ Outcome runOnce(const engine::Protocol<State>& protocol, const Scenario& s,
         t = std::min(s.duration, t + 7777 + (t % 3) * 1234);
         sim.run(t);
       }
+      break;
+    case Slicing::WindowEdges:
+      for (const SimTime edge : windowEdges(s)) sim.run(edge - 1);
+      sim.run(s.duration);
       break;
     case Slicing::UntilQuiet: {
       const QuietResult r = sim.runUntilQuiet(5 * interval, s.duration);
@@ -259,8 +292,41 @@ TEST(SimWindowExecutor, LeaderTreeMatchesPerEventLoop) {
   }
 }
 
-/// Every mode pair, chaos on, under each slicing.
-TEST(SimWindowExecutor, EveryModeAndSlicingUnderChaos) {
+/// Every mode pair, chaos on, under each slicing: one case per (index,
+/// queue, slicing) so the cases run in parallel under ctest -j.
+struct ModeCase {
+  IndexMode index;
+  QueueMode queue;
+  Slicing slicing;
+};
+
+std::vector<ModeCase> everyModeCase() {
+  std::vector<ModeCase> cases;
+  for (const IndexMode index : {IndexMode::Grid, IndexMode::Scan}) {
+    for (const QueueMode queue : {QueueMode::Calendar, QueueMode::Heap}) {
+      for (const Slicing slicing :
+           {Slicing::Whole, Slicing::PerInterval, Slicing::OddSlices,
+            Slicing::UntilQuiet, Slicing::WindowEdges}) {
+        cases.push_back({index, queue, slicing});
+      }
+    }
+  }
+  return cases;
+}
+
+std::string modeCaseName(const ModeCase& c) {
+  static constexpr const char* kSlicings[] = {
+      "Whole", "PerInterval", "OddSlices", "UntilQuiet", "WindowEdges"};
+  return std::string(c.index == IndexMode::Grid ? "Grid" : "Scan") +
+         (c.queue == QueueMode::Calendar ? "Calendar" : "Heap") +
+         kSlicings[static_cast<int>(c.slicing)];
+}
+
+void PrintTo(const ModeCase& c, std::ostream* os) { *os << modeCaseName(c); }
+
+class SimWindowExecutorModes : public ::testing::TestWithParam<ModeCase> {};
+
+TEST_P(SimWindowExecutorModes, MatchesPerEventLoopUnderChaos) {
   Scenario s = makeScenario(7);
   s.nodes = 240;
   s.start.resize(s.nodes);
@@ -275,19 +341,18 @@ TEST(SimWindowExecutor, EveryModeAndSlicingUnderChaos) {
   s.config.collisionWindow = s.config.beaconInterval / 10;
   s.config.lossProbability = 0.05;
   s.chaos = true;
-  for (const IndexMode index : {IndexMode::Grid, IndexMode::Scan}) {
-    for (const QueueMode queue : {QueueMode::Calendar, QueueMode::Heap}) {
-      for (const Slicing slicing : {Slicing::Whole, Slicing::PerInterval,
-                                  Slicing::OddSlices, Slicing::UntilQuiet}) {
-        s.config.index = index;
-        s.config.queue = queue;
-        s.slicing = slicing;
-        checkAllWorkerCounts<core::PointerState>(
-            core::smmPaper(), s, "modes " + describe(7, s));
-      }
-    }
-  }
+  s.config.index = GetParam().index;
+  s.config.queue = GetParam().queue;
+  s.slicing = GetParam().slicing;
+  checkAllWorkerCounts<core::PointerState>(core::smmPaper(), s,
+                                           "modes " + describe(7, s));
 }
+
+INSTANTIATE_TEST_SUITE_P(EveryModeAndSlicing, SimWindowExecutorModes,
+                         ::testing::ValuesIn(everyModeCase()),
+                         [](const ::testing::TestParamInfo<ModeCase>& c) {
+                           return modeCaseName(c.param);
+                         });
 
 /// Static hosts converge, so runUntilQuiet stops inside a window; the
 /// window in which the quiet test could fire runs event by event.

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -63,6 +65,45 @@ TEST(LabelledIo, EdgesByLabelMatchesPointOrderAtEveryWidth) {
     }
     EXPECT_TRUE(edges == expected);
   }
+}
+
+// The writers format into a buffer; their bytes are the stream's, checked
+// against `<<` on a labelled space-order graph whose vertex numbers pass
+// 10^6 (seven digits, and more edges than one buffer chunk holds).
+TEST(LabelledIo, WritersMatchStreamFormatting) {
+  Rng rng(41);
+  const std::vector<Point> pts = randomPoints(1'050'000, rng);
+  const Graph space = unitDiskGraph(pts, 0.0006, VertexOrder::Space);
+  ASSERT_TRUE(space.labelled());
+  std::vector<Edge> edges;
+  for (const Edge& e : space.edges()) {
+    edges.push_back(makeEdge(space.labelOf(e.u), space.labelOf(e.v)));
+  }
+  std::sort(edges.begin(), edges.end());
+  ASSERT_GT(edges.size(), 100'000U);
+  ASSERT_GT(edges.back().v, 1'000'000U);
+  std::ostringstream edgeList;
+  std::ostringstream dimacs;
+  std::ostringstream dot;
+  edgeList << space.order() << ' ' << edges.size() << '\n';
+  dimacs << "p edge " << space.order() << ' ' << edges.size() << '\n';
+  dot << "graph G {\n";
+  for (Vertex v = 0; v < space.order(); ++v) dot << "  " << v << ";\n";
+  for (const Edge& e : edges) {
+    edgeList << e.u << ' ' << e.v << '\n';
+    dimacs << "e " << (e.u + 1) << ' ' << (e.v + 1) << '\n';
+    dot << "  " << e.u << " -- " << e.v << ";\n";
+  }
+  dot << "}\n";
+  std::ostringstream out;
+  writeEdgeList(out, space);
+  EXPECT_TRUE(out.str() == edgeList.str());
+  out.str("");
+  writeDimacs(out, space);
+  EXPECT_TRUE(out.str() == dimacs.str());
+  out.str("");
+  writeDot(out, space, "G");
+  EXPECT_TRUE(out.str() == dot.str());
 }
 
 TEST(EdgeListIo, RoundTrip) {
@@ -156,6 +197,14 @@ TEST(DimacsIo, RejectsVertexCountOutOfRange) {
 TEST(DimacsIo, RejectsZeroBasedVertex) {
   std::stringstream ss("p edge 3 1\ne 0 2\n");
   EXPECT_THROW(readDimacs(ss), ParseError);
+}
+
+TEST(DotOutput, NameLongerThanTheWriteBuffer) {
+  const std::string name(100'000, 'n');
+  std::ostringstream out;
+  writeDot(out, path(3), name);
+  EXPECT_EQ(out.str(), "graph " + name + " {\n  0;\n  1;\n  2;\n" +
+                           "  0 -- 1;\n  1 -- 2;\n}\n");
 }
 
 TEST(DotOutput, ContainsAllEdges) {

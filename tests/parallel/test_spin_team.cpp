@@ -166,7 +166,9 @@ TEST(SpinTeam, UnsizedTeamReadsTheMaskAtItsFirstWideDispatch) {
   lazy.run(2, [&](std::size_t i) { ids[i] = std::this_thread::get_id(); });
   EXPECT_EQ(lazy.size(), availableCpus());
   EXPECT_EQ(lazy.dispatches(), 1U);
-  if (availableCpus() > 1) EXPECT_NE(ids[1], ids[0]);
+  if (availableCpus() > 1) {
+    EXPECT_NE(ids[1], ids[0]);
+  }
 }
 
 // Runs forEachBlock over `count` items at width `workers` and returns how
