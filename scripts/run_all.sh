@@ -79,16 +79,21 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   "$TSAN_DIR/tests/cli_tests" --gtest_filter='Execute.PooledRunMatchesSingleCpuRun'
   # SyncRunnerQuietRounds.*: the dense quiet-round skip at threads = 3 —
   # skipped rounds clear every worker's move queue without a team barrier.
+  # SyncRunner.AnnouncedEditsMatchDiff: announced slots marked into the
+  # work-set bitset between team rounds, and liveEnabled's sweep on the
+  # team with its early-exit flag.
   # RandomConfiguration.SplitPointerDrawMatchesTheLabelWalk: SMM's split
   # start scatters degrees by label and resolves draws at width 3.
   "$TSAN_DIR/tests/engine_tests" \
-    --gtest_filter='ParallelRunner.*:SyncRunnerQuietRounds.*:RandomConfiguration.SplitPointerDrawMatchesTheLabelWalk'
+    --gtest_filter='ParallelRunner.*:SyncRunnerQuietRounds.*:SyncRunner.AnnouncedEditsMatchDiff:RandomConfiguration.SplitPointerDrawMatchesTheLabelWalk'
   # Campaigns at threads >= 2: fault injection between parallel rounds (the
   # fingerprint suite runs every protocol and event kind at threads = 3),
-  # and a campaign that throws out of a two-thread runner and hands the
-  # rebuilt graph back to it.
+  # a campaign that throws out of a two-thread runner and hands the
+  # rebuilt graph back to it, and masked stability read off a four-thread
+  # runner (CampaignStability.*: liveEnabled sweeps on the team after
+  # topology events).
   "$TSAN_DIR/tests/chaos_tests" --gtest_filter=\
-'EngineCampaign.SerialAndParallelExecutorsAgree:EngineCampaignFingerprint.*:EngineCampaign.RestoresCallerGraph*'
+'EngineCampaign.SerialAndParallelExecutorsAgree:EngineCampaignFingerprint.*:EngineCampaign.RestoresCallerGraph*:CampaignStability.*'
   # '*Parallel*' selects ScheduleDifferentialParallel (every protocol in
   # core/, LeaderTree, SmmArbitrary and HsuHuangSynchronized included) and
   # KernelDifferentialParallel (the flat kernels reading the Graph's CSR
@@ -150,8 +155,10 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # RandomConfiguration.*: draws on a labelled graph walk the inverse
   # labels and translate vertex fields through them; the split pointer draw
   # scatters degrees by label on the team.
+  # SyncRunner.AnnouncedEditsMatchDiff: announced slots index the bitset
+  # and the kernel mirror by raw vertex numbers.
   "$ASAN_DIR/tests/engine_tests" \
-    --gtest_filter='ParallelRunner.*:SetKernel.*:BuildView.*:ViewBuilder.*:RandomConfiguration.*'
+    --gtest_filter='ParallelRunner.*:SetKernel.*:BuildView.*:ViewBuilder.*:RandomConfiguration.*:SyncRunner.AnnouncedEditsMatchDiff'
   # The CLI in both storage orders (the test-only seam detail::execute):
   # IDs, starts, plan nodes and every writer translated through labels.
   "$ASAN_DIR/tests/cli_tests" \
@@ -162,7 +169,7 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # grows its BFS lazily, so every campaign doubles as a lifetime check.
   # The safety checks follow wild pointers and read only the moved list.
   "$ASAN_DIR/tests/chaos_tests" --gtest_filter=\
-'SimInjector.*:EngineCampaign*:RecoveryMonitor*:SmmSafetyCheck.*:SisSafetyCheck.*:SafetyCheck.*'
+'SimInjector.*:EngineCampaign*:CampaignStability.*:RecoveryMonitor*:SmmSafetyCheck.*:SisSafetyCheck.*:SafetyCheck.*'
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" --gtest_filter='NetworkDifferential*'
   # Flat-kernel differential under ASan: the SoA mirrors index raw CSR

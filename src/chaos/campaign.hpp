@@ -5,9 +5,9 @@
 // its round index, and measures recovery with chaos/monitors.hpp. The
 // executor-visible model is the paper's:
 //
-//  * corrupt/garble  resample states behind the runner's back, then
-//                    invalidateSchedule() so the runner's work set covers
-//                    them (the same contract as engine::corruptAndReschedule);
+//  * corrupt/garble  resample states behind the runner's back, then name
+//                    each slot that changed (SyncRunner::announce) so the
+//                    runner's work set covers it;
 //  * crash           the node is isolated (its incident edges are removed
 //                    from the shared Graph — Graph::version() makes the
 //                    runner re-snapshot) and frozen: it executes nothing
@@ -36,13 +36,23 @@
 // moving round builds an exact `moved` list — from the runner's own moved
 // list (SyncRunner::forEachMoved) plus the frozen nodes, minus those a
 // revert put back, or by one O(n) diff for a runner that does not expose it
-// — which feeds the safety check (SafetyCheck's moved-list form), the
-// monitor and the masked-stability cache. For local protocols (see
-// Protocol::readsBeyondNeighborhood) that cache re-asks only verdicts in the
-// closed neighborhoods of moved, injected and newly frozen or released
-// nodes, and only until it meets an enabled one; a topology rebuild (crash,
-// rejoin, partition) makes every verdict stale, and non-local protocols
-// always get a full sweep.
+// — which feeds the safety check (SafetyCheck's moved-list form) and the
+// monitor. Every state edit outside a round (a corruption, a rejoin's reset,
+// a frozen node's revert) is named to the runner slot by slot, and only if
+// the slot really changed, so the runner's work set is exactly the one an
+// O(n) diff would find and `prev` is patched, never recopied.
+//
+// Masked stability is read off the runner. Every node outside its pending
+// work set N[moved] ∪ N[edited] is disabled, so for a local protocol (see
+// Protocol::readsBeyondNeighborhood) SyncRunner::liveEnabled evaluates that
+// set through the installed kernel and stops at the first mover that is not
+// frozen; a topology rebuild (crash, rejoin, partition) puts every node in
+// the set. A non-local protocol gets SyncRunner::isFixpoint's sweep with the
+// frozen mask, on the team. A runner without these calls (a wrapper that
+// exposes only step and invalidateSchedule) gets invalidateSchedule() after
+// edits and the campaign's own stale-verdict cache: for local protocols it
+// re-asks only verdicts in the closed neighborhoods of moved, injected and
+// newly frozen or released nodes, and only until it meets an enabled one.
 //
 // The topology is the caller's graph, edited in place: a crash, rejoin or
 // partition rebuilds it from a base copy taken at the first such event, and
@@ -50,6 +60,7 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -148,21 +159,42 @@ CampaignResult runEngineCampaign(
                                       : std::span<const graph::Vertex>{});
   };
 
-  std::vector<std::uint8_t> crashed(n, 0);  // isolated in the topology
+  // A runner with the SyncRunner's own calls is told each edited slot
+  // (announce), answers masked stability off its pending work set
+  // (liveEnabled) and sweeps with a frozen mask (isFixpoint). Any other
+  // runner gets invalidateSchedule() and the campaign's stale-verdict
+  // cache below.
+  constexpr bool fused = requires(Runner& r, const std::vector<State>& s,
+                                  std::span<const std::uint8_t> mask,
+                                  graph::Vertex v) {
+    r.announce(v);
+    { r.liveEnabled(s, mask) } -> std::convertible_to<bool>;
+    { r.isFixpoint(s, mask) } -> std::convertible_to<bool>;
+  };
+
+  // Isolated in the topology, and partition sides: allocated by the first
+  // crash, rejoin or partition, as the base copy is.
+  std::vector<std::uint8_t> crashed;
+  std::vector<std::uint8_t> side;
+  const auto topologyMasks = [&] {
+    if (crashed.size() == n) return;
+    crashed.assign(n, 0);
+    side.assign(n, 0);
+  };
   std::vector<std::uint8_t> frozen(n, 0);   // executes nothing (crash|stuck)
   // {(v, its pinned state) : frozen[v]}, any order.
   std::vector<std::pair<graph::Vertex, State>> frozenList;
-  std::vector<std::uint8_t> side(n, 0);
   std::vector<std::uint8_t> faulty(n, 0);   // frozen or in the open window
   bool partitionActive = false;
 
   // Nodes whose state or frozen status changed since masked stability was
   // last asked: their closed neighborhoods' verdicts are stale. A topology
-  // rebuild makes every verdict stale.
+  // rebuild makes every verdict stale. Kept for runners without liveEnabled.
   std::vector<graph::Vertex> touched;
-  std::vector<std::uint8_t> isTouched(n, 0);
+  std::vector<std::uint8_t> isTouched(fused ? 0 : n, 0);
   bool sweepAll = true;
   const auto touch = [&](graph::Vertex v) {
+    if constexpr (fused) return;
     if (isTouched[v] != 0) return;
     isTouched[v] = 1;
     touched.push_back(v);
@@ -214,20 +246,51 @@ CampaignResult runEngineCampaign(
     sweepAll = true;
   };
 
-  // Masked stability: no live (non-frozen) node has an enabled rule. For
-  // local protocols unstable[v] caches v's verdict and unstableCount their
-  // number; a verdict depends only on N[v]'s states, v's frozen status and
-  // the topology, so only verdicts in N[touched] go stale. Stale verdicts
-  // wait in `stale` and are re-asked only as far as the answer needs: a
-  // fresh "unstable" verdict anywhere answers no at once, and so does the
-  // first re-asked node found enabled; the rest wait for the next ask. A
-  // node is re-asked at most once per time it goes stale, so this never
-  // asks more than re-asking all of N[touched] on every call would.
+  // prev is what the runner last committed or was told of: S_t of the next
+  // round once the edits since are flushed. Every edit of `states` outside
+  // step() lists its slot in `edited`; a flush names each listed slot that
+  // now differs from prev to the runner (a slot edited twice, or drawn back
+  // to its old state, is named once or not at all) and patches prev, so
+  // the runner's work sets are those an O(n) diff would find and prev is
+  // never recopied.
+  std::vector<State> prev = states;
+  std::vector<graph::Vertex> edited;
+  const auto flushEdits = [&] {
+    bool changed = false;
+    for (const graph::Vertex v : edited) {
+      if (states[v] == prev[v]) continue;
+      prev[v] = states[v];
+      changed = true;
+      if constexpr (fused) runner.announce(v);
+    }
+    edited.clear();
+    if (!fused && changed) runner.invalidateSchedule();
+  };
+
+  // Masked stability: no live (non-frozen) node has an enabled rule. A
+  // fused runner answers it: for a local protocol by evaluating its pending
+  // work set through its kernel (every node outside it is disabled), for
+  // any other by its fixpoint sweep with the frozen mask, on its team. The
+  // first hands the runner the edits made since the last round, and its
+  // next round then evaluates their neighborhoods even if a later edit in
+  // the same round puts a slot back, which a diff at that round would not.
+  // So when another event fires before the next round (`eventNext`), the
+  // sweep answers instead: it reads `states` and leaves the runner alone.
+  //
+  // Otherwise, for local protocols unstable[v] caches v's verdict and
+  // unstableCount their number; a verdict depends only on N[v]'s states, v's
+  // frozen status and the topology, so only verdicts in N[touched] go stale.
+  // Stale verdicts wait in `stale` and are re-asked only as far as the
+  // answer needs: a fresh "unstable" verdict anywhere answers no at once,
+  // and so does the first re-asked node found enabled; the rest wait for
+  // the next ask. A node is re-asked at most once per time it goes stale,
+  // so this never asks more than re-asking all of N[touched] on every call
+  // would.
   const bool local = !protocol.readsBeyondNeighborhood();
-  std::vector<std::uint8_t> unstable(n, 0);
+  std::vector<std::uint8_t> unstable(fused ? 0 : n, 0);
   std::size_t unstableCount = 0;
   std::vector<graph::Vertex> stale;
-  std::vector<std::uint8_t> isStale(n, 0);
+  std::vector<std::uint8_t> isStale(fused ? 0 : n, 0);
   std::size_t staleUnstable = 0;  // |{v in stale : unstable[v]}|
   const auto markStale = [&](graph::Vertex v) {
     if (isStale[v] != 0) return;
@@ -235,49 +298,54 @@ CampaignResult runEngineCampaign(
     stale.push_back(v);
     staleUnstable += unstable[v];
   };
-  const auto maskedStable = [&] {
-    const std::uint64_t key = runner.roundKey(runner.round());
-    const auto enabled = [&](graph::Vertex v) {
-      return frozen[v] == 0 &&
-             !protocol.isStable(builder.build(v, states, key));
-    };
-    if (!local) {
-      for (const graph::Vertex v : touched) isTouched[v] = 0;
-      touched.clear();
-      for (graph::Vertex v = 0; v < n; ++v) {
-        if (enabled(v)) return false;
+  const auto maskedStable = [&](bool eventNext) {
+    if constexpr (fused) {
+      const std::span<const std::uint8_t> mask(frozen);
+      if (!local || eventNext) return runner.isFixpoint(states, mask);
+      flushEdits();
+      return !runner.liveEnabled(states, mask);
+    } else {
+      const std::uint64_t key = runner.roundKey(runner.round());
+      const auto enabled = [&](graph::Vertex v) {
+        return frozen[v] == 0 &&
+               !protocol.isStable(builder.build(v, states, key));
+      };
+      if (!local) {
+        for (const graph::Vertex v : touched) isTouched[v] = 0;
+        touched.clear();
+        for (graph::Vertex v = 0; v < n; ++v) {
+          if (enabled(v)) return false;
+        }
+        return true;
       }
-      return true;
+      if (sweepAll) {
+        sweepAll = false;
+        for (graph::Vertex v = 0; v < n; ++v) markStale(v);
+      }
+      for (const graph::Vertex v : touched) {
+        isTouched[v] = 0;
+        markStale(v);
+        for (const graph::Vertex w : g.neighbors(v)) markStale(w);
+      }
+      touched.clear();
+      while (unstableCount == staleUnstable) {
+        if (stale.empty()) return true;  // no verdict stale, none unstable
+        const graph::Vertex v = stale.back();
+        stale.pop_back();
+        isStale[v] = 0;
+        staleUnstable -= unstable[v];
+        unstableCount -= unstable[v];
+        unstable[v] = enabled(v) ? 1 : 0;
+        unstableCount += unstable[v];
+      }
+      return false;
     }
-    if (sweepAll) {
-      sweepAll = false;
-      for (graph::Vertex v = 0; v < n; ++v) markStale(v);
-    }
-    for (const graph::Vertex v : touched) {
-      isTouched[v] = 0;
-      markStale(v);
-      for (const graph::Vertex w : g.neighbors(v)) markStale(w);
-    }
-    touched.clear();
-    while (unstableCount == staleUnstable) {
-      if (stale.empty()) return true;  // no verdict stale, none unstable
-      const graph::Vertex v = stale.back();
-      stale.pop_back();
-      isStale[v] = 0;
-      staleUnstable -= unstable[v];
-      unstableCount -= unstable[v];
-      unstable[v] = enabled(v) ? 1 : 0;
-      unstableCount += unstable[v];
-    }
-    return false;
   };
 
-  // prev is S_t of the round being stepped; it is kept equal to `states`
-  // between rounds by patching moved slots, and recopied only after an
-  // event edits states behind its back.
-  std::vector<State> prev;
   std::vector<graph::Vertex> moved;
-  bool prevStale = true;
+  // A frozen node's move, reverted: (v, the state the runner committed).
+  std::vector<std::pair<graph::Vertex, State>> reverts;
+  bool eventSinceStep = false;
   // Only the runner's movers and the pinned nodes can differ from prev
   // after a step. A runner without a moved list gets the O(n) diff.
   constexpr bool listsMoves =
@@ -300,30 +368,28 @@ CampaignResult runEngineCampaign(
     }
   };
   const auto stepOnce = [&] {
-    if (prevStale) prev = states;
+    flushEdits();
     const std::size_t moves = runner.step(states);
     result.totalMoves += moves;
     ++result.roundsExecuted;
     // Nothing moved and nothing happened since the last round: frozen nodes
     // are still pinned and prev == states, so the transition is the
     // identity — no pins, no safety violations, no state changes to report.
-    if (moves == 0 && !prevStale) return;
-    prevStale = false;
+    if (moves == 0 && !eventSinceStep) return;
+    eventSinceStep = false;
     // Pin frozen nodes: a crashed node executes nothing, a stuck node keeps
     // beaconing its frozen state. Reverting before anyone reads S_{t+1}
     // keeps the move invisible under the synchronous model. Right after an
     // event this also reverts a frozen node the event corrupted.
-    bool reverted = false;
+    reverts.clear();
     for (const auto& [v, state] : frozenList) {
       if (!(states[v] == state)) {
+        reverts.emplace_back(v, std::move(states[v]));
         states[v] = state;
-        reverted = true;
       }
     }
-    if (reverted) runner.invalidateSchedule();
     collectMoved();
-    if (moved.empty()) return;
-    if (safety) {
+    if (safety && !moved.empty()) {
       const std::size_t violations = safety(
           g, prev, states, faulty, std::span<const graph::Vertex>(moved));
       result.safetyViolations += violations;
@@ -333,6 +399,11 @@ CampaignResult runEngineCampaign(
       if (monitor != nullptr) monitor->onStateChanged(v);
       touch(v);
       prev[v] = states[v];
+    }
+    // The runner holds the reverted moves; the next flush names the pins.
+    for (auto& [v, committed] : reverts) {
+      prev[v] = std::move(committed);
+      edited.push_back(v);
     }
   };
 
@@ -373,7 +444,7 @@ CampaignResult runEngineCampaign(
           }
         }
         for (const graph::Vertex v : injected) touch(v);
-        runner.invalidateSchedule();
+        edited.insert(edited.end(), injected.begin(), injected.end());
         break;
       case FaultKind::Garble:
         // No payloads to garble in the abstract model; the nearest fault is
@@ -381,22 +452,26 @@ CampaignResult runEngineCampaign(
         corrupt(ev.node);
         injected.push_back(ev.node);
         touch(ev.node);
-        runner.invalidateSchedule();
+        edited.push_back(ev.node);
         break;
       case FaultKind::Crash:
+        topologyMasks();
         crashed[ev.node] = 1;
         setFrozen(ev.node, true);
         rebuildEffective();
         injected.push_back(ev.node);
         break;
       case FaultKind::Rejoin:
+        topologyMasks();
         crashed[ev.node] = 0;
         setFrozen(ev.node, false);
         states[ev.node] = protocol.initialState(ev.node);
+        edited.push_back(ev.node);
         rebuildEffective();
         injected.push_back(ev.node);
         break;
       case FaultKind::PartitionCut:
+        topologyMasks();
         std::fill(side.begin(), side.end(), 0);
         for (const graph::Vertex v : ev.nodes) side[v] = 1;
         injected = boundaryNodes();
@@ -404,6 +479,7 @@ CampaignResult runEngineCampaign(
         rebuildEffective();
         break;
       case FaultKind::PartitionHeal:
+        topologyMasks();
         injected = boundaryNodes();  // side[] still holds the healed cut
         partitionActive = false;
         rebuildEffective();
@@ -415,13 +491,12 @@ CampaignResult runEngineCampaign(
       case FaultKind::Release:
         setFrozen(ev.node, false);
         injected.push_back(ev.node);
-        runner.invalidateSchedule();
         break;
       case FaultKind::LossBurst:
       case FaultKind::ClockDrift:
         break;  // beacon-model-only; nothing to do under the abstract engine
     }
-    prevStale = true;
+    eventSinceStep = true;
     return injected;
   };
 
@@ -439,11 +514,16 @@ CampaignResult runEngineCampaign(
     if (i + 1 < plan.events.size()) {
       limit = std::min(limit, plan.events[i + 1].at);
     }
-    bool recovered = maskedStable();
+    const auto eventNext = [&] {
+      return i + 1 < plan.events.size() &&
+             static_cast<std::int64_t>(result.roundsExecuted) >=
+                 plan.events[i + 1].at;
+    };
+    bool recovered = maskedStable(eventNext());
     while (!recovered &&
            static_cast<std::int64_t>(result.roundsExecuted) < limit) {
       stepOnce();
-      recovered = maskedStable();
+      recovered = maskedStable(eventNext());
     }
     const auto rounds = static_cast<std::size_t>(
         static_cast<std::int64_t>(result.roundsExecuted) - ev.at);
@@ -453,10 +533,15 @@ CampaignResult runEngineCampaign(
   }
 
   // Drain to a true global fixpoint (or masked stability, if the plan left
-  // nodes crashed or stuck — templates never do).
+  // nodes crashed or stuck — templates never do). With no node frozen,
+  // masked stability is the global fixpoint.
   const bool anyFrozen = !frozenList.empty();
   const auto finalStable = [&] {
-    return anyFrozen ? maskedStable() : runner.isFixpoint(states);
+    if constexpr (fused) {
+      return maskedStable(false);
+    } else {
+      return anyFrozen ? maskedStable(false) : runner.isFixpoint(states);
+    }
   };
   std::size_t extra = 0;
   result.finalFixpoint = finalStable();

@@ -10,16 +10,18 @@
 // node's rules read only its closed neighborhood N[v], so after a round
 // only N[moved] can hold a newly enabled node: the work set of round t+1 is
 // N[moved(t)] ∪ N[edited], edited being the slots the caller changed and
-// announced (invalidateSchedule). The set lives in a bitset that each team
-// block marks for its own movers. A round walks its set bits in ascending
-// order while the set is small and sweeps every vertex once it holds more
-// than a fixed share of the graph — the sparse/dense switch of
-// direction-optimizing BFS (Beamer, Asanović and Patterson, SC 2012). An
-// empty set is a quiet round: no evaluation, no team dispatch. The kernel
-// mirror stays hot through FlatKernel::apply at commit time, so no round
-// reloads all n states. A topology change (Graph::version()) marks
-// everyone. Protocols whose decisions read beyond N[v]
-// (Protocol::readsBeyondNeighborhood) sweep every round.
+// named (announce) or left to a diff (invalidateSchedule). The set lives in
+// a bitset that each team block marks for its own movers. A round walks its
+// set bits in ascending order while the set is small and sweeps every
+// vertex once it holds more than a fixed share of the graph — the
+// sparse/dense switch of direction-optimizing BFS (Beamer, Asanović and
+// Patterson, SC 2012). An empty set is a quiet round: no evaluation, no
+// team dispatch. The kernel mirror stays hot through FlatKernel::apply at
+// commit time, so no round reloads all n states. A topology change
+// (Graph::version()) marks everyone. Protocols whose decisions read beyond
+// N[v] (Protocol::readsBeyondNeighborhood) sweep every round. Every node
+// outside the pending set is disabled, so liveEnabled() answers "is any
+// node enabled?" by evaluating that set alone, without running the round.
 //
 // Every round goes through a FlatKernel (engine/kernel.hpp): a compiled
 // protocol kernel when one is installed (setKernel), otherwise the
@@ -145,7 +147,8 @@ class SyncRunner {
   /// Soundness: a rule reads only N[v], so a node outside N[moved] ∪
   /// N[edited] sees the closed neighborhood its last (disabled) evaluation
   /// saw and stays disabled. Every edit of `states` between rounds must be
-  /// announced with invalidateSchedule(); Debug builds assert it.
+  /// named with announce() or covered by invalidateSchedule(); Debug builds
+  /// assert it.
   std::size_t step(std::vector<State>& states) {
     assert(states.size() == g_->order());
     const telemetry::ScopedTimer roundTimer(metrics_.roundDuration);
@@ -191,13 +194,24 @@ class SyncRunner {
     }
   }
 
-  /// Announces that `states` was edited behind the runner's back (fault
-  /// injection, a pinned node's revert): the next round diffs the kernel
-  /// mirror against `states` once, O(n), and adds the closed neighborhoods
-  /// of the changed slots to its work set. Topology edits through the
-  /// runner's own Graph reference need no call: a Graph::version() change
-  /// marks every node.
+  /// Announces that `states` was edited behind the runner's back in slots
+  /// the caller does not name (run() on entry, corruptAndReschedule): the
+  /// next round diffs the kernel mirror against `states` once, O(n), and
+  /// adds the closed neighborhoods of the changed slots to its work set.
+  /// Topology edits through the runner's own Graph reference need no call:
+  /// a Graph::version() change marks every node.
   void invalidateSchedule() noexcept { edited_ = true; }
+
+  /// Names one slot of `states` that the caller edited behind the runner's
+  /// back (a fault campaign's corruption or a pinned node's revert): the
+  /// next round, or liveEnabled(), copies states[v] into the kernel mirror
+  /// (FlatKernel::apply) and adds N[v] to the work set, in place of
+  /// invalidateSchedule()'s O(n) diff. Name exactly the slots whose state
+  /// differs from the one the runner last committed or was given: a changed
+  /// slot left out breaks the work set (Debug builds assert), and an
+  /// unchanged one named widens it, which moves nothing but shows in the
+  /// round events' "active" counts. Naming a slot twice is harmless.
+  void announce(graph::Vertex v) { announced_.push_back(v); }
 
   [[nodiscard]] Schedule schedule() const noexcept { return schedule_; }
 
@@ -266,27 +280,80 @@ class SyncRunner {
   }
 
   /// True if no node has an enabled rule in `states` (modulo scheduling —
-  /// see Protocol::isStable). Always asks the protocol through LocalViews:
-  /// `states` may be any external vector (chaos masking) that no kernel
-  /// mirror has seen. With threads > 1 the sweep runs block by block across
-  /// the team with a shared early-exit flag; the verdict is exact either
-  /// way.
-  [[nodiscard]] bool isFixpoint(const std::vector<State>& states) {
+  /// see Protocol::isStable), skipping every v with frozen[v] != 0 when a
+  /// mask is given (a fault campaign's masked stability). Always asks the
+  /// protocol through LocalViews: `states` may be any external vector that
+  /// no kernel mirror has seen. With threads > 1 the sweep runs block by
+  /// block across the team with a shared early-exit flag; the verdict is
+  /// exact either way.
+  [[nodiscard]] bool isFixpoint(const std::vector<State>& states,
+                                std::span<const std::uint8_t> frozen = {}) {
     const std::uint64_t key = roundKey(round_);
-    if (threadCount() == 1) return rangeStable(states, key, 0, states.size());
-    const std::vector<std::size_t>& bounds = partition(true, states.size());
-    std::atomic<bool> unstable{false};
-    std::atomic<std::size_t> next{0};
-    parallel::team().run(threadCount(), [&](std::size_t) {
-      for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
-           b < chunks_.size() && !unstable.load(std::memory_order_relaxed);
-           b = next.fetch_add(1, std::memory_order_relaxed)) {
-        if (!rangeStable(states, key, bounds[b], bounds[b + 1], &unstable)) {
-          unstable.store(true, std::memory_order_relaxed);
-        }
-      }
+    return !anyBlock(states.size(), [&](std::size_t begin, std::size_t end,
+                                        const std::atomic<bool>* stop) {
+      return !rangeStable(states, frozen, key, begin, end, stop);
     });
-    return !unstable.load(std::memory_order_relaxed);
+  }
+
+  /// True if some vertex v with frozen[v] == 0 (any vertex, for an empty
+  /// mask) would move if the next round ran now. Syncs the kernel mirror
+  /// as a round does (announced slots, a pending diff, a topology change),
+  /// then evaluates the pending work set through the installed kernel — its
+  /// set bits, or every vertex when the next round would sweep — and stops
+  /// at the first live mover. The work set is left for the next step(); no
+  /// round is counted, timed or logged. For a local protocol a node outside
+  /// the set is disabled, so this is exactly "some live node is enabled":
+  /// the negation of masked stability, and with no mask of a fixpoint. The
+  /// edits it syncs count as given: a later edit that puts such a slot back
+  /// must be named again, and leaves that slot's neighborhood in the set,
+  /// where a diff at the round would have found nothing.
+  [[nodiscard]] bool liveEnabled(const std::vector<State>& states,
+                                 std::span<const std::uint8_t> frozen = {}) {
+    assert(states.size() == g_->order());
+    syncMirror(states);
+    const std::size_t n = states.size();
+    const std::uint64_t key = roundKey(round_);
+    const auto live = [&](const MoveList<State>& moves) {
+      return std::any_of(moves.begin(), moves.end(), [&](const auto& move) {
+        return frozen.empty() || frozen[move.first] == 0;
+      });
+    };
+    if (schedule_ == Schedule::Sweep || markAll_ ||
+        protocol_->readsBeyondNeighborhood() ||
+        (schedule_ == Schedule::Dense && marked_ > sweepLimit(n))) {
+      return anyBlock(n, [&](std::size_t begin, std::size_t end,
+                             const std::atomic<bool>* stop) {
+        MoveList<State> out;
+        for (std::size_t b = begin; b < end; b += kPeekBlock) {
+          if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
+            return false;
+          }
+          out.clear();
+          kernel_->evaluateRange(
+              static_cast<graph::Vertex>(b),
+              static_cast<graph::Vertex>(std::min(end, b + kPeekBlock)), key,
+              out);
+          if (live(out)) return true;
+        }
+        return false;
+      });
+    }
+    if (marked_ == 0) return false;
+    peekList_.clear();
+    const auto flush = [&] {
+      peekMoves_.clear();
+      kernel_->evaluateList(peekList_, key, peekMoves_);
+      peekList_.clear();
+      return live(peekMoves_);
+    };
+    for (std::size_t w = 0; w < marks_.size(); ++w) {
+      for (std::uint64_t bits = marks_[w]; bits != 0; bits &= bits - 1) {
+        peekList_.push_back(static_cast<graph::Vertex>(64 * w) +
+                            static_cast<graph::Vertex>(std::countr_zero(bits)));
+        if (peekList_.size() == kPeekBlock && flush()) return true;
+      }
+    }
+    return !peekList_.empty() && flush();
   }
 
   /// Vertices privileged in `states` (diagnostics and daemon baselines).
@@ -315,34 +382,53 @@ class SyncRunner {
   // How a round walks its work set.
   enum class Walk : std::uint8_t { Quiet, List, Sweep };
 
-  // Snapshot phase: brings the kernel mirror to `states` and turns the
-  // marks into this round's walk, leaving the bitset clear for the marks
-  // the round itself will make.
-  Walk prepare(const std::vector<State>& states) {
+  // Brings the kernel mirror to `states` and adds the closed neighborhoods
+  // of the edited slots to the marks: a full reload on the first round,
+  // after a kernel swap or a topology change (and every round of the Sweep
+  // oracle), a diff after invalidateSchedule(), the announced slots alone
+  // otherwise. A second call with nothing edited in between does nothing,
+  // so liveEnabled() may run it ahead of the round's own.
+  void syncMirror(const std::vector<State>& states) {
     const std::size_t n = states.size();
-    if (schedule_ == Schedule::Sweep) {
+    if (schedule_ == Schedule::Sweep || !synced_ ||
+        graphVersion_ != g_->version()) {
       kernel_->sync(states, nullptr, threadCount());
-      return Walk::Sweep;
-    }
-    if (!synced_ || graphVersion_ != g_->version()) {
-      kernel_->sync(states, nullptr, threadCount());
-      synced_ = true;
+      announced_.clear();
       edited_ = false;
+      if (schedule_ == Schedule::Sweep) return;
+      synced_ = true;
       graphVersion_ = g_->version();
       marks_.assign((n + 63) / 64, 0);
       marked_ = 0;
       markAll_ = true;
     } else if (edited_) {
       edited_ = false;
+      announced_.clear();
       changed_.clear();
       kernel_->sync(states, &changed_, threadCount());
       for (const graph::Vertex v : changed_) {
         marked_ += markClosed<false>(v);
       }
-    } else {
-      assert(kernel_->mirrors(states) &&
-             "states edited without invalidateSchedule()");
+    } else if (!announced_.empty()) {
+      pushed_.clear();
+      for (const graph::Vertex v : announced_) {
+        pushed_.emplace_back(v, states[v]);
+        marked_ += markClosed<false>(v);
+      }
+      announced_.clear();
+      kernel_->apply(pushed_);
     }
+    assert(kernel_->mirrors(states) &&
+           "states edited without announce() or invalidateSchedule()");
+  }
+
+  // Snapshot phase: brings the kernel mirror to `states` and turns the
+  // marks into this round's walk, leaving the bitset clear for the marks
+  // the round itself will make.
+  Walk prepare(const std::vector<State>& states) {
+    const std::size_t n = states.size();
+    syncMirror(states);
+    if (schedule_ == Schedule::Sweep) return Walk::Sweep;
     const bool all = markAll_ || protocol_->readsBeyondNeighborhood();
     const std::size_t marked = marked_;
     markAll_ = false;
@@ -384,6 +470,9 @@ class SyncRunner {
   // it takes ~1 us while the helpers spin and 20-30 us once they have
   // parked (docs/PERFORMANCE.md, "Round executor").
   static constexpr std::size_t kInlineList = 256;
+  // Vertices liveEnabled() evaluates between checks for a live mover (and,
+  // on the team, for another block's hit).
+  static constexpr std::size_t kPeekBlock = 256;
 
   // Evaluates this round's work — every vertex, or the ascending work list
   // — into the chunks' move queues, and marks each mover's closed
@@ -511,19 +600,43 @@ class SyncRunner {
     return denseBounds_;
   }
 
-  // True if no vertex in [begin, end) has an enabled rule — or, on the team,
-  // once another chunk has raised `stop`: it is polled every 32 vertices so
-  // one hit ends the whole sweep. Relaxed ordering suffices; the team
-  // barrier publishes the flag, and a stale read only delays the exit.
-  bool rangeStable(const std::vector<State>& states, std::uint64_t key,
+  // True if hit(begin, end, stop) is true for some block of [0, n): one
+  // block at threads = 1, else the team's degree-weighted blocks, each
+  // worker claiming the next until one hits. `stop` (null inline) is raised
+  // by the first hit; hit polls it to cut its own block short. Relaxed
+  // ordering suffices: the team barrier publishes the flag, and a stale
+  // read only delays the exit.
+  template <typename Hit>
+  bool anyBlock(std::size_t n, Hit&& hit) {
+    if (threadCount() == 1) return hit(std::size_t{0}, n, nullptr);
+    const std::vector<std::size_t>& bounds = partition(true, n);
+    std::atomic<bool> found{false};
+    std::atomic<std::size_t> next{0};
+    parallel::team().run(threadCount(), [&](std::size_t) {
+      for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
+           b < chunks_.size() && !found.load(std::memory_order_relaxed);
+           b = next.fetch_add(1, std::memory_order_relaxed)) {
+        if (hit(bounds[b], bounds[b + 1], &found)) {
+          found.store(true, std::memory_order_relaxed);
+        }
+      }
+    });
+    return found.load(std::memory_order_relaxed);
+  }
+
+  // True if no vertex in [begin, end) outside `frozen` has an enabled rule
+  // — or once another block has raised `stop`, polled every 32 vertices.
+  bool rangeStable(const std::vector<State>& states,
+                   std::span<const std::uint8_t> frozen, std::uint64_t key,
                    std::size_t begin, std::size_t end,
-                   const std::atomic<bool>* stop = nullptr) const {
+                   const std::atomic<bool>* stop) const {
     std::vector<NeighborRef<State>> buffer;
     for (std::size_t i = begin; i < end; ++i) {
       if (stop != nullptr && ((i - begin) & 31U) == 0 &&
           stop->load(std::memory_order_relaxed)) {
         return true;
       }
+      if (!frozen.empty() && frozen[i] != 0) continue;
       const auto v = static_cast<graph::Vertex>(i);
       if (!protocol_->isStable(buildView(*g_, *ids_, v, states, key, buffer))) {
         return false;
@@ -593,7 +706,8 @@ class SyncRunner {
   // marked_ counts its bits (once past sweepLimit, only that it is past).
   // markAll_ puts every vertex in the next round's set; synced_ says the
   // kernel mirror equals the states of the last commit, over the graph at
-  // graphVersion_; edited_ says the caller has edited them since.
+  // graphVersion_; edited_ says the caller has edited them since in slots
+  // it did not name, announced_ lists the slots it named.
   std::vector<std::uint64_t> marks_;
   std::size_t marked_ = 0;
   bool markAll_ = false;
@@ -601,7 +715,11 @@ class SyncRunner {
   bool edited_ = false;
   std::uint64_t graphVersion_ = 0;
   std::vector<graph::Vertex> work_;     // this round's ascending work list
-  std::vector<graph::Vertex> changed_;  // slots an announced edit changed
+  std::vector<graph::Vertex> changed_;  // slots the last diff found changed
+  std::vector<graph::Vertex> announced_;
+  MoveList<State> pushed_;              // announced slots' new states
+  std::vector<graph::Vertex> peekList_;  // liveEnabled()'s list batch
+  MoveList<State> peekMoves_;
   RunnerMetrics metrics_;
   telemetry::EventLog* events_ = nullptr;
   // Block boundaries (threads > 1 only).

@@ -1,6 +1,7 @@
-// Semantics of the simulator's per-broadcast arrival events: one queue event
-// delivers one beacon to every receiver picked at send time, with the payload
-// captured at send, and each receiver's crash state checked at arrival.
+// Semantics of the simulator's per-broadcast arrivals: one arrival (an entry
+// of the arrival lane, merged with the event queue by time) delivers one
+// beacon to every receiver picked at send time, with the payload captured
+// at send, and each receiver's crash state checked at arrival.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -140,7 +141,7 @@ TEST(ArrivalBatch, RejoinWithBroadcastsInFlightReadsLiveSlots) {
   SimTime t = 10 * kInterval + 37 * kMillisecond;
   sim.run(t);
   // Crash and rejoin leaves over and over while every node has a broadcast
-  // in flight; arrivals keep recycling batch slots meanwhile.
+  // in flight; arrivals keep recycling arrival-lane slots meanwhile.
   for (int round = 0; round < 20; ++round) {
     const auto leaf = static_cast<graph::Vertex>(1 + round % 4);
     sim.chaosCrash(leaf);
@@ -152,8 +153,9 @@ TEST(ArrivalBatch, RejoinWithBroadcastsInFlightReadsLiveSlots) {
   }
   sim.run(t + 10 * kInterval);
 
-  // Every payload anyone was shown is the sender's own tag: a batch read
-  // through a slot recycled by another broadcast would show a foreign one.
+  // Every payload anyone was shown is the sender's own tag: an arrival read
+  // through a lane slot recycled by another broadcast would show a foreign
+  // one.
   for (const auto& s : protocol.seen) {
     EXPECT_EQ(s.value, 1000 + s.from) << "node " << s.self;
   }
@@ -165,8 +167,8 @@ TEST(ArrivalBatch, RejoinWithBroadcastsInFlightReadsLiveSlots) {
   }
 }
 
-// runUntilQuiet checks for quiet after each queue event. A broadcast is one
-// event, so the run can only stop once all of its receivers have it: on a
+// runUntilQuiet checks for quiet after each event it pops. A broadcast is one
+// arrival, so the run can only stop once all of its receivers have it: on a
 // clique without loss every broadcast reaches n - 1 receivers, and the
 // delivered count at a quiet stop must be a multiple of n - 1.
 TEST(ArrivalBatch, QuietStopLandsOnABroadcastBoundary) {

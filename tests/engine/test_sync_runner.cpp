@@ -371,6 +371,82 @@ TEST(SyncRunnerQuietRounds, ExternalEditsAreNeverSkipped) {
   }
 }
 
+// Edits named slot by slot (announce) against the same edits left to the
+// O(n) diff (invalidateSchedule): both runners must take the same moves and
+// evaluate the same work set, round by round, so their event logs ("active"
+// included) match byte for byte. Each edit round resamples a few slots,
+// some twice and some back to their old state, and names only the slots
+// whose state changed. liveEnabled(), asked between edits and rounds, must
+// agree with a full LocalView sweep and must not disturb the next round.
+template <typename State, typename Sampler>
+void checkAnnouncedEdits(const Protocol<State>& protocol, Sampler sampler,
+                         Schedule schedule, bool flat, std::size_t threads,
+                         std::uint64_t seed) {
+  SCOPED_TRACE(std::string(protocol.name()) + " " +
+               std::string(toString(schedule)) +
+               (flat ? " flat" : " generic") + " threads " +
+               std::to_string(threads));
+  graph::Rng rng(seed);
+  const Graph g = graph::connectedRandomGeometric(90, 0.2, rng);
+  const auto ids = IdAssignment::randomPermutation(g.order(), rng);
+  const std::size_t n = g.order();
+  std::ostringstream namedText;
+  std::ostringstream diffedText;
+  telemetry::EventLog namedLog(namedText);
+  telemetry::EventLog diffedLog(diffedText);
+  SyncRunner<State> named(protocol, g, ids, seed, schedule, threads);
+  SyncRunner<State> diffed(protocol, g, ids, seed, schedule, threads);
+  named.attachTelemetry(nullptr, &namedLog);
+  diffed.attachTelemetry(nullptr, &diffedLog);
+  if (flat) {
+    named.setKernel(core::makeFlatKernel<State>(protocol, g, ids));
+    diffed.setKernel(core::makeFlatKernel<State>(protocol, g, ids));
+  }
+  auto states = randomConfiguration<State>(g, rng, sampler);
+  std::vector<State> twin;
+  SyncRunner<State> oracle(protocol, g, ids);
+  for (std::size_t round = 0; round < 120; ++round) {
+    if (round % 6 == 3) {
+      const std::vector<State> before = states;
+      const std::size_t edits = 1 + rng.below(round % 4 == 3 ? 30 : 4);
+      for (std::size_t i = 0; i < edits; ++i) {
+        const auto v = static_cast<graph::Vertex>(rng.below(n));
+        states[v] = rng.chance(0.2) ? before[v] : sampler(v, g, rng);
+      }
+      for (graph::Vertex v = 0; v < n; ++v) {
+        if (!(states[v] == before[v])) named.announce(v);
+      }
+      diffed.invalidateSchedule();
+    }
+    if (round % 3 == 0) {
+      ASSERT_EQ(named.liveEnabled(states),
+                !oracle.enabledVertices(states).empty())
+          << "round " << round;
+    }
+    twin = states;
+    const std::size_t moves = named.step(states);
+    ASSERT_EQ(diffed.step(twin), moves) << "round " << round;
+    ASSERT_TRUE(states == twin) << "round " << round;
+  }
+  EXPECT_EQ(namedText.str(), diffedText.str());
+}
+
+TEST(SyncRunner, AnnouncedEditsMatchDiff) {
+  const core::SisProtocol sis;
+  const core::SmmProtocol smm = core::smmPaper();
+  std::uint64_t seed = 900;
+  for (const Schedule schedule : {Schedule::Dense, Schedule::Active}) {
+    for (const bool flat : {false, true}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        checkAnnouncedEdits<core::BitState>(sis, core::randomBitState,
+                                            schedule, flat, threads, seed++);
+        checkAnnouncedEdits<core::PointerState>(
+            smm, core::wildPointerState, schedule, flat, threads, seed++);
+      }
+    }
+  }
+}
+
 // A protocol whose decisions read beyond N[v] is never skipped: its inputs
 // can change while every state stands still.
 TEST(SyncRunnerQuietRounds, NonLocalProtocolIsNeverSkipped) {
