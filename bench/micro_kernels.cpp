@@ -251,7 +251,8 @@ void recordSmmRandomStartRounds() {
   flatRunner.setKernel(core::makeFlatKernel<PointerState>(smm, g, ids));
 
   std::vector<std::vector<PointerState>> before(3);
-  before[0] = core::randomPointerConfiguration(g, rng, 1);
+  before[0] = engine::randomConfiguration<PointerState>(
+      g, rng, core::randomPointerState);
   for (std::size_t r = 1; r < before.size(); ++r) {
     before[r] = before[r - 1];
     auto generic = before[r - 1];

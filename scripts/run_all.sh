@@ -82,10 +82,11 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # SyncRunner.AnnouncedEditsMatchDiff: announced slots marked into the
   # work-set bitset between team rounds, and liveEnabled's sweep on the
   # team with its early-exit flag.
-  # RandomConfiguration.SplitPointerDrawMatchesTheLabelWalk: SMM's split
-  # start scatters degrees by label and resolves draws at width 3.
+  # RandomConfiguration.TeamWidthMatchesInline: keyed random starts and
+  # fraction corruption write states (and hit flags) from the team at
+  # widths 2-4, and build the inverse labels there.
   "$TSAN_DIR/tests/engine_tests" \
-    --gtest_filter='ParallelRunner.*:SyncRunnerQuietRounds.*:SyncRunner.AnnouncedEditsMatchDiff:RandomConfiguration.SplitPointerDrawMatchesTheLabelWalk'
+    --gtest_filter='ParallelRunner.*:SyncRunnerQuietRounds.*:SyncRunner.AnnouncedEditsMatchDiff:RandomConfiguration.TeamWidthMatchesInline'
   # Campaigns at threads >= 2: fault injection between parallel rounds (the
   # fingerprint suite runs every protocol and event kind at threads = 3),
   # a campaign that throws out of a two-thread runner and hands the
@@ -137,7 +138,7 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # clamps its last block to the range end, and a dispatch hands index i
   # to worker i % size. A space-ordered build writes each slot's list
   # through a scratch buffer into the contiguous targets, and the labelled
-  # writers and neighborByLabelRank index labels and their inverse.
+  # writers index labels and their inverse.
   "$ASAN_DIR/tests/graph_tests" --gtest_filter=\
 'Geometry.*:Generators.*:Graph*:Connectivity.*:SpinTeam.*:LabelledIo.*'
   # The one-pass verifiers follow pointers, including wild ones, into the
@@ -152,9 +153,9 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # edit moves it: a span kept across an edit, a kernel swap (setKernel
   # frees the old kernel's caches) or a parallel round would be a
   # use-after-free here.
-  # RandomConfiguration.*: draws on a labelled graph walk the inverse
-  # labels and translate vertex fields through them; the split pointer draw
-  # scatters degrees by label on the team.
+  # RandomConfiguration.*: draws on a labelled graph key each node by its
+  # label and translate vertex fields through the inverse labels, inline
+  # and on the team.
   # SyncRunner.AnnouncedEditsMatchDiff: announced slots index the bitset
   # and the kernel mirror by raw vertex numbers.
   "$ASAN_DIR/tests/engine_tests" \

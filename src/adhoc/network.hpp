@@ -15,9 +15,15 @@
 // protocols must re-stabilize, which is exactly the paper's fault-tolerance
 // story.
 //
+// Draws. The first-beacon phase, each beacon's jitter and each
+// (beacon, receiver) loss are keyed draws: hashes of (seed, purpose,
+// sender, send time, receiver), not the next numbers of a stream. No draw
+// depends on the order events or receivers are visited in, so the loss
+// draws run with the geometry, on the team.
+//
 // Hot-path structure (NetworkConfig::index / ::queue pick the
-// implementation; every mode combination is bit-identical — same RNG draw
-// order, same event tie-breaking — which the differential suite in
+// implementation; every mode combination is bit-identical — same draws,
+// same event tie-breaking — which the differential suite in
 // tests/adhoc/test_network_differential.cpp asserts):
 //
 //  * A broadcast is one arrival, not one event per receiver, and arrivals
@@ -34,9 +40,9 @@
 //    could fall between them: the lane entry replays exactly their order.
 //  * Broadcast fan-out and collision checks consult an incrementally
 //    maintained SpatialGrid instead of scanning all n nodes. The exact
-//    distance test (which draws no random number) then filters the unsorted
+//    distance test and the keyed loss draw then filter the unsorted
 //    candidates, and only the survivors are sorted into ascending vertex
-//    order, so the per-receiver loss draws and collision checks come out
+//    order, so the receiver list and the collision checks come out
 //    identical to the full scan. See "Grid staleness" below for the slack.
 //  * Collision checks only ever need nodes that transmitted within
 //    collisionWindow, so each grid cell keeps a ring of recent
@@ -58,14 +64,11 @@
 // Misra 1979). run() and runUntilQuiet() therefore execute a window in
 // three phases that reproduce the per-event order bit for bit:
 //   (A) geometry, on the team: each beacon's ascending receiver list, a
-//       pure function of positions, radii and chaos masks, and its index
-//       counters (per worker) and histogram samples;
-//   (B) serial, in event order, only what needs that order: loss and
-//       jitter draws from the one RNG (with no loss and no collision model
-//       the loss draws are skipped over, Rng::discard, and the list is
-//       kept as it is), collision checks, lane appends and timer
-//       schedules; the window's grid placements are queued in event order
-//       beside it;
+//       pure function of positions, radii, chaos masks and the keyed loss
+//       draws, and its index counters and histogram samples (per worker);
+//   (B) serial, in event order, only what needs that order: collision
+//       checks, lane appends and timer schedules (with the keyed jitter);
+//       the window's grid placements are queued in event order beside it;
 //   (C) per node, on the team: each node's own events in (time, seq)
 //       order — arrivals into its cache, expiry, rule evaluation, payload
 //       capture into its lane entry — followed by a serial pass that emits
@@ -249,7 +252,8 @@ class NetworkSimulator {
         ids_(&ids),
         mobility_(&mobility),
         config_(std::move(config)),
-        rng_(config_.seed),
+        jitterKey_(hashCombine(config_.seed, kJitterDraw)),
+        lossKey_(hashCombine(config_.seed, kLossDraw)),
         nodes_(mobility.order()),
         lastTx_(mobility.order(), -1) {
     assert(ids.order() == mobility.order());
@@ -300,12 +304,14 @@ class NetworkSimulator {
         grid_.place(v, mobility.position(v, 0));
       }
     }
+    const std::uint64_t phaseKey = hashCombine(config_.seed, kPhaseDraw);
     for (graph::Vertex v = 0; v < n; ++v) {
       nodes_[v].state = protocol.initialState(v);
       // Desynchronized start: first beacon at a random phase of one interval.
       queue_.schedule(
-          static_cast<SimTime>(rng_.below(
-              static_cast<std::uint64_t>(config_.beaconInterval))),
+          static_cast<SimTime>(Rng(hashCombine(phaseKey, v))
+                                   .below(static_cast<std::uint64_t>(
+                                       config_.beaconInterval))),
           Event{BeaconTimer{v}});
     }
   }
@@ -518,7 +524,7 @@ class NetworkSimulator {
   // chaosAttach() allocates the chaos state; every other chaos* method
   // requires it. While no fault has fired the attached simulator's
   // trajectory is bit-identical to an unattached one: the chaos checks
-  // read only all-zero flag arrays, consume no RNG draws, and schedule no
+  // read only all-zero flag arrays, change no draw, and schedule no
   // events (the controller owns a separate Rng for fault randomness).
 
   /// `maxDriftFactor` widens the grid's broadcast staleness slack so a
@@ -606,8 +612,8 @@ class NetworkSimulator {
   void chaosHealPartition() { chaos_->partitionActive = false; }
 
   /// Loss bursts: swap the per-receiver loss probability (restore with the
-  /// original value). The loss draw consumes one RNG value regardless of p,
-  /// so changing it never desynchronizes the Grid/Scan draw order.
+  /// original value). Loss draws are keyed, so changing p changes no other
+  /// draw.
   void chaosSetLossProbability(double p) { config_.lossProbability = p; }
   [[nodiscard]] double lossProbability() const noexcept {
     return config_.lossProbability;
@@ -712,6 +718,7 @@ class NetworkSimulator {
     SimTime at = 0;
     graph::Point pos;
     std::vector<graph::Vertex> receivers;
+    std::size_t lost = 0;         ///< receivers the loss draws dropped
     typename Lane::Position arrival = 0;  ///< its lane entry
     bool capture = false;         ///< the entry takes the post-move state
     std::vector<graph::Vertex> expired;  ///< filled only with an event log
@@ -752,15 +759,18 @@ class NetworkSimulator {
   };
 
   /// One worker's own state: the view buffer, its delivery count, phase
-  /// A's index counters (added to IndexStats when a drive call returns),
-  /// and the cumulative seconds it spent in each team phase (cache-line
-  /// aligned so workers never share a line).
+  /// A's index counters and histogram samples (added to IndexStats and the
+  /// registry when a drive call returns), and the cumulative seconds it
+  /// spent in each team phase (cache-line aligned so workers never share a
+  /// line).
   struct alignas(64) WorkerSlot {
     std::vector<engine::NeighborRef<State>> view;
     std::size_t delivered = 0;  ///< this window's deliveries (phase C)
     std::size_t gridQueries = 0;
     std::size_t candidates = 0;
     std::size_t rangeChecks = 0;
+    telemetry::HistogramTally candidateSizes;
+    telemetry::HistogramTally cellOccupancy;
     double geometry = 0.0;
     double node = 0.0;
   };
@@ -802,6 +812,10 @@ class NetworkSimulator {
       indexStats_.broadcastCandidates += std::exchange(w.candidates, 0);
       countBatch(indexStats_.rangeChecks, metrics_.rangeChecks,
                  std::exchange(w.rangeChecks, 0));
+      if (metrics_.broadcastCandidates != nullptr) {
+        metrics_.broadcastCandidates->add(w.candidateSizes);
+        metrics_.gridOccupancy->add(w.cellOccupancy);
+      }
     }
     if (timed) {
       const double total =
@@ -1119,14 +1133,15 @@ class NetworkSimulator {
 
   // --- Handlers shared by both orders -----------------------------------
 
-  /// Phase A: the ascending list of nodes in the sender's transmit range
-  /// at b.at (reception is governed by the transmitter's power), after the
-  /// draw-free filters — chaos drops and the exact distance test — over
-  /// the unsorted candidates. Both index modes end up with the same list,
-  /// so the draws that follow come out identical; the grid merely prunes
-  /// receivers that cannot be in range. Reads only positions, radii, chaos
-  /// masks and the grid; counts its index diagnostics into `tally` (the
-  /// histograms are atomic).
+  /// Phase A: the ascending list of nodes that hear the beacon at b.at
+  /// before collisions: the nodes in the sender's transmit range (reception
+  /// is governed by the transmitter's power) that no chaos mask cuts off,
+  /// less the ones the loss draws drop (counted in b.lost). The filters run
+  /// over the unsorted candidates; every draw is keyed by (sender, send
+  /// time, receiver), so both index modes end up with the same list; the
+  /// grid merely prunes receivers that cannot be in range. Reads only
+  /// positions, radii, chaos masks, the loss probability and the grid;
+  /// counts its index diagnostics and histogram samples into `tally`.
   void locate(Beacon& b, WorkerSlot& tally) const {
     const graph::Vertex v = b.node;
     const graph::Point me = b.pos;
@@ -1134,19 +1149,30 @@ class NetworkSimulator {
     std::size_t rangeChecks = 0;
     const bool masked =
         anyCrashed() || (chaos_ != nullptr && chaos_->partitionActive);
-    const auto inRange = [&](graph::Vertex u) {
+    const double loss = config_.lossProbability;
+    const std::uint64_t lossKey =
+        hashCombine(hashCombine(lossKey_, v), static_cast<std::uint64_t>(b.at));
+    b.lost = 0;
+    const auto hears = [&](graph::Vertex u) {
       if (u == v) return false;
       if (masked) {
         // Crashed receivers hear nothing; a partition cuts cross-side
-        // links. Neither test consumes a draw or counts as a range check.
+        // links. Neither test draws or counts as a range check.
         if (chaos_->crashed[u] != 0) return false;
         if (chaos_->partitionActive && chaos_->side[u] != chaos_->side[v]) {
           return false;
         }
       }
       ++rangeChecks;
-      return graph::squaredDistance(me, mobility_->preparedPosition(u, b.at)) <=
-             r2;
+      if (graph::squaredDistance(me, mobility_->preparedPosition(u, b.at)) >
+          r2) {
+        return false;
+      }
+      if (loss > 0.0 && unitReal(hashCombine(lossKey, u)) < loss) {
+        ++b.lost;
+        return false;
+      }
+      return true;
     };
     std::vector<graph::Vertex>& out = b.receivers;
     out.clear();
@@ -1155,52 +1181,42 @@ class NetworkSimulator {
       ++tally.gridQueries;
       tally.candidates += out.size();
       if (metrics_.broadcastCandidates != nullptr) {
-        metrics_.broadcastCandidates->observe(static_cast<double>(out.size()));
+        metrics_.broadcastCandidates->tally(tally.candidateSizes,
+                                            static_cast<double>(out.size()));
+        metrics_.gridOccupancy->tally(
+            tally.cellOccupancy, static_cast<double>(grid_.cellMembers(
+                                     grid_.cellOf(me)).size()));
       }
-      if (metrics_.gridOccupancy != nullptr) {
-        metrics_.gridOccupancy->observe(static_cast<double>(
-            grid_.cellMembers(grid_.cellOf(me)).size()));
-      }
-      std::erase_if(out, [&](graph::Vertex u) { return !inRange(u); });
+      std::erase_if(out, [&](graph::Vertex u) { return !hears(u); });
       graph::sortNeighbors(out.data(), out.size());
     } else {
       for (graph::Vertex u = 0; u < nodes_.size(); ++u) {
-        if (inRange(u)) out.push_back(u);
+        if (hears(u)) out.push_back(u);
       }
     }
     tally.rangeChecks += rangeChecks;
   }
 
-  /// Phase B for one beacon, the work that needs event order: loss draws
-  /// and collision checks in ascending receiver order, the lane entry, the
-  /// collision ring, then the jitter draw and the next timer. With no loss
-  /// and no collision model every draw would come out "kept", so the
-  /// stream is advanced by as many draws and the list is left as it is.
-  /// `later` is the number of this window's events still to come, which
-  /// the per-event loop would not have popped yet (so the queue-depth
-  /// sample matches it).
+  /// Phase B for one beacon, the work that needs event order: collision
+  /// checks in ascending receiver order (each sees the transmissions before
+  /// it), the lane entry, the collision ring and the next timer. `later` is
+  /// the number of this window's events still to come, which the per-event
+  /// loop would not have popped yet (so the queue-depth sample matches it).
   void broadcast(Beacon& b, std::size_t later) {
     const graph::Vertex v = b.node;
     const SimTime now = b.at;
-    if (config_.lossProbability == 0.0 && config_.collisionWindow == 0) {
-      rng_.discard(b.receivers.size());
-    } else {
-      std::size_t lost = 0;
+    countBatch(stats_.beaconsLost, metrics_.beaconsLost, b.lost);
+    if (config_.collisionWindow > 0) {
       std::size_t collided = 0;
       std::size_t receivers = 0;
       for (const graph::Vertex u : b.receivers) {
-        if (rng_.chance(config_.lossProbability)) {
-          ++lost;
-        } else if (config_.collisionWindow > 0 &&
-                   collidesAt(u, v, mobility_->preparedPosition(u, now),
-                              now)) {
+        if (collidesAt(u, v, mobility_->preparedPosition(u, now), now)) {
           ++collided;
         } else {
           b.receivers[receivers++] = u;
         }
       }
       b.receivers.resize(receivers);
-      countBatch(stats_.beaconsLost, metrics_.beaconsLost, lost);
       countBatch(stats_.beaconsCollided, metrics_.beaconsCollided, collided);
     }
     b.capture = false;
@@ -1231,11 +1247,14 @@ class NetworkSimulator {
     if (metrics_.beaconsSent != nullptr) metrics_.beaconsSent->inc();
     if (faulted()) chaos_->garbled[v].reset();  // one beacon only
 
-    // Next beacon with jitter (and any chaos clock drift; drift 1.0
-    // multiplies through exactly, keeping the undrifted interval
-    // bit-identical).
+    // Next beacon with jitter, keyed by (sender, send time), and any chaos
+    // clock drift (drift 1.0 multiplies through exactly, keeping the
+    // undrifted interval bit-identical).
     const double jitter =
-        rng_.real(-config_.jitterFraction, config_.jitterFraction);
+        config_.jitterFraction *
+        (2.0 * unitReal(hashCombine(hashCombine(jitterKey_, v),
+                                    static_cast<std::uint64_t>(now))) -
+         1.0);
     const double drift = faulted() ? chaos_->drift[v] : 1.0;
     const auto interval = std::max<SimTime>(
         1, static_cast<SimTime>(
@@ -1587,9 +1606,9 @@ class NetworkSimulator {
   /// Fault-campaign state. Allocated only by chaosAttach(): a null pointer
   /// keeps every hot-path chaos check to one predicted-not-taken branch,
   /// and an attached-but-quiet simulator (empty plan) reads only all-zero
-  /// flags — no RNG stream, event, or schedule is perturbed until a fault
+  /// flags — no draw, event, or schedule is perturbed until a fault
   /// actually fires. Fault randomness (victim choice, corrupted states,
-  /// rejoin phases) lives in the controller's own Rng, never in rng_.
+  /// rejoin phases) lives in the controller's own Rng.
   /// Every field changes only inside a ChaosTick (or between runs), never
   /// inside a lookahead window.
   struct ChaosState {
@@ -1607,12 +1626,18 @@ class NetworkSimulator {
     bool partitionActive = false;
   };
 
+  /// Purposes of the keyed draws, each hashed with the seed.
+  static constexpr std::uint64_t kPhaseDraw = 0x9a5e;
+  static constexpr std::uint64_t kJitterDraw = 0x717e;
+  static constexpr std::uint64_t kLossDraw = 0x1055;
+
   const engine::Protocol<State>* protocol_;
   const engine::ViewKernel<State>* viewKernel_ = nullptr;
   const graph::IdAssignment* ids_;
   Mobility* mobility_;
   NetworkConfig config_;
-  Rng rng_;
+  std::uint64_t jitterKey_;  ///< keys of the per-beacon draws
+  std::uint64_t lossKey_;
   std::vector<Node> nodes_;
   std::vector<SimTime> lastTx_;
   CalendarQueue<Event> queue_;

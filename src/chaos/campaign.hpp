@@ -26,9 +26,11 @@
 // to live nodes; once the plan ends clean it coincides with the global
 // fixpoint, which the campaign then verifies.
 //
-// Determinism: all campaign randomness comes from a dedicated Rng seeded by
-// `chaosSeed`, so the same (plan, seeds, executor schedule) replays
-// bit-identically at every thread count.
+// Determinism: all campaign randomness is keyed by `chaosSeed`: event i's
+// corrupted states and its fraction draws come from each node's own
+// stream, keyed by (chaosSeed, i, the node's external number; see
+// engine/fault.hpp). So the same (plan, seeds, executor schedule) replays
+// bit-identically at every thread count and in every storage order.
 //
 // Cost follows the change, not n. A round in which the runner moved nothing
 // and no event fired since the previous round is the identity: nothing to
@@ -141,22 +143,20 @@ CampaignResult runEngineCampaign(
     return *baseCopy;
   };
   const detail::RestoreTopology restore{g, baseCopy};
-  Rng chaosRng(chaosSeed);
   engine::ViewBuilder<State> builder(g, ids);
 
-  // A labelled g's vertices by label: fraction corruption visits nodes in
-  // label order, and sampled vertex fields are external numbers (see
-  // engine/fault.hpp). Built at the first event that needs it.
+  // Sampled vertex fields are external numbers (see engine/fault.hpp); a
+  // labelled g's inverse labels translate them. Built at the first event
+  // that needs them.
   std::vector<graph::Vertex> byLabel;
-  const auto labelOrder = [&]() -> std::span<const graph::Vertex> {
-    if (byLabel.empty()) byLabel = graph::vertexByLabel(g);
+  const auto frame = [&]() -> std::span<const graph::Vertex> {
+    if (byLabel.empty()) byLabel = engine::frameFor<State>(g);
     return byLabel;
   };
-  const auto corrupt = [&](graph::Vertex v) {
-    states[v] = engine::sampleInternal<State>(
-        sampler, v, g, chaosRng,
-        engine::kHoldsVertices<State> ? labelOrder()
-                                      : std::span<const graph::Vertex>{});
+  // Event i's draws are keyed by (chaosSeed, i, the node's label).
+  const auto corrupt = [&](std::uint64_t key, graph::Vertex v) {
+    Rng rng = engine::nodeRng(key, g, v);
+    states[v] = engine::sampleInternal<State>(sampler, v, g, rng, frame());
   };
 
   // A runner with the SyncRunner's own calls is told each edited slot
@@ -424,24 +424,20 @@ CampaignResult runEngineCampaign(
     return out;
   };
 
-  const auto applyEvent = [&](const FaultEvent& ev) {
+  const auto applyEvent = [&](const FaultEvent& ev, std::size_t index) {
+    const std::uint64_t key = hashCombine(chaosSeed, index);
     std::vector<graph::Vertex> injected;
     switch (ev.kind) {
       case FaultKind::Corrupt:
         if (!ev.nodes.empty()) {
           for (const graph::Vertex v : ev.nodes) {
-            corrupt(v);
+            corrupt(key, v);
             injected.push_back(v);
           }
         } else {
-          const std::span<const graph::Vertex> order = labelOrder();
-          for (graph::Vertex x = 0; x < n; ++x) {
-            if (chaosRng.chance(ev.fraction)) {
-              const graph::Vertex v = order.empty() ? x : order[x];
-              corrupt(v);
-              injected.push_back(v);
-            }
-          }
+          injected = engine::detail::corruptFraction(
+              states, g, key, ev.fraction, sampler, frame(),
+              parallel::workersFor(n, engine::kSampleGrain));
         }
         for (const graph::Vertex v : injected) touch(v);
         edited.insert(edited.end(), injected.begin(), injected.end());
@@ -449,7 +445,7 @@ CampaignResult runEngineCampaign(
       case FaultKind::Garble:
         // No payloads to garble in the abstract model; the nearest fault is
         // one corrupted state snapshot at the garbled node.
-        corrupt(ev.node);
+        corrupt(key, ev.node);
         injected.push_back(ev.node);
         touch(ev.node);
         edited.push_back(ev.node);
@@ -505,7 +501,7 @@ CampaignResult runEngineCampaign(
     while (static_cast<std::int64_t>(result.roundsExecuted) < ev.at) {
       stepOnce();
     }
-    const std::vector<graph::Vertex> injected = applyEvent(ev);
+    const std::vector<graph::Vertex> injected = applyEvent(ev, i);
     for (const graph::Vertex v : injected) faulty[v] = 1;
     if (monitor != nullptr) monitor->onFault(ev.at, ev.kind, injected, g);
 

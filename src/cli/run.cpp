@@ -10,7 +10,6 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
-#include <type_traits>
 
 #include "analysis/trace.hpp"
 #include "analysis/verifiers.hpp"
@@ -138,20 +137,6 @@ void installKernel(engine::SyncRunner<State>& runner,
   report.kernel = std::string(engine::toString(engine::Kernel::Flat));
 }
 
-/// A random start: engine::randomConfiguration, or the same states drawn
-/// `threads` wide by core::randomPointerConfiguration when the sampler is
-/// core::randomPointerState.
-template <typename State, typename Sampler>
-std::vector<State> randomStart(const Graph& g, graph::Rng& rng,
-                               Sampler sampler, std::size_t threads) {
-  if constexpr (std::is_same_v<Sampler, decltype(&core::randomPointerState)>) {
-    if (sampler == &core::randomPointerState) {
-      return core::randomPointerConfiguration(g, rng, threads);
-    }
-  }
-  return engine::randomConfiguration<State>(g, rng, sampler);
-}
-
 /// Shared driver: runs `protocol` from the configured start, tracing if
 /// requested; fills the run-related Report fields. `metric` maps a
 /// configuration to the solution size recorded in the CSV trace (matched
@@ -181,7 +166,7 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
     states = runner.initialStates();
   } else {
     graph::Rng rng(hashCombine(options.seed, 0x5747u));
-    states = randomStart<State>(g, rng, sampler, threads);
+    states = engine::randomConfiguration<State>(g, rng, sampler);
   }
   if (plan.has_value()) {
     // Fault campaign: crash and partition events mask edges of `g` in

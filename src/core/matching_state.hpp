@@ -4,9 +4,7 @@
 // null, denoted i -> Λ, or points to one of its neighbors j, denoted i -> j."
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "graph/graph.hpp"
 #include "graph/rng.hpp"
@@ -38,26 +36,27 @@ struct PointerState {
 
 /// Uniform sample from N(v) ∪ {Λ} — the set of *type-correct* pointer values.
 /// This spans the full configuration space the paper's proofs quantify over.
-/// On a labelled graph the draw is in the external frame (see
-/// engine/fault.hpp): the pick-th neighbour by label, as its label.
+/// One draw keys a hash of each member's external number (Λ as kNoVertex),
+/// and the member with the smallest hash wins. For a fixed key the hash is
+/// a bijection of the number, so there are no ties, and the pick depends
+/// neither on the order of v's neighbour slice nor on storage numbers. On
+/// a labelled graph the draw is in the external frame (see
+/// engine/fault.hpp): the winner's label.
 inline PointerState randomPointerState(graph::Vertex v, const graph::Graph& g,
                                        Rng& rng) {
-  const std::size_t degree = g.degree(v);
-  const std::uint64_t pick = rng.below(degree + 1);
-  if (pick == degree) return PointerState{};  // Λ
-  return PointerState{g.labelOf(graph::neighborByLabelRank(
-      g, v, static_cast<std::size_t>(pick)))};
+  const std::uint64_t key = rng.next();
+  graph::Vertex best = graph::kNoVertex;
+  std::uint64_t least = hashCombine(key, best);
+  for (const graph::Vertex w : g.neighbors(v)) {
+    const graph::Vertex x = g.labelOf(w);
+    const std::uint64_t h = hashCombine(key, x);
+    // Selects, not a branch: a new least is too irregular to predict.
+    const bool less = h < least;
+    least = less ? h : least;
+    best = less ? x : best;
+  }
+  return PointerState{best};
 }
-
-/// engine::randomConfiguration(g, rng, randomPointerState): the same draws
-/// and states, at width `width` on parallel::team(). A labelled graph is
-/// drawn in label order, and walking its CSR in that order costs a cache
-/// miss or more per node (about 1 s at 10^6). The draws read only degrees,
-/// so the degrees are scattered into label order, drawn serially there,
-/// and each node then resolves its draw among its own neighbours.
-std::vector<PointerState> randomPointerConfiguration(const graph::Graph& g,
-                                                     Rng& rng,
-                                                     std::size_t width);
 
 /// Uniform sample from V ∪ {Λ}: may produce pointers to non-neighbors or to
 /// the node itself, the kind of garbage left behind by memory corruption or

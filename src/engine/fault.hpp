@@ -6,24 +6,34 @@
 // states, targeted corruption of a stabilized configuration, and (for small
 // graphs) exhaustive enumeration of the full configuration space, which gives
 // exact worst-case round counts for the bound checks of Theorems 1 and 2.
+// Random states and corruption draw per node from keyed streams (below), so
+// they run in storage order on the team and give the same configuration at
+// every width and in every storage order.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "graph/rng.hpp"
+#include "parallel/spin_team.hpp"
+#include "parallel/workers.hpp"
 
 namespace selfstab::engine {
 
-// Samplers and labelled graphs. A sampler is called with an internal
-// vertex v of g; on a labelled graph (Graph::labels()) it draws in the
-// external frame: a vertex-valued field holds an external number, and a
-// draw among v's neighbours ranks them by label. The helpers below visit
-// nodes in label order and translate what the sampler drew, so a labelled
-// graph gets the configuration its unlabelled twin would, renumbered, from
-// the same RNG draws.
+// Keyed draws. Every node draws from an Rng of its own, seeded by a key
+// and the node's external number (Graph::labelOf): a counter-based stream
+// in the sense of Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+// 3" (SC 2011). What a node draws therefore depends neither on the order
+// nodes are visited in nor on their storage numbers, so the helpers below
+// visit nodes in storage order on parallel::team(). A sampler is called
+// with an internal vertex v of g and v's own Rng; on a labelled graph
+// (Graph::labels()) it draws in the external frame: a vertex-valued field
+// holds an external number, which toInternalFrame translates. A labelled
+// graph thus gets the configuration its unlabelled twin would, renumbered,
+// from the same caller's Rng.
 
 namespace detail {
 struct VertexFieldProbe {
@@ -49,8 +59,20 @@ void toInternalFrame(State& s, std::span<const graph::Vertex> byLabel) {
   }
 }
 
-/// sampler(v, g, rng) in g's internal frame; `byLabel` is g's inverse
-/// labels, empty for an unlabelled graph.
+/// What toInternalFrame needs for State on g: g's inverse labels if State
+/// holds vertices and g is labelled, else nothing.
+template <typename State>
+std::vector<graph::Vertex> frameFor(const graph::Graph& g) {
+  if constexpr (kHoldsVertices<State>) return graph::vertexByLabel(g);
+  return {};
+}
+
+/// The Rng node v draws from under `key`.
+inline Rng nodeRng(std::uint64_t key, const graph::Graph& g, graph::Vertex v) {
+  return Rng(hashCombine(key, g.labelOf(v)));
+}
+
+/// sampler(v, g, rng) in g's internal frame; `byLabel` is frameFor<State>.
 template <typename State, typename Sampler>
 State sampleInternal(Sampler& sampler, graph::Vertex v, const graph::Graph& g,
                      Rng& rng, std::span<const graph::Vertex> byLabel) {
@@ -59,38 +81,79 @@ State sampleInternal(Sampler& sampler, graph::Vertex v, const graph::Graph& g,
   return s;
 }
 
-/// Builds a configuration by sampling each node's state independently, in
-/// label order (see above).
+/// Nodes per worker of a keyed draw over the whole graph.
+inline constexpr std::size_t kSampleGrain = 4096;
+
+namespace detail {
+
+inline constexpr std::size_t kSampleBlock = 1024;
+
+/// Every node's state drawn under `key`, at width `width`.
+template <typename State, typename Sampler>
+std::vector<State> randomConfiguration(const graph::Graph& g,
+                                       std::uint64_t key, Sampler& sampler,
+                                       std::size_t width) {
+  const std::vector<graph::Vertex> byLabel = frameFor<State>(g);
+  std::vector<State> states(g.order());
+  parallel::forEachBlock(
+      width, g.order(), kSampleBlock, [&](std::size_t b, std::size_t e) {
+        for (auto v = static_cast<graph::Vertex>(b); v < e; ++v) {
+          Rng rng = nodeRng(key, g, v);
+          states[v] = sampleInternal<State>(sampler, v, g, rng, byLabel);
+        }
+      });
+  return states;
+}
+
+/// Resamples, under `key` at width `width`, each node whose own Rng's
+/// first draw, chance(fraction), hits; the state is drawn from the same
+/// Rng. Returns the resampled nodes, ascending.
+template <typename State, typename Sampler>
+std::vector<graph::Vertex> corruptFraction(
+    std::vector<State>& states, const graph::Graph& g, std::uint64_t key,
+    double fraction, Sampler& sampler, std::span<const graph::Vertex> byLabel,
+    std::size_t width) {
+  std::vector<std::uint8_t> hit(states.size(), 0);
+  parallel::forEachBlock(
+      width, states.size(), kSampleBlock, [&](std::size_t b, std::size_t e) {
+        for (auto v = static_cast<graph::Vertex>(b); v < e; ++v) {
+          Rng rng = nodeRng(key, g, v);
+          if (!rng.chance(fraction)) continue;
+          states[v] = sampleInternal<State>(sampler, v, g, rng, byLabel);
+          hit[v] = 1;
+        }
+      });
+  std::vector<graph::Vertex> corrupted;
+  for (graph::Vertex v = 0; v < hit.size(); ++v) {
+    if (hit[v] != 0) corrupted.push_back(v);
+  }
+  return corrupted;
+}
+
+}  // namespace detail
+
+/// Builds a configuration by sampling each node's state independently
+/// under one draw of `rng` (see above).
 /// Sampler signature: State(graph::Vertex v, const graph::Graph& g, Rng&).
 template <typename State, typename Sampler>
 std::vector<State> randomConfiguration(const graph::Graph& g, Rng& rng,
                                        Sampler sampler) {
-  const std::vector<graph::Vertex> byLabel = graph::vertexByLabel(g);
-  std::vector<State> states(g.order());
-  for (graph::Vertex x = 0; x < g.order(); ++x) {
-    const graph::Vertex v = byLabel.empty() ? x : byLabel[x];
-    states[v] = sampleInternal<State>(sampler, v, g, rng, byLabel);
-  }
-  return states;
+  return detail::randomConfiguration<State>(
+      g, rng.next(), sampler,
+      parallel::workersFor(g.order(), kSampleGrain));
 }
 
 /// Resamples each node's state independently with probability `fraction`
-/// (a transient-fault burst hitting a random subset of nodes), visiting
-/// nodes in label order. Returns the number of nodes corrupted.
+/// (a transient-fault burst hitting a random subset of nodes), under one
+/// draw of `rng`. Returns the number of nodes corrupted.
 template <typename State, typename Sampler>
 std::size_t corruptConfiguration(std::vector<State>& states,
                                  const graph::Graph& g, Rng& rng,
                                  double fraction, Sampler sampler) {
-  const std::vector<graph::Vertex> byLabel = graph::vertexByLabel(g);
-  std::size_t corrupted = 0;
-  for (graph::Vertex x = 0; x < states.size(); ++x) {
-    const graph::Vertex v = byLabel.empty() ? x : byLabel[x];
-    if (rng.chance(fraction)) {
-      states[v] = sampleInternal<State>(sampler, v, g, rng, byLabel);
-      ++corrupted;
-    }
-  }
-  return corrupted;
+  return detail::corruptFraction(
+             states, g, rng.next(), fraction, sampler, frameFor<State>(g),
+             parallel::workersFor(states.size(), kSampleGrain))
+      .size();
 }
 
 /// corruptConfiguration plus the announcement SyncRunner requires: a

@@ -168,44 +168,16 @@ void Graph::rebuildFrom(Graph&& built) {
 
 std::vector<Vertex> vertexByLabel(const Graph& g) {
   if (!g.labelled()) return {};
+  constexpr std::size_t kBlock = 4096;
   std::vector<Vertex> byLabel(g.order());
-  for (Vertex v = 0; v < g.order(); ++v) byLabel[g.labelOf(v)] = v;
-  return byLabel;
-}
-
-Vertex neighborByLabelRank(const Graph& g, Vertex v, std::size_t rank) {
-  const auto nbrs = g.neighbors(v);
-  assert(rank < nbrs.size());
-  if (!g.labelled()) return nbrs[rank];
-  // Labels are distinct, so the answer is the neighbour with exactly `rank`
-  // smaller labels. Up to kSmall neighbours, counting them for each
-  // candidate is a branch-free loop over a stack array that measured about
-  // 4x faster than a selection; larger slices select.
-  constexpr std::size_t kSmall = 64;
-  constexpr std::size_t kLanes = 8;  // padded with labels no one is below
-  const std::size_t degree = nbrs.size();
-  if (degree <= kSmall) {
-    Vertex labels[kSmall];
-    const std::size_t padded = (degree + kLanes - 1) / kLanes * kLanes;
-    for (std::size_t i = 0; i < degree; ++i) labels[i] = g.labelOf(nbrs[i]);
-    std::fill(labels + degree, labels + padded, kNoVertex);
-    for (std::size_t i = 0;; ++i) {
-      const Vertex x = labels[i];
-      std::uint32_t smaller = 0;
-      for (std::size_t j = 0; j < padded; j += kLanes) {
-        for (std::size_t k = 0; k < kLanes; ++k) {
-          smaller += static_cast<std::uint32_t>(labels[j + k] < x);
+  parallel::forEachBlock(
+      parallel::workersFor(g.order(), kLabelEdgeGrain), g.order(), kBlock,
+      [&](std::size_t b, std::size_t e) {
+        for (auto v = static_cast<Vertex>(b); v < e; ++v) {
+          byLabel[g.labelOf(v)] = v;
         }
-      }
-      if (smaller == rank) return nbrs[i];
-    }
-  }
-  std::vector<Vertex> labels(degree);
-  for (std::size_t i = 0; i < degree; ++i) labels[i] = g.labelOf(nbrs[i]);
-  const auto nth = labels.begin() + static_cast<std::ptrdiff_t>(rank);
-  std::nth_element(labels.begin(), nth, labels.end());
-  return *std::find_if(nbrs.begin(), nbrs.end(),
-                       [&](Vertex w) { return g.labelOf(w) == *nth; });
+      });
+  return byLabel;
 }
 
 namespace detail {

@@ -190,16 +190,10 @@ class Graph {
 };
 
 /// The inverse of g's labels: entry x is the vertex labelled x; empty (the
-/// identity) for an unlabelled graph. O(n); callers hold it only while
-/// they translate.
+/// identity) for an unlabelled graph. O(n), on parallel::team() at
+/// workersFor(n, kLabelEdgeGrain); callers hold it only while they
+/// translate.
 [[nodiscard]] std::vector<Vertex> vertexByLabel(const Graph& g);
-
-/// The neighbour of v whose label ranks `rank`-th (from 0) among the labels
-/// of v's neighbours: neighbors(v)[rank] in an unlabelled graph. Requires
-/// rank < degree(v). O(degree(v)²) up to 64 neighbours, O(degree(v))
-/// expected beyond.
-[[nodiscard]] Vertex neighborByLabelRank(const Graph& g, Vertex v,
-                                         std::size_t rank);
 
 namespace detail {
 

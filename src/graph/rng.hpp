@@ -40,8 +40,16 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
+/// For a fixed `a`, a bijection of `b`: distinct words hash apart. Chained,
+/// it keys a draw by several words, e.g. (seed, purpose, node, time).
 constexpr std::uint64_t hashCombine(std::uint64_t a, std::uint64_t b) noexcept {
   return mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
+}
+
+/// Uniform double in [0, 1) from the top 53 bits of `x`: a keyed draw when
+/// x is a hash of its key.
+constexpr double unitReal(std::uint64_t x) noexcept {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
 /// Xoshiro256**: fast general-purpose PRNG with 256-bit state.
@@ -95,21 +103,13 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double real() noexcept {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
+  double real() noexcept { return unitReal(next()); }
 
   /// Uniform double in [lo, hi).
   double real(double lo, double hi) noexcept { return lo + (hi - lo) * real(); }
 
   /// Bernoulli trial with success probability p.
   bool chance(double p) noexcept { return real() < p; }
-
-  /// Advances the stream past `k` draws: the state `k` calls to next()
-  /// (or to real() or chance()) would leave.
-  constexpr void discard(std::uint64_t k) noexcept {
-    for (; k > 0; --k) next();
-  }
 
   /// In-place Fisher-Yates shuffle.
   template <typename T>

@@ -50,6 +50,15 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// One thread's samples for a Histogram (Histogram::tally), added in one
+/// step by Histogram::add: the same bucket counts as observing each, and
+/// the same sum while the samples are integers whose total stays below
+/// 2^53, which double adds exactly in any order.
+struct HistogramTally {
+  std::vector<std::uint64_t> counts;  ///< per bucket, +Inf last; may be empty
+  double sum = 0.0;
+};
+
 /// Fixed-bucket histogram in the Prometheus style: `bounds` are inclusive
 /// upper edges of the finite buckets, and an implicit +Inf bucket catches
 /// the rest. Buckets are chosen at construction and never change, so
@@ -68,11 +77,27 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void observe(double v) noexcept {
-    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-    const auto bucket =
-        static_cast<std::size_t>(it - bounds_.begin());  // +Inf = last slot
-    counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+    counts_[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
+  }
+
+  /// Counts v into `t` as observe(v) would count it here, without atomics.
+  void tally(HistogramTally& t, double v) const {
+    if (t.counts.empty()) t.counts.resize(counts_.size());
+    ++t.counts[bucketOf(v)];
+    t.sum += v;
+  }
+
+  /// Adds `t`'s samples in one step and empties it.
+  void add(HistogramTally& t) noexcept {
+    for (std::size_t i = 0; i < t.counts.size(); ++i) {
+      if (t.counts[i] > 0) {
+        counts_[i].fetch_add(t.counts[i], std::memory_order_relaxed);
+      }
+      t.counts[i] = 0;
+    }
+    if (t.sum != 0.0) sum_.fetch_add(t.sum, std::memory_order_relaxed);
+    t.sum = 0.0;
   }
 
   [[nodiscard]] const std::vector<double>& bounds() const noexcept {
@@ -100,6 +125,11 @@ class Histogram {
   }
 
  private:
+  [[nodiscard]] std::size_t bucketOf(double v) const noexcept {
+    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
+    return static_cast<std::size_t>(it - bounds_.begin());  // +Inf = last
+  }
+
   std::vector<double> bounds_;
   std::vector<std::atomic<std::uint64_t>> counts_;
   std::atomic<double> sum_{0.0};

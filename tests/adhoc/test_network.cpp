@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "analysis/verifiers.hpp"
 #include "core/sis.hpp"
 #include "core/smm.hpp"
@@ -326,6 +330,86 @@ TEST(Network, RebootChurnBitIdenticalAcrossIndexAndQueueModes) {
   EXPECT_GE(grid.now() - grid.lastMoveTime(), 5 * interval);
   EXPECT_TRUE(
       checkMatchingFixpoint(grid.currentTopology(), grid.states()).ok());
+}
+
+// Each (beacon, receiver) loss is its own keyed draw, so over many
+// beacons the lost share of the in-range receptions is lossProbability, in
+// the per-event loop and in the window executor alike. On a static clique
+// every beacon has n - 1 receivers in range, so the receptions are exactly
+// beaconsSent x (n - 1), arrivals still in flight included.
+TEST(Network, KeyedLossesMatchTheLossProbability) {
+  constexpr std::size_t kN = 30;
+  std::vector<graph::Point> pts;
+  graph::Rng rng(17);
+  for (std::size_t i = 0; i < kN; ++i) {
+    pts.push_back({rng.real(0.0, 0.2), rng.real(0.0, 0.2)});
+  }
+  const auto ids = IdAssignment::identity(kN);
+  const core::SisProtocol sis;
+  for (const double p : {0.05, 0.2, 0.5}) {
+    for (const std::size_t workers : {kPerEventLoop, std::size_t{1}}) {
+      NetworkConfig config;
+      config.seed = 139;
+      config.lossProbability = p;
+      StaticPlacement mobility(pts);
+      NetworkSimulator<BitState> sim(sis, ids, mobility, config, workers);
+      sim.run(300 * config.beaconInterval);
+      const double receptions =
+          static_cast<double>(sim.stats().beaconsSent * (kN - 1));
+      const double share =
+          static_cast<double>(sim.stats().beaconsLost) / receptions;
+      const double sigma = std::sqrt(p * (1.0 - p) / receptions);
+      EXPECT_NEAR(share, p, 5.0 * sigma)
+          << "p " << p << " workers " << workers;
+    }
+  }
+}
+
+// A node's jitter is drawn afresh for every beacon (keyed by node and send
+// time), so one node's beacon intervals spread over
+// [(1 - jitterFraction), (1 + jitterFraction)] x beaconInterval around the
+// interval itself. A lone node's timer firings are the spans the per-event
+// loop prepares its positions over.
+TEST(Network, JitterSpreadsEachNodesIntervals) {
+  struct Recorder final : Mobility {
+    std::vector<SimTime> fired;
+    [[nodiscard]] std::size_t order() const override { return 1; }
+    [[nodiscard]] graph::Point position(graph::Vertex, SimTime) override {
+      return {0.5, 0.5};
+    }
+    void prepare(SimTime from, SimTime) override { fired.push_back(from); }
+    [[nodiscard]] graph::Point preparedPosition(graph::Vertex,
+                                                SimTime) const override {
+      return {0.5, 0.5};
+    }
+    [[nodiscard]] double maxSpeed() const noexcept override { return 0.0; }
+    [[nodiscard]] SimTime settleTime() const noexcept override { return 0; }
+  };
+  NetworkConfig config;
+  config.seed = 149;
+  config.jitterFraction = 0.2;
+  Recorder mobility;
+  const auto ids = IdAssignment::identity(1);
+  const core::SisProtocol sis;
+  NetworkSimulator<BitState> sim(sis, ids, mobility, config, kPerEventLoop);
+  sim.run(400 * config.beaconInterval);
+  ASSERT_GT(mobility.fired.size(), 300U);
+  const auto interval = static_cast<double>(config.beaconInterval);
+  std::vector<SimTime> gaps;
+  double sum = 0.0;
+  for (std::size_t i = 1; i < mobility.fired.size(); ++i) {
+    const SimTime gap = mobility.fired[i] - mobility.fired[i - 1];
+    EXPECT_GE(static_cast<double>(gap), (1.0 - 0.2) * interval - 1.0);
+    EXPECT_LE(static_cast<double>(gap), (1.0 + 0.2) * interval);
+    gaps.push_back(gap);
+    sum += static_cast<double>(gap);
+  }
+  // Uniform jitter: the mean gap is the interval, within a few standard
+  // errors (0.2 / sqrt(3) x interval / sqrt(gaps)).
+  EXPECT_NEAR(sum / static_cast<double>(gaps.size()), interval,
+              0.02 * interval);
+  std::sort(gaps.begin(), gaps.end());
+  EXPECT_GT(std::unique(gaps.begin(), gaps.end()) - gaps.begin(), 100);
 }
 
 TEST(Network, DeterministicForFixedSeed) {

@@ -11,6 +11,9 @@
 // cases were re-pinned when grid placements became deferred to the next
 // lookahead window and the gather slack grew by maxSpeed x propagationDelay:
 // the gathers return a few more candidates; stats, states and events held.
+// Every value was re-pinned when the first-beacon phase, jitter and loss
+// draws became keyed by (seed, node, send time, receiver) instead of coming
+// from one stream in event order: every trajectory changed once.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -149,8 +152,8 @@ TEST(NetworkFingerprint, SmmWithBeaconLoss) {
   config.lossProbability = 0.2;
   expectPinned<core::PointerState>(
       core::smmPaper(), placed(70, 0.2, 11), config, 60 * kInterval,
-      {{4201, 23762, 5884, 0, 356, 4201, 0},
-       0x1bb1133485385ccfULL, 0x443f0134f423a90bULL, 77426, 81627, 0});
+      {{4205, 23743, 5909, 0, 331, 4205, 0},
+       0xf5ffd6d1ea972310ULL, 0xecd9106c63020aaaULL, 77429, 81634, 0});
 }
 
 TEST(NetworkFingerprint, SisWithCollisionWindow) {
@@ -160,8 +163,8 @@ TEST(NetworkFingerprint, SisWithCollisionWindow) {
   config.collisionWindow = 800;
   expectPinned<core::BitState>(
       core::SisProtocol{}, placed(70, 0.2, 12), config, 60 * kInterval,
-      {{4196, 24702, 0, 1060, 75, 4196, 0},
-       0xdd6c96b7410a50d9ULL, 0x11f7109aef399d92ULL, 77117, 77799, 25770});
+      {{4204, 24550, 0, 1268, 56, 4204, 0},
+       0x754fc21184495c20ULL, 0x26b88a91fd993111ULL, 77393, 77938, 25818});
 }
 
 TEST(NetworkFingerprint, SmmWithPerNodeRadii) {
@@ -173,8 +176,8 @@ TEST(NetworkFingerprint, SmmWithPerNodeRadii) {
   }
   expectPinned<core::PointerState>(
       core::smmPaper(), placed(60, 0.2, 13), config, 60 * kInterval,
-      {{3599, 23501, 0, 0, 147, 3599, 0},
-       0x4485c6b9a05c8991ULL, 0x7da7d7b11a355476ULL, 81939, 85538, 0});
+      {{3603, 23536, 0, 0, 152, 3603, 0},
+       0xc14422b56ef54981ULL, 0xa39d9a6980b444cfULL, 82037, 85640, 0});
 }
 
 TEST(NetworkFingerprint, SisUnderWaypointMobilityLossAndCollisions) {
@@ -185,8 +188,8 @@ TEST(NetworkFingerprint, SisUnderWaypointMobilityLossAndCollisions) {
   config.collisionWindow = 500;
   expectPinned<core::BitState>(
       core::SisProtocol{}, waypoint(90, 14), config, 80 * kInterval,
-      {{7197, 56747, 3005, 2951, 345, 7197, 0},
-       0x7648cf4107849fdbULL, 0x2f09852fe7aad73dULL, 199828, 199065, 59710});
+      {{7203, 56665, 3161, 2913, 359, 7203, 0},
+       0x61abb87117f69413ULL, 0xc7bedc34af697e74ULL, 200050, 199350, 59578});
 }
 
 TEST(NetworkFingerprint, LeaderTreeUnderActiveScheduleAndMobility) {
@@ -196,8 +199,8 @@ TEST(NetworkFingerprint, LeaderTreeUnderActiveScheduleAndMobility) {
   config.schedule = engine::Schedule::Active;
   expectPinned<core::LeaderState>(
       core::LeaderTreeProtocol(80), waypoint(80, 15), config, 80 * kInterval,
-      {{6399, 65788, 0, 0, 1556, 5488, 911},
-       0x1f51d42818a88960ULL, 0xf94b7d033174ee50ULL, 180283, 186682, 0});
+      {{6398, 65812, 0, 0, 1538, 5484, 914},
+       0x472d877e85d7cf5eULL, 0xb3d3a6eb33a0220bULL, 180564, 186962, 0});
 }
 
 TEST(NetworkFingerprint, SmmWithReboots) {
@@ -217,8 +220,8 @@ TEST(NetworkFingerprint, SmmWithReboots) {
   };
   expectPinned<core::PointerState>(
       core::smmPaper(), placed(60, 0.2, 16), config, 70 * kInterval,
-      {{4205, 27454, 0, 0, 150, 4205, 0},
-       0xdd6fa997b6847205ULL, 0x7ea1e05b729f47acULL, 70508, 74713, 0},
+      {{4203, 27458, 0, 0, 148, 4203, 0},
+       0xb6cadca938afed72ULL, 0xad33aabb008fde49ULL, 70473, 74676, 0},
       script);
 }
 
@@ -280,16 +283,16 @@ void expectChaosPinned(IndexMode index, const Fingerprint& expected) {
 TEST(NetworkFingerprint, SmmChaosCampaignGridIndex) {
   expectChaosPinned(
       IndexMode::Grid,
-      {{4769, 41640, 2341, 1658, 517, 4769, 0},
-       0x9f474fc4fb4ba516ULL, 0x772789b5a8422021ULL, 133583, 143578, 43307});
+      {{4768, 41770, 2266, 1626, 539, 4768, 0},
+       0x457020ed11ae9980ULL, 0xf9fb09449602fc99ULL, 133559, 143673, 43396});
 }
 
 // Same trajectory as the grid case; only the index counters differ.
 TEST(NetworkFingerprint, SmmChaosCampaignScanIndex) {
   expectChaosPinned(
       IndexMode::Scan,
-      {{4769, 41640, 2341, 1658, 517, 4769, 0},
-       0x9f474fc4fb4ba516ULL, 0x772789b5a8422021ULL, 269404, 0, 43307});
+      {{4768, 41770, 2266, 1626, 539, 4768, 0},
+       0x457020ed11ae9980ULL, 0xf9fb09449602fc99ULL, 269592, 0, 43396});
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // containment BFS per fault). The campaign's incremental bookkeeping and the
 // executor's quiet-round skip must reproduce them exactly, for every
 // protocol family, every event kind, both schedules, both kernel paths and
-// threads 1 and 3.
+// threads 1 and 3. The rows were re-pinned when the random start and the
+// corruption draws became keyed per node (engine/fault.hpp): every seeded
+// trajectory changed once.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -195,32 +197,32 @@ void expectPinned(const engine::Protocol<State>& protocol, Sampler sampler,
 TEST(EngineCampaignFingerprint, Smm) {
   expectPinned(core::smmPaper(), core::randomPointerState, smmSafetyCheck(),
                {
-                   {82, 491, 0, false, true,  // corrupt-stream
-                    0xf6ed8a47193da03eULL, 0xb9b9e94159fb01bfULL},
-                   {546, 1254, 0, true, true,  // crash-storm
-                    0xfd3c2c879da1fbaeULL, 0x361ab5be6293a14eULL},
-                   {803, 602, 0, true, true,  // churn
-                    0x9f5068a1e893237aULL, 0x7bbaae8ec03508bfULL},
-                   {445, 398, 0, true, true,  // rolling-partition
-                    0x698e3d34c023e361ULL, 0xc14f5e5979813f3bULL},
-                   {99, 360, 0, false, true,  // stuck-garble
-                    0xd10496d983b12847ULL, 0x81a3a63b76f95959ULL},
+                   {85, 480, 0, true, true,  // corrupt-stream
+                    0x5b880d0fd35d28c3ULL, 0xac0c2fa8b46ed821ULL},
+                   {547, 1267, 0, true, true,  // crash-storm
+                    0xa9695fca6badaca7ULL, 0x450279e3672626a7ULL},
+                   {803, 475, 0, true, true,  // churn
+                    0xb157b838613c5719ULL, 0x292bbac0d4b892a5ULL},
+                   {445, 309, 0, true, true,  // rolling-partition
+                    0x7f30cc6155acea73ULL, 0x92ab7fb620682783ULL},
+                   {100, 258, 0, false, true,  // stuck-garble
+                    0xd55a6c5c20cb20e2ULL, 0xa79be83cc18b7802ULL},
                });
 }
 
 TEST(EngineCampaignFingerprint, Sis) {
   expectPinned(core::SisProtocol{}, core::randomBitState, sisSafetyCheck(),
                {
-                   {74, 81, 0, true, true,  // corrupt-stream
-                    0x4893f0980a78ddafULL, 0xf3356ac426243612ULL},
-                   {535, 842, 0, true, true,  // crash-storm
-                    0x3cec5b97dd9da79bULL, 0xf3356ac426243612ULL},
-                   {799, 268, 0, true, true,  // churn
-                    0xf30094495842d60bULL, 0xf3356ac426243612ULL},
-                   {447, 157, 0, true, true,  // rolling-partition
+                   {74, 71, 0, true, true,  // corrupt-stream
+                    0x3d7451019e4e80ccULL, 0xf3356ac426243612ULL},
+                   {536, 850, 0, true, true,  // crash-storm
+                    0x73795980afae90b0ULL, 0xf3356ac426243612ULL},
+                   {800, 288, 0, true, true,  // churn
+                    0x6b63fce4bc7dcecbULL, 0xf3356ac426243612ULL},
+                   {447, 150, 0, true, true,  // rolling-partition
                     0x9305c84b8eafaf9bULL, 0xf3356ac426243612ULL},
-                   {98, 97, 0, true, true,  // stuck-garble
-                    0x12123cddca77c780ULL, 0xf3356ac426243612ULL},
+                   {98, 90, 0, true, true,  // stuck-garble
+                    0x4bd753afd69bc4a6ULL, 0xf3356ac426243612ULL},
                });
 }
 
@@ -228,15 +230,15 @@ TEST(EngineCampaignFingerprint, Coloring) {
   expectPinned(core::ColoringProtocol{}, core::randomColorState,
                SafetyCheck<core::ColorState>{},
                {
-                   {82, 662, 0, false, true,  // corrupt-stream
-                    0x4723f45419ea8d2fULL, 0x2c6dd06f4ea217e4ULL},
-                   {543, 1191, 0, true, true,  // crash-storm
-                    0x8d987246d24cbb9bULL, 0x2c6dd06f4ea217e4ULL},
-                   {807, 661, 0, true, true,  // churn
-                    0xb5ba3e1e40654bbfULL, 0x2c6dd06f4ea217e4ULL},
-                   {453, 656, 0, true, true,  // rolling-partition
+                   {82, 694, 0, false, true,  // corrupt-stream
+                    0x5145d31f5f73bce1ULL, 0x2c6dd06f4ea217e4ULL},
+                   {544, 1218, 0, true, true,  // crash-storm
+                    0xe7eacddc35b7b563ULL, 0x2c6dd06f4ea217e4ULL},
+                   {808, 709, 0, true, true,  // churn
+                    0x4f94e864a187328dULL, 0x2c6dd06f4ea217e4ULL},
+                   {453, 664, 0, true, true,  // rolling-partition
                     0xed562d21565ab2c0ULL, 0x2c6dd06f4ea217e4ULL},
-                   {106, 446, 0, false, true,  // stuck-garble
+                   {106, 447, 0, false, true,  // stuck-garble
                     0x336b8fe339d8da44ULL, 0x2c6dd06f4ea217e4ULL},
                });
 }
@@ -245,16 +247,16 @@ TEST(EngineCampaignFingerprint, LeaderTree) {
   expectPinned(core::LeaderTreeProtocol{kN}, core::randomLeaderState,
                SafetyCheck<core::LeaderState>{},
                {
-                   {95, 3564, 0, false, true,  // corrupt-stream
-                    0x739d6476cab4b52ULL, 0x3f2ed498a459f281ULL},
-                   {561, 3381, 0, true, true,  // crash-storm
-                    0x18fe2f889ff2120eULL, 0x3f2ed498a459f281ULL},
-                   {823, 4010, 0, true, true,  // churn
-                    0x9dba7377c5cbec50ULL, 0x3f2ed498a459f281ULL},
-                   {446, 3112, 0, true, true,  // rolling-partition
-                    0x5aa14b6c1541ac4dULL, 0x3f2ed498a459f281ULL},
-                   {135, 3268, 0, false, true,  // stuck-garble
-                    0x5756c5a80f95ebb3ULL, 0x3f2ed498a459f281ULL},
+                   {109, 3948, 0, false, true,  // corrupt-stream
+                    0x2b9217c421494b83ULL, 0x3f2ed498a459f281ULL},
+                   {571, 3196, 0, true, true,  // crash-storm
+                    0x532a920230efa516ULL, 0x3f2ed498a459f281ULL},
+                   {818, 3169, 0, true, true,  // churn
+                    0xb5d42e3c5354cc0eULL, 0x3f2ed498a459f281ULL},
+                   {446, 2512, 0, true, true,  // rolling-partition
+                    0x824cd915c1c384eULL, 0x3f2ed498a459f281ULL},
+                   {132, 2983, 0, false, true,  // stuck-garble
+                    0xe075ee38f3754b80ULL, 0x3f2ed498a459f281ULL},
                });
 }
 
@@ -266,16 +268,16 @@ TEST(EngineCampaignFingerprint, HsuHuangSync) {
                                                        core::Choice::First);
   expectPinned(protocol, core::randomPointerState, smmSafetyCheck(),
                {
-                   {169, 131, 0, false, true,  // corrupt-stream
-                    0x1ea08e36b9803849ULL, 0xb06f0988c52d160cULL},
-                   {599, 638, 0, false, true,  // crash-storm
-                    0xa16d1246fb8ad5a2ULL, 0x8f5d78b0f80e2b3fULL},
-                   {845, 279, 0, false, true,  // churn
-                    0xaf92484d30a7d2eULL, 0x170b8bb7db85bb59ULL},
-                   {464, 162, 0, true, true,  // rolling-partition
-                    0xa93e218e9b7fb788ULL, 0x5cd6f875a4d04548ULL},
-                   {123, 115, 0, false, true,  // stuck-garble
-                    0xbc2dd22d4d22f245ULL, 0xc879144f3e3a18f7ULL},
+                   {219, 130, 0, false, true,  // corrupt-stream
+                    0xb230d02cf46daba7ULL, 0x87f489d5725da4bcULL},
+                   {629, 662, 0, false, true,  // crash-storm
+                    0x5c48f86b3fa64e06ULL, 0x9a70fc2321edeae8ULL},
+                   {902, 266, 0, false, true,  // churn
+                    0x787a51a60b8a5073ULL, 0xa4cd4e73b67a0191ULL},
+                   {464, 135, 0, true, true,  // rolling-partition
+                    0xcc0a012fbcb3ee5fULL, 0xf497cc07f40a066bULL},
+                   {138, 114, 0, false, true,  // stuck-garble
+                    0xf6f6158f041b4f3eULL, 0x47fe20eb144b188bULL},
                });
 }
 

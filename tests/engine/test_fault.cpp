@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "../support/test_protocols.hpp"
@@ -106,22 +108,86 @@ TEST(RandomConfiguration, LabelledGraphDrawsTheRenumberedConfiguration) {
   expectRenumberedDraws<core::BitState>(core::randomBitState);
 }
 
-TEST(RandomConfiguration, SplitPointerDrawMatchesTheLabelWalk) {
+// Random starts and fraction corruption draw the same states inline and
+// on the team, in either storage order: every node draws from its own
+// keyed stream.
+template <typename State, typename Sampler>
+void expectSameAtEveryWidth(const Graph& g, Sampler sampler) {
+  const auto expected = detail::randomConfiguration<State>(g, 9, sampler, 1);
+  const std::vector<graph::Vertex> byLabel = frameFor<State>(g);
+  auto corrupted = expected;
+  const auto hit = detail::corruptFraction(corrupted, g, 10, 0.3, sampler,
+                                           byLabel, 1);
+  ASSERT_FALSE(hit.empty());
+  ASSERT_TRUE(std::is_sorted(hit.begin(), hit.end()));
+  for (const std::size_t width : {2U, 3U, 4U}) {
+    EXPECT_TRUE(detail::randomConfiguration<State>(g, 9, sampler, width) ==
+                expected)
+        << "width " << width;
+    auto states = expected;
+    EXPECT_EQ(detail::corruptFraction(states, g, 10, 0.3, sampler, byLabel,
+                                      width),
+              hit)
+        << "width " << width;
+    EXPECT_TRUE(states == corrupted) << "width " << width;
+  }
+}
+
+TEST(RandomConfiguration, TeamWidthMatchesInline) {
   Rng pointsRng(78);
   const std::vector<graph::Point> pts = graph::randomPoints(20000, pointsRng);
   for (const auto order : {graph::VertexOrder::Points,
                            graph::VertexOrder::Space}) {
     const Graph g = graph::unitDiskGraph(pts, 0.015, order);
-    Rng walk(9);
-    const auto expected =
-        randomConfiguration<PointerState>(g, walk, core::randomPointerState);
-    for (const std::size_t width : {1U, 3U}) {
-      Rng split(9);
-      EXPECT_TRUE(core::randomPointerConfiguration(g, split, width) ==
-                  expected)
-          << "width " << width;
-      EXPECT_EQ(split.next(), Rng(walk).next());
+    ASSERT_EQ(g.labelled(), order == graph::VertexOrder::Space);
+    expectSameAtEveryWidth<PointerState>(g, core::randomPointerState);
+    expectSameAtEveryWidth<core::TreeState>(g, core::randomTreeState);
+    expectSameAtEveryWidth<core::BitState>(g, core::randomBitState);
+  }
+}
+
+// The keyed pointer pick is uniform over N(v) ∪ {Λ}: over many keys, each
+// of the degree + 1 outcomes turns up about equally often (Pearson's
+// chi-squared, against the 99.9th percentile of its distribution).
+TEST(RandomPointerState, KeyedPickIsUniform) {
+  constexpr std::size_t kDraws = 60000;
+  // (degree, the 0.999 quantile of chi-squared with `degree` degrees of
+  // freedom: degree + 1 outcomes).
+  const std::vector<std::pair<graph::Vertex, double>> cases = {
+      {1, 10.83}, {2, 13.82}, {5, 20.52}, {16, 39.25}, {40, 73.40}};
+  for (const auto& [degree, critical] : cases) {
+    // A star whose centre 0 has `degree` leaves, labelled out of order.
+    std::vector<graph::Edge> edges;
+    for (graph::Vertex w = 1; w <= degree; ++w) edges.push_back({0, w});
+    const Graph plain = Graph::fromEdges(degree + 1, edges);
+    std::vector<graph::Vertex> labels(degree + 1);
+    for (graph::Vertex x = 0; x <= degree; ++x) labels[x] = degree - x;
+    std::vector<std::size_t> offsets;
+    Graph::Targets targets;
+    offsets.push_back(0);
+    for (graph::Vertex v = 0; v <= degree; ++v) {
+      for (const graph::Vertex w : plain.neighbors(v)) targets.push_back(w);
+      offsets.push_back(targets.size());
     }
+    const Graph g = Graph::fromCsr(std::move(offsets), std::move(targets),
+                                   std::move(labels));
+    // The leaves' labels are 0 .. degree - 1 (the centre's is degree), so
+    // seen[x] counts picks of the leaf labelled x, and seen[degree] Λ.
+    std::vector<std::size_t> seen(degree + 1, 0);
+    for (std::size_t key = 0; key < kDraws; ++key) {
+      Rng rng = nodeRng(key, g, 0);
+      const PointerState s = core::randomPointerState(0, g, rng);
+      ASSERT_TRUE(s.isNull() || s.ptr < degree) << s.ptr;
+      ++seen[s.isNull() ? degree : s.ptr];
+    }
+    const double expected =
+        static_cast<double>(kDraws) / static_cast<double>(degree + 1);
+    double chi2 = 0.0;
+    for (const std::size_t count : seen) {
+      const double d = static_cast<double>(count) - expected;
+      chi2 += d * d / expected;
+    }
+    EXPECT_LT(chi2, critical) << "degree " << degree;
   }
 }
 

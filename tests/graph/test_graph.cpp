@@ -386,37 +386,6 @@ TEST(Graph, LabelsSurviveCopyEditsAndRebuild) {
   EXPECT_EQ(moved.labelOf(1), 0U);
 }
 
-TEST(Graph, NeighborByLabelRankRanksNeighboursByLabel) {
-  // Vertex 0 is adjacent to 1..5, whose labels are 9, 4, 7, 1, 8; large
-  // neighbourhoods take the selection path.
-  for (const std::size_t extra : {0U, 100U}) {
-    const std::size_t n = 10 + extra;
-    std::vector<Edge> edges;
-    for (Vertex w = 1; w < 6; ++w) edges.push_back({0, w});
-    for (Vertex w = 10; w < n; ++w) edges.push_back({0, w});
-    const Graph plain = Graph::fromEdges(n, edges);
-    std::vector<Vertex> labels = {0, 9, 4, 7, 1, 8, 2, 3, 5, 6};
-    for (Vertex x = 10; x < n; ++x) labels.push_back(x);
-    std::vector<std::size_t> offsets = {0};
-    for (Vertex v = 0; v < n; ++v) {
-      offsets.push_back(offsets.back() + plain.degree(v));
-    }
-    Graph::Targets targets;
-    for (Vertex v = 0; v < n; ++v) {
-      for (const Vertex w : plain.neighbors(v)) targets.push_back(w);
-    }
-    const Graph g = Graph::fromCsr(offsets, std::move(targets), labels);
-    std::vector<Vertex> byRank;
-    for (std::size_t r = 0; r < g.degree(0); ++r) {
-      byRank.push_back(g.labelOf(neighborByLabelRank(g, 0, r)));
-      EXPECT_EQ(neighborByLabelRank(plain, 0, r), plain.neighbors(0)[r]);
-    }
-    EXPECT_TRUE(std::is_sorted(byRank.begin(), byRank.end()));
-    EXPECT_EQ(byRank.front(), 1U);
-    EXPECT_EQ(byRank.size(), 5 + extra);
-  }
-}
-
 #ifndef NDEBUG
 TEST(GraphDeathTest, FromCsrChecksItsInput) {
   using Offsets = std::vector<std::size_t>;

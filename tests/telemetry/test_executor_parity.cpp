@@ -107,7 +107,7 @@ TEST(ExecutorParity, PerPhaseHistogramsArePopulated) {
 
   telemetry::Registry parallelReg;
   {
-    SyncRunner<PointerState> runner(smm, g, ids, 0, Schedule::Dense,
+    SyncRunner<PointerState> runner(smm, g, ids, 0, Schedule::Sweep,
                                     /*threads=*/3);
     runner.attachTelemetry(&parallelReg);
     auto states = engine::randomConfiguration<PointerState>(
@@ -120,7 +120,9 @@ TEST(ExecutorParity, PerPhaseHistogramsArePopulated) {
   const telemetry::Histogram* chunks =
       parallelReg.findHistogram(names::kWorkerChunkDuration);
   ASSERT_NE(chunks, nullptr);
-  // Every round dispatches every worker once.
+  // A sweep dispatches every worker once per round. (Under Dense, a round
+  // whose work list is short runs inline, so how many rounds dispatch
+  // depends on the trajectory.)
   EXPECT_EQ(chunks->count(), parallelRounds * 3);
   // The commit phase runs on the calling thread at every thread count.
   const telemetry::Histogram* commit =
