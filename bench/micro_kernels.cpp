@@ -240,7 +240,7 @@ void recordSmmRandomStartRounds() {
   const double radius = 0.003 * std::sqrt(1e6 / static_cast<double>(n));
   const Graph g = graph::connectedRandomGeometric(n, radius, rng, nullptr, 64,
                                                   graph::VertexOrder::Space);
-  std::vector<graph::Id> labels(g.order());
+  IdAssignment::Ids labels(g.order());
   for (graph::Vertex v = 0; v < g.order(); ++v) labels[v] = g.labelOf(v);
   const IdAssignment ids(std::move(labels));
   const core::SmmProtocol smm = core::smmPaper();

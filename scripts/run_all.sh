@@ -66,8 +66,10 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # bands write consecutive runs of the targets.
   # LabelledIo.EdgesByLabel*: the writers' label-ordered edge stream, each
   # worker counting into and then filling its vertices' label slots.
+  # Geometry.ParallelCellSortMatchesSerial: the cell sort's per-worker
+  # counts and its scatter into shared members/sorted arrays.
   "$TSAN_DIR/tests/graph_tests" \
-    --gtest_filter='Geometry.BandedBuildMatchesSerial:Geometry.SpaceOrderRelabelsPointOrder:SpinTeam.*:Connectivity.*:LabelledIo.EdgesByLabel*'
+    --gtest_filter='Geometry.BandedBuildMatchesSerial:Geometry.SpaceOrderRelabelsPointOrder:Geometry.ParallelCellSortMatchesSerial:SpinTeam.*:Connectivity.*:LabelledIo.EdgesByLabel*'
   # The one-pass verifiers: team blocks read states and the CSR and fold
   # their verdicts into shared atomics.
   "$TSAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'
@@ -82,6 +84,9 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # SyncRunner.AnnouncedEditsMatchDiff: announced slots marked into the
   # work-set bitset between team rounds, and liveEnabled's sweep on the
   # team with its early-exit flag.
+  # ParallelRunner.TeamCommitMatchesInline: busy rounds commit on the
+  # team, concurrent apply() calls on word-aligned blocks of SisKernel's
+  # packed bits.
   # RandomConfiguration.TeamWidthMatchesInline: keyed random starts and
   # fraction corruption write states (and hit flags) from the team at
   # widths 2-4, and build the inverse labels there.

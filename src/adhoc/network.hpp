@@ -489,7 +489,7 @@ class NetworkSimulator {
       snap.gather(pts[u], maxRadius_, near);
       for (const graph::Vertex v : near) consider(v);
     };
-    std::vector<std::size_t> offsets(n + 1, 0);
+    graph::Graph::Offsets offsets(n + 1, 0);
     for (graph::Vertex u = 0; u < n; ++u) {
       offsets[u + 1] = offsets[u];
       forEachLink(u, [&](graph::Vertex) { ++offsets[u + 1]; });

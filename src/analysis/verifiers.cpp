@@ -264,7 +264,8 @@ bool isLeaderTree(const Graph& g, const graph::IdAssignment& ids,
                   const std::vector<core::LeaderState>& states) {
   if (states.size() != g.order()) return false;
   const auto comp = connectedComponents(g);
-  const std::size_t componentTotal = componentCount(g);
+  const std::size_t componentTotal =
+      comp.empty() ? 0 : *std::max_element(comp.begin(), comp.end()) + 1;
 
   // Leader (max-ID vertex) of every component.
   std::vector<Vertex> leader(componentTotal, graph::kNoVertex);
@@ -273,28 +274,26 @@ bool isLeaderTree(const Graph& g, const graph::IdAssignment& ids,
     if (best == graph::kNoVertex || ids.less(best, v)) best = v;
   }
 
-  // BFS distances from each leader, restricted to its component.
-  for (std::size_t c = 0; c < componentTotal; ++c) {
-    const Vertex root = leader[c];
-    const auto truth = bfsDistances(g, root);
-    for (Vertex v = 0; v < g.order(); ++v) {
-      if (comp[v] != c) continue;
-      const core::LeaderState& s = states[v];
-      if (s.root != ids.idOf(root)) return false;
-      if (v == root) {
-        if (s.dist != 0 || s.parent != graph::kNoVertex) return false;
-        continue;
-      }
-      if (s.dist != truth[v]) return false;
-      Vertex expected = graph::kNoVertex;
-      for (const Vertex w : g.neighbors(v)) {
-        if (truth[w] + 1 != truth[v]) continue;
-        if (expected == graph::kNoVertex || ids.less(w, expected)) {
-          expected = w;
-        }
-      }
-      if (s.parent != expected) return false;
+  // One BFS from every leader at once: each component holds exactly one,
+  // so a vertex's distance is to its own leader. O(n + m) in all.
+  const auto truth = graph::bfsDistances(g, leader);
+  for (Vertex v = 0; v < g.order(); ++v) {
+    const Vertex root = leader[comp[v]];
+    const core::LeaderState& s = states[v];
+    if (s.root != ids.idOf(root)) return false;
+    if (v == root) {
+      if (s.dist != 0 || s.parent != graph::kNoVertex) return false;
+      continue;
     }
+    if (s.dist != truth[v]) return false;
+    Vertex expected = graph::kNoVertex;
+    for (const Vertex w : g.neighbors(v)) {
+      if (truth[w] + 1 != truth[v]) continue;
+      if (expected == graph::kNoVertex || ids.less(w, expected)) {
+        expected = w;
+      }
+    }
+    if (s.parent != expected) return false;
   }
   return true;
 }

@@ -150,7 +150,7 @@ CampaignResult runEngineCampaign(
   // that needs them.
   std::vector<graph::Vertex> byLabel;
   const auto frame = [&]() -> std::span<const graph::Vertex> {
-    if (byLabel.empty()) byLabel = engine::frameFor<State>(g);
+    if (byLabel.empty()) byLabel = engine::frameFor<State, Sampler>(g);
     return byLabel;
   };
   // Event i's draws are keyed by (chaosSeed, i, the node's label).
@@ -225,7 +225,7 @@ CampaignResult runEngineCampaign(
       return crashed[u] == 0 && crashed[w] == 0 &&
              (!partitionActive || side[u] == side[w]);
     };
-    std::vector<std::size_t> offsets(n + 1, 0);
+    graph::Graph::Offsets offsets(n + 1, 0);
     for (graph::Vertex u = 0; u < n; ++u) {
       std::size_t degree = 0;
       for (const graph::Vertex w : from.neighbors(u)) {

@@ -29,6 +29,7 @@
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "parallel/spin_team.hpp"
 #include "parallel/workers.hpp"
 #include "telemetry/json.hpp"
 
@@ -79,12 +80,32 @@ Vertex vertexLabelled(const Graph& g, Vertex x) {
                              labels.begin());
 }
 
-/// `external` (IDs of external numbers) in g's own numbering: vertex v gets
-/// the ID of its label.
-IdAssignment internalIds(IdAssignment external, const Graph& g) {
-  if (!g.labelled()) return external;
-  std::vector<graph::Id> ids(g.order());
-  for (Vertex v = 0; v < g.order(); ++v) ids[v] = external.idOf(g.labelOf(v));
+/// Vertices per internalIds worker, and per claimed block.
+constexpr std::size_t kIdGrain = 16384;
+constexpr std::size_t kIdBlock = 4096;
+
+/// buildIds(kind, n, seed), which numbers external vertices, in g's own
+/// numbering: vertex v gets the ID of its label. Identity and reversed IDs
+/// are computed from the label directly; random ones are drawn in the
+/// external frame first. One pass on the team.
+IdAssignment internalIds(IdOrderKind kind, const Graph& g,
+                         std::uint64_t seed) {
+  const std::size_t n = g.order();
+  if (!g.labelled()) return buildIds(kind, n, seed);
+  const IdAssignment drawn = kind == IdOrderKind::Random
+                                 ? buildIds(kind, n, seed)
+                                 : IdAssignment();
+  IdAssignment::Ids ids(n);
+  parallel::forEachBlock(
+      parallel::workersFor(n, kIdGrain), n, kIdBlock,
+      [&](std::size_t b, std::size_t e) {
+        for (auto v = static_cast<Vertex>(b); v < e; ++v) {
+          const Vertex x = g.labelOf(v);
+          ids[v] = kind == IdOrderKind::Identity   ? graph::Id{x}
+                   : kind == IdOrderKind::Reversed ? graph::Id{n - 1 - x}
+                                                   : drawn.idOf(x);
+        }
+      });
   return IdAssignment(std::move(ids));
 }
 
@@ -260,14 +281,14 @@ Report runMatching(const Options& options, const Sinks& sinks, Graph& g,
   if (options.protocol == ProtocolKind::Smm) {
     const core::SmmProtocol smm = core::smmPaper();
     report.protocol = std::string(smm.name());
-    states = drive(options, sinks, smm, g, ids, budget, core::randomPointerState,
+    states = drive(options, sinks, smm, g, ids, budget, core::RandomPointer{},
                    matchingMetric(g), out, report, chaos::smmSafetyCheck());
   } else if (options.protocol == ProtocolKind::SmmArbitrary) {
     const core::SmmProtocol broken =
         core::smmArbitrary(core::Choice::Successor);
     report.protocol = std::string(broken.name());
     states = drive(options, sinks, broken, g, ids, 4 * g.order() + 64,
-                   core::randomPointerState, matchingMetric(g), out, report);
+                   core::RandomPointer{}, matchingMetric(g), out, report);
     if (!report.stabilized) {
       // Deterministic protocol: certify the livelock by finding the cycle.
       engine::SyncRunner<core::PointerState> probe(broken, g, ids);
@@ -283,7 +304,7 @@ Report runMatching(const Options& options, const Sinks& sinks, Graph& g,
                                                         core::Choice::First);
     report.protocol = std::string(wrapped.name());
     states = drive(options, sinks, wrapped, g, ids, 64 * g.order() + 256,
-                   core::randomPointerState, matchingMetric(g), out, report);
+                   core::RandomPointer{}, matchingMetric(g), out, report);
   }
 
   const analysis::MatchingFixpointCheck check =
@@ -674,8 +695,7 @@ Report detail::execute(const Options& options, std::ostream& out,
     }
     graph::writeEdgeList(file, g);
   }
-  const IdAssignment ids = internalIds(
-      buildIds(options.idOrder, g.order(), options.seed), g);
+  const IdAssignment ids = internalIds(options.idOrder, g, options.seed);
 
   // Telemetry is opt-in: with neither flag given the runners see null sinks
   // and instrument nothing. --json also needs a registry, to harvest the

@@ -34,6 +34,24 @@ struct PointerState {
   }
 };
 
+namespace detail {
+/// The pick of randomPointerState as an internal vertex (kNoVertex: Λ).
+inline graph::Vertex randomPointerPick(graph::Vertex v, const graph::Graph& g,
+                                       Rng& rng) {
+  const std::uint64_t key = rng.next();
+  graph::Vertex best = graph::kNoVertex;
+  std::uint64_t least = hashCombine(key, best);
+  for (const graph::Vertex w : g.neighbors(v)) {
+    const std::uint64_t h = hashCombine(key, g.labelOf(w));
+    // Selects, not a branch: a new least is too irregular to predict.
+    const bool less = h < least;
+    least = less ? h : least;
+    best = less ? w : best;
+  }
+  return best;
+}
+}  // namespace detail
+
 /// Uniform sample from N(v) ∪ {Λ} — the set of *type-correct* pointer values.
 /// This spans the full configuration space the paper's proofs quantify over.
 /// One draw keys a hash of each member's external number (Λ as kNoVertex),
@@ -44,19 +62,22 @@ struct PointerState {
 /// engine/fault.hpp): the winner's label.
 inline PointerState randomPointerState(graph::Vertex v, const graph::Graph& g,
                                        Rng& rng) {
-  const std::uint64_t key = rng.next();
-  graph::Vertex best = graph::kNoVertex;
-  std::uint64_t least = hashCombine(key, best);
-  for (const graph::Vertex w : g.neighbors(v)) {
-    const graph::Vertex x = g.labelOf(w);
-    const std::uint64_t h = hashCombine(key, x);
-    // Selects, not a branch: a new least is too irregular to predict.
-    const bool less = h < least;
-    least = less ? h : least;
-    best = less ? x : best;
-  }
-  return PointerState{best};
+  const graph::Vertex w = detail::randomPointerPick(v, g, rng);
+  return PointerState{w == graph::kNoVertex ? w : g.labelOf(w)};
 }
+
+/// randomPointerState as a sampler that draws in the internal frame: the
+/// same pick, kept as the internal neighbour instead of its label, so a
+/// start on a labelled graph needs no inverse labels and translates no
+/// pointer (engine::kDrawsInternal).
+struct RandomPointer {
+  static constexpr bool kInternalFrame = true;
+
+  PointerState operator()(graph::Vertex v, const graph::Graph& g,
+                          Rng& rng) const {
+    return PointerState{detail::randomPointerPick(v, g, rng)};
+  }
+};
 
 /// Uniform sample from V ∪ {Λ}: may produce pointers to non-neighbors or to
 /// the node itself, the kind of garbage left behind by memory corruption or

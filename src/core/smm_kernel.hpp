@@ -378,10 +378,12 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
   KeyMask proposeMask_;                // R2's policy as a key transform
   KeyMask acceptMask_;                 // R1's
   std::vector<std::uint32_t> ranks_;   // ID ranks, or empty: keys are IDs
-  std::vector<graph::Vertex> ptr_;     // p(i), Λ = kNoVertex
+  // The mirror and the cache are sized unwritten: sync() fills them on
+  // the team.
+  graph::BulkVector<graph::Vertex> ptr_;  // p(i), Λ = kNoVertex
   // Per vertex, a pointer value known to be in N(v) at checkedVersion_
   // (kNoVertex: none). Written by evaluation, one slot per evaluated vertex.
-  mutable std::vector<graph::Vertex> checked_;
+  mutable graph::BulkVector<graph::Vertex> checked_;
   std::uint64_t checkedVersion_ = 0;
 };
 

@@ -59,11 +59,21 @@ void toInternalFrame(State& s, std::span<const graph::Vertex> byLabel) {
   }
 }
 
-/// What toInternalFrame needs for State on g: g's inverse labels if State
-/// holds vertices and g is labelled, else nothing.
-template <typename State>
+/// True if Sampler already draws in the internal frame: it declares
+/// `static constexpr bool kInternalFrame = true` (core::RandomPointer), and
+/// its states are used as drawn.
+template <typename Sampler>
+inline constexpr bool kDrawsInternal =
+    requires { requires Sampler::kInternalFrame; };
+
+/// What toInternalFrame needs for State drawn by Sampler (by default, one
+/// that draws externally) on g: g's inverse labels if State holds
+/// vertices, Sampler draws externally and g is labelled, else nothing.
+template <typename State, typename Sampler = void>
 std::vector<graph::Vertex> frameFor(const graph::Graph& g) {
-  if constexpr (kHoldsVertices<State>) return graph::vertexByLabel(g);
+  if constexpr (kHoldsVertices<State> && !kDrawsInternal<Sampler>) {
+    return graph::vertexByLabel(g);
+  }
   return {};
 }
 
@@ -72,12 +82,13 @@ inline Rng nodeRng(std::uint64_t key, const graph::Graph& g, graph::Vertex v) {
   return Rng(hashCombine(key, g.labelOf(v)));
 }
 
-/// sampler(v, g, rng) in g's internal frame; `byLabel` is frameFor<State>.
+/// sampler(v, g, rng) in g's internal frame; `byLabel` is
+/// frameFor<State, Sampler>.
 template <typename State, typename Sampler>
 State sampleInternal(Sampler& sampler, graph::Vertex v, const graph::Graph& g,
                      Rng& rng, std::span<const graph::Vertex> byLabel) {
   State s = sampler(v, g, rng);
-  toInternalFrame(s, byLabel);
+  if constexpr (!kDrawsInternal<Sampler>) toInternalFrame(s, byLabel);
   return s;
 }
 
@@ -93,7 +104,7 @@ template <typename State, typename Sampler>
 std::vector<State> randomConfiguration(const graph::Graph& g,
                                        std::uint64_t key, Sampler& sampler,
                                        std::size_t width) {
-  const std::vector<graph::Vertex> byLabel = frameFor<State>(g);
+  const std::vector<graph::Vertex> byLabel = frameFor<State, Sampler>(g);
   std::vector<State> states(g.order());
   parallel::forEachBlock(
       width, g.order(), kSampleBlock, [&](std::size_t b, std::size_t e) {
@@ -151,7 +162,8 @@ std::size_t corruptConfiguration(std::vector<State>& states,
                                  const graph::Graph& g, Rng& rng,
                                  double fraction, Sampler sampler) {
   return detail::corruptFraction(
-             states, g, rng.next(), fraction, sampler, frameFor<State>(g),
+             states, g, rng.next(), fraction, sampler,
+             frameFor<State, Sampler>(g),
              parallel::workersFor(states.size(), kSampleGrain))
       .size();
 }

@@ -99,7 +99,9 @@ class ViewKernel {
 ///     (SyncRunner::invalidateSchedule): reloads and lists the edited slots.
 ///   * evaluateRange over [0, n) or evaluateList over the work set —
 ///     possibly chunked across workers — then apply(moves) for each chunk's
-///     committed moves, so no round needs a full reload.
+///     committed moves, so no round needs a full reload. Chunks start and
+///     end on 64-vertex boundaries, and a busy round applies them
+///     concurrently (see apply()).
 /// evaluateRange/evaluateList are const and read only the mirror and the
 /// graph. A kernel may also keep a cache derived from the topology: a
 /// per-vertex one that evaluating v writes in v's own slot and nowhere else
@@ -134,6 +136,11 @@ class FlatKernel {
                     std::size_t workers) = 0;
 
   /// Patches the mirror with committed moves (each vertex's new state).
+  /// It writes only the moved vertices' own slots. A mirror that packs
+  /// slots into shared words (SisKernel: 64 vertices to a 64-bit word)
+  /// must keep whole words to one call: the executor may run apply()
+  /// concurrently on move lists whose vertices lie in disjoint ranges
+  /// aligned to 64 vertices, and on nothing finer.
   virtual void apply(const MoveList<State>& moves) = 0;
 
   /// True iff the mirror equals `states` slot for slot (debug checks).

@@ -35,11 +35,14 @@
 // `threads` on parallel::team(). Workers claim blocks in ascending order
 // as they free up, since a vertex's cost also depends on its state and ID
 // (a static split measured workers idle for ~40% of the evaluate phase on
-// a 10^6-node SMM run). Each block fills its own move queue and the queues
-// are committed in block order, so trajectories are bit-identical at every
-// thread count, and also when another thread's dispatch makes this one run
-// inline; threads = 1 runs inline with no dispatch, partition pass or
-// atomics, and so do work sets too small to pay for a team barrier. run()
+// a 10^6-node SMM run). Each block fills its own move queue; once every
+// block is evaluated, a busy round's queues are committed on the team, each
+// by the worker that filled it. Blocks hold disjoint vertex ranges, so the
+// commit writes what a serial one in block order would, and trajectories
+// are bit-identical at every thread count, and also when another thread's
+// dispatch makes this one run inline; threads = 1 runs inline with no
+// dispatch, partition pass or atomics, and so do work sets and commits too
+// small to pay for a team barrier. run()
 // lets the team's helpers park when it returns, unless another thread
 // dispatched last, so they do not spin while the caller does other work.
 //
@@ -82,6 +85,14 @@ struct RunResult {
 
   friend bool operator==(const RunResult&, const RunResult&) = default;
 };
+
+/// Rounds that move fewer nodes than this commit inline even with a team.
+/// An inline commit costs about 4 ns a move (SMM at 10^6 nodes: 22M moves
+/// in 0.08 s), so the threshold is ~15 us of work against a dispatch of
+/// ~1 us while the helpers still spin from the evaluate phase, the only
+/// phase that can produce this many moves (docs/PERFORMANCE.md, "Round
+/// executor").
+inline constexpr std::size_t kTeamCommit = 4096;
 
 template <typename State>
 class SyncRunner {
@@ -175,12 +186,7 @@ class SyncRunner {
     std::size_t moves = 0;
     {
       const telemetry::ScopedTimer t(metrics_.commitDuration);
-      for (Chunk& chunk : chunks_) {
-        if (chunk.moves.empty()) continue;
-        moves += chunk.moves.size();
-        kernel_->apply(chunk.moves);
-        for (auto& [v, next] : chunk.moves) states[v] = std::move(next);
-      }
+      moves = commit(states);
     }
     return finishRound(moves, evaluated, n);
   }
@@ -510,6 +516,7 @@ class SyncRunner {
       for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
            b < chunks_.size();
            b = next.fetch_add(1, std::memory_order_relaxed)) {
+        chunks_[b].owner = t;
         evaluateChunk(chunks_[b].moves, all, bounds[b], bounds[b + 1], key);
         if (!mark) continue;
         const std::size_t sofar = marked.load(std::memory_order_relaxed);
@@ -521,6 +528,33 @@ class SyncRunner {
       workerSeconds_[t] = timer.elapsedSeconds();
     });
     marked_ = marked.load(std::memory_order_relaxed);
+  }
+
+  // Commit phase: writes every block's moves into `states` and the kernel
+  // mirror, and returns how many there were. Inline for a round of fewer
+  // than kTeamCommit moves; otherwise on the team, where the worker that
+  // evaluated a block commits it, while its moves and their slots are
+  // still in that worker's cache. Blocks hold disjoint vertex ranges whose
+  // bounds fall on 64-vertex words (partition), so concurrent apply() calls
+  // write disjoint slots, also in a mirror that packs 64 slots to a word.
+  std::size_t commit(std::vector<State>& states) {
+    std::size_t moves = 0;
+    for (const Chunk& chunk : chunks_) moves += chunk.moves.size();
+    const auto commitChunk = [&](Chunk& chunk) {
+      if (chunk.moves.empty()) return;
+      kernel_->apply(chunk.moves);
+      for (auto& [v, next] : chunk.moves) states[v] = std::move(next);
+    };
+    if (threadCount() == 1 || moves < kTeamCommit) {
+      for (Chunk& chunk : chunks_) commitChunk(chunk);
+      return moves;
+    }
+    parallel::team().run(threadCount(), [&](std::size_t t) {
+      for (Chunk& chunk : chunks_) {
+        if (chunk.owner == t) commitChunk(chunk);
+      }
+    });
+    return moves;
   }
 
   void evaluateChunk(MoveList<State>& out, bool all, std::size_t begin,
@@ -577,15 +611,25 @@ class SyncRunner {
   // Degree-weighted block boundaries for the team: block b holds work items
   // [bounds[b], bounds[b+1]). Weighting by deg(v)+1 balances the neighbor
   // scan, not the item count (the worker_imbalance_ratio gauge tracks the
-  // effect). The full-range split depends only on (graph version, n), so it
-  // is cached across rounds and kernel swaps; work lists are split afresh
-  // each round.
+  // effect). Each interior bound then moves to a 64-vertex word boundary,
+  // so no two blocks hold vertices of one word (the team commit relies on
+  // it): a range bound rounds down, a list bound moves past the items that
+  // share its word. The full-range split depends only on (graph version,
+  // n), so it is cached across rounds and kernel swaps; work lists are
+  // split afresh each round.
   const std::vector<std::size_t>& partition(bool all, std::size_t count) {
     const std::size_t parts = chunks_.size();
     if (!all) {
       listBounds_ = weightedBoundaries(count, parts, [&](std::size_t i) {
         return static_cast<std::uint64_t>(g_->degree(work_[i])) + 1;
       });
+      for (std::size_t b = 1; b < parts; ++b) {
+        std::size_t i = std::max(listBounds_[b], listBounds_[b - 1]);
+        while (i > 0 && i < count && (work_[i] >> 6) == (work_[i - 1] >> 6)) {
+          ++i;
+        }
+        listBounds_[b] = i;
+      }
       return listBounds_;
     }
     if (denseBounds_.empty() || denseBounds_.back() != count ||
@@ -595,6 +639,9 @@ class SyncRunner {
                    g_->degree(static_cast<graph::Vertex>(i))) +
                1;
       });
+      for (std::size_t b = 1; b < parts; ++b) {
+        denseBounds_[b] &= ~std::size_t{63};
+      }
       denseBoundsVersion_ = g_->version();
     }
     return denseBounds_;
@@ -699,6 +746,7 @@ class SyncRunner {
   // neighbouring vector headers on one line would false-share every push.
   struct alignas(64) Chunk {
     MoveList<State> moves;
+    std::size_t owner = 0;  // the team index that evaluated it last round
   };
   std::vector<Chunk> chunks_;
   // Work set. marks_ holds one bit per vertex: the closed neighborhoods of

@@ -12,14 +12,26 @@
 namespace selfstab::graph {
 
 std::vector<std::size_t> bfsDistances(const Graph& g, Vertex source) {
+  if (!g.contains(source)) {
+    return std::vector<std::size_t>(g.order(), kUnreachable);
+  }
+  return bfsDistances(g, std::span<const Vertex>(&source, 1));
+}
+
+std::vector<std::size_t> bfsDistances(const Graph& g,
+                                      std::span<const Vertex> sources) {
   std::vector<std::size_t> dist(g.order(), kUnreachable);
-  if (!g.contains(source)) return dist;
-  std::deque<Vertex> queue;
-  dist[source] = 0;
-  queue.push_back(source);
-  while (!queue.empty()) {
-    const Vertex u = queue.front();
-    queue.pop_front();
+  // Every vertex enters the queue once, so a plain array with a read
+  // cursor is the queue.
+  std::vector<Vertex> queue;
+  queue.reserve(g.order());
+  for (const Vertex s : sources) {
+    if (!g.contains(s) || dist[s] == 0) continue;
+    dist[s] = 0;
+    queue.push_back(s);
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Vertex u = queue[head];
     for (const Vertex v : g.neighbors(u)) {
       if (dist[v] == kUnreachable) {
         dist[v] = dist[u] + 1;

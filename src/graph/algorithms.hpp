@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -12,6 +13,11 @@ namespace selfstab::graph {
 /// kUnreachable.
 inline constexpr std::size_t kUnreachable = static_cast<std::size_t>(-1);
 std::vector<std::size_t> bfsDistances(const Graph& g, Vertex source);
+
+/// Distance in edges to every vertex from the nearest of `sources` (a
+/// multi-source BFS, O(n + m)); unreachable vertices get kUnreachable.
+std::vector<std::size_t> bfsDistances(const Graph& g,
+                                      std::span<const Vertex> sources);
 
 /// True if the graph has one connected component (vacuously true for n <= 1).
 /// A parallel union-find on parallel::workersFor(n, kConnectivityGrain)

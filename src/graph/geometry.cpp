@@ -52,35 +52,16 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
     side = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::min((1.0 - 1e-9) / radius, cap)));
   }
-  const auto scale = static_cast<double>(side);
-  const auto axisCell = [&](double t) {
-    return static_cast<std::size_t>(std::clamp(t * scale, 0.0, scale - 1.0));
-  };
-
-  // Counting sort of vertices into cells (CSR layout: cellStart + members),
-  // with the coordinates copied into the same cell order so every neighbor
-  // search below reads contiguous memory. The sort is stable, so members
-  // ascend inside each cell. In Space order slot i is vertex i and members
-  // become its labels.
-  std::vector<std::size_t> cellStart(side * side + 1, 0);
-  std::vector<Vertex> members(n);
-  std::vector<Point> sorted(n);
-  {
-    std::vector<std::size_t> cellOf(n);
-    for (Vertex v = 0; v < n; ++v) {
-      cellOf[v] = axisCell(points[v].y) * side + axisCell(points[v].x);
-      ++cellStart[cellOf[v] + 1];
-    }
-    for (std::size_t c = 1; c < cellStart.size(); ++c) {
-      cellStart[c] += cellStart[c - 1];
-    }
-    std::vector<std::size_t> cursor(cellStart.begin(), cellStart.end() - 1);
-    for (Vertex v = 0; v < n; ++v) {
-      const std::size_t i = cursor[cellOf[v]]++;
-      members[i] = v;
-      sorted[i] = points[v];
-    }
-  }
+  // Counting sort of vertices into cells (CSR layout: cellStart +
+  // members), with the coordinates copied into the same cell order so
+  // every neighbor search below reads contiguous memory; it runs at the
+  // build's width. In Space order slot i is vertex i and members become
+  // its labels.
+  bands = std::clamp<std::size_t>(bands, 1, side);
+  CellSort cells = sortIntoCells(points, side, bands);
+  const std::vector<std::size_t>& cellStart = cells.cellStart;
+  Graph::Labels& members = cells.members;
+  const BulkVector<Point>& sorted = cells.sorted;
 
   // Band b covers cell rows [b·side/bands, (b+1)·side/bands). Each vertex
   // searches its full 3x3 block of cells (a row of the block is consecutive
@@ -104,9 +85,11 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
       return members[i];
     }
   };
-  bands = std::clamp<std::size_t>(bands, 1, side);
   const auto rowOf = [&](std::size_t b) { return b * side / bands; };
-  std::vector<std::size_t> offsets(n + 1, 0);
+  // The count pass writes every vertex's degree into offsets[v + 1], so
+  // offsets, like targets, are sized unwritten.
+  Graph::Offsets offsets(n + 1);
+  offsets[0] = 0;
   Graph::Targets targets;
   // Calls visit(slot, first, last) for every slot of band b, where the
   // slot's candidates are the runs [first[y], last[y]) of `sorted`, one per
@@ -238,6 +221,60 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
   layOut();
   parallel::team().run(bands, fillPointsBand);
   return Graph::fromCsr(std::move(offsets), std::move(targets));
+}
+
+CellSort sortIntoCells(const std::vector<Point>& points, std::size_t side,
+                       std::size_t workers) {
+  const std::size_t n = points.size();
+  const std::size_t cellCount = side * side;
+  const auto scale = static_cast<double>(side);
+  const auto axisCell = [&](double t) {
+    return static_cast<std::size_t>(std::clamp(t * scale, 0.0, scale - 1.0));
+  };
+  const auto cellOf = [&](const Point& p) {
+    return axisCell(p.y) * side + axisCell(p.x);
+  };
+  workers = std::max<std::size_t>(workers, 1);
+  const auto first = [&](std::size_t t) { return t * n / workers; };
+  CellSort out;
+  out.cellStart.resize(cellCount + 1);
+  out.members.resize(n);
+  out.sorted.resize(n);
+  // Row t counts worker t's points per cell, then holds its next slot in
+  // each cell. Slots fit a Vertex, as every vertex number does.
+  BulkVector<Vertex> rows(workers * cellCount);
+  parallel::team().run(workers, [&](std::size_t t) {
+    Vertex* const count = rows.data() + t * cellCount;
+    std::fill_n(count, cellCount, Vertex{0});
+    for (std::size_t v = first(t); v < first(t + 1); ++v) {
+      ++count[cellOf(points[v])];
+    }
+  });
+  // Cell-major, worker-minor: worker t's run in cell c follows the runs of
+  // workers before it, so the scatter below is the serial stable sort.
+  std::size_t next = 0;
+  for (std::size_t c = 0; c < cellCount; ++c) {
+    out.cellStart[c] = next;
+    for (std::size_t t = 0; t < workers; ++t) {
+      Vertex& slot = rows[t * cellCount + c];
+      const Vertex count = slot;
+      slot = static_cast<Vertex>(next);
+      next += count;
+    }
+  }
+  out.cellStart[cellCount] = next;
+  // The scatter takes the page faults of members and sorted, which are
+  // sized unwritten.
+  parallel::team().run(workers, [&](std::size_t t) {
+    Vertex* const cursor = rows.data() + t * cellCount;
+    for (std::size_t v = first(t); v < first(t + 1); ++v) {
+      const Point p = points[v];
+      const Vertex i = cursor[cellOf(p)]++;
+      out.members[i] = static_cast<Vertex>(v);
+      out.sorted[i] = p;
+    }
+  });
+  return out;
 }
 
 }  // namespace detail

@@ -59,6 +59,25 @@ namespace detail {
 Graph unitDiskGraph(const std::vector<Point>& points, double radius,
                     std::size_t bands,
                     VertexOrder order = VertexOrder::Points);
+
+/// Points sorted into the cells of a side × side grid over the unit square
+/// (row-major; coordinates outside [0, 1) clamp into the border cells).
+/// Cell c holds slots [cellStart[c], cellStart[c + 1]); slot i is point
+/// members[i], at sorted[i]. The sort is stable: members ascend inside
+/// each cell.
+struct CellSort {
+  std::vector<std::size_t> cellStart;
+  Graph::Labels members;
+  BulkVector<Point> sorted;
+};
+
+/// The counting sort of unitDiskGraph at width `workers` on
+/// parallel::team(): each worker counts the cells of a contiguous range of
+/// points, a prefix over (cell, worker) gives each worker its first slot in
+/// each cell, and each worker scatters its range in order. The result is
+/// the same at every width; width 1 runs inline.
+[[nodiscard]] CellSort sortIntoCells(const std::vector<Point>& points,
+                                     std::size_t side, std::size_t workers);
 }  // namespace detail
 
 /// Incrementally-maintained uniform grid over up to `order` moving points in

@@ -1,7 +1,10 @@
 #include "graph/graph.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <functional>
 #include <utility>
 
@@ -9,8 +12,27 @@
 
 namespace selfstab::graph {
 
-Graph Graph::fromCsr(std::vector<std::size_t> offsets, Targets targets,
-                     std::vector<Vertex> labels) {
+namespace detail {
+
+void adviseHugePages(void* p, std::size_t bytes) noexcept {
+#ifdef MADV_HUGEPAGE
+  constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
+  const auto begin = reinterpret_cast<std::uintptr_t>(p);
+  const std::uintptr_t first = (begin + kHugePage - 1) & ~(kHugePage - 1);
+  const std::uintptr_t last = (begin + bytes) & ~(kHugePage - 1);
+  if (last > first) {
+    (void)::madvise(reinterpret_cast<void*>(first), last - first,
+                    MADV_HUGEPAGE);
+  }
+#else
+  (void)p;
+  (void)bytes;
+#endif
+}
+
+}  // namespace detail
+
+Graph Graph::fromCsr(Offsets offsets, Targets targets, Labels labels) {
   assert(!offsets.empty() && offsets.front() == 0 &&
          offsets.back() == targets.size() &&
          std::is_sorted(offsets.begin(), offsets.end()) &&
@@ -48,7 +70,7 @@ Graph Graph::fromCsr(std::vector<std::size_t> offsets, Targets targets,
 }
 
 Graph Graph::fromEdges(std::size_t n, std::span<const Edge> edges) {
-  std::vector<std::size_t> offsets(n + 1, 0);
+  Offsets offsets(n + 1, 0);
   for (const Edge& e : edges) {
     assert(e.u != e.v && e.u < n && e.v < n && "loop or out-of-range endpoint");
     ++offsets[e.u + 1];

@@ -2,32 +2,33 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <unordered_set>
 
 namespace selfstab::graph {
 
 IdAssignment IdAssignment::identity(std::size_t n) {
-  std::vector<Id> ids(n);
+  Ids ids(n);
   std::iota(ids.begin(), ids.end(), Id{0});
   return IdAssignment(std::move(ids));
 }
 
 IdAssignment IdAssignment::reversed(std::size_t n) {
-  std::vector<Id> ids(n);
+  Ids ids(n);
   for (std::size_t v = 0; v < n; ++v) ids[v] = n - 1 - v;
   return IdAssignment(std::move(ids));
 }
 
 IdAssignment IdAssignment::randomPermutation(std::size_t n, Rng& rng) {
-  std::vector<Id> ids(n);
+  Ids ids(n);
   std::iota(ids.begin(), ids.end(), Id{0});
-  rng.shuffle(ids);
+  rng.shuffle(std::span<Id>(ids));
   return IdAssignment(std::move(ids));
 }
 
 IdAssignment IdAssignment::randomSparse(std::size_t n, Rng& rng) {
   std::unordered_set<Id> seen;
-  std::vector<Id> ids;
+  Ids ids;
   ids.reserve(n);
   while (ids.size() < n) {
     const Id candidate = rng.next();
@@ -38,7 +39,7 @@ IdAssignment IdAssignment::randomSparse(std::size_t n, Rng& rng) {
 
 bool IdAssignment::isValid(std::size_t n) const {
   if (ids_.size() != n) return false;
-  std::vector<Id> sorted = ids_;
+  std::vector<Id> sorted(ids_.begin(), ids_.end());
   std::sort(sorted.begin(), sorted.end());
   return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
 }

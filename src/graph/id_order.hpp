@@ -23,10 +23,13 @@ class IdAssignment {
  public:
   IdAssignment() = default;
 
+  /// The ID array, one per vertex; resize() leaves new slots unwritten.
+  using Ids = BulkVector<Id>;
+
   /// Takes ownership of an arbitrary vector of pairwise-distinct IDs,
   /// one per vertex. Uniqueness is the caller's responsibility (checked
   /// in debug builds via isValid()).
-  explicit IdAssignment(std::vector<Id> ids) : ids_(std::move(ids)) {}
+  explicit IdAssignment(Ids ids) : ids_(std::move(ids)) {}
 
   /// Identity assignment: vertex v has ID v.
   static IdAssignment identity(std::size_t n);
@@ -54,7 +57,7 @@ class IdAssignment {
   [[nodiscard]] bool isValid(std::size_t n) const;
 
  private:
-  std::vector<Id> ids_;
+  Ids ids_;
 };
 
 }  // namespace selfstab::graph

@@ -154,6 +154,39 @@ TEST(LeaderTreeConvergence, LeaderLossTriggersReElection) {
   EXPECT_EQ(states[5].root, 5u);  // the isolated ex-leader leads itself
 }
 
+// isLeaderTree checks every component in one pass over the graph: 10^5
+// isolated vertices (each its own leader) plus a small tree take one BFS,
+// not one per component.
+TEST(LeaderTreeVerifier, ManyComponentsTakeOnePass) {
+  constexpr graph::Vertex kIsolated = 100000;
+  const graph::Vertex t = kIsolated;  // the tree's vertices are t .. t + 5
+  // t+5 leads; t+3 and t+4 hang off it, t+0 and t+1 off t+3, t+2 off t+4.
+  const std::vector<graph::Edge> edges = {
+      {t + 3, t + 5}, {t + 4, t + 5}, {t + 1, t + 3},
+      {t + 0, t + 3}, {t + 2, t + 4}};
+  const Graph g = Graph::fromEdges(kIsolated + 6, edges);
+  const auto ids = IdAssignment::identity(g.order());
+  std::vector<LeaderState> states(g.order());
+  for (graph::Vertex v = 0; v < kIsolated; ++v) {
+    states[v] = LeaderState{ids.idOf(v), 0, graph::kNoVertex};
+  }
+  const graph::Id root = ids.idOf(t + 5);
+  states[t + 5] = LeaderState{root, 0, graph::kNoVertex};
+  states[t + 3] = LeaderState{root, 1, t + 5};
+  states[t + 4] = LeaderState{root, 1, t + 5};
+  states[t + 0] = LeaderState{root, 2, t + 3};
+  states[t + 1] = LeaderState{root, 2, t + 3};
+  states[t + 2] = LeaderState{root, 2, t + 4};
+  EXPECT_TRUE(isLeaderTree(g, ids, states));
+
+  auto wrongParent = states;
+  wrongParent[t + 1].parent = t + 4;
+  EXPECT_FALSE(isLeaderTree(g, ids, wrongParent));
+  auto wrongRoot = states;
+  wrongRoot[kIsolated / 2].root = root;
+  EXPECT_FALSE(isLeaderTree(g, ids, wrongRoot));
+}
+
 TEST(LeaderTreeConvergence, AgreesWithBfsTreeRootedAtLeader) {
   // Differential: the (dist, parent) part of the leader tree must equal
   // what BfsTreeProtocol computes when told the leader explicitly.

@@ -259,8 +259,8 @@ TEST(SmmKeyPath, IdsAtThe31BitEdge) {
   Graph g = multiBlockGraph(3);
   graph::Rng idRng(3);
   const auto perm = IdAssignment::randomPermutation(g.order(), idRng);
-  std::vector<graph::Id> narrow(g.order());
-  std::vector<graph::Id> wide(g.order());
+  IdAssignment::Ids narrow(g.order());
+  IdAssignment::Ids wide(g.order());
   for (Vertex v = 0; v < g.order(); ++v) {
     // ID 0, the middle of the range, and the top of the field (or one past).
     const graph::Id id = perm.idOf(v);
@@ -318,7 +318,7 @@ void labelledSpaceOrder(std::size_t threads) {
     const std::vector<graph::Point> points = graph::randomPoints(1500, rng);
     Graph g = graph::unitDiskGraph(points, 0.05, graph::VertexOrder::Space);
     ASSERT_TRUE(g.labelled());
-    std::vector<graph::Id> byLabel(g.order());
+    IdAssignment::Ids byLabel(g.order());
     for (Vertex v = 0; v < g.order(); ++v) byLabel[v] = g.labelOf(v);
     const IdAssignment ids(std::move(byLabel));
     for (const Schedule schedule : {Schedule::Dense, Schedule::Active}) {

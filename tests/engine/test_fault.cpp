@@ -160,9 +160,9 @@ TEST(RandomPointerState, KeyedPickIsUniform) {
     std::vector<graph::Edge> edges;
     for (graph::Vertex w = 1; w <= degree; ++w) edges.push_back({0, w});
     const Graph plain = Graph::fromEdges(degree + 1, edges);
-    std::vector<graph::Vertex> labels(degree + 1);
+    Graph::Labels labels(degree + 1);
     for (graph::Vertex x = 0; x <= degree; ++x) labels[x] = degree - x;
-    std::vector<std::size_t> offsets;
+    Graph::Offsets offsets;
     Graph::Targets targets;
     offsets.push_back(0);
     for (graph::Vertex v = 0; v <= degree; ++v) {

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +22,8 @@
 #include "engine/fault.hpp"
 #include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
+#include "graph/geometry.hpp"
+#include "telemetry/event_log.hpp"
 
 namespace selfstab::engine {
 namespace {
@@ -107,6 +112,98 @@ TEST(ParallelRunner, ThreadCountSweepIsInvariant) {
     EXPECT_EQ(pr, sr) << threads << " threads";
     EXPECT_EQ(pooledStates, serialStates) << threads << " threads";
   }
+}
+
+// A run to its fixpoint (or 200 rounds): the states after every round,
+// the move counts and the event log, with the kernel's mirror checked
+// against the states after every round.
+template <typename State>
+struct CommitTrace {
+  std::vector<std::vector<State>> states;
+  std::vector<std::size_t> moves;
+  std::string events;
+};
+
+template <typename State>
+CommitTrace<State> traceCommits(std::unique_ptr<FlatKernel<State>> kernel,
+                                const Protocol<State>& protocol,
+                                const Graph& g, const IdAssignment& ids,
+                                std::vector<State> states, Schedule schedule,
+                                std::size_t threads) {
+  std::ostringstream text;
+  telemetry::EventLog events(text);
+  SyncRunner<State> runner(protocol, g, ids, 9, schedule, threads);
+  runner.attachTelemetry(nullptr, &events);
+  const FlatKernel<State>& mirror = *kernel;
+  runner.setKernel(std::move(kernel));
+  CommitTrace<State> trace;
+  for (int round = 0; round < 200; ++round) {
+    trace.moves.push_back(runner.step(states));
+    trace.states.push_back(states);
+    EXPECT_TRUE(mirror.mirrors(states)) << "round " << round;
+    if (trace.moves.back() == 0) break;
+  }
+  trace.events = text.str();
+  return trace;
+}
+
+// Busy rounds (kTeamCommit moves or more) commit on the team, each block by
+// the worker that evaluated it. SisKernel's mirror packs 64 vertices into a
+// word, and degree-weighted block bounds on a unit-disk graph fall inside
+// words, so the blocks must be moved to word boundaries for the commit to
+// be race-free (the TSan run checks it). Dense sweeps and Active's lists
+// (which commit busy lists too) must give the width-1 run's states,
+// mirrors, moves and events at every width.
+template <typename State, typename Sampler, typename MakeKernel>
+void expectTeamCommitMatchesInline(const Protocol<State>& protocol,
+                                   Sampler sampler, MakeKernel makeKernel) {
+  graph::Rng rng(4099);
+  const Graph g =
+      graph::unitDiskGraph(graph::randomPoints(12000, rng), 0.015);
+  const auto ids = IdAssignment::identity(g.order());
+  const auto bounds = weightedBoundaries(g.order(), 4, [&](std::size_t v) {
+    return g.degree(static_cast<graph::Vertex>(v)) + 1;
+  });
+  ASSERT_TRUE(std::any_of(bounds.begin() + 1, bounds.end() - 1,
+                          [](std::size_t b) { return b % 64 != 0; }));
+  const auto start = randomConfiguration<State>(g, rng, sampler);
+  for (const Schedule schedule : {Schedule::Dense, Schedule::Active}) {
+    SCOPED_TRACE(std::string(protocol.name()) + " " +
+                 std::string(toString(schedule)));
+    const CommitTrace<State> inline1 = traceCommits(
+        makeKernel(g, ids), protocol, g, ids, start, schedule, 1);
+    ASSERT_EQ(inline1.moves.back(), 0U);
+    ASSERT_GE(*std::max_element(inline1.moves.begin(), inline1.moves.end()),
+              kTeamCommit);
+    for (const std::size_t threads : {2U, 3U, 4U}) {
+      const CommitTrace<State> team = traceCommits(
+          makeKernel(g, ids), protocol, g, ids, start, schedule, threads);
+      EXPECT_EQ(team.moves, inline1.moves) << threads << " threads";
+      EXPECT_TRUE(team.states == inline1.states) << threads << " threads";
+      EXPECT_EQ(team.events, inline1.events) << threads << " threads";
+    }
+  }
+}
+
+TEST(ParallelRunner, TeamCommitMatchesInline) {
+  const core::SmmProtocol smm = core::smmPaper();
+  const core::SisProtocol sis;
+  const auto compiled = [](const auto& protocol) {
+    return [&protocol](const Graph& g, const IdAssignment& ids) {
+      using State = typename std::decay_t<decltype(protocol)>::StateType;
+      return core::makeFlatKernel<State>(protocol, g, ids);
+    };
+  };
+  const auto generic = [&smm](const Graph& g, const IdAssignment& ids) {
+    return std::unique_ptr<FlatKernel<PointerState>>(
+        std::make_unique<GenericKernel<PointerState>>(smm, g, ids));
+  };
+  expectTeamCommitMatchesInline<PointerState>(smm, core::randomPointerState,
+                                              compiled(smm));
+  expectTeamCommitMatchesInline<BitState>(sis, core::randomBitState,
+                                          compiled(sis));
+  expectTeamCommitMatchesInline<PointerState>(smm, core::randomPointerState,
+                                              generic);
 }
 
 TEST(ParallelRunner, MoreThreadsThanVerticesIsFine) {

@@ -27,6 +27,20 @@ TEST(BfsDistances, UnreachableMarked) {
   EXPECT_EQ(dist[3], kUnreachable);
 }
 
+TEST(BfsDistances, SeveralSourcesGiveTheNearest) {
+  // Path 0-1-2-3-4-5-6 with sources 0 and 5; vertex 7 is isolated.
+  Graph g = path(7);
+  g = Graph::fromEdges(8, g.edges());
+  const std::vector<Vertex> sources = {5, 0};
+  const auto dist = bfsDistances(g, sources);
+  const std::vector<std::size_t> expected = {0, 1, 2, 2, 1, 0, 1,
+                                             kUnreachable};
+  EXPECT_EQ(dist, expected);
+  for (Vertex v = 0; v < 8; ++v) {
+    EXPECT_EQ(dist[v], std::min(bfsDistances(g, 0)[v], bfsDistances(g, 5)[v]));
+  }
+}
+
 TEST(Connectivity, BasicCases) {
   EXPECT_TRUE(isConnected(Graph(0)));
   EXPECT_TRUE(isConnected(Graph(1)));

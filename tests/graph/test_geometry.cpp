@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -245,6 +246,60 @@ TEST(Geometry, SpaceOrderRelabelsPointOrder) {
       EXPECT_TRUE(Graph::fromEdges(c.n, relabelled) == points) << where;
       EXPECT_EQ(space.version(), points.version()) << where;
       EXPECT_EQ(space.maxDegree(), points.maxDegree()) << where;
+    }
+  }
+}
+
+// The cell sort runs on the team: per-worker counts over ranges of
+// points, then a stable scatter. Clustered points put long runs of one
+// cell across the workers' range bounds; every width must give the serial
+// sort, and the graphs built through it must match in both orders.
+TEST(Geometry, ParallelCellSortMatchesSerial) {
+  Rng rng(4101);
+  std::vector<Point> pts = randomPoints(3000, rng);
+  for (std::size_t i = 0; i < pts.size(); i += 2) {
+    pts[i] = {0.3 + 0.01 * rng.real(), 0.6 + 0.01 * rng.real()};
+  }
+  pts[7] = {-0.5, 1.5};  // outside the square: clamps into a corner cell
+  for (const std::size_t side : {1U, 7U, 40U}) {
+    const detail::CellSort serial = detail::sortIntoCells(pts, side, 1);
+    // The serial sort is the stable sort by cell.
+    const auto cellOf = [&](const Point& p) {
+      const auto axis = [&](double t) {
+        return static_cast<std::size_t>(std::clamp(
+            t * static_cast<double>(side), 0.0,
+            static_cast<double>(side) - 1.0));
+      };
+      return axis(p.y) * side + axis(p.x);
+    };
+    std::vector<Vertex> byCell(pts.size());
+    std::iota(byCell.begin(), byCell.end(), Vertex{0});
+    std::stable_sort(byCell.begin(), byCell.end(), [&](Vertex a, Vertex b) {
+      return cellOf(pts[a]) < cellOf(pts[b]);
+    });
+    ASSERT_TRUE(std::equal(byCell.begin(), byCell.end(),
+                           serial.members.begin(), serial.members.end()))
+        << "side " << side;
+    for (std::size_t c = 0; c < side * side; ++c) {
+      for (std::size_t i = serial.cellStart[c]; i < serial.cellStart[c + 1];
+           ++i) {
+        ASSERT_EQ(cellOf(pts[serial.members[i]]), c);
+        ASSERT_EQ(serial.sorted[i], pts[serial.members[i]]);
+      }
+    }
+    for (const std::size_t workers : {2U, 3U, 4U}) {
+      const detail::CellSort team = detail::sortIntoCells(pts, side, workers);
+      EXPECT_EQ(team.cellStart, serial.cellStart) << side << "/" << workers;
+      EXPECT_TRUE(team.members == serial.members) << side << "/" << workers;
+      EXPECT_TRUE(team.sorted == serial.sorted) << side << "/" << workers;
+    }
+  }
+  pts[7] = {0.25, 0.75};
+  for (const VertexOrder order : {VertexOrder::Points, VertexOrder::Space}) {
+    const Graph serial = detail::unitDiskGraph(pts, 0.05, 1, order);
+    for (const std::size_t bands : {2U, 3U, 4U}) {
+      EXPECT_TRUE(detail::unitDiskGraph(pts, 0.05, bands, order) == serial)
+          << bands << " bands";
     }
   }
 }

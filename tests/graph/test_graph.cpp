@@ -215,7 +215,7 @@ TEST(Graph, FromCsrEqualsAddEdgeBuild) {
     built.addEdge(static_cast<Vertex>(rng.below(n)),
                   static_cast<Vertex>(rng.below(n)));
   }
-  std::vector<std::size_t> offsets{0};
+  Graph::Offsets offsets{0};
   Graph::Targets targets;
   for (Vertex v = 0; v < n; ++v) {
     targets.insert(targets.end(), built.neighbors(v).begin(),
@@ -310,7 +310,7 @@ TEST(Graph, BulkBuiltGraphVersionsEditsLikeAnAddEdgeBuiltOne) {
 }
 
 TEST(Graph, FromCsrOfEmptySlicesIsEdgeless) {
-  const Graph g = Graph::fromCsr(std::vector<std::size_t>(6, 0), {});
+  const Graph g = Graph::fromCsr(Graph::Offsets(6, 0), {});
   EXPECT_TRUE(g == Graph(5));
   EXPECT_EQ(g.size(), 0U);
   EXPECT_EQ(g.maxDegree(), 0U);
@@ -350,7 +350,7 @@ TEST(Graph, LabelsSurviveCopyEditsAndRebuild) {
   const std::vector<Vertex> labels = {2, 0, 3, 1};
   Graph g = Graph::fromCsr({0, 2, 4, 6, 8}, Graph::Targets{1, 3, 0, 2, 1, 3,
                                                            0, 2},
-                           labels);
+                           Graph::Labels(labels.begin(), labels.end()));
   ASSERT_TRUE(g.labelled());
   EXPECT_EQ(std::vector<Vertex>(g.labels().begin(), g.labels().end()),
             labels);
@@ -388,7 +388,7 @@ TEST(Graph, LabelsSurviveCopyEditsAndRebuild) {
 
 #ifndef NDEBUG
 TEST(GraphDeathTest, FromCsrChecksItsInput) {
-  using Offsets = std::vector<std::size_t>;
+  using Offsets = Graph::Offsets;
   using Targets = Graph::Targets;
   EXPECT_DEATH(Graph::fromCsr(Offsets{0, 1, 1}, Targets{1}), "symmetric");
   EXPECT_DEATH(Graph::fromCsr(Offsets{0, 2, 3, 4}, Targets{2, 1, 0, 0}),
@@ -405,7 +405,7 @@ TEST(GraphDeathTest, FromCsrChecksItsInput) {
 }
 
 TEST(GraphDeathTest, LabelsMustBeAPermutation) {
-  using Offsets = std::vector<std::size_t>;
+  using Offsets = Graph::Offsets;
   using Targets = Graph::Targets;
   EXPECT_DEATH(Graph::fromCsr(Offsets{0, 0, 0}, Targets{}, {0, 0}),
                "permutation");

@@ -40,12 +40,12 @@ TEST(IdAssignment, LessComparesIds) {
 }
 
 TEST(IdAssignment, IsValidRejectsDuplicates) {
-  const IdAssignment ids(std::vector<Id>{1, 2, 2});
+  const IdAssignment ids(IdAssignment::Ids{1, 2, 2});
   EXPECT_FALSE(ids.isValid(3));
 }
 
 TEST(IdAssignment, IsValidRejectsWrongSize) {
-  const IdAssignment ids(std::vector<Id>{1, 2, 3});
+  const IdAssignment ids(IdAssignment::Ids{1, 2, 3});
   EXPECT_FALSE(ids.isValid(4));
 }
 
