@@ -44,6 +44,14 @@
 //    candidates, and only the survivors are sorted into ascending vertex
 //    order, so the receiver list and the collision checks come out
 //    identical to the full scan. See "Grid staleness" below for the slack.
+//  * Once no host can move (Mobility::settleTime()), the grid is done: the
+//    first window at or after that time builds the who-hears-whom graph
+//    once, as graph::unitDiskGraph of the exact positions over the largest
+//    radius, and from then on a broadcast's candidates are the sender's
+//    ascending slice of it (no gather, no sort), placements stop, and
+//    currentTopology() reads it. The slice holds exactly the hosts the
+//    exact test would keep: the same squaredDistance <= r^2 on the same
+//    points, which no later query can change.
 //  * Collision checks only ever need nodes that transmitted within
 //    collisionWindow, so each grid cell keeps a ring of recent
 //    transmissions (recorded at the transmitter's exact cell at
@@ -53,7 +61,8 @@
 //    whose buckets are one lookahead window wide, enough of them to cover
 //    one jittered, drifted beacon interval: a window drains whole buckets,
 //    each sorted once when the cursor reaches it (1/16 interval with no
-//    delay).
+//    delay), and takes a bucket's due run in one popRun, merged with the
+//    lane's run in the same pass.
 //
 // Lookahead windows (docs/MODEL.md, docs/PERFORMANCE.md). A beacon reaches
 // its receivers exactly propagationDelay D after it is sent, and a node's
@@ -89,7 +98,10 @@
 // grid at every worker count and every run() slicing. A recorded position
 // then lags by at most one jittered (drifted) beacon interval plus D, and
 // the gather widens the radius by maxSpeed x that. With D = 0 a beacon
-// places itself before its own gather.
+// places itself before its own gather. Staleness ends with the frozen
+// graph: it is built from exact positions, not from the grid's records
+// (a crashed host sends no beacons, so its record can lag by more than the
+// slack; a list read off the grid would miss it once it rejoins).
 #pragma once
 
 #include <algorithm>
@@ -255,7 +267,8 @@ class NetworkSimulator {
         jitterKey_(hashCombine(config_.seed, kJitterDraw)),
         lossKey_(hashCombine(config_.seed, kLossDraw)),
         nodes_(mobility.order()),
-        lastTx_(mobility.order(), -1) {
+        lastTx_(mobility.order(), -1),
+        settle_(mobility.settleTime()) {
     assert(ids.order() == mobility.order());
     config_.validate();
     if (config_.queue == QueueMode::Calendar) {  // else the one heap
@@ -460,16 +473,19 @@ class NetworkSimulator {
     for (graph::Vertex v = 0; v < nodes_.size(); ++v) {
       pts[v] = mobility_->position(v, now);
     }
-    // Two passes over each vertex's candidates (every vertex, or a fresh
+    // Two passes over each vertex's candidates (the frozen radio graph's
+    // slice once hosts have settled; before that every vertex, or a fresh
     // exact-position grid's neighborhood: the incremental one lags by a
     // beacon interval): count its links, then write them into targets,
     // allocated once at its exact size. Each slice is sorted, so the
     // discovery order is unobservable; the link test is symmetric, so the
     // slices are too.
     const std::size_t n = nodes_.size();
-    const bool scan = config_.index == IndexMode::Scan || n < 256;
-    graph::SpatialGrid snap(scan ? 0 : n, maxRadius_);
-    if (!scan) {
+    const bool frozen = frozen_ && now >= settle_;
+    const bool scan =
+        !frozen && (config_.index == IndexMode::Scan || n < 256);
+    graph::SpatialGrid snap(scan || frozen ? 0 : n, maxRadius_);
+    if (!scan && !frozen) {
       for (graph::Vertex v = 0; v < n; ++v) snap.place(v, pts[v]);
     }
     std::vector<graph::Vertex> near;
@@ -481,6 +497,10 @@ class NetworkSimulator {
           visit(v);
         }
       };
+      if (frozen) {
+        for (const graph::Vertex v : radioGraph_.neighbors(u)) consider(v);
+        return;
+      }
       if (scan) {
         for (graph::Vertex v = 0; v < n; ++v) consider(v);
         return;
@@ -587,7 +607,7 @@ class NetworkSimulator {
     nodes_[v].cache.clear();
     nodes_[v].dirty = true;
     lastMove_ = now_;
-    if (config_.index == IndexMode::Grid) {
+    if (placing()) {
       // Placed at once (its recorded cell may be arbitrarily old), and
       // queued as the node's latest deferred placement so an earlier one
       // from the same window cannot overwrite it.
@@ -914,52 +934,76 @@ class NetworkSimulator {
     }
   }
 
-  /// Pops one window's events (all already queued: see the header comment),
-  /// merging the lane's arrivals with the queue's timers by (at, seq), and
-  /// prepares the mobility span they query.
+  /// Pops one window's events (all already queued: see the header comment)
+  /// in one merge: each run the queue hands over (CalendarQueue::popRun)
+  /// takes the lane's arrivals that precede each of its timers, and the
+  /// lane's due tail follows. Freezes the radio graph first if the window
+  /// is its first settled one, and prepares the mobility span the events
+  /// query.
   void collect(Window& w, SimTime until) {
     countOne(metrics_.windows);
     w.events.clear();
     w.beaconCount = 0;
     const SimTime first = nextTime();
-    const SimTime end = windowEnd(first);
-    const auto due = [&](SimTime at) { return at < end && at <= until; };
-    SimTime last = first;
-    for (;;) {
-      if (lane_.leads(queue_)) {
-        const SimTime at = lane_.front().at;
-        if (!due(at)) break;
-        last = at;
+    const SimTime last = std::min(windowEnd(first) - 1, until);
+    freezeBefore(first);
+    SimTime latest = first;
+    const auto arrivalsBefore = [&](SimTime at, std::uint64_t seq) {
+      while (!lane_.empty() && (lane_.front().at < at ||
+                                (lane_.front().at == at &&
+                                 lane_.front().seq < seq))) {
+        latest = lane_.front().at;
         w.events.push_back({WindowEvent::Kind::Arrival, lane_.pop()});
-        continue;
       }
-      if (queue_.empty()) break;
-      const SimTime at = queue_.nextTime();
-      if (!due(at) || std::holds_alternative<ChaosTick>(queue_.peek())) {
+    };
+    const auto isTick = [](const Event& e) {
+      return std::holds_alternative<ChaosTick>(e);
+    };
+    const auto timer = [&](SimTime at, std::uint64_t seq, Event&& event) {
+      arrivalsBefore(at, seq);
+      latest = at;
+      addTimer(w, at, std::get<BeaconTimer>(event));
+    };
+    for (;;) {
+      queue_.popRun(last, isTick, timer);
+      // The run ended where the queue's next event is not due, is a
+      // ChaosTick, or needs a pop (a side-heap entry, the next bucket).
+      if (queue_.empty() || queue_.nextTime() > last || isTick(queue_.peek())) {
         break;
       }
-      const BeaconTimer timer = std::get<BeaconTimer>(queue_.pop());
-      last = at;
-      if (orphaned(timer)) {
-        w.events.push_back({WindowEvent::Kind::Orphan, 0});
-        continue;
-      }
-      if (w.beaconCount == w.beacons.size()) w.beacons.emplace_back();
-      Beacon& b = w.beacons[w.beaconCount];
-      b.node = timer.node;
-      b.at = at;
-      b.event = static_cast<std::uint32_t>(w.events.size());
-      w.events.push_back({WindowEvent::Kind::Timer, w.beaconCount++});
+      const SimTime at = queue_.nextTime();
+      const std::uint64_t seq = queue_.nextSeq();
+      timer(at, seq, queue_.pop());
+    }
+    if (!queue_.empty() && queue_.nextTime() <= last) {
+      arrivalsBefore(queue_.nextTime(), queue_.nextSeq());  // up to the tick
+    } else {
+      arrivalsBefore(last + 1, 0);
     }
     w.laneEnd = lane_.head();
-    now_ = last;
-    mobility_->prepare(first, last);
+    now_ = latest;
+    mobility_->prepare(first, latest);
+  }
+
+  /// Files a popped timer as the window's next event: a beacon, or an
+  /// orphan of a crashed chain.
+  void addTimer(Window& w, SimTime at, const BeaconTimer& timer) {
+    if (orphaned(timer)) {
+      w.events.push_back({WindowEvent::Kind::Orphan, 0});
+      return;
+    }
+    if (w.beaconCount == w.beacons.size()) w.beacons.emplace_back();
+    Beacon& b = w.beacons[w.beaconCount];
+    b.node = timer.node;
+    b.at = at;
+    b.event = static_cast<std::uint32_t>(w.events.size());
+    w.events.push_back({WindowEvent::Kind::Timer, w.beaconCount++});
   }
 
   /// The window's grid placements, in event order (a node's latest one
   /// wins), for enterWindowOf to apply when the next window opens.
   void queuePlacements(const Window& w) {
-    if (config_.index != IndexMode::Grid) return;
+    if (!placing()) return;
     for (std::size_t i = 0; i < w.beaconCount; ++i) {
       pendingPlaces_.push_back(Placement{w.beacons[i].node, w.beacons[i].pos});
     }
@@ -1091,13 +1135,14 @@ class NetworkSimulator {
                            ? Clock::now()
                            : Clock::time_point{};
     const SimTime now = now_;
+    freezeBefore(now);
     mobility_->prepare(now, now);
     Beacon& b = solo_;
     b.node = timer.node;
     b.at = now;
     expireAndEvaluate(b, workerSlots_[0].view);
     b.pos = mobility_->preparedPosition(b.node, now);
-    if (config_.index == IndexMode::Grid) {
+    if (placing()) {
       if (deferPlaces()) {
         pendingPlaces_.push_back(Placement{b.node, b.pos});
       } else {
@@ -1139,13 +1184,19 @@ class NetworkSimulator {
   /// less the ones the loss draws drop (counted in b.lost). The filters run
   /// over the unsorted candidates; every draw is keyed by (sender, send
   /// time, receiver), so both index modes end up with the same list; the
-  /// grid merely prunes receivers that cannot be in range. Reads only
-  /// positions, radii, chaos masks, the loss probability and the grid;
-  /// counts its index diagnostics and histogram samples into `tally`.
+  /// grid merely prunes receivers that cannot be in range, and once hosts
+  /// have settled the frozen radio graph's slice is the in-range list
+  /// itself, already ascending (a sender with a shorter radius than the
+  /// graph's still tests each member). Reads only positions, radii, chaos
+  /// masks, the loss probability, the grid and the frozen graph; counts its
+  /// index diagnostics and histogram samples into `tally`.
   void locate(Beacon& b, WorkerSlot& tally) const {
     const graph::Vertex v = b.node;
     const graph::Point me = b.pos;
     const double r2 = radiusOf(v) * radiusOf(v);
+    const bool frozen = frozenAt(b.at);
+    assert(!frozen || frozen_);
+    const bool exact = !frozen || radiusOf(v) < maxRadius_;
     std::size_t rangeChecks = 0;
     const bool masked =
         anyCrashed() || (chaos_ != nullptr && chaos_->partitionActive);
@@ -1163,10 +1214,12 @@ class NetworkSimulator {
           return false;
         }
       }
-      ++rangeChecks;
-      if (graph::squaredDistance(me, mobility_->preparedPosition(u, b.at)) >
-          r2) {
-        return false;
+      if (exact) {
+        ++rangeChecks;
+        if (graph::squaredDistance(me, mobility_->preparedPosition(u, b.at)) >
+            r2) {
+          return false;
+        }
       }
       if (loss > 0.0 && unitReal(hashCombine(lossKey, u)) < loss) {
         ++b.lost;
@@ -1176,7 +1229,11 @@ class NetworkSimulator {
     };
     std::vector<graph::Vertex>& out = b.receivers;
     out.clear();
-    if (config_.index == IndexMode::Grid) {
+    if (frozen) {
+      for (const graph::Vertex u : radioGraph_.neighbors(v)) {
+        if (hears(u)) out.push_back(u);
+      }
+    } else if (config_.index == IndexMode::Grid) {
       grid_.gather(me, radiusOf(v) + broadcastSlack_, out);
       ++tally.gridQueries;
       tally.candidates += out.size();
@@ -1338,9 +1395,8 @@ class NetworkSimulator {
   /// cache entry.
   static void deliver(Node& node, graph::Vertex from, const State& payload,
                       SimTime at) {
-    const auto it = std::lower_bound(
-        node.cache.begin(), node.cache.end(), from,
-        [](const CacheEntry& e, graph::Vertex f) { return e.from < f; });
+    const auto it = node.cache.begin() +
+                    static_cast<std::ptrdiff_t>(senderSlot(node.cache, from));
     if (it == node.cache.end() || it->from != from) {
       node.cache.insert(it, CacheEntry{from, payload, at});
       node.dirty = true;  // new neighbor appeared in the view
@@ -1353,6 +1409,24 @@ class NetworkSimulator {
       }
       it->heardAt = at;
     }
+  }
+
+  /// std::lower_bound's slot for `from` in a sender-sorted cache. The
+  /// halving steps compare without branching (they compile to conditional
+  /// moves), which the unpredictable sender order of arrivals favours: the
+  /// answer lies in [base, base + size] throughout.
+  static std::size_t senderSlot(const std::vector<CacheEntry>& cache,
+                                graph::Vertex from) noexcept {
+    std::size_t size = cache.size();
+    if (size == 0) return 0;
+    const CacheEntry* base = cache.data();
+    while (size > 1) {
+      const std::size_t half = size / 2;
+      base = base[half].from < from ? base + half : base;
+      size -= half;
+    }
+    return static_cast<std::size_t>(base - cache.data()) +
+           static_cast<std::size_t>(base->from < from);
   }
 
   /// Serial emission of one beacon's per-node record, in event order.
@@ -1396,6 +1470,39 @@ class NetworkSimulator {
 
   [[nodiscard]] bool deferPlaces() const noexcept {
     return config_.propagationDelay > 0;
+  }
+
+  /// Whether beacons still place themselves in the grid: Grid index, radio
+  /// graph not yet frozen.
+  [[nodiscard]] bool placing() const noexcept {
+    return config_.index == IndexMode::Grid && !frozen_;
+  }
+
+  /// Whether a beacon sent at t reads the frozen radio graph: Grid index,
+  /// and t's aligned window (t itself with no delay) starts at or after
+  /// Mobility::settleTime(). A pure function of t, so the beacons that
+  /// read it, and IndexStats, are the same at every worker count and run()
+  /// slicing.
+  [[nodiscard]] bool frozenAt(SimTime t) const noexcept {
+    const SimTime d = config_.propagationDelay;
+    return config_.index == IndexMode::Grid &&
+           (d > 0 ? t / d * d : t) >= settle_;
+  }
+
+  /// Builds the radio graph once, before the first beacon that reads it
+  /// (sent at `t`): the unit-disk graph of the exact positions at t over
+  /// maxRadius_, on the team. No host moves after settleTime(), so every
+  /// later position query returns these points bit for bit, and each slice
+  /// is exactly what an exact range test of every host would keep.
+  void freezeBefore(SimTime t) {
+    if (frozen_ || !frozenAt(t)) return;
+    std::vector<graph::Point> points(nodes_.size());
+    for (graph::Vertex v = 0; v < nodes_.size(); ++v) {
+      points[v] = mobility_->position(v, t);
+    }
+    radioGraph_ =
+        graph::unitDiskGraph(points, maxRadius_, graph::VertexOrder::Points);
+    frozen_ = true;
   }
 
   /// End of the aligned lookahead window holding time t; with no delay
@@ -1648,6 +1755,11 @@ class NetworkSimulator {
   std::vector<Placement> pendingPlaces_;  ///< deferred grid placements
   SimTime placedWindow_ = 0;  ///< aligned window the grid was brought up to
   double maxRadius_ = 0.0;
+  SimTime settle_ = 0;  ///< Mobility::settleTime()
+  /// Who hears whom over maxRadius_ once hosts have settled (Grid index);
+  /// built by freezeBefore().
+  graph::Graph radioGraph_;
+  bool frozen_ = false;
   double broadcastSlack_ = 0.0;
   double collisionSlack_ = 0.0;
   NetworkStats stats_;

@@ -13,7 +13,13 @@
 // the gathers return a few more candidates; stats, states and events held.
 // Every value was re-pinned when the first-beacon phase, jitter and loss
 // draws became keyed by (seed, node, send time, receiver) instead of coming
-// from one stream in event order: every trajectory changed once.
+// from one stream in event order: every trajectory changed once. The static
+// cases' rangeChecks and broadcastCandidates were re-pinned when the grid
+// index began to freeze the radio graph once hosts settle (from the first
+// window on, for static hosts): a broadcast reads its sender's slice, so no
+// gather returns candidates, and only a sender whose radius is below the
+// largest one (SmmWithPerNodeRadii) and the collision checks still run
+// exact tests; stats, states and events held.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,6 +38,7 @@
 #include "graph/generators.hpp"
 #include "graph/id_order.hpp"
 #include "telemetry/telemetry.hpp"
+#include "../support/fnv.hpp"
 
 namespace selfstab::adhoc {
 namespace {
@@ -59,14 +66,7 @@ std::ostream& operator<<(std::ostream& os, const Fingerprint& f) {
             << f.broadcastCandidates << ", " << f.collisionChecks << "}";
 }
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using selfstab::testing::fnv1a;
 
 using MakeMobility = std::function<std::unique_ptr<Mobility>()>;
 
@@ -153,7 +153,7 @@ TEST(NetworkFingerprint, SmmWithBeaconLoss) {
   expectPinned<core::PointerState>(
       core::smmPaper(), placed(70, 0.2, 11), config, 60 * kInterval,
       {{4205, 23743, 5909, 0, 331, 4205, 0},
-       0xf5ffd6d1ea972310ULL, 0xecd9106c63020aaaULL, 77429, 81634, 0});
+       0xf5ffd6d1ea972310ULL, 0xecd9106c63020aaaULL, 0, 0, 0});
 }
 
 TEST(NetworkFingerprint, SisWithCollisionWindow) {
@@ -164,7 +164,7 @@ TEST(NetworkFingerprint, SisWithCollisionWindow) {
   expectPinned<core::BitState>(
       core::SisProtocol{}, placed(70, 0.2, 12), config, 60 * kInterval,
       {{4204, 24550, 0, 1268, 56, 4204, 0},
-       0x754fc21184495c20ULL, 0x26b88a91fd993111ULL, 77393, 77938, 25818});
+       0x754fc21184495c20ULL, 0x26b88a91fd993111ULL, 3659, 0, 25818});
 }
 
 TEST(NetworkFingerprint, SmmWithPerNodeRadii) {
@@ -177,7 +177,7 @@ TEST(NetworkFingerprint, SmmWithPerNodeRadii) {
   expectPinned<core::PointerState>(
       core::smmPaper(), placed(60, 0.2, 13), config, 60 * kInterval,
       {{3603, 23536, 0, 0, 152, 3603, 0},
-       0xc14422b56ef54981ULL, 0xa39d9a6980b444cfULL, 82037, 85640, 0});
+       0xc14422b56ef54981ULL, 0xa39d9a6980b444cfULL, 41205, 0, 0});
 }
 
 TEST(NetworkFingerprint, SisUnderWaypointMobilityLossAndCollisions) {
@@ -221,7 +221,7 @@ TEST(NetworkFingerprint, SmmWithReboots) {
   expectPinned<core::PointerState>(
       core::smmPaper(), placed(60, 0.2, 16), config, 70 * kInterval,
       {{4203, 27458, 0, 0, 148, 4203, 0},
-       0xb6cadca938afed72ULL, 0xad33aabb008fde49ULL, 70473, 74676, 0},
+       0xb6cadca938afed72ULL, 0xad33aabb008fde49ULL, 0, 0, 0},
       script);
 }
 

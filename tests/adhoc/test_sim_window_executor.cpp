@@ -28,14 +28,18 @@
 
 #include "adhoc/mobility.hpp"
 #include "adhoc/network.hpp"
+#include "cli/sim_run.hpp"
 #include "core/leader_tree.hpp"
 #include "core/sis.hpp"
 #include "core/smm.hpp"
 #include "graph/id_order.hpp"
 #include "telemetry/telemetry.hpp"
+#include "../support/fnv.hpp"
 
 namespace selfstab::adhoc {
 namespace {
+
+using selfstab::testing::fnv1a;
 
 std::size_t stressIters(std::size_t fallback) {
   if (const char* env = std::getenv("SELFSTAB_STRESS_ITERS")) {
@@ -428,6 +432,182 @@ TEST(SimWindowExecutor, IndexStatsIgnoreSlicing) {
     expectSame(whole, runOnce<core::PointerState>(core::smmPaper(), s, 3),
                "sliced run " + std::to_string(static_cast<int>(slicing)));
   }
+}
+
+// --- Frozen radio graph ----------------------------------------------------
+//
+// Once no host can move (Mobility::settleTime()), the grid index builds the
+// who-hears-whom graph once from exact positions and reads each sender's
+// slice of it. The Scan index never freezes, so it is the oracle: every grid
+// run (per-event loop, 1-4 workers, run() sliced per beacon interval) must
+// reproduce its stats, states, events and clock, and the grid runs must
+// agree on IndexStats among themselves.
+
+/// 240 hosts, a 40 ms interval, 24 intervals; static, or waypoint hosts
+/// that stop at `stop`.
+Scenario settledScenario(std::uint64_t seed, bool waypoint, SimTime stop) {
+  Scenario s;
+  graph::Rng rng(seed);
+  s.nodes = 240;
+  s.start = graph::randomPoints(s.nodes, rng);
+  s.config.seed = seed;
+  s.config.beaconInterval = 40 * kMillisecond;
+  s.config.jitterFraction = 0.1;
+  s.config.radius = 0.11;
+  s.duration = 24 * s.config.beaconInterval + 4321;
+  s.slicing = Slicing::PerInterval;
+  s.waypoint = waypoint;
+  if (waypoint) {
+    s.wp.speedMin = 0.1;
+    s.wp.speedMax = 0.5;
+    s.wp.pause = 400;
+    s.wp.stopTime = stop;
+    s.mobilitySeed = hashCombine(seed, 0x776179ULL);
+  }
+  return s;
+}
+
+template <typename State>
+void checkFrozenAgainstScan(const engine::Protocol<State>& protocol,
+                            Scenario s, const std::string& what) {
+  s.config.index = IndexMode::Scan;
+  Outcome expected = runOnce(protocol, s, kPerEventLoop);
+  s.config.index = IndexMode::Grid;
+  const Outcome grid = runOnce(protocol, s, kPerEventLoop);
+  expected.index = grid.index;  // mode-dependent by design
+  expectSame(expected, grid, what + ", per-event loop");
+  for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
+    expectSame(expected, runOnce(protocol, s, workers),
+               what + ", " + std::to_string(workers) + " worker(s)");
+  }
+  // Some beacons read the frozen graph: they make no grid query.
+  EXPECT_LT(grid.index.gridQueries, grid.stats.beaconsSent) << what;
+}
+
+/// currentTopology() at the end of a run, under `index`.
+graph::Graph finalTopology(const Scenario& s, IndexMode index) {
+  const auto mobility = s.makeMobility();
+  const auto ids = graph::IdAssignment::identity(s.nodes);
+  NetworkConfig config = s.config;
+  config.index = index;
+  const core::SmmProtocol smm = core::smmPaper();
+  NetworkSimulator<core::PointerState> sim(smm, ids, *mobility, config);
+  sim.run(s.duration);
+  return sim.currentTopology();
+}
+
+/// Static hosts freeze at the first window: no grid query at all, and with
+/// no collision model no exact test either.
+TEST(FrozenRadioGraph, StaticHostsWithLossAndCollisions) {
+  for (std::uint64_t seed = 1; seed <= stressIters(1); ++seed) {
+    Scenario s = settledScenario(seed, false, 0);
+    s.config.lossProbability = 0.1;
+    s.config.collisionWindow = s.config.beaconInterval / 10;
+    checkFrozenAgainstScan<core::PointerState>(core::smmPaper(), s,
+                                               "static, loss, collisions");
+    s.config.collisionWindow = 0;
+    s.config.schedule = engine::Schedule::Active;
+    checkFrozenAgainstScan<core::BitState>(core::SisProtocol{}, s,
+                                           "static sis, loss");
+    s.config.index = IndexMode::Grid;
+    const Outcome grid =
+        runOnce<core::BitState>(core::SisProtocol{}, s, 2);
+    EXPECT_EQ(grid.index.gridQueries, 0u);
+    EXPECT_EQ(grid.index.rangeChecks, 0u);
+  }
+}
+
+/// Waypoint hosts that stop between two chaos events (installChaos): a
+/// crash before the settle time and its rejoin after (the crashed host's
+/// grid record lags it by far more than the gather slack), then a partition
+/// cut before it and healed after, with drift forcing the per-event loop
+/// for a while after settling.
+TEST(FrozenRadioGraph, WaypointStopWithFaultsAcrossTheSettleTime) {
+  for (std::uint64_t seed = 1; seed <= stressIters(1); ++seed) {
+    for (const SimTime stopIntervals : {5, 9}) {
+      Scenario s = settledScenario(seed, true, 0);
+      s.wp.stopTime = stopIntervals * s.config.beaconInterval + 100;
+      s.config.lossProbability = 0.05;
+      s.config.collisionWindow = s.config.beaconInterval / 10;
+      s.chaos = true;
+      checkFrozenAgainstScan<core::PointerState>(
+          core::smmPaper(), s,
+          "waypoint stop at " + std::to_string(stopIntervals) + " intervals");
+    }
+  }
+}
+
+/// Per-node radii make links asymmetric: the frozen graph spans the largest
+/// radius, and a sender with a shorter one filters its slice with the exact
+/// test.
+TEST(FrozenRadioGraph, PerNodeRadiiFilterTheSlice) {
+  for (std::uint64_t seed = 1; seed <= stressIters(1); ++seed) {
+    for (const bool waypoint : {false, true}) {
+      Scenario s = settledScenario(seed, waypoint, 0);
+      if (waypoint) s.wp.stopTime = 7 * s.config.beaconInterval + 333;
+      graph::Rng rng(hashCombine(seed, 0x7261ULL));
+      for (std::size_t v = 0; v < s.nodes; ++v) {
+        s.config.perNodeRadius.push_back(0.06 + 0.1 * rng.real());
+      }
+      checkFrozenAgainstScan<core::PointerState>(
+          core::smmPaper(), s, waypoint ? "radii, waypoint" : "radii, static");
+      EXPECT_EQ(finalTopology(s, IndexMode::Grid),
+                finalTopology(s, IndexMode::Scan));
+    }
+  }
+}
+
+/// currentTopology() reads the frozen graph once hosts have settled.
+TEST(FrozenRadioGraph, TopologyMatchesTheScan) {
+  for (const bool waypoint : {false, true}) {
+    Scenario s = settledScenario(41, waypoint, 0);
+    s.nodes = 600;
+    graph::Rng rng(41);
+    s.start = graph::randomPoints(s.nodes, rng);
+    if (waypoint) s.wp.stopTime = 3 * s.config.beaconInterval + 77;
+    const graph::Graph grid = finalTopology(s, IndexMode::Grid);
+    EXPECT_EQ(grid, finalTopology(s, IndexMode::Scan));
+    EXPECT_GT(grid.size(), s.nodes);
+  }
+}
+
+/// The stale-grid trap, pinned. A crashed host sends no beacons, so its
+/// grid record can lag it by more than the gather slack; a receiver list
+/// read off the grid while it is down would miss it after it rejoins. This
+/// selfstab-sim run (waypoint hosts stopping at 5 s, a crash storm, loss)
+/// diverged under such a list; the frozen graph, built from exact
+/// positions, must match the Scan index and the pinned outcome.
+TEST(FrozenRadioGraph, CrashStormCliRunMatchesScan) {
+  const auto run = [](const std::string& index, std::string& events) {
+    const cli::SimOptions options = cli::parseSimOptions(
+        {"-p", "smm", "-n", "300", "--radius", "0.12", "--mobility",
+         "waypoint", "--stop-sec", "5", "--duration-sec", "40", "--seed", "6",
+         "--chaos", "crash-storm:4", "--loss", "0.05", "--json", "--events",
+         "-", "--index", index});
+    std::ostringstream out;
+    const cli::SimReport report = cli::executeSim(options, out);
+    events = out.str();
+    return report;
+  };
+  std::string gridEvents;
+  std::string scanEvents;
+  const cli::SimReport grid = run("grid", gridEvents);
+  const cli::SimReport scan = run("scan", scanEvents);
+  const auto key = [](const cli::SimReport& r) {
+    return std::vector<std::size_t>{
+        r.beaconsSent,     r.beaconsDelivered,
+        r.beaconsLost,     r.beaconsCollided,
+        r.moves,           r.ruleEvaluations,
+        r.chaosFaults,     static_cast<std::size_t>(r.endTime),
+        r.predicateOk ? 1u : 0u};
+  };
+  EXPECT_EQ(key(grid), key(scan));
+  EXPECT_TRUE(gridEvents == scanEvents) << "event logs differ";
+  EXPECT_LT(grid.rangeChecks, scan.rangeChecks);
+  EXPECT_EQ(key(grid), (std::vector<std::size_t>{1074543, 16474558, 866548, 0,
+                                                  4715, 1074543, 6, 359999855,
+                                                  0}));
+  EXPECT_EQ(fnv1a(gridEvents), 0x961dc083c1601ed1ULL);
 }
 
 }  // namespace
