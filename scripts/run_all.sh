@@ -51,7 +51,7 @@ sh "$ROOT/scripts/bench_smoke.sh" "$BUILD_DIR"
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -G Ninja -S "$ROOT" -DSELFSTAB_SANITIZE=thread
 cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
-  stress_tests graph_tests cli_tests analysis_tests core_tests adhoc_tests
+  stress_tests graph_tests cli_tests analysis_tests core_tests
 {
   "$TSAN_DIR/tests/telemetry_tests"
   # unitDiskGraph's bands: each worker counts its slots' neighbours into
@@ -127,9 +127,6 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" \
     --gtest_filter='*SimWindowExecutor*:FrozenRadioGraph.*-FrozenRadioGraph.CrashStormCliRunMatchesScan'
-  # The window drain's bulk pop (CalendarQueue::popRun), which the window
-  # executor above runs on its driving thread between dispatches.
-  "$TSAN_DIR/tests/adhoc_tests" --gtest_filter='CalendarPopRun.*'
 } 2>&1 | tee "$ROOT/tsan_output.txt"
 
 # AddressSanitizer pass over the beacon-simulator suites: the spatial-index
@@ -204,9 +201,7 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # Window executor: lane slots popped by a window are released only after
   # its per-node phase, and prepared mobility spans must cover every
   # position a window queries. FrozenRadioGraph.*: phase A reads the
-  # frozen graph's CSR slices, and currentTopology() walks them. (The
-  # bulk pop's CalendarPopRun.* cases run with adhoc_tests above: popRun
-  # moves events out of a bucket and erases the run behind them.)
+  # frozen graph's CSR slices, and currentTopology() walks them.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" \
     --gtest_filter='*SimWindowExecutor*:FrozenRadioGraph.*'

@@ -14,8 +14,7 @@
 //                      scheduled into the bucket being drained wait in a
 //                      small side heap that pop merges. Far-future events
 //                      overflow into a plain heap and migrate onto the
-//                      wheel as the cursor approaches. popRun hands a
-//                      sorted bucket's due run over in one pass.
+//                      wheel as the cursor approaches.
 //
 // A third structure, FifoLane, holds a stream of events that are scheduled
 // in (time, seq) order (each later than every one before it) outside the
@@ -185,49 +184,6 @@ class CalendarQueue {
     now_ = entry.at;
     --size_;
     return std::move(entry.event);
-  }
-
-  /// Bulk pop: hands the earliest events, in pop order, to
-  /// take(at, seq, Event&&) while they are due by `last` (inclusive) and
-  /// `stop(event)` is false, and returns how many it took. On the wheel it
-  /// takes one run of the sorted cursor bucket, in one pass, and also stops
-  /// where the bucket ends or a side-heap entry comes first; in heap mode
-  /// it pops the heap. So a caller that wants every due event calls it
-  /// again after a pop() whenever nextTime() is still due. `take` must not
-  /// touch the queue.
-  template <typename Stop, typename Take>
-  std::size_t popRun(SimTime last, Stop&& stop, Take&& take) {
-    if (size_ == 0) return 0;
-    settle();
-    std::size_t taken = 0;
-    if (width_ <= 0) {
-      while (!overflow_.empty() && overflow_.front().at <= last &&
-             !stop(std::as_const(overflow_.front().event))) {
-        Entry entry = detail::popHeapEntry(overflow_);
-        now_ = entry.at;
-        take(entry.at, entry.seq, std::move(entry.event));
-        ++taken;
-      }
-      size_ -= taken;
-      return taken;
-    }
-    auto& slot = wheel_[cursorSlot_];
-    std::size_t i = slot.size();
-    for (; i > 0; --i) {
-      Entry& entry = slot[i - 1];
-      if (entry.at > last || stop(std::as_const(entry.event)) ||
-          (!side_.empty() &&
-           detail::EntryAfter<Event>{}(entry, side_.front()))) {
-        break;
-      }
-      now_ = entry.at;
-      take(entry.at, entry.seq, std::move(entry.event));
-    }
-    taken = slot.size() - i;
-    slot.erase(slot.begin() + static_cast<std::ptrdiff_t>(i), slot.end());
-    size_ -= taken;
-    onWheel_ -= taken;
-    return taken;
   }
 
   /// Rebuilds the wheel with `bucketCount` slots of the same width (a

@@ -61,8 +61,7 @@
 //    whose buckets are one lookahead window wide, enough of them to cover
 //    one jittered, drifted beacon interval: a window drains whole buckets,
 //    each sorted once when the cursor reaches it (1/16 interval with no
-//    delay), and takes a bucket's due run in one popRun, merged with the
-//    lane's run in the same pass.
+//    delay).
 //
 // Lookahead windows (docs/MODEL.md, docs/PERFORMANCE.md). A beacon reaches
 // its receivers exactly propagationDelay D after it is sent, and a node's
@@ -934,70 +933,48 @@ class NetworkSimulator {
     }
   }
 
-  /// Pops one window's events (all already queued: see the header comment)
-  /// in one merge: each run the queue hands over (CalendarQueue::popRun)
-  /// takes the lane's arrivals that precede each of its timers, and the
-  /// lane's due tail follows. Freezes the radio graph first if the window
-  /// is its first settled one, and prepares the mobility span the events
-  /// query.
+  /// Pops one window's events (all already queued: see the header comment),
+  /// merging the lane's arrivals with the queue's timers by (at, seq).
+  /// Freezes the radio graph first if the window is its first settled one,
+  /// and prepares the mobility span the events query.
   void collect(Window& w, SimTime until) {
     countOne(metrics_.windows);
     w.events.clear();
     w.beaconCount = 0;
     const SimTime first = nextTime();
-    const SimTime last = std::min(windowEnd(first) - 1, until);
+    const SimTime end = windowEnd(first);
+    const auto due = [&](SimTime at) { return at < end && at <= until; };
     freezeBefore(first);
-    SimTime latest = first;
-    const auto arrivalsBefore = [&](SimTime at, std::uint64_t seq) {
-      while (!lane_.empty() && (lane_.front().at < at ||
-                                (lane_.front().at == at &&
-                                 lane_.front().seq < seq))) {
-        latest = lane_.front().at;
-        w.events.push_back({WindowEvent::Kind::Arrival, lane_.pop()});
-      }
-    };
-    const auto isTick = [](const Event& e) {
-      return std::holds_alternative<ChaosTick>(e);
-    };
-    const auto timer = [&](SimTime at, std::uint64_t seq, Event&& event) {
-      arrivalsBefore(at, seq);
-      latest = at;
-      addTimer(w, at, std::get<BeaconTimer>(event));
-    };
+    SimTime last = first;
     for (;;) {
-      queue_.popRun(last, isTick, timer);
-      // The run ended where the queue's next event is not due, is a
-      // ChaosTick, or needs a pop (a side-heap entry, the next bucket).
-      if (queue_.empty() || queue_.nextTime() > last || isTick(queue_.peek())) {
+      if (lane_.leads(queue_)) {
+        const SimTime at = lane_.front().at;
+        if (!due(at)) break;
+        last = at;
+        w.events.push_back({WindowEvent::Kind::Arrival, lane_.pop()});
+        continue;
+      }
+      if (queue_.empty()) break;
+      const SimTime at = queue_.nextTime();
+      if (!due(at) || std::holds_alternative<ChaosTick>(queue_.peek())) {
         break;
       }
-      const SimTime at = queue_.nextTime();
-      const std::uint64_t seq = queue_.nextSeq();
-      timer(at, seq, queue_.pop());
-    }
-    if (!queue_.empty() && queue_.nextTime() <= last) {
-      arrivalsBefore(queue_.nextTime(), queue_.nextSeq());  // up to the tick
-    } else {
-      arrivalsBefore(last + 1, 0);
+      const BeaconTimer timer = std::get<BeaconTimer>(queue_.pop());
+      last = at;
+      if (orphaned(timer)) {
+        w.events.push_back({WindowEvent::Kind::Orphan, 0});
+        continue;
+      }
+      if (w.beaconCount == w.beacons.size()) w.beacons.emplace_back();
+      Beacon& b = w.beacons[w.beaconCount];
+      b.node = timer.node;
+      b.at = at;
+      b.event = static_cast<std::uint32_t>(w.events.size());
+      w.events.push_back({WindowEvent::Kind::Timer, w.beaconCount++});
     }
     w.laneEnd = lane_.head();
-    now_ = latest;
-    mobility_->prepare(first, latest);
-  }
-
-  /// Files a popped timer as the window's next event: a beacon, or an
-  /// orphan of a crashed chain.
-  void addTimer(Window& w, SimTime at, const BeaconTimer& timer) {
-    if (orphaned(timer)) {
-      w.events.push_back({WindowEvent::Kind::Orphan, 0});
-      return;
-    }
-    if (w.beaconCount == w.beacons.size()) w.beacons.emplace_back();
-    Beacon& b = w.beacons[w.beaconCount];
-    b.node = timer.node;
-    b.at = at;
-    b.event = static_cast<std::uint32_t>(w.events.size());
-    w.events.push_back({WindowEvent::Kind::Timer, w.beaconCount++});
+    now_ = last;
+    mobility_->prepare(first, last);
   }
 
   /// The window's grid placements, in event order (a node's latest one

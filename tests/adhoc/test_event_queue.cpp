@@ -302,174 +302,6 @@ TEST(CalendarQueue, WindowAlignedWheelMatchesHeap) {
   }
 }
 
-// --- Bulk pop ------------------------------------------------------------
-//
-// CalendarQueue::popRun hands over a run of due events in one pass. A
-// caller that wants every event due by `last` up to the first "tick" (a
-// negative payload here, a ChaosTick in the simulator) calls it, pops one
-// event whenever the run ended early, and calls it again. That must take
-// exactly what EventQueue's pop() takes one event at a time.
-
-struct Popped {
-  SimTime at;
-  std::uint64_t seq;
-  int payload;
-
-  friend bool operator==(const Popped&, const Popped&) = default;
-};
-
-[[nodiscard]] bool isTick(int payload) { return payload < 0; }
-
-/// Drains `calendar` the way the simulator's collect() does.
-std::vector<Popped> drainByRuns(CalendarQueue<int>& calendar, SimTime last) {
-  std::vector<Popped> out;
-  const auto take = [&](SimTime at, std::uint64_t seq, int&& payload) {
-    out.push_back({at, seq, payload});
-  };
-  for (;;) {
-    calendar.popRun(last, isTick, take);
-    if (calendar.empty() || calendar.nextTime() > last ||
-        isTick(calendar.peek())) {
-      return out;
-    }
-    const SimTime at = calendar.nextTime();
-    const std::uint64_t seq = calendar.nextSeq();
-    take(at, seq, calendar.pop());
-  }
-}
-
-/// The reference: EventQueue pops one event at a time; `payloads[seq]` is
-/// what it scheduled under each sequence number.
-std::vector<Popped> drainByPops(EventQueue<int>& reference,
-                                const std::vector<int>& payloads,
-                                SimTime last) {
-  std::vector<Popped> out;
-  while (!reference.empty() && reference.nextTime() <= last &&
-         !isTick(payloads[reference.nextSeq()])) {
-    const SimTime at = reference.nextTime();
-    const std::uint64_t seq = reference.nextSeq();
-    out.push_back({at, seq, reference.pop()});
-  }
-  return out;
-}
-
-TEST(CalendarPopRun, StopsAtATickMidWindow) {
-  CalendarQueue<int> q(/*bucketWidth=*/10, /*bucketCount=*/4);
-  q.schedule(11, 1);
-  q.schedule(13, 2);
-  q.schedule(15, -1);
-  q.schedule(15, 3);  // ties the tick by time, follows it by seq
-  q.schedule(17, 4);
-  const std::vector<Popped> got = drainByRuns(q, 19);
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[1], (Popped{13, 1, 2}));
-  EXPECT_EQ(q.now(), 13);
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop(), -1);
-  EXPECT_EQ(drainByRuns(q, 19), (std::vector<Popped>{{15, 3, 3}, {17, 4, 4}}));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarPopRun, SideHeapEntryEndsTheRun) {
-  CalendarQueue<int> q(/*bucketWidth=*/10, /*bucketCount=*/4);
-  q.schedule(12, 1);
-  q.schedule(18, 3);
-  q.schedule(19, 4);
-  EXPECT_EQ(q.pop(), 1);  // bucket 1 is sorted and partly drained
-  q.schedule(15, 2);      // into it: the side heap
-  EXPECT_EQ(q.popRun(19, isTick, [](SimTime, std::uint64_t, int&&) {}), 0u);
-  EXPECT_EQ(drainByRuns(q, 19),
-            (std::vector<Popped>{{15, 3, 2}, {18, 1, 3}, {19, 2, 4}}));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarPopRun, UntilCutLeavesTheRestSorted) {
-  CalendarQueue<int> q(/*bucketWidth=*/10, /*bucketCount=*/4);
-  for (const SimTime at : {18, 12, 15, 12}) q.schedule(at, static_cast<int>(at));
-  EXPECT_EQ(drainByRuns(q, 14), (std::vector<Popped>{{12, 1, 12}, {12, 3, 12}}));
-  EXPECT_EQ(q.now(), 12);
-  EXPECT_EQ(q.nextTime(), 15);
-  q.schedule(14, 14);  // into the sorted bucket's side heap
-  EXPECT_EQ(drainByRuns(q, 19),
-            (std::vector<Popped>{{14, 4, 14}, {15, 2, 15}, {18, 0, 18}}));
-}
-
-/// Window drains on random workloads: beacon-like rescheduling, events in
-/// the bucket being drained (side heap), far-future ones (overflow and its
-/// migration), ticks, `until` cuts inside a window, and a cursor settled
-/// ahead and then rewound. Width 0 is the heap mode.
-TEST(CalendarPopRun, MatchesEventQueuePopOrder) {
-  Rng rng(2026'10'20);
-  for (int round = 0; round < 30; ++round) {
-    const SimTime width =
-        round % 5 == 4 ? 0 : 1 + static_cast<SimTime>(rng.below(12));
-    const SimTime interval = 40 + static_cast<SimTime>(rng.below(120));
-    const std::size_t count =
-        width == 0 ? 1
-                   : 1 + static_cast<std::size_t>(rng.below(
-                             static_cast<std::uint64_t>(interval / width + 2)));
-    CalendarQueue<int> calendar(width, count);
-    EventQueue<int> reference;
-    std::vector<int> payloads;
-    const auto both = [&](SimTime at, int payload) {
-      calendar.schedule(at, payload);
-      reference.schedule(at, payload);
-      payloads.push_back(payload);
-    };
-    for (int node = 0; node < 30; ++node) {
-      both(static_cast<SimTime>(rng.below(static_cast<std::uint64_t>(interval))),
-           node);
-    }
-    const std::string where = "round " + std::to_string(round);
-    for (int window = 0; window < 400 && !reference.empty(); ++window) {
-      const SimTime first = reference.nextTime();
-      const SimTime span =
-          width > 0 ? width : 1 + static_cast<SimTime>(rng.below(8));
-      SimTime last = (first / span + 1) * span - 1;
-      if (rng.chance(0.1)) {
-        last = first + static_cast<SimTime>(rng.below(
-                           static_cast<std::uint64_t>(last - first + 1)));
-      }
-      if (isTick(payloads[reference.nextSeq()])) {
-        expectSamePop(calendar, reference, where + " tick");
-        continue;
-      }
-      const std::vector<Popped> expected =
-          drainByPops(reference, payloads, last);
-      ASSERT_EQ(drainByRuns(calendar, last), expected)
-          << where << " window " << window;
-      ASSERT_EQ(calendar.now(), reference.now()) << where;
-      ASSERT_EQ(calendar.size(), reference.size()) << where;
-      const SimTime now = reference.now();
-      for (const Popped& p : expected) {
-        const auto period = static_cast<SimTime>(
-            static_cast<double>(interval) * (1.0 + rng.real(-0.1, 0.1)));
-        both(p.at + std::max<SimTime>(span, period), p.payload);
-      }
-      const double pick = rng.real();
-      if (pick < 0.15) {
-        both(now + static_cast<SimTime>(rng.below(3)), 1000);  // drained
-      } else if (pick < 0.25) {
-        both(now + 1 + static_cast<SimTime>(rng.below(
-                           static_cast<std::uint64_t>(interval))),
-             -1);
-      } else if (pick < 0.3) {
-        both(now + 30 * interval + static_cast<SimTime>(rng.below(900)),
-             2000);  // overflow
-      } else if (pick < 0.35 && !reference.empty() &&
-                 reference.nextTime() > now) {
-        // Settle the cursor on the next event, then land behind it.
-        ASSERT_EQ(calendar.nextTime(), reference.nextTime()) << where;
-        both(now + static_cast<SimTime>(rng.below(static_cast<std::uint64_t>(
-                       reference.nextTime() - now))),
-             3000);
-      }
-    }
-    while (!reference.empty()) expectSamePop(calendar, reference, where);
-    EXPECT_TRUE(calendar.empty());
-  }
-}
-
 /// A lane entry: an arrival in the simulator.
 struct LaneItem {
   SimTime at = 0;
