@@ -4,20 +4,26 @@
     scripts/rss_gate.py path/to/selfstab
 
 Runs four 3·10^5-node unit-disk runs as child processes and compares each
-child's peak resident set (ru_maxrss) with a budget derived from the size
-of the run's one adjacency, the Graph's CSR: 8(n+1) + 8m bytes for n nodes
-and m edges, read back from the report. The budget is
+child's peak resident set (ru_maxrss) with a budget derived from the run's
+one adjacency, the Graph's CSR, as the run's own memory ledger (--metrics)
+reports it: graph_offsets_bytes, and the slice entries
+(graph_slices_bytes / graph_slice_entry_bytes) counted at the 2 bytes a
+narrow slice takes. The budget is
 
-    BUDGET_FACTOR × (8(n+1) + 8m) + BUDGET_SLACK_MIB
+    BUDGET_FACTOR × (offsets + 2 B × entries)
+      + BUDGET_BYTES_PER_NODE × n + BUDGET_SLACK_MIB
 
-The CSR itself is 1×; the factor leaves half as much again for the per-node
-arrays (points, states, IDs, kernel mirror and caches), and the slack covers
-the binary, the C++ runtime and thread stacks. A second copy of the
-adjacency (the unit-disk build holding its neighbour lists beside the CSR,
-a materialized edge list, a fault campaign copying the Graph for a plan
-that never edits the topology) or a string per node (DOT annotations built
-without --dot) puts a run over it. Exits 1 if any run is over budget or
-fails.
+The CSR itself is 1×, and the factor leaves half as much again for
+transient buffers. The per-node allowance covers the per-node arrays
+(label 4 B, ID 8 B, state, kernel mirror and cache), and the slack covers
+the binary, the C++ runtime and thread stacks. A space-ordered unit-disk
+graph stores its slices as 2-byte deltas; slices stored as 4-byte targets
+(the SMM run then peaks ~16 MiB higher, over budget), a second copy of the
+adjacency (the unit-disk build holding its neighbour lists beside the
+CSR, a materialized edge list, a fault campaign copying the Graph for a
+plan that never edits the topology) or a string per node (DOT annotations
+built without --dot) puts a run over it. Exits 1 if any run is over budget
+or fails.
 
 The campaign run is SIS with a corrupt-only --chaos plan, written to a
 temporary file. It uses the generic kernel, which adds no per-edge array,
@@ -26,10 +32,10 @@ so the campaign's own memory is what the budget sees.
 The fourth run is a clean SIS run on the flat kernel. Its bigger-neighbour
 slices hold one (word, mask) group per 64-vertex word a node's bigger
 neighbours touch. With vertices numbered at random in space nearly every
-neighbour had a word of its own (12 B per edge, 1.4x the CSR, ~94 MiB
-here); with the graph stored in grid-cell order neighbours share words,
-and the run fits the same budget (~56 MiB). A numbering that scatters
-neighbours again puts it over.
+neighbour had a word of its own (12 B per edge, ~94 MiB here); with the
+graph stored in grid-cell order neighbours share words (~10 MiB of groups,
+the largest kernel mirror of the four), and the run fits the same budget.
+A numbering that scatters neighbours again puts it over.
 """
 
 import json
@@ -40,7 +46,9 @@ import sys
 import tempfile
 
 BUDGET_FACTOR = 1.5
+BUDGET_BYTES_PER_NODE = 32
 BUDGET_SLACK_MIB = 8.0
+NARROW_ENTRY_BYTES = 2
 
 NODES = 300000
 GRAPH = "udg:%d:0.0055" % NODES
@@ -73,20 +81,35 @@ def run(cmd):
     return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0, out
 
 
-def check(binary, args):
+def ledger(path):
+    """The gauges of a --metrics dump (its first line is the JSON)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.loads(f.readline())["gauges"]
+    except (OSError, ValueError, KeyError):
+        return None
+
+
+def check(binary, args, metrics):
     """Runs one child; prints its verdict and returns True if it failed."""
-    code, peak, out = run([binary] + args)
+    code, peak, out = run([binary] + args + ["--metrics", metrics])
     label = " ".join(args)
     match = re.search(r"graph\s*: (\d+) nodes, (\d+) edges", out)
-    if code != 0 or match is None:
-        print("FAIL %s: exit %d, no report\n%s" % (label, code, out))
+    gauges = ledger(metrics)
+    if code != 0 or match is None or gauges is None:
+        print("FAIL %s: exit %d, no report or no ledger\n%s"
+              % (label, code, out))
         return True
-    n, m = int(match.group(1)), int(match.group(2))
-    graph_mib = (8 * (n + 1) + 8 * m) / 2**20
-    budget = BUDGET_FACTOR * graph_mib + BUDGET_SLACK_MIB
+    n = int(match.group(1))
+    entries = gauges["graph_slices_bytes"] / gauges["graph_slice_entry_bytes"]
+    graph_mib = (gauges["graph_offsets_bytes"]
+                 + NARROW_ENTRY_BYTES * entries) / 2**20
+    budget = (BUDGET_FACTOR * graph_mib + BUDGET_BYTES_PER_NODE * n / 2**20
+              + BUDGET_SLACK_MIB)
     verdict = "ok" if peak <= budget else "FAIL"
-    print("%s %s: peak RSS %.1f MiB, budget %.1f MiB (graph %.1f MiB)"
-          % (verdict, label, peak, budget, graph_mib))
+    print("%s %s: peak RSS %.1f MiB, budget %.1f MiB (graph %.1f MiB, "
+          "slices of %d B)" % (verdict, label, peak, budget, graph_mib,
+                               gauges["graph_slice_entry_bytes"]))
     return peak > budget
 
 
@@ -99,9 +122,10 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         plan = os.path.join(tmp, "plan.json")
         write_plan(plan)
+        metrics = os.path.join(tmp, "metrics.txt")
         for args in RUNS:
             args = [plan if a is None else a for a in args]
-            failed = check(binary, args) or failed
+            failed = check(binary, args, metrics) or failed
     return 1 if failed else 0
 
 

@@ -22,10 +22,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure 2>&1 \
 
 # Peak-memory gate: four 3·10^5-node selfstab runs (SMM from a random start,
 # coloring, a corrupt-only SIS campaign, SIS on the flat kernel) must each
-# stay within 1.5× the Graph's own bytes plus 8 MiB, so a second copy of
-# the adjacency, per-node DOT strings built without --dot or a storage
-# order that scatters SIS's bigger-neighbour words cannot come back
-# silently.
+# stay within 1.5× the Graph's CSR at 2-byte slices (offsets and slice
+# entries read from the run's --metrics memory ledger) plus 32 B per node
+# and 8 MiB, so 4-byte slices, a second copy of the adjacency, per-node DOT
+# strings built without --dot or a storage order that scatters SIS's
+# bigger-neighbour words cannot come back silently.
 python3 "$ROOT/scripts/rss_gate.py" "$BUILD_DIR/src/cli/selfstab"
 
 # Fast perf sanity before the expensive passes: the micro_kernels gate at
@@ -79,6 +80,11 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # selfstab sizes its passes itself: a 20000-node run (four workers where
   # four CPUs are free) against the same run held to one CPU.
   "$TSAN_DIR/tests/cli_tests" --gtest_filter='Execute.PooledRunMatchesSingleCpuRun'
+  # SliceWidth.*, Geometry.SliceWidthFollowsTheBuild: the unit-disk bands
+  # bound their slots' spans in the count pass and fill 2-byte slices on
+  # the team.
+  "$TSAN_DIR/tests/graph_tests" \
+    --gtest_filter='SliceWidth.*:Geometry.SliceWidthFollowsTheBuild'
   # SyncRunnerQuietRounds.*: the dense quiet-round skip at threads = 3 —
   # skipped rounds clear every worker's move queue without a team barrier.
   # SyncRunner.AnnouncedEditsMatchDiff: announced slots marked into the
@@ -127,6 +133,10 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" \
     --gtest_filter='*SimWindowExecutor*:FrozenRadioGraph.*-FrozenRadioGraph.CrashStormCliRunMatchesScan'
+  # Both slice widths at one and four workers: the flat kernels, the
+  # work-set marks and a topology campaign each choose the width once per
+  # call and read typed slices on the team.
+  "$TSAN_DIR/tests/stress_tests" --gtest_filter='WidthDifferential.*'
 } 2>&1 | tee "$ROOT/tsan_output.txt"
 
 # AddressSanitizer pass over the beacon-simulator suites: the spatial-index
@@ -147,10 +157,12 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # union-find follows parent links by raw vertex numbers. forEachBlock
   # clamps its last block to the range end, and a dispatch hands index i
   # to worker i % size. A space-ordered build writes each slot's list
-  # through a scratch buffer into the contiguous targets, and the labelled
-  # writers index labels and their inverse.
+  # through a scratch buffer into the contiguous slices, and the labelled
+  # writers index labels and their inverse. SliceWidth.*: narrow slices
+  # widened in place by an edit, filtered rebuilds and cross-width
+  # equality.
   "$ASAN_DIR/tests/graph_tests" --gtest_filter=\
-'Geometry.*:Generators.*:Graph*:Connectivity.*:SpinTeam.*:LabelledIo.*'
+'Geometry.*:Generators.*:Graph*:Connectivity.*:SpinTeam.*:LabelledIo.*:SliceWidth.*'
   # The one-pass verifiers follow pointers, including wild ones, into the
   # states.
   "$ASAN_DIR/tests/analysis_tests" --gtest_filter='Fused*'
@@ -170,10 +182,11 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # and the kernel mirror by raw vertex numbers.
   "$ASAN_DIR/tests/engine_tests" \
     --gtest_filter='ParallelRunner.*:SetKernel.*:BuildView.*:ViewBuilder.*:RandomConfiguration.*:SyncRunner.AnnouncedEditsMatchDiff'
-  # The CLI in both storage orders (the test-only seam detail::execute):
-  # IDs, starts, plan nodes and every writer translated through labels.
+  # The CLI in both storage orders and both slice widths (the test-only
+  # seam detail::execute): IDs, starts, plan nodes and every writer
+  # translated through labels.
   "$ASAN_DIR/tests/cli_tests" \
-    --gtest_filter='Execute.SpaceOrderIsInvisible:WriteAnnotatedDot.*'
+    --gtest_filter='Execute.SpaceOrderIsInvisible:EveryProtocol/SpaceOrder.*:WriteAnnotatedDot.*'
   # Simulator fault injection: crashes and rejoins land while broadcasts are
   # in flight, so arrivals run against batch slots other broadcasts recycle.
   # The recovery monitor holds each window's topology by reference and
@@ -205,6 +218,10 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" \
     --gtest_filter='*SimWindowExecutor*:FrozenRadioGraph.*'
+  # Both slice widths: typed slices read at raw offsets by the kernels, the
+  # marks and the writers, and a campaign that filters a narrow base's
+  # slices into each reshaped graph.
+  "$ASAN_DIR/tests/stress_tests" --gtest_filter='WidthDifferential.*'
 } 2>&1 | tee "$ROOT/asan_output.txt"
 
 # Debug pass: the Graph's bulk factory checks its input (ascending,

@@ -455,6 +455,12 @@ class NetworkSimulator {
     }
   }
 
+  /// The radio graph frozen once hosts settle (empty before): the
+  /// simulator's one adjacency, reported by the memory ledger.
+  [[nodiscard]] const graph::Graph& radioGraph() const noexcept {
+    return radioGraph_;
+  }
+
   [[nodiscard]] std::vector<State> states() const {
     std::vector<State> out;
     out.reserve(nodes_.size());

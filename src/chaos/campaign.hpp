@@ -216,32 +216,14 @@ CampaignResult runEngineCampaign(
   };
 
   // Syncs the shared Graph to base minus crashed-incident and cross-side
-  // edges, filtering base's CSR slices (still ascending) into a new CSR. It
-  // is rebuilt in place, so Graph::version() moves on and the runner's and
-  // kernel's version-keyed caches see the change.
+  // edges, filtering base's slices (still ascending, at base's width) into
+  // a new CSR. It is rebuilt in place, so Graph::version() moves on and the
+  // runner's and kernel's version-keyed caches see the change.
   const auto rebuildEffective = [&] {
-    const graph::Graph& from = base();
-    const auto kept = [&](graph::Vertex u, graph::Vertex w) {
+    g.rebuildFrom(base(), [&](graph::Vertex u, graph::Vertex w) {
       return crashed[u] == 0 && crashed[w] == 0 &&
              (!partitionActive || side[u] == side[w]);
-    };
-    graph::Graph::Offsets offsets(n + 1, 0);
-    for (graph::Vertex u = 0; u < n; ++u) {
-      std::size_t degree = 0;
-      for (const graph::Vertex w : from.neighbors(u)) {
-        degree += kept(u, w) ? 1 : 0;
-      }
-      offsets[u + 1] = offsets[u] + degree;
-    }
-    graph::Graph::Targets targets(offsets[n]);
-    for (graph::Vertex u = 0; u < n; ++u) {
-      std::size_t next = offsets[u];
-      for (const graph::Vertex w : from.neighbors(u)) {
-        if (kept(u, w)) targets[next++] = w;
-      }
-    }
-    g.rebuildFrom(
-        graph::Graph::fromCsr(std::move(offsets), std::move(targets)));
+    });
     runner.invalidateSchedule();
     sweepAll = true;
   };

@@ -10,9 +10,34 @@
 #include <string>
 
 #include "cli/options.hpp"  // CliError
+#include "graph/graph.hpp"
+#include "graph/id_order.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace selfstab::cli {
+
+/// Sets the memory ledger's gauges (telemetry::names, "Memory ledger") on
+/// `registry`, if there is one: g's offsets, slices with their entry
+/// width, and labels; the IDs; `stateBytes` of states and `mirrorBytes`
+/// of kernel mirror.
+inline void recordBulkBytes(telemetry::Registry* registry,
+                            const graph::Graph& g,
+                            const graph::IdAssignment& ids,
+                            std::size_t stateBytes, std::size_t mirrorBytes) {
+  if (registry == nullptr) return;
+  namespace names = telemetry::names;
+  const auto set = [&](const char* name, std::size_t bytes) {
+    registry->gauge(name).set(static_cast<double>(bytes));
+  };
+  set(names::kGraphOffsetBytes, g.offsetBytes());
+  set(names::kGraphSliceBytes, g.sliceBytes());
+  set(names::kGraphSliceEntryBytes,
+      g.narrow() ? sizeof(graph::Delta) : sizeof(graph::Vertex));
+  set(names::kGraphLabelBytes, g.labelBytes());
+  set(names::kIdBytes, ids.bytes());
+  set(names::kStateBytes, stateBytes);
+  set(names::kKernelMirrorBytes, mirrorBytes);
+}
 
 /// Dumps `registry` to `path`: first the one-line JSON document, then the
 /// Prometheus text exposition of the same instruments. `path` == "-" writes

@@ -42,13 +42,13 @@ using graph::IdAssignment;
 using graph::Vertex;
 
 /// Resident bytes per edge a `selfstab` run may need, an upper bound. The
-/// Graph is one CSR holding each edge twice in its targets (4 B per slot,
-/// no per-slot neighbor ID), 8 B per edge, and no layer copies it: a
-/// unit-disk build counts each slice and then writes it in place, so it
-/// holds no second copy of the targets. `--chaos` edits that Graph in
-/// place; once a crash or partition reshapes it, the campaign holds a base
-/// copy and, during each reshape, the new CSR: 8 B each. The bound of 40 B
-/// covers the 24 B with room to spare.
+/// Graph is one CSR holding each edge twice in its slices (2 B per slot
+/// when narrow, 4 B when wide; no per-slot neighbor ID), at most 8 B per
+/// edge, and no layer copies it: a unit-disk build counts each slice and
+/// then writes it in place, so it holds no second copy. `--chaos` edits
+/// that Graph in place; once a crash or partition reshapes it, the
+/// campaign holds a base copy and, during each reshape, the new CSR: at
+/// most 8 B each. The bound of 40 B covers the 24 B with room to spare.
 constexpr double kBytesPerEdge = 40.0;
 
 /// Resident bytes per vertex of such a run, an upper estimate: 52 while a
@@ -189,6 +189,10 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
     graph::Rng rng(hashCombine(options.seed, 0x5747u));
     states = engine::randomConfiguration<State>(g, rng, sampler);
   }
+  const auto recordLedger = [&] {
+    recordBulkBytes(sinks.registry, g, ids, states.capacity() * sizeof(State),
+                    runner.kernelMirrorBytes());
+  };
   if (plan.has_value()) {
     // Fault campaign: crash and partition events mask edges of `g` in
     // place, and the campaign rebuilds the base topology the verifiers
@@ -200,6 +204,7 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
         runner, protocol, g, ids, states, *plan,
         hashCombine(options.seed, 0xC4A05ULL), options.maxRounds, sampler,
         &monitor, safety);
+    recordLedger();
     report.rounds = result.roundsExecuted;
     report.moves = result.totalMoves;
     report.stabilized = result.finalFixpoint;
@@ -252,6 +257,7 @@ std::vector<State> drive(const Options& options, const Sinks& sinks,
   report.rounds = result.rounds;
   report.moves = result.totalMoves;
   report.stabilized = result.stabilized;
+  recordLedger();
   return states;
 }
 
@@ -676,7 +682,7 @@ Report execute(const Options& options, std::ostream& out) {
 }
 
 Report detail::execute(const Options& options, std::ostream& out,
-                       graph::VertexOrder udgOrder) {
+                       graph::VertexOrder udgOrder, bool wideSlices) {
   // smm-arbitrary and hh-sync pick among neighbours by vertex number
   // (core::Choice::Successor and First), so their udg graphs keep point
   // order. Every other protocol decides by IDs and runs on the graph in
@@ -687,6 +693,7 @@ Report detail::execute(const Options& options, std::ostream& out,
       options.graph, options.seed,
       picksByNumber ? graph::VertexOrder::Points : udgOrder);
   if (g.order() == 0) throw CliError("empty graph");
+  if (wideSlices) g = graph::detail::widened(g);
   if (!options.saveGraphPath.empty()) {
     std::ofstream file(options.saveGraphPath);
     if (!file) {

@@ -104,10 +104,13 @@ namespace detail {
                                       std::uint64_t seed,
                                       graph::VertexOrder udgOrder);
 
-/// execute() with udg graphs stored in `udgOrder` (Space in execute());
-/// tests run both orders through it and compare every output.
+/// execute() with udg graphs stored in `udgOrder` (Space in execute()),
+/// and with the graph's slices stored wide whatever its edges if
+/// `wideSlices`; tests run both orders and both widths through it and
+/// compare every output.
 [[nodiscard]] Report execute(const Options& options, std::ostream& out,
-                             graph::VertexOrder udgOrder);
+                             graph::VertexOrder udgOrder,
+                             bool wideSlices = false);
 }  // namespace detail
 
 /// Renders the report in the CLI's human-readable format.

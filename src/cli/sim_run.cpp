@@ -137,6 +137,8 @@ SimReport driveSim(const SimOptions& options, telemetry::Registry* registry,
                          : (sim.now() - sim.lastMoveTime() >= quietWindow);
   const graph::Graph topo = sim.currentTopology();
   const auto states = sim.states();
+  recordBulkBytes(registry, sim.radioGraph(), ids,
+                  states.capacity() * sizeof(State), 0);
   report.predicateOk = report.quiet && verify(topo, states);
   report.summary = describe(topo, states);
   const auto& stats = sim.stats();

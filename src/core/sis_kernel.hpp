@@ -92,6 +92,13 @@ class SisKernel final : public engine::FlatKernel<BitState> {
     return true;
   }
 
+  [[nodiscard]] std::size_t mirrorBytes() const noexcept override {
+    const std::size_t groups = groupOffsets_.empty() ? 0 : groupOffsets_.back();
+    return words_.capacity() * sizeof(std::uint64_t) +
+           groupOffsets_.capacity() * sizeof(std::uint32_t) +
+           groups * (sizeof(std::uint32_t) + sizeof(std::uint64_t));
+  }
+
   void evaluateRange(graph::Vertex begin, graph::Vertex end,
                      std::uint64_t /*roundKey*/,
                      engine::MoveList<BitState>& out) const override {
@@ -155,14 +162,21 @@ class SisKernel final : public engine::FlatKernel<BitState> {
   // prefix-sum the counts into offsets, then fill each node's groups at its
   // offset. Each pass writes only its own nodes' slots, and a node's groups
   // do not depend on the split, so the result is the same at every thread
-  // count.
+  // count. The slices' width is chosen once, for the whole rebuild.
   void rebuildBiggerSlices(std::size_t n, std::size_t workers) {
-    const graph::Graph& g = graph();
+    graph().withSlices(
+        [&](const auto& adj) { rebuildBiggerSlices(adj, n, workers); });
+    slicesVersion_ = graph().version();
+  }
+
+  template <typename Adj>
+  void rebuildBiggerSlices(const Adj& adj, std::size_t n,
+                           std::size_t workers) {
     const auto forEachGroup = [&](graph::Vertex v, auto&& emit) {
       const graph::Id selfId = ids().idOf(v);
       std::uint32_t curWord = kNoWord;
       std::uint64_t curMask = 0;
-      for (const graph::Vertex u : g.neighbors(v)) {
+      for (const graph::Vertex u : adj.neighbors(v)) {
         if (!sisBigger(seniority_, ids().idOf(u), selfId)) continue;
         const auto w = static_cast<std::uint32_t>(u >> 6);
         if (w != curWord) {
@@ -202,7 +216,6 @@ class SisKernel final : public engine::FlatKernel<BitState> {
         });
       }
     });
-    slicesVersion_ = g.version();
   }
 
   // Vertices per slice-build block: large enough that claiming one is

@@ -139,6 +139,11 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
     return true;
   }
 
+  [[nodiscard]] std::size_t mirrorBytes() const noexcept override {
+    return (ptr_.capacity() + checked_.capacity()) * sizeof(graph::Vertex) +
+           ranks_.capacity() * sizeof(std::uint32_t);
+  }
+
   void evaluateRange(graph::Vertex begin, graph::Vertex end,
                      std::uint64_t roundKey,
                      engine::MoveList<PointerState>& out) const override {
@@ -205,21 +210,25 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
     assert(checkedVersion_ == graph().version() &&
            "evaluate after a topology change needs a sync() first");
     const bool counts = accept_ == Choice::Random || propose_ == Choice::Random;
-    if (ranksIds()) {
-      if (counts) {
-        evaluateBlocks<true, true>(count, vertexAt, roundKey, out);
+    // The slices' width is chosen here, once per call: the loops below
+    // read one typed Adjacency and carry no width branch.
+    graph().withSlices([&](const auto& adj) {
+      if (ranksIds()) {
+        if (counts) {
+          evaluateBlocks<true, true>(adj, count, vertexAt, roundKey, out);
+        } else {
+          evaluateBlocks<true, false>(adj, count, vertexAt, roundKey, out);
+        }
+      } else if (counts) {
+        evaluateBlocks<false, true>(adj, count, vertexAt, roundKey, out);
       } else {
-        evaluateBlocks<true, false>(count, vertexAt, roundKey, out);
+        evaluateBlocks<false, false>(adj, count, vertexAt, roundKey, out);
       }
-    } else if (counts) {
-      evaluateBlocks<false, true>(count, vertexAt, roundKey, out);
-    } else {
-      evaluateBlocks<false, false>(count, vertexAt, roundKey, out);
-    }
+    });
   }
 
-  template <bool Ranked, bool Count, typename VertexAt>
-  void evaluateBlocks(std::size_t count, VertexAt vertexAt,
+  template <bool Ranked, bool Count, typename Adj, typename VertexAt>
+  void evaluateBlocks(const Adj& adj, std::size_t count, VertexAt vertexAt,
                       std::uint64_t roundKey,
                       engine::MoveList<PointerState>& out) const {
     std::array<graph::Vertex, kBlock> vertex;
@@ -237,7 +246,7 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
         const bool isNull = p == graph::kNoVertex;
         bool dangling = false;
         if (!isNull && p != checked_[v]) [[unlikely]] {
-          dangling = !hasNeighbor(v, p);
+          dangling = !hasNeighbor(adj.neighbors(v), p);
           if (!dangling) checked_[v] = p;
         }
         // A null or dangling node reads its own slot, never p(j) for a j
@@ -255,7 +264,7 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
       for (std::size_t k = 0; k < nullCount; ++k) {
         const std::size_t i = nulls[k];
         const graph::Vertex v = vertex[i];
-        const auto nbrs = graph().neighbors(v);
+        const auto nbrs = adj.neighbors(v);
         std::array<std::uint32_t, 2> classSizes{};
         std::uint64_t best =
             bestKey<Ranked, Count>(v, nbrs, proposeMask_, classSizes);
@@ -289,9 +298,9 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
 
   // The minimum key over v's slice, its ID field transformed by `mask`;
   // with Count, also the sizes of classes 0 and 1.
-  template <bool Ranked, bool Count>
+  template <bool Ranked, bool Count, typename Slice>
   [[nodiscard]] std::uint64_t bestKey(
-      graph::Vertex v, std::span<const graph::Vertex> nbrs, KeyMask mask,
+      graph::Vertex v, const Slice& nbrs, KeyMask mask,
       std::array<std::uint32_t, 2>& classSizes) const {
     std::uint64_t best = ~std::uint64_t{0};
     std::uint32_t proposers = 0;
@@ -317,8 +326,9 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
 
   // The slot Successor or Random picks within class `cls`, whose key
   // minimum sits at `slot` and which holds `size` candidates.
+  template <typename Slice>
   [[nodiscard]] std::size_t repick(Choice choice, graph::Vertex v,
-                                   std::span<const graph::Vertex> nbrs,
+                                   const Slice& nbrs,
                                    std::uint32_t cls, std::size_t slot,
                                    std::uint64_t roundKey,
                                    std::uint32_t size) const {
@@ -337,8 +347,9 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
 
   // The one neighbor Successor prefers: the slot of v+1, else (v ≠ 0) of
   // the wrap-around 0, else nbrs.size().
-  [[nodiscard]] static std::size_t successorSlot(
-      graph::Vertex v, std::span<const graph::Vertex> nbrs) {
+  template <typename Slice>
+  [[nodiscard]] static std::size_t successorSlot(graph::Vertex v,
+                                                 const Slice& nbrs) {
     const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v + 1);
     if (it != nbrs.end() && *it == v + 1) {
       return static_cast<std::size_t>(it - nbrs.begin());
@@ -347,8 +358,8 @@ class SmmKernel final : public engine::FlatKernel<PointerState> {
     return nbrs.size();
   }
 
-  [[nodiscard]] bool hasNeighbor(graph::Vertex v, graph::Vertex w) const {
-    const auto nbrs = graph().neighbors(v);
+  template <typename Slice>
+  [[nodiscard]] static bool hasNeighbor(const Slice& nbrs, graph::Vertex w) {
     const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), w);
     return it != nbrs.end() && *it == w;
   }

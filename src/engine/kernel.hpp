@@ -146,6 +146,10 @@ class FlatKernel {
   /// True iff the mirror equals `states` slot for slot (debug checks).
   [[nodiscard]] virtual bool mirrors(const std::vector<State>& states) const = 0;
 
+  /// Bytes held by the mirror and the topology caches (the memory
+  /// ledger's kernel gauge).
+  [[nodiscard]] virtual std::size_t mirrorBytes() const noexcept = 0;
+
   /// Evaluates every vertex in [begin, end), appending moves to out.
   virtual void evaluateRange(graph::Vertex begin, graph::Vertex end,
                              std::uint64_t roundKey,
@@ -194,6 +198,10 @@ class GenericKernel final : public FlatKernel<State> {
 
   [[nodiscard]] bool mirrors(const std::vector<State>& states) const override {
     return snapshot_ == states;
+  }
+
+  [[nodiscard]] std::size_t mirrorBytes() const noexcept override {
+    return snapshot_.capacity() * sizeof(State);
   }
 
   void evaluateRange(graph::Vertex begin, graph::Vertex end,

@@ -246,6 +246,11 @@ class SyncRunner {
     return flat_ ? Kernel::Flat : Kernel::Generic;
   }
 
+  /// Bytes held by the kernel's mirror and topology caches.
+  [[nodiscard]] std::size_t kernelMirrorBytes() const noexcept {
+    return kernel_->mirrorBytes();
+  }
+
   [[nodiscard]] std::size_t threadCount() const noexcept {
     return workerSeconds_.size();
   }
@@ -413,13 +418,13 @@ class SyncRunner {
       changed_.clear();
       kernel_->sync(states, &changed_, threadCount());
       for (const graph::Vertex v : changed_) {
-        marked_ += markClosed<false>(v);
+        marked_ += markClosed<false>(v, g_->neighbors(v));
       }
     } else if (!announced_.empty()) {
       pushed_.clear();
       for (const graph::Vertex v : announced_) {
         pushed_.emplace_back(v, states[v]);
-        marked_ += markClosed<false>(v);
+        marked_ += markClosed<false>(v, g_->neighbors(v));
       }
       announced_.clear();
       kernel_->apply(pushed_);
@@ -574,21 +579,25 @@ class SyncRunner {
   // bits were newly set — or stops once that exceeds `budget`. Team blocks
   // mark concurrently (Atomic): a relaxed load skips bits already set,
   // which in a busy round is most of them, and fetch_or claims the rest;
-  // the team barrier publishes the bitset to the next round.
+  // the team barrier publishes the bitset to the next round. The slices'
+  // width is chosen once per call.
   template <bool Atomic>
   std::size_t markMoves(const MoveList<State>& moves, std::size_t budget) {
-    std::size_t count = 0;
-    for (const auto& move : moves) {
-      count += markClosed<Atomic>(move.first);
-      if (count > budget) break;
-    }
-    return count;
+    return g_->withSlices([&](const auto& adj) {
+      std::size_t count = 0;
+      for (const auto& move : moves) {
+        count += markClosed<Atomic>(move.first, adj.neighbors(move.first));
+        if (count > budget) break;
+      }
+      return count;
+    });
   }
 
-  template <bool Atomic>
-  std::size_t markClosed(graph::Vertex v) {
+  // Marks v and its slice `nbrs`.
+  template <bool Atomic, typename Slice>
+  std::size_t markClosed(graph::Vertex v, const Slice& nbrs) {
     std::size_t count = markBit<Atomic>(v);
-    for (const graph::Vertex w : g_->neighbors(v)) count += markBit<Atomic>(w);
+    for (const graph::Vertex w : nbrs) count += markBit<Atomic>(w);
     return count;
   }
 

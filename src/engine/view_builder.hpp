@@ -1,5 +1,6 @@
 // The one way to assemble a LocalView: v's self slot plus one NeighborRef
-// per neighbor, read straight off the Graph's CSR and the IdAssignment, so
+// per neighbor, read straight off the Graph's CSR (at its width, chosen once
+// per view) and the IdAssignment, so
 // every reader sees the current topology. The executor's generic kernel
 // calls buildView with a buffer per batch; ViewBuilder keeps one buffer for
 // callers that build views one at a time (daemons, replay, chaos masking).
@@ -26,11 +27,13 @@ LocalView<State> buildView(const graph::Graph& g,
                            std::uint64_t roundKey,
                            std::vector<NeighborRef<State>>& buffer) {
   buffer.clear();
-  const std::span<const graph::Vertex> nbrs = g.neighbors(v);
-  buffer.reserve(nbrs.size());
-  for (const graph::Vertex w : nbrs) {
-    buffer.push_back(NeighborRef<State>{w, ids.idOf(w), &states[w]});
-  }
+  g.withSlices([&](const auto& adj) {
+    const auto nbrs = adj.neighbors(v);
+    buffer.reserve(nbrs.size());
+    for (const graph::Vertex w : nbrs) {
+      buffer.push_back(NeighborRef<State>{w, ids.idOf(w), &states[w]});
+    }
+  });
   return {.self = v, .selfId = ids.idOf(v), .selfState = &states[v],
           .neighbors = buffer, .roundKey = roundKey};
 }

@@ -87,10 +87,13 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
   };
   const auto rowOf = [&](std::size_t b) { return b * side / bands; };
   // The count pass writes every vertex's degree into offsets[v + 1], so
-  // offsets, like targets, are sized unwritten.
+  // offsets, like the slices, are sized unwritten. The slices are narrow
+  // (Graph::Deltas) when every |w − v| fits, wide (Graph::Targets)
+  // otherwise, and only the one width is ever allocated.
   Graph::Offsets offsets(n + 1);
   offsets[0] = 0;
   Graph::Targets targets;
+  Graph::Deltas deltas;
   // Calls visit(slot, first, last) for every slot of band b, where the
   // slot's candidates are the runs [first[y], last[y]) of `sorted`, one per
   // row y of its 3x3 block (rows beyond the block are empty runs).
@@ -114,9 +117,25 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
       }
     }
   };
+  // In Space order the count pass also bounds |w − v| for the band: slot
+  // i finds its neighbours among its candidate runs, so the farthest end
+  // of a non-empty run from i bounds the distance to any of them.
+  std::vector<std::size_t> spans(bands, 0);
   const auto countBand = [&](auto tag, std::size_t b) {
+    std::size_t span = 0;
     forEachSlot(b, [&](std::size_t i, const std::size_t* first,
                        const std::size_t* last) {
+      if constexpr (decltype(tag)::value) {
+        std::size_t lo = i;
+        std::size_t hi = i + 1;
+        for (std::size_t y = 0; y < 3; ++y) {
+          if (first[y] < last[y]) {
+            lo = std::min(lo, first[y]);
+            hi = std::max(hi, last[y]);
+          }
+        }
+        span = std::max({span, i - lo, hi - 1 - i});
+      }
       // The slot is among its own candidates; its comparison with itself
       // is taken back out after the loop, which keeps the loop a plain sum.
       const Point p = sorted[i];
@@ -129,6 +148,7 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
       k -= static_cast<std::size_t>(squaredDistance(p, p) <= r2);
       offsets[vertexAt(tag, i) + 1] = k;
     });
+    if constexpr (decltype(tag)::value) spans[b] = span;
   };
   // Both fill passes filter branch-free: every candidate is written and the
   // in-range ones (about a third of the block, in no predictable pattern)
@@ -137,8 +157,17 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
   // band's slices are one contiguous run of the targets, written in order.
   // The filter may write one slot past a list, which could be the next
   // band's, so it writes to a scratch list that is copied into the slice.
-  const auto fillSpaceBand = [&](std::size_t b) {
-    std::vector<Vertex> scratch;
+  // Entries are encoded as they are written: w − i for a narrow slice.
+  const auto fillSpaceBand = [&](auto entry, std::size_t b) {
+    using Entry = decltype(entry);
+    Entry* const entries = [&] {
+      if constexpr (std::is_same_v<Entry, Delta>) {
+        return deltas.data();
+      } else {
+        return targets.data();
+      }
+    }();
+    std::vector<Entry> scratch;
     forEachSlot(b, [&](std::size_t i, const std::size_t* first,
                        const std::size_t* last) {
       const std::size_t block =
@@ -148,13 +177,14 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
       std::size_t k = 0;
       for (std::size_t y = 0; y < 3; ++y) {
         for (std::size_t j = first[y]; j < last[y]; ++j) {
-          scratch[k] = static_cast<Vertex>(j);
+          scratch[k] = encodeEntry<Entry>(static_cast<Vertex>(i),
+                                          static_cast<Vertex>(j));
           k += static_cast<std::size_t>(
               (j != i) & (squaredDistance(p, sorted[j]) <= r2));
         }
       }
       assert(k == offsets[i + 1] - offsets[i]);
-      std::copy_n(scratch.data(), k, targets.data() + offsets[i]);
+      std::copy_n(scratch.data(), k, entries + offsets[i]);
     });
   };
   // Points order: band b's lists are staged in a chunk of about kFillChunk
@@ -201,24 +231,41 @@ Graph unitDiskGraph(const std::vector<Point>& points, double radius,
     });
     flush();
   };
-  // Sizing leaves the targets unwritten (Graph::Targets): the fill pass
-  // writes every slot, so its bands take the page faults in parallel.
-  const auto layOut = [&] {
+  // Sizing leaves the slices unwritten: the fill pass writes every slot,
+  // so its bands take the page faults in parallel.
+  const auto layOut = [&](bool narrow) {
     for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-    targets.resize(offsets[n]);
+    if (narrow) {
+      deltas.resize(offsets[n]);
+    } else {
+      targets.resize(offsets[n]);
+    }
   };
   // Index t runs band t; a single band runs inline.
   if (order == VertexOrder::Space && side > 1) {
     parallel::team().run(bands,
                          [&](std::size_t b) { countBand(SpaceTag{}, b); });
-    layOut();
-    parallel::team().run(bands, fillSpaceBand);
+    const bool narrow =
+        *std::max_element(spans.begin(), spans.end()) <=
+        static_cast<std::size_t>(kMaxDelta);
+    layOut(narrow);
+    if (narrow) {
+      parallel::team().run(
+          bands, [&](std::size_t b) { fillSpaceBand(Delta{}, b); });
+      return Graph::fromDeltas(std::move(offsets), std::move(deltas),
+                               std::move(members));
+    }
+    parallel::team().run(bands,
+                         [&](std::size_t b) { fillSpaceBand(Vertex{}, b); });
     return Graph::fromCsr(std::move(offsets), std::move(targets),
                           std::move(members));
   }
+  // Point order builds 4-byte targets and fromCsr decides the width:
+  // above 2^15 vertices neighbours are numbered at random, so it finds a
+  // misfit in its first slices.
   parallel::team().run(bands,
                        [&](std::size_t b) { countBand(PointsTag{}, b); });
-  layOut();
+  layOut(false);
   parallel::team().run(bands, fillPointsBand);
   return Graph::fromCsr(std::move(offsets), std::move(targets));
 }

@@ -32,14 +32,19 @@ void adviseHugePages(void* p, std::size_t bytes) noexcept {
 
 }  // namespace detail
 
-Graph Graph::fromCsr(Offsets offsets, Targets targets, Labels labels) {
+Graph Graph::adopt(Offsets offsets, Targets targets, Deltas deltas,
+                   bool narrow, Labels labels) {
+  [[maybe_unused]] const std::size_t entries =
+      narrow ? deltas.size() : targets.size();
   assert(!offsets.empty() && offsets.front() == 0 &&
-         offsets.back() == targets.size() &&
+         offsets.back() == entries &&
          std::is_sorted(offsets.begin(), offsets.end()) &&
          "offsets must run from 0 to targets.size() without decreasing");
   Graph g;
   g.offsets_ = std::move(offsets);
   g.targets_ = std::move(targets);
+  g.deltas_ = std::move(deltas);
+  g.narrow_ = narrow;
   g.labels_ = std::move(labels);
 #ifndef NDEBUG
   if (g.labelled()) {
@@ -63,10 +68,43 @@ Graph Graph::fromCsr(Offsets offsets, Targets targets, Labels labels) {
     }
   }
 #endif
-  assert(g.targets_.size() % 2 == 0);
+  assert(entries % 2 == 0);
   g.recomputeMaxDegree();
   g.version_ = g.size();  // as if each edge came from one addEdge
   return g;
+}
+
+Graph Graph::fromCsr(Offsets offsets, Targets targets, Labels labels) {
+  // Narrow iff every edge fits; a wide graph usually shows it within its
+  // first few slices.
+  const std::size_t n = offsets.empty() ? 0 : offsets.size() - 1;
+  bool fits = offsets.empty() || offsets.back() == targets.size();
+  for (Vertex v = 0; fits && v < n; ++v) {
+    for (std::size_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+      if (!fitsNarrow(v, targets[k])) {
+        fits = false;
+        break;
+      }
+    }
+  }
+  if (!fits) {
+    return adopt(std::move(offsets), std::move(targets), {}, false,
+                 std::move(labels));
+  }
+  Deltas deltas(targets.size());
+  for (Vertex v = 0; v < n; ++v) {
+    for (std::size_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+      deltas[k] = encodeEntry<Delta>(v, targets[k]);
+    }
+  }
+  targets = Targets();
+  return adopt(std::move(offsets), {}, std::move(deltas), true,
+               std::move(labels));
+}
+
+Graph Graph::fromDeltas(Offsets offsets, Deltas deltas, Labels labels) {
+  return adopt(std::move(offsets), {}, std::move(deltas), true,
+               std::move(labels));
 }
 
 Graph Graph::fromEdges(std::size_t n, std::span<const Edge> edges) {
@@ -97,16 +135,37 @@ std::size_t Graph::slot(Vertex x, Vertex y) const noexcept {
                            nbrs.begin());
 }
 
+void Graph::widen() {
+  if (!narrow_) return;
+  targets_.resize(deltas_.size());
+  for (Vertex v = 0; v < order(); ++v) {
+    for (std::size_t k = offsets_[v]; k < offsets_[v + 1]; ++k) {
+      targets_[k] = decodeEntry(v, deltas_[k]);
+    }
+  }
+  deltas_ = Deltas();
+  narrow_ = false;
+}
+
 bool Graph::addEdge(Vertex u, Vertex v) {
   assert(contains(u) && contains(v));
   if (u == v || hasEdge(u, v)) return false;
+  if (!fitsNarrow(u, v)) widen();
   const Vertex a = std::min(u, v);
   const Vertex b = std::max(u, v);
   // b's slice lies after a's, so inserting there first keeps a's slot.
-  targets_.insert(targets_.begin() + static_cast<std::ptrdiff_t>(slot(b, a)),
-                  a);
-  targets_.insert(targets_.begin() + static_cast<std::ptrdiff_t>(slot(a, b)),
-                  b);
+  const auto insert = [&](auto& entries) {
+    using Entry = typename std::decay_t<decltype(entries)>::value_type;
+    entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(slot(b, a)),
+                   encodeEntry<Entry>(b, a));
+    entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(slot(a, b)),
+                   encodeEntry<Entry>(a, b));
+  };
+  if (narrow_) {
+    insert(deltas_);
+  } else {
+    insert(targets_);
+  }
   // Slices after a's start one slot later, those after b's two.
   for (std::size_t x = a + 1; x <= b; ++x) ++offsets_[x];
   for (std::size_t x = b + 1; x < offsets_.size(); ++x) offsets_[x] += 2;
@@ -121,8 +180,15 @@ bool Graph::removeEdge(Vertex u, Vertex v) {
   const Vertex a = std::min(u, v);
   const Vertex b = std::max(u, v);
   const bool hadMax = degree(a) == maxDegree_ || degree(b) == maxDegree_;
-  targets_.erase(targets_.begin() + static_cast<std::ptrdiff_t>(slot(b, a)));
-  targets_.erase(targets_.begin() + static_cast<std::ptrdiff_t>(slot(a, b)));
+  const auto erase = [&](auto& entries) {
+    entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(slot(b, a)));
+    entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(slot(a, b)));
+  };
+  if (narrow_) {
+    erase(deltas_);
+  } else {
+    erase(targets_);
+  }
   for (std::size_t x = a + 1; x <= b; ++x) --offsets_[x];
   for (std::size_t x = b + 1; x < offsets_.size(); ++x) offsets_[x] -= 2;
   if (hadMax) recomputeMaxDegree();
@@ -134,6 +200,22 @@ bool Graph::hasEdge(Vertex u, Vertex v) const noexcept {
   if (!contains(u) || !contains(v) || u == v) return false;
   const auto nbrs = neighbors(u);
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
+}
+
+bool operator==(const Graph& a, const Graph& b) {
+  if (a.order() != b.order() || a.size() != b.size() ||
+      a.labels_ != b.labels_ ||
+      (a.order() != 0 && a.offsets_ != b.offsets_)) {
+    return false;
+  }
+  if (a.narrow_ == b.narrow_) {
+    return a.narrow_ ? a.deltas_ == b.deltas_ : a.targets_ == b.targets_;
+  }
+  for (Vertex v = 0; v < a.order(); ++v) {
+    const auto x = a.neighbors(v);
+    if (!std::equal(x.begin(), x.end(), b.neighbors(v).begin())) return false;
+  }
+  return true;
 }
 
 std::size_t Graph::minDegree() const noexcept {
@@ -163,7 +245,9 @@ std::vector<Edge> Graph::edges() const {
 
 void Graph::clearEdges() {
   if (size() > 0) ++version_;
-  targets_.clear();
+  targets_ = Targets();
+  deltas_ = Deltas();
+  narrow_ = true;
   std::fill(offsets_.begin(), offsets_.end(), 0);
   maxDegree_ = 0;
 }
@@ -183,6 +267,8 @@ void Graph::rebuildFrom(Graph&& built) {
   const std::uint64_t steps = (size() > 0 ? 1 : 0) + built.size();
   offsets_ = std::move(built.offsets_);
   targets_ = std::move(built.targets_);
+  deltas_ = std::move(built.deltas_);
+  narrow_ = built.narrow_;
   maxDegree_ = built.maxDegree_;
   version_ += steps;
   built = Graph();
@@ -203,6 +289,12 @@ std::vector<Vertex> vertexByLabel(const Graph& g) {
 }
 
 namespace detail {
+
+Graph widened(const Graph& g) {
+  Graph wide = g;
+  wide.widen();
+  return wide;
+}
 
 EdgesByLabel edgesByLabel(const Graph& g, std::size_t workers) {
   constexpr std::size_t kBlock = 4096;

@@ -46,6 +46,11 @@ class IdAssignment {
 
   [[nodiscard]] std::size_t order() const noexcept { return ids_.size(); }
 
+  /// Bytes held by the ID array (the memory ledger's ids gauge).
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return ids_.capacity() * sizeof(Id);
+  }
+
   [[nodiscard]] Id idOf(Vertex v) const noexcept { return ids_[v]; }
 
   /// True if a's ID is smaller than b's.

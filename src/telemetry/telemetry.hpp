@@ -84,4 +84,19 @@ inline constexpr const char* kRecoveryRounds = "recovery_rounds";
 inline constexpr const char* kContainmentRadius = "containment_radius";
 inline constexpr const char* kSafetyViolations = "safety_violations_total";
 
+// Memory ledger (gauges, both CLIs): bytes held at the end of the run by
+// the bulk arrays. The graph's offsets, slices and labels (the CLI's Graph;
+// the simulator's frozen radio graph, empty until hosts settle) with the
+// slices' entry width (2 = narrow deltas, 4 = wide targets), the IDs, the
+// authoritative state vector and the round executor's kernel mirror and
+// topology caches (0 in the simulator, whose view kernel keeps none).
+inline constexpr const char* kGraphOffsetBytes = "graph_offsets_bytes";
+inline constexpr const char* kGraphSliceBytes = "graph_slices_bytes";
+inline constexpr const char* kGraphSliceEntryBytes =
+    "graph_slice_entry_bytes";
+inline constexpr const char* kGraphLabelBytes = "graph_labels_bytes";
+inline constexpr const char* kIdBytes = "ids_bytes";
+inline constexpr const char* kStateBytes = "states_bytes";
+inline constexpr const char* kKernelMirrorBytes = "kernel_mirror_bytes";
+
 }  // namespace selfstab::telemetry::names

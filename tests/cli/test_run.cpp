@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -555,20 +556,30 @@ TEST(PrintReport, RendersAllFields) {
   EXPECT_NE(text.find("matching: 2 pair(s)"), std::string::npos);
 }
 
-// Every output of a run, with the udg graph stored in `order`: trace lines,
-// the text and JSON reports (the JSON's measured rate zeroed) and the
-// events, CSV, saved-graph and DOT files.
-std::vector<std::string> runOutputs(Options options,
-                                    graph::VertexOrder order) {
-  const std::string dir = ::testing::TempDir();
+// A temporary path stem of the running test case's own: ctest runs the
+// cases side by side.
+std::string caseStem() {
+  std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  return ::testing::TempDir() + "/order_" + name;
+}
+
+// Every output of a run, with the udg graph stored in `order` (and its
+// slices wide if `wide`): trace lines, the text and JSON reports (the
+// JSON's measured rate zeroed) and the events, CSV, saved-graph and DOT
+// files.
+std::vector<std::string> runOutputs(Options options, graph::VertexOrder order,
+                                    bool wide = false) {
+  const std::string stem = caseStem();
   options.trace = true;
   options.json = true;
-  options.eventsPath = dir + "/order_events.jsonl";
-  options.csvPath = dir + "/order_trace.csv";
-  options.saveGraphPath = dir + "/order_graph.txt";
-  options.dotPath = dir + "/order_graph.dot";
+  options.eventsPath = stem + "_events.jsonl";
+  options.csvPath = stem + "_trace.csv";
+  options.saveGraphPath = stem + "_graph.txt";
+  options.dotPath = stem + "_graph.dot";
   std::ostringstream out;
-  Report report = detail::execute(options, out, order);
+  Report report = detail::execute(options, out, order, wide);
   report.evaluationsPerSecond = 0;
   printReport(report, out);
   printReportJson(report, out);
@@ -582,58 +593,98 @@ std::vector<std::string> runOutputs(Options options,
   return outputs;
 }
 
-// The storage order of a udg graph is invisible: a run on the space-ordered
-// build shows, byte for byte, what the same run on the point-ordered build
-// shows, whatever the start, the IDs or the fault campaign.
-TEST(Execute, SpaceOrderIsInvisible) {
+// The storage of a udg graph is invisible: a run on the space-ordered
+// build, with its slices narrow (as built) or wide, shows, byte for byte,
+// what the same run on the point-ordered build shows, whatever the start,
+// the IDs or the fault campaign ("none", a named campaign or "plan").
+void expectSpaceOrderInvisible(ProtocolKind protocol,
+                               const std::string& campaign, StartKind start) {
   const std::string spec = "udg:320:0.11";
-  ASSERT_TRUE(detail::buildGraph(parseGraphSpec(spec), 5,
-                                 graph::VertexOrder::Space)
-                  .labelled());
+  const graph::Graph built = detail::buildGraph(parseGraphSpec(spec), 5,
+                                                graph::VertexOrder::Space);
+  ASSERT_TRUE(built.labelled());
+  ASSERT_TRUE(built.narrow());
   const std::vector<std::string> names = {"out+reports", "events", "csv",
                                           "save-graph", "dot"};
-  // A plan naming nodes explicitly, in external numbers.
-  const std::string plan = ::testing::TempDir() + "/order_plan.json";
-  {
-    std::ofstream file(plan);
+  std::string chaos = campaign;
+  if (chaos == "none") chaos.clear();
+  if (chaos == "plan") {
+    // A plan naming nodes explicitly, in external numbers.
+    chaos = caseStem() + "_plan.json";
+    std::ofstream file(chaos);
     file << R"({"events":[{"at":6,"kind":"corrupt","nodes":[3,250,17,100]},)"
          << R"({"at":40,"kind":"stuck","node":42},)"
          << R"({"at":44,"kind":"garble","node":7},)"
          << R"({"at":80,"kind":"release","node":42}]})";
   }
-  for (const ProtocolKind protocol :
-       {ProtocolKind::Smm, ProtocolKind::Sis, ProtocolKind::Coloring,
-        ProtocolKind::DominatingSet, ProtocolKind::BfsTree,
-        ProtocolKind::LeaderTree}) {
-    for (const StartKind start : {StartKind::Clean, StartKind::Random}) {
-      for (const IdOrderKind ids : {IdOrderKind::Identity, IdOrderKind::Random}) {
-        for (const std::string& chaos :
-             {std::string(), std::string("crash-storm:3"),
-              std::string("churn:5"), std::string("rolling-partition:5"),
-              plan}) {
-          Options options = makeOptions(protocol, spec);
-          options.seed = 5;
-          options.start = start;
-          options.idOrder = ids;
-          options.chaosSpec = chaos;
-          if (!chaos.empty()) options.maxRounds = 300;
-          const auto space = runOutputs(options, graph::VertexOrder::Space);
-          const auto points = runOutputs(options, graph::VertexOrder::Points);
-          for (std::size_t k = 0; k < space.size(); ++k) {
-            EXPECT_EQ(space[k], points[k])
-                << toString(protocol) << " start "
-                << (start == StartKind::Clean ? "clean" : "random") << " ids "
-                << (ids == IdOrderKind::Identity ? "identity" : "random")
-                << " chaos '" << chaos << "': " << names[k] << " differ";
-          }
-          EXPECT_NE(points[0].find("verified    : yes"), std::string::npos)
-              << toString(protocol) << " chaos '" << chaos << "'";
-        }
+  for (const IdOrderKind ids : {IdOrderKind::Identity, IdOrderKind::Random}) {
+    Options options = makeOptions(protocol, spec);
+    options.seed = 5;
+    options.start = start;
+    options.idOrder = ids;
+    options.chaosSpec = chaos;
+    if (!chaos.empty()) options.maxRounds = 300;
+    const auto points = runOutputs(options, graph::VertexOrder::Points);
+    for (const bool wide : {false, true}) {
+      const auto space = runOutputs(options, graph::VertexOrder::Space, wide);
+      for (std::size_t k = 0; k < space.size(); ++k) {
+        EXPECT_EQ(space[k], points[k])
+            << toString(protocol) << " start "
+            << (start == StartKind::Clean ? "clean" : "random")
+            << (wide ? " wide" : " narrow") << " ids "
+            << (ids == IdOrderKind::Identity ? "identity" : "random")
+            << " chaos '" << campaign << "': " << names[k] << " differ";
       }
     }
+    EXPECT_NE(points[0].find("verified    : yes"), std::string::npos)
+        << toString(protocol) << " ids "
+        << (ids == IdOrderKind::Identity ? "identity" : "random")
+        << " chaos '" << campaign << "'";
   }
-  std::remove(plan.c_str());
+  if (campaign == "plan") std::remove(chaos.c_str());
 }
+
+const std::vector<ProtocolKind> kOrderProtocols = {
+    ProtocolKind::Smm,           ProtocolKind::Sis,     ProtocolKind::Coloring,
+    ProtocolKind::DominatingSet, ProtocolKind::BfsTree, ProtocolKind::LeaderTree};
+
+// Fault-free runs, every protocol and start: about 0.15 s in all.
+TEST(Execute, SpaceOrderIsInvisible) {
+  for (const ProtocolKind protocol : kOrderProtocols) {
+    for (const StartKind start : {StartKind::Clean, StartKind::Random}) {
+      expectSpaceOrderInvisible(protocol, "none", start);
+    }
+  }
+}
+
+// Runs under fault campaigns cost up to a few seconds each (leadertree
+// under churn), so they are one case per protocol, campaign and start.
+const std::vector<std::string> kOrderCampaigns = {
+    "crash-storm:3", "churn:5", "rolling-partition:5", "plan"};
+
+class SpaceOrder : public ::testing::TestWithParam<
+                       std::tuple<ProtocolKind, std::size_t, StartKind>> {};
+
+TEST_P(SpaceOrder, IsInvisible) {
+  const auto [protocol, campaign, start] = GetParam();
+  expectSpaceOrderInvisible(protocol, kOrderCampaigns[campaign], start);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryProtocol, SpaceOrder,
+    ::testing::Combine(
+        ::testing::ValuesIn(kOrderProtocols),
+        ::testing::Range(std::size_t{0}, kOrderCampaigns.size()),
+        ::testing::Values(StartKind::Clean, StartKind::Random)),
+    [](const ::testing::TestParamInfo<SpaceOrder::ParamType>& param) {
+      std::string name = std::string(toString(std::get<0>(param.param))) +
+                         "_" + kOrderCampaigns[std::get<1>(param.param)] +
+                         (std::get<2>(param.param) == StartKind::Clean
+                              ? "_clean"
+                              : "_random");
+      std::erase_if(name, [](char c) { return c == '-' || c == ':'; });
+      return name;
+    });
 
 }  // namespace
 }  // namespace selfstab::cli

@@ -187,6 +187,41 @@ TEST(Geometry, BandedBuildMatchesSerial) {
 // vertex to its label gives the Points graph edge for edge, and the labels
 // put the vertices in grid-cell order (row-major cells, ascending point
 // index inside a cell). The grid here repeats unitDiskGraph's sizing rule.
+// The unit-disk build picks the slices' width itself: space order is
+// narrow when its cell blocks bound every |w − v| by 32767, point order
+// when there are at most 32768 vertices; otherwise both are wide. Either
+// way the graph is the one the other width holds.
+TEST(Geometry, SliceWidthFollowsTheBuild) {
+  Rng rng(77);
+  const std::vector<Point> pts = randomPoints(40000, rng);
+  const Graph space = unitDiskGraph(pts, 0.008, VertexOrder::Space);
+  EXPECT_TRUE(space.narrow());
+  EXPECT_TRUE(space == detail::widened(space));
+  EXPECT_FALSE(unitDiskGraph(pts, 0.008).narrow());
+  const std::vector<Point> few(pts.begin(), pts.begin() + 32768);
+  EXPECT_TRUE(unitDiskGraph(few, 0.008).narrow());
+  // A strip of 40000 points in one row of cells, and one pair across the
+  // row boundary: the pair's slots lie ~40000 apart in space order.
+  std::vector<Point> strip = pts;
+  for (Point& p : strip) p.y *= 0.004;
+  strip.push_back({0.0001, 0.0049});
+  strip.push_back({0.0001, 0.0051});
+  for (const std::size_t bands : {1U, 4U}) {
+    const Graph wide =
+        detail::unitDiskGraph(strip, 0.001, bands, VertexOrder::Space);
+    EXPECT_FALSE(wide.narrow()) << bands;
+    const Graph points = detail::unitDiskGraph(strip, 0.001, bands);
+    EXPECT_EQ(wide.size(), points.size()) << bands;
+    EXPECT_TRUE(points.hasEdge(40000, 40001)) << bands;
+    strip.pop_back();
+    const Graph narrow =
+        detail::unitDiskGraph(strip, 0.001, bands, VertexOrder::Space);
+    EXPECT_TRUE(narrow.narrow()) << bands;
+    EXPECT_EQ(narrow.size() + 1, wide.size()) << bands;
+    strip.push_back({0.0001, 0.0051});
+  }
+}
+
 TEST(Geometry, SpaceOrderRelabelsPointOrder) {
   struct Case {
     std::size_t n;

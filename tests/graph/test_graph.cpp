@@ -153,7 +153,10 @@ TEST(Graph, CsrMatchesSetReferenceAcrossEdits) {
           << "v=" << v;
       ASSERT_EQ(g.degree(v), ref[v].size());
       // One flat array: each slice starts where the previous one ended.
-      ASSERT_EQ(nbrs.data(), g.neighbors(0).data() + slots) << "v=" << v;
+      g.withSlices([&](const auto& adj) {
+        ASSERT_EQ(adj.neighbors(v).data(), adj.neighbors(0).data() + slots)
+            << "v=" << v;
+      });
       slots += nbrs.size();
       maxDeg = std::max(maxDeg, ref[v].size());
       minDeg = std::min(minDeg, ref[v].size());
@@ -418,6 +421,117 @@ TEST(GraphDeathTest, LabelsMustBeAPermutation) {
                "labels");
 }
 #endif
+
+// Narrow slices hold w − v in 2 bytes: an edge fits iff |w − v| ≤ 32767.
+TEST(SliceWidth, NarrowIffEveryEdgeFits) {
+  const std::size_t n = 40000;
+  const Graph fits = Graph::fromEdges(n, std::vector<Edge>{{0, 32767},
+                                                           {7000, 39000}});
+  EXPECT_TRUE(fits.narrow());
+  EXPECT_EQ(fits.neighbors(0).front(), 32767u);
+  EXPECT_EQ(fits.neighbors(32767).front(), 0u);
+  EXPECT_EQ(fits.neighbors(39000).front(), 7000u);
+  const Graph over = Graph::fromEdges(n, std::vector<Edge>{{0, 32768}});
+  EXPECT_FALSE(over.narrow());
+  EXPECT_EQ(over.neighbors(32768).front(), 0u);
+  // fromCsr decides the same way.
+  EXPECT_TRUE(Graph::fromCsr({0, 1, 1, 2}, Graph::Targets{2, 0}).narrow());
+  Graph::Offsets offsets(32770, 1);
+  offsets[0] = 0;
+  offsets[32769] = 2;
+  EXPECT_FALSE(
+      Graph::fromCsr(offsets, Graph::Targets{32768, 0}).narrow());
+  EXPECT_TRUE(Graph(5).narrow());
+  EXPECT_EQ(fits.sliceBytes(), 4 * sizeof(Delta));
+  EXPECT_EQ(over.sliceBytes(), 2 * sizeof(Vertex));
+}
+
+// An added edge that does not fit turns the graph wide; version() counts
+// the edit as any other, and removing the edge leaves the width alone.
+TEST(SliceWidth, AddEdgeOutgrowsNarrow) {
+  Graph g(40000);
+  ASSERT_TRUE(g.addEdge(7, 30000));
+  ASSERT_TRUE(g.addEdge(7, 8));
+  EXPECT_TRUE(g.narrow());
+  const std::uint64_t before = g.version();
+  ASSERT_TRUE(g.addEdge(39999, 7));
+  EXPECT_FALSE(g.narrow());
+  EXPECT_EQ(g.version(), before + 1);
+  const std::vector<Vertex> expected = {8, 30000, 39999};
+  const auto nbrs = g.neighbors(7);
+  EXPECT_TRUE(std::equal(nbrs.begin(), nbrs.end(), expected.begin(),
+                         expected.end()));
+  EXPECT_TRUE(g.hasEdge(39999, 7));
+  EXPECT_TRUE(g == Graph::fromEdges(40000, g.edges()));
+  ASSERT_TRUE(g.removeEdge(7, 39999));
+  EXPECT_FALSE(g.narrow());
+  EXPECT_TRUE(g == Graph::fromEdges(40000, g.edges()));
+  g.clearEdges();
+  EXPECT_TRUE(g.narrow());
+}
+
+// Equality ignores the width; widened() changes nothing else.
+TEST(SliceWidth, EqualityAcrossWidths) {
+  Rng rng(29);
+  const Graph narrow = connectedErdosRenyi(300, 0.05, rng);
+  ASSERT_TRUE(narrow.narrow());
+  const Graph wide = detail::widened(narrow);
+  EXPECT_FALSE(wide.narrow());
+  EXPECT_TRUE(narrow == wide);
+  EXPECT_TRUE(wide == narrow);
+  EXPECT_EQ(wide.version(), narrow.version());
+  EXPECT_EQ(wide.maxDegree(), narrow.maxDegree());
+  EXPECT_EQ(wide.edges(), narrow.edges());
+  Graph edited = wide;
+  const Edge e = narrow.edges().front();
+  edited.removeEdge(e.u, e.v);
+  EXPECT_FALSE(narrow == edited);
+  edited.addEdge(e.u, e.v);
+  EXPECT_TRUE(narrow == edited);
+  EXPECT_FALSE(narrow == Graph::fromCsr({0, 0}, {}));
+}
+
+// Typed slices, the run-time one and std::lower_bound agree at both widths.
+TEST(SliceWidth, TypedSlicesMatchNeighbors) {
+  Rng rng(31);
+  const Graph narrow = connectedErdosRenyi(200, 0.08, rng);
+  for (const Graph& g : {narrow, detail::widened(narrow)}) {
+    g.withSlices([&](const auto& adj) {
+      for (Vertex v = 0; v < g.order(); ++v) {
+        const auto typed = adj.neighbors(v);
+        const auto any = g.neighbors(v);
+        ASSERT_EQ(typed.size(), any.size());
+        for (std::size_t k = 0; k < typed.size(); ++k) {
+          ASSERT_EQ(typed[k], any[k]);
+          const auto at = std::lower_bound(any.begin(), any.end(), any[k]);
+          ASSERT_EQ(static_cast<std::size_t>(at - any.begin()), k);
+        }
+      }
+    });
+  }
+}
+
+// The filtered rebuild keeps a narrow base narrow and narrows a wide one
+// whose kept edges fit.
+TEST(SliceWidth, FilteredRebuildFollowsTheFit) {
+  const std::size_t n = 40000;
+  const Graph base = Graph::fromEdges(
+      n, std::vector<Edge>{{0, 1}, {1, 2}, {2, 39000}, {5, 6}});
+  ASSERT_FALSE(base.narrow());
+  Graph g = base;
+  const std::uint64_t before = g.version();
+  g.rebuildFrom(base, [](Vertex u, Vertex w) { return u < 30000 && w < 30000; });
+  EXPECT_TRUE(g.narrow());
+  EXPECT_EQ(g.edges(), (std::vector<Edge>{{0, 1}, {1, 2}, {5, 6}}));
+  EXPECT_EQ(g.version(), before + 1 + 3);
+  const Graph narrowBase = g;
+  g.rebuildFrom(narrowBase, [](Vertex u, Vertex w) { return u + w != 11; });
+  EXPECT_TRUE(g.narrow());
+  EXPECT_EQ(g.edges(), (std::vector<Edge>{{0, 1}, {1, 2}}));
+  g.rebuildFrom(base, [](Vertex, Vertex) { return true; });
+  EXPECT_FALSE(g.narrow());
+  EXPECT_TRUE(g == base);
+}
 
 TEST(MakeEdge, NormalizesOrder) {
   EXPECT_EQ(makeEdge(5, 2), (Edge{2, 5}));
