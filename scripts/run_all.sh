@@ -103,9 +103,11 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # a campaign that throws out of a two-thread runner and hands the
   # rebuilt graph back to it, and masked stability read off a four-thread
   # runner (CampaignStability.*: liveEnabled sweeps on the team after
-  # topology events).
+  # topology events). SimInjector.*: the simulator's controller draws a
+  # fraction corruption on the team and builds each tick's unit-disk
+  # snapshot there, between windows.
   "$TSAN_DIR/tests/chaos_tests" --gtest_filter=\
-'EngineCampaign.SerialAndParallelExecutorsAgree:EngineCampaignFingerprint.*:EngineCampaign.RestoresCallerGraph*:CampaignStability.*'
+'EngineCampaign.SerialAndParallelExecutorsAgree:EngineCampaignFingerprint.*:EngineCampaign.RestoresCallerGraph*:CampaignStability.*:SimInjector.*'
   # '*Parallel*' selects ScheduleDifferentialParallel (every protocol in
   # core/, LeaderTree, SmmArbitrary and HsuHuangSynchronized included) and
   # KernelDifferentialParallel (the flat kernels reading the Graph's CSR
@@ -129,10 +131,11 @@ cmake --build "$TSAN_DIR" --target telemetry_tests engine_tests chaos_tests \
   # driving thread builds the radio graph on the team between windows and
   # phase A reads its slices on every worker. Its CLI case runs on one
   # worker (300 hosts), so it has no race to find, and it takes over a
-  # minute here; ASan below runs it.
+  # minute here; ASan below runs it. CurrentTopology.*: snapshots built on
+  # the team (unit-disk bands) between windows of a 1- and 4-worker run.
   SELFSTAB_STRESS_ITERS="${SELFSTAB_TSAN_STRESS_ITERS:-3}" \
     "$TSAN_DIR/tests/stress_tests" \
-    --gtest_filter='*SimWindowExecutor*:FrozenRadioGraph.*-FrozenRadioGraph.CrashStormCliRunMatchesScan'
+    --gtest_filter='*SimWindowExecutor*:FrozenRadioGraph.*:CurrentTopology.*-FrozenRadioGraph.CrashStormCliRunMatchesScan'
   # Both slice widths at one and four workers: the flat kernels, the
   # work-set marks and a topology campaign each choose the width once per
   # call and read typed slices on the team.
@@ -214,10 +217,11 @@ cmake --build "$ASAN_DIR" --target adhoc_tests chaos_tests stress_tests \
   # Window executor: lane slots popped by a window are released only after
   # its per-node phase, and prepared mobility spans must cover every
   # position a window queries. FrozenRadioGraph.*: phase A reads the
-  # frozen graph's CSR slices, and currentTopology() walks them.
+  # frozen graph's CSR slices, and currentTopology() copies or filters
+  # them (CurrentTopology.*, against an all-pairs scan).
   SELFSTAB_STRESS_ITERS="${SELFSTAB_ASAN_STRESS_ITERS:-3}" \
     "$ASAN_DIR/tests/stress_tests" \
-    --gtest_filter='*SimWindowExecutor*:FrozenRadioGraph.*'
+    --gtest_filter='*SimWindowExecutor*:FrozenRadioGraph.*:CurrentTopology.*'
   # Both slice widths: typed slices read at raw offsets by the kernels, the
   # marks and the writers, and a campaign that filters a narrow base's
   # slices into each reshaped graph.

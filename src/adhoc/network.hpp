@@ -471,61 +471,26 @@ class NetworkSimulator {
   /// Ground-truth *bidirectional* radio topology at the current simulation
   /// time: {u,v} is an edge iff each is within the other's transmit range
   /// (with uniform ranges this is the plain unit-disk graph). Asymmetric
-  /// one-way reachability is, by the paper's model, not a link.
+  /// one-way reachability is, by the paper's model, not a link. It starts
+  /// from the unit-disk graph over the largest radius: the frozen radio
+  /// graph once hosts have settled (no host has moved since it was built),
+  /// else graph::unitDiskGraph of the positions now, on the team. Per-node
+  /// radii then keep the links both ends reach.
   [[nodiscard]] graph::Graph currentTopology() {
-    const SimTime now = now_;
     std::vector<graph::Point> pts(nodes_.size());
     for (graph::Vertex v = 0; v < nodes_.size(); ++v) {
-      pts[v] = mobility_->position(v, now);
+      pts[v] = mobility_->position(v, now_);
     }
-    // Two passes over each vertex's candidates (the frozen radio graph's
-    // slice once hosts have settled; before that every vertex, or a fresh
-    // exact-position grid's neighborhood: the incremental one lags by a
-    // beacon interval): count its links, then write them into targets,
-    // allocated once at its exact size. Each slice is sorted, so the
-    // discovery order is unobservable; the link test is symmetric, so the
-    // slices are too.
-    const std::size_t n = nodes_.size();
-    const bool frozen = frozen_ && now >= settle_;
-    const bool scan =
-        !frozen && (config_.index == IndexMode::Scan || n < 256);
-    graph::SpatialGrid snap(scan || frozen ? 0 : n, maxRadius_);
-    if (!scan && !frozen) {
-      for (graph::Vertex v = 0; v < n; ++v) snap.place(v, pts[v]);
-    }
-    std::vector<graph::Vertex> near;
-    const auto forEachLink = [&](graph::Vertex u, auto&& visit) {
-      const auto consider = [&](graph::Vertex v) {
-        const double reach = std::min(radiusOf(u), radiusOf(v));
-        if (v != u &&
-            graph::squaredDistance(pts[u], pts[v]) <= reach * reach) {
-          visit(v);
-        }
-      };
-      if (frozen) {
-        for (const graph::Vertex v : radioGraph_.neighbors(u)) consider(v);
-        return;
-      }
-      if (scan) {
-        for (graph::Vertex v = 0; v < n; ++v) consider(v);
-        return;
-      }
-      near.clear();
-      snap.gather(pts[u], maxRadius_, near);
-      for (const graph::Vertex v : near) consider(v);
-    };
-    graph::Graph::Offsets offsets(n + 1, 0);
-    for (graph::Vertex u = 0; u < n; ++u) {
-      offsets[u + 1] = offsets[u];
-      forEachLink(u, [&](graph::Vertex) { ++offsets[u + 1]; });
-    }
-    graph::Graph::Targets targets(offsets[n]);
-    for (graph::Vertex u = 0; u < n; ++u) {
-      std::size_t next = offsets[u];
-      forEachLink(u, [&](graph::Vertex v) { targets[next++] = v; });
-      graph::sortNeighbors(targets.data() + offsets[u], next - offsets[u]);
-    }
-    return graph::Graph::fromCsr(std::move(offsets), std::move(targets));
+    graph::Graph reach = frozen_ && now_ >= settle_
+                             ? radioGraph_
+                             : graph::unitDiskGraph(pts, maxRadius_);
+    if (config_.perNodeRadius.empty()) return reach;
+    graph::Graph topo(nodes_.size());
+    topo.rebuildFrom(reach, [&](graph::Vertex u, graph::Vertex v) {
+      const double r = std::min(radiusOf(u), radiusOf(v));
+      return graph::squaredDistance(pts[u], pts[v]) <= r * r;
+    });
+    return topo;
   }
 
   [[nodiscard]] const NetworkConfig& config() const noexcept {
@@ -550,7 +515,7 @@ class NetworkSimulator {
   // requires it. While no fault has fired the attached simulator's
   // trajectory is bit-identical to an unattached one: the chaos checks
   // read only all-zero flag arrays, change no draw, and schedule no
-  // events (the controller owns a separate Rng for fault randomness).
+  // events (the controller keys its fault draws by a chaos seed of its own).
 
   /// `maxDriftFactor` widens the grid's broadcast staleness slack so a
   /// drift-slowed beacon interval keeps the gather superset sound.
@@ -601,8 +566,8 @@ class NetworkSimulator {
   }
 
   /// Rejoin after a crash: fresh initial state, empty neighbor cache, and a
-  /// new beacon-timer chain starting `phase` from now (the caller picks the
-  /// phase from its own RNG to keep the restart desynchronized).
+  /// new beacon-timer chain starting `phase` from now (the caller draws the
+  /// phase from its own keyed stream to keep the restart desynchronized).
   void chaosRejoin(graph::Vertex v, SimTime phase) {
     chaos_->faulted = true;
     if (chaos_->crashed[v] != 0) --chaos_->crashedCount;
@@ -1698,7 +1663,7 @@ class NetworkSimulator {
   /// and an attached-but-quiet simulator (empty plan) reads only all-zero
   /// flags — no draw, event, or schedule is perturbed until a fault
   /// actually fires. Fault randomness (victim choice, corrupted states,
-  /// rejoin phases) lives in the controller's own Rng.
+  /// rejoin phases) is the controller's, keyed by its chaos seed.
   /// Every field changes only inside a ChaosTick (or between runs), never
   /// inside a lookahead window.
   struct ChaosState {

@@ -389,23 +389,6 @@ CampaignResult runEngineCampaign(
     }
   };
 
-  // Endpoints of edges a partition mask change cuts or restores: the nodes
-  // whose views the event directly touches, in ascending order.
-  const auto boundaryNodes = [&] {
-    const graph::Graph& from = base();
-    std::vector<graph::Vertex> out;
-    for (graph::Vertex v = 0; v < n; ++v) {
-      if (crashed[v] != 0) continue;
-      for (const graph::Vertex w : from.neighbors(v)) {
-        if (crashed[w] == 0 && side[v] != side[w]) {
-          out.push_back(v);
-          break;
-        }
-      }
-    }
-    return out;
-  };
-
   const auto applyEvent = [&](const FaultEvent& ev, std::size_t index) {
     const std::uint64_t key = hashCombine(chaosSeed, index);
     std::vector<graph::Vertex> injected;
@@ -452,13 +435,14 @@ CampaignResult runEngineCampaign(
         topologyMasks();
         std::fill(side.begin(), side.end(), 0);
         for (const graph::Vertex v : ev.nodes) side[v] = 1;
-        injected = boundaryNodes();
+        injected = boundaryNodes(base(), side, crashed);
         partitionActive = true;
         rebuildEffective();
         break;
       case FaultKind::PartitionHeal:
         topologyMasks();
-        injected = boundaryNodes();  // side[] still holds the healed cut
+        // side[] still holds the healed cut
+        injected = boundaryNodes(base(), side, crashed);
         partitionActive = false;
         rebuildEffective();
         break;

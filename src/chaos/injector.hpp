@@ -6,8 +6,8 @@
 //
 //  * corrupt/garble  resample states from `sampler` over the ground-truth
 //                    topology at fault time;
-//  * crash/rejoin    chaosCrash / chaosRejoin (restart phase drawn from the
-//                    controller's RNG so restarts stay desynchronized);
+//  * crash/rejoin    chaosCrash / chaosRejoin (the restart phase is a keyed
+//                    draw, so restarts stay desynchronized);
 //  * partition       side mask at the radio; heal removes it;
 //  * loss_burst      swaps lossProbability, restores it `duration` rounds
 //                    later via a second tick;
@@ -19,18 +19,22 @@
 // intervals from injection to the last observed move, and the window counts
 // as recovered when the simulator has then been quiet for at least two
 // intervals. Containment uses the monitor's BFS distances over the
-// ground-truth topology at fault time (kept here while the window is open),
-// fed by the simulator's move hook.
+// ground-truth topology at fault time (built once per tick and kept here
+// while the window is open), fed by the simulator's move hook.
 //
-// Determinism: all fault randomness comes from the controller's own Rng
-// (seeded by `chaosSeed`), never from the simulator's stream, so the same
-// (config seed, plan, chaos seed) replays bit-identically across every
-// IndexMode/QueueMode combination — and an *empty* plan leaves the base
-// trajectory untouched.
+// Determinism: fault randomness is keyed as runEngineCampaign keys it:
+// event i draws under hashCombine(chaosSeed, i), each node from its own
+// stream (engine::nodeRng), fraction corruption on the team through
+// engine::detail::corruptFraction. So a node's corrupted state depends
+// neither on the other nodes an event names nor on the worker count, a
+// fraction event on a static placement hits the nodes and states the
+// abstract campaign's would, and none of it touches the simulator's own
+// draws: the same (config seed, plan, chaos seed) replays bit-identically
+// across every IndexMode/QueueMode combination, and an *empty* plan leaves
+// the base trajectory untouched.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -39,8 +43,10 @@
 #include "adhoc/sim_time.hpp"
 #include "chaos/monitors.hpp"
 #include "chaos/plan.hpp"
+#include "engine/fault.hpp"
 #include "graph/graph.hpp"
 #include "graph/rng.hpp"
+#include "parallel/workers.hpp"
 
 namespace selfstab::chaos {
 
@@ -55,7 +61,7 @@ class SimChaosController {
                      adhoc::SimTime beaconInterval, RecoveryMonitor& monitor)
       : sim_(&sim),
         plan_(std::move(plan)),
-        rng_(chaosSeed),
+        chaosSeed_(chaosSeed),
         sampler_(std::move(sampler)),
         interval_(beaconInterval),
         monitor_(&monitor) {
@@ -120,55 +126,68 @@ class SimChaosController {
     }
     closeWindow();
     windowOpenAt_ = sim_->now();
-    std::vector<graph::Vertex> injected = applyEvent(ev);
-    // The monitor explores this topology lazily until the window closes, so
-    // it lives here, unchanged, until the next tick or finalize().
+    // The one snapshot of this tick: the event draws over it, and the
+    // monitor explores it lazily until the window closes, so it lives here,
+    // unchanged, until the next tick or finalize(). No event moves a host,
+    // so it is the topology after the event too.
     windowTopology_ = sim_->currentTopology();
+    const std::vector<graph::Vertex> injected =
+        applyEvent(ev, hashCombine(chaosSeed_, tick.event), windowTopology_);
     monitor_->onFault(ev.at, ev.kind, injected, windowTopology_);
   }
 
-  std::vector<graph::Vertex> applyEvent(const FaultEvent& ev) {
+  /// Applies `ev`, whose draws are keyed by `key`, over `topo`.
+  std::vector<graph::Vertex> applyEvent(const FaultEvent& ev,
+                                        std::uint64_t key,
+                                        const graph::Graph& topo) {
+    const std::vector<graph::Vertex> byLabel =
+        engine::frameFor<State, Sampler>(topo);
+    const auto draw = [&](graph::Vertex v) {
+      Rng rng = engine::nodeRng(key, topo, v);
+      return engine::sampleInternal<State>(sampler_, v, topo, rng, byLabel);
+    };
     std::vector<graph::Vertex> injected;
     switch (ev.kind) {
-      case FaultKind::Corrupt: {
-        const graph::Graph topo = sim_->currentTopology();
-        const auto corruptOne = [&](graph::Vertex v) {
-          sim_->setNodeState(v, sampler_(v, topo, rng_));
-          injected.push_back(v);
-        };
+      case FaultKind::Corrupt:
         if (!ev.nodes.empty()) {
-          for (const graph::Vertex v : ev.nodes) corruptOne(v);
+          for (const graph::Vertex v : ev.nodes) {
+            sim_->setNodeState(v, draw(v));
+            injected.push_back(v);
+          }
         } else {
-          for (graph::Vertex v = 0; v < topo.order(); ++v) {
-            if (rng_.chance(ev.fraction)) corruptOne(v);
+          std::vector<State> states = sim_->states();
+          injected = engine::detail::corruptFraction(
+              states, topo, key, ev.fraction, sampler_, byLabel,
+              parallel::workersFor(states.size(), engine::kSampleGrain));
+          for (const graph::Vertex v : injected) {
+            sim_->setNodeState(v, std::move(states[v]));
           }
         }
         break;
-      }
-      case FaultKind::Garble: {
-        const graph::Graph topo = sim_->currentTopology();
-        sim_->chaosGarble(ev.node, sampler_(ev.node, topo, rng_));
+      case FaultKind::Garble:
+        sim_->chaosGarble(ev.node, draw(ev.node));
         injected.push_back(ev.node);
         break;
-      }
       case FaultKind::Crash:
         sim_->chaosCrash(ev.node);
         injected.push_back(ev.node);
         break;
-      case FaultKind::Rejoin:
-        sim_->chaosRejoin(ev.node, static_cast<adhoc::SimTime>(rng_.below(
+      case FaultKind::Rejoin: {
+        Rng rng = engine::nodeRng(key, topo, ev.node);
+        sim_->chaosRejoin(ev.node, static_cast<adhoc::SimTime>(rng.below(
                                        static_cast<std::uint64_t>(interval_))));
         injected.push_back(ev.node);
         break;
-      case FaultKind::PartitionCut: {
-        side_.assign(sim_->states().size(), 0);
+      }
+      case FaultKind::PartitionCut:
+        side_.assign(topo.order(), 0);
         for (const graph::Vertex v : ev.nodes) side_[v] = 1;
-        injected = boundaryNodes();
+        injected = boundaryNodes(topo, side_);
         sim_->chaosSetPartition(side_);
         break;
-      }
       case FaultKind::PartitionHeal:
-        injected = boundaryNodes();  // side_ still holds the healed cut
+        // side_ still holds the healed cut
+        injected = boundaryNodes(topo, side_);
         sim_->chaosHealPartition();
         break;
       case FaultKind::LossBurst:
@@ -190,21 +209,6 @@ class SimChaosController {
     return injected;
   }
 
-  /// Endpoints of ground-truth radio links the current side_ mask severs —
-  /// the nodes the partition event touches directly.
-  [[nodiscard]] std::vector<graph::Vertex> boundaryNodes() {
-    const graph::Graph topo = sim_->currentTopology();
-    std::vector<std::uint8_t> hit(topo.order(), 0);
-    for (const auto& e : topo.edges()) {
-      if (side_[e.u] != side_[e.v]) hit[e.u] = hit[e.v] = 1;
-    }
-    std::vector<graph::Vertex> out;
-    for (graph::Vertex v = 0; v < topo.order(); ++v) {
-      if (hit[v] != 0) out.push_back(v);
-    }
-    return out;
-  }
-
   void closeWindow() {
     if (!monitor_->windowOpen()) return;
     const adhoc::SimTime now = sim_->now();
@@ -221,7 +225,7 @@ class SimChaosController {
 
   adhoc::NetworkSimulator<State>* sim_;
   FaultPlan plan_;
-  Rng rng_;
+  std::uint64_t chaosSeed_;
   Sampler sampler_;
   adhoc::SimTime interval_;
   RecoveryMonitor* monitor_;

@@ -383,4 +383,11 @@ class RecoveryMonitor {
   telemetry::EventLog* events_ = nullptr;
 };
 
+/// A containment radius as the reports print it: the distance, or
+/// "unreachable" for the cap n that RecoveryMonitor gives a node no
+/// injected node reaches (a fault's effect crossed a partition).
+inline std::string containmentText(std::size_t radius, std::size_t n) {
+  return radius >= n ? "unreachable" : std::to_string(radius);
+}
+
 }  // namespace selfstab::chaos

@@ -572,4 +572,23 @@ void toInternalFrame(FaultPlan& plan, const graph::Graph& g) {
   }
 }
 
+std::vector<graph::Vertex> boundaryNodes(const graph::Graph& g,
+                                         std::span<const std::uint8_t> side,
+                                         std::span<const std::uint8_t> skip) {
+  const auto skipped = [&](graph::Vertex v) {
+    return !skip.empty() && skip[v] != 0;
+  };
+  std::vector<graph::Vertex> out;
+  for (graph::Vertex v = 0; v < g.order(); ++v) {
+    if (skipped(v)) continue;
+    for (const graph::Vertex w : g.neighbors(v)) {
+      if (!skipped(w) && side[v] != side[w]) {
+        out.push_back(v);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace selfstab::chaos

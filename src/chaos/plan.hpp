@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -119,6 +120,14 @@ void validatePlan(const FaultPlan& plan, std::size_t n);
 /// Renumbers a plan's vertices, given in g's external numbering (the one
 /// users and templates see), to g's own; a no-op for an unlabelled graph.
 void toInternalFrame(FaultPlan& plan, const graph::Graph& g);
+
+/// Endpoints of the edges of g whose ends lie on different sides of a
+/// partition (side[v]), ascending: the nodes a partition cut or heal
+/// touches directly. A node with skip[v] set (a crashed one) is no
+/// endpoint; an empty `skip` skips none.
+[[nodiscard]] std::vector<graph::Vertex> boundaryNodes(
+    const graph::Graph& g, std::span<const std::uint8_t> side,
+    std::span<const std::uint8_t> skip = {});
 
 /// Resolves a --chaos spec: "<template>:<seed>" (e.g. "churn:42") builds the
 /// named campaign; anything else is read as a JSON plan file. The result is

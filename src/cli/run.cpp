@@ -765,7 +765,8 @@ void printReport(const Report& report, std::ostream& out) {
     out << "chaos       : " << report.chaosFaults << " fault(s), "
         << (report.chaosRecoveredAll ? "all recovered" : "NOT all recovered")
         << ", worst recovery " << report.chaosMaxRecoveryRounds
-        << " round(s), worst containment " << report.chaosMaxContainment
+        << " round(s), worst containment "
+        << chaos::containmentText(report.chaosMaxContainment, report.n)
         << ", safety violations " << report.chaosSafetyViolations << '\n';
   }
 }

@@ -311,7 +311,8 @@ void printSimReport(const SimReport& report, std::ostream& out) {
     out << "chaos       : " << report.chaosFaults << " fault(s), "
         << (report.chaosRecoveredAll ? "all recovered" : "NOT all recovered")
         << ", worst recovery " << report.chaosMaxRecoveryRounds
-        << " round(s), worst containment " << report.chaosMaxContainment
+        << " round(s), worst containment "
+        << chaos::containmentText(report.chaosMaxContainment, report.nodes)
         << '\n';
   }
 }

@@ -214,15 +214,31 @@ void expectSameCampaigns(const engine::Protocol<State>& protocol,
   }
 }
 
-TEST(CampaignStability, PeekMatchesStaleOracle) {
+// One case per protocol, so the six run side by side under ctest -j.
+TEST(CampaignStability, PeekMatchesStaleOracleSmm) {
   expectSameCampaigns(core::smmPaper(), core::randomPointerState,
                       smmSafetyCheck());
+}
+
+TEST(CampaignStability, PeekMatchesStaleOracleSmmArbitrary) {
   expectSameCampaigns(core::smmArbitrary(core::Choice::Successor),
                       core::randomPointerState);
+}
+
+TEST(CampaignStability, PeekMatchesStaleOracleSis) {
   expectSameCampaigns(core::SisProtocol{}, core::randomBitState,
                       sisSafetyCheck());
+}
+
+TEST(CampaignStability, PeekMatchesStaleOracleColoring) {
   expectSameCampaigns(core::ColoringProtocol{}, core::randomColorState);
+}
+
+TEST(CampaignStability, PeekMatchesStaleOracleBfsTree) {
   expectSameCampaigns(core::BfsTreeProtocol(0, kN), core::randomTreeState);
+}
+
+TEST(CampaignStability, PeekMatchesStaleOracleLeaderTree) {
   expectSameCampaigns(core::LeaderTreeProtocol(kN), core::randomLeaderState);
 }
 

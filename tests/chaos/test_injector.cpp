@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "analysis/verifiers.hpp"
+#include "chaos/campaign.hpp"
 #include "chaos/plan.hpp"
 #include "core/sis.hpp"
 #include "core/smm.hpp"
+#include "engine/fault.hpp"
+#include "engine/sync_runner.hpp"
 #include "graph/generators.hpp"
+#include "graph/geometry.hpp"
 
 namespace selfstab::chaos {
 namespace {
@@ -229,6 +234,112 @@ TEST(SimInjector, SisSurvivesRollingPartition) {
   EXPECT_EQ(monitor.records().size(), plan.events.size());
   EXPECT_TRUE(analysis::isMaximalIndependentSet(
       sim.currentTopology(), analysis::membersOf(sim.states())));
+}
+
+/// A listed node's corrupted state is its own keyed draw, under the
+/// event's index: naming a second node in the same event leaves it alone.
+/// The node is stuck first, so the state it keeps is the one drawn.
+TEST(SimInjector, ListedCorruptionDrawsPerNode) {
+  const std::size_t n = 16;
+  const graph::Vertex v = 5;
+  const graph::Vertex w = 9;
+  NetworkConfig config;
+  config.seed = 17;
+  const std::vector<graph::Point> points =
+      connectedPoints(n, config.radius, 17);
+  const auto ids = graph::IdAssignment::identity(n);
+  const core::SmmProtocol smm = core::smmPaper();
+  const auto stateAfter = [&](std::vector<graph::Vertex> victims) {
+    StaticPlacement mobility(points);
+    NetworkSimulator<PointerState> sim(smm, ids, mobility, config);
+    FaultPlan plan;
+    FaultEvent stuck;
+    stuck.at = 10;
+    stuck.kind = FaultKind::Stuck;
+    stuck.node = v;
+    FaultEvent corrupt;
+    corrupt.at = 20;
+    corrupt.kind = FaultKind::Corrupt;
+    corrupt.nodes = std::move(victims);
+    plan.events = {stuck, corrupt};
+    RecoveryMonitor monitor;
+    SimChaosController<PointerState, decltype(&core::randomPointerState)>
+        controller(sim, plan, kChaosSeed, &core::randomPointerState,
+                   config.beaconInterval, monitor);
+    sim.run(40 * config.beaconInterval);
+    return sim.states()[v];
+  };
+  const PointerState alone = stateAfter({v});
+  EXPECT_EQ(stateAfter({v, w}), alone);
+  EXPECT_EQ(stateAfter({w, v}), alone);
+
+  // It is event 1's draw from v's own stream over the unit-disk graph.
+  const graph::Graph topo = graph::unitDiskGraph(points, config.radius);
+  Rng rng = engine::nodeRng(hashCombine(kChaosSeed, 1), topo, v);
+  EXPECT_EQ(alone, core::randomPointerState(v, topo, rng));
+}
+
+/// Records each state it hands out, by node; each node is drawn at most
+/// once per event, so team workers never write the same slot.
+struct RecordingSampler {
+  std::vector<std::optional<PointerState>>* drawn;
+  PointerState operator()(graph::Vertex v, const graph::Graph& g,
+                          Rng& rng) const {
+    const PointerState s = core::randomPointerState(v, g, rng);
+    (*drawn)[v] = s;
+    return s;
+  }
+};
+
+/// On a static placement the simulator's fraction corruption is the
+/// abstract campaign's: the same plan, chaos seed and event index hit the
+/// same nodes with the same states, on the team in both drivers (n spans
+/// several keyed-draw blocks).
+TEST(SimInjector, FractionCorruptionMatchesEngineCampaign) {
+  const std::size_t n = 3 * engine::kSampleGrain;
+  const double radius = 0.02;
+  graph::Rng rng(23);
+  const std::vector<graph::Point> points = graph::randomPoints(n, rng);
+  FaultPlan plan;
+  FaultEvent corrupt;
+  corrupt.at = 3;
+  corrupt.kind = FaultKind::Corrupt;
+  corrupt.fraction = 0.25;
+  plan.events = {corrupt};
+  const auto ids = graph::IdAssignment::identity(n);
+  const core::SmmProtocol smm = core::smmPaper();
+
+  std::vector<std::optional<PointerState>> simDrawn(n);
+  {
+    NetworkConfig config;
+    config.seed = 23;
+    config.radius = radius;
+    StaticPlacement mobility(points);
+    NetworkSimulator<PointerState> sim(smm, ids, mobility, config);
+    RecoveryMonitor monitor;
+    SimChaosController<PointerState, RecordingSampler> controller(
+        sim, plan, kChaosSeed, RecordingSampler{&simDrawn},
+        config.beaconInterval, monitor);
+    sim.run(5 * config.beaconInterval);
+    controller.finalize();
+    ASSERT_EQ(monitor.records().size(), 1u);
+  }
+
+  std::vector<std::optional<PointerState>> engineDrawn(n);
+  {
+    graph::Graph g = graph::unitDiskGraph(points, radius);
+    engine::SyncRunner<PointerState> runner(smm, g, ids, 23,
+                                            engine::Schedule::Dense, 4);
+    std::vector<PointerState> states = runner.initialStates();
+    runEngineCampaign(runner, smm, g, ids, states, plan, kChaosSeed, 1,
+                      RecordingSampler{&engineDrawn});
+  }
+
+  std::size_t hits = 0;
+  for (std::size_t v = 0; v < n; ++v) hits += simDrawn[v].has_value();
+  EXPECT_GT(hits, n / 8);
+  EXPECT_LT(hits, n / 2);
+  EXPECT_TRUE(simDrawn == engineDrawn);
 }
 
 }  // namespace

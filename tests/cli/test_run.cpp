@@ -556,6 +556,35 @@ TEST(PrintReport, RendersAllFields) {
   EXPECT_NE(text.find("matching: 2 pair(s)"), std::string::npos);
 }
 
+// The monitor's cap n is no distance: the text says "unreachable" and
+// keeps every other field of the chaos line in its order; JSON keeps n.
+TEST(PrintReport, ContainmentCapReadsUnreachable) {
+  std::ostringstream sink;
+  const Report r = execute(
+      parseOptions({"-p", "smm", "-g", "udg:400:0.1", "--start", "random",
+                    "--seed", "5", "--chaos", "churn:11"}),
+      sink);
+  ASSERT_EQ(r.chaosMaxContainment, r.n);
+  std::ostringstream text;
+  printReport(r, text);
+  EXPECT_NE(text.str().find("chaos       : 10 fault(s), all recovered, "
+                            "worst recovery 21 round(s), worst containment "
+                            "unreachable, safety violations 0\n"),
+            std::string::npos)
+      << text.str();
+  std::ostringstream json;
+  printReportJson(r, json);
+  EXPECT_NE(json.str().find("\"chaosMaxContainment\":400,"),
+            std::string::npos);
+
+  Report measured = r;
+  measured.chaosMaxContainment = r.n - 1;
+  std::ostringstream distance;
+  printReport(measured, distance);
+  EXPECT_NE(distance.str().find("worst containment 399, safety violations"),
+            std::string::npos);
+}
+
 // A temporary path stem of the running test case's own: ctest runs the
 // cases side by side.
 std::string caseStem() {

@@ -404,5 +404,32 @@ TEST(PrintSimReport, RendersCounters) {
   EXPECT_NE(text.find("verified    : yes"), std::string::npos);
 }
 
+// The monitor's cap n is no distance: the text says "unreachable"; JSON
+// keeps n.
+TEST(PrintSimReport, ContainmentCapReadsUnreachable) {
+  SimReport report;
+  report.nodes = 10;
+  report.chaosActive = true;
+  report.chaosFaults = 3;
+  report.chaosRecoveredAll = true;
+  report.chaosMaxRecoveryRounds = 4;
+  report.chaosMaxContainment = 10;
+  std::ostringstream text;
+  printSimReport(report, text);
+  EXPECT_NE(text.str().find("chaos       : 3 fault(s), all recovered, "
+                            "worst recovery 4 round(s), worst containment "
+                            "unreachable\n"),
+            std::string::npos)
+      << text.str();
+  std::ostringstream json;
+  printSimReportJson(report, json);
+  EXPECT_NE(json.str().find("\"chaosMaxContainment\":10}"),
+            std::string::npos);
+  report.chaosMaxContainment = 9;
+  std::ostringstream distance;
+  printSimReport(report, distance);
+  EXPECT_NE(distance.str().find("worst containment 9\n"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace selfstab::cli
